@@ -3,7 +3,7 @@ deterministic string serialization fed to the bag-of-words stage."""
 
 from dataclasses import dataclass
 
-from .nodes import Kind, SyntaxTree, copy_tree, count_nodes
+from .nodes import Kind, SyntaxTree, copy_tree, count_nodes, walk
 
 ANON_TOKEN = "ID"
 
@@ -17,16 +17,10 @@ class AASTString:
 def anonymize(tree):
     """Replace every identifier with ID; literals and structure kept."""
     root = copy_tree(tree.root if hasattr(tree, "root") else tree)
-    for node in _walk(root):
+    for node in walk(root):
         if node.identifier is not None:
             node.identifier = ANON_TOKEN
     return SyntaxTree(root=root)
-
-
-def _walk(node):
-    yield node
-    for c in node.children:
-        yield from _walk(c)
 
 
 def _fmt_value(v):

@@ -8,22 +8,20 @@ success, 1 on usage errors, 2 on corpus/runtime errors.
 import argparse
 import json
 import os
-import re
 import sys
 
 from .anonymizer import anonymize, serialize_aast
 from .clusterer import ClusterModel, closest_program, purity
-from .corpus import (generate_synthetic_corpus, ingest, project_2d,
-                     run_pipeline, write_corpus)
-from .errors import (CSyntaxError, EmptyCandidates, EmptyCorpus,
-                     MissingTests, TraceRuntimeError, UnresolvedIdentifier,
-                     UnsupportedFeature)
-from .invariants import detect, flatten
+from .corpus import (analyze, generate_synthetic_corpus, ingest, read_source,
+                     read_tests, run_pipeline, write_corpus, write_projection)
+from .errors import (EmptyCandidates, EmptyCorpus, MissingTests,
+                     ProgramRejected)
+from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
-from .tracer import Limits, TestCase, run_suite
+from .tracer import Limits, run_suite
 from .unparse import unparse
-from .vectorizer import FeatureVector, Vocabulary, represent, ProgramDocs
+from .vectorizer import FeatureVector, Vocabulary, represent
 
 _MODE_ALIASES = {"syntax": "syntax", "aast": "aast", "inv": "inv",
                  "aast+inv": "aast_inv", "aast_inv": "aast_inv"}
@@ -45,36 +43,16 @@ def _emit(args, payload, human):
         print(human)
 
 
-def _read_source(path):
-    with open(path) as f:
-        return f.read()
-
-
-def _read_test_dir(path):
-    """A flat directory of t<i>.in / t<i>.out pairs."""
-    pattern = re.compile(r"t(\d+)\.in$")
-    cases = []
-    for fname in sorted(os.listdir(path)):
-        m = pattern.match(fname)
-        if not m:
-            continue
-        out_path = os.path.join(path, f"t{m.group(1)}.out")
-        if not os.path.exists(out_path):
-            raise MissingTests(path)
-        with open(os.path.join(path, fname)) as f:
-            stdin_text = f.read()
-        with open(out_path) as f:
-            expected = f.read()
-        cases.append((int(m.group(1)), TestCase(stdin_text, expected)))
-    if not cases:
-        raise MissingTests(path)
-    return [tc for _, tc in sorted(cases, key=lambda p: p[0])]
-
-
 def _renamed_tree(path):
-    tree = parse(_read_source(path))
-    renamed, rmap = rename(tree)
-    return renamed, rmap
+    return rename(parse(read_source(path)))
+
+
+def _analyze(args):
+    """The submission at args.program analyzed against args.tests."""
+    program = SourceProgram(id="query", label="",
+                            text=read_source(args.program))
+    return analyze(program, read_tests(args.tests), _limits(args),
+                   args.min_samples)
 
 
 def _limits(args):
@@ -100,8 +78,7 @@ def cmd_aast(args):
 
 def cmd_trace(args):
     renamed, _ = _renamed_tree(args.program)
-    tests = _read_test_dir(args.tests)
-    log, verdicts = run_suite(renamed, tests, _limits(args))
+    log, verdicts = run_suite(renamed, read_tests(args.tests), _limits(args))
     payload = {"verdicts": verdicts, "trace": log.to_json()}
     lines = [f"t{i}: {v}" for i, v in enumerate(verdicts)]
     _emit(args, payload, "\n".join(lines))
@@ -109,15 +86,9 @@ def cmd_trace(args):
 
 
 def cmd_invariants(args):
-    renamed, _ = _renamed_tree(args.program)
-    tests = _read_test_dir(args.tests)
-    log, verdicts = run_suite(renamed, tests, _limits(args))
-    if "error" in verdicts:
-        sys.stderr.write("error: program failed during tracing\n")
-        return 2
-    inv = detect(log, args.min_samples)
-    _emit(args, {"invariants": inv.as_dict(), "verdicts": verdicts},
-          flatten(inv).rstrip("\n"))
+    pa = _analyze(args)
+    _emit(args, {"invariants": pa.inv_by_point, "verdicts": pa.verdicts},
+          pa.docs.inv_text.rstrip("\n"))
     return 0
 
 
@@ -181,19 +152,8 @@ def cmd_representatives(args):
 
 def cmd_closest(args):
     model = _load_model(args.model)
-    tree = parse(_read_source(args.program))
-    renamed, _ = rename(tree)
-    tests = _read_test_dir(args.tests)
-    log, verdicts = run_suite(renamed, tests, _limits(args))
-    if "error" in verdicts:
-        sys.stderr.write("error: program failed during tracing\n")
-        return 2
-    inv = detect(log, args.min_samples)
-    docs = ProgramDocs(
-        renamed_source=unparse(renamed),
-        aast_text=serialize_aast(anonymize(renamed)).text,
-        inv_text=flatten(inv))
-    query = represent(docs, model.vocab, "query")
+    pa = _analyze(args)
+    query = represent(pa.docs, model.vocab, pa.program_id)
     if args.all_candidates:
         ids = sorted(model.assignment)
     else:
@@ -230,14 +190,10 @@ def cmd_project(args):
         report = json.load(f)
     vectors = _load_vectors(os.path.join(args.artifacts, "model.json"),
                             report["clustered"])
-    rows = project_2d(vectors)
     out_path = os.path.join(args.artifacts, "projection.csv")
-    with open(out_path, "w") as f:
-        f.write("id,x,y\n")
-        for pid, x, y in rows:
-            f.write(f"{pid},{x!r},{y!r}\n")
-    _emit(args, {"csv": out_path, "points": len(rows)},
-          f"wrote {len(rows)} points to {out_path}")
+    points = write_projection(vectors, out_path)
+    _emit(args, {"csv": out_path, "points": points},
+          f"wrote {points} points to {out_path}")
     return 0
 
 
@@ -296,9 +252,6 @@ def build_parser():
                    default="correct-only")
     p.add_argument("--restarts", type=int, default=8,
                    help="best-of-R k-means restarts by SSE")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("INVCLUST_THREADS", "0") or 0),
-                   help="cap worker threads (0 = sequential)")
     p.add_argument("--out", default=None, help="artifact output directory")
     common(p)
     p.set_defaults(func=cmd_cluster)
@@ -349,8 +302,7 @@ def main(argv=None):
         return e.code if e.code is not None else 1
     try:
         return args.func(args)
-    except (CSyntaxError, UnsupportedFeature, UnresolvedIdentifier,
-            TraceRuntimeError, EmptyCorpus, EmptyCandidates, MissingTests,
+    except (ProgramRejected, EmptyCorpus, EmptyCandidates, MissingTests,
             FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -138,13 +138,6 @@ def kmeans(vectors, k, seed, max_iters=300, tol=1e-6, mode="", restarts=1):
     return model
 
 
-def default_k(n):
-    """10% of n, rounded half away from zero, floored at 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return max(1, (n + 5) // 10)
-
-
 def k_from_fraction(n, frac):
     import math
     return max(1, math.floor(n * frac + 0.5))

@@ -1,5 +1,5 @@
-"""Corpus ingestion, pipeline orchestration, artifact persistence, and the
-2-D projection export."""
+"""Corpus ingestion, per-program analysis, pipeline orchestration, artifact
+persistence, and the 2-D projection export."""
 
 import hashlib
 import json
@@ -11,13 +11,12 @@ import numpy as np
 
 from .anonymizer import anonymize, serialize_aast
 from .clusterer import k_from_fraction, kmeans, purity
-from .errors import (CSyntaxError, EmptyCorpus, MissingTests,
-                     UnresolvedIdentifier, UnsupportedFeature)
+from .errors import EmptyCorpus, MissingTests, ProgramRejected, RuntimeFailure
 from .invariants import detect, flatten
 from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
-from .tracer import Limits, TestCase, run_suite
+from .tracer import TestCase, run_suite
 from .unparse import unparse
 from .vectorizer import ProgramDocs, build_vocab_for_mode, represent
 
@@ -36,26 +35,34 @@ class Corpus:
     assignments: dict = field(default_factory=dict)  # label -> Assignment
 
 
-def _read_tests(tests_dir, label):
-    tdir = os.path.join(tests_dir, label)
-    if not os.path.isdir(tdir):
-        raise MissingTests(label)
+def read_source(path):
+    """A submission's text. Bytes that are not UTF-8 decode to U+FFFD, which
+    the lexer rejects outside comments, so a bad byte excludes one program
+    with a syntax diagnostic instead of aborting the run."""
+    with open(path, encoding="utf-8", errors="replace") as f:
+        return f.read()
+
+
+def read_tests(path):
+    """A flat directory of t<i>.in / t<i>.out pairs, in order of i."""
+    if not os.path.isdir(path):
+        raise MissingTests(path)
     pattern = re.compile(r"t(\d+)\.in$")
     cases = []
-    for fname in sorted(os.listdir(tdir)):
+    for fname in sorted(os.listdir(path)):
         m = pattern.match(fname)
         if not m:
             continue
-        out_path = os.path.join(tdir, f"t{m.group(1)}.out")
+        out_path = os.path.join(path, f"t{m.group(1)}.out")
         if not os.path.exists(out_path):
-            raise MissingTests(label)
-        with open(os.path.join(tdir, fname)) as f:
+            raise MissingTests(path)
+        with open(os.path.join(path, fname)) as f:
             stdin_text = f.read()
         with open(out_path) as f:
             expected = f.read()
         cases.append((int(m.group(1)), TestCase(stdin_text, expected)))
     if not cases:
-        raise MissingTests(label)
+        raise MissingTests(path)
     return [tc for _, tc in sorted(cases, key=lambda p: p[0])]
 
 
@@ -72,15 +79,14 @@ def ingest(root_dir, tests_dir=None):
         for fname in sorted(os.listdir(adir)):
             if not fname.endswith(".c"):
                 continue
-            with open(os.path.join(adir, fname)) as f:
-                text = f.read()
-            stem = fname[:-2]
-            programs.append(SourceProgram(id=f"{label}/{stem}", label=label,
-                                          text=text))
+            programs.append(SourceProgram(
+                id=f"{label}/{fname[:-2]}", label=label,
+                text=read_source(os.path.join(adir, fname))))
         if not programs:
             continue
         corpus.assignments[label] = Assignment(
-            label=label, programs=programs, tests=_read_tests(tests_dir, label))
+            label=label, programs=programs,
+            tests=read_tests(os.path.join(tests_dir, label)))
     if not corpus.assignments:
         raise EmptyCorpus(f"no programs under {root_dir}")
     return corpus
@@ -108,40 +114,43 @@ class PipelineArtifacts:
     clustered_ids: list = field(default_factory=list)
 
 
+def analyze(program, tests, limits=None, min_samples=2):
+    """parse -> rename -> trace -> detect -> documents for one
+    SourceProgram. Raises ProgramRejected when the program cannot be used:
+    a syntax, unsupported-construct or unresolved-name diagnostic, or
+    RuntimeFailure when a test ends in a runtime error."""
+    renamed, rmap = rename(parse(program))
+    log, verdicts = run_suite(renamed, tests, limits)
+    if "error" in verdicts:
+        raise RuntimeFailure(log.errors[0])
+    inv_set = detect(log, min_samples)
+    docs = ProgramDocs(
+        renamed_source=unparse(renamed),
+        aast_text=serialize_aast(anonymize(renamed)).text,
+        inv_text=flatten(inv_set),
+    )
+    return ProgramArtifacts(
+        program_id=program.id, label=program.label, docs=docs,
+        inv_by_point=inv_set.as_dict(), verdicts=verdicts,
+        correct=all(v == "pass" for v in verdicts), rename_map=rmap)
+
+
 def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
                  subset="correct-only", n=3, idf=False, min_samples=2,
                  limits=None, out_dir=None, restarts=8):
-    """rename -> trace -> detect -> vectorize -> kmeans -> representatives.
+    """analyze each program -> vectorize -> kmeans -> representatives.
 
     Clustering is restricted to programs passing every test when
     subset="correct-only"; every surviving program still gets a vector
     against the frozen vocabulary (for closest-program queries)."""
-    limits = limits or Limits()
     arts = PipelineArtifacts()
     for label in sorted(corpus.assignments):
         asn = corpus.assignments[label]
         for prog in asn.programs:
             try:
-                tree = parse(prog)
-                renamed, rmap = rename(tree)
-                log, verdicts = run_suite(renamed, asn.tests, limits)
-                if "error" in verdicts:
-                    diag = log.errors[0] if log.errors else "runtime error"
-                    arts.exclusions[prog.id] = diag
-                    continue
-                inv_set = detect(log, min_samples)
-                docs = ProgramDocs(
-                    renamed_source=unparse(renamed),
-                    aast_text=serialize_aast(anonymize(renamed)).text,
-                    inv_text=flatten(inv_set),
-                )
-                arts.programs[prog.id] = ProgramArtifacts(
-                    program_id=prog.id, label=label, docs=docs,
-                    inv_by_point=inv_set.as_dict(), verdicts=verdicts,
-                    correct=all(v == "pass" for v in verdicts),
-                    rename_map=rmap,
-                )
-            except (CSyntaxError, UnsupportedFeature, UnresolvedIdentifier) as e:
+                arts.programs[prog.id] = analyze(prog, asn.tests, limits,
+                                                 min_samples)
+            except ProgramRejected as e:
                 arts.exclusions[prog.id] = str(e)
     if not arts.programs:
         raise EmptyCorpus("no program survived the pipeline")
@@ -207,11 +216,18 @@ def persist(arts, out_dir):
     }
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         f.write(_dump(report))
-    rows = project_2d([arts.programs[i].vector for i in arts.clustered_ids])
-    with open(os.path.join(out_dir, "projection.csv"), "w") as f:
+    write_projection([arts.programs[i].vector for i in arts.clustered_ids],
+                     os.path.join(out_dir, "projection.csv"))
+
+
+def write_projection(vectors, path):
+    """Write project_2d(vectors) as id,x,y CSV; returns the row count."""
+    rows = project_2d(vectors)
+    with open(path, "w") as f:
         f.write("id,x,y\n")
         for pid, x, y in rows:
             f.write(f"{pid},{x!r},{y!r}\n")
+    return len(rows)
 
 
 def _power_iteration(cov, start, iters=200):

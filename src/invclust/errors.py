@@ -1,7 +1,12 @@
 """Exception types shared across the pipeline."""
 
 
-class CSyntaxError(Exception):
+class ProgramRejected(Exception):
+    """A submission the pipeline cannot use; str(e) is its exclusion
+    diagnostic."""
+
+
+class CSyntaxError(ProgramRejected):
     """Malformed input rejected by the lexer or parser."""
 
     def __init__(self, line, col, message):
@@ -11,7 +16,7 @@ class CSyntaxError(Exception):
         self.message = message
 
 
-class UnsupportedFeature(Exception):
+class UnsupportedFeature(ProgramRejected):
     """Input is valid C but outside the supported subset."""
 
     def __init__(self, construct, line):
@@ -20,7 +25,7 @@ class UnsupportedFeature(Exception):
         self.line = line
 
 
-class UnresolvedIdentifier(Exception):
+class UnresolvedIdentifier(ProgramRejected):
     """A reference has no visible declaration."""
 
     def __init__(self, name, line):
@@ -44,6 +49,11 @@ class TraceRuntimeError(Exception):
         self.kind = kind
         self.point = point
         self.detail = detail
+
+
+class RuntimeFailure(ProgramRejected):
+    """A test ended in a runtime error; the message is the diagnostic the
+    tracer logged for the first such test."""
 
 
 class UnmappedPoint(Exception):

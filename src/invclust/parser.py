@@ -11,6 +11,10 @@ from .nodes import Kind, Node, SyntaxTree
 
 TYPE_KEYWORDS = {"int": "int", "double": "double", "float": "double"}
 
+# Later stages walk the tree recursively; a tree this shallow fits their
+# Python stack with room to spare.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens):
@@ -449,18 +453,24 @@ class _Parser:
             _check_calls_in(fn, funcs)
 
 
-def _check_calls_in(node, funcs):
-    if node.kind == Kind.CALL:
-        if node.identifier not in funcs:
-            raise CSyntaxError(node.line, node.col,
-                               f"call to undefined function '{node.identifier}'")
-        if funcs[node.identifier] != len(node.children):
-            raise CSyntaxError(node.line, node.col,
-                               f"'{node.identifier}' expects "
-                               f"{funcs[node.identifier]} arguments, got "
-                               f"{len(node.children)}")
-    for c in node.children:
-        _check_calls_in(c, funcs)
+def _check_calls_in(fn, funcs):
+    """Call arity and nesting depth, in pre-order."""
+    stack = [(fn, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise CSyntaxError(node.line, node.col, "nesting too deep")
+        if node.kind == Kind.CALL:
+            if node.identifier not in funcs:
+                raise CSyntaxError(
+                    node.line, node.col,
+                    f"call to undefined function '{node.identifier}'")
+            if funcs[node.identifier] != len(node.children):
+                raise CSyntaxError(node.line, node.col,
+                                   f"'{node.identifier}' expects "
+                                   f"{funcs[node.identifier]} arguments, got "
+                                   f"{len(node.children)}")
+        stack.extend((c, depth + 1) for c in reversed(node.children))
 
 
 def _scanf_conversions(fmt_tok, line):
@@ -513,5 +523,10 @@ def _printf_conversions(fmt_tok, line):
 def parse(source):
     """Parse a SourceProgram (or raw text) into a SyntaxTree."""
     text = source.text if hasattr(source, "text") else source
-    tree = _Parser(lex(text)).translation_unit()
+    parser = _Parser(lex(text))
+    try:
+        tree = parser.translation_unit()
+    except RecursionError:
+        tok = parser.peek()
+        raise CSyntaxError(tok.line, tok.col, "nesting too deep") from None
     return SyntaxTree(root=tree)

@@ -463,7 +463,11 @@ def execute(tree, test, limits=None):
     interp = _Interp(root, test.stdin_text, limits)
     verdict = "error"
     try:
-        interp.run_main()
+        try:
+            interp.run_main()
+        except RecursionError:  # Python's stack ran out before the call cap
+            raise TraceRuntimeError("step-limit", interp.point,
+                                    "call depth") from None
         stdout = "".join(interp.out)
         ok = normalize_output(stdout) == normalize_output(test.expected_stdout)
         verdict = "pass" if ok else "fail"

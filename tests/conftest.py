@@ -19,6 +19,26 @@ LEFT_SRC = PAIR_WHILE
 RIGHT_SRC = PAIR_FOR
 
 
+_READ_N = 'int main() {\n  int n;\n  scanf("%d", &n);\n'
+
+# Submissions that once escaped as raw Python errors: {name: (source bytes,
+# a substring of the diagnostic they must now produce)}.
+HOSTILE_SOURCES = {
+    "recursion-390": (
+        ("int f(int n) {\n  if (n == 0) {\n    return 0;\n  }\n"
+         "  return f(n - 1) + 1;\n}\n\n" + _READ_N
+         + '  printf("%d", f(390));\n}\n').encode(),
+        "step-limit at f/entry: call depth"),
+    "parens-2000": (
+        (_READ_N + '  printf("%d", ' + "(" * 2000 + "n" + ")" * 2000
+         + ");\n}\n").encode(),
+        "nesting too deep"),
+    "non-utf8": (
+        _READ_N.encode() + b"  int m\xff = 0;\n" + b'  printf("%d", n);\n}\n',
+        "4:8: unexpected character"),
+}
+
+
 def sum_suite(ns=(1, 2, 5)):
     return [TestCase(f"{n}\n", f"{n * (n + 1) // 2}") for n in ns]
 

@@ -7,7 +7,7 @@ import pytest
 
 from invclust.cli import main
 
-from conftest import LEFT_SRC
+from conftest import HOSTILE_SOURCES, LEFT_SRC
 
 BAD_SUM = ('int main() {\n  int n, s = 0, i;\n  scanf("%d", &n);\n'
            "  for (i = 1; i < n; i++) {\n    s = s + i;\n  }\n"
@@ -158,6 +158,34 @@ def test_unsupported_program_exit_2(workspace, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "pointer" in err
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE_SOURCES))
+def test_hostile_closest_exit_2(workspace, capsys, kind):
+    data, diagnostic = HOSTILE_SOURCES[kind]
+    prog = workspace / f"{kind}.c"
+    prog.write_bytes(data)
+    code = main(["closest", "--model", str(workspace / "out" / "model.json"),
+                 "--program", str(prog),
+                 "--tests", str(workspace / "corpus" / "tests" / "sum1n")])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1 and diagnostic in errors[0]
+
+
+@pytest.mark.parametrize("command", ["invariants", "closest"])
+def test_runtime_error_prints_its_diagnostic(workspace, capsys, command):
+    prog = workspace / "divzero.c"
+    prog.write_text('int main() {\n  int n;\n  scanf("%d", &n);\n'
+                    '  printf("%d", n / 0);\n}\n')
+    argv = {"invariants": ["invariants", str(prog)],
+            "closest": ["closest", "--program", str(prog), "--model",
+                        str(workspace / "out" / "model.json")]}[command]
+    code = main(argv + ["--tests",
+                        str(workspace / "corpus" / "tests" / "sum1n")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: div-by-zero at main/entry\n"
 
 
 def test_no_command_exit_1(capsys):

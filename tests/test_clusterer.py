@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from invclust.clusterer import (closest_program, default_k, k_from_fraction,
-                                kmeans, purity, select_representatives)
+from invclust.clusterer import (closest_program, k_from_fraction, kmeans,
+                                purity, select_representatives)
 from invclust.errors import (DimensionMismatch, EmptyCandidates, KTooLarge,
                              MissingLabel)
 from invclust.vectorizer import FeatureVector
@@ -49,9 +49,10 @@ def test_k_too_large():
 
 
 def test_default_k():
-    assert default_k(100) == 10
-    assert default_k(1) == 1
-    assert default_k(25) == 3
+    # The default k is 10% of the programs (the --k-frac default).
+    assert k_from_fraction(100, 0.1) == 10
+    assert k_from_fraction(1, 0.1) == 1
+    assert k_from_fraction(25, 0.1) == 3
 
 
 def test_k_from_fraction():

@@ -17,6 +17,8 @@ from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase
 from invclust.vectorizer import FeatureVector
 
+from conftest import HOSTILE_SOURCES
+
 
 def _write_corpus_tree(root, assignments):
     """assignments: {label: ([(name, src)], [(stdin, stdout)])}"""
@@ -181,6 +183,21 @@ def test_pipeline_fatal_when_nothing_survives():
         tests=[TestCase("", "")])})
     with pytest.raises(EmptyCorpus):
         run_pipeline(corpus, mode="syntax", k=1)
+
+
+def test_hostile_programs_become_exclusions(tmp_path):
+    _write_corpus_tree(str(tmp_path), {
+        "alpha": ([(f"s{i}", _ECHO) for i in range(3)], [("1\n", "1")]),
+    })
+    for kind, (data, _) in HOSTILE_SOURCES.items():
+        with open(tmp_path / "alpha" / f"{kind}.c", "wb") as f:
+            f.write(data)
+    arts = run_pipeline(ingest(str(tmp_path)), mode="aast_inv", k=1)
+    assert sorted(arts.exclusions) == sorted(
+        f"alpha/{kind}" for kind in HOSTILE_SOURCES)
+    for kind, (_, diagnostic) in HOSTILE_SOURCES.items():
+        assert diagnostic in arts.exclusions[f"alpha/{kind}"]
+    assert arts.clustered_ids == ["alpha/s0", "alpha/s1", "alpha/s2"]
 
 
 def _fv(pid, values):

@@ -94,6 +94,16 @@ def test_syntax_error_position_inside_input():
     assert exc.value.col >= 1
 
 
+@pytest.mark.parametrize("expr", ["(" * 2000 + "1" + ")" * 2000,
+                                  "- " * 500 + "1", "1" + " + 1" * 500],
+                         ids=["parens", "unary", "sum"])
+def test_deep_nesting_is_syntax_error(expr):
+    with pytest.raises(CSyntaxError) as exc:
+        parse('int main() {\n  printf("%d", ' + expr + ");\n}\n")
+    assert exc.value.message == "nesting too deep"
+    assert exc.value.line == 2
+
+
 def test_scanf_printf_dedicated_nodes():
     tree = parse('int main() {\n  int x;\n  scanf("%d", &x);\n'
                  '  printf("%d\\n", x);\n}\n')

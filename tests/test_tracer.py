@@ -44,6 +44,14 @@ def test_infinite_loop_hits_step_limit():
     assert any("step-limit" in e for e in log.errors)
 
 
+def test_python_stack_overflow_is_call_depth_error():
+    tree = parse("int f(int n) {\n  return f(n + 1);\n}\n\n"
+                 "int main() {\n  f(0);\n}\n")
+    log, _, verdict = execute(tree, TestCase("", ""))
+    assert verdict == "error"
+    assert log.errors == ["step-limit at f/entry: call depth"]
+
+
 def test_div_by_zero():
     tree = parse('int main() {\n  int a = 0;\n  printf("%d", 1 / a);\n}\n')
     _, _, verdict = execute(tree, TestCase("", ""))
