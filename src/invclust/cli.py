@@ -14,8 +14,8 @@ from .anonymizer import anonymize, serialize_aast
 from .clusterer import ClusterModel, closest_program, purity
 from .corpus import (analyze, generate_synthetic_corpus, ingest, read_source,
                      read_tests, run_pipeline, write_corpus, write_projection)
-from .errors import (EmptyCandidates, EmptyCorpus, MissingTests,
-                     ProgramRejected)
+from .errors import (BadTestFile, EmptyCandidates, EmptyCorpus, KTooLarge,
+                     MissingTests, ProgramRejected)
 from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
@@ -303,7 +303,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ProgramRejected, EmptyCorpus, EmptyCandidates, MissingTests,
-            FileNotFoundError) as e:
+            BadTestFile, KTooLarge, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

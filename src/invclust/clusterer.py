@@ -1,10 +1,23 @@
 """KMeans clustering, representative selection, purity, and
 closest-correct-program lookup.
 
-Lloyd's algorithm with k-means++ seeding from an explicit seed; squared
-Euclidean assignment with ties broken toward the lowest cluster index;
-empty clusters reseeded with the point farthest from its centroid. Fully
-deterministic given the seed.
+k-means runs on weighted distinct points: the N input vectors are collapsed
+with np.unique (rows in sorted order) into M distinct points, each weighted
+by how many programs share it, and the labels are mapped back to every
+program through the inverse index. Weights enter the k-means++ seeding (the
+first-centre draw, the D^2 sampling and the candidate potentials), the
+centroid means and the SSE, so the result is that of k-means on the
+repeated vectors at a cost set by M.
+
+k is clamped to M when N >= k > M: there are no more distinct groups to
+find, and model.k is the k used. k > N or k < 1 raises KTooLarge.
+
+Lloyd's algorithm runs from greedy k-means++ seeding with an explicit seed;
+squared Euclidean assignment with ties broken toward the lowest cluster
+index. A cluster left empty takes the point farthest from its centroid,
+drawn from a cluster with at least two distinct points (one always exists
+while k <= M). Lloyd stops when an iteration that did no reseeding changes
+no label, or after max_iters. Fully deterministic given the seed.
 """
 
 from dataclasses import dataclass, field
@@ -48,90 +61,109 @@ def _matrix(vectors):
     return X
 
 
-def _kmeanspp(X, k, rng):
-    """Greedy k-means++: per step, sample several D^2-weighted candidates
-    and keep the one minimizing the resulting potential."""
-    n = X.shape[0]
+def _sq_dists(P, C):
+    """Exact squared Euclidean distances, one row per point of P."""
+    return ((P[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+
+
+def _kmeanspp(P, w, k, rng):
+    """Greedy k-means++ on points P with weights w: per step, sample several
+    w*D^2-weighted candidates and keep the one minimizing the resulting
+    weighted potential."""
+    m = P.shape[0]
     n_candidates = 2 + int(np.log(k))
-    centers = np.empty((k, X.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    by_weight = w / w.sum()
+    centers = np.empty((k, P.shape[1]))
+    centers[0] = P[rng.choice(m, p=by_weight)]
+    d2 = _sq_dists(P, centers[:1])[:, 0]
     for c in range(1, k):
-        total = d2.sum()
+        total = w @ d2
         if total <= 0:
-            # All points coincide with chosen centers; pick uniformly.
-            best = int(rng.integers(n))
-            best_d2 = d2
-        else:
-            candidates = rng.choice(n, size=n_candidates, p=d2 / total)
-            best, best_d2 = None, None
-            for idx in candidates:
-                cand_d2 = np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1))
-                pot = cand_d2.sum()
-                if best is None or pot < best_pot:
-                    best, best_pot, best_d2 = int(idx), pot, cand_d2
-        centers[c] = X[best]
-        d2 = best_d2
+            # Every point coincides with a chosen center (only reachable
+            # through underflow); draw by weight alone.
+            centers[c] = P[rng.choice(m, p=by_weight)]
+            continue
+        candidates = rng.choice(m, size=n_candidates, p=w * d2 / total)
+        cand_d2 = np.minimum(d2, _sq_dists(P[candidates], P))
+        best = int(np.argmin(cand_d2 @ w))
+        centers[c] = P[candidates[best]]
+        d2 = cand_d2[best]
     return centers
 
 
-def _assign(X, centers):
-    dists = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(dists, axis=1), dists
+def _assign(P, centers):
+    """Nearest center per point (ties to the lowest index) and its squared
+    distance."""
+    dists = _sq_dists(P, centers)
+    labels = np.argmin(dists, axis=1)
+    return labels, dists[np.arange(len(labels)), labels]
 
 
-def _sse(dists, labels):
-    return float(dists[np.arange(len(labels)), labels].sum())
+def _reseed_empty(labels, gaps, k):
+    """Give every empty cluster the farthest point (by gap to its own
+    centroid; ties to the lowest index) among clusters that keep at least
+    one other point. Returns whether any cluster was reseeded."""
+    sizes = np.bincount(labels, minlength=k)
+    empty = np.flatnonzero(sizes == 0)
+    for c in empty:
+        movable = sizes[labels] > 1
+        far = int(np.argmax(np.where(movable, gaps, -1.0)))
+        sizes[labels[far]] -= 1
+        labels[far] = c
+        sizes[c] = 1
+    return len(empty) > 0
 
 
-def _lloyd(X, k, seed, max_iters, tol):
+def _lloyd(P, w, k, seed, max_iters):
+    """One seeded run on weighted points; returns the centers, the labels,
+    the weighted SSE and the number of Lloyd iterations."""
     rng = np.random.default_rng(seed)
-    centers = _kmeanspp(X, k, rng)
-    labels, dists = _assign(X, centers)
-    prev_sse = _sse(dists, labels)
-    for _ in range(max_iters):
-        new_centers = centers.copy()
-        reseeded = False
-        for c in range(k):
-            members = X[labels == c]
-            if len(members):
-                new_centers[c] = members.mean(axis=0)
-            else:
-                # Reseed with the point farthest from its own centroid.
-                gaps = dists[np.arange(len(labels)), labels]
-                far = int(np.argmax(gaps))
-                new_centers[c] = X[far]
-                labels[far] = c
-                reseeded = True
-        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
-        centers = new_centers
-        labels, dists = _assign(X, centers)
-        sse = _sse(dists, labels)
+    centers = _kmeanspp(P, w, k, rng)
+    labels, gaps = _assign(P, centers)
+    sse = float(w @ gaps)
+    iters = 0
+    while iters < max_iters:
+        iters += 1
+        reseeded = _reseed_empty(labels, gaps, k)
+        mass = np.bincount(labels, weights=w, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, w[:, None] * P)
+        centers = sums / mass[:, None]
+        new_labels, gaps = _assign(P, centers)
+        new_sse = float(w @ gaps)
         if not reseeded:
-            assert sse <= prev_sse + 1e-9, "Lloyd SSE increased"
-        prev_sse = sse
-        if shift < tol:
+            assert new_sse <= sse + 1e-9, "Lloyd SSE increased"
+        sse = new_sse
+        stable = not reseeded and np.array_equal(new_labels, labels)
+        labels = new_labels
+        if stable:
             break
-    return centers, labels, prev_sse
+    return centers, labels, sse, iters
 
 
-def kmeans(vectors, k, seed, max_iters=300, tol=1e-6, mode="", restarts=1):
+def kmeans(vectors, k, seed, max_iters=300, mode="", restarts=1):
+    """Best of `restarts` seeded runs by SSE (seeds seed, seed+1, ...); k
+    is clamped to the number of distinct vectors and model.k is the k
+    used."""
     if k > len(vectors):
         raise KTooLarge(f"k={k} exceeds {len(vectors)} points")
     if k < 1:
         raise KTooLarge("k must be >= 1")
-    X = _matrix(vectors)
+    P, inverse, counts = np.unique(_matrix(vectors), axis=0,
+                                   return_inverse=True, return_counts=True)
+    w = counts.astype(float)
+    k = min(k, len(P))
     best = None
     for r in range(restarts):
-        centers, labels, sse = _lloyd(X, k, seed + r, max_iters, tol)
+        centers, labels, sse, _ = _lloyd(P, w, k, seed + r, max_iters)
         if best is None or sse < best[2] - 1e-12:
             best = (centers, labels, sse)
     centers, labels, sse = best
     model = ClusterModel(
         k=k, seed=seed, mode=mode,
         centroids=[list(map(float, c)) for c in centers],
-        assignment={v.program_id: int(c) for v, c in zip(vectors, labels)},
+        assignment={v.program_id: int(labels[i])
+                    for v, i in zip(vectors, inverse.reshape(-1))},
         sse=sse,
     )
     model.representatives = select_representatives(model, vectors)

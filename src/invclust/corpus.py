@@ -11,7 +11,8 @@ import numpy as np
 
 from .anonymizer import anonymize, serialize_aast
 from .clusterer import k_from_fraction, kmeans, purity
-from .errors import EmptyCorpus, MissingTests, ProgramRejected, RuntimeFailure
+from .errors import (BadTestFile, EmptyCorpus, MissingTests, ProgramRejected,
+                     RuntimeFailure)
 from .invariants import detect, flatten
 from .nodes import SourceProgram
 from .parser import parse
@@ -43,8 +44,18 @@ def read_source(path):
         return f.read()
 
 
+def _read_test_file(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise BadTestFile(path, e) from None
+
+
 def read_tests(path):
-    """A flat directory of t<i>.in / t<i>.out pairs, in order of i."""
+    """A flat directory of t<i>.in / t<i>.out pairs, in order of i. Test
+    files are decoded strictly: a byte that is not UTF-8 raises
+    BadTestFile naming the file."""
     if not os.path.isdir(path):
         raise MissingTests(path)
     pattern = re.compile(r"t(\d+)\.in$")
@@ -56,11 +67,9 @@ def read_tests(path):
         out_path = os.path.join(path, f"t{m.group(1)}.out")
         if not os.path.exists(out_path):
             raise MissingTests(path)
-        with open(os.path.join(path, fname)) as f:
-            stdin_text = f.read()
-        with open(out_path) as f:
-            expected = f.read()
-        cases.append((int(m.group(1)), TestCase(stdin_text, expected)))
+        cases.append((int(m.group(1)),
+                      TestCase(_read_test_file(os.path.join(path, fname)),
+                               _read_test_file(out_path))))
     if not cases:
         raise MissingTests(path)
     return [tc for _, tc in sorted(cases, key=lambda p: p[0])]
@@ -112,6 +121,7 @@ class PipelineArtifacts:
     model: object = None
     purity: float = 0.0
     clustered_ids: list = field(default_factory=list)
+    k_requested: int = 0   # before clamping to the distinct vectors
 
 
 def analyze(program, tests, limits=None, min_samples=2):
@@ -170,6 +180,7 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
 
     if k is None:
         k = k_from_fraction(len(clustered), k_frac)
+    arts.k_requested = k
     vectors = [arts.programs[i].vector for i in clustered]
     arts.model = kmeans(vectors, k, seed, mode=mode, restarts=restarts)
     arts.model.vocab = arts.vocab
@@ -212,6 +223,7 @@ def persist(arts, out_dir):
         "exclusions": arts.exclusions,
         "mode": arts.model.mode,
         "k": arts.model.k,
+        "k_requested": arts.k_requested,
         "seed": arts.model.seed,
     }
     with open(os.path.join(out_dir, "report.json"), "w") as f:

@@ -70,6 +70,15 @@ class MissingTests(Exception):
         self.assignment = assignment
 
 
+class BadTestFile(Exception):
+    """A t<i>.in / t<i>.out file that is not UTF-8 text."""
+
+    def __init__(self, path, err):
+        super().__init__(f"{path}: not UTF-8 text ({err.reason} at byte "
+                         f"{err.start})")
+        self.path = path
+
+
 class MissingLabel(Exception):
     def __init__(self, program_id):
         super().__init__(f"no label for program '{program_id}'")

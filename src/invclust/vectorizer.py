@@ -34,13 +34,19 @@ class Vocabulary:
     grams: list  # sorted, unique; aast_inv: aast segment then inv segment
     segments: list = field(default_factory=list)  # [(start, end)] per segment
     idf: list | None = None
+    _index: dict | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if not self.segments:
             self.segments = [(0, len(self.grams))]
 
     def index(self):
-        return {g: i for i, g in enumerate(self.grams)}
+        """gram -> position; built on first use and kept, since the grams
+        of a vocabulary are fixed once it is built."""
+        if self._index is None:
+            self._index = {g: i for i, g in enumerate(self.grams)}
+        return self._index
 
     def as_dict(self):
         d = {"mode": self.mode, "n": self.n, "grams": self.grams,

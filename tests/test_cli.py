@@ -192,3 +192,60 @@ def test_no_command_exit_1(capsys):
     code = main([])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("k", ["50", "0"])
+def test_k_out_of_range_exit_2(workspace, capsys, k):
+    code = main(["cluster", "--corpus", str(workspace / "corpus"),
+                 "--k", k])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1 and "k" in errors[0]
+    assert "Traceback" not in captured.err
+
+
+def test_k_above_distinct_vectors_is_clamped(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    (corpus / "echo").mkdir(parents=True)
+    (corpus / "tests" / "echo").mkdir(parents=True)
+    for i in range(3):
+        (corpus / "echo" / f"s{i}.c").write_text(
+            'int main() {\n  int v;\n  scanf("%d", &v);\n'
+            '  printf("%d", v);\n}\n')
+    (corpus / "tests" / "echo" / "t0.in").write_text("1\n")
+    (corpus / "tests" / "echo" / "t0.out").write_text("1")
+    out = tmp_path / "out"
+    assert main(["cluster", "--corpus", str(corpus), "--k", "3",
+                 "--out", str(out), "--json"]) == 0
+    assert _json_out(capsys)["k"] == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["k"] == 1 and report["k_requested"] == 3
+
+
+@pytest.mark.parametrize("fname", ["t0.in", "t0.out"])
+def test_non_utf8_test_file_exit_2(workspace, capsys, fname):
+    tests = workspace / f"bad-tests-{fname}"
+    tests.mkdir()
+    (tests / "t0.in").write_bytes(b"3\n")
+    (tests / "t0.out").write_bytes(b"6")
+    (tests / fname).write_bytes(b"3\xff")
+    code = main(["trace", str(workspace / "left.c"), "--tests", str(tests)])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1 and str(tests / fname) in errors[0]
+
+
+def test_non_utf8_test_file_in_corpus_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    (corpus / "echo").mkdir(parents=True)
+    (corpus / "tests" / "echo").mkdir(parents=True)
+    (corpus / "echo" / "s0.c").write_text("int main() { }\n")
+    (corpus / "tests" / "echo" / "t0.in").write_bytes(b"1\xff")
+    (corpus / "tests" / "echo" / "t0.out").write_text("1")
+    code = main(["cluster", "--corpus", str(corpus)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "t0.in: not UTF-8" in err

@@ -5,13 +5,14 @@ import random
 import numpy as np
 import pytest
 
+from invclust import clusterer
 from invclust.clusterer import (closest_program, k_from_fraction, kmeans,
                                 purity, select_representatives)
 from invclust.errors import (DimensionMismatch, EmptyCandidates, KTooLarge,
                              MissingLabel)
 from invclust.vectorizer import FeatureVector
 
-from conftest import brute_force_sse
+from conftest import brute_force_sse, clusterable_instance
 
 
 def _vecs(points, prefix="p"):
@@ -46,6 +47,10 @@ def test_k_one_centroid_is_mean():
 def test_k_too_large():
     with pytest.raises(KTooLarge):
         kmeans(_vecs([(0, 0)]), k=2, seed=0)
+    with pytest.raises(KTooLarge):
+        kmeans(_vecs([(0, 0), (0, 0), (0, 0)]), k=4, seed=0)
+    with pytest.raises(KTooLarge):
+        kmeans(_vecs([(0, 0)]), k=0, seed=0)
 
 
 def test_default_k():
@@ -184,7 +189,6 @@ def test_kmeans_determinism():
 
 
 def test_kmeans_near_optimal_small_instances():
-    from conftest import clusterable_instance
     rng = random.Random(17)
     for trial in range(10):
         pts, k = clusterable_instance(rng)
@@ -199,3 +203,62 @@ def test_empty_cluster_reseeding_keeps_k_nonempty_when_possible():
     vectors = _vecs([(0, 0), (0, 0), (0, 0), (9, 9)])
     model = kmeans(vectors, k=2, seed=0)
     assert len(set(model.assignment.values())) == 2
+
+
+def _partition(model, vectors):
+    """Cluster -> frozenset of the distinct points in it."""
+    groups = {}
+    for v in vectors:
+        groups.setdefault(model.assignment[v.program_id], set()).add(
+            tuple(v.values))
+    return {c: frozenset(g) for c, g in groups.items()}
+
+
+def test_repeated_points_give_the_same_clustering():
+    rng = random.Random(23)
+    for trial in range(10):
+        pts, k = clusterable_instance(rng)
+        once = _vecs(pts, prefix="a")
+        thrice = _vecs([p for p in pts for _ in range(3)], prefix="b")
+        m1 = kmeans(once, k=k, seed=trial, restarts=5)
+        m3 = kmeans(thrice, k=k, seed=trial, restarts=5)
+        p1, p3 = _partition(m1, once), _partition(m3, thrice)
+        assert set(p1.values()) == set(p3.values()), f"trial {trial}"
+        by_members = {g: c for c, g in p3.items()}
+        for c, g in p1.items():
+            assert np.allclose(m1.centroids[c], m3.centroids[by_members[g]])
+        assert m3.sse == pytest.approx(3 * m1.sse, abs=1e-9)
+
+
+def _dup_instance():
+    """240 vectors over 22 distinct points, in shuffled order."""
+    rng = random.Random(31)
+    distinct = [[rng.random() for _ in range(12)] for _ in range(22)]
+    pts = [distinct[i % 22] for i in range(240)]
+    rng.shuffle(pts)
+    return _vecs(pts)
+
+
+def test_k_above_distinct_points_is_clamped():
+    vectors = _dup_instance()
+    model = kmeans(vectors, k=24, seed=5, restarts=8)
+    assert model.k == 22 and len(model.centroids) == 22
+    assert model.sse == pytest.approx(0.0, abs=1e-12)
+    groups = _partition(model, vectors)
+    assert len(groups) == 22
+    assert all(len(g) == 1 for g in groups.values())
+
+
+def test_duplicates_stop_on_a_stable_assignment(monkeypatch):
+    iterations = []
+    lloyd = clusterer._lloyd
+
+    def counting(*args):
+        result = lloyd(*args)
+        iterations.append(result[3])
+        return result
+
+    monkeypatch.setattr(clusterer, "_lloyd", counting)
+    kmeans(_dup_instance(), k=24, seed=5, max_iters=300, restarts=8)
+    assert len(iterations) == 8
+    assert max(iterations) <= 3

@@ -11,7 +11,7 @@ import pytest
 from invclust.corpus import (Corpus, Assignment, generate_synthetic_corpus,
                              ingest, project_2d, run_pipeline, tree_hash,
                              write_corpus)
-from invclust.errors import EmptyCorpus, MissingTests
+from invclust.errors import BadTestFile, EmptyCorpus, MissingTests
 from invclust.nodes import SourceProgram
 from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase
@@ -60,6 +60,32 @@ def test_ingest_missing_tests(tmp_path):
         f.write(_ECHO)
     with pytest.raises(MissingTests):
         ingest(str(tmp_path))
+
+
+def test_ingest_non_utf8_test_file(tmp_path):
+    _write_corpus_tree(str(tmp_path), {"alpha": ([("s0", _ECHO)],
+                                                 [("1\n", "1")])})
+    bad = tmp_path / "tests" / "alpha" / "t0.out"
+    bad.write_bytes(b"1\xff")
+    with pytest.raises(BadTestFile) as info:
+        ingest(str(tmp_path))
+    assert info.value.path == str(bad)
+    assert str(info.value).startswith(f"{bad}: not UTF-8 text")
+
+
+def test_k_clamped_to_distinct_vectors_is_reported(tmp_path):
+    corpus = Corpus(assignments={"alpha": Assignment(
+        label="alpha",
+        programs=[SourceProgram(id=f"alpha/s{i}", label="alpha", text=_ECHO)
+                  for i in range(3)],
+        tests=[TestCase("1\n", "1"), TestCase("5\n", "5")])})
+    arts = run_pipeline(corpus, k=2, out_dir=str(tmp_path))
+    assert arts.model.k == 1 and arts.k_requested == 2
+    with open(tmp_path / "report.json") as f:
+        report = json.load(f)
+    assert (report["k"], report["k_requested"]) == (1, 2)
+    with open(tmp_path / "model.json") as f:
+        assert json.load(f)["k"] == 1
 
 
 def test_ingest_empty(tmp_path):

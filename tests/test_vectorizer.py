@@ -172,3 +172,16 @@ def test_vocab_json_round_trip():
 def test_ngrams_basic():
     assert ngrams(["a", "b", "c", "d"], 3) == ["a b c", "b c d"]
     assert ngrams(["a", "b"], 3) == []
+
+
+def test_vocab_index_built_once():
+    vocab = build_vocab_for_mode([_docs(LEFT_SRC), _docs(RIGHT_SRC)],
+                                 "aast_inv")
+    index = vocab.index()
+    assert index == {g: i for i, g in enumerate(vocab.grams)}
+    assert vocab.index() is index
+    # The cache is not part of the vocabulary's value or its JSON form.
+    back = Vocabulary.from_dict(vocab.as_dict())
+    assert back == vocab and "_index" not in vocab.as_dict()
+    for d in (_docs(LEFT_SRC), _docs(RIGHT_SRC)):
+        assert represent(d, vocab).values == represent(d, back).values
