@@ -14,8 +14,9 @@ from .anonymizer import anonymize, serialize_aast
 from .clusterer import ClusterModel, closest_program, purity
 from .corpus import (analyze, generate_synthetic_corpus, ingest, read_source,
                      read_tests, run_pipeline, write_corpus, write_projection)
-from .errors import (BadTestFile, EmptyCandidates, EmptyCorpus, KTooLarge,
-                     MissingTests, ProgramRejected)
+from .errors import (BadModel, BadTestFile, DimensionMismatch,
+                     EmptyCandidates, EmptyCorpus, KTooLarge, MissingTests,
+                     ProgramRejected)
 from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
@@ -117,16 +118,27 @@ def cmd_cluster(args):
     return 0
 
 
-def _load_model(path):
+def _read_json(path):
+    """A persisted artifact; BadModel when it is not JSON."""
     with open(path) as f:
-        d = json.load(f)
-    model = ClusterModel(
-        k=d["k"], seed=d["seed"], mode=d["mode"], centroids=d["centroids"],
-        assignment=d["assignment"],
-        representatives={int(c): pid
-                         for c, pid in d["representatives"].items()},
-        sse=d.get("sse", 0.0))
-    model.vocab = Vocabulary.from_dict(d["vocab"])
+        try:
+            return json.load(f)
+        except ValueError as e:
+            raise BadModel(path, e) from None
+
+
+def _load_model(path):
+    d = _read_json(path)
+    try:
+        model = ClusterModel(
+            k=d["k"], seed=d["seed"], mode=d["mode"], centroids=d["centroids"],
+            assignment=d["assignment"],
+            representatives={int(c): pid
+                             for c, pid in d["representatives"].items()},
+            sse=d.get("sse", 0.0))
+        model.vocab = Vocabulary.from_dict(d["vocab"])
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise BadModel(path, e) from None
     return model
 
 
@@ -136,9 +148,12 @@ def _load_vectors(model_path, ids):
     for pid in ids:
         label, stem = pid.split("/", 1)
         vpath = os.path.join(base, label, f"{stem}.vector.json")
-        with open(vpath) as f:
-            d = json.load(f)
-        vectors.append(FeatureVector(program_id=d["id"], values=d["values"]))
+        d = _read_json(vpath)
+        try:
+            vectors.append(FeatureVector(program_id=d["id"],
+                                         values=d["values"]))
+        except (KeyError, TypeError) as e:
+            raise BadModel(vpath, e) from None
     return vectors
 
 
@@ -186,15 +201,26 @@ def cmd_synth(args):
 
 
 def cmd_project(args):
-    with open(os.path.join(args.artifacts, "report.json")) as f:
-        report = json.load(f)
+    report_path = os.path.join(args.artifacts, "report.json")
+    report = _read_json(report_path)
+    try:
+        clustered = report["clustered"]
+    except (KeyError, TypeError) as e:
+        raise BadModel(report_path, e) from None
     vectors = _load_vectors(os.path.join(args.artifacts, "model.json"),
-                            report["clustered"])
+                            clustered)
     out_path = os.path.join(args.artifacts, "projection.csv")
     points = write_projection(vectors, out_path)
     _emit(args, {"csv": out_path, "points": points},
           f"wrote {points} points to {out_path}")
     return 0
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -250,7 +276,7 @@ def build_parser():
     p.add_argument("--min-samples", type=int, default=2)
     p.add_argument("--subset", choices=("correct-only", "all"),
                    default="correct-only")
-    p.add_argument("--restarts", type=int, default=8,
+    p.add_argument("--restarts", type=_positive_int, default=8,
                    help="best-of-R k-means restarts by SSE")
     p.add_argument("--out", default=None, help="artifact output directory")
     common(p)
@@ -303,7 +329,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ProgramRejected, EmptyCorpus, EmptyCandidates, MissingTests,
-            BadTestFile, KTooLarge, FileNotFoundError) as e:
+            BadTestFile, BadModel, DimensionMismatch, KTooLarge,
+            FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

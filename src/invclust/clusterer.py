@@ -145,6 +145,8 @@ def kmeans(vectors, k, seed, max_iters=300, mode="", restarts=1):
     """Best of `restarts` seeded runs by SSE (seeds seed, seed+1, ...); k
     is clamped to the number of distinct vectors and model.k is the k
     used."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if k > len(vectors):
         raise KTooLarge(f"k={k} exceeds {len(vectors)} points")
     if k < 1:

@@ -79,6 +79,16 @@ class BadTestFile(Exception):
         self.path = path
 
 
+class BadModel(Exception):
+    """A persisted model.json, vector or report file that does not hold
+    what the pipeline wrote."""
+
+    def __init__(self, path, err):
+        detail = f"missing key {err}" if isinstance(err, KeyError) else err
+        super().__init__(f"{path}: malformed model file ({detail})")
+        self.path = path
+
+
 class MissingLabel(Exception):
     def __init__(self, program_id):
         super().__init__(f"no label for program '{program_id}'")

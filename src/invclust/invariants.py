@@ -12,7 +12,8 @@ Implication suppression (exhaustive; anything else that holds is emitted):
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import eq, ge, gt, is_, itemgetter, le, lt, ne, sub
 
 from .errors import UnmappedPoint
 
@@ -35,50 +36,52 @@ class InvariantSet:
 
 
 def _point_invariants(snaps):
-    variables = sorted(set.intersection(*[set(s) for s in snaps])) if snaps else []
+    """Each variable's column is built once; every template is one pass of
+    an operator over columns (operator.eq has no identity shortcut, so a
+    nan is never equal to itself, as with ==)."""
+    variables = sorted(set(snaps[0]).intersection(*snaps)) if snaps else []
+    columns = {x: list(map(itemgetter(x), snaps)) for x in variables}
+    ints = {x: all(map(isinstance, vals, repeat(int)))
+            for x, vals in columns.items()}
     out = set()
-    constant = set()
-    for x in variables:
-        vals = [s[x] for s in snaps]
+    for x, vals in columns.items():
         first = vals[0]
-        if all(v == first and type(v) is type(first) for v in vals):
+        zeros = repeat(0)
+        if all(map(eq, vals, repeat(first))) and \
+                all(map(is_, map(type, vals), repeat(type(first)))):
             out.add(f"{x} == {fmt_const(first)}")
-            constant.add(x)
             continue
         out.add(f"{x} >= {fmt_const(min(vals))}")
         out.add(f"{x} <= {fmt_const(max(vals))}")
-        if all(v > 0 for v in vals):
+        if all(map(gt, vals, zeros)):
             out.add(f"{x} > 0")
-            out.add(f"{x} != 0")
-        elif all(v >= 0 for v in vals):
+        elif all(map(ge, vals, zeros)):
             out.add(f"{x} >= 0")
-        if all(v < 0 for v in vals):
+        if all(map(lt, vals, zeros)):
             out.add(f"{x} < 0")
-            out.add(f"{x} != 0")
-        elif all(v <= 0 for v in vals):
+        elif all(map(le, vals, zeros)):
             out.add(f"{x} <= 0")
-        if all(v != 0 for v in vals) and not all(v > 0 for v in vals) \
-                and not all(v < 0 for v in vals):
+        if all(map(ne, vals, zeros)):
             out.add(f"{x} != 0")
     for x, y in combinations(variables, 2):  # x < y lexicographically
-        xs = [s[x] for s in snaps]
-        ys = [s[y] for s in snaps]
-        pairs = list(zip(xs, ys))
-        if all(a == b for a, b in pairs):
+        xs, ys = columns[x], columns[y]
+        if all(map(eq, xs, ys)):
             out.add(f"{x} == {y}")
             continue
-        if all(a < b for a, b in pairs):
-            out.add(f"{x} < {y}")
-        if all(a <= b for a, b in pairs):
+        # a < b implies a <= b and rules out a >= b; a <= b on every pair
+        # that is not all-equal rules out a >= b on every pair.
+        if all(map(lt, xs, ys)):
+            out.update((f"{x} < {y}", f"{x} <= {y}"))
+        elif all(map(le, xs, ys)):
             out.add(f"{x} <= {y}")
-        if all(a > b for a, b in pairs):
-            out.add(f"{y} < {x}")
-        if all(a >= b for a, b in pairs):
+        elif all(map(gt, xs, ys)):
+            out.update((f"{y} < {x}", f"{y} <= {x}"))
+        elif all(map(ge, xs, ys)):
             out.add(f"{y} <= {x}")
-        if all(isinstance(a, int) and isinstance(b, int) for a, b in pairs):
-            d = pairs[0][0] - pairs[0][1]
+        if ints[x] and ints[y]:
+            d = xs[0] - ys[0]
             if d != 0 and abs(d) <= CONST_DIFF_LIMIT and \
-                    all(a - b == d for a, b in pairs):
+                    all(map(eq, map(sub, xs, ys), repeat(d))):
                 out.add(f"{x} == {y} + {d}")
     return sorted(out)
 

@@ -1,5 +1,20 @@
-"""Tree-walking interpreter that records variable snapshots at scope
-entries. Replaces an external invariant-detector front end.
+"""Tracer: runs a program on its tests and records variable snapshots at
+scope entries. Replaces an external invariant-detector front end.
+
+Each function body is compiled once per `run_suite` call into nested Python
+closures; every test then runs them against a fresh `_State`. Variables are
+resolved at compile time to slots in a per-call list (C scoping in this
+subset is lexical and has no jumps, so the declarations visible at any
+statement are fixed), and each snapshot's variable layout and point id are
+fixed when its scope is compiled.
+
+Step accounting: one step per statement executed and one per expression
+node evaluated, in evaluation order; past `Limits.max_steps` the run stops
+with `step-limit` at the most recently entered point. A closure counts the
+steps of a node and of the ancestors whose evaluation starts with it in one
+addition, because nothing between those steps can fail, change the point or
+record anything; steps are never counted ahead of an operation that can
+fail.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, %d prints decimal, %f/%lf print
@@ -7,13 +22,24 @@ with 6 decimal places.
 """
 
 import json
+import operator
+import re
 from dataclasses import dataclass, field
 
 from .errors import TraceRuntimeError
-from .nodes import Kind
+from .nodes import Kind, Node
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
+
+# Calls (main included) that may be active at once. A call made directly
+# in a statement's expression, as in `return f(n - 1) + 1;`, costs three
+# Python frames, so 225 calls take 675 of Python's default recursion limit
+# of 1000 and leave the rest to the caller: the cap fires first even when
+# the tracer is entered 200 frames deep. A call nested deeper inside
+# expressions costs more frames; for it, running out of Python's stack is
+# reported as this same error.
+MAX_CALL_DEPTH = 225
 
 POINT_FUNCTION_ENTRY = "function-entry"
 POINT_FUNCTION_EXIT = "function-exit"
@@ -48,13 +74,6 @@ class TraceLog:
         self.samples.setdefault(point_id, []).append(snapshot)
         self.point_kinds[point_id] = kind
 
-    def extend(self, other):
-        for pid, snaps in other.samples.items():
-            self.samples.setdefault(pid, []).extend(snaps)
-            self.point_kinds[pid] = other.point_kinds[pid]
-        self.outputs.extend(other.outputs)
-        self.errors.extend(other.errors)
-
     def to_json(self):
         return json.dumps(
             {
@@ -67,388 +86,564 @@ class TraceLog:
         )
 
 
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
 _UNINIT = object()
 
+_COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_PRINTF = {"%%": "%", "%d": lambda x: str(int(x)),
+           "%f": lambda x: f"{float(x):.6f}"}
+_PRINTF["%lf"] = _PRINTF["%f"]
+_PRINTF_CONVERSION = re.compile(r"(%%|%d|%lf|%f)")
+_SCANF_CONVERSION = re.compile(r"%(d|lf)")
 
-class _Cell:
-    __slots__ = ("type_name", "value")
 
-    def __init__(self, type_name, value=_UNINIT):
-        self.type_name = type_name
-        self.value = value
+class _State:
+    """What one test changes, and the compiled functions: call closures
+    look callees up here, so no closure holds the table that holds it and
+    a compiled program is freed without the cyclic collector."""
 
+    __slots__ = ("functions", "steps", "depth", "point", "stdin", "stdin_pos",
+                 "out", "samples", "kinds")
 
-class _Interp:
-    def __init__(self, root, stdin_text, limits):
-        self.functions = {fn.identifier: fn for fn in root.children}
+    def __init__(self, functions, stdin_text, log):
+        self.functions = functions
+        self.steps = 0
+        self.depth = 0
+        self.point = "start"   # most recently entered point, for diagnostics
         self.stdin = stdin_text.split()
         self.stdin_pos = 0
-        self.limits = limits
-        self.steps = 0
         self.out = []
-        self.log = TraceLog()
-        self.scopes = []       # stack of frames; each frame: list of dicts
-        self.point = "start"   # most recently entered point, for diagnostics
-        self.depth = 0
+        self.samples = log.samples
+        self.kinds = log.point_kinds
 
-    # --- bookkeeping ---
 
-    def step(self):
-        self.steps += 1
-        if self.steps > self.limits.max_steps:
-            raise TraceRuntimeError("step-limit", self.point)
+def _convert(st, value, is_int):
+    if is_int:
+        if isinstance(value, float):
+            value = int(value)  # trunc toward zero
+        if not INT_MIN <= value <= INT_MAX:
+            raise TraceRuntimeError("integer-overflow", st.point)
+        return value
+    return float(value)
 
-    def snapshot(self, point_id, kind):
-        self.point = point_id
-        snap = {}
-        for scope in self.scopes[-1]:
-            for name, cell in scope.items():
-                if isinstance(cell.value, list) or cell.value is _UNINIT:
-                    continue  # arrays and unset variables are not sampled
-                snap[name] = cell.value
-        self.log.record(point_id, kind, snap)
 
-    def declare(self, name, type_name, value=_UNINIT):
-        self.scopes[-1][-1][name] = _Cell(type_name, value)
+def _unknown(st, name):
+    raise TraceRuntimeError("uninitialized-read", st.point,
+                            f"unknown variable '{name}'")
 
-    def cell(self, node):
-        for scope in reversed(self.scopes[-1]):
-            if node.identifier in scope:
-                return scope[node.identifier]
-        raise TraceRuntimeError("uninitialized-read", self.point,
-                                f"unknown variable '{node.identifier}'")
 
-    # --- value helpers ---
+def _bad_read(st, name, value):
+    """Raises for a scalar read of an array or of an unset variable."""
+    if value.__class__ is list:
+        raise TraceRuntimeError("type-error", st.point,
+                                f"array '{name}' used as scalar")
+    raise TraceRuntimeError("uninitialized-read", st.point, name)
 
-    def check_int(self, v):
-        if not (INT_MIN <= v <= INT_MAX):
-            raise TraceRuntimeError("integer-overflow", self.point)
-        return v
 
-    def convert(self, value, type_name):
-        if type_name == "int":
-            if isinstance(value, float):
-                value = int(value)  # trunc toward zero
-            return self.check_int(value)
-        return float(value)
+def _checked_index(st, name, arr, idx):
+    if arr.__class__ is not list:
+        raise TraceRuntimeError("type-error", st.point,
+                                f"'{name}' is not an array")
+    if isinstance(idx, float):
+        raise TraceRuntimeError("type-error", st.point, "non-integer index")
+    if not 0 <= idx < len(arr):
+        raise TraceRuntimeError("array-out-of-bounds", st.point,
+                                f"{name}[{idx}]")
+    return idx
 
-    # --- execution ---
 
-    def run_main(self):
-        if "main" not in self.functions:
-            raise TraceRuntimeError("uninitialized-read", "start",
-                                    "no 'main' function")
-        self.call(self.functions["main"], [])
+class _Compiler:
+    """Turns a translation unit into closures. Statement closures take
+    (state, slots) and return None, or (value, exit snapshot) when a
+    `return` ran; expression closures take (state, slots) and return the
+    value. `pre` is the number of steps owed by the enclosing nodes whose
+    evaluation begins with this node."""
 
-    def call(self, fn, args):
-        self.depth += 1
-        if self.depth > 400:
-            raise TraceRuntimeError("step-limit", self.point, "call depth")
-        frame = [dict()]
-        self.scopes.append(frame)
-        params = [c for c in fn.children if c.kind == Kind.PARAM]
-        for p, a in zip(params, args):
-            frame[0][p.identifier] = _Cell(p.type_name, self.convert(a, p.type_name))
+    def __init__(self, root, limits):
+        self.max_steps = limits.max_steps
+        self.max_iters = limits.max_loop_iters
+        self.functions = {fn.identifier: self.function(fn)
+                          for fn in root.children}
+
+    # --- scopes: name -> slot, resolved at compile time ---
+
+    def declare(self, node, is_array):
+        scope = self.scopes[-1]
+        slot = scope.setdefault(node.identifier, self.nslots)
+        if slot == self.nslots:
+            self.nslots += 1
+        self.binding[slot] = (is_array, node.type_name == "int")
+        return slot
+
+    def resolve(self, name):
+        for scope in reversed(self.scopes):
+            if name in scope:
+                slot = scope[name]
+                return slot, self.binding[slot][1]
+        return None, False
+
+    def snapshot(self, pid, kind, scopes):
+        """Closure recording the set scalar variables of `scopes` at pid,
+        outer scopes first. Arrays are left out (a slot's binding here is
+        the one in force whenever pid is reached); a name declared again in
+        an inner scope keeps the outer name's position and takes the inner
+        value once that is set."""
+        layout = [(name, slot) for scope in scopes
+                  for name, slot in scope.items() if not self.binding[slot][0]]
+        names = tuple(name for name, _ in layout)
+        slots = [slot for _, slot in layout]
+        if len(slots) == 1:
+            slots *= 2  # itemgetter(s) returns no tuple; zip stops at 1 name
+        getter = operator.itemgetter(*slots) if slots else lambda v: ()
+        plain = len(set(names)) == len(names)
+
+        def snap(st, v):
+            st.point = pid
+            vals = getter(v)
+            if plain and _UNINIT not in vals:
+                record = dict(zip(names, vals))
+            else:
+                record = {}
+                for name, x in zip(names, vals):
+                    if x is not _UNINIT:
+                        record[name] = x
+            lst = st.samples.get(pid)
+            if lst is None:
+                lst = st.samples[pid] = []
+                st.kinds[pid] = kind
+            lst.append(record)
+        return snap
+
+    # --- functions and calls ---
+
+    def function(self, fn):
+        self.scopes = [{}]
+        self.nslots = 0
+        self.binding = {}
         name = fn.identifier
-        self.snapshot(f"{name}/entry", POINT_FUNCTION_ENTRY)
-        ret = None
-        try:
-            self.exec_stmts(fn.children[-1].children, name)
-        except _Return as r:
-            ret = r.value
-        self.snapshot(f"{name}/exit", POINT_FUNCTION_EXIT)
-        self.scopes.pop()
-        self.depth -= 1
-        if ret is not None and fn.type_name != "void":
-            ret = self.convert(ret, fn.type_name)
-        return ret
+        params = [(self.declare(p, False), p.type_name == "int")
+                  for p in fn.children if p.kind == Kind.PARAM]
+        entry = self.snapshot(f"{name}/entry", POINT_FUNCTION_ENTRY,
+                              self.scopes)
+        self.exit_pid = f"{name}/exit"
+        body = self.stmts(fn.children[-1].children, name)
+        fall_off = self.snapshot(self.exit_pid, POINT_FUNCTION_EXIT,
+                                 self.scopes[:1])
+        returns = None if fn.type_name == "void" else fn.type_name == "int"
+        return self.nslots, params, body, entry, fall_off, returns
 
-    def exec_stmts(self, stmts, path):
-        for stmt in stmts:
-            self.exec_stmt(stmt, path)
+    def call(self, node, pre):
+        """A call; with pre=None, the call of main, which counts no step."""
+        name = node.identifier
+        max_steps = self.max_steps
+        args = []
+        if pre is not None:
+            args = [self.expr(a, pre + 1 if i == 0 else 0)
+                    for i, a in enumerate(node.children)]
+        count = 0 if args or pre is None else pre + 1
 
-    def exec_stmt(self, node, path):
-        self.step()
-        k = node.kind
-        if k == Kind.DECL:
-            if node.children:
-                value = self.convert(self.eval(node.children[0]), node.type_name)
-                self.declare(node.identifier, node.type_name, value)
+        def call(st, v):
+            if count:
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+            values = [a(st, v) for a in args]
+            nslots, params, body, entry, fall_off, returns = st.functions[name]
+            st.depth += 1
+            if st.depth > MAX_CALL_DEPTH:
+                raise TraceRuntimeError("step-limit", st.point, "call depth")
+            w = [_UNINIT] * nslots
+            for (slot, is_int), x in zip(params, values):
+                w[slot] = _convert(st, x, is_int)
+            entry(st, w)
+            for s in body:
+                r = s(st, w)
+                if r is not None:
+                    ret, exit_snap = r
+                    break
             else:
-                self.declare(node.identifier, node.type_name)
-        elif k == Kind.ARRAY_DECL:
-            cell = _Cell(node.type_name)
-            cell.value = [_UNINIT] * node.literal
-            self.scopes[-1][-1][node.identifier] = cell
-        elif k == Kind.ASSIGN:
-            target, expr = node.children
-            self.store(target, self.eval(expr))
-        elif k == Kind.UNARY_OP:  # ++/-- statement
-            cell = self.cell(node.children[0])
-            if cell.value is _UNINIT:
-                raise TraceRuntimeError("uninitialized-read", self.point,
-                                        node.children[0].identifier)
-            delta = 1 if node.literal == "++" else -1
-            cell.value = self.convert(cell.value + delta, cell.type_name)
-        elif k == Kind.SCANF:
-            self.do_scanf(node)
-        elif k == Kind.PRINTF:
-            self.do_printf(node)
-        elif k == Kind.CALL:
-            self.eval(node)
-        elif k == Kind.RETURN:
-            value = self.eval(node.children[0]) if node.children else None
-            raise _Return(value)
-        elif k == Kind.BLOCK:
-            pid = f"{path}/block@L{node.line}"
-            self.enter_scope()
-            self.snapshot(pid, POINT_PLAIN)
-            try:
-                self.exec_stmts(node.children, pid)
-            finally:
-                self.exit_scope()
-        elif k == Kind.IF:
-            cond = self.truthy(self.eval(node.children[0]))
-            pid = f"{path}/if@L{node.line}"
-            if cond:
-                self.enter_scope()
-                self.snapshot(f"{pid}/then", POINT_THEN)
-                try:
-                    self.exec_stmts(node.children[1].children, f"{pid}/then")
-                finally:
-                    self.exit_scope()
-            elif len(node.children) == 3:
-                self.enter_scope()
-                self.snapshot(f"{pid}/else", POINT_ELSE)
-                try:
-                    self.exec_stmts(node.children[2].children, f"{pid}/else")
-                finally:
-                    self.exit_scope()
-        elif k == Kind.WHILE:
-            pid = f"{path}/while@L{node.line}/body"
-            iters = 0
-            while self.truthy(self.eval(node.children[0])):
-                iters += 1
-                if iters > self.limits.max_loop_iters:
-                    raise TraceRuntimeError("step-limit", pid, "loop iterations")
-                self.enter_scope()
-                self.snapshot(pid, POINT_LOOP_BODY)
-                try:
-                    self.exec_stmts(node.children[1].children, pid)
-                finally:
-                    self.exit_scope()
-        elif k == Kind.FOR:
-            init, cond, step, body = node.children
-            pid = f"{path}/for@L{node.line}/body"
-            if init.kind != Kind.BLOCK:
-                self.exec_stmt(init, path)
-            iters = 0
-            while self.truthy(self.eval(cond)):
-                iters += 1
-                if iters > self.limits.max_loop_iters:
-                    raise TraceRuntimeError("step-limit", pid, "loop iterations")
-                self.enter_scope()
-                self.snapshot(pid, POINT_LOOP_BODY)
-                try:
-                    self.exec_stmts(body.children, pid)
-                finally:
-                    self.exit_scope()
-                if step.kind != Kind.BLOCK:
-                    self.exec_stmt(step, path)
-        else:
-            raise ValueError(f"unexpected statement node: {k}")
-
-    def enter_scope(self):
-        self.scopes[-1].append(dict())
-
-    def exit_scope(self):
-        self.scopes[-1].pop()
-
-    def store(self, target, value):
-        if target.kind == Kind.IDENT_REF:
-            cell = self.cell(target)
-            if isinstance(cell.value, list):
-                raise TraceRuntimeError("type-error", self.point,
-                                        f"array '{target.identifier}' used as scalar")
-            cell.value = self.convert(value, cell.type_name)
-        else:  # array element
-            cell, idx = self.array_slot(target)
-            cell.value[idx] = self.convert(value, cell.type_name)
-
-    def array_slot(self, node):
-        base, idx_expr = node.children
-        cell = self.cell(base)
-        if not isinstance(cell.value, list):
-            raise TraceRuntimeError("type-error", self.point,
-                                    f"'{base.identifier}' is not an array")
-        idx = self.eval(idx_expr)
-        if isinstance(idx, float):
-            raise TraceRuntimeError("type-error", self.point, "non-integer index")
-        if not (0 <= idx < len(cell.value)):
-            raise TraceRuntimeError("array-out-of-bounds", self.point,
-                                    f"{base.identifier}[{idx}]")
-        return cell, idx
-
-    def do_scanf(self, node):
-        convs = []
-        i = 0
-        fmt = node.literal
-        while i < len(fmt):
-            if fmt[i] == "%":
-                if fmt[i + 1] == "d":
-                    convs.append("d")
-                    i += 2
-                else:
-                    convs.append("lf")
-                    i += 3
-            else:
-                i += 1
-        for conv, target in zip(convs, node.children):
-            if self.stdin_pos >= len(self.stdin):
-                raise TraceRuntimeError("scanf-exhausted", self.point)
-            token = self.stdin[self.stdin_pos]
-            self.stdin_pos += 1
-            try:
-                value = int(token) if conv == "d" else float(token)
-            except ValueError:
-                raise TraceRuntimeError("scanf-exhausted", self.point,
-                                        f"bad input token {token!r}") from None
-            self.store(target, value)
-
-    def do_printf(self, node):
-        fmt = node.literal
-        args = [self.eval(a) for a in node.children]
-        out = []
-        i = 0
-        ai = 0
-        while i < len(fmt):
-            c = fmt[i]
-            if c == "%":
-                nxt = fmt[i + 1]
-                if nxt == "%":
-                    out.append("%")
-                    i += 2
-                elif nxt == "d":
-                    v = args[ai]
-                    ai += 1
-                    out.append(str(int(v)))
-                    i += 2
-                elif nxt == "f":
-                    v = args[ai]
-                    ai += 1
-                    out.append(f"{float(v):.6f}")
-                    i += 2
-                else:  # lf
-                    v = args[ai]
-                    ai += 1
-                    out.append(f"{float(v):.6f}")
-                    i += 3
-            else:
-                out.append(c)
-                i += 1
-        self.out.append("".join(out))
-
-    def truthy(self, v):
-        return v != 0
-
-    def eval(self, node):
-        self.step()
-        k = node.kind
-        if k == Kind.LITERAL:
-            return node.literal
-        if k == Kind.IDENT_REF:
-            cell = self.cell(node)
-            if isinstance(cell.value, list):
-                raise TraceRuntimeError("type-error", self.point,
-                                        f"array '{node.identifier}' used as scalar")
-            if cell.value is _UNINIT:
-                raise TraceRuntimeError("uninitialized-read", self.point,
-                                        node.identifier)
-            return cell.value
-        if k == Kind.ARRAY_INDEX:
-            cell, idx = self.array_slot(node)
-            v = cell.value[idx]
-            if v is _UNINIT:
-                raise TraceRuntimeError("uninitialized-read", self.point,
-                                        f"{node.children[0].identifier}[{idx}]")
-            return v
-        if k == Kind.CALL:
-            args = [self.eval(a) for a in node.children]
-            ret = self.call(self.functions[node.identifier], args)
+                ret, exit_snap = None, fall_off
+            exit_snap(st, w)
+            st.depth -= 1
             if ret is None:
-                return 0  # void call used as a statement
+                return 0  # void call used as an expression
+            if returns is not None:
+                ret = _convert(st, ret, returns)
             return ret
-        if k == Kind.UNARY_OP:
-            if node.literal == "-":
-                v = self.eval(node.children[0])
-                v = -v
-                if isinstance(v, int):
-                    self.check_int(v)
-                return v
-            if node.literal == "!":
-                return 0 if self.truthy(self.eval(node.children[0])) else 1
-            raise ValueError(f"unexpected unary operator {node.literal!r}")
-        if k == Kind.BINARY_OP:
-            op = node.literal
-            if op == "&&":
-                if not self.truthy(self.eval(node.children[0])):
-                    return 0
-                return 1 if self.truthy(self.eval(node.children[1])) else 0
-            if op == "||":
-                if self.truthy(self.eval(node.children[0])):
-                    return 1
-                return 1 if self.truthy(self.eval(node.children[1])) else 0
-            a = self.eval(node.children[0])
-            b = self.eval(node.children[1])
-            if op == "<":
-                return 1 if a < b else 0
-            if op == ">":
-                return 1 if a > b else 0
-            if op == "<=":
-                return 1 if a <= b else 0
-            if op == ">=":
-                return 1 if a >= b else 0
-            if op == "==":
-                return 1 if a == b else 0
-            if op == "!=":
-                return 1 if a != b else 0
-            both_int = isinstance(a, int) and isinstance(b, int)
-            if op == "+":
-                r = a + b
-            elif op == "-":
-                r = a - b
-            elif op == "*":
-                r = a * b
-            elif op == "/":
-                if b == 0:
-                    raise TraceRuntimeError("div-by-zero", self.point)
-                if both_int:
-                    r = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        r = -r
-                else:
-                    r = (a + 0.0) / b
-            elif op == "%":
-                if not both_int:
-                    raise TraceRuntimeError("type-error", self.point,
-                                            "'%' on non-integers")
-                if b == 0:
-                    raise TraceRuntimeError("div-by-zero", self.point)
-                q = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    q = -q
-                r = a - q * b
+        return call
+
+    # --- statements ---
+
+    def stmts(self, nodes, path):
+        return tuple(self.stmt(n, path) for n in nodes)
+
+    def block(self, nodes, pid, kind):
+        """A fresh scope with a snapshot at its entry, then its statements."""
+        self.scopes.append({})
+        snap = self.snapshot(pid, kind, self.scopes)
+        body = self.stmts(nodes, pid)
+        self.scopes.pop()
+        return snap, body
+
+    def stmt(self, node, path, pre=0):
+        k = node.kind
+        max_steps = self.max_steps
+        if k == Kind.DECL and node.children:
+            expr = self.expr(node.children[0], pre + 1)
+            slot = self.declare(node, False)
+            is_int = node.type_name == "int"
+
+            def decl(st, v):
+                v[slot] = _convert(st, expr(st, v), is_int)
+            return decl
+        if k == Kind.ASSIGN:
+            target, expr_node = node.children
+            expr = self.expr(expr_node, pre + 1)
+            store = self.store(target)
+
+            def assign(st, v):
+                store(st, v, expr(st, v))
+            return assign
+        if k == Kind.CALL:
+            call = self.call(node, pre + 1)
+
+            def call_stmt(st, v):
+                call(st, v)
+            return call_stmt
+        if k == Kind.RETURN:
+            exit_snap = self.snapshot(self.exit_pid, POINT_FUNCTION_EXIT,
+                                      self.scopes[:1])
+            expr = None
+            if node.children:
+                expr = self.expr(node.children[0], pre + 1)
+            count = pre + 1
+
+            def ret(st, v):
+                if expr is not None:
+                    return expr(st, v), exit_snap
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+                return None, exit_snap
+            return ret
+        if k == Kind.PRINTF:
+            return self.printf(node, pre)
+        if k == Kind.IF:
+            return self.if_stmt(node, path, pre)
+        if k in (Kind.WHILE, Kind.FOR):
+            return self.loop(node, path, pre)
+        count = pre + 1
+        if k == Kind.BLOCK:
+            snap, body = self.block(node.children,
+                                    f"{path}/block@L{node.line}", POINT_PLAIN)
+
+            def block(st, v):
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+                snap(st, v)
+                for s in body:
+                    r = s(st, v)
+                    if r is not None:
+                        return r
+            return block
+        if k == Kind.SCANF:
+            return self.scanf(node, count)
+        if k == Kind.UNARY_OP:  # ++/-- statement
+            name = node.children[0].identifier
+            slot, is_int = self.resolve(name)
+            delta = 1 if node.literal == "++" else -1
+
+            def incr(st, v):
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+                if slot is None:
+                    _unknown(st, name)
+                x = v[slot]
+                if x is _UNINIT:
+                    raise TraceRuntimeError("uninitialized-read", st.point,
+                                            name)
+                v[slot] = _convert(st, x + delta, is_int)
+            return incr
+        if k not in (Kind.DECL, Kind.ARRAY_DECL):
+            raise ValueError(f"unexpected statement node: {k}")
+        size = node.literal if k == Kind.ARRAY_DECL else None
+        slot = self.declare(node, size is not None)
+
+        def declare(st, v):
+            st.steps += count
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
+            v[slot] = _UNINIT if size is None else [_UNINIT] * size
+        return declare
+
+    def if_stmt(self, node, path, pre):
+        cond = self.expr(node.children[0], pre + 1)
+        pid = f"{path}/if@L{node.line}"
+        then_snap, then_body = self.block(node.children[1].children,
+                                          f"{pid}/then", POINT_THEN)
+        else_snap, else_body = None, ()
+        if len(node.children) == 3:
+            else_snap, else_body = self.block(node.children[2].children,
+                                              f"{pid}/else", POINT_ELSE)
+
+        def if_(st, v):
+            if cond(st, v):
+                then_snap(st, v)
+                body = then_body
+            elif else_snap is not None:
+                else_snap(st, v)
+                body = else_body
             else:
-                raise ValueError(f"unexpected operator {op!r}")
-            if both_int:
-                self.check_int(r)
-            return r
+                return None
+            for s in body:
+                r = s(st, v)
+                if r is not None:
+                    return r
+        return if_
+
+    def loop(self, node, path, pre):
+        """while (cond) body, or for (init; cond; step) body; an empty init
+        or step is an empty block."""
+        owed = pre + 1  # the loop statement's step, and its ancestors'
+        init = step = None
+        if node.kind == Kind.WHILE:
+            cond_node, body_node = node.children
+            pid = f"{path}/while@L{node.line}/body"
+        else:
+            init_node, cond_node, step_node, body_node = node.children
+            pid = f"{path}/for@L{node.line}/body"
+            if init_node.kind != Kind.BLOCK:
+                init = self.stmt(init_node, path, owed)
+                owed = 0
+            if step_node.kind != Kind.BLOCK:
+                step = self.stmt(step_node, path)
+        first_cond = self.expr(cond_node, owed)
+        cond = self.expr(cond_node)
+        snap, body = self.block(body_node.children, pid, POINT_LOOP_BODY)
+        max_iters = self.max_iters
+
+        def loop(st, v):
+            if init is not None:
+                init(st, v)
+            iters = 0
+            go = first_cond(st, v)
+            while go:
+                iters += 1
+                if iters > max_iters:
+                    raise TraceRuntimeError("step-limit", pid,
+                                            "loop iterations")
+                snap(st, v)
+                for s in body:
+                    r = s(st, v)
+                    if r is not None:
+                        return r
+                if step is not None:
+                    step(st, v)
+                go = cond(st, v)
+        return loop
+
+    def store(self, target):
+        """Closure storing a value into a variable or an array element."""
+        if target.kind == Kind.IDENT_REF:
+            name = target.identifier
+            slot, is_int = self.resolve(name)
+
+            def put(st, v, x):
+                if slot is None:
+                    _unknown(st, name)
+                if v[slot].__class__ is list:
+                    raise TraceRuntimeError("type-error", st.point,
+                                            f"array '{name}' used as scalar")
+                v[slot] = _convert(st, x, is_int)
+            return put
+        base, idx_node = target.children
+        name = base.identifier
+        slot, is_int = self.resolve(name)
+        idx = self.expr(idx_node)
+
+        def put_element(st, v, x):
+            if slot is None:
+                _unknown(st, name)
+            arr = v[slot]
+            if arr.__class__ is not list:
+                _checked_index(st, name, arr, 0)
+            i = _checked_index(st, name, arr, idx(st, v))
+            arr[i] = _convert(st, x, is_int)
+        return put_element
+
+    def scanf(self, node, count):
+        convs = [int if c == "d" else float
+                 for c in _SCANF_CONVERSION.findall(node.literal)]
+        targets = list(zip(convs, map(self.store, node.children)))
+        max_steps = self.max_steps
+
+        def scanf(st, v):
+            st.steps += count
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
+            for conv, put in targets:
+                if st.stdin_pos >= len(st.stdin):
+                    raise TraceRuntimeError("scanf-exhausted", st.point)
+                token = st.stdin[st.stdin_pos]
+                st.stdin_pos += 1
+                try:
+                    value = conv(token)
+                except ValueError:
+                    raise TraceRuntimeError(
+                        "scanf-exhausted", st.point,
+                        f"bad input token {token!r}") from None
+                put(st, v, value)
+        return scanf
+
+    def printf(self, node, pre):
+        # Literal text, and a conversion function per argument.
+        pieces = [_PRINTF.get(p, p)
+                  for p in _PRINTF_CONVERSION.split(node.literal)]
+        args = [self.expr(a, pre + 1 if i == 0 else 0)
+                for i, a in enumerate(node.children)]
+        count = 0 if args else pre + 1
+        max_steps = self.max_steps
+
+        def printf(st, v):
+            if count:
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+            values = iter([a(st, v) for a in args])
+            st.out.append("".join(p if p.__class__ is str else p(next(values))
+                                  for p in pieces))
+        return printf
+
+    # --- expressions ---
+
+    def expr(self, node, pre=0):
+        k = node.kind
+        count = pre + 1
+        max_steps = self.max_steps
+        if k == Kind.UNARY_OP:
+            child = self.expr(node.children[0], count)
+            if node.literal == "!":
+                def not_(st, v):
+                    return 0 if child(st, v) else 1
+                return not_
+            if node.literal != "-":
+                raise ValueError(f"unexpected unary operator {node.literal!r}")
+
+            def neg(st, v):
+                x = -child(st, v)
+                if x.__class__ is int and not INT_MIN <= x <= INT_MAX:
+                    raise TraceRuntimeError("integer-overflow", st.point)
+                return x
+            return neg
+        if k == Kind.BINARY_OP:
+            return self.binary(node, count)
+        if k == Kind.CALL:
+            return self.call(node, pre)
+        if k == Kind.LITERAL:
+            value = node.literal
+
+            def literal(st, v):
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+                return value
+            return literal
+        if k == Kind.IDENT_REF:
+            name = node.identifier
+            slot, _ = self.resolve(name)
+
+            def ref(st, v):
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+                if slot is None:
+                    _unknown(st, name)
+                x = v[slot]
+                if x is _UNINIT or x.__class__ is list:
+                    _bad_read(st, name, x)
+                return x
+            return ref
+        if k == Kind.ARRAY_INDEX:
+            base, idx_node = node.children
+            name = base.identifier
+            slot, _ = self.resolve(name)
+            idx = self.expr(idx_node)
+
+            def element(st, v):
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+                if slot is None:
+                    _unknown(st, name)
+                arr = v[slot]
+                if arr.__class__ is not list:
+                    _checked_index(st, name, arr, 0)
+                i = _checked_index(st, name, arr, idx(st, v))
+                x = arr[i]
+                if x is _UNINIT:
+                    raise TraceRuntimeError("uninitialized-read", st.point,
+                                            f"{name}[{i}]")
+                return x
+            return element
+
         raise ValueError(f"unexpected expression node: {k}")
+
+    def binary(self, node, count):
+        op = node.literal
+        left = self.expr(node.children[0], count)
+        right = self.expr(node.children[1])
+        if op == "&&":
+            def and_(st, v):
+                if not left(st, v):
+                    return 0
+                return 1 if right(st, v) else 0
+            return and_
+        if op == "||":
+            def or_(st, v):
+                if left(st, v):
+                    return 1
+                return 1 if right(st, v) else 0
+            return or_
+        if op in _COMPARE:
+            compare = _COMPARE[op]
+
+            def cmp(st, v):
+                return 1 if compare(left(st, v), right(st, v)) else 0
+            return cmp
+        if op in _ARITH:
+            arith = _ARITH[op]
+
+            def arithmetic(st, v):
+                r = arith(left(st, v), right(st, v))
+                if r.__class__ is int and not INT_MIN <= r <= INT_MAX:
+                    raise TraceRuntimeError("integer-overflow", st.point)
+                return r
+            return arithmetic
+        if op not in ("/", "%"):
+            raise ValueError(f"unexpected operator {op!r}")
+
+        def divide(st, v):
+            a = left(st, v)
+            b = right(st, v)
+            both_int = isinstance(a, int) and isinstance(b, int)
+            if op == "%" and not both_int:
+                raise TraceRuntimeError("type-error", st.point,
+                                        "'%' on non-integers")
+            if b == 0:
+                raise TraceRuntimeError("div-by-zero", st.point)
+            if not both_int:
+                return (a + 0.0) / b
+            q = abs(a) // abs(b)  # C truncates toward zero
+            if (a < 0) != (b < 0):
+                q = -q
+            r = q if op == "/" else a - q * b
+            if not INT_MIN <= r <= INT_MAX:
+                raise TraceRuntimeError("integer-overflow", st.point)
+            return r
+        return divide
 
 
 def normalize_output(s):
@@ -456,37 +651,56 @@ def normalize_output(s):
     return "\n".join(lines).rstrip("\n")
 
 
+class _Program:
+    """A translation unit compiled for one set of limits."""
+
+    def __init__(self, tree, limits):
+        root = tree.root if hasattr(tree, "root") else tree
+        compiler = _Compiler(root, limits or Limits())
+        self.functions = compiler.functions
+        self.main = None
+        if "main" in compiler.functions:
+            self.main = compiler.call(Node(Kind.CALL, identifier="main"), None)
+
+    def run(self, test, log):
+        """Run one test, adding its snapshots, output and any error to
+        log. Returns (stdout, verdict)."""
+        st = _State(self.functions, test.stdin_text, log)
+        verdict = "error"
+        try:
+            try:
+                if self.main is None:
+                    raise TraceRuntimeError("uninitialized-read", "start",
+                                            "no 'main' function")
+                self.main(st, None)
+            except RecursionError:  # Python's stack ran out before the cap
+                raise TraceRuntimeError("step-limit", st.point,
+                                        "call depth") from None
+            stdout = "".join(st.out)
+            ok = normalize_output(stdout) == normalize_output(test.expected_stdout)
+            verdict = "pass" if ok else "fail"
+        except TraceRuntimeError as e:
+            stdout = "".join(st.out)
+            log.errors.append(f"{e.kind} at {e.point}" +
+                              (f": {e.detail}" if e.detail else ""))
+        log.outputs.append(stdout)
+        return stdout, verdict
+
+
 def execute(tree, test, limits=None):
     """Run one test. Returns (TraceLog, stdout, verdict)."""
-    limits = limits or Limits()
-    root = tree.root if hasattr(tree, "root") else tree
-    interp = _Interp(root, test.stdin_text, limits)
-    verdict = "error"
-    try:
-        try:
-            interp.run_main()
-        except RecursionError:  # Python's stack ran out before the call cap
-            raise TraceRuntimeError("step-limit", interp.point,
-                                    "call depth") from None
-        stdout = "".join(interp.out)
-        ok = normalize_output(stdout) == normalize_output(test.expected_stdout)
-        verdict = "pass" if ok else "fail"
-    except TraceRuntimeError as e:
-        stdout = "".join(interp.out)
-        interp.log.errors.append(f"{e.kind} at {e.point}" +
-                                 (f": {e.detail}" if e.detail else ""))
-    interp.log.outputs.append(stdout)
-    return interp.log, stdout, verdict
+    log = TraceLog()
+    stdout, verdict = _Program(tree, limits).run(test, log)
+    return log, stdout, verdict
 
 
 def run_suite(tree, tests, limits=None):
-    """Run every test; returns (merged TraceLog, verdict list)."""
+    """Run every test; returns (merged TraceLog, verdict list). Tests run
+    in order, so recording straight into one log gives each point its
+    snapshots in test order."""
     if not tests:
         raise ValueError("test suite is empty")
+    program = _Program(tree, limits)
     merged = TraceLog()
-    verdicts = []
-    for test in tests:
-        log, _, verdict = execute(tree, test, limits)
-        merged.extend(log)
-        verdicts.append(verdict)
+    verdicts = [program.run(test, merged)[1] for test in tests]
     return merged, verdicts

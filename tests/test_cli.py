@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -249,3 +250,71 @@ def test_non_utf8_test_file_in_corpus_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "t0.in: not UTF-8" in err
+
+
+def test_restarts_below_one_is_usage_error(workspace, capsys):
+    code = main(["cluster", "--corpus", str(workspace / "corpus"),
+                 "--restarts", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--restarts" in err and "Traceback" not in err
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _drop_vocab(path):
+    d = json.loads(path.read_text())
+    del d["vocab"]
+    path.write_text(json.dumps(d))
+
+
+def _short_vector(path):
+    d = json.loads(path.read_text())
+    d["values"] = d["values"][:3]
+    path.write_text(json.dumps(d))
+
+
+def _vector_path(out):
+    model = json.loads((out / "model.json").read_text())
+    label, stem = sorted(model["representatives"].values())[0].split("/")
+    return out / label / f"{stem}.vector.json"
+
+
+@pytest.mark.parametrize("command,damage", [
+    (command, damage)
+    for command in ("closest", "representatives", "purity")
+    for damage in ("truncated", "no-vocab")
+] + [("closest", "truncated-vector"), ("closest", "short-vector")])
+def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
+    out = tmp_path / "out"
+    shutil.copytree(workspace / "out", out)
+    model = out / "model.json"
+    if damage.endswith("vector"):
+        bad = _vector_path(out)
+        (_truncate if damage == "truncated-vector" else _short_vector)(bad)
+    else:
+        bad = model
+        (_truncate if damage == "truncated" else _drop_vocab)(bad)
+    argv = [command, "--model", str(model)]
+    if command == "closest":
+        argv += ["--program", str(workspace / "bad.c"), "--tests",
+                 str(workspace / "corpus" / "tests" / "sum1n")]
+    code = main(argv)
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1
+    if damage != "short-vector":
+        assert str(bad) in errors[0]
+
+
+def test_malformed_report_exit_2(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(workspace / "out", out)
+    _truncate(out / "report.json")
+    code = main(["project", "--artifacts", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(out / "report.json") in err

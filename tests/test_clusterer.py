@@ -53,6 +53,12 @@ def test_k_too_large():
         kmeans(_vecs([(0, 0)]), k=0, seed=0)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_restarts_below_one_rejected(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        kmeans(_vecs([(0, 0), (1, 1)]), k=1, seed=0, restarts=restarts)
+
+
 def test_default_k():
     # The default k is 10% of the programs (the --k-frac default).
     assert k_from_fraction(100, 0.1) == 10

@@ -1,0 +1,175 @@
+"""Tracer and detector output pinned by digest.
+
+The digests were recorded from the tree-walking interpreter that the
+closure-compiled tracer replaced. Each covers, per program, the suite's
+`TraceLog.to_json()` and verdicts and the `detect(...).as_dict()` of that
+log, so any change to snapshot contents, key order, point ids, step
+accounting, error kinds, points or details shows up here.
+"""
+
+import hashlib
+import json
+import math
+
+import pytest
+
+from invclust.corpus import generate_synthetic_corpus
+from invclust.invariants import detect
+from invclust.parser import parse
+from invclust.renamer import rename
+from invclust.synth import PAIR_WHILE
+from invclust.tracer import Limits, TestCase, TraceLog, execute, run_suite
+
+from conftest import gen_program, gen_suite
+
+TIGHT = Limits(max_steps=777, max_loop_iters=50)
+# Small enough that most programs stop part-way through a statement.
+SMALL = Limits(max_steps=60, max_loop_iters=3)
+
+# Programs that end in each runtime error the tracer reports.
+ERROR_PROGRAMS = [
+    'int main() {\n  int a;\n  printf("%d", a);\n}\n',
+    "int main() {\n  while (1) {\n  }\n}\n",
+    "int f(int n) {\n  return f(n + 1);\n}\n\nint main() {\n  f(0);\n}\n",
+    'int main() {\n  int a = 0;\n  printf("%d", 1 / a);\n}\n',
+    "int main() {\n  int x = 9223372036854775807;\n  x = x + 1;\n}\n",
+    'int main() {\n  int a;\n  scanf("%d", &a);\n}\n',
+    "int main() {\n  int a[2];\n  a[5] = 1;\n}\n",
+    'int main() {\n  int a[3];\n  a[1] = 2;\n  printf("%d", a[0]);\n}\n',
+    'int main() {\n  double d = 2.5;\n  printf("%d", 7 % d);\n}\n',
+    'int main() {\n  int a[2];\n  a[0.5] = 1;\n}\n',
+    'int main() {\n  int a[2];\n  int b = a;\n}\n',
+    'int main() {\n  int v;\n  v++;\n}\n',
+    'int main() {\n  int v;\n  scanf("%d", &v);\n}\n',
+]
+
+# Doubles that overflow to inf and then give nan, next to ints.
+FLOAT_PROGRAM = """\
+int main() {
+  double x = 1.5;
+  double y = 0.0;
+  int i = 0;
+  int n;
+  scanf("%d", &n);
+  while (i < n) {
+    x = x * 1e300;
+    y = x - x;
+    i = i + 1;
+  }
+  printf("%f %f %d", x, y, i);
+}
+"""
+
+
+def _digest(runs):
+    """sha256 over (trace json, verdicts, invariants) of each suite run."""
+    h = hashlib.sha256()
+    for tree, tests, limits in runs:
+        log, verdicts = run_suite(tree, tests, limits)
+        h.update(log.to_json().encode())
+        h.update(json.dumps(verdicts).encode())
+        h.update(json.dumps(detect(log).as_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _renamed(src):
+    return rename(parse(src))[0]
+
+
+def _synth_runs(limits):
+    corpus = generate_synthetic_corpus(0, 3, 10)
+    for label in sorted(corpus.assignments):
+        asn = corpus.assignments[label]
+        for prog in asn.programs:
+            yield _renamed(prog.text), asn.tests, limits
+
+
+def _gen_runs(limits):
+    for seed in range(20):
+        src, n_inputs = gen_program(seed)
+        yield _renamed(src), gen_suite(seed, n_inputs), limits
+
+
+def _error_runs(limits):
+    for src in ERROR_PROGRAMS:
+        yield parse(src), [TestCase("4\n", ""), TestCase("", "")], limits
+
+
+def _float_runs(limits):
+    tests = [TestCase(f"{n}\n", "") for n in (0, 1, 2, 3)]
+    yield _renamed(FLOAT_PROGRAM), tests, limits
+
+
+PINNED = {
+    ("synth", "default"):
+        "cb07e317fb0b46b86254dd887a57ccfd29f96bbc4a8f339f82d44830d0796891",
+    ("synth", "tight"):
+        "cb07e317fb0b46b86254dd887a57ccfd29f96bbc4a8f339f82d44830d0796891",
+    ("gen", "default"):
+        "a50a6ad6ec8c947504df15549662e6cda3cabdaa11d354f02e747505601f5728",
+    ("gen", "tight"):
+        "a50a6ad6ec8c947504df15549662e6cda3cabdaa11d354f02e747505601f5728",
+    ("synth", "small"):
+        "3f7a7397e3593a68d134d78736cab75bdc5b3a99476e13776c5c3779e350e17f",
+    ("gen", "small"):
+        "5e4b80d336658ed862a0ff971a7e80ac2f9094cd1194259c09713404e250ec94",
+    ("errors", "tight"):
+        "38a50fae0b68e5fe06c7c5751bdad6a865a73a941a12236208c0d872d77af1e9",
+    ("errors", "small"):
+        "1738393ca2bd3ad734e5d828b3320aa14deb4c5666de3304d13f90832b24f53e",
+    ("float", "default"):
+        "02943c75e5e1b80822cabf1a7c9a838ac5ecbd449f93bfbb58944a8fba9d2bba",
+}
+
+_GROUPS = {"synth": _synth_runs, "gen": _gen_runs, "errors": _error_runs,
+           "float": _float_runs}
+_LIMITS = {"default": None, "tight": TIGHT, "small": SMALL}
+
+
+@pytest.mark.parametrize("group,limits", sorted(PINNED))
+def test_suite_output_matches_recorded_digest(group, limits):
+    assert _digest(_GROUPS[group](_LIMITS[limits])) == PINNED[group, limits]
+
+
+# The fewest steps PAIR_WHILE needs on stdin 3: pins step accounting to the
+# statement and expression node.
+PAIR_WHILE_STEPS = 37
+
+
+def test_pair_while_step_budget_is_exact():
+    tree = parse(PAIR_WHILE)
+    test = TestCase("3\n", "6")
+    log, _, verdict = execute(tree, test, Limits(max_steps=PAIR_WHILE_STEPS))
+    assert verdict == "pass"
+    log, _, verdict = execute(tree, test,
+                              Limits(max_steps=PAIR_WHILE_STEPS - 1))
+    assert verdict == "error"
+    assert log.errors == ["step-limit at main/while@L5/body"]
+
+
+def _edge_log():
+    nan, inf = math.nan, math.inf
+    log = TraceLog()
+    columns = {
+        "p": [{"a": nan, "b": nan, "c": 1, "d": 1.0, "e": inf, "f": -inf}] * 3,
+        "q": [{"a": 1, "b": 1.0}, {"a": 2, "b": 2.0}, {"a": 3, "b": 3}],
+        "r": [{"a": 0, "b": -0.0, "c": inf}, {"a": 0, "b": 0.0, "c": inf},
+              {"a": 0, "b": 0, "c": nan}],
+        "s": [{"x": 5, "y": 3, "z": -2}, {"x": 9, "y": 7, "z": -2},
+              {"x": -1, "y": -3, "z": -2}],
+        "t": [{"x": 1, "y": nan}, {"x": 2, "y": 1.0}, {"x": 3, "y": inf}],
+        "u": [{"x": 1}],
+    }
+    for pid, snaps in columns.items():
+        for snap in snaps:
+            log.record(pid, "loop-body", dict(snap))
+    return log
+
+
+EDGE_DETECT = (
+    "2371ec9e9d241c4d66087d77e693635d29b94bf83c01f76ae8c8bda72870c6ad")
+
+
+def test_detect_edge_values_match_recorded_digest():
+    out = json.dumps(detect(_edge_log()).as_dict(), sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == EDGE_DETECT

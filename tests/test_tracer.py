@@ -4,8 +4,8 @@ import pytest
 
 from invclust.parser import parse
 from invclust.renamer import rename
-from invclust.tracer import (Limits, TestCase, execute, normalize_output,
-                             run_suite)
+from invclust.tracer import (MAX_CALL_DEPTH, Limits, TestCase, execute,
+                             normalize_output, run_suite)
 
 from conftest import LEFT_SRC, RIGHT_SRC, sum_suite
 
@@ -50,6 +50,56 @@ def test_python_stack_overflow_is_call_depth_error():
     log, _, verdict = execute(tree, TestCase("", ""))
     assert verdict == "error"
     assert log.errors == ["step-limit at f/entry: call depth"]
+
+
+# main calls f(n), which recurses down to f(0): n + 2 calls at once.
+_RECURSE_N = ("int f(int n) {\n  if (n == 0) {\n    return 0;\n  }\n"
+              "  return f(n - 1) + 1;\n}\n\n"
+              'int main() {\n  int n;\n  scanf("%d", &n);\n'
+              '  printf("%d", f(n));\n}\n')
+
+
+def _nested(frames, fn):
+    return fn() if frames == 0 else _nested(frames - 1, fn)
+
+
+@pytest.mark.parametrize("caller_frames", [0, 200])
+def test_call_depth_cap_is_the_limit(caller_frames):
+    tree = parse(_RECURSE_N)
+
+    def run(depth):
+        n = depth - 2
+        return execute(tree, TestCase(f"{n}\n", str(n)))
+
+    log, _, verdict = _nested(caller_frames, lambda: run(MAX_CALL_DEPTH))
+    assert verdict == "pass"
+    log, _, verdict = _nested(caller_frames,
+                              lambda: run(MAX_CALL_DEPTH + 1))
+    assert verdict == "error"
+    assert log.errors == ["step-limit at f/entry: call depth"]
+    assert len(log.samples["f/entry"]) == MAX_CALL_DEPTH - 1
+
+
+def test_python_stack_overflow_below_the_cap_is_call_depth_error():
+    # Each call sits under 40 additions, so Python's stack runs out long
+    # before MAX_CALL_DEPTH calls.
+    expr = "1 + (" * 40 + "f(n + 1)" + ")" * 40
+    tree = parse("int f(int n) {\n  return " + expr + ";\n}\n\n"
+                 "int main() {\n  f(0);\n}\n")
+    log, _, verdict = execute(tree, TestCase("", ""))
+    assert verdict == "error"
+    assert log.errors == ["step-limit at f/entry: call depth"]
+    assert len(log.samples["f/entry"]) < MAX_CALL_DEPTH - 1
+
+
+def test_error_in_a_call_from_nested_blocks():
+    src = ("int f(int n) {\n  return 1 / n;\n}\n\n"
+           "int main() {\n  int i = 0;\n  while (i < 1) {\n"
+           "    if (i == 0) {\n      printf(\"%d\", f(0));\n    }\n"
+           "    i++;\n  }\n}\n")
+    log, _, verdict = execute(parse(src), TestCase("", ""))
+    assert verdict == "error"
+    assert log.errors == ["div-by-zero at f/entry"]
 
 
 def test_div_by_zero():
