@@ -6,9 +6,12 @@ success, 1 on usage errors, 2 on corpus/runtime errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
+
+import numpy as np
 
 from .anonymizer import anonymize, serialize_aast
 from .clusterer import ClusterModel, closest_program, purity
@@ -143,18 +146,28 @@ def _load_model(path):
 
 
 def _load_vectors(model_path, ids):
-    base = os.path.dirname(os.path.abspath(model_path))
-    vectors = []
-    for pid in ids:
-        label, stem = pid.split("/", 1)
-        vpath = os.path.join(base, label, f"{stem}.vector.json")
-        d = _read_json(vpath)
-        try:
-            vectors.append(FeatureVector(program_id=d["id"],
-                                         values=d["values"]))
-        except (KeyError, TypeError) as e:
-            raise BadModel(vpath, e) from None
-    return vectors
+    """The persisted vectors of `ids`: rows of the vectors.npy next to
+    model_path, read in one np.load."""
+    path = os.path.join(os.path.dirname(os.path.abspath(model_path)),
+                        "vectors.npy")
+    try:
+        table = np.load(path, allow_pickle=False)
+    except OSError as e:
+        raise BadModel(path, e.strerror or e) from None
+    except (ValueError, EOFError) as e:
+        raise BadModel(path, e) from None
+    dt = table.dtype
+    if (table.ndim != 1 or dt.names != ("id", "values")
+            or dt["id"].kind != "U" or dt["values"].base.kind != "f"
+            or dt["values"].ndim != 1):
+        raise BadModel(path, f"not an (id, values) table: {dt}, "
+                             f"shape {table.shape}")
+    rows = dict(zip(table["id"].tolist(), table["values"]))
+    try:
+        return [FeatureVector(program_id=pid, values=rows[pid])
+                for pid in ids]
+    except KeyError as e:
+        raise BadModel(path, e) from None
 
 
 def cmd_representatives(args):
@@ -223,7 +236,10 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = _Parser(prog="invclust",
                      description="Cluster C submissions by invariants and "
                                  "anonymized ASTs.")

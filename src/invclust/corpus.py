@@ -196,8 +196,24 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def write_vectors(arts, path):
+    """Every surviving program's vector, clustered or not, as one numpy
+    structured array: a row per program in sorted id order, with fields
+    `id` (unicode) and `values` (float64, one per vocabulary gram)."""
+    ids = sorted(arts.programs)
+    values = np.array([arts.programs[i].vector.values for i in ids],
+                      dtype=np.float64)
+    table = np.empty(len(ids), dtype=[
+        ("id", f"<U{max(map(len, ids))}"),
+        ("values", "<f8", (values.shape[1],))])
+    table["id"] = ids
+    table["values"] = values
+    np.save(path, table, allow_pickle=False)
+
+
 def persist(arts, out_dir):
-    """One file per stage per program, plus model/report/projection."""
+    """One file per stage per program, the vectors of every program in
+    vectors.npy, plus model/report/projection."""
     for pid in sorted(arts.programs):
         pa = arts.programs[pid]
         label, stem = pid.split("/", 1)
@@ -209,8 +225,7 @@ def persist(arts, out_dir):
             f.write(pa.docs.aast_text + "\n")
         with open(os.path.join(pdir, f"{stem}.invariants.json"), "w") as f:
             f.write(_dump(pa.inv_by_point))
-        with open(os.path.join(pdir, f"{stem}.vector.json"), "w") as f:
-            f.write(_dump(pa.vector.as_dict()))
+    write_vectors(arts, os.path.join(out_dir, "vectors.npy"))
     with open(os.path.join(out_dir, "model.json"), "w") as f:
         f.write(_dump(arts.model.as_dict()))
     sizes = {}

@@ -11,15 +11,24 @@ from .nodes import Kind, Node, SyntaxTree
 
 TYPE_KEYWORDS = {"int": "int", "double": "double", "float": "double"}
 
-# Later stages walk the tree recursively; a tree this shallow fits their
-# Python stack with room to spare.
+# The parser rejects nesting deeper than this, counted in its own levels
+# (see _Parser.enter), and so does the tree check after it, counted in
+# tree depth. The parser spends at most five Python frames per level and
+# later stages walk the tree recursively, so either limit fits Python's
+# stack with room to spare even for a caller a few hundred frames deep.
 MAX_DEPTH = 100
+
+# Binary operators by precedence, loosest first; all are left-associative.
+_BINARY_PREC = {op: prec for prec, ops in enumerate((
+    ("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"),
+    ("*", "/", "%"))) for op in ops}
 
 
 class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead=0):
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -72,6 +81,16 @@ class _Parser:
 
     def at_type(self):
         return self.at_kw("int", "double", "float")
+
+    def enter(self):
+        """One level deeper, rejected past MAX_DEPTH at the next token. A
+        level is a block, an unbraced control body, an expression (a
+        parenthesized one, an index, an argument, ...) or the operand of a
+        unary operator. The caller steps back out with `self.depth -= 1`;
+        an error ends the parse, so nothing restores the depth then."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.err("nesting too deep")
 
     # --- grammar ---
 
@@ -127,12 +146,14 @@ class _Parser:
 
     def block(self):
         tok = self.expect_op("{")
+        self.enter()
         blk = Node(Kind.BLOCK, line=tok.line, col=tok.col)
         while not self.at_op("}"):
             if self.peek().kind == "eof":
                 self.err("unterminated block")
             blk.children.extend(self.statement())
         self.expect_op("}")
+        self.depth -= 1
         return blk
 
     def statement(self):
@@ -247,8 +268,10 @@ class _Parser:
         if self.at_op("{"):
             return self.block()
         tok = self.peek()
+        self.enter()
         blk = Node(Kind.BLOCK, line=tok.line, col=tok.col)
         blk.children.extend(self.statement())
+        self.depth -= 1
         return blk
 
     def simple_stmt(self, expect_semi):
@@ -356,46 +379,41 @@ class _Parser:
     # --- expressions, by precedence ---
 
     def expression(self):
-        node = self.or_expr()
+        self.enter()
+        node = self.binary()
         if self.at_op("="):
             self.unsupported("assignment inside expression", self.peek())
+        self.depth -= 1
         return node
 
-    def _binary_level(self, sub, ops):
-        node = sub()
-        while self.at_op(*ops):
-            tok = self.next()
-            node = Node(Kind.BINARY_OP, literal=tok.value,
-                        children=[node, sub()], line=tok.line, col=tok.col)
-        return node
-
-    def or_expr(self):
-        return self._binary_level(self.and_expr, ("||",))
-
-    def and_expr(self):
-        return self._binary_level(self.equality, ("&&",))
-
-    def equality(self):
-        return self._binary_level(self.relational, ("==", "!="))
-
-    def relational(self):
-        return self._binary_level(self.additive, ("<", ">", "<=", ">="))
-
-    def additive(self):
-        return self._binary_level(self.multiplicative, ("+", "-"))
-
-    def multiplicative(self):
-        return self._binary_level(self.unary, ("*", "/", "%"))
+    def binary(self):
+        """Unary operands joined by binary operators, grouped by
+        _BINARY_PREC with an operator stack: a chain of any length costs
+        one Python frame."""
+        operands = [self.unary()]
+        ops = []
+        while True:
+            tok = self.peek()
+            prec = _BINARY_PREC.get(tok.value) if tok.kind == "op" else None
+            while ops and (prec is None or ops[-1][0] >= prec):
+                _, op = ops.pop()
+                rhs = operands.pop()
+                operands[-1] = Node(Kind.BINARY_OP, literal=op.value,
+                                    children=[operands[-1], rhs],
+                                    line=op.line, col=op.col)
+            if prec is None:
+                return operands[0]
+            ops.append((prec, self.next()))
+            operands.append(self.unary())
 
     def unary(self):
         tok = self.peek()
-        if self.at_op("-"):
+        if self.at_op("-", "!"):
             self.next()
-            return Node(Kind.UNARY_OP, literal="-", children=[self.unary()],
-                        line=tok.line, col=tok.col)
-        if self.at_op("!"):
-            self.next()
-            return Node(Kind.UNARY_OP, literal="!", children=[self.unary()],
+            self.enter()
+            operand = self.unary()
+            self.depth -= 1
+            return Node(Kind.UNARY_OP, literal=tok.value, children=[operand],
                         line=tok.line, col=tok.col)
         if self.at_op("++", "--"):
             self.unsupported("increment inside expression", tok)
@@ -526,7 +544,7 @@ def parse(source):
     parser = _Parser(lex(text))
     try:
         tree = parser.translation_unit()
-    except RecursionError:
+    except RecursionError:  # only for a caller already deep in the stack
         tok = parser.peek()
         raise CSyntaxError(tok.line, tok.col, "nesting too deep") from None
     return SyntaxTree(root=tree)

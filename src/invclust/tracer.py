@@ -121,7 +121,10 @@ class _State:
 def _convert(st, value, is_int):
     if is_int:
         if isinstance(value, float):
-            value = int(value)  # trunc toward zero
+            try:
+                value = int(value)  # trunc toward zero
+            except (OverflowError, ValueError):  # inf, nan
+                raise TraceRuntimeError("integer-overflow", st.point) from None
         if not INT_MIN <= value <= INT_MAX:
             raise TraceRuntimeError("integer-overflow", st.point)
         return value
@@ -513,8 +516,12 @@ class _Compiler:
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
             values = iter([a(st, v) for a in args])
-            st.out.append("".join(p if p.__class__ is str else p(next(values))
-                                  for p in pieces))
+            try:
+                st.out.append("".join(
+                    p if p.__class__ is str else p(next(values))
+                    for p in pieces))
+            except (OverflowError, ValueError):  # %d of inf or nan
+                raise TraceRuntimeError("integer-overflow", st.point) from None
         return printf
 
     # --- expressions ---

@@ -64,11 +64,11 @@ class Vocabulary:
 
 @dataclass
 class FeatureVector:
+    """One float per vocabulary gram: a list from `represent`, a row of the
+    persisted vectors.npy when read back."""
+
     program_id: str
     values: list
-
-    def as_dict(self):
-        return {"id": self.program_id, "values": self.values}
 
 
 def _segment_vocab(docs, n, with_idf):

@@ -36,6 +36,14 @@ HOSTILE_SOURCES = {
     "non-utf8": (
         _READ_N.encode() + b"  int m\xff = 0;\n" + b'  printf("%d", n);\n}\n',
         "4:8: unexpected character"),
+    "inf-to-int": (
+        (_READ_N + "  double x = 1e300;\n  x = x * x;\n  int y = x;\n"
+         '  printf("%d", n);\n}\n').encode(),
+        "integer-overflow at main/entry"),
+    "nan-printf": (
+        (_READ_N + "  double x = 1e300;\n  x = x * x - x * x;\n"
+         '  printf("%d", x);\n}\n').encode(),
+        "integer-overflow at main/entry"),
 }
 
 

@@ -3,10 +3,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from invclust.cli import main
+from invclust.cli import build_parser, main
 
 from conftest import HOSTILE_SOURCES, LEFT_SRC
 
@@ -105,24 +108,32 @@ def test_closest_prints_id_and_distance(workspace, capsys):
 
 
 def test_closest_all_candidates_scans_everything(workspace, capsys):
-    from invclust.clusterer import closest_program
-    from invclust.vectorizer import FeatureVector
+    from invclust.corpus import analyze, read_source, read_tests
+    from invclust.nodes import SourceProgram
+    from invclust.vectorizer import Vocabulary, represent
+    out = workspace / "out"
     tests = workspace / "corpus" / "tests" / "sum1n"
-    assert main(["closest", "--model", str(workspace / "out" / "model.json"),
+    assert main(["closest", "--model", str(out / "model.json"),
                  "--program", str(workspace / "bad.c"),
                  "--tests", str(tests), "--all-candidates", "--json"]) == 0
     payload = _json_out(capsys)
-    # Verify against a brute-force scan over every persisted vector.
-    vectors = []
-    out = workspace / "out"
-    for label in ("sum1n", "factorial", "maxseq"):
-        for fname in sorted(os.listdir(out / label)):
-            if fname.endswith(".vector.json"):
-                with open(out / label / fname) as f:
-                    d = json.load(f)
-                vectors.append(FeatureVector(d["id"], d["values"]))
     # Rebuild the query exactly as the CLI does.
-    assert main(["closest", "--model", str(workspace / "out" / "model.json"),
+    with open(out / "model.json") as f:
+        model = json.load(f)
+    pa = analyze(SourceProgram(id="query", label="",
+                               text=read_source(str(workspace / "bad.c"))),
+                 read_tests(str(tests)))
+    q = np.asarray(represent(pa.docs, Vocabulary.from_dict(model["vocab"]),
+                             "query").values)
+    # Brute force over every clustered row of the persisted matrix.
+    table = np.load(out / "vectors.npy", allow_pickle=False)
+    scanned = [(float(np.linalg.norm(row - q)), pid)
+               for pid, row in zip(table["id"].tolist(), table["values"])
+               if pid in model["assignment"]]
+    assert len(scanned) == len(model["assignment"])
+    distance, closest = min(scanned)
+    assert payload == {"closest": closest, "distance": distance}
+    assert main(["closest", "--model", str(out / "model.json"),
                  "--program", str(workspace / "bad.c"),
                  "--tests", str(tests), "--json"]) == 0
     rep_payload = _json_out(capsys)
@@ -168,6 +179,19 @@ def test_hostile_closest_exit_2(workspace, capsys, kind):
     prog.write_bytes(data)
     code = main(["closest", "--model", str(workspace / "out" / "model.json"),
                  "--program", str(prog),
+                 "--tests", str(workspace / "corpus" / "tests" / "sum1n")])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1 and diagnostic in errors[0]
+
+
+@pytest.mark.parametrize("kind", sorted(HOSTILE_SOURCES))
+def test_hostile_invariants_exit_2(workspace, capsys, kind):
+    data, diagnostic = HOSTILE_SOURCES[kind]
+    prog = workspace / f"{kind}.c"
+    prog.write_bytes(data)
+    code = main(["invariants", str(prog),
                  "--tests", str(workspace / "corpus" / "tests" / "sum1n")])
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
@@ -261,7 +285,7 @@ def test_restarts_below_one_is_usage_error(workspace, capsys):
 
 
 def _truncate(path):
-    path.write_text(path.read_text()[:40])
+    path.write_bytes(path.read_bytes()[:40])
 
 
 def _drop_vocab(path):
@@ -270,30 +294,50 @@ def _drop_vocab(path):
     path.write_text(json.dumps(d))
 
 
-def _short_vector(path):
-    d = json.loads(path.read_text())
-    d["values"] = d["values"][:3]
-    path.write_text(json.dumps(d))
+def _rewrite_vectors(path, ids=None, width=None):
+    """vectors.npy again with only the rows `ids` and the first `width`
+    values of each."""
+    table = np.load(path, allow_pickle=False)
+    if ids is not None:
+        table = table[np.isin(table["id"], ids)]
+    values = table["values"][:, :width]
+    short = np.empty(len(table), dtype=[("id", table.dtype["id"]),
+                                        ("values", "<f8", values.shape[1:])])
+    short["id"], short["values"] = table["id"], values
+    np.save(path, short, allow_pickle=False)
 
 
-def _vector_path(out):
-    model = json.loads((out / "model.json").read_text())
-    label, stem = sorted(model["representatives"].values())[0].split("/")
-    return out / label / f"{stem}.vector.json"
+def _drop_representative(path):
+    model = json.loads((path.parent / "model.json").read_text())
+    rep = sorted(model["representatives"].values())[0]
+    _rewrite_vectors(path, ids=[i for i in np.load(path)["id"].tolist()
+                                if i != rep])
+
+
+_VECTOR_DAMAGE = {
+    "truncated-vector": _truncate,
+    "short-vector": lambda path: _rewrite_vectors(path, width=3),
+    "missing-vectors": os.remove,
+    "unknown-id": _drop_representative,
+    "pickled-vectors": lambda path: np.save(
+        path, np.array([{"id": "sum1n/v00"}], dtype=object),
+        allow_pickle=True),
+    "plain-matrix": lambda path: np.save(path, np.load(path)["values"]),
+}
 
 
 @pytest.mark.parametrize("command,damage", [
     (command, damage)
     for command in ("closest", "representatives", "purity")
     for damage in ("truncated", "no-vocab")
-] + [("closest", "truncated-vector"), ("closest", "short-vector")])
+] + [("closest", damage) for damage in _VECTOR_DAMAGE])
 def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
     out = tmp_path / "out"
     shutil.copytree(workspace / "out", out)
     model = out / "model.json"
-    if damage.endswith("vector"):
-        bad = _vector_path(out)
-        (_truncate if damage == "truncated-vector" else _short_vector)(bad)
+    if damage in _VECTOR_DAMAGE:
+        bad = out / "vectors.npy"
+        _VECTOR_DAMAGE[damage](bad)
     else:
         bad = model
         (_truncate if damage == "truncated" else _drop_vocab)(bad)
@@ -310,6 +354,16 @@ def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
         assert str(bad) in errors[0]
 
 
+def test_project_without_vectors_exit_2(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(workspace / "out", out)
+    os.remove(out / "vectors.npy")
+    code = main(["project", "--artifacts", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(out / "vectors.npy") in err
+
+
 def test_malformed_report_exit_2(workspace, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(workspace / "out", out)
@@ -318,3 +372,34 @@ def test_malformed_report_exit_2(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and str(out / "report.json") in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
+    model = str(workspace / "out" / "model.json")
+    runs = [["representatives", "--model", model, "--json"],
+            ["purity", "--model", model],
+            ["closest", "--model", model, "--program",
+             str(workspace / "bad.c"), "--tests",
+             str(workspace / "corpus" / "tests" / "sum1n"),
+             "--all-candidates"]]
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    fresh = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "invclust.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh.append((done.returncode, done.stdout))
+    assert in_process == fresh
+    # --json of the first call does not carry over to the second.
+    assert in_process[1] == (0, "purity 1.0000\n")

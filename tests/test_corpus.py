@@ -180,9 +180,10 @@ def test_persisted_artifact_layout(tmp_path):
     out = tmp_path / "out"
     run_pipeline(corpus, mode="aast_inv", k=2, out_dir=str(out))
     some_label = sorted(corpus.assignments)[0]
-    for suffix in ("renamed.c", "aast.txt", "invariants.json", "vector.json"):
+    for suffix in ("renamed.c", "aast.txt", "invariants.json"):
         assert (out / some_label / f"v00.{suffix}").exists()
-    for fname in ("model.json", "report.json", "projection.csv"):
+    for fname in ("model.json", "report.json", "projection.csv",
+                  "vectors.npy"):
         assert (out / fname).exists()
     with open(out / "model.json") as f:
         model = json.load(f)
@@ -252,3 +253,21 @@ def test_project_2d_collinear_points_stay_collinear():
     u, v = coords[1] - coords[0], coords[2] - coords[0]
     area = u[0] * v[1] - u[1] * v[0]
     assert abs(float(area)) < 1e-9
+
+
+def test_vectors_npy_round_trip(tmp_path):
+    _write_corpus_tree(str(tmp_path / "corpus"), {
+        "alpha": ([("ok1", _ECHO), ("ok2", _ECHO), ("wrong", _DOUBLE)],
+                  [("3\n", "3")]),
+        "beta": ([("s0", _DOUBLE), ("s1", _DOUBLE)], [("2\n", "4")]),
+    })
+    out = tmp_path / "out"
+    arts = run_pipeline(ingest(str(tmp_path / "corpus")), mode="aast_inv",
+                        k=2, out_dir=str(out))
+    table = np.load(out / "vectors.npy", allow_pickle=False)
+    ids = sorted(arts.programs)
+    assert "alpha/wrong" in ids and "alpha/wrong" not in arts.clustered_ids
+    assert table["id"].tolist() == ids
+    assert table["values"].dtype == np.float64
+    for pid, row in zip(ids, table["values"]):
+        assert row.tolist() == arts.programs[pid].vector.values

@@ -6,7 +6,7 @@ import pytest
 
 from invclust.errors import CSyntaxError, UnsupportedFeature
 from invclust.nodes import Kind, Node, structurally_equal, walk
-from invclust.parser import parse
+from invclust.parser import MAX_DEPTH, parse
 from invclust.unparse import unparse
 
 from conftest import LEFT_SRC, RIGHT_SRC, gen_program
@@ -102,6 +102,34 @@ def test_deep_nesting_is_syntax_error(expr):
         parse('int main() {\n  printf("%d", ' + expr + ");\n}\n")
     assert exc.value.message == "nesting too deep"
     assert exc.value.line == 2
+
+
+def _nested(frames, fn):
+    return fn() if frames == 0 else _nested(frames - 1, fn)
+
+
+def _verdict(src):
+    try:
+        parse(src)
+        return "ok"
+    except CSyntaxError as e:
+        return (e.line, e.col, e.message)
+
+
+@pytest.mark.parametrize("caller_frames", [0, 200])
+def test_nesting_limit_is_fixed(caller_frames):
+    # The function body is one level and the printf argument another, so
+    # MAX_DEPTH - 2 parentheses fit and one more is rejected at the first
+    # token inside the innermost parenthesis, whatever the caller's depth.
+    prefix = '  printf("%d", '
+
+    def src(k):
+        return "int main() {\n" + prefix + "(" * k + "1" + ")" * k + ");\n}\n"
+
+    below = _nested(caller_frames, lambda: _verdict(src(MAX_DEPTH - 2)))
+    above = _nested(caller_frames, lambda: _verdict(src(MAX_DEPTH - 1)))
+    assert below == "ok"
+    assert above == (2, len(prefix) + MAX_DEPTH, "nesting too deep")
 
 
 def test_scanf_printf_dedicated_nodes():

@@ -116,6 +116,24 @@ def test_integer_overflow_trapped():
     assert any("integer-overflow" in e for e in log.errors)
 
 
+_OVERFLOWED = "  double x = 1e300;\n  x = x * x;\n"
+
+
+@pytest.mark.parametrize("src", [
+    "int main() {\n" + _OVERFLOWED + "  int y = x;\n}\n",
+    "int main() {\n" + _OVERFLOWED + '  printf("%d", x);\n}\n',
+    "int main() {\n" + _OVERFLOWED + '  printf("%d", x - x);\n}\n',
+    "int main() {\n" + _OVERFLOWED + "  int a[2];\n  a[0] = x - x;\n}\n",
+    "int f(int a) {\n  return a;\n}\n\nint main() {\n" + _OVERFLOWED
+    + "  f(x);\n}\n",
+], ids=["store-inf", "printf-inf", "printf-nan", "array-nan", "param-inf"])
+def test_non_finite_double_to_int_is_integer_overflow(src):
+    log, _, verdict = execute(parse(src), TestCase("", ""))
+    assert verdict == "error"
+    assert len(log.errors) == 1
+    assert log.errors[0].startswith("integer-overflow at ")
+
+
 def test_scanf_exhausted():
     tree = parse('int main() {\n  int a;\n  scanf("%d", &a);\n}\n')
     log, _, verdict = execute(tree, TestCase("", ""))
