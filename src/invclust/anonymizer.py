@@ -3,7 +3,8 @@ deterministic string serialization fed to the bag-of-words stage."""
 
 from dataclasses import dataclass
 
-from .nodes import Kind, SyntaxTree, copy_tree, count_nodes, walk
+from .nodes import (Kind, SyntaxTree, copy_tree, count_nodes, fmt_literal,
+                    walk)
 
 ANON_TOKEN = "ID"
 
@@ -23,12 +24,6 @@ def anonymize(tree):
     return SyntaxTree(root=root)
 
 
-def _fmt_value(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _serialize(node):
     parts = []
     if node.identifier is not None:
@@ -37,7 +32,7 @@ def _serialize(node):
         parts.append(f"type:{node.type_name}")
     if node.literal is not None:
         if node.kind == Kind.LITERAL:
-            parts.append(_fmt_value(node.literal))
+            parts.append(fmt_literal(node.literal))
         elif node.kind in (Kind.BINARY_OP, Kind.UNARY_OP):
             parts.append(f"op:{node.literal}")
         elif node.kind in (Kind.SCANF, Kind.PRINTF):
@@ -45,7 +40,7 @@ def _serialize(node):
         elif node.kind == Kind.ARRAY_DECL:
             parts.append(f"size:{node.literal}")
         else:
-            parts.append(_fmt_value(node.literal))
+            parts.append(fmt_literal(node.literal))
     parts.extend(_serialize(c) for c in node.children)
     return f"{node.kind}({','.join(parts)})"
 

@@ -25,10 +25,10 @@ from .parser import parse
 from .renamer import rename
 from .tracer import Limits, run_suite
 from .unparse import unparse
-from .vectorizer import FeatureVector, Vocabulary, represent
+from .vectorizer import MODES, FeatureVector, Vocabulary, represent
 
-_MODE_ALIASES = {"syntax": "syntax", "aast": "aast", "inv": "inv",
-                 "aast+inv": "aast_inv", "aast_inv": "aast_inv"}
+# Each mode by its own name, and aast_inv also as aast+inv.
+_MODE_ALIASES = {a: m for m in MODES for a in (m, m.replace("_", "+"))}
 
 
 class _Parser(argparse.ArgumentParser):

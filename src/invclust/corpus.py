@@ -109,7 +109,6 @@ class ProgramArtifacts:
     inv_by_point: dict
     verdicts: list
     correct: bool
-    rename_map: object = None
     vector: object = None
 
 
@@ -129,7 +128,7 @@ def analyze(program, tests, limits=None, min_samples=2):
     SourceProgram. Raises ProgramRejected when the program cannot be used:
     a syntax, unsupported-construct or unresolved-name diagnostic, or
     RuntimeFailure when a test ends in a runtime error."""
-    renamed, rmap = rename(parse(program))
+    renamed, _ = rename(parse(program))
     log, verdicts = run_suite(renamed, tests, limits)
     if "error" in verdicts:
         raise RuntimeFailure(log.errors[0])
@@ -142,7 +141,7 @@ def analyze(program, tests, limits=None, min_samples=2):
     return ProgramArtifacts(
         program_id=program.id, label=program.label, docs=docs,
         inv_by_point=inv_set.as_dict(), verdicts=verdicts,
-        correct=all(v == "pass" for v in verdicts), rename_map=rmap)
+        correct=all(v == "pass" for v in verdicts))
 
 
 def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,

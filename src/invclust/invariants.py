@@ -16,14 +16,9 @@ from itertools import combinations, repeat
 from operator import eq, ge, gt, is_, itemgetter, le, lt, ne, sub
 
 from .errors import UnmappedPoint
+from .nodes import fmt_literal
 
 CONST_DIFF_LIMIT = 100
-
-
-def fmt_const(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 @dataclass
@@ -49,10 +44,10 @@ def _point_invariants(snaps):
         zeros = repeat(0)
         if all(map(eq, vals, repeat(first))) and \
                 all(map(is_, map(type, vals), repeat(type(first)))):
-            out.add(f"{x} == {fmt_const(first)}")
+            out.add(f"{x} == {fmt_literal(first)}")
             continue
-        out.add(f"{x} >= {fmt_const(min(vals))}")
-        out.add(f"{x} <= {fmt_const(max(vals))}")
+        out.add(f"{x} >= {fmt_literal(min(vals))}")
+        out.add(f"{x} <= {fmt_literal(max(vals))}")
         if all(map(gt, vals, zeros)):
             out.add(f"{x} > 0")
         elif all(map(ge, vals, zeros)):

@@ -25,23 +25,6 @@ class Kind:
     ARRAY_INDEX = "array-index"
 
 
-ALL_KINDS = frozenset(
-    v for k, v in vars(Kind).items() if not k.startswith("_")
-)
-
-# The only kinds that carry an identifier field.
-IDENTIFIER_KINDS = frozenset(
-    {
-        Kind.DECL,
-        Kind.PARAM,
-        Kind.FUNCTION_DEF,
-        Kind.IDENT_REF,
-        Kind.ARRAY_DECL,
-        Kind.CALL,
-    }
-)
-
-
 @dataclass
 class Node:
     """One tree node.
@@ -59,18 +42,6 @@ class Node:
     line: int = 0
     col: int = 0
 
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.identifier is not None:
-            d["identifier"] = self.identifier
-        if self.type_name is not None:
-            d["type_name"] = self.type_name
-        if self.literal is not None:
-            d["literal"] = self.literal
-        if self.children:
-            d["children"] = [c.to_dict() for c in self.children]
-        return d
-
 
 def structurally_equal(a, b):
     """Positional equality ignoring source locations."""
@@ -81,6 +52,14 @@ def structurally_equal(a, b):
     if len(a.children) != len(b.children):
         return False
     return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
+
+
+def fmt_literal(v):
+    """A literal or observed value as text: repr for doubles, so they read
+    back exactly, str otherwise."""
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
 
 
 def copy_tree(node):
@@ -108,9 +87,6 @@ def walk(node):
 @dataclass
 class SyntaxTree:
     root: Node
-
-    def structurally_equals(self, other):
-        return structurally_equal(self.root, other.root)
 
 
 @dataclass

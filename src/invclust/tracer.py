@@ -17,8 +17,9 @@ record anything; steps are never counted ahead of an operation that can
 fail.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
-uninitialized reads, truncating division, %d prints decimal, %f/%lf print
-with 6 decimal places.
+uninitialized reads, truncating division, %d prints decimal after the
+conversion an int store makes (so an out-of-range double traps), %f/%lf
+print with 6 decimal places.
 """
 
 import json
@@ -91,8 +92,8 @@ _UNINIT = object()
 _COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_PRINTF = {"%%": "%", "%d": lambda x: str(int(x)),
-           "%f": lambda x: f"{float(x):.6f}"}
+_PRINTF = {"%%": "%", "%d": lambda st, x: str(_convert(st, x, True)),
+           "%f": lambda st, x: f"{float(x):.6f}"}
 _PRINTF["%lf"] = _PRINTF["%f"]
 _PRINTF_CONVERSION = re.compile(r"(%%|%d|%lf|%f)")
 _SCANF_CONVERSION = re.compile(r"%(d|lf)")
@@ -516,12 +517,9 @@ class _Compiler:
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
             values = iter([a(st, v) for a in args])
-            try:
-                st.out.append("".join(
-                    p if p.__class__ is str else p(next(values))
-                    for p in pieces))
-            except (OverflowError, ValueError):  # %d of inf or nan
-                raise TraceRuntimeError("integer-overflow", st.point) from None
+            st.out.append("".join(
+                p if p.__class__ is str else p(st, next(values))
+                for p in pieces))
         return printf
 
     # --- expressions ---

@@ -1,7 +1,7 @@
 """Canonical source emission: 2-space indent, one statement per line,
 mandatory braces on control bodies."""
 
-from .nodes import Kind
+from .nodes import Kind, fmt_literal
 
 _PREC = {
     "||": 1, "&&": 2, "==": 3, "!=": 3,
@@ -18,16 +18,10 @@ def _escape(s):
     return "".join(_UNESCAPES.get(c, c) for c in s)
 
 
-def _fmt_literal(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def unparse_expr(node, parent_prec=0, right_side=False):
     k = node.kind
     if k == Kind.LITERAL:
-        return _fmt_literal(node.literal)
+        return fmt_literal(node.literal)
     if k == Kind.IDENT_REF:
         return node.identifier
     if k == Kind.ARRAY_INDEX:

@@ -1,19 +1,25 @@
 """Bag-of-words vocabularies and L1-normalized feature vectors.
 
-Grams are word-level token n-grams (n = 3 by default). Normalization is
-term frequency over in-vocabulary gram occurrences, per vocabulary segment;
-the combined aast_inv mode concatenates an AAST segment and an invariant
-segment built independently. Optional smoothed idf reweighting is available
-behind a flag.
+Grams are word-level token n-grams (n = 3 by default). A mode names the
+per-program documents it draws on; each document gets its own vocabulary
+segment, built and counted on its own, and the segments are concatenated
+in order: syntax, aast and inv have one segment, aast_inv has the AAST
+segment and then the invariant segment. Normalization is term frequency
+over in-vocabulary gram occurrences, per segment. Optional smoothed idf
+reweighting, per segment, is available behind a flag.
 """
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from .errors import EmptyCorpus, ModeMismatch
 
-MODES = ("syntax", "aast", "inv", "aast_inv")
+# mode -> the ProgramDocs fields it draws on, one vocabulary segment each.
+_SEGMENT_FIELDS = {"syntax": ("renamed_source",), "aast": ("aast_text",),
+                   "inv": ("inv_text",), "aast_inv": ("aast_text", "inv_text")}
+MODES = tuple(_SEGMENT_FIELDS)
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 
@@ -31,22 +37,9 @@ def ngrams(tokens, n):
 class Vocabulary:
     mode: str
     n: int
-    grams: list  # sorted, unique; aast_inv: aast segment then inv segment
-    segments: list = field(default_factory=list)  # [(start, end)] per segment
+    grams: list     # each segment's sorted unique grams, segment after segment
+    segments: list  # [(start, end)] per segment
     idf: list | None = None
-    _index: dict | None = field(default=None, init=False, repr=False,
-                                compare=False)
-
-    def __post_init__(self):
-        if not self.segments:
-            self.segments = [(0, len(self.grams))]
-
-    def index(self):
-        """gram -> position; built on first use and kept, since the grams
-        of a vocabulary are fixed once it is built."""
-        if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.grams)}
-        return self._index
 
     def as_dict(self):
         d = {"mode": self.mode, "n": self.n, "grams": self.grams,
@@ -71,90 +64,55 @@ class FeatureVector:
     values: list
 
 
-def _segment_vocab(docs, n, with_idf):
-    grams = set()
-    df = {}
-    for doc in docs:
-        doc_grams = set(ngrams(tokenize(doc), n))
-        grams.update(doc_grams)
-        if with_idf:
-            for g in doc_grams:
-                df[g] = df.get(g, 0) + 1
-    ordered = sorted(grams)
-    if with_idf:
-        total = len(docs)
-        idf = [math.log((1 + total) / (1 + df[g])) + 1 for g in ordered]
-    else:
-        idf = None
-    return ordered, idf
-
-
-def build_vocab(docs, mode, n=3, idf=False):
-    """Vocabulary over all token n-grams of the documents (one family)."""
-    if not docs:
+def _build(families, mode, n, with_idf):
+    """Vocabulary with one segment per document family: its sorted grams
+    and, with idf, their weights."""
+    if not families[0]:
         raise EmptyCorpus("no documents")
     if n < 1:
         raise ValueError("n must be >= 1")
-    grams, weights = _segment_vocab(docs, n, idf)
+    grams, segments, idf = [], [], []
+    for docs in families:
+        df = Counter()
+        for doc in docs:
+            df.update(set(ngrams(tokenize(doc), n)))
+        ordered = sorted(df)
+        segments.append((len(grams), len(grams) + len(ordered)))
+        grams += ordered
+        if with_idf:
+            idf += [math.log((1 + len(docs)) / (1 + df[g])) + 1
+                    for g in ordered]
     if not grams:
         raise EmptyCorpus(f"every document has fewer than {n} tokens")
-    return Vocabulary(mode=mode, n=n, grams=grams, idf=weights)
+    return Vocabulary(mode=mode, n=n, grams=grams, segments=segments,
+                      idf=idf if with_idf else None)
 
 
-def build_vocab_combined(aast_docs, inv_docs, n=3, idf=False):
-    """aast_inv vocabulary: the two sub-vocabularies, concatenated."""
-    a = build_vocab(aast_docs, "aast", n, idf)
-    # Invariant documents may legitimately be short; allow an empty segment.
-    try:
-        b = build_vocab(inv_docs, "inv", n, idf)
-    except EmptyCorpus:
-        b = Vocabulary(mode="inv", n=n, grams=[], idf=[] if idf else None)
-    grams = a.grams + b.grams
-    vocab = Vocabulary(
-        mode="aast_inv", n=n, grams=grams,
-        segments=[(0, len(a.grams)), (len(a.grams), len(grams))],
-    )
-    if idf:
-        vocab.idf = a.idf + b.idf
-    return vocab
-
-
-def _counts(doc, vocab, lo, hi, index):
-    values = [0.0] * (hi - lo)
-    for g in ngrams(tokenize(doc), vocab.n):
-        i = index.get(g, -1)
-        if lo <= i < hi:
-            values[i - lo] += 1.0
-    return values
-
-
-def _normalize_segment(values, vocab, lo):
-    if vocab.idf is not None:
-        values = [v * vocab.idf[lo + i] for i, v in enumerate(values)]
-    total = sum(values)
-    if total > 0:
-        values = [v / total for v in values]
-    return values
-
-
-def vectorize(doc, vocab, program_id=""):
-    """Single-segment vectorization (syntax, aast, or inv vocabularies)."""
-    if len(vocab.segments) != 1:
-        raise ModeMismatch("combined vocabulary needs vectorize_combined")
-    index = vocab.index()
-    lo, hi = vocab.segments[0]
-    values = _normalize_segment(_counts(doc, vocab, lo, hi, index), vocab, lo)
+def _vectorize(texts, vocab, program_id):
+    """Each text counted against its own segment, idf-weighted if the
+    vocabulary has weights, and L1-normalized."""
+    if len(texts) != len(vocab.segments):
+        raise ModeMismatch(f"{len(texts)} documents for a vocabulary of "
+                           f"{len(vocab.segments)} segments")
+    values = []
+    for text, (lo, hi) in zip(texts, vocab.segments):
+        count = Counter(ngrams(tokenize(text), vocab.n)).get
+        seg = [count(g, 0) for g in vocab.grams[lo:hi]]
+        if vocab.idf is not None:
+            seg = [c * w for c, w in zip(seg, vocab.idf[lo:hi])]
+        total = sum(seg)
+        values += [v / total if total else 0.0 for v in seg]
     return FeatureVector(program_id=program_id, values=values)
 
 
-def vectorize_combined(aast_doc, inv_doc, vocab, program_id=""):
-    if len(vocab.segments) != 2:
-        raise ModeMismatch("vocabulary is not a combined aast_inv vocabulary")
-    index = vocab.index()
-    (a_lo, a_hi), (b_lo, b_hi) = vocab.segments
-    a = _normalize_segment(_counts(aast_doc, vocab, a_lo, a_hi, index), vocab, a_lo)
-    b = _normalize_segment(_counts(inv_doc, vocab, b_lo, b_hi, index), vocab, b_lo)
-    return FeatureVector(program_id=program_id, values=a + b)
+def build_vocab(docs, mode, n=3, idf=False):
+    """One-segment vocabulary over all token n-grams of the documents."""
+    return _build([docs], mode, n, idf)
+
+
+def vectorize(doc, vocab, program_id=""):
+    """A document's vector in a one-segment vocabulary."""
+    return _vectorize((doc,), vocab, program_id)
 
 
 @dataclass
@@ -165,32 +123,23 @@ class ProgramDocs:
     inv_text: str
 
 
+def _fields(mode):
+    try:
+        return _SEGMENT_FIELDS[mode]
+    except KeyError:
+        raise ModeMismatch(f"unknown mode {mode!r}") from None
+
+
 def documents_for_mode(docs, mode):
-    if mode == "syntax":
-        return (docs.renamed_source,)
-    if mode == "aast":
-        return (docs.aast_text,)
-    if mode == "inv":
-        return (docs.inv_text,)
-    if mode == "aast_inv":
-        return (docs.aast_text, docs.inv_text)
-    raise ModeMismatch(f"unknown mode {mode!r}")
+    return tuple(getattr(docs, f) for f in _fields(mode))
 
 
 def represent(docs, vocab, program_id=""):
-    """Dispatch a program's artifacts to the vocabulary's mode."""
-    if vocab.mode not in MODES:
-        raise ModeMismatch(f"unknown mode {vocab.mode!r}")
-    selected = documents_for_mode(docs, vocab.mode)
-    if vocab.mode == "aast_inv":
-        return vectorize_combined(selected[0], selected[1], vocab, program_id)
-    return vectorize(selected[0], vocab, program_id)
+    """A program's vector in the vocabulary's mode."""
+    return _vectorize(documents_for_mode(docs, vocab.mode), vocab, program_id)
 
 
 def build_vocab_for_mode(all_docs, mode, n=3, idf=False):
     """Vocabulary from a list of ProgramDocs for the given mode."""
-    if mode == "aast_inv":
-        return build_vocab_combined([d.aast_text for d in all_docs],
-                                    [d.inv_text for d in all_docs], n, idf)
-    return build_vocab([documents_for_mode(d, mode)[0] for d in all_docs],
-                       mode, n, idf)
+    return _build([[getattr(d, f) for d in all_docs] for f in _fields(mode)],
+                  mode, n, idf)

@@ -134,6 +134,24 @@ def test_non_finite_double_to_int_is_integer_overflow(src):
     assert log.errors[0].startswith("integer-overflow at ")
 
 
+@pytest.mark.parametrize("store", ["  int y = x;\n", '  printf("%d", x);\n'],
+                         ids=["store", "printf"])
+def test_finite_double_beyond_int_range_is_integer_overflow(store):
+    src = "int main() {\n  double x = 1e30;\n" + store + "}\n"
+    log, _, verdict = execute(parse(src), TestCase("", ""))
+    assert verdict == "error"
+    assert log.errors == ["integer-overflow at main/entry"]
+
+
+def test_printf_d_of_double_at_int_min():
+    # The literal rounds to -2**63 as a double: in range, so it prints.
+    src = ('int main() {\n  double x = -9223372036854775809.0;\n'
+           '  printf("%d", x);\n}\n')
+    log, stdout, _ = execute(parse(src), TestCase("", ""))
+    assert log.errors == []
+    assert stdout == "-9223372036854775808"
+
+
 def test_scanf_exhausted():
     tree = parse('int main() {\n  int a;\n  scanf("%d", &a);\n}\n')
     log, _, verdict = execute(tree, TestCase("", ""))

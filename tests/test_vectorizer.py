@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invclust.anonymizer import anonymize, serialize_aast
 from invclust.errors import EmptyCorpus, ModeMismatch
@@ -167,6 +169,8 @@ def test_vocab_json_round_trip():
     assert back.grams == vocab.grams
     assert back.segments == vocab.segments
     assert back.mode == vocab.mode and back.n == vocab.n
+    for d in (_docs(LEFT_SRC), _docs(RIGHT_SRC)):
+        assert represent(d, vocab).values == represent(d, back).values
 
 
 def test_ngrams_basic():
@@ -174,14 +178,27 @@ def test_ngrams_basic():
     assert ngrams(["a", "b"], 3) == []
 
 
-def test_vocab_index_built_once():
-    vocab = build_vocab_for_mode([_docs(LEFT_SRC), _docs(RIGHT_SRC)],
-                                 "aast_inv")
-    index = vocab.index()
-    assert index == {g: i for i, g in enumerate(vocab.grams)}
-    assert vocab.index() is index
-    # The cache is not part of the vocabulary's value or its JSON form.
-    back = Vocabulary.from_dict(vocab.as_dict())
-    assert back == vocab and "_index" not in vocab.as_dict()
-    for d in (_docs(LEFT_SRC), _docs(RIGHT_SRC)):
-        assert represent(d, vocab).values == represent(d, back).values
+
+# Token alphabets for the two families; punctuation and digits occur in
+# both, so unigrams and bigrams such as "0", "<" and "< =" are shared.
+_SHARED = ["(", ")", ",", "+", "-", "<", ">", "=", "0", "1"]
+_AAST_WORDS = ["decl", "binary", "id", "ID", "type", "int", "op"] + _SHARED
+_INV_WORDS = ["int0", "int1", "float0"] + _SHARED
+
+
+def _text(alphabet):
+    return st.lists(st.sampled_from(alphabet), min_size=3,
+                    max_size=12).map(" ".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(ProgramDocs, st.just(""), _text(_AAST_WORDS),
+                          _text(_INV_WORDS)), min_size=1, max_size=5),
+       st.sampled_from([1, 2, 3]), st.booleans())
+def test_combined_vector_is_concatenation_for_shared_grams(docs, n, idf):
+    vocabs = {m: build_vocab_for_mode(docs, m, n, idf)
+              for m in ("aast", "inv", "aast_inv")}
+    for d in docs:
+        assert represent(d, vocabs["aast_inv"]).values == \
+            represent(d, vocabs["aast"]).values \
+            + represent(d, vocabs["inv"]).values
