@@ -3,8 +3,7 @@ deterministic string serialization fed to the bag-of-words stage."""
 
 from dataclasses import dataclass
 
-from .nodes import (Kind, SyntaxTree, copy_tree, count_nodes, fmt_literal,
-                    walk)
+from .nodes import Kind, copy_tree, count_nodes, fmt_literal, walk
 
 ANON_TOKEN = "ID"
 
@@ -17,11 +16,11 @@ class AASTString:
 
 def anonymize(tree):
     """Replace every identifier with ID; literals and structure kept."""
-    root = copy_tree(tree.root if hasattr(tree, "root") else tree)
+    root = copy_tree(tree)
     for node in walk(root):
         if node.identifier is not None:
             node.identifier = ANON_TOKEN
-    return SyntaxTree(root=root)
+    return root
 
 
 def _serialize(node):
@@ -46,5 +45,4 @@ def _serialize(node):
 
 
 def serialize_aast(tree):
-    root = tree.root if hasattr(tree, "root") else tree
-    return AASTString(text=_serialize(root), node_count=count_nodes(root))
+    return AASTString(text=_serialize(tree), node_count=count_nodes(tree))

@@ -121,24 +121,21 @@ def cmd_cluster(args):
     return 0
 
 
-def _read_json(path):
-    """A persisted artifact; BadModel when it is not JSON."""
+def _load_model(path):
+    """The ClusterModel in model.json, without centroids; BadModel when the
+    file is not JSON or lacks a field."""
     with open(path) as f:
         try:
-            return json.load(f)
+            d = json.load(f)
         except ValueError as e:
             raise BadModel(path, e) from None
-
-
-def _load_model(path):
-    d = _read_json(path)
     try:
         model = ClusterModel(
-            k=d["k"], seed=d["seed"], mode=d["mode"], centroids=d["centroids"],
+            k=d["k"], seed=d["seed"], mode=d["mode"],
             assignment=d["assignment"],
             representatives={int(c): pid
                              for c, pid in d["representatives"].items()},
-            sse=d.get("sse", 0.0))
+            sse=d["sse"])
         model.vocab = Vocabulary.from_dict(d["vocab"])
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise BadModel(path, e) from None
@@ -214,14 +211,9 @@ def cmd_synth(args):
 
 
 def cmd_project(args):
-    report_path = os.path.join(args.artifacts, "report.json")
-    report = _read_json(report_path)
-    try:
-        clustered = report["clustered"]
-    except (KeyError, TypeError) as e:
-        raise BadModel(report_path, e) from None
-    vectors = _load_vectors(os.path.join(args.artifacts, "model.json"),
-                            clustered)
+    model_path = os.path.join(args.artifacts, "model.json")
+    vectors = _load_vectors(model_path,
+                            sorted(_load_model(model_path).assignment))
     out_path = os.path.join(args.artifacts, "projection.csv")
     points = write_projection(vectors, out_path)
     _emit(args, {"csv": out_path, "points": points},

@@ -33,8 +33,10 @@ class ClusterModel:
     k: int
     seed: int
     mode: str
-    centroids: list                      # k lists of floats
     assignment: dict                     # program_id -> cluster index
+    # k lists of floats; in memory only: model.json omits them, and each is
+    # the mean of its members' rows in vectors.npy.
+    centroids: list = None
     representatives: dict = field(default_factory=dict)  # cluster -> id
     vocab: object = None
     sse: float = 0.0
@@ -44,7 +46,6 @@ class ClusterModel:
             "k": self.k,
             "seed": self.seed,
             "mode": self.mode,
-            "centroids": self.centroids,
             "assignment": self.assignment,
             "representatives": {str(c): p for c, p in self.representatives.items()},
             "sse": self.sse,

@@ -128,7 +128,7 @@ def analyze(program, tests, limits=None, min_samples=2):
     SourceProgram. Raises ProgramRejected when the program cannot be used:
     a syntax, unsupported-construct or unresolved-name diagnostic, or
     RuntimeFailure when a test ends in a runtime error."""
-    renamed, _ = rename(parse(program))
+    renamed, _ = rename(parse(program.text))
     log, verdicts = run_suite(renamed, tests, limits)
     if "error" in verdicts:
         raise RuntimeFailure(log.errors[0])
@@ -211,19 +211,16 @@ def write_vectors(arts, path):
 
 
 def persist(arts, out_dir):
-    """One file per stage per program, the vectors of every program in
-    vectors.npy, plus model/report/projection."""
-    for pid in sorted(arts.programs):
-        pa = arts.programs[pid]
-        label, stem = pid.split("/", 1)
-        pdir = os.path.join(out_dir, label)
-        os.makedirs(pdir, exist_ok=True)
-        with open(os.path.join(pdir, f"{stem}.renamed.c"), "w") as f:
-            f.write(pa.docs.renamed_source)
-        with open(os.path.join(pdir, f"{stem}.aast.txt"), "w") as f:
-            f.write(pa.docs.aast_text + "\n")
-        with open(os.path.join(pdir, f"{stem}.invariants.json"), "w") as f:
-            f.write(_dump(pa.inv_by_point))
+    """One file per artifact kind, all at the root of out_dir: the
+    documents and the vector of every surviving program, the model, the
+    report and the projection."""
+    os.makedirs(out_dir, exist_ok=True)
+    documents = {pid: {"renamed_source": pa.docs.renamed_source,
+                       "aast_text": pa.docs.aast_text,
+                       "invariants": pa.inv_by_point}
+                 for pid, pa in arts.programs.items()}
+    with open(os.path.join(out_dir, "documents.json"), "w") as f:
+        f.write(_dump(documents))
     write_vectors(arts, os.path.join(out_dir, "vectors.npy"))
     with open(os.path.join(out_dir, "model.json"), "w") as f:
         f.write(_dump(arts.model.as_dict()))
@@ -274,9 +271,8 @@ def _power_iteration(cov, start, iters=200):
 
 def project_2d(vectors):
     """Top-2 principal components via power iteration; returns
-    [(id, x, y), ...]."""
-    if len(vectors) < 2:
-        raise ValueError("need at least 2 vectors")
+    [(id, x, y), ...]. A single vector, like identical ones, projects to
+    the origin."""
     X = np.asarray([v.values for v in vectors], dtype=float)
     X = X - X.mean(axis=0)
     cov = (X.T @ X) / len(X)

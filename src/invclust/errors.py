@@ -80,8 +80,8 @@ class BadTestFile(Exception):
 
 
 class BadModel(Exception):
-    """A persisted model.json, vector or report file that does not hold
-    what the pipeline wrote."""
+    """A persisted model.json or vectors.npy that does not hold what the
+    pipeline wrote."""
 
     def __init__(self, path, err):
         detail = f"missing key {err}" if isinstance(err, KeyError) else err

@@ -85,11 +85,6 @@ def walk(node):
 
 
 @dataclass
-class SyntaxTree:
-    root: Node
-
-
-@dataclass
 class SourceProgram:
     id: str
     label: str

@@ -7,7 +7,7 @@ a block, and prefix ++/-- statements are stored in the same form as postfix.
 
 from .errors import CSyntaxError, UnsupportedFeature
 from .lexer import lex
-from .nodes import Kind, Node, SyntaxTree
+from .nodes import Kind, Node
 
 TYPE_KEYWORDS = {"int": "int", "double": "double", "float": "double"}
 
@@ -538,13 +538,12 @@ def _printf_conversions(fmt_tok, line):
     return convs
 
 
-def parse(source):
-    """Parse a SourceProgram (or raw text) into a SyntaxTree."""
-    text = source.text if hasattr(source, "text") else source
+def parse(text):
+    """Parse source text into its translation-unit Node."""
     parser = _Parser(lex(text))
     try:
         tree = parser.translation_unit()
     except RecursionError:  # only for a caller already deep in the stack
         tok = parser.peek()
         raise CSyntaxError(tok.line, tok.col, "nesting too deep") from None
-    return SyntaxTree(root=tree)
+    return tree

@@ -12,7 +12,7 @@ declaration order. Function names are left alone.
 from dataclasses import dataclass, field
 
 from .errors import UnresolvedIdentifier
-from .nodes import Kind, Node, SyntaxTree, copy_tree, structurally_equal
+from .nodes import Kind, copy_tree, structurally_equal
 
 _PREFIX = {"int": "int", "double": "float"}
 
@@ -160,8 +160,8 @@ class _Resolver:
 
 
 def rename(tree):
-    """Returns (renamed SyntaxTree, RenameMap)."""
-    root = copy_tree(tree.root if hasattr(tree, "root") else tree)
+    """Returns (renamed copy of the tree, RenameMap)."""
+    root = copy_tree(tree)
     res = _Resolver()
     res.run(root)
 
@@ -184,11 +184,11 @@ def rename(tree):
             rewrite(c)
 
     rewrite(root)
-    return SyntaxTree(root=root), rmap
+    return root, rmap
 
 
 def alpha_equivalent(a, b):
     """True iff the two trees are identical after canonical renaming."""
     ra, _ = rename(a)
     rb, _ = rename(b)
-    return structurally_equal(ra.root, rb.root)
+    return structurally_equal(ra, rb)

@@ -660,8 +660,7 @@ class _Program:
     """A translation unit compiled for one set of limits."""
 
     def __init__(self, tree, limits):
-        root = tree.root if hasattr(tree, "root") else tree
-        compiler = _Compiler(root, limits or Limits())
+        compiler = _Compiler(tree, limits or Limits())
         self.functions = compiler.functions
         self.main = None
         if "main" in compiler.functions:

@@ -116,9 +116,8 @@ def _stmt_lines(node, indent):
         raise ValueError(f"unexpected node in statement position: {k}")
 
 
-def unparse(tree):
+def unparse(root):
     """Emit canonical source text for a well-formed tree."""
-    root = tree.root if hasattr(tree, "root") else tree
     if root.kind != Kind.TRANSLATION_UNIT:
         # Statement fragment: render directly (used by tests).
         return "\n".join(_stmt_lines(root, 0)) + "\n"

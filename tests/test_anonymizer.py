@@ -13,34 +13,32 @@ from conftest import LEFT_SRC, RIGHT_SRC, gen_program
 
 def test_decl_serialization_golden():
     node = Node(Kind.DECL, identifier="ID", type_name="int")
-    from invclust.nodes import SyntaxTree
-    assert serialize_aast(SyntaxTree(node)).text == "decl(id:ID,type:int)"
+    assert serialize_aast(node).text == "decl(id:ID,type:int)"
 
 
 def test_decl_anonymized_from_source():
     tree = anonymize(parse("int main() {\n  int i;\n}\n"))
-    decls = [n for n in walk(tree.root) if n.kind == Kind.DECL]
+    decls = [n for n in walk(tree) if n.kind == Kind.DECL]
     assert decls[0].identifier == "ID"
     assert decls[0].type_name == "int"
 
 
 def test_empty_block_serialization():
-    from invclust.nodes import SyntaxTree
-    assert serialize_aast(SyntaxTree(Node(Kind.BLOCK))).text == "block()"
+    assert serialize_aast(Node(Kind.BLOCK)).text == "block()"
 
 
 def test_call_identifier_becomes_id():
     src = ("int f(int x) {\n  return x;\n}\n"
            "int main() {\n  int y;\n  y = f(3);\n}\n")
     tree = anonymize(parse(src))
-    calls = [n for n in walk(tree.root) if n.kind == Kind.CALL]
+    calls = [n for n in walk(tree) if n.kind == Kind.CALL]
     assert calls and all(c.identifier == "ID" for c in calls)
 
 
 def test_anonymize_idempotent():
     once = anonymize(parse(LEFT_SRC))
     twice = anonymize(once)
-    assert structurally_equal(once.root, twice.root)
+    assert structurally_equal(once, twice)
     assert serialize_aast(once).text == serialize_aast(twice).text
 
 
@@ -53,7 +51,7 @@ def test_pair_serializes_differently():
 
 def test_node_count_matches_tree():
     tree = anonymize(parse(LEFT_SRC))
-    assert serialize_aast(tree).node_count == count_nodes(tree.root)
+    assert serialize_aast(tree).node_count == count_nodes(tree)
 
 
 def test_identifier_freedom_randomized():

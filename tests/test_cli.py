@@ -249,6 +249,21 @@ def test_k_above_distinct_vectors_is_clamped(tmp_path, capsys):
     assert report["k"] == 1 and report["k_requested"] == 3
 
 
+def test_cluster_one_program_projects_to_origin(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    (corpus / "echo").mkdir(parents=True)
+    (corpus / "tests" / "echo").mkdir(parents=True)
+    (corpus / "echo" / "s0.c").write_text(
+        'int main() {\n  int v;\n  scanf("%d", &v);\n'
+        '  printf("%d", v);\n}\n')
+    (corpus / "tests" / "echo" / "t0.in").write_text("1\n")
+    (corpus / "tests" / "echo" / "t0.out").write_text("1")
+    out = tmp_path / "out"
+    assert main(["cluster", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "projection.csv").read_text() == "id,x,y\necho/s0,0.0,0.0\n"
+
+
 @pytest.mark.parametrize("fname", ["t0.in", "t0.out"])
 def test_non_utf8_test_file_exit_2(workspace, capsys, fname):
     tests = workspace / f"bad-tests-{fname}"
@@ -328,7 +343,7 @@ _VECTOR_DAMAGE = {
 
 @pytest.mark.parametrize("command,damage", [
     (command, damage)
-    for command in ("closest", "representatives", "purity")
+    for command in ("closest", "representatives", "purity", "project")
     for damage in ("truncated", "no-vocab")
 ] + [("closest", damage) for damage in _VECTOR_DAMAGE])
 def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
@@ -342,7 +357,9 @@ def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
         bad = model
         (_truncate if damage == "truncated" else _drop_vocab)(bad)
     argv = [command, "--model", str(model)]
-    if command == "closest":
+    if command == "project":
+        argv = [command, "--artifacts", str(out)]
+    elif command == "closest":
         argv += ["--program", str(workspace / "bad.c"), "--tests",
                  str(workspace / "corpus" / "tests" / "sum1n")]
     code = main(argv)
@@ -362,16 +379,6 @@ def test_project_without_vectors_exit_2(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and str(out / "vectors.npy") in err
-
-
-def test_malformed_report_exit_2(workspace, tmp_path, capsys):
-    out = tmp_path / "out"
-    shutil.copytree(workspace / "out", out)
-    _truncate(out / "report.json")
-    code = main(["project", "--artifacts", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and str(out / "report.json") in err
 
 
 def test_parser_is_built_once():

@@ -189,9 +189,9 @@ def test_representatives_vs_all_can_disagree():
 def test_kmeans_determinism():
     rng = random.Random(7)
     pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(10)]
-    a = kmeans(_vecs(pts), k=3, seed=42).as_dict()
-    b = kmeans(_vecs(pts), k=3, seed=42).as_dict()
-    assert a == b
+    a = kmeans(_vecs(pts), k=3, seed=42)
+    b = kmeans(_vecs(pts), k=3, seed=42)
+    assert a.as_dict() == b.as_dict() and a.centroids == b.centroids
 
 
 def test_kmeans_near_optimal_small_instances():

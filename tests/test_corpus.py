@@ -153,7 +153,7 @@ def test_synth_minimal_shape():
     from invclust.parser import parse
     for a in corpus.assignments.values():
         for p in a.programs:
-            parse(p)
+            parse(p.text)
 
 
 def test_synth_mutation_tags_present():
@@ -178,20 +178,51 @@ def test_write_corpus_round_trips(tmp_path):
 def test_persisted_artifact_layout(tmp_path):
     corpus = generate_synthetic_corpus(seed=0, assignments=2, variants_per=3)
     out = tmp_path / "out"
-    run_pipeline(corpus, mode="aast_inv", k=2, out_dir=str(out))
-    some_label = sorted(corpus.assignments)[0]
-    for suffix in ("renamed.c", "aast.txt", "invariants.json"):
-        assert (out / some_label / f"v00.{suffix}").exists()
-    for fname in ("model.json", "report.json", "projection.csv",
-                  "vectors.npy"):
-        assert (out / fname).exists()
+    arts = run_pipeline(corpus, mode="aast_inv", k=2, out_dir=str(out))
+    assert sorted(os.listdir(out)) == [
+        "documents.json", "model.json", "projection.csv", "report.json",
+        "vectors.npy"]
+    assert all((out / name).is_file() for name in os.listdir(out))
+    with open(out / "documents.json") as f:
+        documents = json.load(f)
+    assert documents == {
+        pid: {"renamed_source": pa.docs.renamed_source,
+              "aast_text": pa.docs.aast_text,
+              "invariants": pa.inv_by_point}
+        for pid, pa in arts.programs.items()}
     with open(out / "model.json") as f:
         model = json.load(f)
-    assert set(model) >= {"k", "seed", "mode", "centroids", "assignment",
-                          "representatives", "vocab"}
+    assert set(model) == {"k", "seed", "mode", "assignment",
+                          "representatives", "sse", "vocab"}
     with open(out / "report.json") as f:
         report = json.load(f)
     assert set(report) >= {"purity", "cluster_sizes", "exclusions"}
+
+
+def test_centroids_are_member_means_of_persisted_vectors(tmp_path):
+    corpus = generate_synthetic_corpus(seed=0, assignments=3, variants_per=4)
+    arts = run_pipeline(corpus, mode="aast_inv", k=3, out_dir=str(tmp_path))
+    table = np.load(tmp_path / "vectors.npy", allow_pickle=False)
+    rows = dict(zip(table["id"].tolist(), table["values"]))
+    with open(tmp_path / "model.json") as f:
+        assignment = json.load(f)["assignment"]
+    for c, centroid in enumerate(arts.model.centroids):
+        members = [rows[pid] for pid, cc in assignment.items() if cc == c]
+        assert np.allclose(np.mean(members, axis=0), centroid,
+                           rtol=0, atol=1e-12)
+
+
+def test_persist_takes_ids_without_a_slash(tmp_path):
+    corpus = Corpus(assignments={"alpha": Assignment(
+        label="alpha",
+        programs=[SourceProgram(id=f"p{i}", label="alpha", text=src)
+                  for i, src in enumerate((_ECHO, _ECHO, _DOUBLE))],
+        tests=[TestCase("1\n", "1")])})
+    out = tmp_path / "out"
+    run_pipeline(corpus, k=1, out_dir=str(out))
+    with open(out / "documents.json") as f:
+        assert sorted(json.load(f)) == ["p0", "p1", "p2"]
+    assert np.load(out / "vectors.npy")["id"].tolist() == ["p0", "p1", "p2"]
 
 
 def test_pipeline_determinism(tmp_path):

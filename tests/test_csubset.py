@@ -13,7 +13,7 @@ from conftest import LEFT_SRC, RIGHT_SRC, gen_program
 
 
 def _find(tree, kind):
-    return [n for n in walk(tree.root) if n.kind == kind]
+    return [n for n in walk(tree) if n.kind == kind]
 
 
 def test_decl_shape():
@@ -63,12 +63,12 @@ def test_round_trip_stability_randomized():
         src, _ = gen_program(seed)
         t1 = parse(src)
         t2 = parse(unparse(t1))
-        assert structurally_equal(t1.root, t2.root), f"seed {seed}"
+        assert structurally_equal(t1, t2), f"seed {seed}"
 
 
 def test_parse_determinism():
     t1, t2 = parse(LEFT_SRC), parse(LEFT_SRC)
-    assert structurally_equal(t1.root, t2.root)
+    assert structurally_equal(t1, t2)
     assert unparse(t1) == unparse(t2)
 
 
