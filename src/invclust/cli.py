@@ -25,7 +25,7 @@ from .parser import parse
 from .renamer import rename
 from .tracer import Limits, run_suite
 from .unparse import unparse
-from .vectorizer import MODES, FeatureVector, Vocabulary, represent
+from .vectorizer import MODES, Vocabulary, represent
 
 # Each mode by its own name, and aast_inv also as aast+inv.
 _MODE_ALIASES = {a: m for m in MODES for a in (m, m.replace("_", "+"))}
@@ -61,7 +61,7 @@ def _analyze(args):
 
 def _limits(args):
     lim = Limits()
-    if getattr(args, "max_steps", None):
+    if args.max_steps is not None:
         lim.max_steps = args.max_steps
     return lim
 
@@ -123,7 +123,7 @@ def cmd_cluster(args):
 
 def _load_model(path):
     """The ClusterModel in model.json, without centroids; BadModel when the
-    file is not JSON or lacks a field."""
+    file is not JSON, lacks a field or clusters no program."""
     with open(path) as f:
         try:
             d = json.load(f)
@@ -139,12 +139,14 @@ def _load_model(path):
         model.vocab = Vocabulary.from_dict(d["vocab"])
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise BadModel(path, e) from None
+    if not model.assignment:
+        raise BadModel(path, "no clustered program in assignment")
     return model
 
 
 def _load_vectors(model_path, ids):
-    """The persisted vectors of `ids`: rows of the vectors.npy next to
-    model_path, read in one np.load."""
+    """The persisted vectors of `ids` as one float64 matrix, a row per id:
+    rows of the vectors.npy next to model_path, read in one np.load."""
     path = os.path.join(os.path.dirname(os.path.abspath(model_path)),
                         "vectors.npy")
     try:
@@ -159,12 +161,12 @@ def _load_vectors(model_path, ids):
             or dt["values"].ndim != 1):
         raise BadModel(path, f"not an (id, values) table: {dt}, "
                              f"shape {table.shape}")
-    rows = dict(zip(table["id"].tolist(), table["values"]))
+    row = {pid: i for i, pid in enumerate(table["id"].tolist())}
     try:
-        return [FeatureVector(program_id=pid, values=rows[pid])
-                for pid in ids]
+        index = [row[pid] for pid in ids]
     except KeyError as e:
         raise BadModel(path, e) from None
+    return table["values"][index].astype(np.float64, copy=False)
 
 
 def cmd_representatives(args):
@@ -183,8 +185,8 @@ def cmd_closest(args):
         ids = sorted(model.assignment)
     else:
         ids = sorted(model.representatives.values())
-    candidates = _load_vectors(args.model, ids)
-    pid, dist = closest_program(query, candidates)
+    pid, dist = closest_program(np.array(query.values), ids,
+                                _load_vectors(args.model, ids))
     _emit(args, {"closest": pid, "distance": dist},
           json.dumps({"closest": pid, "distance": dist}))
     return 0
@@ -212,10 +214,9 @@ def cmd_synth(args):
 
 def cmd_project(args):
     model_path = os.path.join(args.artifacts, "model.json")
-    vectors = _load_vectors(model_path,
-                            sorted(_load_model(model_path).assignment))
+    ids = sorted(_load_model(model_path).assignment)
     out_path = os.path.join(args.artifacts, "projection.csv")
-    points = write_projection(vectors, out_path)
+    points = write_projection(ids, _load_vectors(model_path, ids), out_path)
     _emit(args, {"csv": out_path, "points": points},
           f"wrote {points} points to {out_path}")
     return 0
@@ -244,8 +245,8 @@ def build_parser():
     def tracing(p):
         p.add_argument("--tests", required=True,
                        help="directory of t<i>.in / t<i>.out files")
-        p.add_argument("--max-steps", type=int, default=None)
-        p.add_argument("--min-samples", type=int, default=2)
+        p.add_argument("--max-steps", type=_positive_int, default=None)
+        p.add_argument("--min-samples", type=_positive_int, default=2)
 
     p = sub.add_parser("rename", help="canonically rename variables")
     p.add_argument("program")
@@ -279,9 +280,9 @@ def build_parser():
     group.add_argument("--k", type=int, default=None)
     group.add_argument("--k-frac", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=3, help="gram size")
+    p.add_argument("--n", type=_positive_int, default=3, help="gram size")
     p.add_argument("--idf", action="store_true")
-    p.add_argument("--min-samples", type=int, default=2)
+    p.add_argument("--min-samples", type=_positive_int, default=2)
     p.add_argument("--subset", choices=("correct-only", "all"),
                    default="correct-only")
     p.add_argument("--restarts", type=_positive_int, default=8,

@@ -55,13 +55,6 @@ class ClusterModel:
         return d
 
 
-def _matrix(vectors):
-    X = np.asarray([v.values for v in vectors], dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("vectors have differing dimensions")
-    return X
-
-
 def _sq_dists(P, C):
     """Exact squared Euclidean distances, one row per point of P."""
     return ((P[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
@@ -142,18 +135,18 @@ def _lloyd(P, w, k, seed, max_iters):
     return centers, labels, sse, iters
 
 
-def kmeans(vectors, k, seed, max_iters=300, mode="", restarts=1):
-    """Best of `restarts` seeded runs by SSE (seeds seed, seed+1, ...); k
-    is clamped to the number of distinct vectors and model.k is the k
-    used."""
+def kmeans(ids, X, k, seed, max_iters=300, mode="", restarts=1):
+    """k-means on the rows of X, row i being program ids[i]: the best of
+    `restarts` seeded runs by SSE (seeds seed, seed+1, ...); k is clamped
+    to the number of distinct rows and model.k is the k used."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if k > len(vectors):
-        raise KTooLarge(f"k={k} exceeds {len(vectors)} points")
+    if k > len(ids):
+        raise KTooLarge(f"k={k} exceeds {len(ids)} points")
     if k < 1:
         raise KTooLarge("k must be >= 1")
-    P, inverse, counts = np.unique(_matrix(vectors), axis=0,
-                                   return_inverse=True, return_counts=True)
+    P, inverse, counts = np.unique(X, axis=0, return_inverse=True,
+                                   return_counts=True)
     w = counts.astype(float)
     k = min(k, len(P))
     best = None
@@ -165,11 +158,11 @@ def kmeans(vectors, k, seed, max_iters=300, mode="", restarts=1):
     model = ClusterModel(
         k=k, seed=seed, mode=mode,
         centroids=[list(map(float, c)) for c in centers],
-        assignment={v.program_id: int(labels[i])
-                    for v, i in zip(vectors, inverse.reshape(-1))},
+        assignment={pid: int(labels[i])
+                    for pid, i in zip(ids, inverse.reshape(-1))},
         sse=sse,
     )
-    model.representatives = select_representatives(model, vectors)
+    model.representatives = select_representatives(model, ids, X)
     return model
 
 
@@ -178,16 +171,21 @@ def k_from_fraction(n, frac):
     return max(1, math.floor(n * frac + 0.5))
 
 
-def select_representatives(model, vectors):
+def _norms(D):
+    """The Euclidean length of each row of D, as np.linalg.norm computes it
+    for one vector: the square root of the row's dot product with itself."""
+    return np.sqrt([d @ d for d in D])
+
+
+def select_representatives(model, ids, X):
     """Per cluster, the member nearest (Euclidean) to the centroid; ties go
     to the lexicographically smaller program id."""
-    centers = np.asarray(model.centroids)
+    labels = [model.assignment[pid] for pid in ids]
+    dists = _norms(X - np.asarray(model.centroids)[labels])
     reps = {}
-    for v in sorted(vectors, key=lambda v: v.program_id):
-        c = model.assignment[v.program_id]
-        d = float(np.linalg.norm(np.asarray(v.values) - centers[c]))
+    for d, c, pid in sorted(zip(dists, labels, ids), key=lambda t: t[2]):
         if c not in reps or d < reps[c][0]:
-            reps[c] = (d, v.program_id)
+            reps[c] = (d, pid)
     return {c: pid for c, (d, pid) in reps.items()}
 
 
@@ -207,19 +205,14 @@ def purity(assignment, labels):
     return hits / total
 
 
-def closest_program(incorrect, candidates):
-    """Candidate with the smallest Euclidean distance; ties by lexicographic
+def closest_program(query, ids, X):
+    """The candidate, row i of X being program ids[i], with the smallest
+    Euclidean distance to the 1-D array `query`; ties by lexicographic
     program id. Returns (program_id, distance)."""
-    if not candidates:
+    if not ids:
         raise EmptyCandidates("no candidate programs")
-    q = np.asarray(incorrect.values, dtype=float)
-    best = None
-    for cand in sorted(candidates, key=lambda v: v.program_id):
-        x = np.asarray(cand.values, dtype=float)
-        if x.shape != q.shape:
-            raise DimensionMismatch(
-                f"{cand.program_id}: dimension {x.shape} vs query {q.shape}")
-        d = float(np.linalg.norm(x - q))
-        if best is None or d < best[0]:
-            best = (d, cand.program_id)
-    return best[1], best[0]
+    if X.shape[1:] != query.shape:
+        raise DimensionMismatch(
+            f"candidates of dimension {X.shape[1:]} vs query {query.shape}")
+    d, pid = min(zip(_norms(X - query), ids))
+    return pid, float(d)

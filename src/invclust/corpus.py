@@ -120,6 +120,8 @@ class PipelineArtifacts:
     model: object = None
     purity: float = 0.0
     clustered_ids: list = field(default_factory=list)
+    vectors: object = None  # float64, a row per program in sorted id order
+    clustered_vectors: object = None  # the rows of clustered_ids, in order
     k_requested: int = 0   # before clamping to the distinct vectors
 
 
@@ -176,12 +178,14 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
     for i in ids:
         arts.programs[i].vector = represent(arts.programs[i].docs,
                                             arts.vocab, i)
+    arts.vectors = np.array([arts.programs[i].vector.values for i in ids])
 
     if k is None:
         k = k_from_fraction(len(clustered), k_frac)
     arts.k_requested = k
-    vectors = [arts.programs[i].vector for i in clustered]
-    arts.model = kmeans(vectors, k, seed, mode=mode, restarts=restarts)
+    arts.clustered_vectors = arts.vectors[np.isin(ids, clustered)]
+    arts.model = kmeans(clustered, arts.clustered_vectors, k, seed,
+                        mode=mode, restarts=restarts)
     arts.model.vocab = arts.vocab
     labels = {i: arts.programs[i].label for i in clustered}
     arts.purity = purity(arts.model.assignment, labels)
@@ -200,13 +204,11 @@ def write_vectors(arts, path):
     structured array: a row per program in sorted id order, with fields
     `id` (unicode) and `values` (float64, one per vocabulary gram)."""
     ids = sorted(arts.programs)
-    values = np.array([arts.programs[i].vector.values for i in ids],
-                      dtype=np.float64)
     table = np.empty(len(ids), dtype=[
         ("id", f"<U{max(map(len, ids))}"),
-        ("values", "<f8", (values.shape[1],))])
+        ("values", "<f8", arts.vectors.shape[1:])])
     table["id"] = ids
-    table["values"] = values
+    table["values"] = arts.vectors
     np.save(path, table, allow_pickle=False)
 
 
@@ -239,13 +241,13 @@ def persist(arts, out_dir):
     }
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         f.write(_dump(report))
-    write_projection([arts.programs[i].vector for i in arts.clustered_ids],
+    write_projection(arts.clustered_ids, arts.clustered_vectors,
                      os.path.join(out_dir, "projection.csv"))
 
 
-def write_projection(vectors, path):
-    """Write project_2d(vectors) as id,x,y CSV; returns the row count."""
-    rows = project_2d(vectors)
+def write_projection(ids, X, path):
+    """Write project_2d(ids, X) as id,x,y CSV; returns the row count."""
+    rows = project_2d(ids, X)
     with open(path, "w") as f:
         f.write("id,x,y\n")
         for pid, x, y in rows:
@@ -253,42 +255,20 @@ def write_projection(vectors, path):
     return len(rows)
 
 
-def _power_iteration(cov, start, iters=200):
-    v = start / np.linalg.norm(start)
-    for _ in range(iters):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-15:
-            return v, 0.0
-        v = w / norm
-    lam = float(v @ cov @ v)
-    # Deterministic orientation: largest-magnitude component positive.
-    j = int(np.argmax(np.abs(v)))
-    if v[j] < 0:
-        v = -v
-    return v, lam
-
-
-def project_2d(vectors):
-    """Top-2 principal components via power iteration; returns
-    [(id, x, y), ...]. A single vector, like identical ones, projects to
-    the origin."""
-    X = np.asarray([v.values for v in vectors], dtype=float)
-    X = X - X.mean(axis=0)
-    cov = (X.T @ X) / len(X)
-    d = X.shape[1]
-    if float(np.abs(cov).sum()) < 1e-15:
-        return [(v.program_id, 0.0, 0.0) for v in vectors]
-    start = np.ones(d)
-    v1, lam1 = _power_iteration(cov, start)
-    cov2 = cov - lam1 * np.outer(v1, v1)
-    start2 = np.ones(d)
-    start2[0] += 1.0  # break symmetry with the first start vector
-    v2, lam2 = _power_iteration(cov2, start2)
-    xs = X @ v1
-    ys = X @ v2 if lam2 > 1e-15 else np.zeros(len(X))
-    return [(v.program_id, float(x), float(y))
-            for v, x, y in zip(vectors, xs, ys)]
+def project_2d(ids, X):
+    """The rows of X, row i being program ids[i], on their top two
+    principal axes: [(id, x, y), ...]. The axes are the first two right
+    singular vectors of the centred X, each oriented so that its
+    largest-magnitude component is positive; an axis with no variance
+    gives 0.0, so one vector, like identical ones, projects to the origin."""
+    Xc = X - X.mean(axis=0)
+    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+    coords = np.zeros((len(ids), 2))
+    for a, (sigma, v) in enumerate(zip(s[:2], vt[:2])):
+        if sigma * sigma / len(ids) > 1e-15:
+            v = v if v[np.argmax(np.abs(v))] > 0 else -v
+            coords[:, a] = Xc @ v
+    return [(pid, float(x), float(y)) for pid, (x, y) in zip(ids, coords)]
 
 
 def tree_hash(root):

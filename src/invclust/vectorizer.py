@@ -57,8 +57,7 @@ class Vocabulary:
 
 @dataclass
 class FeatureVector:
-    """One float per vocabulary gram: a list from `represent`, a row of the
-    persisted vectors.npy when read back."""
+    """One float per vocabulary gram."""
 
     program_id: str
     values: list

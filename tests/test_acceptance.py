@@ -162,9 +162,8 @@ def test_criterion_5_kmeans_oracle(capsys):
     try:
         for trial in range(50):
             pts, k = clusterable_instance(rng)
-            vectors = [FeatureVector(f"p{i}", list(v))
-                       for i, v in enumerate(pts)]
-            best = min(kmeans(vectors, k=k, seed=s).sse for s in range(5))
+            ids, X = [f"p{i}" for i in range(len(pts))], np.array(pts)
+            best = min(kmeans(ids, X, k=k, seed=s).sse for s in range(5))
             assert best <= brute_force_sse(pts, k) + 1e-9, f"instance {trial}"
     except AssertionError:
         _report(capsys, "criterion 5 (kmeans oracle): FAIL")
@@ -186,7 +185,9 @@ def test_criterion_6_closest_program_oracle(capsys):
                      for i in range(n)]
             query = FeatureVector("q", [rng.randint(-2, 2) / 2
                                         for _ in range(d)])
-            got_id, got_dist = closest_program(query, cands)
+            got_id, got_dist = closest_program(
+                np.array(query.values), [c.program_id for c in cands],
+                np.array([c.values for c in cands]))
             want = min(cands, key=lambda c: (
                 float(np.linalg.norm(np.array(c.values) - query.values)),
                 c.program_id))

@@ -299,14 +299,39 @@ def test_restarts_below_one_is_usage_error(workspace, capsys):
     assert "--restarts" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("cluster", "--n"), ("cluster", "--min-samples"),
+    ("invariants", "--min-samples"), ("invariants", "--max-steps")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_numeric_flag_below_one_is_usage_error(workspace, capsys, command,
+                                               flag, value):
+    if command == "cluster":
+        argv = ["cluster", "--corpus", str(workspace / "corpus")]
+    else:
+        argv = ["invariants", str(workspace / "left.c"),
+                "--tests", str(workspace / "corpus" / "tests" / "sum1n")]
+    code = main(argv + [flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert flag in err and "Traceback" not in err
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:40])
 
 
-def _drop_vocab(path):
+def _edit_model(path, edit):
     d = json.loads(path.read_text())
-    del d["vocab"]
+    edit(d)
     path.write_text(json.dumps(d))
+
+
+_MODEL_DAMAGE = {
+    "truncated": _truncate,
+    "no-vocab": lambda path: _edit_model(path, lambda d: d.pop("vocab")),
+    "no-clusters": lambda path: _edit_model(
+        path, lambda d: d.update(assignment={})),
+}
 
 
 def _rewrite_vectors(path, ids=None, width=None):
@@ -344,7 +369,7 @@ _VECTOR_DAMAGE = {
 @pytest.mark.parametrize("command,damage", [
     (command, damage)
     for command in ("closest", "representatives", "purity", "project")
-    for damage in ("truncated", "no-vocab")
+    for damage in _MODEL_DAMAGE
 ] + [("closest", damage) for damage in _VECTOR_DAMAGE])
 def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
     out = tmp_path / "out"
@@ -355,7 +380,7 @@ def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
         _VECTOR_DAMAGE[damage](bad)
     else:
         bad = model
-        (_truncate if damage == "truncated" else _drop_vocab)(bad)
+        _MODEL_DAMAGE[damage](bad)
     argv = [command, "--model", str(model)]
     if command == "project":
         argv = [command, "--artifacts", str(out)]

@@ -10,20 +10,18 @@ from invclust.clusterer import (closest_program, k_from_fraction, kmeans,
                                 purity, select_representatives)
 from invclust.errors import (DimensionMismatch, EmptyCandidates, KTooLarge,
                              MissingLabel)
-from invclust.vectorizer import FeatureVector
 
 from conftest import brute_force_sse, clusterable_instance
 
 
-def _vecs(points, prefix="p"):
-    return [FeatureVector(program_id=f"{prefix}{i}", values=list(map(float, v)))
-            for i, v in enumerate(points)]
+def _ids(n, prefix="p"):
+    return [f"{prefix}{i}" for i in range(n)]
 
 
 def test_two_clear_clusters_every_seed():
-    vectors = _vecs([(0.0, 0.0), (0.1, 0.0), (0.9, 0.0), (1.0, 0.0)])
+    X = np.array([(0.0, 0.0), (0.1, 0.0), (0.9, 0.0), (1.0, 0.0)])
     for seed in range(10):
-        model = kmeans(vectors, k=2, seed=seed)
+        model = kmeans(_ids(4), X, k=2, seed=seed)
         groups = {}
         for pid, c in model.assignment.items():
             groups.setdefault(c, set()).add(pid)
@@ -32,31 +30,31 @@ def test_two_clear_clusters_every_seed():
 
 
 def test_k_equals_n_zero_sse():
-    vectors = _vecs([(0, 0), (1, 0), (2, 0), (3, 0)])
-    model = kmeans(vectors, k=4, seed=0)
+    X = np.array([(0, 0), (1, 0), (2, 0), (3, 0)], dtype=float)
+    model = kmeans(_ids(4), X, k=4, seed=0)
     assert model.sse < 1e-12
     assert len(set(model.assignment.values())) == 4
 
 
 def test_k_one_centroid_is_mean():
-    vectors = _vecs([(0, 0), (2, 4), (4, 2)])
-    model = kmeans(vectors, k=1, seed=0)
+    X = np.array([(0, 0), (2, 4), (4, 2)], dtype=float)
+    model = kmeans(_ids(3), X, k=1, seed=0)
     assert np.allclose(model.centroids[0], [2.0, 2.0])
 
 
 def test_k_too_large():
     with pytest.raises(KTooLarge):
-        kmeans(_vecs([(0, 0)]), k=2, seed=0)
+        kmeans(_ids(1), np.zeros((1, 2)), k=2, seed=0)
     with pytest.raises(KTooLarge):
-        kmeans(_vecs([(0, 0), (0, 0), (0, 0)]), k=4, seed=0)
+        kmeans(_ids(3), np.zeros((3, 2)), k=4, seed=0)
     with pytest.raises(KTooLarge):
-        kmeans(_vecs([(0, 0)]), k=0, seed=0)
+        kmeans(_ids(1), np.zeros((1, 2)), k=0, seed=0)
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
 def test_restarts_below_one_rejected(restarts):
     with pytest.raises(ValueError, match="restarts"):
-        kmeans(_vecs([(0, 0), (1, 1)]), k=1, seed=0, restarts=restarts)
+        kmeans(_ids(2), np.eye(2), k=1, seed=0, restarts=restarts)
 
 
 def test_default_k():
@@ -73,40 +71,42 @@ def test_k_from_fraction():
 
 
 def test_singleton_cluster_representative():
-    vectors = _vecs([(0, 0), (5, 5)])
-    model = kmeans(vectors, k=2, seed=0)
-    reps = select_representatives(model, vectors)
+    X = np.array([(0, 0), (5, 5)], dtype=float)
+    model = kmeans(_ids(2), X, k=2, seed=0)
+    reps = select_representatives(model, _ids(2), X)
     assert set(reps.values()) == {"p0", "p1"}
 
 
 def test_representative_nearest_to_centroid():
-    vectors = _vecs([(0, 0), (0, 2), (0, 3)])
-    model = kmeans(vectors, k=1, seed=0)
-    reps = select_representatives(model, vectors)
+    X = np.array([(0, 0), (0, 2), (0, 3)], dtype=float)
+    model = kmeans(_ids(3), X, k=1, seed=0)
+    reps = select_representatives(model, _ids(3), X)
     assert reps[0] == "p1"  # centroid (0, 5/3) is nearest to (0, 2)
 
 
 def test_representative_tie_lexicographic():
-    vectors = _vecs([(0, 1), (0, -1)])
-    model = kmeans(vectors, k=1, seed=0)
-    reps = select_representatives(model, vectors)
-    assert reps[0] == "p0"
+    X = np.array([(0, 1), (0, -1)], dtype=float)
+    model = kmeans(_ids(2), X, k=1, seed=0)
+    assert select_representatives(model, _ids(2), X)[0] == "p0"
+    # The rule is on the ids, whatever order they come in.
+    assert select_representatives(model, ["p1", "p0"], X[::-1])[0] == "p0"
 
 
 def test_representatives_match_brute_force_randomized():
     rng = random.Random(5)
     for trial in range(20):
         pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(8)]
-        vectors = _vecs(pts, prefix=f"t{trial}_")
-        model = kmeans(vectors, k=rng.randint(1, 3), seed=trial)
-        reps = select_representatives(model, vectors)
+        ids, X = _ids(8, prefix=f"t{trial}_"), np.array(pts)
+        model = kmeans(ids, X, k=rng.randint(1, 3), seed=trial)
+        reps = select_representatives(model, ids, X)
         for c, rep in reps.items():
             centroid = np.asarray(model.centroids[c])
-            members = [v for v in vectors if model.assignment[v.program_id] == c]
+            members = [(pid, x) for pid, x in zip(ids, X)
+                       if model.assignment[pid] == c]
             best = min(members,
-                       key=lambda v: (float(np.linalg.norm(
-                           np.asarray(v.values) - centroid)), v.program_id))
-            assert rep == best.program_id
+                       key=lambda m: (float(np.linalg.norm(m[1] - centroid)),
+                                      m[0]))
+            assert rep == best[0]
 
 
 def test_purity_perfect():
@@ -144,53 +144,62 @@ def test_purity_bounds_randomized():
 
 
 def test_closest_exact_match():
-    cands = _vecs([(0, 0), (1, 0)])
-    pid, dist = closest_program(FeatureVector("q", [1.0, 0.0]), cands)
+    X = np.array([(0.0, 0.0), (1.0, 0.0)])
+    pid, dist = closest_program(np.array([1.0, 0.0]), _ids(2), X)
     assert pid == "p1" and dist == 0.0
 
 
 def test_closest_simple_argmin():
-    cands = _vecs([(0, 0), (1, 0)])
-    pid, dist = closest_program(FeatureVector("q", [0.4, 0.0]), cands)
+    X = np.array([(0.0, 0.0), (1.0, 0.0)])
+    pid, dist = closest_program(np.array([0.4, 0.0]), _ids(2), X)
     assert pid == "p0"
     assert dist == pytest.approx(0.4)
 
 
 def test_closest_tie_lexicographic():
-    cands = [FeatureVector("b", [1.0, 0.0]), FeatureVector("a", [-1.0, 0.0])]
-    pid, _ = closest_program(FeatureVector("q", [0.0, 0.0]), cands)
+    pid, _ = closest_program(np.zeros(2), ["b", "a"],
+                             np.array([(1.0, 0.0), (-1.0, 0.0)]))
     assert pid == "a"
 
 
 def test_closest_empty_candidates():
     with pytest.raises(EmptyCandidates):
-        closest_program(FeatureVector("q", [0.0]), [])
+        closest_program(np.zeros(1), [], np.zeros((0, 1)))
 
 
 def test_closest_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        closest_program(FeatureVector("q", [0.0, 1.0]),
-                        [FeatureVector("c", [0.0])])
+        closest_program(np.array([0.0, 1.0]), ["c"], np.zeros((1, 1)))
+
+
+def test_closest_distance_is_the_norm_of_one_vector():
+    rng = np.random.default_rng(3)
+    X, q = rng.random((200, 50)), rng.random(50)
+    pid, dist = closest_program(q, _ids(200), X)
+    want = min((float(np.linalg.norm(x - q)), p)
+               for p, x in zip(_ids(200), X))
+    assert (dist, pid) == want
 
 
 def test_representatives_vs_all_can_disagree():
     # Three programs in one cluster; the representative is the middle one,
     # but the query is nearest to an edge member.
-    vectors = _vecs([(0, 0), (1, 0), (2, 0)])
-    model = kmeans(vectors, k=1, seed=0)
-    reps = select_representatives(model, vectors)
-    rep_vecs = [v for v in vectors if v.program_id in reps.values()]
-    query = FeatureVector("q", [2.1, 0.0])
-    rep_pick, _ = closest_program(query, rep_vecs)
-    all_pick, _ = closest_program(query, vectors)
+    ids, X = _ids(3), np.array([(0, 0), (1, 0), (2, 0)], dtype=float)
+    model = kmeans(ids, X, k=1, seed=0)
+    reps = select_representatives(model, ids, X)
+    rep_rows = [i for i, pid in enumerate(ids) if pid in reps.values()]
+    query = np.array([2.1, 0.0])
+    rep_pick, _ = closest_program(query, [ids[i] for i in rep_rows],
+                                  X[rep_rows])
+    all_pick, _ = closest_program(query, ids, X)
     assert rep_pick == "p1" and all_pick == "p2"
 
 
 def test_kmeans_determinism():
     rng = random.Random(7)
-    pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(10)]
-    a = kmeans(_vecs(pts), k=3, seed=42)
-    b = kmeans(_vecs(pts), k=3, seed=42)
+    X = np.array([(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(10)])
+    a = kmeans(_ids(10), X, k=3, seed=42)
+    b = kmeans(_ids(10), X.copy(), k=3, seed=42)
     assert a.as_dict() == b.as_dict() and a.centroids == b.centroids
 
 
@@ -198,25 +207,24 @@ def test_kmeans_near_optimal_small_instances():
     rng = random.Random(17)
     for trial in range(10):
         pts, k = clusterable_instance(rng)
-        model = kmeans(_vecs(pts, prefix=f"r{trial}_"), k=k, seed=0,
-                       restarts=5)
+        model = kmeans(_ids(len(pts), prefix=f"r{trial}_"),
+                       np.array(pts, dtype=float), k=k, seed=0, restarts=5)
         assert model.sse <= brute_force_sse(pts, k) + 1e-9
 
 
 def test_empty_cluster_reseeding_keeps_k_nonempty_when_possible():
     # Duplicated points force a degenerate seeding; reseeding must still
     # produce k non-empty clusters because distinct points exist.
-    vectors = _vecs([(0, 0), (0, 0), (0, 0), (9, 9)])
-    model = kmeans(vectors, k=2, seed=0)
+    X = np.array([(0, 0), (0, 0), (0, 0), (9, 9)], dtype=float)
+    model = kmeans(_ids(4), X, k=2, seed=0)
     assert len(set(model.assignment.values())) == 2
 
 
-def _partition(model, vectors):
+def _partition(model, ids, X):
     """Cluster -> frozenset of the distinct points in it."""
     groups = {}
-    for v in vectors:
-        groups.setdefault(model.assignment[v.program_id], set()).add(
-            tuple(v.values))
+    for pid, x in zip(ids, X):
+        groups.setdefault(model.assignment[pid], set()).add(tuple(x))
     return {c: frozenset(g) for c, g in groups.items()}
 
 
@@ -224,11 +232,12 @@ def test_repeated_points_give_the_same_clustering():
     rng = random.Random(23)
     for trial in range(10):
         pts, k = clusterable_instance(rng)
-        once = _vecs(pts, prefix="a")
-        thrice = _vecs([p for p in pts for _ in range(3)], prefix="b")
-        m1 = kmeans(once, k=k, seed=trial, restarts=5)
-        m3 = kmeans(thrice, k=k, seed=trial, restarts=5)
-        p1, p3 = _partition(m1, once), _partition(m3, thrice)
+        once = (_ids(len(pts), prefix="a"), np.array(pts, dtype=float))
+        thrice = (_ids(3 * len(pts), prefix="b"),
+                  np.array([p for p in pts for _ in range(3)], dtype=float))
+        m1 = kmeans(*once, k=k, seed=trial, restarts=5)
+        m3 = kmeans(*thrice, k=k, seed=trial, restarts=5)
+        p1, p3 = _partition(m1, *once), _partition(m3, *thrice)
         assert set(p1.values()) == set(p3.values()), f"trial {trial}"
         by_members = {g: c for c, g in p3.items()}
         for c, g in p1.items():
@@ -237,20 +246,20 @@ def test_repeated_points_give_the_same_clustering():
 
 
 def _dup_instance():
-    """240 vectors over 22 distinct points, in shuffled order."""
+    """240 vectors over 22 distinct points, in shuffled order: (ids, X)."""
     rng = random.Random(31)
     distinct = [[rng.random() for _ in range(12)] for _ in range(22)]
     pts = [distinct[i % 22] for i in range(240)]
     rng.shuffle(pts)
-    return _vecs(pts)
+    return _ids(240), np.array(pts)
 
 
 def test_k_above_distinct_points_is_clamped():
-    vectors = _dup_instance()
-    model = kmeans(vectors, k=24, seed=5, restarts=8)
+    ids, X = _dup_instance()
+    model = kmeans(ids, X, k=24, seed=5, restarts=8)
     assert model.k == 22 and len(model.centroids) == 22
     assert model.sse == pytest.approx(0.0, abs=1e-12)
-    groups = _partition(model, vectors)
+    groups = _partition(model, ids, X)
     assert len(groups) == 22
     assert all(len(g) == 1 for g in groups.values())
 
@@ -265,6 +274,6 @@ def test_duplicates_stop_on_a_stable_assignment(monkeypatch):
         return result
 
     monkeypatch.setattr(clusterer, "_lloyd", counting)
-    kmeans(_dup_instance(), k=24, seed=5, max_iters=300, restarts=8)
+    kmeans(*_dup_instance(), k=24, seed=5, max_iters=300, restarts=8)
     assert len(iterations) == 8
     assert max(iterations) <= 3

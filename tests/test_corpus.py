@@ -15,7 +15,6 @@ from invclust.errors import BadTestFile, EmptyCorpus, MissingTests
 from invclust.nodes import SourceProgram
 from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase
-from invclust.vectorizer import FeatureVector
 
 from conftest import HOSTILE_SOURCES
 
@@ -258,32 +257,68 @@ def test_hostile_programs_become_exclusions(tmp_path):
     assert arts.clustered_ids == ["alpha/s0", "alpha/s1", "alpha/s2"]
 
 
-def _fv(pid, values):
-    return FeatureVector(program_id=pid, values=list(map(float, values)))
+def _ids(n):
+    return [f"p{i}" for i in range(n)]
+
+
+def _max_distance_error(pts, rows):
+    return max(abs(math.dist(pts[i], pts[j])
+                   - math.dist(rows[i][1:], rows[j][1:]))
+               for i in range(len(pts)) for j in range(i + 1, len(pts)))
 
 
 def test_project_2d_preserves_distances_for_2d_input():
     pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (3.0, 1.0)]
-    rows = project_2d([_fv(f"p{i}", p) for i, p in enumerate(pts)])
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            orig = math.dist(pts[i], pts[j])
-            proj = math.dist(rows[i][1:], rows[j][1:])
-            assert abs(orig - proj) < 1e-6
+    rows = project_2d(_ids(4), np.array(pts))
+    assert _max_distance_error(pts, rows) < 1e-6
+
+
+def test_project_2d_preserves_distances_on_the_simplex():
+    # Every row sums to 1, as an L1-normalized vector does, so every
+    # centred row is orthogonal to the all-ones vector; the points span a
+    # plane, which two principal axes must keep exactly.
+    pts = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]
+    rows = project_2d(_ids(4), np.array(pts))
+    assert _max_distance_error(pts, rows) < 1e-9
 
 
 def test_project_2d_identical_points():
-    rows = project_2d([_fv(f"p{i}", (2.0, 3.0, 4.0)) for i in range(3)])
+    rows = project_2d(_ids(3), np.tile([2.0, 3.0, 4.0], (3, 1)))
     assert all(x == 0.0 and y == 0.0 for _, x, y in rows)
 
 
 def test_project_2d_collinear_points_stay_collinear():
     pts = [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (2.0, 4.0, 6.0)]
-    rows = project_2d([_fv(f"p{i}", p) for i, p in enumerate(pts)])
+    rows = project_2d(_ids(3), np.array(pts))
     coords = np.array([[x, y] for _, x, y in rows])
     u, v = coords[1] - coords[0], coords[2] - coords[0]
     area = u[0] * v[1] - u[1] * v[0]
     assert abs(float(area)) < 1e-9
+
+
+def _pca_oracle(X):
+    """X centred, on the covariance's eigenvectors of the two largest
+    eigenvalues, each with its largest-magnitude component positive."""
+    Xc = X - X.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(Xc.T @ Xc / len(Xc))
+    axes = eigvecs[:, np.argsort(eigvals)[::-1][:2]]
+    axes *= np.sign(axes[np.abs(axes).argmax(axis=0), [0, 1]])
+    return Xc @ axes
+
+
+def test_projection_csv_is_the_top_two_principal_components(tmp_path):
+    corpus = generate_synthetic_corpus(0, 3, 10)
+    arts = run_pipeline(corpus, mode="aast_inv", k=3, seed=0,
+                        out_dir=str(tmp_path))
+    with open(tmp_path / "projection.csv") as f:
+        assert f.readline() == "id,x,y\n"
+        rows = [line.rstrip("\n").split(",") for line in f]
+    assert [r[0] for r in rows] == arts.clustered_ids
+    got = np.array([[float(x), float(y)] for _, x, y in rows])
+    assert (got.std(axis=0) > 1e-9).all()
+    X = np.array([arts.programs[i].vector.values for i in arts.clustered_ids])
+    assert (arts.clustered_vectors == X).all()
+    assert np.abs(got - _pca_oracle(X)).max() < 1e-12
 
 
 def test_vectors_npy_round_trip(tmp_path):
