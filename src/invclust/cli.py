@@ -8,6 +8,7 @@ success, 1 on usage errors, 2 on corpus/runtime errors.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -23,6 +24,7 @@ from .errors import (BadModel, BadTestFile, DimensionMismatch,
 from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
+from .synth import ASSIGNMENTS
 from .tracer import Limits, run_suite
 from .unparse import unparse
 from .vectorizer import MODES, Vocabulary, represent
@@ -82,8 +84,11 @@ def cmd_aast(args):
 
 def cmd_trace(args):
     renamed, _ = _renamed_tree(args.program)
-    log, verdicts = run_suite(renamed, read_tests(args.tests), _limits(args))
-    payload = {"verdicts": verdicts, "trace": log.to_json()}
+    log, verdicts = run_suite(renamed, read_tests(args.tests), _limits(args),
+                              record=args.json)
+    payload = {"verdicts": verdicts}
+    if args.json:
+        payload["trace"] = log.to_json()
     lines = [f"t{i}: {v}" for i, v in enumerate(verdicts)]
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -222,10 +227,23 @@ def cmd_project(args):
     return 0
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
+_positive_int = _int_at_least(1)
+
+
+def _positive_fraction(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -278,7 +296,7 @@ def build_parser():
                    default="aast+inv")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--k", type=int, default=None)
-    group.add_argument("--k-frac", type=float, default=0.1)
+    group.add_argument("--k-frac", type=_positive_fraction, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=_positive_int, default=3, help="gram size")
     p.add_argument("--idf", action="store_true")
@@ -315,8 +333,9 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--assignments", type=int, default=3)
-    p.add_argument("--variants-per", type=int, default=10)
+    p.add_argument("--assignments", type=int, default=3,
+                   choices=range(2, len(ASSIGNMENTS) + 1))
+    p.add_argument("--variants-per", type=_int_at_least(2), default=10)
     common(p)
     p.set_defaults(func=cmd_synth)
 

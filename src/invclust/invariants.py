@@ -9,16 +9,27 @@ Implication suppression (exhaustive; anything else that holds is emitted):
   * x == y suppresses x <= y, y <= x, x < y, y < x, and the c == 0
     constant-difference;
   * a strict sign (x > 0 or x < 0) suppresses its weak form.
+
+Every template is a fold over a point's snapshots, so a `PointSummary`
+takes them a chunk at a time and keeps only what the templates need: the
+count, the variables set in every snapshot, each one's first value, min,
+max and sign flags, and each pair's order flags and first-row difference.
+That is Daikon's incremental falsification (Perkins & Ernst, FSE 2004):
+the tracer's memory stays bounded however long a program runs, and a fold
+of the whole trace as one chunk is the batch result.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
-from operator import eq, ge, gt, is_, itemgetter, le, lt, ne, sub
+from itertools import chain, combinations, repeat
+from operator import eq, ge, gt, is_, le, lt, ne, sub
 
 from .errors import UnmappedPoint
 from .nodes import fmt_literal
 
 CONST_DIFF_LIMIT = 100
+
+# A snapshot's value for a variable that is out of scope or not set yet.
+UNSET = object()
 
 
 @dataclass
@@ -30,55 +41,156 @@ class InvariantSet:
         return {p: self.by_point[p] for p in sorted(self.by_point)}
 
 
-def _point_invariants(snaps):
-    """Each variable's column is built once; every template is one pass of
-    an operator over columns (operator.eq has no identity shortcut, so a
-    nan is never equal to itself, as with ==)."""
-    variables = sorted(set(snaps[0]).intersection(*snaps)) if snaps else []
-    columns = {x: list(map(itemgetter(x), snaps)) for x in variables}
-    ints = {x: all(map(isinstance, vals, repeat(int)))
-            for x, vals in columns.items()}
-    out = set()
-    for x, vals in columns.items():
-        first = vals[0]
+class _Column:
+    """One variable's state over the snapshots folded so far: its first
+    value, whether every value equals it with the same type, min, max, and
+    whether every value is > 0, >= 0, < 0, <= 0 and != 0. While `const`
+    holds, lo, hi and the sign flags stand for first alone."""
+
+    __slots__ = ("first", "const", "lo", "hi", "pos", "nonneg", "neg",
+                 "nonpos", "nonzero")
+
+    def __init__(self, first):
+        self.first = self.lo = self.hi = first
+        self.const = self.pos = self.nonneg = True
+        self.neg = self.nonpos = self.nonzero = True
+
+
+class _Pair:
+    """The state of a pair x < y (by name) over the snapshots folded so
+    far: whether every row has x == y, x < y, x <= y, x > y and x >= y.
+    `diff` holds while both are ints and x - y is the first row's
+    difference `d`, and only while that difference could be emitted."""
+
+    __slots__ = ("eq", "lt", "le", "gt", "ge", "d", "diff")
+
+    def __init__(self, fx, fy):
+        self.eq = self.lt = self.le = self.gt = self.ge = True
+        ints = isinstance(fx, int) and isinstance(fy, int)
+        self.d = fx - fy if ints else None
+        self.diff = ints and self.d != 0 and abs(self.d) <= CONST_DIFF_LIMIT
+
+
+class PointSummary:
+    """The templates' state over the snapshots of one point, folded a
+    chunk at a time. `names` is the point's schema: a snapshot is a tuple
+    of their values in that order (values past the last name are ignored),
+    UNSET for a variable it lacks, and a variable with an UNSET value in
+    any snapshot takes part in no template. The summary reads `names` at
+    its first fold, so the list may grow until then.
+
+    Folding in chunks of any size gives what one chunk of every snapshot
+    gives: every flag is a conjunction over rows, and min and max are left
+    folds started from the carried value, exactly as `min` and `max` run
+    over the whole column, so a nan lands where they put it. operator.eq
+    has no identity shortcut, so a nan is never equal to itself, as with
+    ==."""
+
+    def __init__(self, names):
+        self.names = names
+        self.count = 0
+        self.columns = {}  # variable set in every snapshot -> _Column
+        self.pairs = {}    # (x, y) of such variables, x < y -> _Pair
+
+    def fold(self, rows):
+        if not rows:
+            return
+        cols = dict(zip(self.names, zip(*rows)))
+        columns = self.columns
+        if not self.count:
+            for x in sorted(cols):
+                if UNSET not in cols[x]:
+                    columns[x] = _Column(cols[x][0])
+            self.pairs = {(x, y): _Pair(columns[x].first, columns[y].first)
+                          for x, y in combinations(columns, 2)}
+        else:
+            dead = [x for x in columns if UNSET in cols[x]]
+            for x in dead:
+                del columns[x]
+            if dead:
+                self.pairs = {(x, y): p for (x, y), p in self.pairs.items()
+                              if x in columns and y in columns}
+        self.count += len(rows)
         zeros = repeat(0)
-        if all(map(eq, vals, repeat(first))) and \
-                all(map(is_, map(type, vals), repeat(type(first)))):
-            out.add(f"{x} == {fmt_literal(first)}")
-            continue
-        out.add(f"{x} >= {fmt_literal(min(vals))}")
-        out.add(f"{x} <= {fmt_literal(max(vals))}")
-        if all(map(gt, vals, zeros)):
-            out.add(f"{x} > 0")
-        elif all(map(ge, vals, zeros)):
-            out.add(f"{x} >= 0")
-        if all(map(lt, vals, zeros)):
-            out.add(f"{x} < 0")
-        elif all(map(le, vals, zeros)):
-            out.add(f"{x} <= 0")
-        if all(map(ne, vals, zeros)):
-            out.add(f"{x} != 0")
-    for x, y in combinations(variables, 2):  # x < y lexicographically
-        xs, ys = columns[x], columns[y]
-        if all(map(eq, xs, ys)):
-            out.add(f"{x} == {y}")
-            continue
-        # a < b implies a <= b and rules out a >= b; a <= b on every pair
-        # that is not all-equal rules out a >= b on every pair.
-        if all(map(lt, xs, ys)):
-            out.update((f"{x} < {y}", f"{x} <= {y}"))
-        elif all(map(le, xs, ys)):
-            out.add(f"{x} <= {y}")
-        elif all(map(gt, xs, ys)):
-            out.update((f"{y} < {x}", f"{y} <= {x}"))
-        elif all(map(ge, xs, ys)):
-            out.add(f"{y} <= {x}")
-        if ints[x] and ints[y]:
-            d = xs[0] - ys[0]
-            if d != 0 and abs(d) <= CONST_DIFF_LIMIT and \
-                    all(map(eq, map(sub, xs, ys), repeat(d))):
-                out.add(f"{x} == {y} + {d}")
-    return sorted(out)
+        for x, c in columns.items():
+            vals = cols[x]
+            if c.const:
+                first = c.first
+                if all(map(eq, vals, repeat(first))) and \
+                        all(map(is_, map(type, vals), repeat(type(first)))):
+                    continue
+                c.const = False
+                vals = (first, *vals)  # stands for every value folded so far
+            c.lo = min(chain((c.lo,), vals))
+            c.hi = max(chain((c.hi,), vals))
+            if c.pos:
+                c.pos = all(map(gt, vals, zeros))
+            if c.nonneg:
+                c.nonneg = c.pos or all(map(ge, vals, zeros))
+            if c.neg:
+                c.neg = all(map(lt, vals, zeros))
+            if c.nonpos:
+                c.nonpos = c.neg or all(map(le, vals, zeros))
+            if c.nonzero:
+                c.nonzero = c.pos or c.neg or all(map(ne, vals, zeros))
+        for (x, y), p in self.pairs.items():
+            xs, ys = cols[x], cols[y]
+            if p.diff:
+                p.diff = all(map(eq, map(sub, xs, ys), repeat(p.d))) and \
+                    all(map(isinstance, chain(xs, ys), repeat(int)))
+            if p.eq:
+                p.eq = all(map(eq, xs, ys))
+                if p.eq:  # so x <= y and x >= y hold
+                    p.lt = p.gt = False
+                    continue
+            # Some row has x != y. If every row has x <= y, that row has
+            # x < y and rules out x >= y; a < b implies a <= b, so a flag
+            # and its strict form fold together.
+            if p.le:
+                p.lt = p.lt and all(map(lt, xs, ys))
+                p.le = p.lt or all(map(le, xs, ys))
+                if p.le:
+                    p.gt = p.ge = False
+                    continue
+            if p.ge:
+                p.gt = p.gt and all(map(gt, xs, ys))
+                p.ge = p.gt or all(map(ge, xs, ys))
+
+    def invariants(self):
+        """Every template instance that holds on all snapshots folded,
+        after implication suppression, sorted."""
+        out = set()
+        for x, c in self.columns.items():
+            if c.const:
+                out.add(f"{x} == {fmt_literal(c.first)}")
+                continue
+            out.add(f"{x} >= {fmt_literal(c.lo)}")
+            out.add(f"{x} <= {fmt_literal(c.hi)}")
+            if c.pos:
+                out.add(f"{x} > 0")
+            elif c.nonneg:
+                out.add(f"{x} >= 0")
+            if c.neg:
+                out.add(f"{x} < 0")
+            elif c.nonpos:
+                out.add(f"{x} <= 0")
+            if c.nonzero:
+                out.add(f"{x} != 0")
+        for (x, y), p in self.pairs.items():
+            if p.eq:
+                out.add(f"{x} == {y}")
+                continue
+            if p.lt:
+                out.update((f"{x} < {y}", f"{x} <= {y}"))
+            elif p.le:
+                out.add(f"{x} <= {y}")
+            elif p.gt:
+                out.update((f"{y} < {x}", f"{y} <= {x}"))
+            elif p.ge:
+                out.add(f"{y} <= {x}")
+            if p.diff:
+                out.add(f"{x} == {y} + {p.d}")
+        return sorted(out)
 
 
 def detect(log, min_samples=2):
@@ -87,11 +199,11 @@ def detect(log, min_samples=2):
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
     result = InvariantSet()
-    for pid, snaps in log.samples.items():
-        if len(snaps) < min_samples:
+    for pid, point in log.samples.items():
+        if len(point) < min_samples:
             continue
-        result.by_point[pid] = _point_invariants(snaps)
-        result.point_kinds[pid] = log.point_kinds.get(pid, "")
+        result.by_point[pid] = point.summary.invariants()
+        result.point_kinds[pid] = point.kind
     return result
 
 

@@ -148,7 +148,7 @@ def _gen_maxseq(rng):
     return text, tags
 
 
-_ASSIGNMENTS = [
+ASSIGNMENTS = [
     ("sum1n", _gen_sum,
      [TestCase(str(x), str(x * (x + 1) // 2)) for x in (1, 2, 5, 8)]),
     ("factorial", _gen_factorial,
@@ -168,11 +168,11 @@ def generate_synthetic_corpus(seed, assignments, variants_per):
 
     if assignments < 2 or variants_per < 2:
         raise ValueError("need at least 2 assignments and 2 variants each")
-    if assignments > len(_ASSIGNMENTS):
-        raise ValueError(f"at most {len(_ASSIGNMENTS)} assignments available")
+    if assignments > len(ASSIGNMENTS):
+        raise ValueError(f"at most {len(ASSIGNMENTS)} assignments available")
     rng = random.Random(seed)
     corpus = Corpus()
-    for label, gen, tests in _ASSIGNMENTS[:assignments]:
+    for label, gen, tests in ASSIGNMENTS[:assignments]:
         seen = set()
         programs = []
         if label == "sum1n":

@@ -8,6 +8,16 @@ subset is lexical and has no jumps, so the declarations visible at any
 statement are fixed), and each snapshot's variable layout and point id are
 fixed when its scope is compiled.
 
+Snapshots: every point has one schema, the names of all the snapshot
+closures that record there (an exit point has one per `return`, and two
+blocks on one line share a point), in first-seen order. A snapshot is the
+tuple of those variables' values, `UNSET` for one the closure's scope
+lacks or has not set; no dict is built. Each point buffers its tuples and
+folds them into its `PointSummary` every FOLD_ROWS snapshots, so a trace
+takes memory in proportion to its points, not to its length. A recorded
+trace (`record=True`, for `invclust trace --json` and for tests that read
+snapshots) keeps every tuple as well.
+
 Step accounting: one step per statement executed and one per expression
 node evaluated, in evaluation order; past `Limits.max_steps` the run stops
 with `step-limit` at the most recently entered point. A closure counts the
@@ -26,8 +36,10 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import TraceRuntimeError
+from .invariants import UNSET, PointSummary
 from .nodes import Kind, Node
 
 INT_MIN = -(2**63)
@@ -41,6 +53,12 @@ INT_MAX = 2**63 - 1
 # expressions costs more frames; for it, running out of Python's stack is
 # reported as this same error.
 MAX_CALL_DEPTH = 225
+
+# Snapshots a point buffers before folding them into its summary.
+FOLD_ROWS = 4096
+
+# The frame slot no variable is given: it always reads UNSET.
+_BLANK = 0
 
 POINT_FUNCTION_ENTRY = "function-entry"
 POINT_FUNCTION_EXIT = "function-exit"
@@ -64,30 +82,62 @@ class Limits:
     max_loop_iters: int = 1_000_000
 
 
+class PointTrace:
+    """The snapshots of one point: its kind, its schema `names`, and their
+    `summary`. After the run, `rows` holds every snapshot tuple when the
+    trace was recorded, and nothing otherwise."""
+
+    __slots__ = ("kind", "names", "rows", "summary")
+
+    def __init__(self, kind, names=()):
+        self.kind = kind
+        self.names = list(names)  # grows while the program compiles
+        self.rows = []
+        self.summary = PointSummary(self.names)
+
+    def __len__(self):
+        return self.summary.count
+
+    def snapshots(self):
+        """Each recorded snapshot as a dict of its set variables."""
+        return [{name: x for name, x in zip(self.names, row) if x is not UNSET}
+                for row in self.rows]
+
+
 @dataclass
 class TraceLog:
-    samples: dict = field(default_factory=dict)      # point id -> [snapshot]
-    point_kinds: dict = field(default_factory=dict)  # point id -> kind
-    outputs: list = field(default_factory=list)      # captured stdout per test
-    errors: list = field(default_factory=list)       # diagnostics per test
+    record: bool = False  # keep every snapshot, not only the summaries
+    points: dict = field(default_factory=dict)   # point id -> PointTrace
+    outputs: list = field(default_factory=list)  # captured stdout per test
+    errors: list = field(default_factory=list)   # diagnostics per test
 
-    def record(self, point_id, kind, snapshot):
-        self.samples.setdefault(point_id, []).append(snapshot)
-        self.point_kinds[point_id] = kind
+    @property
+    def samples(self):
+        """Point id -> PointTrace, for every point the run reached."""
+        return {pid: p for pid, p in self.points.items() if len(p)}
+
+    @property
+    def point_kinds(self):
+        return {pid: p.kind for pid, p in self.samples.items()}
+
+    def snapshots(self):
+        """Point id -> its snapshots as dicts, in run order."""
+        if not self.record:
+            raise ValueError("snapshots are kept only by a recorded trace")
+        return {pid: p.snapshots() for pid, p in self.samples.items()}
 
     def to_json(self):
+        snaps = self.snapshots()
         return json.dumps(
             {
-                "samples": {p: self.samples[p] for p in sorted(self.samples)},
-                "point_kinds": {p: self.point_kinds[p] for p in sorted(self.point_kinds)},
+                "samples": {p: snaps[p] for p in sorted(snaps)},
+                "point_kinds": {p: self.points[p].kind for p in sorted(snaps)},
                 "outputs": self.outputs,
                 "errors": self.errors,
             },
             sort_keys=True,
         )
 
-
-_UNINIT = object()
 
 _COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
@@ -105,9 +155,9 @@ class _State:
     a compiled program is freed without the cyclic collector."""
 
     __slots__ = ("functions", "steps", "depth", "point", "stdin", "stdin_pos",
-                 "out", "samples", "kinds")
+                 "out")
 
-    def __init__(self, functions, stdin_text, log):
+    def __init__(self, functions, stdin_text):
         self.functions = functions
         self.steps = 0
         self.depth = 0
@@ -115,8 +165,6 @@ class _State:
         self.stdin = stdin_text.split()
         self.stdin_pos = 0
         self.out = []
-        self.samples = log.samples
-        self.kinds = log.point_kinds
 
 
 def _convert(st, value, is_int):
@@ -164,11 +212,16 @@ class _Compiler:
     value. `pre` is the number of steps owed by the enclosing nodes whose
     evaluation begins with this node."""
 
-    def __init__(self, root, limits):
+    def __init__(self, root, limits, log):
         self.max_steps = limits.max_steps
         self.max_iters = limits.max_loop_iters
+        self.points = log.points
+        self.fold_at = 0 if log.record else FOLD_ROWS  # 0: never
+        self.binds = []
         self.functions = {fn.identifier: self.function(fn)
                           for fn in root.children}
+        for bind in self.binds:  # every point's schema is complete now
+            bind()
 
     # --- scopes: name -> slot, resolved at compile time ---
 
@@ -189,41 +242,42 @@ class _Compiler:
 
     def snapshot(self, pid, kind, scopes):
         """Closure recording the set scalar variables of `scopes` at pid,
-        outer scopes first. Arrays are left out (a slot's binding here is
-        the one in force whenever pid is reached); a name declared again in
-        an inner scope keeps the outer name's position and takes the inner
-        value once that is set."""
+        outer scopes first, as a tuple in the point's schema. Arrays are
+        left out (a slot's binding here is the one in force whenever pid is
+        reached). The tuple's layout is fixed once the whole program has
+        compiled, when the schema is complete."""
         layout = [(name, slot) for scope in scopes
                   for name, slot in scope.items() if not self.binding[slot][0]]
-        names = tuple(name for name, _ in layout)
-        slots = [slot for _, slot in layout]
-        if len(slots) == 1:
-            slots *= 2  # itemgetter(s) returns no tuple; zip stops at 1 name
-        getter = operator.itemgetter(*slots) if slots else lambda v: ()
-        plain = len(set(names)) == len(names)
+        point = self.points.get(pid)
+        if point is None:
+            point = self.points[pid] = PointTrace(kind)
+        for name, _ in layout:
+            if name not in point.names:
+                point.names.append(name)
+        getter = None
+
+        def bind():
+            nonlocal getter
+            getter = _row_getter(point.names, layout)
+        self.binds.append(bind)
+        rows = point.rows
+        append = rows.append
+        summary = point.summary
+        fold_at = self.fold_at
 
         def snap(st, v):
             st.point = pid
-            vals = getter(v)
-            if plain and _UNINIT not in vals:
-                record = dict(zip(names, vals))
-            else:
-                record = {}
-                for name, x in zip(names, vals):
-                    if x is not _UNINIT:
-                        record[name] = x
-            lst = st.samples.get(pid)
-            if lst is None:
-                lst = st.samples[pid] = []
-                st.kinds[pid] = kind
-            lst.append(record)
+            append(getter(v))
+            if len(rows) == fold_at:
+                summary.fold(rows)
+                rows.clear()
         return snap
 
     # --- functions and calls ---
 
     def function(self, fn):
         self.scopes = [{}]
-        self.nslots = 0
+        self.nslots = _BLANK + 1
         self.binding = {}
         name = fn.identifier
         params = [(self.declare(p, False), p.type_name == "int")
@@ -257,7 +311,7 @@ class _Compiler:
             st.depth += 1
             if st.depth > MAX_CALL_DEPTH:
                 raise TraceRuntimeError("step-limit", st.point, "call depth")
-            w = [_UNINIT] * nslots
+            w = [UNSET] * nslots
             for (slot, is_int), x in zip(params, values):
                 w[slot] = _convert(st, x, is_int)
             entry(st, w)
@@ -366,10 +420,14 @@ class _Compiler:
                 if slot is None:
                     _unknown(st, name)
                 x = v[slot]
-                if x is _UNINIT:
+                if x is UNSET:
                     raise TraceRuntimeError("uninitialized-read", st.point,
                                             name)
-                v[slot] = _convert(st, x + delta, is_int)
+                x += delta
+                if not (is_int and x.__class__ is int
+                        and INT_MIN <= x <= INT_MAX):
+                    x = _convert(st, x, is_int)
+                v[slot] = x
             return incr
         if k not in (Kind.DECL, Kind.ARRAY_DECL):
             raise ValueError(f"unexpected statement node: {k}")
@@ -380,7 +438,7 @@ class _Compiler:
             st.steps += count
             if st.steps > max_steps:
                 raise TraceRuntimeError("step-limit", st.point)
-            v[slot] = _UNINIT if size is None else [_UNINIT] * size
+            v[slot] = UNSET if size is None else [UNSET] * size
         return declare
 
     def if_stmt(self, node, path, pre):
@@ -461,7 +519,10 @@ class _Compiler:
                 if v[slot].__class__ is list:
                     raise TraceRuntimeError("type-error", st.point,
                                             f"array '{name}' used as scalar")
-                v[slot] = _convert(st, x, is_int)
+                if not (is_int and x.__class__ is int
+                        and INT_MIN <= x <= INT_MAX):
+                    x = _convert(st, x, is_int)
+                v[slot] = x
             return put
         base, idx_node = target.children
         name = base.identifier
@@ -567,7 +628,7 @@ class _Compiler:
                 if slot is None:
                     _unknown(st, name)
                 x = v[slot]
-                if x is _UNINIT or x.__class__ is list:
+                if x is UNSET or x.__class__ is list:
                     _bad_read(st, name, x)
                 return x
             return ref
@@ -588,7 +649,7 @@ class _Compiler:
                     _checked_index(st, name, arr, 0)
                 i = _checked_index(st, name, arr, idx(st, v))
                 x = arr[i]
-                if x is _UNINIT:
+                if x is UNSET:
                     raise TraceRuntimeError("uninitialized-read", st.point,
                                             f"{name}[{i}]")
                 return x
@@ -657,19 +718,22 @@ def normalize_output(s):
 
 
 class _Program:
-    """A translation unit compiled for one set of limits."""
+    """A translation unit compiled for one set of limits, recording into
+    one log."""
 
-    def __init__(self, tree, limits):
-        compiler = _Compiler(tree, limits or Limits())
+    def __init__(self, tree, limits, log):
+        compiler = _Compiler(tree, limits or Limits(), log)
+        self.log = log
         self.functions = compiler.functions
         self.main = None
         if "main" in compiler.functions:
             self.main = compiler.call(Node(Kind.CALL, identifier="main"), None)
 
-    def run(self, test, log):
-        """Run one test, adding its snapshots, output and any error to
-        log. Returns (stdout, verdict)."""
-        st = _State(self.functions, test.stdin_text, log)
+    def run(self, test):
+        """Run one test, adding its snapshots, output and any error to the
+        log. Returns the verdict."""
+        st = _State(self.functions, test.stdin_text)
+        log = self.log
         verdict = "error"
         try:
             try:
@@ -688,23 +752,52 @@ class _Program:
             log.errors.append(f"{e.kind} at {e.point}" +
                               (f": {e.detail}" if e.detail else ""))
         log.outputs.append(stdout)
-        return stdout, verdict
+        return verdict
 
 
-def execute(tree, test, limits=None):
+def _row_getter(names, layout):
+    """Function from a frame to a snapshot's tuple, a value per name in
+    `names`. A name the layout lacks reads the blank slot; a name declared
+    again in an inner scope takes the inner value once that is set, else
+    the outer one."""
+    slot_of = dict(layout)
+    if len(slot_of) == len(layout):  # no name declared twice
+        order = list(map(slot_of.get, names, repeat(_BLANK)))
+        if len(order) == 1:
+            order.append(_BLANK)  # itemgetter(s) returns no tuple
+        return operator.itemgetter(*order) if order else lambda v: ()
+    candidates = [[slot for n, slot in layout if n == name] for name in names]
+
+    def shadowed(v):
+        row = []
+        for found in candidates:
+            x = UNSET
+            for slot in found:
+                if v[slot] is not UNSET:
+                    x = v[slot]
+            row.append(x)
+        return tuple(row)
+    return shadowed
+
+
+def execute(tree, test, limits=None, record=False):
     """Run one test. Returns (TraceLog, stdout, verdict)."""
-    log = TraceLog()
-    stdout, verdict = _Program(tree, limits).run(test, log)
-    return log, stdout, verdict
+    log, (verdict,) = run_suite(tree, [test], limits, record)
+    return log, log.outputs[0], verdict
 
 
-def run_suite(tree, tests, limits=None):
+def run_suite(tree, tests, limits=None, record=False):
     """Run every test; returns (merged TraceLog, verdict list). Tests run
     in order, so recording straight into one log gives each point its
-    snapshots in test order."""
+    snapshots in test order. Each point's summary covers every snapshot;
+    with record=True the log also keeps the snapshots themselves."""
     if not tests:
         raise ValueError("test suite is empty")
-    program = _Program(tree, limits)
-    merged = TraceLog()
-    verdicts = [program.run(test, merged)[1] for test in tests]
-    return merged, verdicts
+    log = TraceLog(record)
+    program = _Program(tree, limits, log)
+    verdicts = [program.run(test) for test in tests]
+    for point in log.points.values():
+        point.summary.fold(point.rows)
+        if not record:
+            point.rows.clear()
+    return log, verdicts

@@ -12,8 +12,9 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from invclust.invariants import UNSET
 from invclust.synth import PAIR_FOR, PAIR_WHILE
-from invclust.tracer import TestCase
+from invclust.tracer import PointTrace, TestCase, TraceLog
 
 LEFT_SRC = PAIR_WHILE
 RIGHT_SRC = PAIR_FOR
@@ -45,6 +46,93 @@ HOSTILE_SOURCES = {
          '  printf("%d", x);\n}\n').encode(),
         "integer-overflow at main/entry"),
 }
+
+
+# Programs whose points hold what a chunked fold of snapshots must get
+# right. Each ignores its stdin but "float", which loops n times.
+SNAPSHOT_EDGE_PROGRAMS = {
+    # nan, +inf, -inf, and a column alternating -0.0 and 0.0.
+    "float": """\
+int main() {
+  double x = 1.5;
+  double y = 0.0;
+  double z = -0.0;
+  double w = 0.0;
+  int i = 0;
+  int n;
+  scanf("%d", &n);
+  while (i < n) {
+    x = x * 1e300;
+    y = x - x;
+    w = -x;
+    z = z * -1.0;
+    i = i + 1;
+  }
+  printf("%f", x);
+}
+""",
+    # `a` declared again in the loop body, set there from i == 2 on.
+    "shadow": """\
+int main() {
+  int a = 1;
+  int i;
+  for (i = 0; i < 4; i++) {
+    int a;
+    if (i > 1) {
+      a = i * 10;
+    }
+    {
+      printf("%d", i);
+    }
+  }
+}
+""",
+    # f/exit is reached from three returns with different scopes.
+    "returns": """\
+int f(int n) {
+  if (n < 0) {
+    return 0;
+  }
+  int m = n * 2;
+  if (m > 4) {
+    return m;
+  }
+  int k = m + 1;
+  return k;
+}
+
+int main() {
+  int i;
+  for (i = -2; i < 5; i++) {
+    printf("%d ", f(i));
+  }
+}
+""",
+    # Two blocks on line 5 share a point, and so do the blocks inside them.
+    "one-line": """\
+int main() {
+  int a = 0;
+  int i;
+  for (i = 0; i < 3; i++) {
+    { int b = i; { a = a + b; } } int t = a; { int b = i + 10; { a = a - b + t; } }
+  }
+}
+""",
+}
+
+
+def log_from_snapshots(point_snaps, kind="loop-body"):
+    """A recorded TraceLog holding the given snapshots, {point id: [dict of
+    variable values]}: each point's schema is the names of its dicts in
+    first-seen order, and a name a dict lacks is UNSET in its tuple."""
+    log = TraceLog(record=True)
+    for pid, snaps in point_snaps.items():
+        point = log.points[pid] = PointTrace(
+            kind, dict.fromkeys(name for snap in snaps for name in snap))
+        point.rows = [tuple(snap.get(name, UNSET) for name in point.names)
+                      for snap in snaps]
+        point.summary.fold(point.rows)
+    return log
 
 
 def sum_suite(ns=(1, 2, 5)):

@@ -207,9 +207,10 @@ def test_criterion_7_invariant_oracle(capsys):
         for seed in range(100):
             src, n_in = gen_program(3000 + seed)
             renamed, _ = rename(parse(src))
-            log, _ = run_suite(renamed, gen_suite(3000 + seed, n_in))
+            log, _ = run_suite(renamed, gen_suite(3000 + seed, n_in),
+                               record=True)
             inv = detect(log)
-            for pid, snaps in log.samples.items():
+            for pid, snaps in log.snapshots().items():
                 if len(snaps) < 2:
                     assert pid not in inv.by_point
                     continue

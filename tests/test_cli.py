@@ -300,9 +300,9 @@ def test_restarts_below_one_is_usage_error(workspace, capsys):
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("cluster", "--n"), ("cluster", "--min-samples"),
+    ("cluster", "--n"), ("cluster", "--min-samples"), ("cluster", "--k-frac"),
     ("invariants", "--min-samples"), ("invariants", "--max-steps")])
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
 def test_numeric_flag_below_one_is_usage_error(workspace, capsys, command,
                                                flag, value):
     if command == "cluster":
@@ -314,6 +314,20 @@ def test_numeric_flag_below_one_is_usage_error(workspace, capsys, command,
     err = capsys.readouterr().err
     assert code == 1
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--assignments", "0"), ("--assignments", "1"), ("--assignments", "4"),
+    ("--assignments", "99"), ("--assignments", "-1"),
+    ("--variants-per", "1"), ("--variants-per", "0"),
+    ("--variants-per", "-1")])
+def test_synth_size_out_of_range_is_usage_error(tmp_path, capsys, flag,
+                                                value):
+    code = main(["synth", "--out", str(tmp_path / "corpus"), flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert flag in err and "Traceback" not in err
+    assert not (tmp_path / "corpus").exists()
 
 
 def _truncate(path):

@@ -1,25 +1,21 @@
 """Invariant detection, suppression, and canonical-string tests."""
 
+import math
+from itertools import combinations
+
 import pytest
 
+from invclust import tracer
 from invclust.errors import UnmappedPoint
-from invclust.invariants import (detect, flatten,
+from invclust.invariants import (PointSummary, detect, flatten,
                                  invariants_equal_modulo_rename, match_points)
 from invclust.parser import parse
 from invclust.renamer import rename
-from invclust.tracer import TraceLog, run_suite
+from invclust.tracer import TestCase, run_suite
 
-from conftest import (LEFT_SRC, RIGHT_SRC, gen_program, gen_suite, inv_holds,
+from conftest import (LEFT_SRC, RIGHT_SRC, SNAPSHOT_EDGE_PROGRAMS,
+                      gen_program, gen_suite, inv_holds, log_from_snapshots,
                       oracle_point_invariants, sum_suite)
-
-
-def _log(point_snaps, kinds=None):
-    log = TraceLog()
-    for pid, snaps in point_snaps.items():
-        for s in snaps:
-            log.record(pid, (kinds or {}).get(pid, "loop-body"), dict(s))
-    return log
-
 
 def _detect_src(src, tests):
     renamed, _ = rename(parse(src))
@@ -47,20 +43,20 @@ def test_motivating_right_loop_body_contains_canonical_four():
 
 
 def test_constant_suppresses_bounds_and_signs():
-    log = _log({"p": [{"x": 7}, {"x": 7}]})
+    log = log_from_snapshots({"p": [{"x": 7}, {"x": 7}]})
     strings = detect(log).by_point["p"]
     assert strings == ["x == 7"]
 
 
 def test_var_lt_and_const_diff():
-    log = _log({"p": [{"x": 1, "y": 2}, {"x": 2, "y": 3}]})
+    log = log_from_snapshots({"p": [{"x": 1, "y": 2}, {"x": 2, "y": 3}]})
     strings = detect(log).by_point["p"]
     assert "x < y" in strings
     assert "x == y + -1" in strings
 
 
 def test_var_eq_suppresses_order_and_zero_diff():
-    log = _log({"p": [{"x": 3, "y": 3}, {"x": 5, "y": 5}]})
+    log = log_from_snapshots({"p": [{"x": 3, "y": 3}, {"x": 5, "y": 5}]})
     strings = detect(log).by_point["p"]
     assert "x == y" in strings
     assert "x <= y" not in strings and "y <= x" not in strings
@@ -68,22 +64,22 @@ def test_var_eq_suppresses_order_and_zero_diff():
 
 
 def test_strict_sign_suppresses_weak():
-    log = _log({"p": [{"x": 1}, {"x": 2}]})
+    log = log_from_snapshots({"p": [{"x": 1}, {"x": 2}]})
     strings = detect(log).by_point["p"]
     assert "x > 0" in strings and "x >= 0" not in strings
-    log = _log({"p": [{"x": 0}, {"x": 2}]})
+    log = log_from_snapshots({"p": [{"x": 0}, {"x": 2}]})
     strings = detect(log).by_point["p"]
     assert "x >= 0" in strings and "x > 0" not in strings
 
 
 def test_no_one_of_invariants():
-    log = _log({"p": [{"x": 1}, {"x": 9}, {"x": 4}]})
+    log = log_from_snapshots({"p": [{"x": 1}, {"x": 9}, {"x": 4}]})
     assert not any("one" in s.lower() or "{" in s
                    for s in detect(log).by_point["p"])
 
 
 def test_min_samples_gate():
-    log = _log({"p": [{"x": 7}]})
+    log = log_from_snapshots({"p": [{"x": 7}]})
     assert "p" not in detect(log, min_samples=2).by_point
     assert detect(log, min_samples=1).by_point["p"] == ["x == 7"]
     with pytest.raises(ValueError):
@@ -91,32 +87,36 @@ def test_min_samples_gate():
 
 
 def test_float_constant_shortest_roundtrip():
-    log = _log({"p": [{"x": 2.5}, {"x": 2.5}]})
+    log = log_from_snapshots({"p": [{"x": 2.5}, {"x": 2.5}]})
     assert detect(log).by_point["p"] == ["x == 2.5"]
 
 
 def test_const_diff_only_for_ints_and_bounded():
-    log = _log({"p": [{"x": 0.5, "y": 1.5}, {"x": 2.5, "y": 3.5}]})
+    log = log_from_snapshots({"p": [{"x": 0.5, "y": 1.5},
+                                    {"x": 2.5, "y": 3.5}]})
     assert not any("+" in s for s in detect(log).by_point["p"])
-    log = _log({"p": [{"x": 500, "y": 0}, {"x": 505, "y": 5}]})
+    log = log_from_snapshots({"p": [{"x": 500, "y": 0}, {"x": 505, "y": 5}]})
     assert not any("+" in s for s in detect(log).by_point["p"])
 
 
 def test_flatten_empty():
-    log = _log({})
+    log = log_from_snapshots({})
     assert flatten(detect(log)) == ""
 
 
 def test_flatten_golden():
-    log = _log({"main/while@L5/body": [{"int1": 1}, {"int1": 2}]})
+    log = log_from_snapshots(
+        {"main/while@L5/body": [{"int1": 1}, {"int1": 2}]})
     inv = detect(log)
     inv.by_point["main/while@L5/body"] = ["int1 > 0"]
     assert flatten(inv) == "main/while@L5/body\nint1 > 0\n"
 
 
 def test_flatten_order_independent():
-    a = _log({"p2": [{"x": 1}, {"x": 2}], "p1": [{"y": 3}, {"y": 4}]})
-    b = _log({"p1": [{"y": 3}, {"y": 4}], "p2": [{"x": 1}, {"x": 2}]})
+    a = log_from_snapshots({"p2": [{"x": 1}, {"x": 2}],
+                            "p1": [{"y": 3}, {"y": 4}]})
+    b = log_from_snapshots({"p1": [{"y": 3}, {"y": 4}],
+                            "p2": [{"x": 1}, {"x": 2}]})
     assert flatten(detect(a)) == flatten(detect(b))
 
 
@@ -127,8 +127,8 @@ def test_equal_modulo_rename_identity():
 
 
 def test_equal_modulo_rename_detects_bound_difference():
-    a = detect(_log({"p": [{"x": 1}, {"x": 2}]}))
-    b = detect(_log({"p": [{"x": 1}, {"x": 3}]}))
+    a = detect(log_from_snapshots({"p": [{"x": 1}, {"x": 2}]}))
+    b = detect(log_from_snapshots({"p": [{"x": 1}, {"x": 3}]}))
     assert not invariants_equal_modulo_rename(a, b, {"p": "p"})
 
 
@@ -166,11 +166,12 @@ def test_soundness_randomized():
     for seed in range(25):
         src, n_in = gen_program(seed)
         renamed, _ = rename(parse(src))
-        log, _ = run_suite(renamed, gen_suite(seed, n_in))
+        log, _ = run_suite(renamed, gen_suite(seed, n_in), record=True)
         inv = detect(log)
+        snapshots = log.snapshots()
         for pid, strings in inv.by_point.items():
             for s in strings:
-                for snap in log.samples[pid]:
+                for snap in snapshots[pid]:
                     assert inv_holds(s, snap), (seed, pid, s, snap)
 
 
@@ -178,9 +179,9 @@ def test_maximality_against_oracle_randomized():
     for seed in range(25):
         src, n_in = gen_program(seed)
         renamed, _ = rename(parse(src))
-        log, _ = run_suite(renamed, gen_suite(seed, n_in))
+        log, _ = run_suite(renamed, gen_suite(seed, n_in), record=True)
         inv = detect(log)
-        for pid, snaps in log.samples.items():
+        for pid, snaps in log.snapshots().items():
             if len(snaps) < 2:
                 assert pid not in inv.by_point
                 continue
@@ -194,12 +195,13 @@ def test_monotonicity_randomized():
         renamed, _ = rename(parse(src))
         small = gen_suite(seed, n_in, cases=2)
         big = small + gen_suite(seed + 1, n_in, cases=2)
-        log_small, _ = run_suite(renamed, small)
+        log_small, _ = run_suite(renamed, small, record=True)
         log_big, _ = run_suite(renamed, big)
         inv_big = detect(log_big)
+        small_snaps = log_small.snapshots()
         for pid, strings in inv_big.by_point.items():
             for s in strings:
-                for snap in log_small.samples.get(pid, []):
+                for snap in small_snaps.get(pid, []):
                     assert inv_holds(s, snap), (seed, pid, s)
 
 
@@ -213,3 +215,87 @@ def test_rename_invariance_of_detection():
         log1, _ = run_suite(r1, tests)
         log2, _ = run_suite(r2, tests)
         assert flatten(detect(log1)) == flatten(detect(log2)), f"seed {seed}"
+
+
+# --- folding snapshots in chunks ---
+
+_nan, _inf = math.nan, math.inf
+# Columns where a fold could go wrong: nan and -0.0 make min and max depend
+# on the order of the values, a constant or an int-only column can break in
+# a later chunk, and a variable can go unset after it was set.
+EDGE_COLUMNS = {
+    "nan-first": [{"x": _nan, "y": 1}, {"x": 1.0, "y": 2}, {"x": 0, "y": 3},
+                  {"x": -1, "y": 4}],
+    "nan-later": [{"x": 2, "y": _nan}, {"x": 1, "y": 0.5},
+                  {"x": _nan, "y": -1.0}, {"x": 0, "y": _nan},
+                  {"x": 3, "y": 4}],
+    "zeros": [{"x": 0, "y": -0.0}, {"x": -0.0, "y": 0.0}, {"x": 0.0, "y": 0},
+              {"x": 0, "y": -0.0}, {"x": -0.0, "y": -0.0}],
+    "inf": [{"x": _inf, "y": -_inf, "z": 1}, {"x": 1e308, "y": -_inf, "z": 2},
+            {"x": _inf, "y": 0, "z": 3}, {"x": _inf, "y": -_inf, "z": 4}],
+    "int-then-float": [{"x": 1, "y": 3}, {"x": 2, "y": 4}, {"x": 3, "y": 5},
+                       {"x": 4.0, "y": 6}, {"x": 5, "y": 7}],
+    "constant-breaks-late": [{"x": 5, "y": 5, "z": -0.0, "w": 0}] * 4
+                            + [{"x": 5.0, "y": 6, "z": 0.0, "w": 3}],
+    "unset-late": [{"x": 1, "y": 2}, {"x": 2, "y": 3}, {"x": 3},
+                   {"x": 4, "y": 5}, {"x": 6, "y": 7}],
+}
+
+
+def _splits(n):
+    """Every way to cut n rows into consecutive chunks, as cut positions."""
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            yield (0, *cuts, n)
+
+
+@pytest.mark.parametrize("pid", sorted(EDGE_COLUMNS))
+def test_fold_of_every_split_matches_one_chunk(pid):
+    point = log_from_snapshots({pid: EDGE_COLUMNS[pid]}).points[pid]
+    whole = point.summary.invariants()
+    for cuts in _splits(len(point.rows)):
+        summary = PointSummary(point.names)
+        for start, end in zip(cuts, cuts[1:]):
+            summary.fold(point.rows[start:end])
+        assert summary.count == len(point.rows)
+        assert summary.invariants() == whole, cuts
+
+
+@pytest.mark.parametrize("pid", sorted(EDGE_COLUMNS))
+def test_edge_columns_match_the_oracle(pid):
+    snaps = EDGE_COLUMNS[pid]
+    inv = detect(log_from_snapshots({pid: snaps}))
+    assert inv.by_point[pid] == oracle_point_invariants(snaps)
+
+
+def _assert_fold_by_one_matches_whole_run(monkeypatch, tree, tests):
+    """Folding after every snapshot gives the invariants that folding the
+    recorded run as one chunk gives, over the same snapshot counts."""
+    whole, verdicts = run_suite(tree, tests, record=True)
+    with monkeypatch.context() as m:
+        m.setattr(tracer, "FOLD_ROWS", 1)
+        by_one, verdicts_by_one = run_suite(tree, tests)
+    assert verdicts_by_one == verdicts
+    assert {p: len(t) for p, t in by_one.samples.items()} == \
+        {p: len(t) for p, t in whole.samples.items()}
+    assert all(not t.rows for t in by_one.points.values())
+    assert detect(by_one).as_dict() == detect(whole).as_dict()
+    return whole
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_EDGE_PROGRAMS))
+def test_fold_in_chunks_of_one_matches_whole_run(monkeypatch, name):
+    tests = [TestCase(f"{n}\n", "") for n in (0, 1, 2, 3)]
+    whole = _assert_fold_by_one_matches_whole_run(
+        monkeypatch, parse(SNAPSHOT_EDGE_PROGRAMS[name]), tests)
+    inv = detect(whole)
+    for pid, snaps in whole.snapshots().items():
+        assert inv.by_point[pid] == oracle_point_invariants(snaps), pid
+
+
+def test_fold_in_chunks_of_one_matches_whole_run_randomized(monkeypatch):
+    for seed in range(25):
+        src, n_in = gen_program(seed)
+        renamed, _ = rename(parse(src))
+        _assert_fold_by_one_matches_whole_run(monkeypatch, renamed,
+                                              gen_suite(seed, n_in))

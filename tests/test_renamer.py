@@ -92,14 +92,15 @@ def test_alpha_invariance_randomized():
 
 
 def test_semantic_preservation():
-    log_orig, v_orig = run_suite(parse(LEFT_SRC), sum_suite())
+    log_orig, v_orig = run_suite(parse(LEFT_SRC), sum_suite(), record=True)
     renamed, rmap = rename(parse(LEFT_SRC))
-    log_ren, v_ren = run_suite(renamed, sum_suite())
+    log_ren, v_ren = run_suite(renamed, sum_suite(), record=True)
     assert v_orig == v_ren == ["pass"] * 3
     mapping = rmap.mapping()
-    for pid, snaps in log_orig.samples.items():
+    renamed_snaps = log_ren.snapshots()
+    for pid, snaps in log_orig.snapshots().items():
         translated = [{mapping[k]: v for k, v in s.items()} for s in snaps]
-        assert translated == log_ren.samples[pid]
+        assert translated == renamed_snaps[pid]
 
 
 def test_semantic_preservation_randomized():

@@ -3,8 +3,9 @@
 The digests were recorded from the tree-walking interpreter that the
 closure-compiled tracer replaced. Each covers, per program, the suite's
 `TraceLog.to_json()` and verdicts and the `detect(...).as_dict()` of that
-log, so any change to snapshot contents, key order, point ids, step
-accounting, error kinds, points or details shows up here.
+log, traced with record=True so that every snapshot is kept. Any change to
+snapshot contents, key order, point ids, step accounting, error kinds,
+points or details shows up here.
 """
 
 import hashlib
@@ -18,9 +19,9 @@ from invclust.invariants import detect
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.synth import PAIR_WHILE
-from invclust.tracer import Limits, TestCase, TraceLog, execute, run_suite
+from invclust.tracer import Limits, TestCase, execute, run_suite
 
-from conftest import gen_program, gen_suite
+from conftest import gen_program, gen_suite, log_from_snapshots
 
 TIGHT = Limits(max_steps=777, max_loop_iters=50)
 # Small enough that most programs stop part-way through a statement.
@@ -65,7 +66,7 @@ def _digest(runs):
     """sha256 over (trace json, verdicts, invariants) of each suite run."""
     h = hashlib.sha256()
     for tree, tests, limits in runs:
-        log, verdicts = run_suite(tree, tests, limits)
+        log, verdicts = run_suite(tree, tests, limits, record=True)
         h.update(log.to_json().encode())
         h.update(json.dumps(verdicts).encode())
         h.update(json.dumps(detect(log).as_dict(), sort_keys=True).encode())
@@ -149,7 +150,6 @@ def test_pair_while_step_budget_is_exact():
 
 def _edge_log():
     nan, inf = math.nan, math.inf
-    log = TraceLog()
     columns = {
         "p": [{"a": nan, "b": nan, "c": 1, "d": 1.0, "e": inf, "f": -inf}] * 3,
         "q": [{"a": 1, "b": 1.0}, {"a": 2, "b": 2.0}, {"a": 3, "b": 3}],
@@ -160,10 +160,7 @@ def _edge_log():
         "t": [{"x": 1, "y": nan}, {"x": 2, "y": 1.0}, {"x": 3, "y": inf}],
         "u": [{"x": 1}],
     }
-    for pid, snaps in columns.items():
-        for snap in snaps:
-            log.record(pid, "loop-body", dict(snap))
-    return log
+    return log_from_snapshots(columns)
 
 
 EDGE_DETECT = (

@@ -1,5 +1,7 @@
 """Tree-walking interpreter and trace-collection tests."""
 
+import tracemalloc
+
 import pytest
 
 from invclust.parser import parse
@@ -7,7 +9,7 @@ from invclust.renamer import rename
 from invclust.tracer import (MAX_CALL_DEPTH, Limits, TestCase, execute,
                              normalize_output, run_suite)
 
-from conftest import LEFT_SRC, RIGHT_SRC, sum_suite
+from conftest import LEFT_SRC, RIGHT_SRC, SNAPSHOT_EDGE_PROGRAMS, sum_suite
 
 
 def _renamed(src):
@@ -22,10 +24,11 @@ def _loop_body_point(log):
 
 
 def test_left_program_stdin_3():
-    log, stdout, verdict = execute(_renamed(LEFT_SRC), TestCase("3\n", "6"))
+    log, stdout, verdict = execute(_renamed(LEFT_SRC), TestCase("3\n", "6"),
+                                   record=True)
     assert stdout == "6"
     assert verdict == "pass"
-    snaps = log.samples[_loop_body_point(log)]
+    snaps = log.snapshots()[_loop_body_point(log)]
     assert [s["int2"] for s in snaps] == [0, 1, 2]
 
 
@@ -169,8 +172,8 @@ def test_array_out_of_bounds():
 def test_single_test_suite_equals_execute():
     tree = _renamed(LEFT_SRC)
     test = TestCase("4\n", "10")
-    log1, stdout, verdict = execute(tree, test)
-    log2, verdicts = run_suite(tree, [test])
+    log1, stdout, verdict = execute(tree, test, record=True)
+    log2, verdicts = run_suite(tree, [test], record=True)
     assert verdicts == [verdict] == ["pass"]
     assert log1.to_json() == log2.to_json()
 
@@ -179,6 +182,67 @@ def test_suite_snapshot_counts():
     log, verdicts = run_suite(_renamed(LEFT_SRC), sum_suite((1, 2, 5)))
     assert verdicts == ["pass"] * 3
     assert len(log.samples[_loop_body_point(log)]) == 1 + 2 + 5
+
+
+def test_unrecorded_trace_keeps_no_snapshots():
+    log, _ = run_suite(_renamed(LEFT_SRC), sum_suite())
+    assert all(not point.rows for point in log.points.values())
+    with pytest.raises(ValueError):
+        log.to_json()
+
+
+def _recorded_edge_program(name):
+    log, _, _ = execute(parse(SNAPSHOT_EDGE_PROGRAMS[name]), TestCase("", ""),
+                        record=True)
+    return log
+
+
+def test_shadowed_name_reads_the_inner_value_once_set():
+    snaps = _recorded_edge_program("shadow").snapshots()
+    assert snaps["main/for@L4/body/if@L6/then"] == [{"a": 1, "i": 2},
+                                                    {"a": 1, "i": 3}]
+    assert snaps["main/for@L4/body/block@L9"] == [
+        {"a": 1, "i": 0}, {"a": 1, "i": 1}, {"a": 20, "i": 2},
+        {"a": 30, "i": 3}]
+
+
+def test_exit_point_schema_is_the_union_of_its_returns():
+    log = _recorded_edge_program("returns")
+    assert log.samples["f/exit"].names == ["n", "m", "k"]
+    assert log.snapshots()["f/exit"] == [
+        {"n": -2}, {"n": -1}, {"n": 0, "m": 0, "k": 1},
+        {"n": 1, "m": 2, "k": 3}, {"n": 2, "m": 4, "k": 5},
+        {"n": 3, "m": 6}, {"n": 4, "m": 8}]
+
+
+def test_two_blocks_on_one_line_share_a_point():
+    snaps = _recorded_edge_program("one-line").snapshots()
+    assert snaps["main/for@L4/body/block@L5"][:2] == [
+        {"a": 0, "i": 0}, {"a": 0, "i": 0, "t": 0}]
+    assert snaps["main/for@L4/body/block@L5/block@L5"][:2] == [
+        {"a": 0, "i": 0, "b": 0}, {"a": 0, "i": 0, "b": 10, "t": 0}]
+
+
+_COUNT_TO_N = ('int main() {\n  int n;\n  int i;\n  scanf("%d", &n);\n'
+               "  for (i = 0; i < n; i++) {\n  }\n}\n")
+
+
+def _peak_trace_bytes(tree, n):
+    tracemalloc.start()
+    try:
+        log, verdicts = run_suite(tree, [TestCase(f"{n}\n", "")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == ["pass"]
+    assert len(log.samples["main/for@L5/body"]) == n
+    return peak
+
+
+def test_trace_memory_does_not_grow_with_the_loop():
+    tree = parse(_COUNT_TO_N)
+    short, long = (_peak_trace_bytes(tree, n) for n in (100_000, 400_000))
+    assert long - short < 2 * 2**20
 
 
 def test_failing_suite_still_traces():
@@ -199,8 +263,8 @@ def test_semantics_spot_check_both_programs():
 
 
 def test_trace_determinism():
-    a, _ = run_suite(_renamed(RIGHT_SRC), sum_suite())
-    b, _ = run_suite(_renamed(RIGHT_SRC), sum_suite())
+    a, _ = run_suite(_renamed(RIGHT_SRC), sum_suite(), record=True)
+    b, _ = run_suite(_renamed(RIGHT_SRC), sum_suite(), record=True)
     assert a.to_json() == b.to_json()
 
 
