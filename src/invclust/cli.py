@@ -128,7 +128,8 @@ def cmd_cluster(args):
 
 def _load_model(path):
     """The ClusterModel in model.json, without centroids; BadModel when the
-    file is not JSON, lacks a field or clusters no program."""
+    file is not JSON, lacks a field, holds a vocabulary the vectorizer
+    cannot count against or clusters no program."""
     with open(path) as f:
         try:
             d = json.load(f)
@@ -295,9 +296,9 @@ def build_parser():
     p.add_argument("--mode", choices=sorted(_MODE_ALIASES),
                    default="aast+inv")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None)
+    group.add_argument("--k", type=_positive_int, default=None)
     group.add_argument("--k-frac", type=_positive_fraction, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--n", type=_positive_int, default=3, help="gram size")
     p.add_argument("--idf", action="store_true")
     p.add_argument("--min-samples", type=_positive_int, default=2)

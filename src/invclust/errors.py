@@ -56,10 +56,6 @@ class RuntimeFailure(ProgramRejected):
     tracer logged for the first such test."""
 
 
-class UnmappedPoint(Exception):
-    """Point map does not cover every program point on both sides."""
-
-
 class EmptyCorpus(Exception):
     """No usable programs (or no grams) in the corpus."""
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import eq, ge, gt, is_, le, lt, ne, sub
 
-from .errors import UnmappedPoint
 from .nodes import fmt_literal
 
 CONST_DIFF_LIMIT = 100
@@ -76,8 +75,7 @@ class PointSummary:
     chunk at a time. `names` is the point's schema: a snapshot is a tuple
     of their values in that order (values past the last name are ignored),
     UNSET for a variable it lacks, and a variable with an UNSET value in
-    any snapshot takes part in no template. The summary reads `names` at
-    its first fold, so the list may grow until then.
+    any snapshot takes part in no template.
 
     Folding in chunks of any size gives what one chunk of every snapshot
     gives: every flag is a conjunction over rows, and min and max are left
@@ -216,30 +214,3 @@ def flatten(inv_set):
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
-
-
-def match_points(a, b):
-    """Pairs the two sets' points by kind and sorted-id order within each
-    kind. Raises UnmappedPoint when the shapes disagree."""
-    def by_kind(s):
-        groups = {}
-        for pid in sorted(s.by_point):
-            groups.setdefault(s.point_kinds.get(pid, ""), []).append(pid)
-        return groups
-
-    ga, gb = by_kind(a), by_kind(b)
-    if set(ga) != set(gb) or any(len(ga[k]) != len(gb[k]) for k in ga):
-        raise UnmappedPoint(f"point shapes differ: {ga} vs {gb}")
-    mapping = {}
-    for kind in ga:
-        for pa, pb in zip(ga[kind], gb[kind]):
-            mapping[pa] = pb
-    return mapping
-
-
-def invariants_equal_modulo_rename(a, b, point_map):
-    """True iff mapped points carry identical sorted invariant lists."""
-    if set(point_map) != set(a.by_point) or \
-            set(point_map.values()) != set(b.by_point):
-        raise UnmappedPoint("point map does not cover both invariant sets")
-    return all(a.by_point[pa] == b.by_point[pb] for pa, pb in point_map.items())

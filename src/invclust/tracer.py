@@ -8,15 +8,23 @@ subset is lexical and has no jumps, so the declarations visible at any
 statement are fixed), and each snapshot's variable layout and point id are
 fixed when its scope is compiled.
 
-Snapshots: every point has one schema, the names of all the snapshot
-closures that record there (an exit point has one per `return`, and two
-blocks on one line share a point), in first-seen order. A snapshot is the
-tuple of those variables' values, `UNSET` for one the closure's scope
-lacks or has not set; no dict is built. Each point buffers its tuples and
-folds them into its `PointSummary` every FOLD_ROWS snapshots, so a trace
-takes memory in proportion to its points, not to its length. A recorded
-trace (`record=True`, for `invclust trace --json` and for tests that read
-snapshots) keeps every tuple as well.
+Points are named by structure, never by source line, so layout moves no
+id: `<fn>/entry` and `<fn>/exit`, and for each scope-opening statement the
+segment `<kind><i>`, where `i` is its ordinal among the scope-opening
+statements of its own statement list and the kind is `if`, `loop` (`while`
+and `for` alike) or `block`; an `if` has `then` and `else` points below it
+and a loop a `body` point, as in `main/loop0/body/if1/then`.
+
+Snapshots: every point has exactly one snapshot closure, and its schema is
+the names of the scalar variables in that closure's scopes, outer scopes
+first. The exit closure is compiled after the function body with the whole
+top scope, and every `return` and the fall-off share it; at an early
+return a name declared later reads `UNSET`. A snapshot is the tuple of the
+schema's values, `UNSET` for a variable not set yet; no dict is built.
+Each point buffers its tuples and folds them into its `PointSummary` every
+FOLD_ROWS snapshots, so a trace takes memory in proportion to its points,
+not to its length. A recorded trace (`record=True`, for `invclust trace
+--json` and for tests that read snapshots) keeps every tuple as well.
 
 Step accounting: one step per statement executed and one per expression
 node evaluated, in evaluation order; past `Limits.max_steps` the run stops
@@ -36,7 +44,6 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .errors import TraceRuntimeError
 from .invariants import UNSET, PointSummary
@@ -89,9 +96,9 @@ class PointTrace:
 
     __slots__ = ("kind", "names", "rows", "summary")
 
-    def __init__(self, kind, names=()):
+    def __init__(self, kind, names):
         self.kind = kind
-        self.names = list(names)  # grows while the program compiles
+        self.names = list(names)
         self.rows = []
         self.summary = PointSummary(self.names)
 
@@ -147,6 +154,9 @@ _PRINTF = {"%%": "%", "%d": lambda st, x: str(_convert(st, x, True)),
 _PRINTF["%lf"] = _PRINTF["%f"]
 _PRINTF_CONVERSION = re.compile(r"(%%|%d|%lf|%f)")
 _SCANF_CONVERSION = re.compile(r"%(d|lf)")
+# The id segment of each scope-opening statement kind.
+_SCOPE_SEGMENT = {Kind.IF: "if", Kind.WHILE: "loop", Kind.FOR: "loop",
+                  Kind.BLOCK: "block"}
 
 
 class _State:
@@ -207,21 +217,18 @@ def _checked_index(st, name, arr, idx):
 
 class _Compiler:
     """Turns a translation unit into closures. Statement closures take
-    (state, slots) and return None, or (value, exit snapshot) when a
-    `return` ran; expression closures take (state, slots) and return the
-    value. `pre` is the number of steps owed by the enclosing nodes whose
-    evaluation begins with this node."""
+    (state, slots) and return None, or when a `return` ran, its value
+    (UNSET for a bare `return;`); expression closures take (state, slots)
+    and return the value, never None. `pre` is the number of steps owed
+    by the enclosing nodes whose evaluation begins with this node."""
 
     def __init__(self, root, limits, log):
         self.max_steps = limits.max_steps
         self.max_iters = limits.max_loop_iters
         self.points = log.points
         self.fold_at = 0 if log.record else FOLD_ROWS  # 0: never
-        self.binds = []
         self.functions = {fn.identifier: self.function(fn)
                           for fn in root.children}
-        for bind in self.binds:  # every point's schema is complete now
-            bind()
 
     # --- scopes: name -> slot, resolved at compile time ---
 
@@ -241,25 +248,16 @@ class _Compiler:
         return None, False
 
     def snapshot(self, pid, kind, scopes):
-        """Closure recording the set scalar variables of `scopes` at pid,
-        outer scopes first, as a tuple in the point's schema. Arrays are
-        left out (a slot's binding here is the one in force whenever pid is
-        reached). The tuple's layout is fixed once the whole program has
-        compiled, when the schema is complete."""
+        """The closure recording point pid: the scalar variables of
+        `scopes`, outer scopes first, as a tuple in the point's schema.
+        Arrays are left out (a slot's binding here is the one in force
+        whenever pid is reached)."""
+        assert pid not in self.points, f"point {pid} compiled twice"
         layout = [(name, slot) for scope in scopes
                   for name, slot in scope.items() if not self.binding[slot][0]]
-        point = self.points.get(pid)
-        if point is None:
-            point = self.points[pid] = PointTrace(kind)
-        for name, _ in layout:
-            if name not in point.names:
-                point.names.append(name)
-        getter = None
-
-        def bind():
-            nonlocal getter
-            getter = _row_getter(point.names, layout)
-        self.binds.append(bind)
+        point = self.points[pid] = PointTrace(
+            kind, dict.fromkeys(name for name, _ in layout))
+        getter = _row_getter(point.names, layout)
         rows = point.rows
         append = rows.append
         summary = point.summary
@@ -284,12 +282,10 @@ class _Compiler:
                   for p in fn.children if p.kind == Kind.PARAM]
         entry = self.snapshot(f"{name}/entry", POINT_FUNCTION_ENTRY,
                               self.scopes)
-        self.exit_pid = f"{name}/exit"
         body = self.stmts(fn.children[-1].children, name)
-        fall_off = self.snapshot(self.exit_pid, POINT_FUNCTION_EXIT,
-                                 self.scopes[:1])
+        exit_ = self.snapshot(f"{name}/exit", POINT_FUNCTION_EXIT, self.scopes)
         returns = None if fn.type_name == "void" else fn.type_name == "int"
-        return self.nslots, params, body, entry, fall_off, returns
+        return self.nslots, params, body, entry, exit_, returns
 
     def call(self, node, pre):
         """A call; with pre=None, the call of main, which counts no step."""
@@ -307,7 +303,7 @@ class _Compiler:
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
             values = [a(st, v) for a in args]
-            nslots, params, body, entry, fall_off, returns = st.functions[name]
+            nslots, params, body, entry, exit_, returns = st.functions[name]
             st.depth += 1
             if st.depth > MAX_CALL_DEPTH:
                 raise TraceRuntimeError("step-limit", st.point, "call depth")
@@ -316,15 +312,14 @@ class _Compiler:
                 w[slot] = _convert(st, x, is_int)
             entry(st, w)
             for s in body:
-                r = s(st, w)
-                if r is not None:
-                    ret, exit_snap = r
+                ret = s(st, w)
+                if ret is not None:
                     break
             else:
-                ret, exit_snap = None, fall_off
-            exit_snap(st, w)
+                ret = UNSET
+            exit_(st, w)
             st.depth -= 1
-            if ret is None:
+            if ret is UNSET:
                 return 0  # void call used as an expression
             if returns is not None:
                 ret = _convert(st, ret, returns)
@@ -334,7 +329,17 @@ class _Compiler:
     # --- statements ---
 
     def stmts(self, nodes, path):
-        return tuple(self.stmt(n, path) for n in nodes)
+        """Closures for the statement list at `path`; its scope-opening
+        statements are named `<path>/<kind><i>`, i counting them."""
+        out = []
+        opened = 0
+        for node in nodes:
+            pid = None
+            if node.kind in _SCOPE_SEGMENT:
+                pid = f"{path}/{_SCOPE_SEGMENT[node.kind]}{opened}"
+                opened += 1
+            out.append(self.stmt(node, pid))
+        return tuple(out)
 
     def block(self, nodes, pid, kind):
         """A fresh scope with a snapshot at its entry, then its statements."""
@@ -344,7 +349,8 @@ class _Compiler:
         self.scopes.pop()
         return snap, body
 
-    def stmt(self, node, path, pre=0):
+    def stmt(self, node, pid, pre=0):
+        """A statement's closure; pid names a scope-opening statement."""
         k = node.kind
         max_steps = self.max_steps
         if k == Kind.DECL and node.children:
@@ -370,31 +376,25 @@ class _Compiler:
                 call(st, v)
             return call_stmt
         if k == Kind.RETURN:
-            exit_snap = self.snapshot(self.exit_pid, POINT_FUNCTION_EXIT,
-                                      self.scopes[:1])
-            expr = None
-            if node.children:
-                expr = self.expr(node.children[0], pre + 1)
+            if node.children:  # the value's closure returns it
+                return self.expr(node.children[0], pre + 1)
             count = pre + 1
 
             def ret(st, v):
-                if expr is not None:
-                    return expr(st, v), exit_snap
                 st.steps += count
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
-                return None, exit_snap
+                return UNSET
             return ret
         if k == Kind.PRINTF:
             return self.printf(node, pre)
         if k == Kind.IF:
-            return self.if_stmt(node, path, pre)
+            return self.if_stmt(node, pid, pre)
         if k in (Kind.WHILE, Kind.FOR):
-            return self.loop(node, path, pre)
+            return self.loop(node, pid, pre)
         count = pre + 1
         if k == Kind.BLOCK:
-            snap, body = self.block(node.children,
-                                    f"{path}/block@L{node.line}", POINT_PLAIN)
+            snap, body = self.block(node.children, pid, POINT_PLAIN)
 
             def block(st, v):
                 st.steps += count
@@ -441,9 +441,8 @@ class _Compiler:
             v[slot] = UNSET if size is None else [UNSET] * size
         return declare
 
-    def if_stmt(self, node, path, pre):
+    def if_stmt(self, node, pid, pre):
         cond = self.expr(node.children[0], pre + 1)
-        pid = f"{path}/if@L{node.line}"
         then_snap, then_body = self.block(node.children[1].children,
                                           f"{pid}/then", POINT_THEN)
         else_snap, else_body = None, ()
@@ -466,24 +465,23 @@ class _Compiler:
                     return r
         return if_
 
-    def loop(self, node, path, pre):
+    def loop(self, node, pid, pre):
         """while (cond) body, or for (init; cond; step) body; an empty init
         or step is an empty block."""
         owed = pre + 1  # the loop statement's step, and its ancestors'
         init = step = None
         if node.kind == Kind.WHILE:
             cond_node, body_node = node.children
-            pid = f"{path}/while@L{node.line}/body"
         else:
             init_node, cond_node, step_node, body_node = node.children
-            pid = f"{path}/for@L{node.line}/body"
             if init_node.kind != Kind.BLOCK:
-                init = self.stmt(init_node, path, owed)
+                init = self.stmt(init_node, None, owed)
                 owed = 0
             if step_node.kind != Kind.BLOCK:
-                step = self.stmt(step_node, path)
+                step = self.stmt(step_node, None)
         first_cond = self.expr(cond_node, owed)
         cond = self.expr(cond_node)
+        pid += "/body"
         snap, body = self.block(body_node.children, pid, POINT_LOOP_BODY)
         max_iters = self.max_iters
 
@@ -757,12 +755,11 @@ class _Program:
 
 def _row_getter(names, layout):
     """Function from a frame to a snapshot's tuple, a value per name in
-    `names`. A name the layout lacks reads the blank slot; a name declared
-    again in an inner scope takes the inner value once that is set, else
-    the outer one."""
+    `names`, the layout's names. A name declared again in an inner scope
+    takes the inner value once that is set, else the outer one."""
     slot_of = dict(layout)
     if len(slot_of) == len(layout):  # no name declared twice
-        order = list(map(slot_of.get, names, repeat(_BLANK)))
+        order = [slot_of[name] for name in names]
         if len(order) == 1:
             order.append(_BLANK)  # itemgetter(s) returns no tuple
         return operator.itemgetter(*order) if order else lambda v: ()

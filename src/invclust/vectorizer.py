@@ -50,9 +50,21 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(mode=d["mode"], n=d["n"], grams=d["grams"],
-                   segments=[tuple(s) for s in d["segments"]],
-                   idf=d.get("idf"))
+        """The vocabulary `as_dict` gave; ValueError for an unknown mode, a
+        segment count other than the mode's or an n that is not an int
+        >= 1."""
+        vocab = cls(mode=d["mode"], n=d["n"], grams=d["grams"],
+                    segments=[tuple(s) for s in d["segments"]],
+                    idf=d.get("idf"))
+        fields = _SEGMENT_FIELDS.get(vocab.mode)
+        if fields is None:
+            raise ValueError(f"unknown mode {vocab.mode!r}")
+        if len(vocab.segments) != len(fields):
+            raise ValueError(f"{len(vocab.segments)} segments for mode "
+                             f"{vocab.mode!r}")
+        if type(vocab.n) is not int or vocab.n < 1:
+            raise ValueError(f"gram size {vocab.n!r}")
+        return vocab
 
 
 @dataclass

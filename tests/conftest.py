@@ -108,7 +108,7 @@ int main() {
   }
 }
 """,
-    # Two blocks on line 5 share a point, and so do the blocks inside them.
+    # Two blocks on line 5, each with a block inside: four points.
     "one-line": """\
 int main() {
   int a = 0;

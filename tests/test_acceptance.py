@@ -12,14 +12,15 @@ import pytest
 
 from invclust.anonymizer import anonymize, serialize_aast
 from invclust.clusterer import closest_program, kmeans
-from invclust.corpus import generate_synthetic_corpus, run_pipeline, tree_hash
-from invclust.invariants import detect, flatten, match_points, \
-    invariants_equal_modulo_rename
+from invclust.corpus import (analyze, generate_synthetic_corpus,
+                             run_pipeline, tree_hash)
+from invclust.invariants import detect, flatten
+from invclust.nodes import SourceProgram
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.tracer import run_suite
 from invclust.unparse import unparse
-from invclust.vectorizer import (FeatureVector, ProgramDocs,
+from invclust.vectorizer import (MODES, FeatureVector, ProgramDocs,
                                  build_vocab, build_vocab_for_mode,
                                  represent, vectorize)
 
@@ -83,8 +84,7 @@ def test_criterion_1_pair_reproduction(capsys):
 def test_criterion_1_full_identity_and_inv_vectors(capsys):
     left_tree, left_inv = _pair_artifacts(LEFT_SRC)
     right_tree, right_inv = _pair_artifacts(RIGHT_SRC)
-    identical = invariants_equal_modulo_rename(
-        left_inv, right_inv, match_points(left_inv, right_inv))
+    identical = left_inv.by_point == right_inv.by_point
     docs = [ProgramDocs(renamed_source=unparse(t),
                         aast_text=serialize_aast(anonymize(t)).text,
                         inv_text=flatten(i))
@@ -263,3 +263,31 @@ def test_criterion_9_renaming_alpha_invariance(capsys):
         raise
     _report(capsys, "criterion 9 (renaming alpha-invariance): PASS "
                     "(100/100 permutation pairs identical)")
+
+
+def _relaid(src, rng):
+    """src with random blank lines, comments and indentation."""
+    lines = []
+    for line in src.splitlines():
+        lines += [""] * rng.randint(0, 2)
+        lines.append(rng.choice(["", " ", "\t", "      "]) + line.strip()
+                     + rng.choice(["", " // note", " /* { } */"]))
+    return "\n".join(lines) + "\n"
+
+
+def test_layout_leaves_documents_and_vectors_unchanged():
+    rng = random.Random(0)
+    cases = [(LEFT_SRC, sum_suite()), (RIGHT_SRC, sum_suite())]
+    for seed in range(40):
+        src, n_in = gen_program(seed)
+        cases.append((src, gen_suite(seed, n_in)))
+    for i, (src, tests) in enumerate(cases):
+        base, moved = (analyze(SourceProgram(id="p", label="", text=text),
+                               tests)
+                       for text in (src, _relaid(src, rng)))
+        assert moved.docs == base.docs, i
+        assert moved.inv_by_point == base.inv_by_point, i
+        for mode in MODES:
+            vocab = build_vocab_for_mode([base.docs], mode, n=1)
+            assert (represent(moved.docs, vocab).values
+                    == represent(base.docs, vocab).values), (i, mode)

@@ -219,7 +219,8 @@ def test_no_command_exit_1(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("k", ["50", "0"])
+# k below 1 is a usage error: test_numeric_flag_below_one_is_usage_error.
+@pytest.mark.parametrize("k", ["50"])
 def test_k_out_of_range_exit_2(workspace, capsys, k):
     code = main(["cluster", "--corpus", str(workspace / "corpus"),
                  "--k", k])
@@ -299,10 +300,18 @@ def test_restarts_below_one_is_usage_error(workspace, capsys):
     assert "--restarts" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,flag", [
-    ("cluster", "--n"), ("cluster", "--min-samples"), ("cluster", "--k-frac"),
-    ("invariants", "--min-samples"), ("invariants", "--max-steps")])
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+_BELOW_ONE = ["0", "-1", "nan", "inf", "-inf"]
+
+
+# --seed may be 0, so it takes every value but that one.
+@pytest.mark.parametrize("value,command,flag", [
+    (value, command, flag)
+    for command, flag in [
+        ("cluster", "--n"), ("cluster", "--min-samples"),
+        ("cluster", "--k-frac"), ("cluster", "--k"),
+        ("invariants", "--min-samples"), ("invariants", "--max-steps")]
+    for value in _BELOW_ONE
+] + [(value, "cluster", "--seed") for value in _BELOW_ONE[1:]])
 def test_numeric_flag_below_one_is_usage_error(workspace, capsys, command,
                                                flag, value):
     if command == "cluster":
@@ -340,9 +349,16 @@ def _edit_model(path, edit):
     path.write_text(json.dumps(d))
 
 
+def _edit_vocab(edit):
+    return lambda path: _edit_model(path, lambda d: edit(d["vocab"]))
+
+
 _MODEL_DAMAGE = {
     "truncated": _truncate,
     "no-vocab": lambda path: _edit_model(path, lambda d: d.pop("vocab")),
+    "unknown-mode": _edit_vocab(lambda v: v.update(mode="tokens")),
+    "extra-segment": _edit_vocab(lambda v: v["segments"].append([0, 0])),
+    "gram-size": _edit_vocab(lambda v: v.update(n="3")),
     "no-clusters": lambda path: _edit_model(
         path, lambda d: d.update(assignment={})),
 }

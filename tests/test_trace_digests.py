@@ -6,16 +6,24 @@ closure-compiled tracer replaced. Each covers, per program, the suite's
 log, traced with record=True so that every snapshot is kept. Any change to
 snapshot contents, key order, point ids, step accounting, error kinds,
 points or details shows up here.
+
+That interpreter named points by source line (`main/while@L5/body`); the
+tracer names them by structure (`main/loop0/body`). Before hashing, each
+structural id is mapped back to its line-based id through a map built from
+the tree, which must be a bijection, so every other byte is compared as
+recorded.
 """
 
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
 from invclust.corpus import generate_synthetic_corpus
 from invclust.invariants import detect
+from invclust.nodes import Kind
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.synth import PAIR_WHILE
@@ -62,14 +70,71 @@ int main() {
 """
 
 
+_LINE_SEGMENT = {Kind.IF: "if", Kind.WHILE: "while", Kind.FOR: "for",
+                 Kind.BLOCK: "block"}
+
+
+def _line_based_ids(tree):
+    """Each structural point id of `tree` -> the line-based id the digests
+    were recorded with: a scope-opening statement was `<kind>@L<line>`,
+    its kind `if`, `while`, `for` or `block`."""
+    ids = {}
+
+    def walk(stmts, new, old):
+        opened = 0
+        for node in stmts:
+            if node.kind not in _LINE_SEGMENT:
+                continue
+            kind = _LINE_SEGMENT[node.kind]
+            seg = "loop" if kind in ("while", "for") else kind
+            n = f"{new}/{seg}{opened}"
+            o = f"{old}/{kind}@L{node.line}"
+            opened += 1
+            if node.kind == Kind.BLOCK:
+                arms = [("", node)]
+            elif node.kind == Kind.IF:
+                arms = list(zip(("/then", "/else"), node.children[1:]))
+            else:
+                arms = [("/body", node.children[-1])]
+            for arm, block in arms:
+                ids[n + arm] = o + arm
+                walk(block.children, n + arm, o + arm)
+
+    for fn in tree.children:
+        name = fn.identifier
+        ids[f"{name}/entry"] = f"{name}/entry"
+        ids[f"{name}/exit"] = f"{name}/exit"
+        walk(fn.children[-1].children, name, name)
+    assert len(set(ids.values())) == len(ids), "not a bijection"
+    return ids
+
+
+def _to_line_based(log, ids):
+    """`log.to_json()` with every point id replaced by its line-based id."""
+    d = json.loads(log.to_json())
+    for key in ("samples", "point_kinds"):
+        d[key] = {ids[p]: x for p, x in d[key].items()}
+
+    def point(m):  # "start", before main, is no point
+        return " at " + (m[1] if m[1] == "start" else ids[m[1]])
+    d["errors"] = [re.sub(r" at ([^\s:]+)", point, e, count=1)
+                   for e in d["errors"]]
+    return json.dumps(d, sort_keys=True)
+
+
 def _digest(runs):
-    """sha256 over (trace json, verdicts, invariants) of each suite run."""
+    """sha256 over (trace json, verdicts, invariants) of each suite run,
+    with point ids in their line-based form."""
     h = hashlib.sha256()
     for tree, tests, limits in runs:
         log, verdicts = run_suite(tree, tests, limits, record=True)
-        h.update(log.to_json().encode())
+        ids = _line_based_ids(tree)
+        assert set(log.points) <= set(ids)
+        h.update(_to_line_based(log, ids).encode())
         h.update(json.dumps(verdicts).encode())
-        h.update(json.dumps(detect(log).as_dict(), sort_keys=True).encode())
+        h.update(json.dumps({ids[p]: invs for p, invs
+                             in detect(log).as_dict().items()},
+                            sort_keys=True).encode())
     return h.hexdigest()
 
 
@@ -145,7 +210,7 @@ def test_pair_while_step_budget_is_exact():
     log, _, verdict = execute(tree, test,
                               Limits(max_steps=PAIR_WHILE_STEPS - 1))
     assert verdict == "error"
-    assert log.errors == ["step-limit at main/while@L5/body"]
+    assert log.errors == ["step-limit at main/loop0/body"]
 
 
 def _edge_log():

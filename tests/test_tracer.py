@@ -199,9 +199,9 @@ def _recorded_edge_program(name):
 
 def test_shadowed_name_reads_the_inner_value_once_set():
     snaps = _recorded_edge_program("shadow").snapshots()
-    assert snaps["main/for@L4/body/if@L6/then"] == [{"a": 1, "i": 2},
-                                                    {"a": 1, "i": 3}]
-    assert snaps["main/for@L4/body/block@L9"] == [
+    assert snaps["main/loop0/body/if0/then"] == [{"a": 1, "i": 2},
+                                                 {"a": 1, "i": 3}]
+    assert snaps["main/loop0/body/block1"] == [
         {"a": 1, "i": 0}, {"a": 1, "i": 1}, {"a": 20, "i": 2},
         {"a": 30, "i": 3}]
 
@@ -215,12 +215,17 @@ def test_exit_point_schema_is_the_union_of_its_returns():
         {"n": 3, "m": 6}, {"n": 4, "m": 8}]
 
 
-def test_two_blocks_on_one_line_share_a_point():
+def test_two_blocks_on_one_line_are_two_points():
     snaps = _recorded_edge_program("one-line").snapshots()
-    assert snaps["main/for@L4/body/block@L5"][:2] == [
-        {"a": 0, "i": 0}, {"a": 0, "i": 0, "t": 0}]
-    assert snaps["main/for@L4/body/block@L5/block@L5"][:2] == [
-        {"a": 0, "i": 0, "b": 0}, {"a": 0, "i": 0, "b": 10, "t": 0}]
+    assert snaps["main/loop0/body/block0"][:2] == [
+        {"a": 0, "i": 0}, {"a": -10, "i": 1}]
+    assert snaps["main/loop0/body/block1"][:2] == [
+        {"a": 0, "i": 0, "t": 0}, {"a": -9, "i": 1, "t": -9}]
+    assert snaps["main/loop0/body/block0/block0"][:2] == [
+        {"a": 0, "i": 0, "b": 0}, {"a": -10, "i": 1, "b": 1}]
+    assert snaps["main/loop0/body/block1/block0"][:2] == [
+        {"a": 0, "i": 0, "b": 10, "t": 0},
+        {"a": -9, "i": 1, "b": 11, "t": -9}]
 
 
 _COUNT_TO_N = ('int main() {\n  int n;\n  int i;\n  scanf("%d", &n);\n'
@@ -235,7 +240,7 @@ def _peak_trace_bytes(tree, n):
     finally:
         tracemalloc.stop()
     assert verdicts == ["pass"]
-    assert len(log.samples["main/for@L5/body"]) == n
+    assert len(log.samples["main/loop0/body"]) == n
     return peak
 
 
