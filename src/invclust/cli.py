@@ -15,9 +15,10 @@ import sys
 import numpy as np
 
 from .anonymizer import anonymize, serialize_aast
-from .clusterer import ClusterModel, closest_program, purity
-from .corpus import (analyze, generate_synthetic_corpus, ingest, read_source,
-                     read_tests, run_pipeline, write_corpus, write_projection)
+from .clusterer import closest_program, purity
+from .corpus import (analyze, generate_synthetic_corpus, ingest, load_model,
+                     load_vectors, read_source, read_tests, run_pipeline,
+                     write_corpus, write_projection)
 from .errors import (BadModel, BadTestFile, DimensionMismatch,
                      EmptyCandidates, EmptyCorpus, KTooLarge, MissingTests,
                      ProgramRejected)
@@ -27,7 +28,7 @@ from .renamer import rename
 from .synth import ASSIGNMENTS
 from .tracer import Limits, run_suite
 from .unparse import unparse
-from .vectorizer import MODES, Vocabulary, represent
+from .vectorizer import MODES, represent
 
 # Each mode by its own name, and aast_inv also as aast+inv.
 _MODE_ALIASES = {a: m for m in MODES for a in (m, m.replace("_", "+"))}
@@ -126,57 +127,8 @@ def cmd_cluster(args):
     return 0
 
 
-def _load_model(path):
-    """The ClusterModel in model.json, without centroids; BadModel when the
-    file is not JSON, lacks a field, holds a vocabulary the vectorizer
-    cannot count against or clusters no program."""
-    with open(path) as f:
-        try:
-            d = json.load(f)
-        except ValueError as e:
-            raise BadModel(path, e) from None
-    try:
-        model = ClusterModel(
-            k=d["k"], seed=d["seed"], mode=d["mode"],
-            assignment=d["assignment"],
-            representatives={int(c): pid
-                             for c, pid in d["representatives"].items()},
-            sse=d["sse"])
-        model.vocab = Vocabulary.from_dict(d["vocab"])
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise BadModel(path, e) from None
-    if not model.assignment:
-        raise BadModel(path, "no clustered program in assignment")
-    return model
-
-
-def _load_vectors(model_path, ids):
-    """The persisted vectors of `ids` as one float64 matrix, a row per id:
-    rows of the vectors.npy next to model_path, read in one np.load."""
-    path = os.path.join(os.path.dirname(os.path.abspath(model_path)),
-                        "vectors.npy")
-    try:
-        table = np.load(path, allow_pickle=False)
-    except OSError as e:
-        raise BadModel(path, e.strerror or e) from None
-    except (ValueError, EOFError) as e:
-        raise BadModel(path, e) from None
-    dt = table.dtype
-    if (table.ndim != 1 or dt.names != ("id", "values")
-            or dt["id"].kind != "U" or dt["values"].base.kind != "f"
-            or dt["values"].ndim != 1):
-        raise BadModel(path, f"not an (id, values) table: {dt}, "
-                             f"shape {table.shape}")
-    row = {pid: i for i, pid in enumerate(table["id"].tolist())}
-    try:
-        index = [row[pid] for pid in ids]
-    except KeyError as e:
-        raise BadModel(path, e) from None
-    return table["values"][index].astype(np.float64, copy=False)
-
-
 def cmd_representatives(args):
-    model = _load_model(args.model)
+    model = load_model(args.model)
     reps = {str(c): pid for c, pid in sorted(model.representatives.items())}
     human = "\n".join(f"{c}: {pid}" for c, pid in reps.items())
     _emit(args, {"representatives": reps}, human)
@@ -184,7 +136,7 @@ def cmd_representatives(args):
 
 
 def cmd_closest(args):
-    model = _load_model(args.model)
+    model = load_model(args.model)
     pa = _analyze(args)
     query = represent(pa.docs, model.vocab, pa.program_id)
     if args.all_candidates:
@@ -192,14 +144,14 @@ def cmd_closest(args):
     else:
         ids = sorted(model.representatives.values())
     pid, dist = closest_program(np.array(query.values), ids,
-                                _load_vectors(args.model, ids))
+                                load_vectors(args.model, model, ids))
     _emit(args, {"closest": pid, "distance": dist},
           json.dumps({"closest": pid, "distance": dist}))
     return 0
 
 
 def cmd_purity(args):
-    model = _load_model(args.model)
+    model = load_model(args.model)
     labels = {pid: pid.split("/", 1)[0] for pid in model.assignment}
     p = purity(model.assignment, labels)
     _emit(args, {"purity": p}, f"purity {p:.4f}")
@@ -220,9 +172,11 @@ def cmd_synth(args):
 
 def cmd_project(args):
     model_path = os.path.join(args.artifacts, "model.json")
-    ids = sorted(_load_model(model_path).assignment)
+    model = load_model(model_path)
+    ids = sorted(model.assignment)
     out_path = os.path.join(args.artifacts, "projection.csv")
-    points = write_projection(ids, _load_vectors(model_path, ids), out_path)
+    points = write_projection(ids, load_vectors(model_path, model, ids),
+                              out_path)
     _emit(args, {"csv": out_path, "points": points},
           f"wrote {points} points to {out_path}")
     return 0

@@ -32,7 +32,6 @@ from .errors import (DimensionMismatch, EmptyCandidates, KTooLarge,
 class ClusterModel:
     k: int
     seed: int
-    mode: str
     assignment: dict                     # program_id -> cluster index
     # k lists of floats; in memory only: model.json omits them, and each is
     # the mean of its members' rows in vectors.npy.
@@ -40,19 +39,6 @@ class ClusterModel:
     representatives: dict = field(default_factory=dict)  # cluster -> id
     vocab: object = None
     sse: float = 0.0
-
-    def as_dict(self):
-        d = {
-            "k": self.k,
-            "seed": self.seed,
-            "mode": self.mode,
-            "assignment": self.assignment,
-            "representatives": {str(c): p for c, p in self.representatives.items()},
-            "sse": self.sse,
-        }
-        if self.vocab is not None:
-            d["vocab"] = self.vocab.as_dict()
-        return d
 
 
 def _sq_dists(P, C):
@@ -135,7 +121,7 @@ def _lloyd(P, w, k, seed, max_iters):
     return centers, labels, sse, iters
 
 
-def kmeans(ids, X, k, seed, max_iters=300, mode="", restarts=1):
+def kmeans(ids, X, k, seed, max_iters=300, restarts=1):
     """k-means on the rows of X, row i being program ids[i]: the best of
     `restarts` seeded runs by SSE (seeds seed, seed+1, ...); k is clamped
     to the number of distinct rows and model.k is the k used."""
@@ -156,7 +142,7 @@ def kmeans(ids, X, k, seed, max_iters=300, mode="", restarts=1):
             best = (centers, labels, sse)
     centers, labels, sse = best
     model = ClusterModel(
-        k=k, seed=seed, mode=mode,
+        k=k, seed=seed,
         centroids=[list(map(float, c)) for c in centers],
         assignment={pid: int(labels[i])
                     for pid, i in zip(ids, inverse.reshape(-1))},

@@ -1,5 +1,6 @@
-"""Corpus ingestion, per-program analysis, pipeline orchestration, artifact
-persistence, and the 2-D projection export."""
+"""Corpus ingestion, per-program analysis, pipeline orchestration, the
+persisted artifacts (written by persist; model.json and vectors.npy read
+back by load_model and load_vectors), and the 2-D projection export."""
 
 import hashlib
 import json
@@ -10,16 +11,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anonymizer import anonymize, serialize_aast
-from .clusterer import k_from_fraction, kmeans, purity
-from .errors import (BadTestFile, EmptyCorpus, MissingTests, ProgramRejected,
-                     RuntimeFailure)
+from .clusterer import ClusterModel, k_from_fraction, kmeans, purity
+from .errors import (BadModel, BadTestFile, EmptyCorpus, MissingTests,
+                     ProgramRejected, RuntimeFailure)
 from .invariants import detect, flatten
 from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
 from .tracer import TestCase, run_suite
 from .unparse import unparse
-from .vectorizer import ProgramDocs, build_vocab_for_mode, represent
+from .vectorizer import (SEGMENT_FIELDS, ProgramDocs, Vocabulary,
+                         build_vocab_for_mode, represent)
 
 from .synth import generate_synthetic_corpus, write_corpus  # noqa: F401  (re-export)
 
@@ -185,7 +187,7 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
     arts.k_requested = k
     arts.clustered_vectors = arts.vectors[np.isin(ids, clustered)]
     arts.model = kmeans(clustered, arts.clustered_vectors, k, seed,
-                        mode=mode, restarts=restarts)
+                        restarts=restarts)
     arts.model.vocab = arts.vocab
     labels = {i: arts.programs[i].label for i in clustered}
     arts.purity = purity(arts.model.assignment, labels)
@@ -224,25 +226,142 @@ def persist(arts, out_dir):
     with open(os.path.join(out_dir, "documents.json"), "w") as f:
         f.write(_dump(documents))
     write_vectors(arts, os.path.join(out_dir, "vectors.npy"))
+    model, vocab = arts.model, arts.vocab
+    vocab_dict = {"mode": vocab.mode, "n": vocab.n, "grams": vocab.grams,
+                  "segments": [list(s) for s in vocab.segments]}
+    if vocab.idf is not None:
+        vocab_dict["idf"] = vocab.idf
     with open(os.path.join(out_dir, "model.json"), "w") as f:
-        f.write(_dump(arts.model.as_dict()))
+        f.write(_dump({"k": model.k, "seed": model.seed, "mode": vocab.mode,
+                       "assignment": model.assignment,
+                       "representatives": {str(c): pid for c, pid
+                                           in model.representatives.items()},
+                       "sse": model.sse, "vocab": vocab_dict}))
     sizes = {}
-    for c in arts.model.assignment.values():
+    for c in model.assignment.values():
         sizes[str(c)] = sizes.get(str(c), 0) + 1
     report = {
         "purity": arts.purity,
         "cluster_sizes": sizes,
         "clustered": arts.clustered_ids,
         "exclusions": arts.exclusions,
-        "mode": arts.model.mode,
-        "k": arts.model.k,
+        "mode": vocab.mode,
+        "k": model.k,
         "k_requested": arts.k_requested,
-        "seed": arts.model.seed,
+        "seed": model.seed,
     }
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         f.write(_dump(report))
     write_projection(arts.clustered_ids, arts.clustered_vectors,
                      os.path.join(out_dir, "projection.csv"))
+
+
+def _model_from_dict(d):
+    """The ClusterModel in a parsed model.json, with .vocab set; ValueError
+    unless the vocabulary's mode is known, with one segment per document
+    of the mode, n is an int >= 1, the segments cover the grams end to
+    end, each segment's grams are sorted and unique, idf (if present)
+    holds one weight per gram, the top-level mode is the vocabulary's,
+    the cluster indices are ints in 0..k-1 and each representative is a
+    member of its own cluster."""
+    v = d["vocab"]
+    vocab = Vocabulary(mode=v["mode"], n=v["n"], grams=v["grams"],
+                       segments=[tuple(s) for s in v["segments"]],
+                       idf=v.get("idf"))
+    fields = SEGMENT_FIELDS.get(vocab.mode)
+    if fields is None:
+        raise ValueError(f"unknown mode {vocab.mode!r}")
+    if len(vocab.segments) != len(fields):
+        raise ValueError(f"{len(vocab.segments)} segments for mode "
+                         f"{vocab.mode!r}")
+    if type(vocab.n) is not int or vocab.n < 1:
+        raise ValueError(f"gram size {vocab.n!r}")
+    grams = vocab.grams
+    if type(grams) is not list or not all(type(g) is str for g in grams):
+        raise ValueError("grams are not a list of strings")
+    bounds = [0] + [hi for _, hi in vocab.segments]
+    if (not all(type(b) is int for s in vocab.segments for b in s)
+            or vocab.segments != list(zip(bounds, bounds[1:]))
+            or bounds != sorted(bounds) or bounds[-1] != len(grams)):
+        raise ValueError(f"segments {v['segments']} do not cover the "
+                         f"{len(grams)} grams end to end")
+    for lo, hi in vocab.segments:
+        seg = grams[lo:hi]
+        if any(a >= b for a, b in zip(seg, seg[1:])):
+            raise ValueError(f"grams [{lo}, {hi}) are not sorted and unique")
+    idf = vocab.idf
+    if idf is not None and (
+            type(idf) is not list or len(idf) != len(grams)
+            or not all(type(w) in (int, float) for w in idf)):
+        raise ValueError(f"idf does not hold one weight per gram "
+                         f"({len(grams)})")
+    if d["mode"] != vocab.mode:
+        raise ValueError(f"model mode {d['mode']!r} differs from the "
+                         f"vocabulary's mode {vocab.mode!r}")
+    k, assignment = d["k"], d["assignment"]
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k {k!r} is not an int >= 1")
+    if not assignment:
+        raise ValueError("no clustered program in assignment")
+    for pid, c in assignment.items():
+        if type(c) is not int or not 0 <= c < k:
+            raise ValueError(f"cluster {c!r} of {pid!r} is not in 0..{k - 1}")
+    reps = {int(c): pid for c, pid in d["representatives"].items()}
+    for c, pid in reps.items():
+        if assignment.get(pid) != c:
+            raise ValueError(f"representative {pid!r} of cluster {c} is "
+                             f"not one of its members")
+    return ClusterModel(k=k, seed=d["seed"], assignment=assignment,
+                        representatives=reps, vocab=vocab, sse=d["sse"])
+
+
+def load_model(path):
+    """The ClusterModel persist wrote to model.json, with .vocab set and no
+    centroids. BadModel naming the file when it is not JSON, lacks a
+    field, or fails a check of _model_from_dict, and when it cannot be
+    opened."""
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except OSError as e:
+        raise BadModel(path, e.strerror or e) from None
+    except ValueError as e:
+        raise BadModel(path, e) from None
+    try:
+        return _model_from_dict(d)
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise BadModel(path, e) from None
+
+
+def load_vectors(model_path, model, ids):
+    """The persisted vectors of `ids` as one float64 matrix, a row per id:
+    rows of the vectors.npy next to model_path, read in one np.load.
+    BadModel naming that file when it is not the (id, values) table
+    persist wrote, its vectors are not one value per gram of model.vocab,
+    or it lacks an id."""
+    path = os.path.join(os.path.dirname(os.path.abspath(model_path)),
+                        "vectors.npy")
+    try:
+        table = np.load(path, allow_pickle=False)
+    except OSError as e:
+        raise BadModel(path, e.strerror or e) from None
+    except (ValueError, EOFError) as e:
+        raise BadModel(path, e) from None
+    dt = table.dtype
+    if (table.ndim != 1 or dt.names != ("id", "values")
+            or dt["id"].kind != "U" or dt["values"].base.kind != "f"
+            or dt["values"].ndim != 1):
+        raise BadModel(path, f"not an (id, values) table: {dt}, "
+                             f"shape {table.shape}")
+    width, grams = dt["values"].shape[0], len(model.vocab.grams)
+    if width != grams:
+        raise BadModel(path, f"vectors of {width} values for {grams} grams")
+    row = {pid: i for i, pid in enumerate(table["id"].tolist())}
+    try:
+        index = [row[pid] for pid in ids]
+    except KeyError as e:
+        raise BadModel(path, e) from None
+    return table["values"][index].astype(np.float64, copy=False)
 
 
 def write_projection(ids, X, path):

@@ -76,8 +76,9 @@ class BadTestFile(Exception):
 
 
 class BadModel(Exception):
-    """A persisted model.json or vectors.npy that does not hold what the
-    pipeline wrote."""
+    """A persisted model.json (from corpus.load_model) or vectors.npy (from
+    corpus.load_vectors) that does not hold what persist wrote; the
+    message names the file at fault."""
 
     def __init__(self, path, err):
         detail = f"missing key {err}" if isinstance(err, KeyError) else err

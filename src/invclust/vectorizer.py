@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from .errors import EmptyCorpus, ModeMismatch
 
 # mode -> the ProgramDocs fields it draws on, one vocabulary segment each.
-_SEGMENT_FIELDS = {"syntax": ("renamed_source",), "aast": ("aast_text",),
-                   "inv": ("inv_text",), "aast_inv": ("aast_text", "inv_text")}
-MODES = tuple(_SEGMENT_FIELDS)
+SEGMENT_FIELDS = {"syntax": ("renamed_source",), "aast": ("aast_text",),
+                  "inv": ("inv_text",), "aast_inv": ("aast_text", "inv_text")}
+MODES = tuple(SEGMENT_FIELDS)
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 
@@ -40,31 +40,6 @@ class Vocabulary:
     grams: list     # each segment's sorted unique grams, segment after segment
     segments: list  # [(start, end)] per segment
     idf: list | None = None
-
-    def as_dict(self):
-        d = {"mode": self.mode, "n": self.n, "grams": self.grams,
-             "segments": [list(s) for s in self.segments]}
-        if self.idf is not None:
-            d["idf"] = self.idf
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        """The vocabulary `as_dict` gave; ValueError for an unknown mode, a
-        segment count other than the mode's or an n that is not an int
-        >= 1."""
-        vocab = cls(mode=d["mode"], n=d["n"], grams=d["grams"],
-                    segments=[tuple(s) for s in d["segments"]],
-                    idf=d.get("idf"))
-        fields = _SEGMENT_FIELDS.get(vocab.mode)
-        if fields is None:
-            raise ValueError(f"unknown mode {vocab.mode!r}")
-        if len(vocab.segments) != len(fields):
-            raise ValueError(f"{len(vocab.segments)} segments for mode "
-                             f"{vocab.mode!r}")
-        if type(vocab.n) is not int or vocab.n < 1:
-            raise ValueError(f"gram size {vocab.n!r}")
-        return vocab
 
 
 @dataclass
@@ -136,7 +111,7 @@ class ProgramDocs:
 
 def _fields(mode):
     try:
-        return _SEGMENT_FIELDS[mode]
+        return SEGMENT_FIELDS[mode]
     except KeyError:
         raise ModeMismatch(f"unknown mode {mode!r}") from None
 

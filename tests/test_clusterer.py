@@ -200,7 +200,7 @@ def test_kmeans_determinism():
     X = np.array([(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(10)])
     a = kmeans(_ids(10), X, k=3, seed=42)
     b = kmeans(_ids(10), X.copy(), k=3, seed=42)
-    assert a.as_dict() == b.as_dict() and a.centroids == b.centroids
+    assert a == b
 
 
 def test_kmeans_near_optimal_small_instances():

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from invclust.corpus import (Corpus, Assignment, generate_synthetic_corpus,
-                             ingest, project_2d, run_pipeline, tree_hash,
-                             write_corpus)
+                             ingest, load_model, load_vectors, project_2d,
+                             run_pipeline, tree_hash, write_corpus)
 from invclust.errors import BadTestFile, EmptyCorpus, MissingTests
 from invclust.nodes import SourceProgram
 from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase
+from invclust.vectorizer import MODES
 
 from conftest import HOSTILE_SOURCES
 
@@ -337,3 +338,21 @@ def test_vectors_npy_round_trip(tmp_path):
     assert table["values"].dtype == np.float64
     for pid, row in zip(ids, table["values"]):
         assert row.tolist() == arts.programs[pid].vector.values
+
+
+@pytest.mark.parametrize("mode,idf", [(mode, idf) for mode in MODES
+                                      for idf in (False, True)])
+def test_load_model_round_trip(tmp_path, mode, idf):
+    corpus = generate_synthetic_corpus(seed=0, assignments=2, variants_per=4)
+    arts = run_pipeline(corpus, mode=mode, k=2, idf=idf, out_dir=str(tmp_path))
+    path = str(tmp_path / "model.json")
+    model = load_model(path)
+    assert (model.k, model.seed, model.assignment, model.representatives,
+            model.sse, model.vocab) == (
+        arts.model.k, arts.model.seed, arts.model.assignment,
+        arts.model.representatives, arts.model.sse, arts.model.vocab)
+    assert (model.vocab.idf is not None) == idf
+    X = load_vectors(path, model, arts.clustered_ids)
+    assert X.dtype == np.float64
+    assert X.shape == arts.clustered_vectors.shape
+    assert X.tobytes() == arts.clustered_vectors.tobytes()

@@ -13,7 +13,7 @@ from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.tracer import run_suite
 from invclust.unparse import unparse
-from invclust.vectorizer import (ProgramDocs, Vocabulary, build_vocab,
+from invclust.vectorizer import (ProgramDocs, build_vocab,
                                  build_vocab_for_mode, documents_for_mode,
                                  ngrams, represent, tokenize, vectorize)
 
@@ -160,17 +160,6 @@ def test_idf_reweights_and_renormalizes():
     # "a" appears in fewer docs than "i", so idf boosts it relative to tf.
     plain = vectorize("a i a u", build_vocab(EXAMPLE_DOCS, "inv", n=1))
     assert vec.values != plain.values
-
-
-def test_vocab_json_round_trip():
-    vocab = build_vocab_for_mode([_docs(LEFT_SRC), _docs(RIGHT_SRC)],
-                                 "aast_inv")
-    back = Vocabulary.from_dict(vocab.as_dict())
-    assert back.grams == vocab.grams
-    assert back.segments == vocab.segments
-    assert back.mode == vocab.mode and back.n == vocab.n
-    for d in (_docs(LEFT_SRC), _docs(RIGHT_SRC)):
-        assert represent(d, vocab).values == represent(d, back).values
 
 
 def test_ngrams_basic():
