@@ -2,7 +2,8 @@
 
 Every subcommand is a thin wrapper over a library operation; with --json the
 output is exactly the library result serialized as JSON. Exit codes: 0 on
-success, 1 on usage errors, 2 on corpus/runtime errors.
+success, 1 on usage errors, 2 on corpus/runtime errors and on paths the OS
+refuses.
 """
 
 import argparse
@@ -19,9 +20,7 @@ from .clusterer import closest_program, purity
 from .corpus import (analyze, generate_synthetic_corpus, ingest, load_model,
                      load_vectors, read_source, read_tests, run_pipeline,
                      write_corpus, write_projection)
-from .errors import (BadModel, BadTestFile, DimensionMismatch,
-                     EmptyCandidates, EmptyCorpus, KTooLarge, MissingTests,
-                     ProgramRejected)
+from .errors import InvclustError
 from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
@@ -311,9 +310,7 @@ def main(argv=None):
         return e.code if e.code is not None else 1
     try:
         return args.func(args)
-    except (ProgramRejected, EmptyCorpus, EmptyCandidates, MissingTests,
-            BadTestFile, BadModel, DimensionMismatch, KTooLarge,
-            FileNotFoundError) as e:
+    except (InvclustError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

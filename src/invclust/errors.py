@@ -1,7 +1,12 @@
 """Exception types shared across the pipeline."""
 
 
-class ProgramRejected(Exception):
+class InvclustError(Exception):
+    """Base of every error here; the CLI reports each as one `error:` line
+    and exit 2."""
+
+
+class ProgramRejected(InvclustError):
     """A submission the pipeline cannot use; str(e) is its exclusion
     diagnostic."""
 
@@ -34,7 +39,7 @@ class UnresolvedIdentifier(ProgramRejected):
         self.line = line
 
 
-class TraceRuntimeError(Exception):
+class TraceRuntimeError(InvclustError):
     """Runtime failure during interpretation.
 
     kind is one of: div-by-zero, array-out-of-bounds, scanf-exhausted,
@@ -56,17 +61,17 @@ class RuntimeFailure(ProgramRejected):
     tracer logged for the first such test."""
 
 
-class EmptyCorpus(Exception):
+class EmptyCorpus(InvclustError):
     """No usable programs (or no grams) in the corpus."""
 
 
-class MissingTests(Exception):
+class MissingTests(InvclustError):
     def __init__(self, assignment):
         super().__init__(f"assignment '{assignment}' has no test suite")
         self.assignment = assignment
 
 
-class BadTestFile(Exception):
+class BadTestFile(InvclustError):
     """A t<i>.in / t<i>.out file that is not UTF-8 text."""
 
     def __init__(self, path, err):
@@ -75,7 +80,7 @@ class BadTestFile(Exception):
         self.path = path
 
 
-class BadModel(Exception):
+class BadModel(InvclustError):
     """A persisted model.json (from corpus.load_model) or vectors.npy (from
     corpus.load_vectors) that does not hold what persist wrote; the
     message names the file at fault."""
@@ -86,23 +91,23 @@ class BadModel(Exception):
         self.path = path
 
 
-class MissingLabel(Exception):
+class MissingLabel(InvclustError):
     def __init__(self, program_id):
         super().__init__(f"no label for program '{program_id}'")
         self.program_id = program_id
 
 
-class KTooLarge(Exception):
+class KTooLarge(InvclustError):
     pass
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(InvclustError):
     pass
 
 
-class EmptyCandidates(Exception):
+class EmptyCandidates(InvclustError):
     pass
 
 
-class ModeMismatch(Exception):
+class ModeMismatch(InvclustError):
     pass

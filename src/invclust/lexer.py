@@ -24,7 +24,9 @@ UNSUPPORTED_CHARS = {
     ".": "member access", "'": "character literal", '"': None,
 }
 
-_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "0": "\0", "r": "\r"}
+# Letter after a backslash -> the character it stands for; unparse prints
+# each character back with its letter.
+ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "0": "\0", "r": "\r"}
 
 
 @dataclass
@@ -111,8 +113,12 @@ def lex(text):
                 err(f"malformed number '{lit}{text[j]}'")
             if is_float:
                 tokens.append(Token("float", float(lit), line, col))
-            else:
+            elif lit[0] != "0":
                 tokens.append(Token("int", int(lit), line, col))
+            elif lit.strip("01234567"):  # a leading 0 makes it octal
+                err(f"invalid digit in octal constant '{lit}'")
+            else:
+                tokens.append(Token("int", int(lit, 8), line, col))
             col += j - i
             i = j
             continue
@@ -129,8 +135,8 @@ def lex(text):
                     esc = text[j]
                     if esc == "%":
                         out.append("%")
-                    elif esc in _ESCAPES:
-                        out.append(_ESCAPES[esc])
+                    elif esc in ESCAPES:
+                        out.append(ESCAPES[esc])
                     else:
                         raise UnsupportedFeature(f"escape sequence '\\{esc}'", line)
                 else:

@@ -5,11 +5,23 @@ one decl node per declarator, control-statement bodies are always wrapped in
 a block, and prefix ++/-- statements are stored in the same form as postfix.
 """
 
+import re
+
 from .errors import CSyntaxError, UnsupportedFeature
 from .lexer import lex
 from .nodes import Kind, Node
 
 TYPE_KEYWORDS = {"int": "int", "double": "double", "float": "double"}
+
+# The format language. Group 1 of a match is what follows a '%': printf
+# takes literal text, "%%" and the conversions d, f and lf; scanf takes
+# d and lf with only whitespace around them, so a match without group 1
+# is literal text. Any other group 1 is an unsupported conversion.
+PRINTF_CONVERSION = re.compile(r"%(%|d|lf|f|.?)", re.S)
+SCANF_CONVERSION = re.compile(r"%(d|lf|.{0,2})|[^ \t\n]", re.S)
+# Per statement: its pattern, and the group 1 values it accepts.
+_FORMATS = {"printf": (PRINTF_CONVERSION, {"%", "d", "f", "lf"}),
+            "scanf": (SCANF_CONVERSION, {"d", "lf"})}
 
 # The parser rejects nesting deeper than this, counted in its own levels
 # (see _Parser.enter), and so does the tree check after it, counted in
@@ -19,7 +31,7 @@ TYPE_KEYWORDS = {"int": "int", "double": "double", "float": "double"}
 MAX_DEPTH = 100
 
 # Binary operators by precedence, loosest first; all are left-associative.
-_BINARY_PREC = {op: prec for prec, ops in enumerate((
+BINARY_PREC = {op: prec for prec, ops in enumerate((
     ("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"),
     ("*", "/", "%"))) for op in ops}
 
@@ -80,7 +92,7 @@ class _Parser:
         return tok.kind == "kw" and tok.value in kws
 
     def at_type(self):
-        return self.at_kw("int", "double", "float")
+        return self.at_kw(*TYPE_KEYWORDS)
 
     def enter(self):
         """One level deeper, rejected past MAX_DEPTH at the next token. A
@@ -179,9 +191,9 @@ class _Parser:
             self.expect_op(";")
             return [node]
         if self.at_kw("scanf"):
-            return [self.scanf_stmt()]
+            return [self.format_stmt(self.scanf_target, "targets")]
         if self.at_kw("printf"):
-            return [self.printf_stmt()]
+            return [self.format_stmt(self.expression, "arguments")]
         if self.at_kw("else"):
             self.err("'else' without matching 'if'", tok)
         if self.at_op(";"):
@@ -285,83 +297,81 @@ class _Parser:
                                        line=name.line, col=name.col)],
                         line=tok.line, col=tok.col)
         elif tok.kind == "ident":
-            name = self.next()
-            if self.at_op("("):
-                args = self.call_args()
-                node = Node(Kind.CALL, identifier=name.value, children=args,
-                            line=name.line, col=name.col)
+            target = self.reference()
+            if target.kind == Kind.CALL:
+                node = target
+            elif self.at_op("++", "--"):
+                if target.kind != Kind.IDENT_REF:
+                    self.unsupported("increment of array element", tok)
+                node = Node(Kind.UNARY_OP, literal=self.next().value,
+                            children=[target], line=tok.line, col=tok.col)
+            elif self.at_op("="):
+                self.next()
+                node = Node(Kind.ASSIGN, children=[target, self.expression()],
+                            line=tok.line, col=tok.col)
             else:
-                target = Node(Kind.IDENT_REF, identifier=name.value,
-                              line=name.line, col=name.col)
-                if self.at_op("["):
-                    self.next()
-                    idx = self.expression()
-                    self.expect_op("]")
-                    target = Node(Kind.ARRAY_INDEX, children=[target, idx],
-                                  line=name.line, col=name.col)
-                if self.at_op("++", "--"):
-                    if target.kind != Kind.IDENT_REF:
-                        self.unsupported("increment of array element", name)
-                    op = self.next().value
-                    node = Node(Kind.UNARY_OP, literal=op, children=[target],
-                                line=tok.line, col=tok.col)
-                elif self.at_op("="):
-                    self.next()
-                    node = Node(Kind.ASSIGN, children=[target, self.expression()],
-                                line=tok.line, col=tok.col)
-                else:
-                    self.err("expected assignment, call, or increment statement", tok)
+                self.err("expected assignment, call, or increment statement", tok)
         else:
             self.err(f"expected statement, found {self._show(tok)}", tok)
         if expect_semi:
             self.expect_op(";")
         return node
 
-    def scanf_stmt(self):
-        tok = self.expect_kw("scanf")
+    def format_stmt(self, item, noun):
+        """`scanf`/`printf` `(` format {`,` item} `)` `;`, one item per
+        conversion in the format."""
+        tok = self.next()
         self.expect_op("(")
         fmt = self.next()
         if fmt.kind != "string":
-            self.err("scanf format must be a string literal", fmt)
-        convs = _scanf_conversions(fmt, tok.line)
-        node = Node(Kind.SCANF, literal=fmt.value, line=tok.line, col=tok.col)
+            self.err(f"{tok.value} format must be a string literal", fmt)
+        pattern, accepted = _FORMATS[tok.value]
+        convs = 0
+        for m in pattern.finditer(fmt.value):
+            if m[1] is None:
+                self.unsupported("literal text in scanf format", tok)
+            if m[1] not in accepted:
+                self.unsupported(f"{tok.value} conversion '%{m[1]}'", tok)
+            convs += m[1] != "%"
+        node = Node(tok.value, literal=fmt.value,  # Kind.SCANF or PRINTF
+                    line=tok.line, col=tok.col)
         while self.at_op(","):
             self.next()
-            self.expect_op("&")
-            name = self.expect_ident()
-            target = Node(Kind.IDENT_REF, identifier=name.value,
-                          line=name.line, col=name.col)
-            if self.at_op("["):
-                self.next()
-                idx = self.expression()
-                self.expect_op("]")
-                target = Node(Kind.ARRAY_INDEX, children=[target, idx],
-                              line=name.line, col=name.col)
-            node.children.append(target)
+            node.children.append(item())
         self.expect_op(")")
         self.expect_op(";")
-        if len(convs) != len(node.children):
-            self.err(f"scanf format has {len(convs)} conversions but "
-                     f"{len(node.children)} targets", tok)
+        if convs != len(node.children):
+            self.err(f"{tok.value} format has {convs} conversions but "
+                     f"{len(node.children)} {noun}", tok)
         return node
 
-    def printf_stmt(self):
-        tok = self.expect_kw("printf")
-        self.expect_op("(")
-        fmt = self.next()
-        if fmt.kind != "string":
-            self.err("printf format must be a string literal", fmt)
-        convs = _printf_conversions(fmt, tok.line)
-        node = Node(Kind.PRINTF, literal=fmt.value, line=tok.line, col=tok.col)
-        while self.at_op(","):
+    def reference(self):
+        """A call `name(args)`, or an l-value."""
+        name = self.expect_ident()
+        if self.at_op("("):
+            return Node(Kind.CALL, identifier=name.value,
+                        children=self.call_args(), line=name.line,
+                        col=name.col)
+        return self.lvalue(name)
+
+    def lvalue(self, name):
+        """`name` or `name[expr]`, after its name token: the target of an
+        assignment, a scanf or an increment, and a variable read."""
+        node = Node(Kind.IDENT_REF, identifier=name.value, line=name.line,
+                    col=name.col)
+        if self.at_op("["):
             self.next()
-            node.children.append(self.expression())
-        self.expect_op(")")
-        self.expect_op(";")
-        if len(convs) != len(node.children):
-            self.err(f"printf format has {len(convs)} conversions but "
-                     f"{len(node.children)} arguments", tok)
+            idx = self.expression()
+            self.expect_op("]")
+            if self.at_op("["):
+                self.unsupported("multi-dimensional array indexing", name)
+            node = Node(Kind.ARRAY_INDEX, children=[node, idx],
+                        line=name.line, col=name.col)
         return node
+
+    def scanf_target(self):
+        self.expect_op("&")
+        return self.lvalue(self.expect_ident())
 
     def call_args(self):
         self.expect_op("(")
@@ -388,13 +398,13 @@ class _Parser:
 
     def binary(self):
         """Unary operands joined by binary operators, grouped by
-        _BINARY_PREC with an operator stack: a chain of any length costs
+        BINARY_PREC with an operator stack: a chain of any length costs
         one Python frame."""
         operands = [self.unary()]
         ops = []
         while True:
             tok = self.peek()
-            prec = _BINARY_PREC.get(tok.value) if tok.kind == "op" else None
+            prec = BINARY_PREC.get(tok.value) if tok.kind == "op" else None
             while ops and (prec is None or ops[-1][0] >= prec):
                 _, op = ops.pop()
                 rhs = operands.pop()
@@ -431,23 +441,9 @@ class _Parser:
         if tok.kind == "string":
             self.unsupported("string literal in expression", tok)
         if tok.kind == "ident":
-            name = self.next()
-            if self.at_op("("):
-                args = self.call_args()
-                return Node(Kind.CALL, identifier=name.value, children=args,
-                            line=name.line, col=name.col)
-            node = Node(Kind.IDENT_REF, identifier=name.value,
-                        line=name.line, col=name.col)
-            if self.at_op("["):
-                self.next()
-                idx = self.expression()
-                self.expect_op("]")
-                if self.at_op("["):
-                    self.unsupported("multi-dimensional array indexing", name)
-                node = Node(Kind.ARRAY_INDEX, children=[node, idx],
-                            line=name.line, col=name.col)
-            if self.at_op("++", "--"):
-                self.unsupported("increment inside expression", name)
+            node = self.reference()
+            if node.kind != Kind.CALL and self.at_op("++", "--"):
+                self.unsupported("increment inside expression", tok)
             return node
         if self.at_op("("):
             self.next()
@@ -489,53 +485,6 @@ def _check_calls_in(fn, funcs):
                                    f"{funcs[node.identifier]} arguments, got "
                                    f"{len(node.children)}")
         stack.extend((c, depth + 1) for c in reversed(node.children))
-
-
-def _scanf_conversions(fmt_tok, line):
-    convs = []
-    i = 0
-    s = fmt_tok.value
-    while i < len(s):
-        c = s[i]
-        if c == "%":
-            if s[i + 1:i + 2] == "d":
-                convs.append("d")
-                i += 2
-            elif s[i + 1:i + 3] == "lf":
-                convs.append("lf")
-                i += 3
-            else:
-                raise UnsupportedFeature(f"scanf conversion '%{s[i+1:i+3]}'", line)
-        elif c in " \t\n":
-            i += 1
-        else:
-            raise UnsupportedFeature("literal text in scanf format", line)
-    return convs
-
-
-def _printf_conversions(fmt_tok, line):
-    convs = []
-    i = 0
-    s = fmt_tok.value
-    while i < len(s):
-        if s[i] == "%":
-            nxt = s[i + 1:i + 2]
-            if nxt == "%":
-                i += 2
-            elif nxt == "d":
-                convs.append("d")
-                i += 2
-            elif nxt == "f":
-                convs.append("f")
-                i += 2
-            elif s[i + 1:i + 3] == "lf":
-                convs.append("lf")
-                i += 3
-            else:
-                raise UnsupportedFeature(f"printf conversion '%{nxt}'", line)
-        else:
-            i += 1
-    return convs
 
 
 def parse(text):

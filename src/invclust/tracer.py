@@ -42,12 +42,12 @@ print with 6 decimal places.
 
 import json
 import operator
-import re
 from dataclasses import dataclass, field
 
 from .errors import TraceRuntimeError
 from .invariants import UNSET, PointSummary
 from .nodes import Kind, Node
+from .parser import PRINTF_CONVERSION, SCANF_CONVERSION
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -149,11 +149,10 @@ class TraceLog:
 _COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_PRINTF = {"%%": "%", "%d": lambda st, x: str(_convert(st, x, True)),
-           "%f": lambda st, x: f"{float(x):.6f}"}
-_PRINTF["%lf"] = _PRINTF["%f"]
-_PRINTF_CONVERSION = re.compile(r"(%%|%d|%lf|%f)")
-_SCANF_CONVERSION = re.compile(r"%(d|lf)")
+# What each printf directive of PRINTF_CONVERSION prints.
+_PRINTF = {"%": "%", "d": lambda st, x: str(_convert(st, x, True)),
+           "f": lambda st, x: f"{float(x):.6f}"}
+_PRINTF["lf"] = _PRINTF["f"]
 # The id segment of each scope-opening statement kind.
 _SCOPE_SEGMENT = {Kind.IF: "if", Kind.WHILE: "loop", Kind.FOR: "loop",
                   Kind.BLOCK: "block"}
@@ -538,8 +537,8 @@ class _Compiler:
         return put_element
 
     def scanf(self, node, count):
-        convs = [int if c == "d" else float
-                 for c in _SCANF_CONVERSION.findall(node.literal)]
+        convs = [int if m[1] == "d" else float
+                 for m in SCANF_CONVERSION.finditer(node.literal)]
         targets = list(zip(convs, map(self.store, node.children)))
         max_steps = self.max_steps
 
@@ -562,9 +561,10 @@ class _Compiler:
         return scanf
 
     def printf(self, node, pre):
-        # Literal text, and a conversion function per argument.
-        pieces = [_PRINTF.get(p, p)
-                  for p in _PRINTF_CONVERSION.split(node.literal)]
+        # Literal text, and a conversion function per argument: split
+        # puts each directive at an odd index.
+        pieces = [_PRINTF[p] if i % 2 else p for i, p in
+                  enumerate(PRINTF_CONVERSION.split(node.literal))]
         args = [self.expr(a, pre + 1 if i == 0 else 0)
                 for i, a in enumerate(node.children)]
         count = 0 if args else pre + 1

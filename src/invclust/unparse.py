@@ -1,26 +1,23 @@
 """Canonical source emission: 2-space indent, one statement per line,
 mandatory braces on control bodies."""
 
+import math
+
+from .lexer import ESCAPES
 from .nodes import Kind, fmt_literal
+from .parser import BINARY_PREC
 
-_PREC = {
-    "||": 1, "&&": 2, "==": 3, "!=": 3,
-    "<": 4, ">": 4, "<=": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
-}
-_UNARY_PREC = 7
+# Binds tighter than every binary operator.
+_UNARY_PREC = max(BINARY_PREC.values()) + 1
 
-_UNESCAPES = {"\n": "\\n", "\t": "\\t", "\\": "\\\\", '"': '\\"',
-              "\0": "\\0", "\r": "\\r"}
+_ESCAPE = str.maketrans({c: "\\" + e for e, c in ESCAPES.items()})
 
 
-def _escape(s):
-    return "".join(_UNESCAPES.get(c, c) for c in s)
-
-
-def unparse_expr(node, parent_prec=0, right_side=False):
+def unparse_expr(node, parent_prec=0):
     k = node.kind
     if k == Kind.LITERAL:
+        if node.literal == math.inf:
+            return "1e999"  # overflows back to inf when lexed
         return fmt_literal(node.literal)
     if k == Kind.IDENT_REF:
         return node.identifier
@@ -35,16 +32,14 @@ def unparse_expr(node, parent_prec=0, right_side=False):
         inner = unparse_expr(node.children[0], _UNARY_PREC)
         if op == "-" and inner.startswith("-"):
             inner = f"({inner})"  # avoid lexing "--" as decrement
-        s = f"{op}{inner}"
-        return f"({s})" if parent_prec > _UNARY_PREC else s
+        return f"{op}{inner}"
     if k == Kind.BINARY_OP:
         op = node.literal
-        prec = _PREC[op]
+        prec = BINARY_PREC[op]
         lhs = unparse_expr(node.children[0], prec)
         rhs = unparse_expr(node.children[1], prec + 1)
         s = f"{lhs} {op} {rhs}"
-        needs = prec < parent_prec or (prec == parent_prec and right_side)
-        return f"({s})" if needs else s
+        return f"({s})" if prec < parent_prec else s
     raise ValueError(f"not an expression node: {k}")
 
 
@@ -80,12 +75,10 @@ def _stmt_lines(node, indent):
             yield f"{pad}return {unparse_expr(node.children[0])};"
         else:
             yield f"{pad}return;"
-    elif k == Kind.SCANF:
-        args = "".join(f", &{unparse_expr(t)}" for t in node.children)
-        yield f'{pad}scanf("{_escape(node.literal)}"{args});'
-    elif k == Kind.PRINTF:
-        args = "".join(f", {unparse_expr(a)}" for a in node.children)
-        yield f'{pad}printf("{_escape(node.literal)}"{args});'
+    elif k in (Kind.SCANF, Kind.PRINTF):  # each kind is its keyword
+        amp = "&" if k == Kind.SCANF else ""
+        args = "".join(f", {amp}{unparse_expr(a)}" for a in node.children)
+        yield f'{pad}{k}("{node.literal.translate(_ESCAPE)}"{args});'
     elif k == Kind.BLOCK:
         yield f"{pad}{{"
         for c in node.children:

@@ -292,6 +292,24 @@ def test_non_utf8_test_file_in_corpus_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and "t0.in: not UTF-8" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rename", "{corpus}"],
+    ["cluster", "--corpus", "{left}"],
+    ["synth", "--out", "{left}"],
+    ["cluster", "--corpus", "{corpus}", "--k", "3", "--out", "{left}"],
+], ids=["rename-dir", "cluster-corpus-file", "synth-out-file",
+        "cluster-out-file"])
+def test_path_the_os_refuses_exit_2(workspace, capsys, argv):
+    paths = {"corpus": workspace / "corpus", "left": workspace / "left.c"}
+    code = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_restarts_below_one_is_usage_error(workspace, capsys):
     code = main(["cluster", "--corpus", str(workspace / "corpus"),
                  "--restarts", "0"])

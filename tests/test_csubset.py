@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invclust.errors import CSyntaxError, UnsupportedFeature
 from invclust.nodes import Kind, Node, structurally_equal, walk
@@ -79,6 +80,9 @@ def test_parse_determinism():
     ("#include <stdio.h>\nint main() { }", "preprocessor"),
     ("int main() { do { } while (1); }", "do"),
     ("int main() { goto end; end: ; }", "goto"),
+    ("int main() { int a[2]; a[0][1] = 1; }", "multi-dimensional array"),
+    ('int main() { int a[2]; scanf("%d", &a[0][1]); }',
+     "multi-dimensional array"),
 ])
 def test_unsupported_constructs(src, construct):
     with pytest.raises(UnsupportedFeature) as exc:
@@ -167,3 +171,75 @@ def test_random_sources_never_crash_lexer():
             parse(junk)
         except (CSyntaxError, UnsupportedFeature):
             pass
+
+
+@pytest.mark.parametrize("stmt,diagnostic", [
+    ('printf("%s", x);',
+     "line 4: unsupported construct: printf conversion '%s'"),
+    ('printf("%ld", x);',
+     "line 4: unsupported construct: printf conversion '%l'"),
+    ('printf("x = %");',
+     "line 4: unsupported construct: printf conversion '%'"),
+    ('scanf("%x", &x);',
+     "line 4: unsupported construct: scanf conversion '%x'"),
+    ('scanf("n=%d", &x);',
+     "line 4: unsupported construct: literal text in scanf format"),
+    ('printf("%d %d", x);',
+     "4:3: printf format has 2 conversions but 1 arguments"),
+    ('scanf("%d%lf", &x);',
+     "4:3: scanf format has 2 conversions but 1 targets"),
+])
+def test_format_diagnostics(stmt, diagnostic):
+    src = "int main() {\n  int x;\n  int a[2];\n  " + stmt + "\n}\n"
+    with pytest.raises((CSyntaxError, UnsupportedFeature)) as exc:
+        parse(src)
+    assert str(exc.value) == diagnostic
+
+
+def _literal(text):
+    tree = parse("int main() {\n  double x = " + text + ";\n}\n")
+    return _find(tree, Kind.LITERAL)[0].literal
+
+
+def test_leading_zero_makes_an_integer_octal():
+    assert [_literal(t) for t in ("010", "007", "0", "00", "10")] == \
+        [8, 7, 0, 0, 10]
+    assert [_literal(t) for t in ("012.5", "09.5", "012e1")] == \
+        [12.5, 9.5, 120.0]
+    for bad in ("08", "0179"):
+        with pytest.raises(CSyntaxError) as exc:
+            _literal(bad)
+        assert exc.value.message == f"invalid digit in octal constant '{bad}'"
+
+
+def test_infinite_float_literal_round_trips():
+    tree = parse("int main() {\n  double x = 1e999;\n}\n")
+    text = unparse(tree)
+    assert "double x = 1e999;" in text
+    assert structurally_equal(parse(text), tree)
+
+
+# Statement shapes whose holes take fragments of the subset's surface:
+# string delimiters, format directives, escapes, brackets, and numbers
+# with leading zeros or exponents.
+_TEMPLATES = ["x = {};", "d = {};", "a[{}] = x;", 'printf("{}", x);',
+              'scanf("{}", &x);', 'printf("%lf %d", {}, x);',
+              "if ({}) {{\n  x++;\n}}", "while (x < {}) x = x + 1;", "{}"]
+_FRAGMENTS = ["x", "d", "1", "0", "7", "010", "08", "1e999", "2.5e-3", "1e-3",
+              " ", "+", "-", "*", "/", "(", ")", "[", "]", '"', "%", "%d",
+              "%lf", "%%", "\\", "\\n", "!", "<", "==", "&"]
+_STATEMENT = st.builds(str.format, st.sampled_from(_TEMPLATES),
+                       st.lists(st.sampled_from(_FRAGMENTS),
+                                max_size=8).map("".join))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_STATEMENT, min_size=1, max_size=4).map("\n".join))
+def test_parse_rejects_or_round_trips(body):
+    src = ("int f(int n) {\n  return n;\n}\n\nint main() {\n  int x;\n"
+           "  int a[3];\n  double d;\n" + body + "\n}\n")
+    try:
+        tree = parse(src)
+    except (CSyntaxError, UnsupportedFeature):
+        return
+    assert structurally_equal(parse(unparse(tree)), tree)
