@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .renamer import rename
 from .tracer import TestCase, run_suite
 from .unparse import unparse
 from .vectorizer import (SEGMENT_FIELDS, ProgramDocs, Vocabulary,
-                         build_vocab_for_mode, represent)
+                         build_vocab_for_mode, documents_for_mode, represent)
 
 from .synth import generate_synthetic_corpus, write_corpus  # noqa: F401  (re-export)
 
@@ -127,23 +127,43 @@ class PipelineArtifacts:
     k_requested: int = 0   # before clamping to the distinct vectors
 
 
-def analyze(program, tests, limits=None, min_samples=2):
+def analyze(program, tests, limits=None, min_samples=2, memo=None):
     """parse -> rename -> trace -> detect -> documents for one
     SourceProgram. Raises ProgramRejected when the program cannot be used:
     a syntax, unsupported-construct or unresolved-name diagnostic, or
-    RuntimeFailure when a test ends in a runtime error."""
+    RuntimeFailure when a test ends in a runtime error.
+
+    The outcome past renaming is a function of the canonical source
+    (`unparse` of the renamed tree), the tests, the limits and
+    min_samples. `memo` maps canonical source -> that outcome, for one
+    fixed (tests, limits, min_samples): a program whose canonical source
+    is already in it gets the outcome of the first, relabelled, without
+    being traced again."""
     renamed, _ = rename(parse(program.text))
+    source = unparse(renamed)
+    memo = {} if memo is None else memo
+    if source not in memo:
+        memo[source] = _outcome(renamed, source, tests, limits, min_samples)
+    outcome = memo[source]
+    if isinstance(outcome, RuntimeFailure):
+        raise outcome.with_traceback(None)
+    return replace(outcome, program_id=program.id, label=program.label)
+
+
+def _outcome(renamed, source, tests, limits, min_samples):
+    """The RuntimeFailure of the first test that ends in a runtime error,
+    or else the artifacts of the renamed tree, with no id or label yet."""
     log, verdicts = run_suite(renamed, tests, limits)
     if "error" in verdicts:
-        raise RuntimeFailure(log.errors[0])
+        return RuntimeFailure(log.errors[0])
     inv_set = detect(log, min_samples)
     docs = ProgramDocs(
-        renamed_source=unparse(renamed),
+        renamed_source=source,
         aast_text=serialize_aast(anonymize(renamed)).text,
         inv_text=flatten(inv_set),
     )
     return ProgramArtifacts(
-        program_id=program.id, label=program.label, docs=docs,
+        program_id="", label="", docs=docs,
         inv_by_point=inv_set.as_dict(), verdicts=verdicts,
         correct=all(v == "pass" for v in verdicts))
 
@@ -153,16 +173,19 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
                  limits=None, out_dir=None, restarts=8):
     """analyze each program -> vectorize -> kmeans -> representatives.
 
-    Clustering is restricted to programs passing every test when
+    Each distinct canonical source of an assignment is analyzed once, and
+    each distinct document tuple is vectorized once; copies share the
+    result. Clustering is restricted to programs passing every test when
     subset="correct-only"; every surviving program still gets a vector
     against the frozen vocabulary (for closest-program queries)."""
     arts = PipelineArtifacts()
     for label in sorted(corpus.assignments):
         asn = corpus.assignments[label]
+        memo = {}
         for prog in asn.programs:
             try:
                 arts.programs[prog.id] = analyze(prog, asn.tests, limits,
-                                                 min_samples)
+                                                 min_samples, memo)
             except ProgramRejected as e:
                 arts.exclusions[prog.id] = str(e)
     if not arts.programs:
@@ -177,9 +200,13 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
 
     arts.vocab = build_vocab_for_mode(
         [arts.programs[i].docs for i in clustered], mode, n, idf)
+    vectors = {}  # document tuple -> its FeatureVector
     for i in ids:
-        arts.programs[i].vector = represent(arts.programs[i].docs,
-                                            arts.vocab, i)
+        docs = arts.programs[i].docs
+        key = documents_for_mode(docs, mode)
+        if key not in vectors:
+            vectors[key] = represent(docs, arts.vocab)
+        arts.programs[i].vector = replace(vectors[key], program_id=i)
     arts.vectors = np.array([arts.programs[i].vector.values for i in ids])
 
     if k is None:

@@ -15,6 +15,8 @@ UNSUPPORTED_KEYWORDS = {
     "volatile", "sizeof", "auto",
 }
 
+OCTAL_DIGITS = "01234567"
+
 TWO_CHAR_OPS = {"++", "--", "<=", ">=", "==", "!=", "&&", "||"}
 ONE_CHAR_OPS = set("+-*/%<>=!(){}[],;&")
 
@@ -115,7 +117,7 @@ def lex(text):
                 tokens.append(Token("float", float(lit), line, col))
             elif lit[0] != "0":
                 tokens.append(Token("int", int(lit), line, col))
-            elif lit.strip("01234567"):  # a leading 0 makes it octal
+            elif lit.strip(OCTAL_DIGITS):  # a leading 0 makes it octal
                 err(f"invalid digit in octal constant '{lit}'")
             else:
                 tokens.append(Token("int", int(lit, 8), line, col))
@@ -133,6 +135,10 @@ def lex(text):
                     if j >= n:
                         err("unterminated string literal")
                     esc = text[j]
+                    if esc == "0" and j + 1 < n and text[j + 1] in OCTAL_DIGITS:
+                        # C reads "\01" as one octal escape, not "\0" + "1".
+                        raise UnsupportedFeature(
+                            f"escape sequence '\\0{text[j + 1]}'", line)
                     if esc == "%":
                         out.append("%")
                     elif esc in ESCAPES:

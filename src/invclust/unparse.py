@@ -31,7 +31,9 @@ def unparse_expr(node, parent_prec=0):
         op = node.literal
         inner = unparse_expr(node.children[0], _UNARY_PREC)
         if op == "-" and inner.startswith("-"):
-            inner = f"({inner})"  # avoid lexing "--" as decrement
+            # A space, not parentheses: "--" would lex as decrement, and
+            # each parenthesis would be a parser nesting level of its own.
+            return f"{op} {inner}"
         return f"{op}{inner}"
     if k == Kind.BINARY_OP:
         op = node.literal

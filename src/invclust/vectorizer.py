@@ -52,7 +52,8 @@ class FeatureVector:
 
 def _build(families, mode, n, with_idf):
     """Vocabulary with one segment per document family: its sorted grams
-    and, with idf, their weights."""
+    and, with idf, their weights. A document that occurs several times in
+    a family is tokenized once and counted once per occurrence."""
     if not families[0]:
         raise EmptyCorpus("no documents")
     if n < 1:
@@ -60,8 +61,8 @@ def _build(families, mode, n, with_idf):
     grams, segments, idf = [], [], []
     for docs in families:
         df = Counter()
-        for doc in docs:
-            df.update(set(ngrams(tokenize(doc), n)))
+        for doc, copies in Counter(docs).items():
+            df.update(dict.fromkeys(ngrams(tokenize(doc), n), copies))
         ordered = sorted(df)
         segments.append((len(grams), len(grams) + len(ordered)))
         grams += ordered

@@ -8,14 +8,16 @@ import os
 import numpy as np
 import pytest
 
-from invclust.corpus import (Corpus, Assignment, generate_synthetic_corpus,
-                             ingest, load_model, load_vectors, project_2d,
-                             run_pipeline, tree_hash, write_corpus)
-from invclust.errors import BadTestFile, EmptyCorpus, MissingTests
+from invclust.corpus import (Corpus, Assignment, analyze,
+                             generate_synthetic_corpus, ingest, load_model,
+                             load_vectors, project_2d, run_pipeline, tree_hash,
+                             write_corpus)
+from invclust.errors import (BadTestFile, EmptyCorpus, MissingTests,
+                             RuntimeFailure)
 from invclust.nodes import SourceProgram
 from invclust.synth import PAIR_FOR, PAIR_WHILE
-from invclust.tracer import TestCase
-from invclust.vectorizer import MODES
+from invclust.tracer import TestCase, run_suite
+from invclust.vectorizer import MODES, represent
 
 from conftest import HOSTILE_SOURCES
 
@@ -256,6 +258,61 @@ def test_hostile_programs_become_exclusions(tmp_path):
     for kind, (_, diagnostic) in HOSTILE_SOURCES.items():
         assert diagnostic in arts.exclusions[f"alpha/{kind}"]
     assert arts.clustered_ids == ["alpha/s0", "alpha/s1", "alpha/s2"]
+
+
+# _ECHO relaid out, with its variable renamed; and a program that divides
+# by zero on every test, with such a copy.
+_ECHO_COPY = ('// echo\nint main()\n{\n\n  int value;   scanf("%d",&value);\n'
+              '  printf( "%d" , value );\n}\n')
+_DIV0 = ('int main() {\n  int v;\n  scanf("%d", &v);\n'
+         '  printf("%d", v / (v - v));\n}\n')
+_DIV0_COPY = ('int main() { int w; scanf("%d", &w);\n'
+              '  /* zero */ printf("%d", w / (w - w)); }\n')
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_repeated_canonical_sources_match_standalone_analysis(
+        tmp_path, monkeypatch, mode):
+    sources = {"echo": _ECHO, "echo_copy": _ECHO_COPY, "echo_copy2": _ECHO,
+               "double": _DOUBLE, "div0": _DIV0, "div0_copy": _DIV0_COPY}
+    tests = [("3\n", "3"), ("4\n", "4")]
+    _write_corpus_tree(str(tmp_path), {"alpha": (list(sources.items()),
+                                                 tests)})
+    traced = []
+
+    def counting_run_suite(tree, *args):
+        traced.append(tree)
+        return run_suite(tree, *args)
+
+    monkeypatch.setattr("invclust.corpus.run_suite", counting_run_suite)
+    corpus = ingest(str(tmp_path))
+    arts = run_pipeline(corpus, mode=mode, k=1, subset="all")
+    assert len(traced) == 3  # echo, double and div0: once each
+    monkeypatch.undo()
+
+    asn = corpus.assignments["alpha"]
+    ids = sorted(arts.programs)
+    assert ids == ["alpha/double", "alpha/echo", "alpha/echo_copy",
+                   "alpha/echo_copy2"]
+    assert sorted(arts.exclusions) == ["alpha/div0", "alpha/div0_copy"]
+    for prog in asn.programs:
+        if prog.id in arts.exclusions:
+            with pytest.raises(RuntimeFailure) as exc:
+                analyze(prog, asn.tests)
+            assert arts.exclusions[prog.id] == str(exc.value)
+            assert "div-by-zero" in str(exc.value)
+            continue
+        alone, shared = analyze(prog, asn.tests), arts.programs[prog.id]
+        assert (shared.program_id, shared.label) == (prog.id, "alpha")
+        assert shared.docs == alone.docs
+        assert shared.inv_by_point == alone.inv_by_point
+        assert (shared.verdicts, shared.correct) == \
+            (alone.verdicts, alone.correct)
+        vector = represent(alone.docs, arts.vocab, prog.id)
+        assert shared.vector == vector
+        assert arts.vectors[ids.index(prog.id)].tolist() == vector.values
+    assert arts.programs["alpha/echo_copy"].docs == \
+        arts.programs["alpha/echo"].docs
 
 
 def _ids(n):

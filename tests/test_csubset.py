@@ -83,6 +83,8 @@ def test_parse_determinism():
     ("int main() { int a[2]; a[0][1] = 1; }", "multi-dimensional array"),
     ('int main() { int a[2]; scanf("%d", &a[0][1]); }',
      "multi-dimensional array"),
+    ('int main() { printf("a\\1b"); }', "escape sequence '\\1'"),
+    ('int main() { printf("a\\01b"); }', "escape sequence '\\01'"),
 ])
 def test_unsupported_constructs(src, construct):
     with pytest.raises(UnsupportedFeature) as exc:
@@ -210,6 +212,21 @@ def test_leading_zero_makes_an_integer_octal():
         with pytest.raises(CSyntaxError) as exc:
             _literal(bad)
         assert exc.value.message == f"invalid digit in octal constant '{bad}'"
+
+
+def test_nested_unary_minus_round_trips():
+    # Well past MAX_DEPTH / 2: each minus is one parser nesting level, and
+    # the unparsed text must not add a level per minus.
+    tree = parse("int main() {\n  int x = 1;\n  x = " + "- " * 60
+                 + "x;\n}\n")
+    text = unparse(tree)
+    assert "x = " + "- " * 59 + "-x;" in text
+    assert structurally_equal(parse(text), tree)
+
+
+def test_zero_escape_before_a_non_octal_character_is_nul():
+    tree = parse('int main() {\n  printf("a\\0b\\08");\n}\n')
+    assert _find(tree, Kind.PRINTF)[0].literal == "a\0b\08"
 
 
 def test_infinite_float_literal_round_trips():

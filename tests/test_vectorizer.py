@@ -1,6 +1,8 @@
 """Bag-of-words vocabulary and feature-vector tests."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -191,3 +193,22 @@ def test_combined_vector_is_concatenation_for_shared_grams(docs, n, idf):
         assert represent(d, vocabs["aast_inv"]).values == \
             represent(d, vocabs["aast"]).values \
             + represent(d, vocabs["inv"]).values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.builds(ProgramDocs, st.just(""),
+                                    _text(_AAST_WORDS), _text(_INV_WORDS)),
+                          st.integers(1, 3)), min_size=1, max_size=5),
+       st.sampled_from([1, 2, 3]))
+def test_vocab_counts_every_copy_of_a_repeated_document(counted, n):
+    docs = [d for d, copies in counted for _ in range(copies)]
+    vocab = build_vocab_for_mode(docs, "aast_inv", n, idf=True)
+    grams, idf = [], []
+    for field in ("aast_text", "inv_text"):
+        df = Counter()
+        for d in docs:
+            df.update(set(ngrams(tokenize(getattr(d, field)), n)))
+        grams += sorted(df)
+        idf += [math.log((1 + len(docs)) / (1 + df[g])) + 1
+                for g in sorted(df)]
+    assert (vocab.grams, vocab.idf) == (grams, idf)
