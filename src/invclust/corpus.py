@@ -15,6 +15,7 @@ from .clusterer import ClusterModel, k_from_fraction, kmeans, purity
 from .errors import (BadModel, BadTestFile, EmptyCorpus, MissingTests,
                      ProgramRejected, RuntimeFailure)
 from .invariants import detect, flatten
+from .lexer import lex
 from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
@@ -128,26 +129,58 @@ class PipelineArtifacts:
 
 
 def analyze(program, tests, limits=None, min_samples=2, memo=None):
-    """parse -> rename -> trace -> detect -> documents for one
+    """lex -> parse -> rename -> trace -> detect -> documents for one
     SourceProgram. Raises ProgramRejected when the program cannot be used:
     a syntax, unsupported-construct or unresolved-name diagnostic, or
     RuntimeFailure when a test ends in a runtime error.
 
     The outcome past renaming is a function of the canonical source
     (`unparse` of the renamed tree), the tests, the limits and
-    min_samples. `memo` maps canonical source -> that outcome, for one
-    fixed (tests, limits, min_samples): a program whose canonical source
-    is already in it gets the outcome of the first, relabelled, without
-    being traced again."""
-    renamed, _ = rename(parse(program.text))
-    source = unparse(renamed)
-    memo = {} if memo is None else memo
-    if source not in memo:
-        memo[source] = _outcome(renamed, source, tests, limits, min_samples)
-    outcome = memo[source]
+    min_samples. `memo`, for one fixed (tests, limits, min_samples), maps
+    both the canonical source and the token key (see token_key) of every
+    program analyzed with it to that outcome. A program whose token key is
+    in it gets the outcome of the first, relabelled, without being parsed,
+    renamed or unparsed; one whose canonical source is in it, without being
+    traced. A program rejected before tracing is never stored, so each
+    reports its own line, column and name."""
+    tokens = lex(program.text)
+    memo, key = ({}, None) if memo is None else (memo, token_key(tokens))
+    outcome = memo.get(key)
+    if outcome is None:
+        renamed, _ = rename(parse(tokens))
+        source = unparse(renamed)
+        if source not in memo:
+            memo[source] = _outcome(renamed, source, tests, limits,
+                                    min_samples)
+        outcome = memo[key] = memo[source]
     if isinstance(outcome, RuntimeFailure):
         raise outcome.with_traceback(None)
     return replace(outcome, program_id=program.id, label=program.label)
+
+
+def token_key(tokens):
+    """The tokens up to layout, comments and the names of variables: each
+    token's kind and value (the kind fixes a literal's type, so `1` and
+    `1.0` differ), with every identifier that never directly precedes `(`
+    replaced by the order of its first occurrence. A name that ever
+    precedes `(`, a function's or a variable's that shares it, stays as
+    written.
+
+    Two programs with equal keys have equal tokens up to a one-to-one
+    renaming of variables that keeps every function name. The parser and
+    the renamer compare names only for equality, so the two programs get
+    the same renamed tree and the same outcome past it."""
+    calls = {tok.value for tok, after in zip(tokens, tokens[1:])
+             if after.value == "(" and after.kind == "op"
+             and tok.kind == "ident"}
+    order = {}
+    key = []
+    for tok in tokens:
+        value = tok.value
+        if tok.kind == "ident" and value not in calls:
+            value = order.setdefault(value, len(order))
+        key += (tok.kind, value)
+    return tuple(key)
 
 
 def _outcome(renamed, source, tests, limits, min_samples):

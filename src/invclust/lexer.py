@@ -15,6 +15,9 @@ UNSUPPORTED_KEYWORDS = {
     "volatile", "sizeof", "auto",
 }
 
+# C's digit sets. str.isdigit also accepts other Unicode digits ('²', '٣'),
+# which int() and float() reject or read as some other value.
+DIGITS = "0123456789"
 OCTAL_DIGITS = "01234567"
 
 TWO_CHAR_OPS = {"++", "--", "<=", ">=", "==", "!=", "&&", "||"}
@@ -91,24 +94,24 @@ def lex(text):
             col += j - i
             i = j
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in DIGITS or (c == "." and i + 1 < n and text[i + 1] in DIGITS):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             is_float = False
             if j < n and text[j] == ".":
                 is_float = True
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in DIGITS:
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in DIGITS:
                     is_float = True
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in DIGITS:
                         j += 1
             lit = text[i:j]
             if j < n and (text[j].isalpha() or text[j] == "_"):

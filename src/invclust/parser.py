@@ -38,12 +38,13 @@ BINARY_PREC = {op: prec for prec, ops in enumerate((
 
 class _Parser:
     def __init__(self, tokens):
-        self.toks = tokens
+        self.toks = tokens  # ends in eof, which next() never moves past
         self.pos = 0
         self.depth = 0
 
     def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        """The current token, or one `ahead` of it if that is not past eof."""
+        return self.toks[self.pos + ahead]
 
     def next(self):
         tok = self.toks[self.pos]
@@ -84,15 +85,16 @@ class _Parser:
         return repr(tok.value)
 
     def at_op(self, *ops):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         return tok.kind == "op" and tok.value in ops
 
     def at_kw(self, *kws):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         return tok.kind == "kw" and tok.value in kws
 
     def at_type(self):
-        return self.at_kw(*TYPE_KEYWORDS)
+        tok = self.toks[self.pos]
+        return tok.kind == "kw" and tok.value in TYPE_KEYWORDS
 
     def enter(self):
         """One level deeper, rejected past MAX_DEPTH at the next token. A
@@ -160,45 +162,51 @@ class _Parser:
         tok = self.expect_op("{")
         self.enter()
         blk = Node(Kind.BLOCK, line=tok.line, col=tok.col)
-        while not self.at_op("}"):
-            if self.peek().kind == "eof":
+        while True:
+            tok = self.toks[self.pos]
+            if tok.kind == "op" and tok.value == "}":
+                break
+            if tok.kind == "eof":
                 self.err("unterminated block")
             blk.children.extend(self.statement())
-        self.expect_op("}")
+        self.pos += 1
         self.depth -= 1
         return blk
 
     def statement(self):
         """Returns a list of nodes (declarations may split)."""
-        tok = self.peek()
-        if self.at_type():
-            return self.declaration()
-        if self.at_kw("void"):
-            self.unsupported("void declaration", tok)
-        if self.at_op("{"):
-            return [self.block()]
-        if self.at_kw("if"):
-            return [self.if_stmt()]
-        if self.at_kw("while"):
-            return [self.while_stmt()]
-        if self.at_kw("for"):
-            return [self.for_stmt()]
-        if self.at_kw("return"):
-            self.next()
-            node = Node(Kind.RETURN, line=tok.line, col=tok.col)
-            if not self.at_op(";"):
-                node.children.append(self.expression())
-            self.expect_op(";")
-            return [node]
-        if self.at_kw("scanf"):
-            return [self.format_stmt(self.scanf_target, "targets")]
-        if self.at_kw("printf"):
-            return [self.format_stmt(self.expression, "arguments")]
-        if self.at_kw("else"):
-            self.err("'else' without matching 'if'", tok)
-        if self.at_op(";"):
-            self.next()
-            return []
+        tok = self.toks[self.pos]
+        kind, value = tok.kind, tok.value
+        if kind == "kw":
+            if value in TYPE_KEYWORDS:
+                return self.declaration()
+            if value == "if":
+                return [self.if_stmt()]
+            if value == "printf":
+                return [self.format_stmt(self.expression, "arguments")]
+            if value == "for":
+                return [self.for_stmt()]
+            if value == "while":
+                return [self.while_stmt()]
+            if value == "scanf":
+                return [self.format_stmt(self.scanf_target, "targets")]
+            if value == "return":
+                self.next()
+                node = Node(Kind.RETURN, line=tok.line, col=tok.col)
+                if not self.at_op(";"):
+                    node.children.append(self.expression())
+                self.expect_op(";")
+                return [node]
+            if value == "void":
+                self.unsupported("void declaration", tok)
+            if value == "else":
+                self.err("'else' without matching 'if'", tok)
+        elif kind == "op":
+            if value == "{":
+                return [self.block()]
+            if value == ";":
+                self.next()
+                return []
         return [self.simple_stmt(expect_semi=True)]
 
     def declaration(self):
@@ -403,7 +411,7 @@ class _Parser:
         operands = [self.unary()]
         ops = []
         while True:
-            tok = self.peek()
+            tok = self.toks[self.pos]
             prec = BINARY_PREC.get(tok.value) if tok.kind == "op" else None
             while ops and (prec is None or ops[-1][0] >= prec):
                 _, op = ops.pop()
@@ -417,42 +425,46 @@ class _Parser:
             operands.append(self.unary())
 
     def unary(self):
-        tok = self.peek()
-        if self.at_op("-", "!"):
-            self.next()
+        tok = self.toks[self.pos]
+        if tok.kind != "op":
+            return self.postfix(tok)
+        op = tok.value
+        if op == "-" or op == "!":
+            self.pos += 1
             self.enter()
             operand = self.unary()
             self.depth -= 1
-            return Node(Kind.UNARY_OP, literal=tok.value, children=[operand],
+            return Node(Kind.UNARY_OP, literal=op, children=[operand],
                         line=tok.line, col=tok.col)
-        if self.at_op("++", "--"):
+        if op == "++" or op == "--":
             self.unsupported("increment inside expression", tok)
-        if self.at_op("&"):
+        if op == "&":
             self.unsupported("address-of outside scanf", tok)
-        if self.at_op("*"):
+        if op == "*":
             self.unsupported("pointer dereference", tok)
-        return self.postfix()
+        return self.postfix(tok)
 
-    def postfix(self):
-        tok = self.peek()
-        if tok.kind == "int" or tok.kind == "float":
-            self.next()
-            return Node(Kind.LITERAL, literal=tok.value, line=tok.line, col=tok.col)
-        if tok.kind == "string":
-            self.unsupported("string literal in expression", tok)
-        if tok.kind == "ident":
+    def postfix(self, tok):
+        """The primary expression that starts at `tok`, the current token."""
+        kind = tok.kind
+        if kind == "ident":
             node = self.reference()
             if node.kind != Kind.CALL and self.at_op("++", "--"):
                 self.unsupported("increment inside expression", tok)
             return node
-        if self.at_op("("):
-            self.next()
+        if kind == "int" or kind == "float":
+            self.pos += 1
+            return Node(Kind.LITERAL, literal=tok.value, line=tok.line, col=tok.col)
+        if kind == "op" and tok.value == "(":
+            self.pos += 1
             node = self.expression()
             self.expect_op(")")
             if self.at_op("++", "--"):
                 self.unsupported("increment inside expression", tok)
             return node
-        if self.at_kw("scanf", "printf"):
+        if kind == "string":
+            self.unsupported("string literal in expression", tok)
+        if kind == "kw" and tok.value in ("scanf", "printf"):
             self.unsupported(f"'{tok.value}' inside expression", tok)
         self.err(f"expected expression, found {self._show(tok)}", tok)
 
@@ -487,9 +499,10 @@ def _check_calls_in(fn, funcs):
         stack.extend((c, depth + 1) for c in reversed(node.children))
 
 
-def parse(text):
-    """Parse source text into its translation-unit Node."""
-    parser = _Parser(lex(text))
+def parse(source):
+    """Parse source text, or the tokens `lex` made of it, into its
+    translation-unit Node."""
+    parser = _Parser(lex(source) if isinstance(source, str) else source)
     try:
         tree = parser.translation_unit()
     except RecursionError:  # only for a caller already deep in the stack

@@ -12,7 +12,7 @@ declaration order. Function names are left alone.
 from dataclasses import dataclass, field
 
 from .errors import UnresolvedIdentifier
-from .nodes import Kind, copy_tree, structurally_equal
+from .nodes import Kind, Node, structurally_equal
 
 _PREFIX = {"int": "int", "double": "float"}
 
@@ -160,10 +160,10 @@ class _Resolver:
 
 
 def rename(tree):
-    """Returns (renamed copy of the tree, RenameMap)."""
-    root = copy_tree(tree)
+    """Returns (renamed copy of the tree, RenameMap); the tree is left
+    unchanged."""
     res = _Resolver()
-    res.run(root)
+    res.run(tree)
 
     counters = {"int": 0, "float": 0}
     bound_ids = {id(v) for v in res.events}
@@ -178,13 +178,13 @@ def rename(tree):
         rmap.entries.append((var.name, var.scope_path, var.new_name))
 
     def rewrite(node):
-        if id(node) in res.resolved:
-            node.identifier = res.resolved[id(node)].new_name
-        for c in node.children:
-            rewrite(c)
+        var = res.resolved.get(id(node))
+        return Node(node.kind,
+                    node.identifier if var is None else var.new_name,
+                    node.type_name, node.literal,
+                    [rewrite(c) for c in node.children], node.line, node.col)
 
-    rewrite(root)
-    return root, rmap
+    return rewrite(tree), rmap
 
 
 def alpha_equivalent(a, b):

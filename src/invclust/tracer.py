@@ -419,9 +419,8 @@ class _Compiler:
                 if slot is None:
                     _unknown(st, name)
                 x = v[slot]
-                if x is UNSET:
-                    raise TraceRuntimeError("uninitialized-read", st.point,
-                                            name)
+                if x is UNSET or x.__class__ is list:
+                    _bad_read(st, name, x)
                 x += delta
                 if not (is_int and x.__class__ is int
                         and INT_MIN <= x <= INT_MAX):

@@ -41,6 +41,14 @@ HOSTILE_SOURCES = {
         (_READ_N + "  double x = 1e300;\n  x = x * x;\n  int y = x;\n"
          '  printf("%d", n);\n}\n').encode(),
         "integer-overflow at main/entry"),
+    "array-increment": (
+        (_READ_N + "  int a[2];\n  a++;\n" + '  printf("%d", n);\n}\n'
+         ).encode(),
+        "type-error at main/entry: array 'int1' used as scalar"),
+    "unicode-digit": (
+        (_READ_N + "  int x = 1\u00b2;\n" + '  printf("%d", n);\n}\n'
+         ).encode(),
+        "4:12: unexpected character '\u00b2'"),
     "nan-printf": (
         (_READ_N + "  double x = 1e300;\n  x = x * x - x * x;\n"
          '  printf("%d", x);\n}\n').encode(),

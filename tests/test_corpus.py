@@ -10,11 +10,13 @@ import pytest
 
 from invclust.corpus import (Corpus, Assignment, analyze,
                              generate_synthetic_corpus, ingest, load_model,
-                             load_vectors, project_2d, run_pipeline, tree_hash,
-                             write_corpus)
+                             load_vectors, project_2d, run_pipeline,
+                             token_key, tree_hash, write_corpus)
 from invclust.errors import (BadTestFile, EmptyCorpus, MissingTests,
-                             RuntimeFailure)
+                             ProgramRejected, RuntimeFailure)
+from invclust.lexer import lex
 from invclust.nodes import SourceProgram
+from invclust.parser import parse
 from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase, run_suite
 from invclust.vectorizer import MODES, represent
@@ -260,6 +262,23 @@ def test_hostile_programs_become_exclusions(tmp_path):
     assert arts.clustered_ids == ["alpha/s0", "alpha/s1", "alpha/s2"]
 
 
+def _count_calls(monkeypatch):
+    """Lists that record each call `analyze` makes to parse and run_suite."""
+    parsed, traced = [], []
+
+    def counting_parse(tokens):
+        parsed.append(tokens)
+        return parse(tokens)
+
+    def counting_run_suite(tree, *args):
+        traced.append(tree)
+        return run_suite(tree, *args)
+
+    monkeypatch.setattr("invclust.corpus.parse", counting_parse)
+    monkeypatch.setattr("invclust.corpus.run_suite", counting_run_suite)
+    return parsed, traced
+
+
 # _ECHO relaid out, with its variable renamed; and a program that divides
 # by zero on every test, with such a copy.
 _ECHO_COPY = ('// echo\nint main()\n{\n\n  int value;   scanf("%d",&value);\n'
@@ -278,16 +297,13 @@ def test_repeated_canonical_sources_match_standalone_analysis(
     tests = [("3\n", "3"), ("4\n", "4")]
     _write_corpus_tree(str(tmp_path), {"alpha": (list(sources.items()),
                                                  tests)})
-    traced = []
-
-    def counting_run_suite(tree, *args):
-        traced.append(tree)
-        return run_suite(tree, *args)
-
-    monkeypatch.setattr("invclust.corpus.run_suite", counting_run_suite)
+    parsed, traced = _count_calls(monkeypatch)
     corpus = ingest(str(tmp_path))
     arts = run_pipeline(corpus, mode=mode, k=1, subset="all")
-    assert len(traced) == 3  # echo, double and div0: once each
+    # echo, double and div0: once each, since each copy has its group's
+    # tokens up to layout, comments and variable names
+    assert len(traced) == 3
+    assert len(parsed) == 3
     monkeypatch.undo()
 
     asn = corpus.assignments["alpha"]
@@ -313,6 +329,98 @@ def test_repeated_canonical_sources_match_standalone_analysis(
         assert arts.vectors[ids.index(prog.id)].tolist() == vector.values
     assert arts.programs["alpha/echo_copy"].docs == \
         arts.programs["alpha/echo"].docs
+
+
+_CALL = ('int {f}(int {a}) {{\n  return {a} + 1;\n}}\n\nint main() {{\n'
+         '  int {v};\n  scanf("%d", &{v});\n  printf("%d", {f}({v}));\n}}\n')
+
+
+def _call(f="f", a="a", v="v"):
+    return _CALL.format(f=f, a=a, v=v)
+
+
+@pytest.mark.parametrize("a, b, equal", [
+    (_ECHO, _ECHO_COPY, True),
+    (_DIV0, _DIV0_COPY, True),
+    (_call(), "/* */ " + _call(a="n", v="count"), True),
+    # another function name, or a double for an int
+    (_call(), _call(f="g"), False),
+    (_DOUBLE.replace("v + v", "v + 1"), _DOUBLE.replace("v + v", "v + 1.0"),
+     False),
+    # a variable named like a function keeps its name, wherever it is
+    (_call(), _call(v="f"), False),
+    (_call(v="f"), _call(a="n", v="f"), True),
+], ids=["echo", "div0", "call", "function-name", "int-double",
+        "variable-named-f", "variable-named-f-renamed"])
+def test_token_key_ignores_layout_comments_and_variable_names(a, b, equal):
+    assert (token_key(lex(a)) == token_key(lex(b))) is equal
+
+
+def test_token_key_misses_fall_back_to_the_canonical_source(
+        tmp_path, monkeypatch):
+    # f_var's variable shares the function's name, so its tokens differ
+    # from call's; renamed, both are the same program. g and one_double
+    # differ from call and one in their canonical sources too.
+    one = _DOUBLE.replace("v + v", "v + 1")
+    sources = {"call": _call(), "f_var": _call(v="f"), "g": _call(f="g"),
+               "one": one,
+               "one_double": one.replace("v + 1", "v + 1.0")}
+    _write_corpus_tree(str(tmp_path), {"alpha": (list(sources.items()),
+                                                 [("3\n", "4")])})
+    parsed, traced = _count_calls(monkeypatch)
+    corpus = ingest(str(tmp_path))
+    arts = run_pipeline(corpus, mode="aast_inv", k=1)
+    assert len(parsed) == 5
+    assert len(traced) == 4  # f_var has call's canonical source
+    monkeypatch.undo()
+    assert not arts.exclusions
+    docs = {p: a.docs for p, a in arts.programs.items()}
+    assert docs["alpha/f_var"] == docs["alpha/call"]
+    assert docs["alpha/one_double"] != docs["alpha/one"]
+    for prog in corpus.assignments["alpha"].programs:
+        if prog.id in arts.programs:
+            assert analyze(prog, corpus.assignments["alpha"].tests).docs == \
+                docs[prog.id]
+
+
+def test_token_equivalent_rejections_report_their_own_names(
+        tmp_path, monkeypatch):
+    unresolved = ('int main() {\n  int v;\n  scanf("%d", &v);\n'
+                  '  printf("%d", w);\n}\n')
+    syntax = 'int main() {\n  int v;\n  v = ;\n}\n'
+    sources = {"u0": unresolved,
+               "u1": "\n// copy\n" + unresolved.replace("w", "total")
+               .replace("v", "x"),
+               "s0": syntax, "s1": "\n\n" + syntax.replace("v", "y"),
+               "ok": _ECHO}
+    _write_corpus_tree(str(tmp_path), {"alpha": (list(sources.items()),
+                                                 [("3\n", "3")])})
+    corpus = ingest(str(tmp_path))
+    assert token_key(lex(sources["u0"])) == token_key(lex(sources["u1"]))
+    assert token_key(lex(sources["s0"])) == token_key(lex(sources["s1"]))
+    parsed, _ = _count_calls(monkeypatch)
+    arts = run_pipeline(corpus, mode="syntax", k=1)
+    assert len(parsed) == 5  # rejections are never stored
+    monkeypatch.undo()
+    assert arts.exclusions == {
+        "alpha/u0": "line 4: unresolved identifier 'w'",
+        "alpha/u1": "line 6: unresolved identifier 'total'",
+        "alpha/s0": "3:7: expected expression, found ';'",
+        "alpha/s1": "5:7: expected expression, found ';'",
+    }
+    for prog in corpus.assignments["alpha"].programs[1:]:  # all but ok
+        with pytest.raises(ProgramRejected) as exc:
+            analyze(prog, corpus.assignments["alpha"].tests)
+        assert arts.exclusions[prog.id] == str(exc.value)
+
+
+def test_analyze_without_a_memo_computes_no_token_key(monkeypatch):
+    def no_key(tokens):
+        raise AssertionError("token_key called")
+
+    monkeypatch.setattr("invclust.corpus.token_key", no_key)
+    prog = SourceProgram(id="a/echo", label="a", text=_ECHO)
+    assert analyze(prog, [TestCase("3\n", "3")]).correct
 
 
 def _ids(n):

@@ -214,6 +214,24 @@ def test_leading_zero_makes_an_integer_octal():
         assert exc.value.message == f"invalid digit in octal constant '{bad}'"
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+def test_numbers_take_ascii_digits_only(digit):
+    # C's digits are 0-9; '²' (superscript two), '٣' (Arabic-Indic three)
+    # and '１' (fullwidth one) are other characters, after a number or not.
+    for stmt, col in ((f"x = 1{digit};", 8), (f"x = {digit};", 7),
+                      (f"x = 1.{digit};", 9), (f"x = 1e{digit};", 7)):
+        with pytest.raises(CSyntaxError) as exc:
+            parse("int main() {\n  int x;\n  " + stmt + "\n}\n")
+        assert str(exc.value) == (f"3:{col}: malformed number '1e'"
+                                  if "e" in stmt else
+                                  f"3:{col}: unexpected character {digit!r}")
+
+
+def test_identifiers_keep_unicode_digits():
+    tree = parse("int main() {\n  int x\u00b2 = 1;\n}\n")
+    assert _find(tree, Kind.DECL)[0].identifier == "x\u00b2"
+
+
 def test_nested_unary_minus_round_trips():
     # Well past MAX_DEPTH / 2: each minus is one parser nesting level, and
     # the unparsed text must not add a level per minus.

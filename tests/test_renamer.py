@@ -75,10 +75,12 @@ def test_unresolved_identifier():
 def test_shadowing_gets_fresh_counter():
     src = ("int main() {\n  int x = 1;\n  if (x > 0) {\n"
            "    int x = 2;\n    x = 3;\n  }\n}\n")
-    renamed, rmap = rename(parse(src))
+    tree = parse(src)
+    renamed, rmap = rename(tree)
     names = [e[2] for e in rmap.entries]
     assert names == ["int0", "int1"]
     assert "int1 = 2;" in unparse(renamed)
+    assert tree == parse(src)  # the input is left as it was
 
 
 def test_alpha_invariance_randomized():

@@ -169,6 +169,14 @@ def test_array_out_of_bounds():
     assert any("array-out-of-bounds" in e for e in log.errors)
 
 
+@pytest.mark.parametrize("stmt", ["a++;", "--a;", "a = 1;"])
+def test_array_used_as_scalar_is_type_error(stmt):
+    tree = parse("int main() {\n  int a[2];\n  " + stmt + "\n}\n")
+    log, _, verdict = execute(tree, TestCase("", ""))
+    assert verdict == "error"
+    assert log.errors == ["type-error at main/entry: array 'a' used as scalar"]
+
+
 def test_single_test_suite_equals_execute():
     tree = _renamed(LEFT_SRC)
     test = TestCase("4\n", "10")
