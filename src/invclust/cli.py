@@ -10,7 +10,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ from .anonymizer import anonymize, serialize_aast
 from .clusterer import closest_program, purity
 from .corpus import (analyze, generate_synthetic_corpus, ingest, load_model,
                      load_vectors, read_source, read_tests, run_pipeline,
-                     write_corpus, write_projection)
+                     write_corpus)
 from .errors import InvclustError
 from .nodes import SourceProgram
 from .parser import parse
@@ -169,18 +168,6 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_project(args):
-    model_path = os.path.join(args.artifacts, "model.json")
-    model = load_model(model_path)
-    ids = sorted(model.assignment)
-    out_path = os.path.join(args.artifacts, "projection.csv")
-    points = write_projection(ids, load_vectors(model_path, model, ids),
-                              out_path)
-    _emit(args, {"csv": out_path, "points": points},
-          f"wrote {points} points to {out_path}")
-    return 0
-
-
 def _int_at_least(low):
     def integer(text):
         value = int(text)
@@ -292,12 +279,6 @@ def build_parser():
     p.add_argument("--variants-per", type=_int_at_least(2), default=10)
     common(p)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("project", help="2-D PCA projection of vectors")
-    p.add_argument("--artifacts", required=True,
-                   help="pipeline output directory (contains model.json)")
-    common(p)
-    p.set_defaults(func=cmd_project)
 
     return parser
 

@@ -20,6 +20,7 @@ while k <= M). Lloyd stops when an iteration that did no reseeding changes
 no label, or after max_iters. Fully deterministic given the seed.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +124,9 @@ def _lloyd(P, w, k, seed, max_iters):
 
 def kmeans(ids, X, k, seed, max_iters=300, restarts=1):
     """k-means on the rows of X, row i being program ids[i]: the best of
-    `restarts` seeded runs by SSE (seeds seed, seed+1, ...); k is clamped
-    to the number of distinct rows and model.k is the k used."""
+    `restarts` seeded runs by SSE (seeds seed, seed+1, ...), stopping at
+    the first whose SSE is at most 1e-12; k is clamped to the number of
+    distinct rows and model.k is the k used."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if k > len(ids):
@@ -140,6 +142,8 @@ def kmeans(ids, X, k, seed, max_iters=300, restarts=1):
         centers, labels, sse, _ = _lloyd(P, w, k, seed + r, max_iters)
         if best is None or sse < best[2] - 1e-12:
             best = (centers, labels, sse)
+        if best[2] <= 1e-12:
+            break  # SSE is never negative: no later run can be 1e-12 lower
     centers, labels, sse = best
     model = ClusterModel(
         k=k, seed=seed,
@@ -153,8 +157,12 @@ def kmeans(ids, X, k, seed, max_iters=300, restarts=1):
 
 
 def k_from_fraction(n, frac):
-    import math
-    return max(1, math.floor(n * frac + 0.5))
+    """n * frac rounded half up, at least 1. KTooLarge when that exceeds
+    n, checked before rounding, which an infinite n * frac would overflow."""
+    k = n * frac + 0.5
+    if not k < n + 1:
+        raise KTooLarge(f"k-frac {frac} gives k > {n} points")
+    return max(1, math.floor(k))
 
 
 def _norms(D):

@@ -123,8 +123,7 @@ class PipelineArtifacts:
     model: object = None
     purity: float = 0.0
     clustered_ids: list = field(default_factory=list)
-    vectors: object = None  # float64, a row per program in sorted id order
-    clustered_vectors: object = None  # the rows of clustered_ids, in order
+    clustered_vectors: object = None  # float64, a row per clustered id
     k_requested: int = 0   # before clamping to the distinct vectors
 
 
@@ -209,8 +208,8 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
     Each distinct canonical source of an assignment is analyzed once, and
     each distinct document tuple is vectorized once; copies share the
     result. Clustering is restricted to programs passing every test when
-    subset="correct-only"; every surviving program still gets a vector
-    against the frozen vocabulary (for closest-program queries)."""
+    subset="correct-only"; only clustered programs are vectorized, so the
+    vector of any other surviving program stays None."""
     arts = PipelineArtifacts()
     for label in sorted(corpus.assignments):
         asn = corpus.assignments[label]
@@ -234,18 +233,18 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
     arts.vocab = build_vocab_for_mode(
         [arts.programs[i].docs for i in clustered], mode, n, idf)
     vectors = {}  # document tuple -> its FeatureVector
-    for i in ids:
+    for i in clustered:
         docs = arts.programs[i].docs
         key = documents_for_mode(docs, mode)
         if key not in vectors:
             vectors[key] = represent(docs, arts.vocab)
         arts.programs[i].vector = replace(vectors[key], program_id=i)
-    arts.vectors = np.array([arts.programs[i].vector.values for i in ids])
+    arts.clustered_vectors = np.array(
+        [arts.programs[i].vector.values for i in clustered])
 
     if k is None:
         k = k_from_fraction(len(clustered), k_frac)
     arts.k_requested = k
-    arts.clustered_vectors = arts.vectors[np.isin(ids, clustered)]
     arts.model = kmeans(clustered, arts.clustered_vectors, k, seed,
                         restarts=restarts)
     arts.model.vocab = arts.vocab
@@ -262,22 +261,22 @@ def _dump(obj):
 
 
 def write_vectors(arts, path):
-    """Every surviving program's vector, clustered or not, as one numpy
-    structured array: a row per program in sorted id order, with fields
+    """The clustered programs' vectors as one numpy structured array: a
+    row per program in clustered_ids order, which is sorted, with fields
     `id` (unicode) and `values` (float64, one per vocabulary gram)."""
-    ids = sorted(arts.programs)
+    ids = arts.clustered_ids
     table = np.empty(len(ids), dtype=[
         ("id", f"<U{max(map(len, ids))}"),
-        ("values", "<f8", arts.vectors.shape[1:])])
+        ("values", "<f8", arts.clustered_vectors.shape[1:])])
     table["id"] = ids
-    table["values"] = arts.vectors
+    table["values"] = arts.clustered_vectors
     np.save(path, table, allow_pickle=False)
 
 
 def persist(arts, out_dir):
     """One file per artifact kind, all at the root of out_dir: the
-    documents and the vector of every surviving program, the model, the
-    report and the projection."""
+    documents of every surviving program, the vector of every clustered
+    one, the model, the report and the projection."""
     os.makedirs(out_dir, exist_ok=True)
     documents = {pid: {"renamed_source": pa.docs.renamed_source,
                        "aast_text": pa.docs.aast_text,
@@ -425,13 +424,11 @@ def load_vectors(model_path, model, ids):
 
 
 def write_projection(ids, X, path):
-    """Write project_2d(ids, X) as id,x,y CSV; returns the row count."""
-    rows = project_2d(ids, X)
+    """Write project_2d(ids, X) as id,x,y CSV."""
     with open(path, "w") as f:
         f.write("id,x,y\n")
-        for pid, x, y in rows:
+        for pid, x, y in project_2d(ids, X):
             f.write(f"{pid},{x!r},{y!r}\n")
-    return len(rows)
 
 
 def project_2d(ids, X):

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from invclust.cli import build_parser, main
+from invclust.corpus import analyze, load_model, read_source, read_tests
+from invclust.nodes import SourceProgram
+from invclust.vectorizer import represent
 
 from conftest import HOSTILE_SOURCES, LEFT_SRC
 
@@ -108,9 +111,6 @@ def test_closest_prints_id_and_distance(workspace, capsys):
 
 
 def test_closest_all_candidates_scans_everything(workspace, capsys):
-    from invclust.corpus import analyze, load_model, read_source, read_tests
-    from invclust.nodes import SourceProgram
-    from invclust.vectorizer import represent
     out = workspace / "out"
     tests = workspace / "corpus" / "tests" / "sum1n"
     assert main(["closest", "--model", str(out / "model.json"),
@@ -138,16 +138,6 @@ def test_closest_all_candidates_scans_everything(workspace, capsys):
                  "--tests", str(tests), "--json"]) == 0
     rep_payload = _json_out(capsys)
     assert payload["distance"] <= rep_payload["distance"]
-
-
-def test_project_writes_csv(workspace, capsys):
-    assert main(["project", "--artifacts", str(workspace / "out"),
-                 "--json"]) == 0
-    payload = _json_out(capsys)
-    assert payload["points"] == 30
-    with open(payload["csv"]) as f:
-        header = f.readline().strip()
-    assert header == "id,x,y"
 
 
 def test_unknown_mode_exit_1(workspace, capsys):
@@ -219,17 +209,69 @@ def test_no_command_exit_1(capsys):
     assert code == 1
 
 
+def test_project_is_a_usage_error(workspace, capsys):
+    # projection.csv has one writer, cluster --out.
+    code = main(["project", "--artifacts", str(workspace / "out")])
+    assert code == 1
+    assert "invalid choice: 'project'" in capsys.readouterr().err
+
+
 # k below 1 is a usage error: test_numeric_flag_below_one_is_usage_error.
-@pytest.mark.parametrize("k", ["50"])
-def test_k_out_of_range_exit_2(workspace, capsys, k):
+# A --k-frac of 1e308 makes n * frac + 0.5 infinite, which no int holds.
+@pytest.mark.parametrize("flag,value", [
+    ("--k", "50"), ("--k-frac", "5"), ("--k-frac", "1e308"),
+], ids=["50", "k-frac-5", "k-frac-1e308"])
+def test_k_out_of_range_exit_2(workspace, capsys, flag, value):
     code = main(["cluster", "--corpus", str(workspace / "corpus"),
-                 "--k", k])
+                 flag, value])
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines()
               if line.startswith("error:")]
     assert code == 2
-    assert len(errors) == 1 and "k" in errors[0]
+    assert len(errors) == 1 and errors[0].endswith(" 30 points")
     assert "Traceback" not in captured.err
+
+
+def test_old_vectors_with_unclustered_rows_answer_closest(workspace,
+                                                         tmp_path, capsys):
+    # Trees written before vectors.npy held the clustered programs only
+    # also hold a row for each surviving program that failed its tests.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    shutil.copy(workspace / "bad.c", corpus / "sum1n" / "zbad.c")
+    out = tmp_path / "out"
+    assert main(["cluster", "--corpus", str(corpus), "--k", "3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    documents = json.loads((out / "documents.json").read_text())
+    table = np.load(out / "vectors.npy", allow_pickle=False)
+    assert "sum1n/zbad" in documents
+    assert "sum1n/zbad" not in table["id"].tolist()
+    model = str(out / "model.json")
+    queries = [["closest", "--model", model, "--program",
+                str(workspace / "bad.c"), "--tests",
+                str(corpus / "tests" / "sum1n"), *flag]
+               for flag in ([], ["--all-candidates"])]
+
+    def answers():
+        got = [(main(argv), capsys.readouterr()) for argv in queries]
+        return [(code, cap.out, cap.err) for code, cap in got]
+
+    before = answers()
+    # The row the old pipeline wrote for zbad is the query's own vector,
+    # at distance 0: reading it as a candidate would change the answer.
+    pa = analyze(SourceProgram(id="sum1n/zbad", label="sum1n",
+                               text=read_source(str(workspace / "bad.c"))),
+                 read_tests(str(corpus / "tests" / "sum1n")))
+    extra = np.empty(1, dtype=table.dtype)
+    extra["id"] = "sum1n/zbad"
+    extra["values"] = represent(pa.docs, load_model(model).vocab).values
+    old = np.sort(np.concatenate([table, extra]), order="id")
+    np.save(out / "vectors.npy", old, allow_pickle=False)
+    assert np.load(out / "vectors.npy")["id"].tolist() == sorted(documents)
+    assert answers() == before
+    assert all(code == 0 and json.loads(stdout)["distance"] > 0
+               for code, stdout, _ in before)
 
 
 def test_k_above_distinct_vectors_is_clamped(tmp_path, capsys):
@@ -450,7 +492,7 @@ _VECTOR_DAMAGE = {
 
 @pytest.mark.parametrize("command,damage", [
     (command, damage)
-    for command in ("closest", "representatives", "purity", "project")
+    for command in ("closest", "representatives", "purity")
     for damage in _MODEL_DAMAGE
 ] + [("closest", damage) for damage in _VECTOR_DAMAGE])
 def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
@@ -464,9 +506,7 @@ def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
         bad = model
         _MODEL_DAMAGE[damage](bad)
     argv = [command, "--model", str(model)]
-    if command == "project":
-        argv = [command, "--artifacts", str(out)]
-    elif command == "closest":
+    if command == "closest":
         argv += ["--program", str(workspace / "bad.c"), "--tests",
                  str(workspace / "corpus" / "tests" / "sum1n")]
     code = main(argv)
@@ -474,16 +514,6 @@ def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
               if line.startswith("error:")]
     assert code == 2
     assert len(errors) == 1 and str(bad) in errors[0]
-
-
-def test_project_without_vectors_exit_2(workspace, tmp_path, capsys):
-    out = tmp_path / "out"
-    shutil.copytree(workspace / "out", out)
-    os.remove(out / "vectors.npy")
-    code = main(["project", "--artifacts", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and str(out / "vectors.npy") in err
 
 
 def test_parser_is_built_once():

@@ -68,6 +68,13 @@ def test_k_from_fraction():
     assert k_from_fraction(30, 0.1) == 3
     assert k_from_fraction(4, 0.1) == 1
     assert k_from_fraction(25, 0.1) == 3
+    assert k_from_fraction(6, 1.0) == 6
+
+
+@pytest.mark.parametrize("frac", [1.1, 5.0, 1e308, float("inf")])
+def test_k_from_fraction_above_n_raises(frac):
+    with pytest.raises(KTooLarge, match="k > 6 points"):
+        k_from_fraction(6, frac)
 
 
 def test_singleton_cluster_representative():
@@ -274,6 +281,26 @@ def test_duplicates_stop_on_a_stable_assignment(monkeypatch):
         return result
 
     monkeypatch.setattr(clusterer, "_lloyd", counting)
+    # k is clamped to the 22 distinct points, so the first run reaches
+    # SSE 0, and no later restart could replace it.
     kmeans(*_dup_instance(), k=24, seed=5, max_iters=300, restarts=8)
-    assert len(iterations) == 8
+    assert len(iterations) == 1
+    for seed in range(5, 13):
+        kmeans(*_dup_instance(), k=24, seed=seed, max_iters=300, restarts=1)
+    assert len(iterations) == 9
     assert max(iterations) <= 3
+
+
+def test_every_restart_runs_while_sse_is_above_zero(monkeypatch):
+    sses = []
+    lloyd = clusterer._lloyd
+
+    def counting(*args):
+        result = lloyd(*args)
+        sses.append(result[2])
+        return result
+
+    monkeypatch.setattr(clusterer, "_lloyd", counting)
+    model = kmeans(*_dup_instance(), k=5, seed=0, restarts=8)
+    assert len(sses) == 8 and min(sses) > 1e-12
+    assert model.sse < min(sses) + 1e-12

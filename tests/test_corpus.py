@@ -116,8 +116,9 @@ def test_pipeline_correct_only_excludes_failing_program(tmp_path):
     })
     arts = run_pipeline(ingest(str(tmp_path)), mode="syntax", k=1)
     assert arts.clustered_ids == ["alpha/ok1", "alpha/ok2"]
-    # Incorrect programs still get a vector against the frozen vocabulary.
-    assert arts.programs["alpha/wrong"].vector is not None
+    # Only clustered programs are vectorized.
+    assert arts.programs["alpha/wrong"].vector is None
+    assert arts.programs["alpha/ok1"].vector is not None
 
 
 def test_pipeline_subset_all_keeps_failing_program(tmp_path):
@@ -226,7 +227,8 @@ def test_persist_takes_ids_without_a_slash(tmp_path):
     run_pipeline(corpus, k=1, out_dir=str(out))
     with open(out / "documents.json") as f:
         assert sorted(json.load(f)) == ["p0", "p1", "p2"]
-    assert np.load(out / "vectors.npy")["id"].tolist() == ["p0", "p1", "p2"]
+    # p2 fails its test, so it is not clustered and has no vector.
+    assert np.load(out / "vectors.npy")["id"].tolist() == ["p0", "p1"]
 
 
 def test_pipeline_determinism(tmp_path):
@@ -326,7 +328,8 @@ def test_repeated_canonical_sources_match_standalone_analysis(
             (alone.verdicts, alone.correct)
         vector = represent(alone.docs, arts.vocab, prog.id)
         assert shared.vector == vector
-        assert arts.vectors[ids.index(prog.id)].tolist() == vector.values
+        row = arts.clustered_ids.index(prog.id)
+        assert arts.clustered_vectors[row].tolist() == vector.values
     assert arts.programs["alpha/echo_copy"].docs == \
         arts.programs["alpha/echo"].docs
 
@@ -497,12 +500,32 @@ def test_vectors_npy_round_trip(tmp_path):
     arts = run_pipeline(ingest(str(tmp_path / "corpus")), mode="aast_inv",
                         k=2, out_dir=str(out))
     table = np.load(out / "vectors.npy", allow_pickle=False)
-    ids = sorted(arts.programs)
-    assert "alpha/wrong" in ids and "alpha/wrong" not in arts.clustered_ids
+    ids = arts.clustered_ids
+    assert "alpha/wrong" in arts.programs and "alpha/wrong" not in ids
     assert table["id"].tolist() == ids
     assert table["values"].dtype == np.float64
     for pid, row in zip(ids, table["values"]):
         assert row.tolist() == arts.programs[pid].vector.values
+
+
+@pytest.mark.parametrize("subset", ["correct-only", "all"])
+def test_vectors_npy_holds_the_clustered_programs(tmp_path, subset):
+    _write_corpus_tree(str(tmp_path / "corpus"), {
+        "alpha": ([("ok1", _ECHO), ("ok2", _ECHO), ("wrong", _DOUBLE)],
+                  [("3\n", "3")]),
+        "beta": ([("s0", _DOUBLE), ("s1", _ECHO)], [("2\n", "4")]),
+    })
+    out = tmp_path / "out"
+    run_pipeline(ingest(str(tmp_path / "corpus")), k=2, subset=subset,
+                 out_dir=str(out))
+    with open(out / "model.json") as f:
+        assignment = json.load(f)["assignment"]
+    with open(out / "documents.json") as f:
+        documents = json.load(f)
+    ids = np.load(out / "vectors.npy", allow_pickle=False)["id"].tolist()
+    assert ids == sorted(assignment)
+    assert len(documents) == 5
+    assert len(ids) == (3 if subset == "correct-only" else 5)
 
 
 @pytest.mark.parametrize("mode,idf", [(mode, idf) for mode in MODES
