@@ -34,9 +34,10 @@ class ClusterModel:
     k: int
     seed: int
     assignment: dict                     # program_id -> cluster index
-    # k lists of floats; in memory only: model.json omits them, and each is
-    # the mean of its members' rows in vectors.npy.
-    centroids: list = None
+    # The k x d float64 centres of the best run; in memory only: model.json
+    # omits them, and each row is the mean of its members' rows in
+    # vectors.npy. An array has no truth value, so == on models skips them.
+    centroids: np.ndarray = field(default=None, compare=False)
     representatives: dict = field(default_factory=dict)  # cluster -> id
     vocab: object = None
     sse: float = 0.0
@@ -147,7 +148,7 @@ def kmeans(ids, X, k, seed, max_iters=300, restarts=1):
     centers, labels, sse = best
     model = ClusterModel(
         k=k, seed=seed,
-        centroids=[list(map(float, c)) for c in centers],
+        centroids=centers,
         assignment={pid: int(labels[i])
                     for pid, i in zip(ids, inverse.reshape(-1))},
         sse=sse,
@@ -175,7 +176,7 @@ def select_representatives(model, ids, X):
     """Per cluster, the member nearest (Euclidean) to the centroid; ties go
     to the lexicographically smaller program id."""
     labels = [model.assignment[pid] for pid in ids]
-    dists = _norms(X - np.asarray(model.centroids)[labels])
+    dists = _norms(X - model.centroids[labels])
     reps = {}
     for d, c, pid in sorted(zip(dists, labels, ids), key=lambda t: t[2]):
         if c not in reps or d < reps[c][0]:

@@ -40,7 +40,9 @@ class UnresolvedIdentifier(ProgramRejected):
 
 
 class TraceRuntimeError(InvclustError):
-    """Runtime failure during interpretation.
+    """Runtime failure during interpretation, at the most recently entered
+    point. str(e) is the diagnostic a trace logs: `<kind> at <point>`, then
+    `: <detail>` when there is a detail.
 
     kind is one of: div-by-zero, array-out-of-bounds, scanf-exhausted,
     integer-overflow, step-limit, uninitialized-read, type-error.
@@ -49,7 +51,7 @@ class TraceRuntimeError(InvclustError):
     def __init__(self, kind, point, detail=""):
         msg = f"{kind} at {point}"
         if detail:
-            msg += f" ({detail})"
+            msg += f": {detail}"
         super().__init__(msg)
         self.kind = kind
         self.point = point

@@ -197,11 +197,12 @@ def detect(log, min_samples=2):
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
     result = InvariantSet()
+    kinds = log.point_kinds
     for pid, point in log.samples.items():
         if len(point) < min_samples:
             continue
         result.by_point[pid] = point.summary.invariants()
-        result.point_kinds[pid] = point.kind
+        result.point_kinds[pid] = kinds[pid]
     return result
 
 

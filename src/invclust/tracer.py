@@ -2,18 +2,24 @@
 scope entries. Replaces an external invariant-detector front end.
 
 Each function body is compiled once per `run_suite` call into nested Python
-closures; every test then runs them against a fresh `_State`. Variables are
-resolved at compile time to slots in a per-call list (C scoping in this
-subset is lexical and has no jumps, so the declarations visible at any
-statement are fixed), and each snapshot's variable layout and point id are
-fixed when its scope is compiled.
+closures; every test then runs them against a fresh `_State`. C scoping in
+this subset is lexical and has no jumps, so the compiler decides once what
+the tree fixes: each reference's slot in a per-call list and whether its
+variable is an array and an int (a name is in scope from its declarator on,
+its own initializer included, as in C and the renamer), and each snapshot's
+layout and point id. A name with no declaration raises
+`UnresolvedIdentifier` at compile time, reached by a test or not; an array
+used as a scalar, or a scalar indexed, compiles to a closure that counts
+the node's steps and fails with `type-error`. No closure tests a value's
+class at run time.
 
 Points are named by structure, never by source line, so layout moves no
 id: `<fn>/entry` and `<fn>/exit`, and for each scope-opening statement the
 segment `<kind><i>`, where `i` is its ordinal among the scope-opening
 statements of its own statement list and the kind is `if`, `loop` (`while`
 and `for` alike) or `block`; an `if` has `then` and `else` points below it
-and a loop a `body` point, as in `main/loop0/body/if1/then`.
+and a loop a `body` point, as in `main/loop0/body/if1/then`. A point's kind
+is read off the last segment of its id.
 
 Snapshots: every point has exactly one snapshot closure, and its schema is
 the names of the scalar variables in that closure's scopes, outer scopes
@@ -44,7 +50,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 
-from .errors import TraceRuntimeError
+from .errors import TraceRuntimeError, UnresolvedIdentifier
 from .invariants import UNSET, PointSummary
 from .nodes import Kind, Node
 from .parser import PRINTF_CONVERSION, SCANF_CONVERSION
@@ -67,12 +73,10 @@ FOLD_ROWS = 4096
 # The frame slot no variable is given: it always reads UNSET.
 _BLANK = 0
 
-POINT_FUNCTION_ENTRY = "function-entry"
-POINT_FUNCTION_EXIT = "function-exit"
-POINT_LOOP_BODY = "loop-body"
-POINT_THEN = "then-block"
-POINT_ELSE = "else-block"
-POINT_PLAIN = "plain-block"
+# A point's kind by the last segment of its id; any other is a plain block.
+_POINT_KINDS = {"entry": "function-entry", "exit": "function-exit",
+                "body": "loop-body", "then": "then-block",
+                "else": "else-block"}
 
 
 @dataclass
@@ -90,14 +94,13 @@ class Limits:
 
 
 class PointTrace:
-    """The snapshots of one point: its kind, its schema `names`, and their
-    `summary`. After the run, `rows` holds every snapshot tuple when the
-    trace was recorded, and nothing otherwise."""
+    """The snapshots of one point: its schema `names` and their `summary`.
+    After the run, `rows` holds every snapshot tuple when the trace was
+    recorded, and nothing otherwise."""
 
-    __slots__ = ("kind", "names", "rows", "summary")
+    __slots__ = ("names", "rows", "summary")
 
-    def __init__(self, kind, names):
-        self.kind = kind
+    def __init__(self, names):
         self.names = list(names)
         self.rows = []
         self.summary = PointSummary(self.names)
@@ -125,7 +128,8 @@ class TraceLog:
 
     @property
     def point_kinds(self):
-        return {pid: p.kind for pid, p in self.samples.items()}
+        return {pid: _POINT_KINDS.get(pid.rpartition("/")[2], "plain-block")
+                for pid in self.samples}
 
     def snapshots(self):
         """Point id -> its snapshots as dicts, in run order."""
@@ -134,11 +138,10 @@ class TraceLog:
         return {pid: p.snapshots() for pid, p in self.samples.items()}
 
     def to_json(self):
-        snaps = self.snapshots()
         return json.dumps(
             {
-                "samples": {p: snaps[p] for p in sorted(snaps)},
-                "point_kinds": {p: self.points[p].kind for p in sorted(snaps)},
+                "samples": self.snapshots(),
+                "point_kinds": self.point_kinds,
                 "outputs": self.outputs,
                 "errors": self.errors,
             },
@@ -189,23 +192,7 @@ def _convert(st, value, is_int):
     return float(value)
 
 
-def _unknown(st, name):
-    raise TraceRuntimeError("uninitialized-read", st.point,
-                            f"unknown variable '{name}'")
-
-
-def _bad_read(st, name, value):
-    """Raises for a scalar read of an array or of an unset variable."""
-    if value.__class__ is list:
-        raise TraceRuntimeError("type-error", st.point,
-                                f"array '{name}' used as scalar")
-    raise TraceRuntimeError("uninitialized-read", st.point, name)
-
-
 def _checked_index(st, name, arr, idx):
-    if arr.__class__ is not list:
-        raise TraceRuntimeError("type-error", st.point,
-                                f"'{name}' is not an array")
     if isinstance(idx, float):
         raise TraceRuntimeError("type-error", st.point, "non-integer index")
     if not 0 <= idx < len(arr):
@@ -232,30 +219,43 @@ class _Compiler:
     # --- scopes: name -> slot, resolved at compile time ---
 
     def declare(self, node, is_array):
-        scope = self.scopes[-1]
-        slot = scope.setdefault(node.identifier, self.nslots)
-        if slot == self.nslots:
-            self.nslots += 1
+        """A fresh slot for each declaration, so a slot's binding is fixed
+        even where a name is declared twice in one scope."""
+        slot = self.scopes[-1][node.identifier] = self.nslots
+        self.nslots += 1
         self.binding[slot] = (is_array, node.type_name == "int")
         return slot
 
-    def resolve(self, name):
+    def resolve(self, node):
+        """(slot, is_array, is_int) of the variable a reference names."""
         for scope in reversed(self.scopes):
-            if name in scope:
-                slot = scope[name]
-                return slot, self.binding[slot][1]
-        return None, False
+            slot = scope.get(node.identifier)
+            if slot is not None:
+                return (slot, *self.binding[slot])
+        raise UnresolvedIdentifier(node.identifier, node.line)
 
-    def snapshot(self, pid, kind, scopes):
+    def misuse(self, count, detail):
+        """The closure, with a statement's, an expression's or a store's
+        arguments, of a reference whose binding is the wrong kind: it counts
+        the node's `count` steps as the node would, then fails."""
+        max_steps = self.max_steps
+
+        def misuse(st, *_):
+            st.steps += count
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
+            raise TraceRuntimeError("type-error", st.point, detail)
+        return misuse
+
+    def snapshot(self, pid, scopes):
         """The closure recording point pid: the scalar variables of
         `scopes`, outer scopes first, as a tuple in the point's schema.
-        Arrays are left out (a slot's binding here is the one in force
-        whenever pid is reached)."""
+        Arrays are left out (a slot's binding never changes)."""
         assert pid not in self.points, f"point {pid} compiled twice"
         layout = [(name, slot) for scope in scopes
                   for name, slot in scope.items() if not self.binding[slot][0]]
         point = self.points[pid] = PointTrace(
-            kind, dict.fromkeys(name for name, _ in layout))
+            dict.fromkeys(name for name, _ in layout))
         getter = _row_getter(point.names, layout)
         rows = point.rows
         append = rows.append
@@ -279,10 +279,9 @@ class _Compiler:
         name = fn.identifier
         params = [(self.declare(p, False), p.type_name == "int")
                   for p in fn.children if p.kind == Kind.PARAM]
-        entry = self.snapshot(f"{name}/entry", POINT_FUNCTION_ENTRY,
-                              self.scopes)
+        entry = self.snapshot(f"{name}/entry", self.scopes)
         body = self.stmts(fn.children[-1].children, name)
-        exit_ = self.snapshot(f"{name}/exit", POINT_FUNCTION_EXIT, self.scopes)
+        exit_ = self.snapshot(f"{name}/exit", self.scopes)
         returns = None if fn.type_name == "void" else fn.type_name == "int"
         return self.nslots, params, body, entry, exit_, returns
 
@@ -340,10 +339,10 @@ class _Compiler:
             out.append(self.stmt(node, pid))
         return tuple(out)
 
-    def block(self, nodes, pid, kind):
+    def block(self, nodes, pid):
         """A fresh scope with a snapshot at its entry, then its statements."""
         self.scopes.append({})
-        snap = self.snapshot(pid, kind, self.scopes)
+        snap = self.snapshot(pid, self.scopes)
         body = self.stmts(nodes, pid)
         self.scopes.pop()
         return snap, body
@@ -353,8 +352,8 @@ class _Compiler:
         k = node.kind
         max_steps = self.max_steps
         if k == Kind.DECL and node.children:
-            expr = self.expr(node.children[0], pre + 1)
             slot = self.declare(node, False)
+            expr = self.expr(node.children[0], pre + 1)
             is_int = node.type_name == "int"
 
             def decl(st, v):
@@ -393,7 +392,7 @@ class _Compiler:
             return self.loop(node, pid, pre)
         count = pre + 1
         if k == Kind.BLOCK:
-            snap, body = self.block(node.children, pid, POINT_PLAIN)
+            snap, body = self.block(node.children, pid)
 
             def block(st, v):
                 st.steps += count
@@ -409,18 +408,19 @@ class _Compiler:
             return self.scanf(node, count)
         if k == Kind.UNARY_OP:  # ++/-- statement
             name = node.children[0].identifier
-            slot, is_int = self.resolve(name)
+            slot, is_array, is_int = self.resolve(node.children[0])
+            if is_array:
+                return self.misuse(count, f"array '{name}' used as scalar")
             delta = 1 if node.literal == "++" else -1
 
             def incr(st, v):
                 st.steps += count
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
-                if slot is None:
-                    _unknown(st, name)
                 x = v[slot]
-                if x is UNSET or x.__class__ is list:
-                    _bad_read(st, name, x)
+                if x is UNSET:
+                    raise TraceRuntimeError("uninitialized-read", st.point,
+                                            name)
                 x += delta
                 if not (is_int and x.__class__ is int
                         and INT_MIN <= x <= INT_MAX):
@@ -442,11 +442,11 @@ class _Compiler:
     def if_stmt(self, node, pid, pre):
         cond = self.expr(node.children[0], pre + 1)
         then_snap, then_body = self.block(node.children[1].children,
-                                          f"{pid}/then", POINT_THEN)
+                                          f"{pid}/then")
         else_snap, else_body = None, ()
         if len(node.children) == 3:
             else_snap, else_body = self.block(node.children[2].children,
-                                              f"{pid}/else", POINT_ELSE)
+                                              f"{pid}/else")
 
         def if_(st, v):
             if cond(st, v):
@@ -480,7 +480,7 @@ class _Compiler:
         first_cond = self.expr(cond_node, owed)
         cond = self.expr(cond_node)
         pid += "/body"
-        snap, body = self.block(body_node.children, pid, POINT_LOOP_BODY)
+        snap, body = self.block(body_node.children, pid)
         max_iters = self.max_iters
 
         def loop(st, v):
@@ -506,15 +506,12 @@ class _Compiler:
     def store(self, target):
         """Closure storing a value into a variable or an array element."""
         if target.kind == Kind.IDENT_REF:
-            name = target.identifier
-            slot, is_int = self.resolve(name)
+            slot, is_array, is_int = self.resolve(target)
+            if is_array:
+                return self.misuse(
+                    0, f"array '{target.identifier}' used as scalar")
 
             def put(st, v, x):
-                if slot is None:
-                    _unknown(st, name)
-                if v[slot].__class__ is list:
-                    raise TraceRuntimeError("type-error", st.point,
-                                            f"array '{name}' used as scalar")
                 if not (is_int and x.__class__ is int
                         and INT_MIN <= x <= INT_MAX):
                     x = _convert(st, x, is_int)
@@ -522,15 +519,13 @@ class _Compiler:
             return put
         base, idx_node = target.children
         name = base.identifier
-        slot, is_int = self.resolve(name)
+        slot, is_array, is_int = self.resolve(base)
         idx = self.expr(idx_node)
+        if not is_array:
+            return self.misuse(0, f"'{name}' is not an array")
 
         def put_element(st, v, x):
-            if slot is None:
-                _unknown(st, name)
             arr = v[slot]
-            if arr.__class__ is not list:
-                _checked_index(st, name, arr, 0)
             i = _checked_index(st, name, arr, idx(st, v))
             arr[i] = _convert(st, x, is_int)
         return put_element
@@ -616,34 +611,33 @@ class _Compiler:
             return literal
         if k == Kind.IDENT_REF:
             name = node.identifier
-            slot, _ = self.resolve(name)
+            slot, is_array, _ = self.resolve(node)
+            if is_array:
+                return self.misuse(count, f"array '{name}' used as scalar")
 
             def ref(st, v):
                 st.steps += count
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
-                if slot is None:
-                    _unknown(st, name)
                 x = v[slot]
-                if x is UNSET or x.__class__ is list:
-                    _bad_read(st, name, x)
+                if x is UNSET:
+                    raise TraceRuntimeError("uninitialized-read", st.point,
+                                            name)
                 return x
             return ref
         if k == Kind.ARRAY_INDEX:
             base, idx_node = node.children
             name = base.identifier
-            slot, _ = self.resolve(name)
+            slot, is_array, _ = self.resolve(base)
             idx = self.expr(idx_node)
+            if not is_array:
+                return self.misuse(count, f"'{name}' is not an array")
 
             def element(st, v):
                 st.steps += count
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
-                if slot is None:
-                    _unknown(st, name)
                 arr = v[slot]
-                if arr.__class__ is not list:
-                    _checked_index(st, name, arr, 0)
                 i = _checked_index(st, name, arr, idx(st, v))
                 x = arr[i]
                 if x is UNSET:
@@ -746,8 +740,7 @@ class _Program:
             verdict = "pass" if ok else "fail"
         except TraceRuntimeError as e:
             stdout = "".join(st.out)
-            log.errors.append(f"{e.kind} at {e.point}" +
-                              (f": {e.detail}" if e.detail else ""))
+            log.errors.append(str(e))
         log.outputs.append(stdout)
         return verdict
 

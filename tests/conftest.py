@@ -129,14 +129,14 @@ int main() {
 }
 
 
-def log_from_snapshots(point_snaps, kind="loop-body"):
+def log_from_snapshots(point_snaps):
     """A recorded TraceLog holding the given snapshots, {point id: [dict of
     variable values]}: each point's schema is the names of its dicts in
     first-seen order, and a name a dict lacks is UNSET in its tuple."""
     log = TraceLog(record=True)
     for pid, snaps in point_snaps.items():
         point = log.points[pid] = PointTrace(
-            kind, dict.fromkeys(name for snap in snaps for name in snap))
+            dict.fromkeys(name for snap in snaps for name in snap))
         point.rows = [tuple(snap.get(name, UNSET) for name in point.names)
                       for snap in snaps]
         point.summary.fold(point.rows)

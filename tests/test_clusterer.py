@@ -208,6 +208,7 @@ def test_kmeans_determinism():
     a = kmeans(_ids(10), X, k=3, seed=42)
     b = kmeans(_ids(10), X.copy(), k=3, seed=42)
     assert a == b
+    assert np.array_equal(a.centroids, b.centroids)
 
 
 def test_kmeans_near_optimal_small_instances():

@@ -1,9 +1,12 @@
 """Tree-walking interpreter and trace-collection tests."""
 
+import json
 import tracemalloc
 
 import pytest
 
+from invclust.errors import UnresolvedIdentifier
+from invclust.invariants import detect
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.tracer import (MAX_CALL_DEPTH, Limits, TestCase, execute,
@@ -169,12 +172,70 @@ def test_array_out_of_bounds():
     assert any("array-out-of-bounds" in e for e in log.errors)
 
 
-@pytest.mark.parametrize("stmt", ["a++;", "--a;", "a = 1;"])
+@pytest.mark.parametrize("stmt", ["a++;", "--a;", "a = 1;", "int b = a;",
+                                  'printf("%d", a);', 'scanf("%d", &a);'])
 def test_array_used_as_scalar_is_type_error(stmt):
     tree = parse("int main() {\n  int a[2];\n  " + stmt + "\n}\n")
-    log, _, verdict = execute(tree, TestCase("", ""))
+    log, _, verdict = execute(tree, TestCase("1\n", ""))
     assert verdict == "error"
     assert log.errors == ["type-error at main/entry: array 'a' used as scalar"]
+
+
+@pytest.mark.parametrize("stmt", ["x[0] = 1;", "int y = x[0];",
+                                  'scanf("%d", &x[0]);'])
+def test_scalar_indexed_is_type_error(stmt):
+    tree = parse("int main() {\n  int x;\n  " + stmt + "\n}\n")
+    log, _, verdict = execute(tree, TestCase("1\n", ""))
+    assert verdict == "error"
+    assert log.errors == ["type-error at main/entry: 'x' is not an array"]
+
+
+# A misuse, and the steps a run takes up to and including it: the misused
+# node counts its own and its ancestors' steps before it fails, and a store
+# counts none (the value stored counts its own).
+@pytest.mark.parametrize("body,steps", [
+    ("int a[2];\n  int b = a;", 3),
+    ("int a[2];\n  a++;", 2),
+    ("int x = 0;\n  int y = x[0];", 4),
+    ("int x = 0;\n  x[1] = 1;", 4),
+])
+def test_misuse_counts_its_steps_before_failing(body, steps):
+    tree = parse("int main() {\n  " + body + "\n}\n")
+    log, _, _ = execute(tree, TestCase("", ""), Limits(max_steps=steps - 1))
+    assert log.errors == ["step-limit at main/entry"]
+    log, _, _ = execute(tree, TestCase("", ""), Limits(max_steps=steps))
+    assert [e.split(":")[0] for e in log.errors] == ["type-error at main/entry"]
+
+
+def test_undeclared_name_is_rejected_before_any_test_runs():
+    # The branch is never taken, and a raw tree has not been renamed.
+    src = ("int main() {\n  int x = 0;\n  if (x > 0) {\n    y = 1;\n"
+           "  }\n}\n")
+    with pytest.raises(UnresolvedIdentifier) as traced:
+        run_suite(parse(src), [TestCase("", "")])
+    assert (traced.value.name, traced.value.line) == ("y", 4)
+    with pytest.raises(UnresolvedIdentifier) as renamed:
+        rename(parse(src))
+    assert str(traced.value) == str(renamed.value)
+
+
+# The raw and the renamed tree read the same variable: the one declared.
+@pytest.mark.parametrize("src,raw_error,renamed_error", [
+    ("int main() {\n  int x = x + 1;\n}\n",
+     "uninitialized-read at main/entry: x",
+     "uninitialized-read at main/entry: int0"),
+    ("int main() {\n  int x = 1;\n  {\n    int x = x + 1;\n  }\n}\n",
+     "uninitialized-read at main/block0: x",
+     "uninitialized-read at main/block0: int1"),
+    ("int main() {\n  int a[2];\n  int a = a;\n}\n",
+     "uninitialized-read at main/entry: a",
+     "uninitialized-read at main/entry: int0"),
+])
+def test_a_declaration_is_in_scope_in_its_own_initializer(src, raw_error,
+                                                          renamed_error):
+    raw, _, _ = execute(parse(src), TestCase("", ""))
+    renamed, _, _ = execute(_renamed(src), TestCase("", ""))
+    assert (raw.errors, renamed.errors) == ([raw_error], [renamed_error])
 
 
 def test_single_test_suite_equals_execute():
@@ -234,6 +295,25 @@ def test_two_blocks_on_one_line_are_two_points():
     assert snaps["main/loop0/body/block1/block0"][:2] == [
         {"a": 0, "i": 0, "b": 10, "t": 0},
         {"a": -9, "i": 1, "b": 11, "t": -9}]
+
+
+@pytest.mark.parametrize("name,kinds", [
+    ("returns", {"f/entry": "function-entry", "f/exit": "function-exit",
+                 "f/if0/then": "then-block", "f/if1/then": "then-block",
+                 "main/entry": "function-entry", "main/exit": "function-exit",
+                 "main/loop0/body": "loop-body"}),
+    ("one-line", {"main/entry": "function-entry", "main/exit": "function-exit",
+                  "main/loop0/body": "loop-body",
+                  "main/loop0/body/block0": "plain-block",
+                  "main/loop0/body/block0/block0": "plain-block",
+                  "main/loop0/body/block1": "plain-block",
+                  "main/loop0/body/block1/block0": "plain-block"}),
+])
+def test_point_kind_is_the_last_segment_of_its_id(name, kinds):
+    log = _recorded_edge_program(name)
+    assert log.point_kinds == kinds
+    assert json.loads(log.to_json())["point_kinds"] == kinds
+    assert detect(log, min_samples=1).point_kinds == kinds
 
 
 _COUNT_TO_N = ('int main() {\n  int n;\n  int i;\n  scanf("%d", &n);\n'
