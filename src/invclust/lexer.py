@@ -1,4 +1,9 @@
-"""Tokenizer for the C subset."""
+"""Tokenizer for the C subset.
+
+Positions are derived from offsets, not counted: the lexer tracks only the
+current line and the offset where it starts, and a token's or an error's
+column is its offset less that start, plus one.
+"""
 
 from dataclasses import dataclass
 
@@ -26,7 +31,8 @@ ONE_CHAR_OPS = set("+-*/%<>=!(){}[],;&")
 UNSUPPORTED_CHARS = {
     "|": "bitwise or", "^": "bitwise xor", "~": "bitwise not",
     "?": "ternary operator", ":": "label or ternary operator",
-    ".": "member access", "'": "character literal", '"': None,
+    ".": "member access", "'": "character literal",
+    "#": "preprocessor directive",
 }
 
 # Letter after a backslash -> the character it stands for; unparse prints
@@ -46,22 +52,21 @@ def lex(text):
     tokens = []
     i = 0
     line = 1
-    col = 1
+    line_start = 0  # offset of the current line's first character
     n = len(text)
 
     def err(msg):
-        raise CSyntaxError(line, col, msg)
+        raise CSyntaxError(line, i - line_start + 1, msg)
 
     while i < n:
         c = text[i]
         if c == "\n":
             i += 1
             line += 1
-            col = 1
+            line_start = i
             continue
         if c in " \t\r":
             i += 1
-            col += 1
             continue
         if c == "/" and i + 1 < n and text[i + 1] == "/":
             while i < n and text[i] != "\n":
@@ -71,17 +76,12 @@ def lex(text):
             j = text.find("*/", i + 2)
             if j < 0:
                 err("unterminated comment")
-            for ch in text[i:j]:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
+            newlines = text.count("\n", i, j)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", i, j) + 1
             i = j + 2
-            col += 2
             continue
-        if c == "#":
-            raise UnsupportedFeature("preprocessor directive", line)
         if c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
@@ -90,8 +90,7 @@ def lex(text):
             if word in UNSUPPORTED_KEYWORDS:
                 raise UnsupportedFeature(f"keyword '{word}'", line)
             kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += j - i
+            tokens.append(Token(kind, word, line, i - line_start + 1))
             i = j
             continue
         if c in DIGITS or (c == "." and i + 1 < n and text[i + 1] in DIGITS):
@@ -117,14 +116,15 @@ def lex(text):
             if j < n and (text[j].isalpha() or text[j] == "_"):
                 err(f"malformed number '{lit}{text[j]}'")
             if is_float:
-                tokens.append(Token("float", float(lit), line, col))
+                value = float(lit)
             elif lit[0] != "0":
-                tokens.append(Token("int", int(lit), line, col))
+                value = int(lit)
             elif lit.strip(OCTAL_DIGITS):  # a leading 0 makes it octal
                 err(f"invalid digit in octal constant '{lit}'")
             else:
-                tokens.append(Token("int", int(lit, 8), line, col))
-            col += j - i
+                value = int(lit, 8)
+            tokens.append(Token("float" if is_float else "int", value, line,
+                                i - line_start + 1))
             i = j
             continue
         if c == '"':
@@ -153,25 +153,22 @@ def lex(text):
                 j += 1
             if j >= n:
                 err("unterminated string literal")
-            tokens.append(Token("string", "".join(out), line, col))
-            col += j + 1 - i
+            tokens.append(Token("string", "".join(out), line, i - line_start + 1))
             i = j + 1
             continue
         two = text[i:i + 2]
         if two in TWO_CHAR_OPS:
-            tokens.append(Token("op", two, line, col))
+            tokens.append(Token("op", two, line, i - line_start + 1))
             i += 2
-            col += 2
             continue
         if two in ("<<", ">>", "+=", "-=", "*=", "/=", "%=", "->"):
             raise UnsupportedFeature(f"operator '{two}'", line)
         if c in ONE_CHAR_OPS:
-            tokens.append(Token("op", c, line, col))
+            tokens.append(Token("op", c, line, i - line_start + 1))
             i += 1
-            col += 1
             continue
         if c in UNSUPPORTED_CHARS:
-            raise UnsupportedFeature(UNSUPPORTED_CHARS[c] or "string literal", line)
+            raise UnsupportedFeature(UNSUPPORTED_CHARS[c], line)
         err(f"unexpected character {c!r}")
-    tokens.append(Token("eof", None, line, col))
+    tokens.append(Token("eof", None, line, i - line_start + 1))
     return tokens

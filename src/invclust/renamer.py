@@ -21,26 +21,25 @@ _PREFIX = {"int": "int", "double": "float"}
 class _Var:
     name: str
     type_name: str
-    scope_path: tuple
-    order: int  # declaration order
+    line: int  # of its declaration
     new_name: str | None = None
 
 
 @dataclass
 class RenameMap:
-    entries: list = field(default_factory=list)  # (original, scope_path, new_name)
+    entries: list = field(default_factory=list)  # (original, line, new_name)
 
     def as_dict(self):
         return {
             "entries": [
-                {"original": o, "scope_path": list(p), "new_name": n}
-                for o, p, n in self.entries
+                {"original": o, "line": line, "new_name": n}
+                for o, line, n in self.entries
             ]
         }
 
     def mapping(self):
         """original -> new_name; later entries win (handy for flat programs)."""
-        return {o: n for o, p, n in self.entries}
+        return {o: n for o, _, n in self.entries}
 
 
 class _Resolver:
@@ -50,20 +49,17 @@ class _Resolver:
     def __init__(self):
         self.vars = []           # all _Var, in declaration order
         self.resolved = {}       # id(node) -> _Var for every reference/decl
-        self.events = []         # _Var, in first-binding text order
-        self._bound = set()
+        self.events = {}         # id(_Var) -> _Var, in first-binding text order
 
     def run(self, root):
-        for idx, fn in enumerate(root.children):
+        for fn in root.children:
             scopes = [{}]
-            path = (idx,)
             for p in (c for c in fn.children if c.kind == Kind.PARAM):
-                var = self._declare(p, scopes, path)
-                self._bind(var)
-            self._walk_block(fn.children[-1], scopes, path + (0,))
+                self._bind(self._declare(p, scopes))
+            self._walk_block(fn.children[-1], scopes)
 
-    def _declare(self, node, scopes, path):
-        var = _Var(node.identifier, node.type_name, path, len(self.vars))
+    def _declare(self, node, scopes):
+        var = _Var(node.identifier, node.type_name, node.line)
         self.vars.append(var)
         scopes[-1][node.identifier] = var
         self.resolved[id(node)] = var
@@ -77,72 +73,51 @@ class _Resolver:
         raise UnresolvedIdentifier(node.identifier, node.line)
 
     def _bind(self, var):
-        if id(var) not in self._bound:
-            self._bound.add(id(var))
-            self.events.append(var)
+        self.events.setdefault(id(var), var)
 
-    def _walk_block(self, block, scopes, path):
+    def _walk_block(self, block, scopes):
         scopes.append({})
-        child_scope = 0
         for stmt in block.children:
-            child_scope += self._walk_stmt(stmt, scopes, path, child_scope)
+            self._walk_stmt(stmt, scopes)
         scopes.pop()
 
-    def _walk_stmt(self, node, scopes, path, nth):
-        """Returns how many child scopes this statement opened."""
+    def _walk_stmt(self, node, scopes):
         k = node.kind
         if k in (Kind.DECL, Kind.ARRAY_DECL):
-            var = self._declare(node, scopes, path)
+            var = self._declare(node, scopes)
             if node.children:  # initializer
                 self._walk_expr(node.children[0], scopes)
                 self._bind(var)
-            return 0
-        if k == Kind.ASSIGN:
+        elif k == Kind.ASSIGN:
             target, value = node.children
             self._bind_target(target, scopes)
             self._walk_expr(value, scopes)
-            return 0
-        if k == Kind.UNARY_OP:  # ++/-- statement
+        elif k == Kind.UNARY_OP:  # ++/-- statement
             self._bind(self._lookup(node.children[0], scopes))
-            return 0
-        if k == Kind.SCANF:
+        elif k == Kind.SCANF:
             for target in node.children:
                 self._bind_target(target, scopes)
-            return 0
-        if k == Kind.PRINTF or k == Kind.CALL:
+        elif k in (Kind.PRINTF, Kind.CALL, Kind.RETURN):
             for c in node.children:
                 self._walk_expr(c, scopes)
-            return 0
-        if k == Kind.RETURN:
-            for c in node.children:
-                self._walk_expr(c, scopes)
-            return 0
-        if k == Kind.BLOCK:
-            self._walk_block(node, scopes, path + (nth,))
-            return 1
-        if k == Kind.IF:
+        elif k == Kind.BLOCK:
+            self._walk_block(node, scopes)
+        elif k in (Kind.IF, Kind.WHILE):
             self._walk_expr(node.children[0], scopes)
-            opened = 0
-            for branch in node.children[1:]:
-                self._walk_block(branch, scopes, path + (nth + opened,))
-                opened += 1
-            return opened
-        if k == Kind.WHILE:
-            self._walk_expr(node.children[0], scopes)
-            self._walk_block(node.children[1], scopes, path + (nth,))
-            return 1
-        if k == Kind.FOR:
+            for body in node.children[1:]:
+                self._walk_block(body, scopes)
+        elif k == Kind.FOR:
             init, cond, step, body = node.children
             if init.kind != Kind.BLOCK:
-                self._walk_stmt(init, scopes, path, nth)
+                self._walk_stmt(init, scopes)
             self._walk_expr(cond, scopes)
             # step runs after the body but precedes it in text order;
             # binding order is textual, so record it before the body.
             if step.kind != Kind.BLOCK:
-                self._walk_stmt(step, scopes, path, nth)
-            self._walk_block(body, scopes, path + (nth,))
-            return 1
-        raise ValueError(f"unexpected statement node: {k}")
+                self._walk_stmt(step, scopes)
+            self._walk_block(body, scopes)
+        else:
+            raise ValueError(f"unexpected statement node: {k}")
 
     def _bind_target(self, target, scopes):
         base = target
@@ -166,16 +141,14 @@ def rename(tree):
     res.run(tree)
 
     counters = {"int": 0, "float": 0}
-    bound_ids = {id(v) for v in res.events}
-    ordered = res.events + sorted(
-        (v for v in res.vars if id(v) not in bound_ids), key=lambda v: v.order
-    )
+    ordered = list(res.events.values()) + [
+        v for v in res.vars if id(v) not in res.events]
     rmap = RenameMap()
     for var in ordered:
         prefix = _PREFIX[var.type_name]
         var.new_name = f"{prefix}{counters[prefix]}"
         counters[prefix] += 1
-        rmap.entries.append((var.name, var.scope_path, var.new_name))
+        rmap.entries.append((var.name, var.line, var.new_name))
 
     def rewrite(node):
         var = res.resolved.get(id(node))

@@ -30,7 +30,8 @@ schema's values, `UNSET` for a variable not set yet; no dict is built.
 Each point buffers its tuples and folds them into its `PointSummary` every
 FOLD_ROWS snapshots, so a trace takes memory in proportion to its points,
 not to its length. A recorded trace (`record=True`, for `invclust trace
---json` and for tests that read snapshots) keeps every tuple as well.
+--json`, `execute` and tests that read snapshots) keeps every tuple and
+each test's stdout as well.
 
 Step accounting: one step per statement executed and one per expression
 node evaluated, in evaluation order; past `Limits.max_steps` the run stops
@@ -118,7 +119,7 @@ class PointTrace:
 class TraceLog:
     record: bool = False  # keep every snapshot, not only the summaries
     points: dict = field(default_factory=dict)   # point id -> PointTrace
-    outputs: list = field(default_factory=list)  # captured stdout per test
+    outputs: list = field(default_factory=list)  # stdout per test, if recorded
     errors: list = field(default_factory=list)   # diagnostics per test
 
     @property
@@ -721,8 +722,8 @@ class _Program:
             self.main = compiler.call(Node(Kind.CALL, identifier="main"), None)
 
     def run(self, test):
-        """Run one test, adding its snapshots, output and any error to the
-        log. Returns the verdict."""
+        """Run one test, adding its snapshots and any error to the log, and
+        its output too when the log records. Returns the verdict."""
         st = _State(self.functions, test.stdin_text)
         log = self.log
         verdict = "error"
@@ -735,13 +736,13 @@ class _Program:
             except RecursionError:  # Python's stack ran out before the cap
                 raise TraceRuntimeError("step-limit", st.point,
                                         "call depth") from None
-            stdout = "".join(st.out)
-            ok = normalize_output(stdout) == normalize_output(test.expected_stdout)
+            ok = (normalize_output("".join(st.out))
+                  == normalize_output(test.expected_stdout))
             verdict = "pass" if ok else "fail"
         except TraceRuntimeError as e:
-            stdout = "".join(st.out)
             log.errors.append(str(e))
-        log.outputs.append(stdout)
+        if log.record:
+            log.outputs.append("".join(st.out))
         return verdict
 
 
@@ -769,9 +770,9 @@ def _row_getter(names, layout):
     return shadowed
 
 
-def execute(tree, test, limits=None, record=False):
-    """Run one test. Returns (TraceLog, stdout, verdict)."""
-    log, (verdict,) = run_suite(tree, [test], limits, record)
+def execute(tree, test, limits=None):
+    """Run one test, recorded. Returns (TraceLog, stdout, verdict)."""
+    log, (verdict,) = run_suite(tree, [test], limits, record=True)
     return log, log.outputs[0], verdict
 
 

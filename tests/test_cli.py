@@ -58,6 +58,22 @@ def test_rename_matches_library(workspace, capsys):
     assert payload["mapping"] == rmap.as_dict()
 
 
+def test_rename_map_gives_each_declaration_its_line(tmp_path, capsys):
+    src = ("int main() {\n  int x = 1;\n  if (x > 0) {\n    int x = 2;\n"
+           '    printf("%d", x);\n  }\n}\n')
+    path = tmp_path / "shadow.c"
+    path.write_text(src)
+    assert main(["rename", str(path), "--json"]) == 0
+    payload = _json_out(capsys)
+    from invclust.parser import parse
+    from invclust.renamer import rename
+    _, rmap = rename(parse(src))
+    assert rmap.entries == [("x", 2, "int0"), ("x", 4, "int1")]
+    assert payload["mapping"] == rmap.as_dict() == {"entries": [
+        {"original": "x", "line": 2, "new_name": "int0"},
+        {"original": "x", "line": 4, "new_name": "int1"}]}
+
+
 def test_aast_matches_library(workspace, capsys):
     assert main(["aast", str(workspace / "left.c"), "--json"]) == 0
     payload = _json_out(capsys)

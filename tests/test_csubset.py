@@ -92,12 +92,26 @@ def test_unsupported_constructs(src, construct):
     assert construct in str(exc.value)
 
 
-def test_syntax_error_position_inside_input():
-    src = "int main() {\n  int x = ;\n}\n"
+_MISSING_VALUE = "int main() {\n  int x = ;\n}\n"
+_EXPECTED_EXPRESSION = "expected expression, found ';'"
+
+
+# Each case edits one spot of _MISSING_VALUE; the column is 1-based and
+# counts a tab or a carriage return as one character.
+@pytest.mark.parametrize("src,line,col,message", [
+    (_MISSING_VALUE, 2, 11, _EXPECTED_EXPRESSION),
+    (_MISSING_VALUE.replace("= ;", "= /* one\n  two */ ;"), 3, 10,
+     _EXPECTED_EXPRESSION),
+    (_MISSING_VALUE.replace("  int", "\tint"), 2, 10, _EXPECTED_EXPRESSION),
+    (_MISSING_VALUE.replace("{\n", "{\r\n"), 2, 11, _EXPECTED_EXPRESSION),
+    ("int main() { // x", 1, 18, "unterminated block"),
+], ids=["plain", "after-block-comment", "after-tab", "after-crlf",
+        "eof-after-line-comment"])
+def test_syntax_error_position_inside_input(src, line, col, message):
     with pytest.raises(CSyntaxError) as exc:
         parse(src)
-    assert 1 <= exc.value.line <= 3
-    assert exc.value.col >= 1
+    assert (exc.value.line, exc.value.col, exc.value.message) == (
+        line, col, message)
 
 
 @pytest.mark.parametrize("expr", ["(" * 2000 + "1" + ")" * 2000,

@@ -27,8 +27,7 @@ def _loop_body_point(log):
 
 
 def test_left_program_stdin_3():
-    log, stdout, verdict = execute(_renamed(LEFT_SRC), TestCase("3\n", "6"),
-                                   record=True)
+    log, stdout, verdict = execute(_renamed(LEFT_SRC), TestCase("3\n", "6"))
     assert stdout == "6"
     assert verdict == "pass"
     snaps = log.snapshots()[_loop_body_point(log)]
@@ -207,6 +206,44 @@ def test_misuse_counts_its_steps_before_failing(body, steps):
     assert [e.split(":")[0] for e in log.errors] == ["type-error at main/entry"]
 
 
+def _printed(expr, limits=None):
+    tree = parse('int main() {\n  printf("%d", ' + expr + ");\n}\n")
+    return execute(tree, TestCase("", ""), limits)
+
+
+@pytest.mark.parametrize("expr,printed", [
+    ("!5", "0"), ("!0", "1"), ("!0.5", "0"),
+    ("3 && 0 - 2", "1"), ("3 && 0", "0"), ("0 && 3", "0"),
+    ("0 || 7", "1"), ("0 || 0", "0"), ("0.5 || 0", "1"),
+])
+def test_logical_operators_yield_0_or_1(expr, printed):
+    log, stdout, _ = _printed(expr)
+    assert (stdout, log.errors) == (printed, [])
+
+
+# The printf statement, the operator and its left operand take 3 steps; the
+# skipped right operand would take 3 more, and divide by zero.
+@pytest.mark.parametrize("expr,printed", [("0 && 1 / 0", "0"),
+                                          ("1 || 1 / 0", "1")])
+def test_short_circuit_skips_the_right_operand_and_its_steps(expr, printed):
+    log, _, _ = _printed(expr, Limits(max_steps=2))
+    assert log.errors == ["step-limit at main/entry"]
+    log, stdout, _ = _printed(expr, Limits(max_steps=3))
+    assert (stdout, log.errors) == (printed, [])
+
+
+def test_bare_return_skips_the_rest_and_snapshots_the_exit():
+    src = ('void f(int n) {\n  if (n > 0) {\n    return;\n  }\n'
+           '  printf("f");\n}\n\n'
+           'int main() {\n  int x = 1;\n  f(x);\n  printf("a");\n'
+           '  return;\n  x = 2;\n  printf("b");\n}\n')
+    log, stdout, verdict = execute(parse(src), TestCase("", "a"))
+    assert (stdout, verdict, log.errors) == ("a", "pass", [])
+    snaps = log.snapshots()
+    assert snaps["f/exit"] == [{"n": 1}]
+    assert snaps["main/exit"] == [{"x": 1}]
+
+
 def test_undeclared_name_is_rejected_before_any_test_runs():
     # The branch is never taken, and a raw tree has not been renamed.
     src = ("int main() {\n  int x = 0;\n  if (x > 0) {\n    y = 1;\n"
@@ -241,7 +278,7 @@ def test_a_declaration_is_in_scope_in_its_own_initializer(src, raw_error,
 def test_single_test_suite_equals_execute():
     tree = _renamed(LEFT_SRC)
     test = TestCase("4\n", "10")
-    log1, stdout, verdict = execute(tree, test, record=True)
+    log1, stdout, verdict = execute(tree, test)
     log2, verdicts = run_suite(tree, [test], record=True)
     assert verdicts == [verdict] == ["pass"]
     assert log1.to_json() == log2.to_json()
@@ -256,13 +293,13 @@ def test_suite_snapshot_counts():
 def test_unrecorded_trace_keeps_no_snapshots():
     log, _ = run_suite(_renamed(LEFT_SRC), sum_suite())
     assert all(not point.rows for point in log.points.values())
+    assert log.outputs == []
     with pytest.raises(ValueError):
         log.to_json()
 
 
 def _recorded_edge_program(name):
-    log, _, _ = execute(parse(SNAPSHOT_EDGE_PROGRAMS[name]), TestCase("", ""),
-                        record=True)
+    log, _, _ = execute(parse(SNAPSHOT_EDGE_PROGRAMS[name]), TestCase("", ""))
     return log
 
 
