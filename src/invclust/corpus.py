@@ -1,6 +1,7 @@
 """Corpus ingestion, per-program analysis, pipeline orchestration, the
-persisted artifacts (written by persist; model.json and vectors.npy read
-back by load_model and load_vectors), and the 2-D projection export."""
+persisted artifacts (documents.json, vectors.npy, model.json and
+projection.csv, written by persist; model.json and vectors.npy read back
+by load_model and load_vectors), and the 2-D projection export."""
 
 import hashlib
 import json
@@ -274,14 +275,19 @@ def write_vectors(arts, path):
 
 
 def persist(arts, out_dir):
-    """One file per artifact kind, all at the root of out_dir: the
-    documents of every surviving program, the vector of every clustered
-    one, the model, the report and the projection."""
+    """One file per artifact kind, all at the root of out_dir: an entry in
+    documents.json for every ingested program (its documents, or
+    {"exclusion": diagnostic} for an excluded one), the vector of every
+    clustered program, the model and the projection. Each fact is written
+    once: purity is what `invclust purity` computes from model.json, and
+    cluster sizes are the counts of its assignment."""
     os.makedirs(out_dir, exist_ok=True)
-    documents = {pid: {"renamed_source": pa.docs.renamed_source,
-                       "aast_text": pa.docs.aast_text,
-                       "invariants": pa.inv_by_point}
-                 for pid, pa in arts.programs.items()}
+    documents = {pid: {"exclusion": diag}
+                 for pid, diag in arts.exclusions.items()}
+    documents.update({pid: {"renamed_source": pa.docs.renamed_source,
+                            "aast_text": pa.docs.aast_text,
+                            "invariants": pa.inv_by_point}
+                      for pid, pa in arts.programs.items()})
     with open(os.path.join(out_dir, "documents.json"), "w") as f:
         f.write(_dump(documents))
     write_vectors(arts, os.path.join(out_dir, "vectors.npy"))
@@ -291,26 +297,11 @@ def persist(arts, out_dir):
     if vocab.idf is not None:
         vocab_dict["idf"] = vocab.idf
     with open(os.path.join(out_dir, "model.json"), "w") as f:
-        f.write(_dump({"k": model.k, "seed": model.seed, "mode": vocab.mode,
-                       "assignment": model.assignment,
+        f.write(_dump({"k": model.k, "k_requested": arts.k_requested,
+                       "seed": model.seed, "assignment": model.assignment,
                        "representatives": {str(c): pid for c, pid
                                            in model.representatives.items()},
                        "sse": model.sse, "vocab": vocab_dict}))
-    sizes = {}
-    for c in model.assignment.values():
-        sizes[str(c)] = sizes.get(str(c), 0) + 1
-    report = {
-        "purity": arts.purity,
-        "cluster_sizes": sizes,
-        "clustered": arts.clustered_ids,
-        "exclusions": arts.exclusions,
-        "mode": vocab.mode,
-        "k": model.k,
-        "k_requested": arts.k_requested,
-        "seed": model.seed,
-    }
-    with open(os.path.join(out_dir, "report.json"), "w") as f:
-        f.write(_dump(report))
     write_projection(arts.clustered_ids, arts.clustered_vectors,
                      os.path.join(out_dir, "projection.csv"))
 
@@ -320,9 +311,10 @@ def _model_from_dict(d):
     unless the vocabulary's mode is known, with one segment per document
     of the mode, n is an int >= 1, the segments cover the grams end to
     end, each segment's grams are sorted and unique, idf (if present)
-    holds one weight per gram, the top-level mode is the vocabulary's,
-    the cluster indices are ints in 0..k-1 and each representative is a
-    member of its own cluster."""
+    holds one weight per gram, the cluster indices are ints in 0..k-1 and
+    each representative is a member of its own cluster. Keys it does not
+    read are ignored, so a model.json written before k_requested moved in
+    and the top-level mode moved out loads the same."""
     v = d["vocab"]
     vocab = Vocabulary(mode=v["mode"], n=v["n"], grams=v["grams"],
                        segments=[tuple(s) for s in v["segments"]],
@@ -354,9 +346,6 @@ def _model_from_dict(d):
             or not all(type(w) in (int, float) for w in idf)):
         raise ValueError(f"idf does not hold one weight per gram "
                          f"({len(grams)})")
-    if d["mode"] != vocab.mode:
-        raise ValueError(f"model mode {d['mode']!r} differs from the "
-                         f"vocabulary's mode {vocab.mode!r}")
     k, assignment = d["k"], d["assignment"]
     if type(k) is not int or k < 1:
         raise ValueError(f"k {k!r} is not an int >= 1")
@@ -448,13 +437,15 @@ def project_2d(ids, X):
 
 
 def tree_hash(root):
-    """SHA-256 over every file's path and bytes under a directory."""
+    """SHA-256 over every file under a directory: its path relative to root
+    and its bytes, each preceded by its length, so that bytes moved between
+    a path and a file's content change the hash."""
     h = hashlib.sha256()
-    for dirpath, dirnames, filenames in sorted(os.walk(root)):
-        dirnames.sort()
+    for dirpath, _, filenames in sorted(os.walk(root)):
         for fname in sorted(filenames):
             path = os.path.join(dirpath, fname)
-            h.update(os.path.relpath(path, root).encode())
             with open(path, "rb") as f:
-                h.update(f.read())
+                data = f.read()
+            for part in (os.path.relpath(path, root).encode(), data):
+                h.update(len(part).to_bytes(8, "big") + part)
     return h.hexdigest()

@@ -2,9 +2,11 @@
 
 Positions are derived from offsets, not counted: the lexer tracks only the
 current line and the offset where it starts, and a token's or an error's
-column is its offset less that start, plus one.
+column is its offset less that start, plus one. A line ends at `\n`, at
+`\r\n` or at a lone `\r`.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import CSyntaxError, UnsupportedFeature
@@ -39,6 +41,8 @@ UNSUPPORTED_CHARS = {
 # each character back with its letter.
 ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "0": "\0", "r": "\r"}
 
+LINE_END = re.compile(r"\r\n?|\n")
+
 
 @dataclass
 class Token:
@@ -60,26 +64,26 @@ def lex(text):
 
     while i < n:
         c = text[i]
-        if c == "\n":
-            i += 1
+        if c in "\r\n":
+            i += 2 if text.startswith("\r\n", i) else 1
             line += 1
             line_start = i
             continue
-        if c in " \t\r":
+        if c in " \t":
             i += 1
             continue
         if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
+            while i < n and text[i] not in "\r\n":
                 i += 1
             continue
         if c == "/" and i + 1 < n and text[i + 1] == "*":
             j = text.find("*/", i + 2)
             if j < 0:
                 err("unterminated comment")
-            newlines = text.count("\n", i, j)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", i, j) + 1
+            ends = list(LINE_END.finditer(text, i, j))
+            if ends:
+                line += len(ends)
+                line_start = ends[-1].end()
             i = j + 2
             continue
         if c.isalpha() or c == "_":
@@ -131,7 +135,7 @@ def lex(text):
             j = i + 1
             out = []
             while j < n and text[j] != '"':
-                if text[j] == "\n":
+                if text[j] in "\r\n":
                     err("unterminated string literal")
                 if text[j] == "\\":
                     j += 1

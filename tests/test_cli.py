@@ -43,8 +43,8 @@ def _json_out(capsys):
 
 
 def test_cluster_writes_model(workspace):
-    assert (workspace / "out" / "model.json").exists()
-    assert (workspace / "out" / "report.json").exists()
+    assert sorted(os.listdir(workspace / "out")) == [
+        "documents.json", "model.json", "projection.csv", "vectors.npy"]
 
 
 def test_rename_matches_library(workspace, capsys):
@@ -290,6 +290,54 @@ def test_old_vectors_with_unclustered_rows_answer_closest(workspace,
                for code, stdout, _ in before)
 
 
+def test_model_in_the_older_format_answers_closest(workspace, tmp_path,
+                                                  capsys):
+    # model.json once held a copy of the vocabulary's mode at the top level
+    # and no k_requested.
+    out = tmp_path / "out"
+    shutil.copytree(workspace / "out", out)
+    model = out / "model.json"
+    d = json.loads(model.read_text())
+    d["mode"] = d["vocab"]["mode"]
+    del d["k_requested"]
+    old = tmp_path / "old" / "model.json"
+    old.parent.mkdir()
+    old.write_text(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
+    shutil.copy(out / "vectors.npy", old.parent / "vectors.npy")
+    assert load_model(str(old)) == load_model(str(model))
+    answers = []
+    for path in (model, old):
+        for flag in ([], ["--all-candidates"]):
+            assert main(["closest", "--model", str(path), "--program",
+                         str(workspace / "bad.c"), "--tests",
+                         str(workspace / "corpus" / "tests" / "sum1n"),
+                         "--json", *flag]) == 0
+            answers.append(capsys.readouterr().out)
+    assert answers[:2] == answers[2:]
+
+
+def test_exclusions_are_entries_of_documents(workspace, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    planted = {"sum1n/xpointer": "pointer"}
+    (corpus / "sum1n" / "xpointer.c").write_text("int main() { int *p; }\n")
+    for kind, (data, diagnostic) in HOSTILE_SOURCES.items():
+        (corpus / "sum1n" / f"x{kind}.c").write_bytes(data)
+        planted[f"sum1n/x{kind}"] = diagnostic
+    out = tmp_path / "out"
+    assert main(["cluster", "--corpus", str(corpus), "--k", "3",
+                 "--out", str(out), "--json"]) == 0
+    exclusions = _json_out(capsys)["exclusions"]
+    assert sorted(exclusions) == sorted(planted)
+    assert all(planted[pid] in diag for pid, diag in exclusions.items())
+    documents = json.loads((out / "documents.json").read_text())
+    assert {pid: documents.pop(pid) for pid in planted} == {
+        pid: {"exclusion": diag} for pid, diag in exclusions.items()}
+    # The survivors' entries are those of a run without the planted files.
+    assert documents == json.loads(
+        (workspace / "out" / "documents.json").read_text())
+
+
 def test_k_above_distinct_vectors_is_clamped(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     (corpus / "echo").mkdir(parents=True)
@@ -304,8 +352,8 @@ def test_k_above_distinct_vectors_is_clamped(tmp_path, capsys):
     assert main(["cluster", "--corpus", str(corpus), "--k", "3",
                  "--out", str(out), "--json"]) == 0
     assert _json_out(capsys)["k"] == 1
-    report = json.loads((out / "report.json").read_text())
-    assert report["k"] == 1 and report["k_requested"] == 3
+    model = json.loads((out / "model.json").read_text())
+    assert model["k"] == 1 and model["k_requested"] == 3
 
 
 def test_cluster_one_program_projects_to_origin(tmp_path, capsys):
@@ -467,8 +515,6 @@ _MODEL_DAMAGE = {
             {sorted(d["assignment"])[0]: 7})),
     "moved-representative": lambda path: _edit_model(
         path, _move_representative),
-    "mode-mismatch": lambda path: _edit_model(
-        path, lambda d: d.update(mode="syntax")),
     "missing-model": os.remove,
     "model-directory": _replace_with_directory,
 }

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from invclust.clusterer import purity
 from invclust.corpus import (Corpus, Assignment, analyze,
                              generate_synthetic_corpus, ingest, load_model,
                              load_vectors, project_2d, run_pipeline,
@@ -85,11 +86,9 @@ def test_k_clamped_to_distinct_vectors_is_reported(tmp_path):
         tests=[TestCase("1\n", "1"), TestCase("5\n", "5")])})
     arts = run_pipeline(corpus, k=2, out_dir=str(tmp_path))
     assert arts.model.k == 1 and arts.k_requested == 2
-    with open(tmp_path / "report.json") as f:
-        report = json.load(f)
-    assert (report["k"], report["k_requested"]) == (1, 2)
     with open(tmp_path / "model.json") as f:
-        assert json.load(f)["k"] == 1
+        model = json.load(f)
+    assert (model["k"], model["k_requested"]) == (1, 2)
 
 
 def test_ingest_empty(tmp_path):
@@ -185,8 +184,7 @@ def test_persisted_artifact_layout(tmp_path):
     out = tmp_path / "out"
     arts = run_pipeline(corpus, mode="aast_inv", k=2, out_dir=str(out))
     assert sorted(os.listdir(out)) == [
-        "documents.json", "model.json", "projection.csv", "report.json",
-        "vectors.npy"]
+        "documents.json", "model.json", "projection.csv", "vectors.npy"]
     assert all((out / name).is_file() for name in os.listdir(out))
     with open(out / "documents.json") as f:
         documents = json.load(f)
@@ -197,11 +195,15 @@ def test_persisted_artifact_layout(tmp_path):
         for pid, pa in arts.programs.items()}
     with open(out / "model.json") as f:
         model = json.load(f)
-    assert set(model) == {"k", "seed", "mode", "assignment",
+    assert set(model) == {"k", "k_requested", "seed", "assignment",
                           "representatives", "sse", "vocab"}
-    with open(out / "report.json") as f:
-        report = json.load(f)
-    assert set(report) >= {"purity", "cluster_sizes", "exclusions"}
+    assert model["k_requested"] == 2
+    # The clustered ids are the assignment's keys, the cluster sizes the
+    # counts of its values, and the purity is computed from it.
+    assert sorted(model["assignment"]) == arts.clustered_ids
+    assert model["assignment"] == arts.model.assignment
+    assert purity(model["assignment"], {
+        pid: pid.split("/")[0] for pid in model["assignment"]}) == arts.purity
 
 
 def test_centroids_are_member_means_of_persisted_vectors(tmp_path):
@@ -237,6 +239,18 @@ def test_pipeline_determinism(tmp_path):
     run_pipeline(corpus, mode="aast_inv", k=2, seed=0, out_dir=str(out1))
     run_pipeline(corpus, mode="aast_inv", k=2, seed=0, out_dir=str(out2))
     assert tree_hash(str(out1)) == tree_hash(str(out2))
+
+
+def test_tree_hash_separates_paths_from_contents(tmp_path):
+    trees = {"a": {"a": b"bc"}, "ab": {"ab": b"c"},
+             "nested": {os.path.join("d", "e"): b""}, "flat": {"de": b""}}
+    for tree, files in trees.items():
+        for name, data in files.items():
+            path = tmp_path / tree / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+    hashes = {tree: tree_hash(str(tmp_path / tree)) for tree in trees}
+    assert len(set(hashes.values())) == len(trees), hashes
 
 
 def test_pipeline_fatal_when_nothing_survives():

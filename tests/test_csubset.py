@@ -97,21 +97,33 @@ _EXPECTED_EXPRESSION = "expected expression, found ';'"
 
 
 # Each case edits one spot of _MISSING_VALUE; the column is 1-based and
-# counts a tab or a carriage return as one character.
+# counts a tab as one character, and \n, \r\n and a lone \r each end a line.
 @pytest.mark.parametrize("src,line,col,message", [
     (_MISSING_VALUE, 2, 11, _EXPECTED_EXPRESSION),
     (_MISSING_VALUE.replace("= ;", "= /* one\n  two */ ;"), 3, 10,
      _EXPECTED_EXPRESSION),
     (_MISSING_VALUE.replace("  int", "\tint"), 2, 10, _EXPECTED_EXPRESSION),
     (_MISSING_VALUE.replace("{\n", "{\r\n"), 2, 11, _EXPECTED_EXPRESSION),
+    (_MISSING_VALUE.replace("\n", "\r"), 2, 11, _EXPECTED_EXPRESSION),
+    (_MISSING_VALUE.replace("= ;", "= /* one\r\r  two */ ;"), 4, 10,
+     _EXPECTED_EXPRESSION),
+    ('int main() { printf("a\rb"); }', 1, 21,
+     "unterminated string literal"),
     ("int main() { // x", 1, 18, "unterminated block"),
 ], ids=["plain", "after-block-comment", "after-tab", "after-crlf",
+        "cr-only", "after-cr-only-block-comment", "string-cut-by-cr",
         "eof-after-line-comment"])
 def test_syntax_error_position_inside_input(src, line, col, message):
     with pytest.raises(CSyntaxError) as exc:
         parse(src)
     assert (exc.value.line, exc.value.col, exc.value.message) == (
         line, col, message)
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_line_ends_parse_like_newlines(end):
+    src = "int main() {\n  // note\n  int x = 1;\n}\n"
+    assert unparse(parse(src.replace("\n", end))) == unparse(parse(src))
 
 
 @pytest.mark.parametrize("expr", ["(" * 2000 + "1" + ")" * 2000,
