@@ -15,6 +15,7 @@ recorded.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -235,3 +236,184 @@ EDGE_DETECT = (
 def test_detect_edge_values_match_recorded_digest():
     out = json.dumps(detect(_edge_log()).as_dict(), sort_keys=True)
     assert hashlib.sha256(out.encode()).hexdigest() == EDGE_DETECT
+
+
+# Step-budget sweeps: each program runs under every max_steps from 1 up to
+# the first budget at which no test stops with `step-limit`, and the
+# (verdicts, errors) of each run are pinned. A step counted early or late,
+# or a failure checked out of order, moves a budget's errors. Together the
+# programs cover compares and `+ - *` with a variable or a literal on each
+# side, int and double; the left, the right and both operands unset; an
+# array used as an operand; `+`, `-` past the int range; a double stored
+# into an int; and stores from assignment, declaration and `scanf`. The
+# digests were recorded before leaf operands and scalar stores were fused
+# into their parent's closure.
+
+SWEEP_OPERANDS = """\
+int main() {
+  int a, b, c;
+  double d;
+  scanf("%d %lf", &a, &d);
+  b = 7;
+  c = a + b;
+  c = c - 2;
+  c = 3 * c;
+  c = 4 + 5;
+  d = d * 2;
+  d = 1.5 - d;
+  c = d;
+  c = a + d;
+  int e = a * b;
+  double f = a + 0.5;
+  scanf("%lf %d", &c, &f);
+  printf("%d %d %d %d %d\\n", a < b, a >= 2, 3 == b, 1 != 2, a + b);
+  printf("%d %d %d %d\\n", d > a, a <= d, d == 2.5, 2 * 3);
+  if (a < b) {
+    c = c + 1;
+  }
+  while (c > 0) {
+    c = c - 1;
+    e = e + c;
+  }
+  printf("%d %d %f %f\\n", c, e, d, f);
+}
+"""
+
+
+def _sweep_unset(stmt):
+    """A program whose stdin k sets neither operand (k=0), only `a` (1),
+    only `b` (2) or both (3) before `stmt`."""
+    return ('int main() {\n  int k, a, b;\n  int c = 0;\n  scanf("%d", &k);\n'
+            "  if (k % 2 == 1) {\n    a = k;\n  }\n"
+            "  if (k > 1) {\n    b = k;\n  }\n"
+            f"  {stmt}\n" '  printf("%d", c);\n}\n')
+
+
+SWEEP_MISUSE = """\
+int main() {
+  int k;
+  int x[2];
+  int c = 0;
+  scanf("%d", &k);
+  if (k == 0) {
+    c = x + 1;
+  }
+  if (k == 1) {
+    c = 1 < x;
+  }
+  if (k == 2) {
+    printf("%d", x * k);
+  }
+  if (k == 3) {
+    printf("%d", k - x);
+  }
+}
+"""
+
+SWEEP_OVERFLOW = """\
+int main() {
+  int x = 9223372036854775807;
+  int y = 0 - x - 1;
+  int k;
+  scanf("%d", &k);
+  if (k == 0) {
+    x = x + 1;
+  }
+  if (k == 1) {
+    printf("%d", x + 1);
+  }
+  if (k == 2) {
+    x = 1 + x;
+  }
+  if (k == 3) {
+    y = y - 1;
+  }
+  if (k == 4) {
+    double d = x + 1;
+  }
+  printf("%d %d", x, y);
+}
+"""
+
+SWEEP_TO_INT = """\
+int main() {
+  double d;
+  int c;
+  scanf("%lf", &d);
+  c = d;
+  c = d * 2;
+  c = 0.5 + d;
+  int e = d - 1;
+  scanf("%d", &d);
+  c = d;
+  printf("%d %d %f", c, e, d);
+}
+"""
+
+
+def _ks(n, last_out):
+    """Tests k = 0..n-1, each expecting no output but the last."""
+    return [TestCase(str(k), last_out if k == n - 1 else "")
+            for k in range(n)]
+
+
+SWEEP_PROGRAMS = {
+    "operands": (SWEEP_OPERANDS, [
+        TestCase("3 2.5 4.7 9",
+                 "1 1 0 1 10\n0 0 0 6\n0 31 -3.500000 9.000000"),
+        TestCase("9 -1.25 0 -2",
+                 "0 1 0 1 16\n0 0 0 6\n0 63 4.000000 -2.000000")]),
+    "unset-compare": (_sweep_unset("c = a < b;"), _ks(4, "0")),
+    "unset-arith": (_sweep_unset('printf("%d ", a - b);'), _ks(4, "0 0")),
+    "unset-store": (_sweep_unset("c = a + b;"), _ks(4, "6")),
+    "unset-literal": (_sweep_unset("c = 2 * b + a;"), _ks(4, "9")),
+    "unset-literal-compare": (_sweep_unset("c = 0 < b && a >= 1;"),
+                              _ks(4, "1")),
+    "misuse": (SWEEP_MISUSE, _ks(4, "")),
+    "overflow": (SWEEP_OVERFLOW,
+                 _ks(6, "9223372036854775807 -9223372036854775808")),
+    "to-int": (SWEEP_TO_INT, [TestCase("2.75 5", "5 1 5.000000"),
+                              TestCase("1e30 1", ""),
+                              TestCase("-3.5 -7", "-7 -4 -7.000000")]),
+    "pair-while": (PAIR_WHILE, [TestCase("3", "6"), TestCase("0", "0")]),
+}
+
+# Program -> (budgets swept, sha256 of the sweep).
+SWEEP_PINNED = {
+    "misuse": (
+        25, "63706ed06482ee566ae096546647194fe938c70af37ce43fa7fb4548cc79f7fa"),
+    "operands": (
+        147, "56d308ea849746f990dcb818c3e0112ff4086ea0c4ff969a7097c9d7b210838f"),
+    "overflow": (
+        34, "4a71bfcb450ae6b05fb3e2396be977df1998214411e28fcd332ac522e6dc36a9"),
+    "pair-while": (
+        37, "ad97c2154747ff5a376a53c4217c941cefa0feb5d84fd26e55319a597cf81383"),
+    "to-int": (
+        24, "4233e3ec363904922d015640c6ce4f674516b6ab323d4399e517d6b9e236818b"),
+    "unset-arith": (
+        26, "ba1bc7c29a69a4904bcbe742836255fc4c1028bd2d4f3c3d5e383c1ab56dd480"),
+    "unset-compare": (
+        26, "ba1bc7c29a69a4904bcbe742836255fc4c1028bd2d4f3c3d5e383c1ab56dd480"),
+    "unset-literal": (
+        28, "81af23cf036bfc9a6e6641eaeae6ce47362dbaebb1838337d6cc443f7e83ea6a"),
+    "unset-literal-compare": (
+        30, "c5ccd75e8013fcf583506b7f0ce0c6cce94e1e2e77aa279bb1ffa3665c7983ba"),
+    "unset-store": (
+        26, "ba1bc7c29a69a4904bcbe742836255fc4c1028bd2d4f3c3d5e383c1ab56dd480"),
+}
+
+
+def _sweep(src, tests):
+    tree = parse(src)
+    runs = []
+    for max_steps in itertools.count(1):
+        log, verdicts = run_suite(tree, tests, Limits(max_steps=max_steps))
+        runs.append((verdicts, log.errors))
+        if not any(e.startswith("step-limit") for e in log.errors):
+            return len(runs), hashlib.sha256(
+                json.dumps(runs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PROGRAMS))
+def test_step_budget_sweep_matches_recorded_digest(name):
+    assert _sweep(*SWEEP_PROGRAMS[name]) == SWEEP_PINNED[name]
