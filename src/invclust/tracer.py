@@ -10,8 +10,8 @@ its own initializer included, as in C and the renamer), and each snapshot's
 layout and point id. A name with no declaration raises
 `UnresolvedIdentifier` at compile time, reached by a test or not; an array
 used as a scalar, or a scalar indexed, compiles to a closure that counts
-the node's steps and fails with `type-error`. No closure tests a value's
-class at run time.
+the node's steps and fails with `type-error`. No closure tests a binding's
+kind at run time.
 
 Points are named by structure, never by source line, so layout moves no
 id: `<fn>/entry` and `<fn>/exit`, and for each scope-opening statement the
@@ -39,12 +39,16 @@ with `step-limit` at the most recently entered point. A closure counts the
 steps of a node and of the ancestors whose evaluation starts with it in one
 addition, because nothing between those steps can fail, change the point or
 record anything; steps are never counted ahead of an operation that can
-fail.
+fail. Leaf operands, scalar variables and literals (a literal is read from
+a slot of its own, as a variable never UNSET), are fused into their
+parent's closure: a compare or `+ - *` on two leaves is one closure, and so
+is a store into a scalar, its value fused in when it is such a `+ - *`.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
-uninitialized reads, truncating division, %d prints decimal after the
-conversion an int store makes (so an out-of-range double traps), %f/%lf
-print with 6 decimal places.
+uninitialized reads, truncating division, an int compared with a double
+converted to double first, %d prints decimal after the conversion an int
+store makes (so an out-of-range double traps), %f/%lf print with 6 decimal
+places.
 """
 
 import json
@@ -153,6 +157,7 @@ class TraceLog:
 _COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_FUSED = {**_COMPARE, **_ARITH}  # the operators fused with leaf operands
 # What each printf directive of PRINTF_CONVERSION prints.
 _PRINTF = {"%": "%", "d": lambda st, x: str(_convert(st, x, True)),
            "f": lambda st, x: f"{float(x):.6f}"}
@@ -222,8 +227,8 @@ class _Compiler:
     def declare(self, node, is_array):
         """A fresh slot for each declaration, so a slot's binding is fixed
         even where a name is declared twice in one scope."""
-        slot = self.scopes[-1][node.identifier] = self.nslots
-        self.nslots += 1
+        slot = self.scopes[-1][node.identifier] = len(self.frame)
+        self.frame.append(UNSET)
         self.binding[slot] = (is_array, node.type_name == "int")
         return slot
 
@@ -275,8 +280,9 @@ class _Compiler:
 
     def function(self, fn):
         self.scopes = [{}]
-        self.nslots = _BLANK + 1
+        self.frame = [UNSET]  # the slots each call starts with; _BLANK is 0
         self.binding = {}
+        self.consts = {}  # repr of a literal -> its slot
         name = fn.identifier
         params = [(self.declare(p, False), p.type_name == "int")
                   for p in fn.children if p.kind == Kind.PARAM]
@@ -284,7 +290,7 @@ class _Compiler:
         body = self.stmts(fn.children[-1].children, name)
         exit_ = self.snapshot(f"{name}/exit", self.scopes)
         returns = None if fn.type_name == "void" else fn.type_name == "int"
-        return self.nslots, params, body, entry, exit_, returns
+        return self.frame, params, body, entry, exit_, returns
 
     def call(self, node, pre):
         """A call; with pre=None, the call of main, which counts no step."""
@@ -302,11 +308,11 @@ class _Compiler:
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
             values = [a(st, v) for a in args]
-            nslots, params, body, entry, exit_, returns = st.functions[name]
+            frame, params, body, entry, exit_, returns = st.functions[name]
             st.depth += 1
             if st.depth > MAX_CALL_DEPTH:
                 raise TraceRuntimeError("step-limit", st.point, "call depth")
-            w = [UNSET] * nslots
+            w = frame.copy()
             for (slot, is_int), x in zip(params, values):
                 w[slot] = _convert(st, x, is_int)
             entry(st, w)
@@ -354,14 +360,14 @@ class _Compiler:
         max_steps = self.max_steps
         if k == Kind.DECL and node.children:
             slot = self.declare(node, False)
-            expr = self.expr(node.children[0], pre + 1)
-            is_int = node.type_name == "int"
-
-            def decl(st, v):
-                v[slot] = _convert(st, expr(st, v), is_int)
-            return decl
+            return self.put(slot, node.type_name == "int", node.children[0],
+                            pre + 1)
         if k == Kind.ASSIGN:
             target, expr_node = node.children
+            if target.kind == Kind.IDENT_REF:  # target first, as the renamer
+                slot, is_array, is_int = self.resolve(target)
+                if not is_array:
+                    return self.put(slot, is_int, expr_node, pre + 1)
             expr = self.expr(expr_node, pre + 1)
             store = self.store(target)
 
@@ -423,9 +429,8 @@ class _Compiler:
                     raise TraceRuntimeError("uninitialized-read", st.point,
                                             name)
                 x += delta
-                if not (is_int and x.__class__ is int
-                        and INT_MIN <= x <= INT_MAX):
-                    x = _convert(st, x, is_int)
+                if is_int and not INT_MIN <= x <= INT_MAX:
+                    raise TraceRuntimeError("integer-overflow", st.point)
                 v[slot] = x
             return incr
         if k not in (Kind.DECL, Kind.ARRAY_DECL):
@@ -503,6 +508,22 @@ class _Compiler:
                     step(st, v)
                 go = cond(st, v)
         return loop
+
+    def put(self, slot, is_int, value, pre):
+        """The closure of a statement storing `value` into a scalar slot,
+        inline, and fused with `value` when it is `+ - *` on two leaves."""
+        fused = self.fused(value, _ARITH, pre + 2, slot, is_int)
+        if fused:
+            return fused
+        expr = self.expr(value, pre)
+
+        def assign(st, v):
+            x = expr(st, v)
+            if not (is_int and x.__class__ is int
+                    and INT_MIN <= x <= INT_MAX):
+                x = _convert(st, x, is_int)
+            v[slot] = x
+        return assign
 
     def store(self, target):
         """Closure storing a value into a variable or an array element."""
@@ -601,20 +622,12 @@ class _Compiler:
             return self.binary(node, count)
         if k == Kind.CALL:
             return self.call(node, pre)
-        if k == Kind.LITERAL:
-            value = node.literal
-
-            def literal(st, v):
-                st.steps += count
-                if st.steps > max_steps:
-                    raise TraceRuntimeError("step-limit", st.point)
-                return value
-            return literal
-        if k == Kind.IDENT_REF:
-            name = node.identifier
-            slot, is_array, _ = self.resolve(node)
-            if is_array:
-                return self.misuse(count, f"array '{name}' used as scalar")
+        if k in (Kind.LITERAL, Kind.IDENT_REF):
+            leaf = self.leaf(node)
+            if leaf is None:
+                return self.misuse(
+                    count, f"array '{node.identifier}' used as scalar")
+            slot, name, _ = leaf
 
             def ref(st, v):
                 st.steps += count
@@ -649,7 +662,70 @@ class _Compiler:
 
         raise ValueError(f"unexpected expression node: {k}")
 
+    def leaf(self, node):
+        """(slot, name, is_int) of a literal or a scalar variable, else
+        None. Each literal has a slot that holds it from the start of each
+        call, so it reads as a variable that is never UNSET."""
+        if node.kind == Kind.LITERAL:
+            key = repr(node.literal)  # tells 1 from 1.0, 0.0 from -0.0
+            if key not in self.consts:
+                self.consts[key] = len(self.frame)
+                self.frame.append(node.literal)
+            return self.consts[key], None, node.literal.__class__ is int
+        if node.kind == Kind.IDENT_REF:
+            slot, is_array, is_int = self.resolve(node)
+            if not is_array:
+                return slot, node.identifier, is_int
+        return None
+
+    def fused(self, node, ops, count, slot=None, is_int=None):
+        """The closure of `node`, an operator in `ops` on two leaves, or None
+        if it is not one. It counts `count` steps (the left leaf's and what
+        it owes), reads the left leaf, counts and reads the right, applies
+        the operator, and returns the value or stores it into `slot`."""
+        op = node.literal if node.kind == Kind.BINARY_OP else None
+        left = self.leaf(node.children[0]) if op in ops else None
+        right = left and self.leaf(node.children[1])
+        if not right:
+            return None
+        (ls, lname, lint), (rs, rname, rint) = left, right
+        max_steps = self.max_steps
+        compare = op in _COMPARE
+        if compare and lint != rint:  # C converts the int to double
+            def apply(a, b, cmp=_COMPARE[op]):
+                return cmp(float(a), float(b))
+        else:
+            apply = _FUSED[op]
+        int_result = lint and rint
+        exact = int_result == is_int  # the value needs no conversion
+
+        def leaf_op(st, v):
+            st.steps += count
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
+            x = v[ls]
+            if x is UNSET:
+                raise TraceRuntimeError("uninitialized-read", st.point, lname)
+            st.steps += 1
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
+            y = v[rs]
+            if y is UNSET:
+                raise TraceRuntimeError("uninitialized-read", st.point, rname)
+            x = apply(x, y)
+            if compare:
+                return 1 if x else 0
+            if int_result and not INT_MIN <= x <= INT_MAX:
+                raise TraceRuntimeError("integer-overflow", st.point)
+            if slot is None:
+                return x
+            v[slot] = x if exact else _convert(st, x, is_int)
+        return leaf_op
+
     def binary(self, node, count):
+        fused = self.fused(node, _FUSED, count + 1)
+        if fused:
+            return fused
         op = node.literal
         left = self.expr(node.children[0], count)
         right = self.expr(node.children[1])
@@ -669,7 +745,11 @@ class _Compiler:
             compare = _COMPARE[op]
 
             def cmp(st, v):
-                return 1 if compare(left(st, v), right(st, v)) else 0
+                a = left(st, v)
+                b = right(st, v)
+                if a.__class__ is not b.__class__:  # C converts the int
+                    a, b = float(a), float(b)
+                return 1 if compare(a, b) else 0
             return cmp
         if op in _ARITH:
             arith = _ARITH[op]

@@ -197,6 +197,10 @@ def test_scalar_indexed_is_type_error(stmt):
     ("int a[2];\n  a++;", 2),
     ("int x = 0;\n  int y = x[0];", 4),
     ("int x = 0;\n  x[1] = 1;", 4),
+    ("int a[2];\n  int b = a + 1;", 4),
+    ("int a[2];\n  int b = 1 < a;", 5),
+    ("int a[2];\n  int b = 0;\n  b = 2 * a;", 7),
+    ('int a[2];\n  printf("%d", a - 1);', 4),
 ])
 def test_misuse_counts_its_steps_before_failing(body, steps):
     tree = parse("int main() {\n  " + body + "\n}\n")
@@ -204,6 +208,35 @@ def test_misuse_counts_its_steps_before_failing(body, steps):
     assert log.errors == ["step-limit at main/entry"]
     log, _, _ = execute(tree, TestCase("", ""), Limits(max_steps=steps))
     assert [e.split(":")[0] for e in log.errors] == ["type-error at main/entry"]
+
+
+# An operand that is unset fails its read, after its own steps and before
+# the right operand's; with both unset, the left one is named.
+@pytest.mark.parametrize("stmt,error", [
+    ('printf("%d", a < b);', "uninitialized-read at main/entry: b"),
+    ('printf("%d", b < a);', "uninitialized-read at main/entry: b"),
+    ('printf("%d", b < c);', "uninitialized-read at main/entry: b"),
+    ('printf("%d", c * b);', "uninitialized-read at main/entry: c"),
+    ("c = a + b;", "uninitialized-read at main/entry: b"),
+    ("c = 1 - c;", "uninitialized-read at main/entry: c"),
+])
+def test_unset_operand_is_named(stmt, error):
+    src = "int main() {\n  int a = 1;\n  int b, c;\n  " + stmt + "\n}\n"
+    log, _, verdict = execute(parse(src), TestCase("", ""))
+    assert (verdict, log.errors) == ("error", [error])
+
+
+# C converts an int compared with a double to double; 2**53 + 1 rounds to
+# 2**53. gcc 12.2 prints the same lines for the program with `long a`.
+def test_int_compared_with_double_is_converted_first():
+    src = ("int main() {\n  int a = 9007199254740993;\n"
+           "  double d = 9007199254740992.0;\n"
+           '  printf("%d %d %d\\n", a == d, a > d, a != d);\n'
+           '  printf("%d %d %d\\n", d == a, d < a, 9007199254740993 <= d);\n'
+           '  printf("%d %d %d\\n", a + 0 == d, d < a * 1, a - 0 != d + 0);\n'
+           "}\n")
+    log, stdout, _ = execute(parse(src), TestCase("", ""))
+    assert (stdout, log.errors) == ("1 0 0\n1 0 1\n1 0 0\n", [])
 
 
 def _printed(expr, limits=None):
@@ -253,6 +286,19 @@ def test_undeclared_name_is_rejected_before_any_test_runs():
     assert (traced.value.name, traced.value.line) == ("y", 4)
     with pytest.raises(UnresolvedIdentifier) as renamed:
         rename(parse(src))
+    assert str(traced.value) == str(renamed.value)
+
+
+# With two names undeclared, the tracer names the one the renamer does: an
+# assignment's target is resolved before its value.
+@pytest.mark.parametrize("stmt", ["y = z;", "y = z + 1;", "y = 1 < z;"])
+def test_assignment_target_is_resolved_first(stmt):
+    src = "int main() {\n  " + stmt + "\n}\n"
+    with pytest.raises(UnresolvedIdentifier) as traced:
+        run_suite(parse(src), [TestCase("", "")])
+    with pytest.raises(UnresolvedIdentifier) as renamed:
+        rename(parse(src))
+    assert traced.value.name == "y"
     assert str(traced.value) == str(renamed.value)
 
 
