@@ -39,10 +39,11 @@ with `step-limit` at the most recently entered point. A closure counts the
 steps of a node and of the ancestors whose evaluation starts with it in one
 addition, because nothing between those steps can fail, change the point or
 record anything; steps are never counted ahead of an operation that can
-fail. Leaf operands, scalar variables and literals (a literal is read from
-a slot of its own, as a variable never UNSET), are fused into their
-parent's closure: a compare or `+ - *` on two leaves is one closure, and so
-is a store into a scalar, its value fused in when it is such a `+ - *`.
+fail. Leaf operands, that is scalar variables and literals (a literal is
+read from a slot of its own, as a variable that is never UNSET), are fused
+into their parent's closure: a compare or `+ - *` on two leaves is one
+closure. A store into a scalar is made inline by its statement's closure,
+with a value that is `+ - *` on two leaves computed in the same closure.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -172,16 +173,14 @@ class _State:
     look callees up here, so no closure holds the table that holds it and
     a compiled program is freed without the cyclic collector."""
 
-    __slots__ = ("functions", "steps", "depth", "point", "stdin", "stdin_pos",
-                 "out")
+    __slots__ = ("functions", "steps", "depth", "point", "stdin", "out")
 
     def __init__(self, functions, stdin_text):
         self.functions = functions
         self.steps = 0
         self.depth = 0
         self.point = "start"   # most recently entered point, for diagnostics
-        self.stdin = stdin_text.split()
-        self.stdin_pos = 0
+        self.stdin = iter(stdin_text.split())  # the tokens not read yet
         self.out = []
 
 
@@ -526,19 +525,11 @@ class _Compiler:
         return assign
 
     def store(self, target):
-        """Closure storing a value into a variable or an array element."""
+        """Closure storing a value into an array element; a scalar is
+        stored inline by its statement, so a variable here is an array."""
         if target.kind == Kind.IDENT_REF:
-            slot, is_array, is_int = self.resolve(target)
-            if is_array:
-                return self.misuse(
-                    0, f"array '{target.identifier}' used as scalar")
-
-            def put(st, v, x):
-                if not (is_int and x.__class__ is int
-                        and INT_MIN <= x <= INT_MAX):
-                    x = _convert(st, x, is_int)
-                v[slot] = x
-            return put
+            return self.misuse(
+                0, f"array '{target.identifier}' used as scalar")
         base, idx_node = target.children
         name = base.identifier
         slot, is_array, is_int = self.resolve(base)
@@ -555,25 +546,34 @@ class _Compiler:
     def scanf(self, node, count):
         convs = [int if m[1] == "d" else float
                  for m in SCANF_CONVERSION.finditer(node.literal)]
-        targets = list(zip(convs, map(self.store, node.children)))
+        targets = []  # a scalar's (slot, is_int), else the store closure
+        for conv, target in zip(convs, node.children):
+            leaf = self.leaf(target)
+            targets.append((conv, leaf[0], leaf[2], None) if leaf
+                           else (conv, None, None, self.store(target)))
         max_steps = self.max_steps
 
         def scanf(st, v):
             st.steps += count
             if st.steps > max_steps:
                 raise TraceRuntimeError("step-limit", st.point)
-            for conv, put in targets:
-                if st.stdin_pos >= len(st.stdin):
+            for conv, slot, is_int, put in targets:
+                token = next(st.stdin, None)
+                if token is None:
                     raise TraceRuntimeError("scanf-exhausted", st.point)
-                token = st.stdin[st.stdin_pos]
-                st.stdin_pos += 1
                 try:
-                    value = conv(token)
+                    x = conv(token)
                 except ValueError:
                     raise TraceRuntimeError(
                         "scanf-exhausted", st.point,
                         f"bad input token {token!r}") from None
-                put(st, v, value)
+                if put is not None:
+                    put(st, v, x)
+                    continue
+                if not (is_int and x.__class__ is int
+                        and INT_MIN <= x <= INT_MAX):
+                    x = _convert(st, x, is_int)
+                v[slot] = x
         return scanf
 
     def printf(self, node, pre):
