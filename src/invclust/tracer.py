@@ -363,10 +363,9 @@ class _Compiler:
                             pre + 1)
         if k == Kind.ASSIGN:
             target, expr_node = node.children
-            if target.kind == Kind.IDENT_REF:  # target first, as the renamer
-                slot, is_array, is_int = self.resolve(target)
-                if not is_array:
-                    return self.put(slot, is_int, expr_node, pre + 1)
+            leaf = self.leaf(target)  # the target first, as in the renamer
+            if leaf:
+                return self.put(leaf[0], leaf[2], expr_node, pre + 1)
             expr = self.expr(expr_node, pre + 1)
             store = self.store(target)
 
