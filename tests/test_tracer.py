@@ -212,18 +212,20 @@ def test_misuse_counts_its_steps_before_failing(body, steps):
 
 # An operand that is unset fails its read, after its own steps and before
 # the right operand's; with both unset, the left one is named.
-@pytest.mark.parametrize("stmt,error", [
-    ('printf("%d", a < b);', "uninitialized-read at main/entry: b"),
-    ('printf("%d", b < a);', "uninitialized-read at main/entry: b"),
-    ('printf("%d", b < c);', "uninitialized-read at main/entry: b"),
-    ('printf("%d", c * b);', "uninitialized-read at main/entry: c"),
-    ("c = a + b;", "uninitialized-read at main/entry: b"),
-    ("c = 1 - c;", "uninitialized-read at main/entry: c"),
+@pytest.mark.parametrize("setup,stmt,name", [
+    ("a = 1;", 'printf("%d", a < b);', "b"),
+    ("", 'printf("%d", a < b);', "a"),
+    ("b = 1;", 'printf("%d", a < b);', "a"),
+    ("a = 1;", 'printf("%d", 1 < b);', "b"),
+    ("", "b = a + 1;", "a"),
+    ("a = 1;", "b = a * b;", "b"),
+    ("b = 1;", "a = b - a;", "a"),
 ])
-def test_unset_operand_is_named(stmt, error):
-    src = "int main() {\n  int a = 1;\n  int b, c;\n  " + stmt + "\n}\n"
+def test_unset_operand_is_named(setup, stmt, name):
+    src = "int main() {\n  int a, b;\n  " + setup + "\n  " + stmt + "\n}\n"
     log, _, verdict = execute(parse(src), TestCase("", ""))
-    assert (verdict, log.errors) == ("error", [error])
+    assert verdict == "error"
+    assert log.errors == [f"uninitialized-read at main/entry: {name}"]
 
 
 # C converts an int compared with a double to double; 2**53 + 1 rounds to
