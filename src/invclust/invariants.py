@@ -16,16 +16,26 @@ count, the variables set in every snapshot, each one's first value, min,
 max and sign flags, and each pair's order flags and first-row difference.
 That is Daikon's incremental falsification (Perkins & Ernst, FSE 2004):
 the tracer's memory stays bounded however long a program runs, and a fold
-of the whole trace as one chunk is the batch result.
+of the whole trace as one chunk is the batch result. A snapshot's values
+are ints, floats and UNSET; a long chunk's all-int columns are folded as
+int64 arrays, by their extremes.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import eq, ge, gt, is_, le, lt, ne, sub
 
+import numpy as np
+
 from .nodes import fmt_literal
 
 CONST_DIFF_LIMIT = 100
+
+# The fewest rows a chunk needs for its int columns to be folded as arrays.
+_ARRAY_ROWS = 64
+# Below this magnitude, x - y of two int64 values cannot wrap.
+_WIDE = 2**62
 
 # A snapshot's value for a variable that is out of scope or not set yet.
 UNSET = object()
@@ -72,17 +82,26 @@ class _Pair:
 
 class PointSummary:
     """The templates' state over the snapshots of one point, folded a
-    chunk at a time. `names` is the point's schema: a snapshot is a tuple
-    of their values in that order (values past the last name are ignored),
-    UNSET for a variable it lacks, and a variable with an UNSET value in
-    any snapshot takes part in no template.
+    chunk at a time. `names` is the point's schema: a chunk is one flat
+    list, row after row, of a value per name: an int, a float, or UNSET
+    for a variable the snapshot lacks, and such a variable takes part in
+    no template. With no names there is nothing to fold; the owner counts
+    the snapshots in `count`.
 
     Folding in chunks of any size gives what one chunk of every snapshot
     gives: every flag is a conjunction over rows, and min and max are left
     folds started from the carried value, exactly as `min` and `max` run
     over the whole column, so a nan lands where they put it. operator.eq
     has no identity shortcut, so a nan is never equal to itself, as with
-    ==."""
+    ==.
+
+    In a chunk of at least _ARRAY_ROWS rows, a column that converts to
+    int64 holds only ints, which are totally ordered, so its templates
+    follow from the array's min and max, and a pair's from those of x - y
+    (unless a value reaches _WIDE and x - y could wrap). Columns with a
+    float or UNSET, and shorter chunks, are folded value by value: nan and
+    -0.0 make min and max depend on order, and a short chunk costs less
+    so than converted."""
 
     def __init__(self, names):
         self.names = names
@@ -90,27 +109,55 @@ class PointSummary:
         self.columns = {}  # variable set in every snapshot -> _Column
         self.pairs = {}    # (x, y) of such variables, x < y -> _Pair
 
-    def fold(self, rows):
-        if not rows:
+    def fold(self, flat):
+        if not flat:
             return
-        cols = dict(zip(self.names, zip(*rows)))
+        w = len(self.names)
+        n = len(flat) // w
         columns = self.columns
+        cols = {x: flat[i::w] for i, x in enumerate(self.names)
+                if not self.count or x in columns}
+        ints = {}  # variable -> its column as int64, if it is all ints
+        if n >= _ARRAY_ROWS:
+            for x, vals in cols.items():
+                try:
+                    ints[x] = np.frombuffer(array("q", vals), np.int64)
+                except (TypeError, OverflowError):  # a float, UNSET, > int64
+                    pass
         if not self.count:
             for x in sorted(cols):
-                if UNSET not in cols[x]:
+                if x in ints or UNSET not in cols[x]:
                     columns[x] = _Column(cols[x][0])
             self.pairs = {(x, y): _Pair(columns[x].first, columns[y].first)
                           for x, y in combinations(columns, 2)}
         else:
-            dead = [x for x in columns if UNSET in cols[x]]
+            dead = [x for x in columns if x not in ints and UNSET in cols[x]]
             for x in dead:
                 del columns[x]
             if dead:
                 self.pairs = {(x, y): p for (x, y), p in self.pairs.items()
                               if x in columns and y in columns}
-        self.count += len(rows)
+        self.count += n
         zeros = repeat(0)
+        narrow = set()  # int columns whose differences cannot wrap
         for x, c in columns.items():
+            a = ints.get(x)
+            if a is not None:
+                lo, hi = int(a.min()), int(a.max())
+                if -_WIDE < lo and hi < _WIDE:
+                    narrow.add(x)
+                if c.const:
+                    first = c.first
+                    if lo == first == hi and type(first) is int:
+                        continue
+                    c.const = False  # first stands for every value so far
+                    c.pos, c.neg, c.nonzero = first > 0, first < 0, first != 0
+                    c.nonneg, c.nonpos = first >= 0, first <= 0
+                c.lo, c.hi = min(c.lo, lo), max(c.hi, hi)
+                c.pos, c.nonneg = c.pos and lo > 0, c.nonneg and lo >= 0
+                c.neg, c.nonpos = c.neg and hi < 0, c.nonpos and hi <= 0
+                c.nonzero = c.nonzero and (lo > 0 or hi < 0 or bool(a.all()))
+                continue
             vals = cols[x]
             if c.const:
                 first = c.first
@@ -132,6 +179,14 @@ class PointSummary:
             if c.nonzero:
                 c.nonzero = c.pos or c.neg or all(map(ne, vals, zeros))
         for (x, y), p in self.pairs.items():
+            if x in narrow and y in narrow:
+                d = ints[x] - ints[y]
+                lo, hi = int(d.min()), int(d.max())
+                p.diff = p.diff and lo == p.d == hi
+                p.eq = p.eq and lo == 0 == hi
+                p.lt, p.le = p.lt and hi < 0, p.le and hi <= 0
+                p.gt, p.ge = p.gt and lo > 0, p.ge and lo >= 0
+                continue
             xs, ys = cols[x], cols[y]
             if p.diff:
                 p.diff = all(map(eq, map(sub, xs, ys), repeat(p.d))) and \

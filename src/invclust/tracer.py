@@ -25,13 +25,15 @@ Snapshots: every point has exactly one snapshot closure, and its schema is
 the names of the scalar variables in that closure's scopes, outer scopes
 first. The exit closure is compiled after the function body with the whole
 top scope, and every `return` and the fall-off share it; at an early
-return a name declared later reads `UNSET`. A snapshot is the tuple of the
-schema's values, `UNSET` for a variable not set yet; no dict is built.
-Each point buffers its tuples and folds them into its `PointSummary` every
-FOLD_ROWS snapshots, so a trace takes memory in proportion to its points,
-not to its length. A recorded trace (`record=True`, for `invclust trace
---json`, `execute` and tests that read snapshots) keeps every tuple and
-each test's stdout as well.
+return a name declared later reads `UNSET`. A snapshot is the schema's
+values, `UNSET` for a variable not set yet; no dict or tuple is kept.
+Each point buffers its snapshots as one flat list, row after row, and
+folds it into its `PointSummary` every FOLD_ROWS snapshots, so a trace
+takes memory in proportion to its points, not to its length; a point
+with no scalar in scope only counts its snapshots. A recorded trace
+(`record=True`, for `invclust trace --json`, `execute` and tests that read
+snapshots) keeps every value and each test's stdout as well, and regroups
+the values into rows when they are read.
 
 Step accounting: one step per statement executed and one per expression
 node evaluated, in evaluation order; past `Limits.max_steps` the run stops
@@ -55,6 +57,7 @@ places.
 import json
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import TraceRuntimeError, UnresolvedIdentifier
 from .invariants import UNSET, PointSummary
@@ -75,9 +78,6 @@ MAX_CALL_DEPTH = 225
 
 # Snapshots a point buffers before folding them into its summary.
 FOLD_ROWS = 4096
-
-# The frame slot no variable is given: it always reads UNSET.
-_BLANK = 0
 
 # A point's kind by the last segment of its id; any other is a plain block.
 _POINT_KINDS = {"entry": "function-entry", "exit": "function-exit",
@@ -101,14 +101,14 @@ class Limits:
 
 class PointTrace:
     """The snapshots of one point: its schema `names` and their `summary`.
-    After the run, `rows` holds every snapshot tuple when the trace was
-    recorded, and nothing otherwise."""
+    After the run, `flat` holds every snapshot's values, row after row,
+    when the trace was recorded, and nothing otherwise."""
 
-    __slots__ = ("names", "rows", "summary")
+    __slots__ = ("names", "flat", "summary")
 
     def __init__(self, names):
         self.names = list(names)
-        self.rows = []
+        self.flat = []
         self.summary = PointSummary(self.names)
 
     def __len__(self):
@@ -116,8 +116,11 @@ class PointTrace:
 
     def snapshots(self):
         """Each recorded snapshot as a dict of its set variables."""
-        return [{name: x for name, x in zip(self.names, row) if x is not UNSET}
-                for row in self.rows]
+        names = self.names
+        rows = zip(*[iter(self.flat)] * len(names)) if names else \
+            repeat((), len(self))
+        return [{name: x for name, x in zip(names, row) if x is not UNSET}
+                for row in rows]
 
 
 @dataclass
@@ -254,32 +257,37 @@ class _Compiler:
 
     def snapshot(self, pid, scopes):
         """The closure recording point pid: the scalar variables of
-        `scopes`, outer scopes first, as a tuple in the point's schema.
-        Arrays are left out (a slot's binding never changes)."""
+        `scopes`, outer scopes first, in the point's schema. Arrays are
+        left out (a slot's binding never changes)."""
         assert pid not in self.points, f"point {pid} compiled twice"
         layout = [(name, slot) for scope in scopes
                   for name, slot in scope.items() if not self.binding[slot][0]]
         point = self.points[pid] = PointTrace(
             dict.fromkeys(name for name, _ in layout))
-        getter = _row_getter(point.names, layout)
-        rows = point.rows
-        append = rows.append
         summary = point.summary
-        fold_at = self.fold_at
+        if not layout:
+            def count(st, v):
+                st.point = pid
+                summary.count += 1
+            return count
+        getter, single = _row_getter(point.names, layout)
+        flat = point.flat
+        push = flat.append if single else flat.extend
+        fold_at = self.fold_at * len(point.names)
 
         def snap(st, v):
             st.point = pid
-            append(getter(v))
-            if len(rows) == fold_at:
-                summary.fold(rows)
-                rows.clear()
+            push(getter(v))
+            if len(flat) == fold_at:
+                summary.fold(flat)
+                flat.clear()
         return snap
 
     # --- functions and calls ---
 
     def function(self, fn):
         self.scopes = [{}]
-        self.frame = [UNSET]  # the slots each call starts with; _BLANK is 0
+        self.frame = []  # the slots each call starts with
         self.binding = {}
         self.consts = {}  # repr of a literal -> its slot
         name = fn.identifier
@@ -826,15 +834,15 @@ class _Program:
 
 
 def _row_getter(names, layout):
-    """Function from a frame to a snapshot's tuple, a value per name in
-    `names`, the layout's names. A name declared again in an inner scope
-    takes the inner value once that is set, else the outer one."""
+    """(getter, single): a function from a frame to a snapshot's values,
+    one per name in `names`, the layout's names, and whether it returns
+    the one value itself rather than a sequence of them. A name declared
+    again in an inner scope takes the inner value once that is set, else
+    the outer one."""
     slot_of = dict(layout)
     if len(slot_of) == len(layout):  # no name declared twice
-        order = [slot_of[name] for name in names]
-        if len(order) == 1:
-            order.append(_BLANK)  # itemgetter(s) returns no tuple
-        return operator.itemgetter(*order) if order else lambda v: ()
+        return (operator.itemgetter(*(slot_of[name] for name in names)),
+                len(names) == 1)
     candidates = [[slot for n, slot in layout if n == name] for name in names]
 
     def shadowed(v):
@@ -845,8 +853,8 @@ def _row_getter(names, layout):
                 if v[slot] is not UNSET:
                     x = v[slot]
             row.append(x)
-        return tuple(row)
-    return shadowed
+        return row
+    return shadowed, False
 
 
 def execute(tree, test, limits=None):
@@ -866,7 +874,7 @@ def run_suite(tree, tests, limits=None, record=False):
     program = _Program(tree, limits, log)
     verdicts = [program.run(test) for test in tests]
     for point in log.points.values():
-        point.summary.fold(point.rows)
+        point.summary.fold(point.flat)
         if not record:
-            point.rows.clear()
+            point.flat.clear()
     return log, verdicts

@@ -132,14 +132,16 @@ int main() {
 def log_from_snapshots(point_snaps):
     """A recorded TraceLog holding the given snapshots, {point id: [dict of
     variable values]}: each point's schema is the names of its dicts in
-    first-seen order, and a name a dict lacks is UNSET in its tuple."""
+    first-seen order, and a name a dict lacks is UNSET in its row."""
     log = TraceLog(record=True)
     for pid, snaps in point_snaps.items():
         point = log.points[pid] = PointTrace(
             dict.fromkeys(name for snap in snaps for name in snap))
-        point.rows = [tuple(snap.get(name, UNSET) for name in point.names)
-                      for snap in snaps]
-        point.summary.fold(point.rows)
+        point.flat = [snap.get(name, UNSET)
+                      for snap in snaps for name in point.names]
+        point.summary.fold(point.flat)
+        if not point.names:
+            point.summary.count = len(snaps)
     return log
 
 

@@ -4,12 +4,14 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invclust import tracer
-from invclust.invariants import PointSummary, detect, flatten
+from invclust.invariants import (_ARRAY_ROWS, UNSET, PointSummary, detect,
+                                 flatten)
 from invclust.parser import parse
 from invclust.renamer import rename
-from invclust.tracer import TestCase, run_suite
+from invclust.tracer import INT_MAX, INT_MIN, TestCase, run_suite
 
 from conftest import (LEFT_SRC, RIGHT_SRC, SNAPSHOT_EDGE_PROGRAMS,
                       gen_program, gen_suite, inv_holds, log_from_snapshots,
@@ -222,11 +224,12 @@ def _splits(n):
 def test_fold_of_every_split_matches_one_chunk(pid):
     point = log_from_snapshots({pid: EDGE_COLUMNS[pid]}).points[pid]
     whole = point.summary.invariants()
-    for cuts in _splits(len(point.rows)):
+    w = len(point.names)
+    for cuts in _splits(len(point)):
         summary = PointSummary(point.names)
         for start, end in zip(cuts, cuts[1:]):
-            summary.fold(point.rows[start:end])
-        assert summary.count == len(point.rows)
+            summary.fold(point.flat[start * w:end * w])
+        assert summary.count == len(point)
         assert summary.invariants() == whole, cuts
 
 
@@ -247,7 +250,7 @@ def _assert_fold_by_one_matches_whole_run(monkeypatch, tree, tests):
     assert verdicts_by_one == verdicts
     assert {p: len(t) for p, t in by_one.samples.items()} == \
         {p: len(t) for p, t in whole.samples.items()}
-    assert all(not t.rows for t in by_one.points.values())
+    assert all(not t.flat for t in by_one.points.values())
     assert detect(by_one).as_dict() == detect(whole).as_dict()
     return whole
 
@@ -268,3 +271,97 @@ def test_fold_in_chunks_of_one_matches_whole_run_randomized(monkeypatch):
         renamed, _ = rename(parse(src))
         _assert_fold_by_one_matches_whole_run(monkeypatch, renamed,
                                               gen_suite(seed, n_in))
+
+
+# --- int columns folded as arrays ---
+
+_EDGE_INTS = [0, 1, -1, 2**62 - 1, 2**62, -2**62, -2**62 - 1, INT_MIN,
+              INT_MIN + 1, INT_MAX - 1, INT_MAX]
+_INTS = st.one_of(st.integers(-3, 3), st.sampled_from(_EDGE_INTS))
+# A fresh nan each time: one nan object repeated is a constant to the
+# oracle's set, and never equal to itself to the fold.
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf,
+                                     -math.inf]),
+                    st.builds(float, st.just("nan")))
+
+
+@st.composite
+def _chunked_columns(draw):
+    """Columns of up to three chunks' worth of rows, mostly ints (constant,
+    drawn, or an earlier column plus a constant), with a few values
+    replaced by any value, the first row's most often, and the cut
+    positions of a split into chunks, after the first row most often."""
+    n = draw(st.integers(2, 3 * _ARRAY_ROWS))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["const", "ints", "shift"]))
+        if kind == "const":
+            col = [draw(_INTS)] * n
+        elif kind == "shift" and cols:
+            c = draw(st.integers(-3, 3))
+            col = [x + c if type(x) is int else x
+                   for x in draw(st.sampled_from(cols))]
+        else:
+            col = draw(st.lists(_INTS, min_size=n, max_size=n))
+        for i in draw(st.lists(st.one_of(st.just(0), st.integers(0, n - 1)),
+                               max_size=2)):
+            same = float(col[i]) if type(col[i]) is int else col[i]
+            col[i] = draw(st.one_of(_INTS, _FLOATS, st.just(UNSET),
+                                    st.just(same)))
+        cols.append(col)
+    cuts = draw(st.lists(st.one_of(st.just(1), st.integers(1, n - 1)),
+                         max_size=3))
+    return cols, (0, *sorted(set(cuts)), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chunked_columns())
+def test_fold_of_any_split_matches_the_oracle(case):
+    cols, cuts = case
+    names = [f"v{i}" for i in range(len(cols))]
+    rows = list(zip(*cols))
+    summary = PointSummary(names)
+    for start, end in zip(cuts, cuts[1:]):
+        summary.fold([x for row in rows[start:end] for x in row])
+    snaps = [{name: x for name, x in zip(names, row) if x is not UNSET}
+             for row in rows]
+    assert summary.count == len(rows)
+    assert summary.invariants() == oracle_point_invariants(snaps)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_int64_wrap_emits_no_constant_difference(split):
+    # INT_MAX - INT_MIN wraps to -1 in int64, the first row's difference.
+    rows = [(0, 1)] + [(INT_MAX, INT_MIN)] * _ARRAY_ROWS
+    flat = [x for row in rows for x in row]
+    summary = PointSummary(["x", "y"])
+    for chunk in (flat[:2], flat[2:]) if split else (flat,):
+        summary.fold(chunk)
+    assert "x == y + -1" not in summary.invariants()
+    assert summary.invariants() == \
+        oracle_point_invariants([{"x": x, "y": y} for x, y in rows])
+
+
+def test_float_constant_is_broken_by_equal_ints():
+    # Every later value equals the constant 1.0, but as an int.
+    summary = PointSummary(["x"])
+    summary.fold([1.0])
+    summary.fold([1] * _ARRAY_ROWS)
+    assert summary.invariants() == \
+        oracle_point_invariants([{"x": 1.0}] + [{"x": 1}] * _ARRAY_ROWS)
+
+
+def test_unrecorded_fold_of_three_chunks_matches_the_oracle():
+    """The loop body of the sum to 10,000 takes more than two FOLD_ROWS
+    chunks, each folded as arrays, and gives what the oracle gives over the
+    recorded snapshots."""
+    tree = rename(parse(LEFT_SRC))[0]
+    tests = sum_suite((10_000,))
+    recorded, _ = run_suite(tree, tests, record=True)
+    log, verdicts = run_suite(tree, tests)
+    assert verdicts == ["pass"]
+    body = [p for p, k in log.point_kinds.items() if k == "loop-body"]
+    assert len(body) == 1 and len(log.samples[body[0]]) > 2 * tracer.FOLD_ROWS
+    inv = detect(log, min_samples=1)
+    for pid, snaps in recorded.snapshots().items():
+        assert inv.by_point[pid] == oracle_point_invariants(snaps), pid

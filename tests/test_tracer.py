@@ -340,7 +340,7 @@ def test_suite_snapshot_counts():
 
 def test_unrecorded_trace_keeps_no_snapshots():
     log, _ = run_suite(_renamed(LEFT_SRC), sum_suite())
-    assert all(not point.rows for point in log.points.values())
+    assert all(not point.flat for point in log.points.values())
     assert log.outputs == []
     with pytest.raises(ValueError):
         log.to_json()
