@@ -1,4 +1,5 @@
-"""The artifact tree of one fixed run, pinned file by file.
+"""The artifact tree of one fixed run, pinned file by file, and the
+`closest` queries answered from it.
 
 `generate_synthetic_corpus(0, 3, 10)` clustered with k=3 and seed 0 in
 each mode. `documents.json` and `vectors.npy` are pinned byte for byte.
@@ -13,8 +14,12 @@ import os
 
 import pytest
 
+from invclust import cli
 from invclust.corpus import generate_synthetic_corpus, run_pipeline
+from invclust.synth import write_corpus
 from invclust.vectorizer import MODES
+
+from conftest import HOSTILE_SOURCES
 
 PLACES = 12
 
@@ -90,13 +95,69 @@ def corpus():
     return generate_synthetic_corpus(0, 3, 10)
 
 
+@pytest.fixture(scope="module")
+def artifacts(corpus, tmp_path_factory):
+    """mode -> the artifact directory of that mode's run, made once."""
+    made = {}
+
+    def out_dir(mode):
+        if mode not in made:
+            made[mode] = tmp_path_factory.mktemp(mode)
+            run_pipeline(corpus, mode=mode, k=3, seed=0,
+                         out_dir=str(made[mode]))
+        return made[mode]
+    return out_dir
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_each_artifact_file_is_pinned(corpus, tmp_path, mode):
-    run_pipeline(corpus, mode=mode, k=3, seed=0, out_dir=str(tmp_path))
-    assert sorted(os.listdir(tmp_path)) == sorted(PINS[mode])
+def test_each_artifact_file_is_pinned(artifacts, mode):
+    out = artifacts(mode)
+    assert sorted(os.listdir(out)) == sorted(PINS[mode])
     got = {}
     for name in PINS[mode]:
-        data = (tmp_path / name).read_bytes()
+        data = (out / name).read_bytes()
         data = NORMALIZE.get(name, lambda b: b)(data)
         got[name] = hashlib.sha256(data).hexdigest()
     assert got == PINS[mode]
+
+
+# sha256 of the JSON list of (exit code, stdout, stderr) of every query of
+# test_closest_outputs_are_pinned, with the temporary directory written as
+# "<tmp>" and each distance rounded as `sse` is, since it is a BLAS dot
+# product.
+CLOSEST_PIN = (
+    "c5eec1d9301447b9c808585c1ad9b200cdb42a4d12c6147fdd76baa88662ea52")
+
+
+def test_closest_outputs_are_pinned(artifacts, tmp_path, capsys):
+    """`closest` on the aast_inv model: each program of another synthetic
+    corpus in both modes, and each hostile submission against sum1n's
+    tests under a step budget."""
+    model = str(artifacts("aast_inv") / "model.json")
+    queries = generate_synthetic_corpus(1, 3, 6)
+    write_corpus(queries, tmp_path)
+    runs = []
+    for label in sorted(queries.assignments):
+        tests = str(tmp_path / "tests" / label)
+        for prog in queries.assignments[label].programs:
+            path = str(tmp_path / f"{prog.id}.c")
+            for flags in ([], ["--all-candidates"]):
+                runs.append(["--program", path, "--tests", tests, *flags])
+    for name, (source, _) in sorted(HOSTILE_SOURCES.items()):
+        path = tmp_path / f"{name}.c"
+        path.write_bytes(source)
+        runs.append(["--program", str(path), "--tests",
+                     str(tmp_path / "tests" / "sum1n"),
+                     "--max-steps", "20000"])
+    results = []
+    for argv in runs:
+        code = cli.main(["closest", "--model", model, "--json", *argv])
+        out, err = capsys.readouterr()
+        if code == 0:
+            answer = json.loads(out)
+            answer["distance"] = _rounded(answer["distance"])
+            out = json.dumps(answer, sort_keys=True)
+        results.append([code] + [text.replace(str(tmp_path), "<tmp>")
+                                 for text in (out, err)])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == CLOSEST_PIN, results

@@ -247,7 +247,10 @@ def test_detect_edge_values_match_recorded_digest():
 # array used as an operand; `+`, `-` past the int range; a double stored
 # into an int; and stores from assignment, declaration and `scanf`. The
 # digests were recorded before leaf operands and scalar stores were fused
-# into their parent's closure.
+# into their parent's closure. The last six programs (loop and `if`
+# conditions, `for` steps, a leaf compared with leaf arithmetic, and
+# `scanf` with one and two targets) were recorded before loop and `if`
+# control, `scanf`'s reads and such compares were fused.
 
 SWEEP_OPERANDS = """\
 int main() {
@@ -351,6 +354,161 @@ int main() {
 """
 
 
+# Loop bounds and `if` conditions on two leaves: int/int, int/double and a
+# literal on either side; `for` with and without an init, stepped by `++`,
+# `--` (on an int and a double) and by an assignment.
+SWEEP_LOOPS = """\
+int main() {
+  int k, i, n;
+  double d;
+  scanf("%d", &k);
+  n = k;
+  d = k + 1.5;
+  i = 0;
+  while (i < n) {
+    i++;
+  }
+  while (i < d) {
+    i = i + 1;
+  }
+  while (4 > i) {
+    i++;
+  }
+  for (i = 0; i <= 2; i = i + 1) {
+    d = d - 1;
+  }
+  for (; d < i; d++) {
+    n--;
+  }
+  for (i = k; i > 0; i--) {
+    printf("%d ", i);
+  }
+  if (d > k) {
+    n = n + 10;
+  } else {
+    n = n - 10;
+  }
+  if (k != i) {
+    n = n * 2;
+  }
+  printf("%d %f", n, d);
+}
+"""
+
+# An UNSET bound operand: the right one and (in a `for` with no init) the
+# left one on a loop's first evaluation, and an inner loop's bound that is
+# set on its first two entries and UNSET on its third.
+SWEEP_LOOP_UNSET = """\
+int main() {
+  int k, i, j, n;
+  scanf("%d", &k);
+  i = 0;
+  if (k > 0) {
+    n = 2;
+  }
+  while (i < n) {
+    i++;
+  }
+  if (k > 1) {
+    j = 0;
+  }
+  for (; j < n; j++) {
+    i--;
+  }
+  for (j = 0; j < k; j++) {
+    int m;
+    if (j < 2) {
+      m = j;
+    }
+    for (i = 0; m > i; i++) {
+      n = n + 1;
+    }
+  }
+  printf("%d %d", i, n);
+}
+"""
+
+# `++`/`--` as a `for` step: an int up to INT_MAX and down to INT_MIN, a
+# double, an UNSET variable and an array.
+SWEEP_STEPS = """\
+int main() {
+  int k;
+  int u;
+  int a[2];
+  int x = 9223372036854775805;
+  int y = 0 - x - 2;
+  double d = 0.5;
+  scanf("%d", &k);
+  if (k == 0) {
+    for (; x > 0; x++) {
+    }
+  }
+  if (k == 1) {
+    for (; y < 0; y--) {
+    }
+  }
+  if (k == 2) {
+    for (d = 0.5; d < 3; d++) {
+      y = y + 1;
+    }
+  }
+  if (k == 3) {
+    for (k = 0; k < 2; u++) {
+    }
+  }
+  if (k == 4) {
+    for (k = 0; k < 2; a++) {
+    }
+  }
+  printf("%d %d %f", x, y, d);
+}
+"""
+
+# A leaf compared with `+ - *` on two leaves: UNSET `n`, `n - 1` past
+# INT_MIN, and a double on either side.
+SWEEP_LEAF_ARITH = """\
+int main() {
+  int k, i, n;
+  double d = 1.5;
+  scanf("%d", &k);
+  i = 0;
+  if (k > 0) {
+    n = 4;
+  }
+  if (k == 2) {
+    n = 0 - 9223372036854775807 - 1;
+  }
+  while (i < n - 1) {
+    i++;
+  }
+  for (i = 0; i < d + n; i++) {
+    d = d + 0.25;
+  }
+  while (d < n * 2) {
+    d = d + 1;
+  }
+  if (1 > i - 9) {
+    i = 0;
+  }
+  printf("%d %f", i, d);
+}
+"""
+
+# scanf into two scalars, and into an array element whose index is checked
+# after its token is converted.
+SWEEP_SCANF = """\
+int main() {
+  int k, a;
+  double d;
+  int x[2];
+  scanf("%d", &k);
+  scanf("%d %lf", &a, &d);
+  scanf("%lf %d", &x[k], &a);
+  printf("%d %f %d", a, d, x[1]);
+}
+"""
+
+
 def _ks(n, last_out):
     """Tests k = 0..n-1, each expecting no output but the last."""
     return [TestCase(str(k), last_out if k == n - 1 else "")
@@ -376,10 +534,34 @@ SWEEP_PROGRAMS = {
                               TestCase("1e30 1", ""),
                               TestCase("-3.5 -7", "-7 -4 -7.000000")]),
     "pair-while": (PAIR_WHILE, [TestCase("3", "6"), TestCase("0", "0")]),
+    "loops": (SWEEP_LOOPS, [TestCase("0", "5 3.500000"),
+                            TestCase("2", "2 1 18 3.500000"),
+                            TestCase("3", "3 2 1 22 3.500000")]),
+    "loop-unset": (SWEEP_LOOP_UNSET, _ks(4, "")[:2]
+                   + [TestCase("2", "1 3"), TestCase("3", "")]),
+    "steps": (SWEEP_STEPS, _ks(6, "9223372036854775805 "
+                                  "-9223372036854775807 0.500000")),
+    "leaf-arith": (SWEEP_LEAF_ARITH, _ks(3, "0 8.500000")),
+    "if-unset": (_sweep_unset("if (a < b) {\n    c = 1;\n  }\n"
+                              "  if (b <= a) {\n    c = c + 2;\n"
+                              "  } else {\n    c = c + 4;\n  }"),
+                 _ks(4, "2")),
+    "scanf": (SWEEP_SCANF, [TestCase("1 2 3.5 4.5 6", "6 3.500000 4"),
+                            TestCase("5 2 3.5 4.5 6", ""),
+                            TestCase("1 2", ""), TestCase("1 x 2", ""),
+                            TestCase("1 2 y", "")]),
 }
 
 # Program -> (budgets swept, sha256 of the sweep).
 SWEEP_PINNED = {
+    "if-unset": (
+        34, "768d89d65f627f4c1e23c0591d9be2f6b87a5d0e90ca5938f5063d1b7157b875"),
+    "leaf-arith": (
+        192, "839e25caeeab0207b7afc002c65e8163cc87d61f860f297c06390d56f6c76c25"),
+    "loop-unset": (
+        103, "80d6b3e3f994579b575fcc43c6a1184226f28bc63e683cd50ae1d3652fca9de1"),
+    "loops": (
+        147, "3321463d329e93700aaa6b7dc57118dc4159c3ee0d7fb36813393aa98eae6d38"),
     "misuse": (
         25, "63706ed06482ee566ae096546647194fe938c70af37ce43fa7fb4548cc79f7fa"),
     "operands": (
@@ -388,6 +570,10 @@ SWEEP_PINNED = {
         34, "4a71bfcb450ae6b05fb3e2396be977df1998214411e28fcd332ac522e6dc36a9"),
     "pair-while": (
         37, "ad97c2154747ff5a376a53c4217c941cefa0feb5d84fd26e55319a597cf81383"),
+    "scanf": (
+        13, "83a35f95f56fc2b5dc5db8bae0b1aebf40716a1f7df8c45767075335d1c00045"),
+    "steps": (
+        68, "2068c804d3d76bfc0e25e68f5aecd049aae3df725bb0fa34a43967fd4e70e8f3"),
     "to-int": (
         24, "4233e3ec363904922d015640c6ce4f674516b6ab323d4399e517d6b9e236818b"),
     "unset-arith": (
