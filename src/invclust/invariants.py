@@ -52,15 +52,17 @@ class InvariantSet:
 
 class _Column:
     """One variable's state over the snapshots folded so far: its first
-    value, whether every value equals it with the same type, min, max, and
-    whether every value is > 0, >= 0, < 0, <= 0 and != 0. While `const`
-    holds, lo, hi and the sign flags stand for first alone."""
+    value, whether every value equals it with the same type, min, max,
+    whether any value was a nan, and whether every value is > 0, >= 0, < 0,
+    <= 0 and != 0. While `const` holds, lo, hi and the sign flags stand for
+    first alone."""
 
-    __slots__ = ("first", "const", "lo", "hi", "pos", "nonneg", "neg",
+    __slots__ = ("first", "const", "lo", "hi", "nan", "pos", "nonneg", "neg",
                  "nonpos", "nonzero")
 
     def __init__(self, first):
         self.first = self.lo = self.hi = first
+        self.nan = False
         self.const = self.pos = self.nonneg = True
         self.neg = self.nonpos = self.nonzero = True
 
@@ -85,8 +87,8 @@ class PointSummary:
     chunk at a time. `names` is the point's schema: a chunk is one flat
     list, row after row, of a value per name: an int, a float, or UNSET
     for a variable the snapshot lacks, and such a variable takes part in
-    no template. With no names there is nothing to fold; the owner counts
-    the snapshots in `count`.
+    no template. With no names, a chunk holds a None per snapshot, which
+    is only counted.
 
     Folding in chunks of any size gives what one chunk of every snapshot
     gives: every flag is a conjunction over rows, and min and max are left
@@ -113,7 +115,7 @@ class PointSummary:
         if not flat:
             return
         w = len(self.names)
-        n = len(flat) // w
+        n = len(flat) // (w or 1)
         columns = self.columns
         cols = {x: flat[i::w] for i, x in enumerate(self.names)
                 if not self.count or x in columns}
@@ -168,6 +170,7 @@ class PointSummary:
                 vals = (first, *vals)  # stands for every value folded so far
             c.lo = min(chain((c.lo,), vals))
             c.hi = max(chain((c.hi,), vals))
+            c.nan = c.nan or any(map(ne, vals, vals))  # only nan != nan
             if c.pos:
                 c.pos = all(map(gt, vals, zeros))
             if c.nonneg:
@@ -217,8 +220,9 @@ class PointSummary:
             if c.const:
                 out.add(f"{x} == {fmt_literal(c.first)}")
                 continue
-            out.add(f"{x} >= {fmt_literal(c.lo)}")
-            out.add(f"{x} <= {fmt_literal(c.hi)}")
+            if not c.nan:  # no bound holds for a nan
+                out.add(f"{x} >= {fmt_literal(c.lo)}")
+                out.add(f"{x} <= {fmt_literal(c.hi)}")
             if c.pos:
                 out.add(f"{x} > 0")
             elif c.nonneg:

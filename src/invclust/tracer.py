@@ -30,7 +30,7 @@ values, `UNSET` for a variable not set yet; no dict or tuple is kept.
 Each point buffers its snapshots as one flat list, row after row, and
 folds it into its `PointSummary` every FOLD_ROWS snapshots, so a trace
 takes memory in proportion to its points, not to its length; a point
-with no scalar in scope only counts its snapshots. A recorded trace
+with no scalar in scope buffers a None per snapshot. A recorded trace
 (`record=True`, for `invclust trace --json`, `execute` and tests that read
 snapshots) keeps every value and each test's stdout as well, and regroups
 the values into rows when they are read.
@@ -44,8 +44,12 @@ record anything; steps are never counted ahead of an operation that can
 fail. Leaf operands, that is scalar variables and literals (a literal is
 read from a slot of its own, as a variable that is never UNSET), are fused
 into their parent's closure: a compare or `+ - *` on two leaves is one
-closure. A store into a scalar is made inline by its statement's closure,
-with a value that is `+ - *` on two leaves computed in the same closure.
+closure, and so is a compare of a leaf with such arithmetic (`i < n - 1`).
+A store into a scalar is made inline by its statement's closure (by one
+reader per target for `scanf`), with a value that is `+ - *` on two leaves
+computed in the same closure. A loop's closure takes its body's snapshot
+and runs a condition that compares two leaves and a `for` step that is
+++/-- on a scalar inline, and an `if`'s runs such a condition inline.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -200,6 +204,31 @@ def _convert(st, value, is_int):
     return float(value)
 
 
+def _apply(op, lint, rint):
+    """The function applying `op` to two values whose int-ness is lint and
+    rint; an int compared with a double is converted to double, as in C."""
+    if op in _COMPARE and lint != rint:
+        cmp = _COMPARE[op]
+        return lambda a, b: cmp(float(a), float(b))
+    return _FUSED[op]
+
+
+def _unset(st, name):
+    """The error of reading `name` before it is set."""
+    return TraceRuntimeError("uninitialized-read", st.point, name)
+
+
+def _snapshot(pid, summary, getter, push, flat, fold_at):
+    """The closure recording point pid, from `_Compiler.point`'s parts."""
+    def snap(st, v):
+        st.point = pid
+        push(getter(v))
+        if len(flat) == fold_at:
+            summary.fold(flat)
+            flat.clear()
+    return snap
+
+
 def _checked_index(st, name, arr, idx):
     if isinstance(idx, float):
         raise TraceRuntimeError("type-error", st.point, "non-integer index")
@@ -255,33 +284,21 @@ class _Compiler:
             raise TraceRuntimeError("type-error", st.point, detail)
         return misuse
 
-    def snapshot(self, pid, scopes):
-        """The closure recording point pid: the scalar variables of
-        `scopes`, outer scopes first, in the point's schema. Arrays are
-        left out (a slot's binding never changes)."""
+    def point(self, pid, scopes):
+        """(pid, summary, getter, push, flat, fold_at): a snapshot of point
+        pid is `push(getter(v))`, the scalar variables of `scopes`, outer
+        scopes first, in its schema, and `flat` folds at fold_at values.
+        Arrays are left out (a slot's binding never changes)."""
         assert pid not in self.points, f"point {pid} compiled twice"
         layout = [(name, slot) for scope in scopes
                   for name, slot in scope.items() if not self.binding[slot][0]]
         point = self.points[pid] = PointTrace(
             dict.fromkeys(name for name, _ in layout))
-        summary = point.summary
-        if not layout:
-            def count(st, v):
-                st.point = pid
-                summary.count += 1
-            return count
         getter, single = _row_getter(point.names, layout)
         flat = point.flat
-        push = flat.append if single else flat.extend
-        fold_at = self.fold_at * len(point.names)
-
-        def snap(st, v):
-            st.point = pid
-            push(getter(v))
-            if len(flat) == fold_at:
-                summary.fold(flat)
-                flat.clear()
-        return snap
+        return (pid, point.summary, getter,
+                flat.append if single else flat.extend, flat,
+                self.fold_at * (len(point.names) or 1))
 
     # --- functions and calls ---
 
@@ -293,9 +310,9 @@ class _Compiler:
         name = fn.identifier
         params = [(self.declare(p, False), p.type_name == "int")
                   for p in fn.children if p.kind == Kind.PARAM]
-        entry = self.snapshot(f"{name}/entry", self.scopes)
+        entry = _snapshot(*self.point(f"{name}/entry", self.scopes))
         body = self.stmts(fn.children[-1].children, name)
-        exit_ = self.snapshot(f"{name}/exit", self.scopes)
+        exit_ = _snapshot(*self.point(f"{name}/exit", self.scopes))
         returns = None if fn.type_name == "void" else fn.type_name == "int"
         return self.frame, params, body, entry, exit_, returns
 
@@ -354,12 +371,13 @@ class _Compiler:
         return tuple(out)
 
     def block(self, nodes, pid):
-        """A fresh scope with a snapshot at its entry, then its statements."""
+        """A fresh scope: the snapshot closure of its entry point, its
+        statements and the point's parts (see `point`)."""
         self.scopes.append({})
-        snap = self.snapshot(pid, self.scopes)
+        point = self.point(pid, self.scopes)
         body = self.stmts(nodes, pid)
         self.scopes.pop()
-        return snap, body
+        return _snapshot(*point), body, point
 
     def stmt(self, node, pid, pre=0):
         """A statement's closure; pid names a scope-opening statement."""
@@ -405,7 +423,7 @@ class _Compiler:
             return self.loop(node, pid, pre)
         count = pre + 1
         if k == Kind.BLOCK:
-            snap, body = self.block(node.children, pid)
+            snap, body, _ = self.block(node.children, pid)
 
             def block(st, v):
                 st.steps += count
@@ -432,8 +450,7 @@ class _Compiler:
                     raise TraceRuntimeError("step-limit", st.point)
                 x = v[slot]
                 if x is UNSET:
-                    raise TraceRuntimeError("uninitialized-read", st.point,
-                                            name)
+                    raise _unset(st, name)
                 x += delta
                 if is_int and not INT_MIN <= x <= INT_MAX:
                     raise TraceRuntimeError("integer-overflow", st.point)
@@ -452,16 +469,38 @@ class _Compiler:
         return declare
 
     def if_stmt(self, node, pid, pre):
-        cond = self.expr(node.children[0], pre + 1)
-        then_snap, then_body = self.block(node.children[1].children,
-                                          f"{pid}/then")
+        """An `if`, whose condition runs inline if it compares two leaves."""
+        cond_node = node.children[0]
+        ls, lname, _, rs, rname, _, cmp = \
+            self.leaves(cond_node, _COMPARE) or (None,) * 7
+        cond = self.expr(cond_node, pre + 1) if cmp is None else None
+        count = pre + 3
+        max_steps = self.max_steps
+        then_snap, then_body, _ = self.block(node.children[1].children,
+                                             f"{pid}/then")
         else_snap, else_body = None, ()
         if len(node.children) == 3:
-            else_snap, else_body = self.block(node.children[2].children,
-                                              f"{pid}/else")
+            else_snap, else_body, _ = self.block(node.children[2].children,
+                                                 f"{pid}/else")
 
         def if_(st, v):
-            if cond(st, v):
+            if cond is None:
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+                x = v[ls]
+                if x is UNSET:
+                    raise _unset(st, lname)
+                st.steps += 1
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+                y = v[rs]
+                if y is UNSET:
+                    raise _unset(st, rname)
+                taken = cmp(x, y)
+            else:
+                taken = cond(st, v)
+            if taken:
                 then_snap(st, v)
                 body = then_body
             elif else_snap is not None:
@@ -477,9 +516,10 @@ class _Compiler:
 
     def loop(self, node, pid, pre):
         """while (cond) body, or for (init; cond; step) body; an empty init
-        or step is an empty block."""
+        or step is an empty block. A cond comparing two leaves, a step that
+        is ++/-- on a scalar and the body's snapshot run inline."""
         owed = pre + 1  # the loop statement's step, and its ancestors'
-        init = step = None
+        init = step = incr = None
         if node.kind == Kind.WHILE:
             cond_node, body_node = node.children
         else:
@@ -487,32 +527,75 @@ class _Compiler:
             if init_node.kind != Kind.BLOCK:
                 init = self.stmt(init_node, None, owed)
                 owed = 0
-            if step_node.kind != Kind.BLOCK:
+            if step_node.kind == Kind.UNARY_OP:
+                incr = self.leaf(step_node.children[0])  # None: an array
+            if incr is None and step_node.kind != Kind.BLOCK:
                 step = self.stmt(step_node, None)
-        first_cond = self.expr(cond_node, owed)
-        cond = self.expr(cond_node)
+        islot, iname, iint = incr or (None,) * 3
+        delta = 1 if incr and step_node.literal == "++" else -1
+        ls, lname, _, rs, rname, _, cmp = \
+            self.leaves(cond_node, _COMPARE) or (None,) * 7
+        first_cond = cond = None
+        if cmp is None:
+            first_cond = self.expr(cond_node, owed)
+            cond = self.expr(cond_node)
         pid += "/body"
-        snap, body = self.block(body_node.children, pid)
+        _, body, (_, summary, getter, push, flat, fold_at) = \
+            self.block(body_node.children, pid)
         max_iters = self.max_iters
+        max_steps = self.max_steps
 
         def loop(st, v):
             if init is not None:
                 init(st, v)
             iters = 0
-            go = first_cond(st, v)
-            while go:
+            count = owed + 2
+            go = first_cond
+            while True:
+                if go is None:
+                    st.steps += count
+                    if st.steps > max_steps:
+                        raise TraceRuntimeError("step-limit", st.point)
+                    x = v[ls]
+                    if x is UNSET:
+                        raise _unset(st, lname)
+                    st.steps += 1
+                    if st.steps > max_steps:
+                        raise TraceRuntimeError("step-limit", st.point)
+                    y = v[rs]
+                    if y is UNSET:
+                        raise _unset(st, rname)
+                    if not cmp(x, y):
+                        return None
+                elif not go(st, v):
+                    return None
+                go, count = cond, 2
                 iters += 1
                 if iters > max_iters:
                     raise TraceRuntimeError("step-limit", pid,
                                             "loop iterations")
-                snap(st, v)
+                st.point = pid
+                push(getter(v))
+                if len(flat) == fold_at:
+                    summary.fold(flat)
+                    flat.clear()
                 for s in body:
                     r = s(st, v)
                     if r is not None:
                         return r
-                if step is not None:
+                if incr is not None:
+                    st.steps += 1
+                    if st.steps > max_steps:
+                        raise TraceRuntimeError("step-limit", st.point)
+                    x = v[islot]
+                    if x is UNSET:
+                        raise _unset(st, iname)
+                    x += delta
+                    if iint and not INT_MIN <= x <= INT_MAX:
+                        raise TraceRuntimeError("integer-overflow", st.point)
+                    v[islot] = x
+                elif step is not None:
                     step(st, v)
-                go = cond(st, v)
         return loop
 
     def put(self, slot, is_int, value, pre):
@@ -551,37 +634,54 @@ class _Compiler:
         return put_element
 
     def scanf(self, node, count):
+        """A reader per target; a one-target scanf is just its reader."""
         convs = [int if m[1] == "d" else float
                  for m in SCANF_CONVERSION.finditer(node.literal)]
-        targets = []  # a scalar's (slot, is_int), else the store closure
-        for conv, target in zip(convs, node.children):
-            leaf = self.leaf(target)
-            targets.append((conv, leaf[0], leaf[2], None) if leaf
-                           else (conv, None, None, self.store(target)))
+        one = len(convs) == 1
+        readers = [self.reader(conv, target, count if one else 0)
+                   for conv, target in zip(convs, node.children)]
+        if one:
+            return readers[0]
         max_steps = self.max_steps
 
         def scanf(st, v):
             st.steps += count
             if st.steps > max_steps:
                 raise TraceRuntimeError("step-limit", st.point)
-            for conv, slot, is_int, put in targets:
-                token = next(st.stdin, None)
-                if token is None:
-                    raise TraceRuntimeError("scanf-exhausted", st.point)
-                try:
-                    x = conv(token)
-                except ValueError:
-                    raise TraceRuntimeError(
-                        "scanf-exhausted", st.point,
-                        f"bad input token {token!r}") from None
-                if put is not None:
-                    put(st, v, x)
-                    continue
-                if not (is_int and x.__class__ is int
-                        and INT_MIN <= x <= INT_MAX):
-                    x = _convert(st, x, is_int)
-                v[slot] = x
+            for read in readers:
+                read(st, v)
         return scanf
+
+    def reader(self, conv, target, count):
+        """The closure that counts `count` steps, if any, reads the next
+        token as `conv` and stores it into `target`: inline into a scalar,
+        else through `store`, which evaluates an index after the token."""
+        leaf = self.leaf(target)
+        put = None if leaf else self.store(target)
+        slot, _, is_int = leaf or (None,) * 3
+        max_steps = self.max_steps
+
+        def read(st, v):
+            if count:
+                st.steps += count
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
+            token = next(st.stdin, None)
+            if token is None:
+                raise TraceRuntimeError("scanf-exhausted", st.point)
+            try:
+                x = conv(token)
+            except ValueError:
+                raise TraceRuntimeError(
+                    "scanf-exhausted", st.point,
+                    f"bad input token {token!r}") from None
+            if put is not None:
+                return put(st, v, x)
+            if not (is_int and x.__class__ is int
+                    and INT_MIN <= x <= INT_MAX):
+                x = _convert(st, x, is_int)
+            v[slot] = x
+        return read
 
     def printf(self, node, pre):
         # Literal text, and a conversion function per argument: split
@@ -642,8 +742,7 @@ class _Compiler:
                     raise TraceRuntimeError("step-limit", st.point)
                 x = v[slot]
                 if x is UNSET:
-                    raise TraceRuntimeError("uninitialized-read", st.point,
-                                            name)
+                    raise _unset(st, name)
                 return x
             return ref
         if k == Kind.ARRAY_INDEX:
@@ -662,8 +761,7 @@ class _Compiler:
                 i = _checked_index(st, name, arr, idx(st, v))
                 x = arr[i]
                 if x is UNSET:
-                    raise TraceRuntimeError("uninitialized-read", st.point,
-                                            f"{name}[{i}]")
+                    raise _unset(st, f"{name}[{i}]")
                 return x
             return element
 
@@ -685,24 +783,28 @@ class _Compiler:
                 return slot, node.identifier, is_int
         return None
 
-    def fused(self, node, ops, count, slot=None, is_int=None):
-        """The closure of `node`, an operator in `ops` on two leaves, or None
-        if it is not one. It counts `count` steps (the left leaf's and what
-        it owes), reads the left leaf, counts and reads the right, applies
-        the operator, and returns the value or stores it into `slot`."""
+    def leaves(self, node, ops):
+        """(left slot, left name, left is_int, right slot, right name, right
+        is_int, apply) of `node`, an operator in `ops` on two leaves, else
+        None; `apply` converts as `_apply` does."""
         op = node.literal if node.kind == Kind.BINARY_OP else None
         left = self.leaf(node.children[0]) if op in ops else None
         right = left and self.leaf(node.children[1])
         if not right:
             return None
-        (ls, lname, lint), (rs, rname, rint) = left, right
+        return (*left, *right, _apply(op, left[2], right[2]))
+
+    def fused(self, node, ops, count, slot=None, is_int=None):
+        """The closure of `node`, an operator in `ops` on two leaves, or None
+        if it is not one. It counts `count` steps (the left leaf's and what
+        it owes), reads the left leaf, counts and reads the right, applies
+        the operator, and returns the value or stores it into `slot`."""
+        found = self.leaves(node, ops)
+        if not found:
+            return None
+        ls, lname, lint, rs, rname, rint, apply = found
         max_steps = self.max_steps
-        compare = op in _COMPARE
-        if compare and lint != rint:  # C converts the int to double
-            def apply(a, b, cmp=_COMPARE[op]):
-                return cmp(float(a), float(b))
-        else:
-            apply = _FUSED[op]
+        compare = node.literal in _COMPARE
         int_result = lint and rint
         exact = int_result == is_int  # the value needs no conversion
 
@@ -712,13 +814,13 @@ class _Compiler:
                 raise TraceRuntimeError("step-limit", st.point)
             x = v[ls]
             if x is UNSET:
-                raise TraceRuntimeError("uninitialized-read", st.point, lname)
+                raise _unset(st, lname)
             st.steps += 1
             if st.steps > max_steps:
                 raise TraceRuntimeError("step-limit", st.point)
             y = v[rs]
             if y is UNSET:
-                raise TraceRuntimeError("uninitialized-read", st.point, rname)
+                raise _unset(st, rname)
             x = apply(x, y)
             if compare:
                 return 1 if x else 0
@@ -729,8 +831,49 @@ class _Compiler:
             v[slot] = x if exact else _convert(st, x, is_int)
         return leaf_op
 
+    def leaf_vs_arith(self, node, count):
+        """The closure of `node`, a compare of a leaf with `+ - *` on two
+        leaves (`i < n - 1`), or None. It counts `count` steps and reads the
+        left leaf, then the right operand as `fused` would, and compares."""
+        op = node.literal
+        left = self.leaf(node.children[0]) if op in _COMPARE else None
+        right = left and self.leaves(node.children[1], _ARITH)
+        if not right:
+            return None
+        xs, xname, xint = left
+        ys, yname, yint, zs, zname, zint, arith = right
+        int_result = yint and zint
+        cmp = _apply(op, xint, int_result)
+        max_steps = self.max_steps
+
+        def leaf_vs_arith(st, v):
+            st.steps += count
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
+            x = v[xs]
+            if x is UNSET:
+                raise _unset(st, xname)
+            st.steps += 2
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
+            y = v[ys]
+            if y is UNSET:
+                raise _unset(st, yname)
+            st.steps += 1
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
+            z = v[zs]
+            if z is UNSET:
+                raise _unset(st, zname)
+            y = arith(y, z)
+            if int_result and not INT_MIN <= y <= INT_MAX:
+                raise TraceRuntimeError("integer-overflow", st.point)
+            return 1 if cmp(x, y) else 0
+        return leaf_vs_arith
+
     def binary(self, node, count):
-        fused = self.fused(node, _FUSED, count + 1)
+        fused = (self.fused(node, _FUSED, count + 1)
+                 or self.leaf_vs_arith(node, count + 1))
         if fused:
             return fused
         op = node.literal
@@ -839,6 +982,8 @@ def _row_getter(names, layout):
     the one value itself rather than a sequence of them. A name declared
     again in an inner scope takes the inner value once that is set, else
     the outer one."""
+    if not layout:  # a snapshot of no variable is a None, only counted
+        return (lambda v: None), True
     slot_of = dict(layout)
     if len(slot_of) == len(layout):  # no name declared twice
         return (operator.itemgetter(*(slot_of[name] for name in names)),

@@ -274,8 +274,8 @@ def oracle_point_invariants(snaps):
     const_vars = set()
     for x in common:
         vals = [s[x] for s in snaps]
-        if len(set(map(type, vals))) == 1 and len(set(vals)) == 1:
-            c = vals[0]
+        c = vals[0]
+        if all(v == c and type(v) is type(c) for v in vals):
             out.add(f"{x} == {repr(c) if isinstance(c, float) else c}")
             const_vars.add(x)
     for x in common:
@@ -283,8 +283,10 @@ def oracle_point_invariants(snaps):
             continue  # equality suppresses this variable's bounds and signs
         vals = [s[x] for s in snaps]
         lo, hi = min(vals), max(vals)
-        out.add(f"{x} >= {repr(lo) if isinstance(lo, float) else lo}")
-        out.add(f"{x} <= {repr(hi) if isinstance(hi, float) else hi}")
+        if all(v >= lo for v in vals):
+            out.add(f"{x} >= {repr(lo) if isinstance(lo, float) else lo}")
+        if all(v <= hi for v in vals):
+            out.add(f"{x} <= {repr(hi) if isinstance(hi, float) else hi}")
         strict_pos = all(v > 0 for v in vals)
         strict_neg = all(v < 0 for v in vals)
         if strict_pos:

@@ -102,6 +102,21 @@ def test_invariants_json(workspace, capsys):
     assert "int2 <= int1" in payload["invariants"][body[0]]
 
 
+def test_invariants_bound_no_column_that_holds_a_nan(workspace, tmp_path,
+                                                     capsys):
+    """`float1` is inf - inf, a nan, at main/exit: in C every ordered
+    comparison with a nan is false, so no bound on it holds."""
+    src = tmp_path / "nan.c"
+    src.write_text("int main() {\n  double x = 1e308;\n  double y;\n"
+                   "  x = x * 10;\n  y = x - x;\n}\n")
+    tests = workspace / "corpus" / "tests" / "sum1n"
+    assert main(["invariants", str(src), "--tests", str(tests),
+                 "--json"]) == 0
+    facts = _json_out(capsys)["invariants"]["main/exit"]
+    assert [f for f in facts if f.startswith("float1 ")] == ["float1 != 0"]
+    assert "float0 == inf" in facts
+
+
 def test_representatives_listing(workspace, capsys):
     assert main(["representatives", "--model",
                  str(workspace / "out" / "model.json"), "--json"]) == 0
