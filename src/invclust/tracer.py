@@ -39,17 +39,21 @@ Step accounting: one step per statement executed and one per expression
 node evaluated, in evaluation order; past `Limits.max_steps` the run stops
 with `step-limit` at the most recently entered point. A closure counts the
 steps of a node and of the ancestors whose evaluation starts with it in one
-addition, because nothing between those steps can fail, change the point or
-record anything; steps are never counted ahead of an operation that can
-fail. Leaf operands, that is scalar variables and literals (a literal is
-read from a slot of its own, as a variable that is never UNSET), are fused
-into their parent's closure: a compare or `+ - *` on two leaves is one
-closure, and so is a compare of a leaf with such arithmetic (`i < n - 1`).
-A store into a scalar is made inline by its statement's closure (by one
-reader per target for `scanf`), with a value that is `+ - *` on two leaves
-computed in the same closure. A loop's closure takes its body's snapshot
-and runs a condition that compares two leaves and a `for` step that is
-++/-- on a scalar inline, and an `if`'s runs such a condition inline.
+addition. Leaf operands, that is scalar variables and literals (a literal
+is read from a slot of its own, as a variable that is never UNSET), are
+fused into their parent's closure: a compare or `+ - *` on two leaves is
+one closure, and so is a compare of a leaf with such arithmetic
+(`i < n - 1`). A store into a scalar is made inline by its statement's
+closure (by one reader per target for `scanf`), with a value that is
+`+ - *` on two leaves computed in the same closure. A loop's closure takes
+its body's snapshot and runs a condition that compares two leaves and a
+`for` step that is ++/-- on a scalar inline, and an `if`'s runs such a
+condition inline. A fused closure counts all its steps at its start and
+checks no limit, so the count is only ever ahead of the exact one; the
+limit is also checked at each loop back-edge and each call, which bounds
+the work past it. A test whose count passes max_steps may not have reached
+it, so `run_suite` then reruns the suite compiled `exact`: nothing fused,
+and each node's closure checks the limit as soon as it counts its steps.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -59,6 +63,7 @@ places.
 """
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -75,9 +80,9 @@ INT_MAX = 2**63 - 1
 # in a statement's expression, as in `return f(n - 1) + 1;`, costs three
 # Python frames, so 225 calls take 675 of Python's default recursion limit
 # of 1000 and leave the rest to the caller: the cap fires first even when
-# the tracer is entered 200 frames deep. A call nested deeper inside
-# expressions costs more frames; for it, running out of Python's stack is
-# reported as this same error.
+# the tracer is entered 200 frames deep, fused or exact. A call nested
+# deeper inside expressions costs more frames; for it, running out of
+# Python's stack is reported as this same error, by the exact run.
 MAX_CALL_DEPTH = 225
 
 # Snapshots a point buffers before folding them into its summary.
@@ -243,9 +248,12 @@ class _Compiler:
     (state, slots) and return None, or when a `return` ran, its value
     (UNSET for a bare `return;`); expression closures take (state, slots)
     and return the value, never None. `pre` is the number of steps owed
-    by the enclosing nodes whose evaluation begins with this node."""
+    by the enclosing nodes whose evaluation begins with this node. With
+    `exact`, nothing is fused, so the count is never ahead (see the
+    module docstring)."""
 
-    def __init__(self, root, limits, log):
+    def __init__(self, root, limits, log, exact=False):
+        self.exact = exact
         self.max_steps = limits.max_steps
         self.max_iters = limits.max_loop_iters
         self.points = log.points
@@ -327,11 +335,10 @@ class _Compiler:
         count = 0 if args or pre is None else pre + 1
 
         def call(st, v):
-            if count:
-                st.steps += count
-                if st.steps > max_steps:
-                    raise TraceRuntimeError("step-limit", st.point)
+            st.steps += count
             values = [a(st, v) for a in args]
+            if st.steps > max_steps:  # every call, as arguments may be fused
+                raise TraceRuntimeError("step-limit", st.point)
             frame, params, body, entry, exit_, returns = st.functions[name]
             st.depth += 1
             if st.depth > MAX_CALL_DEPTH:
@@ -474,8 +481,7 @@ class _Compiler:
         ls, lname, _, rs, rname, _, cmp = \
             self.leaves(cond_node, _COMPARE) or (None,) * 7
         cond = self.expr(cond_node, pre + 1) if cmp is None else None
-        count = pre + 3
-        max_steps = self.max_steps
+        count = pre + 4
         then_snap, then_body, _ = self.block(node.children[1].children,
                                              f"{pid}/then")
         else_snap, else_body = None, ()
@@ -486,14 +492,9 @@ class _Compiler:
         def if_(st, v):
             if cond is None:
                 st.steps += count
-                if st.steps > max_steps:
-                    raise TraceRuntimeError("step-limit", st.point)
                 x = v[ls]
                 if x is UNSET:
                     raise _unset(st, lname)
-                st.steps += 1
-                if st.steps > max_steps:
-                    raise TraceRuntimeError("step-limit", st.point)
                 y = v[rs]
                 if y is UNSET:
                     raise _unset(st, rname)
@@ -517,7 +518,8 @@ class _Compiler:
     def loop(self, node, pid, pre):
         """while (cond) body, or for (init; cond; step) body; an empty init
         or step is an empty block. A cond comparing two leaves, a step that
-        is ++/-- on a scalar and the body's snapshot run inline."""
+        is ++/-- on a scalar and the body's snapshot run inline, and the
+        step limit is checked at the back-edge."""
         owed = pre + 1  # the loop statement's step, and its ancestors'
         init = step = incr = None
         if node.kind == Kind.WHILE:
@@ -527,7 +529,7 @@ class _Compiler:
             if init_node.kind != Kind.BLOCK:
                 init = self.stmt(init_node, None, owed)
                 owed = 0
-            if step_node.kind == Kind.UNARY_OP:
+            if step_node.kind == Kind.UNARY_OP and not self.exact:
                 incr = self.leaf(step_node.children[0])  # None: an array
             if incr is None and step_node.kind != Kind.BLOCK:
                 step = self.stmt(step_node, None)
@@ -535,10 +537,7 @@ class _Compiler:
         delta = 1 if incr and step_node.literal == "++" else -1
         ls, lname, _, rs, rname, _, cmp = \
             self.leaves(cond_node, _COMPARE) or (None,) * 7
-        first_cond = cond = None
-        if cmp is None:
-            first_cond = self.expr(cond_node, owed)
-            cond = self.expr(cond_node)
+        cond = self.expr(cond_node) if cmp is None else None
         pid += "/body"
         _, body, (_, summary, getter, push, flat, fold_at) = \
             self.block(body_node.children, pid)
@@ -549,27 +548,20 @@ class _Compiler:
             if init is not None:
                 init(st, v)
             iters = 0
-            count = owed + 2
-            go = first_cond
+            st.steps += owed  # checked with the cond's first steps
             while True:
-                if go is None:
-                    st.steps += count
-                    if st.steps > max_steps:
-                        raise TraceRuntimeError("step-limit", st.point)
+                if cond is None:
+                    st.steps += 3
                     x = v[ls]
                     if x is UNSET:
                         raise _unset(st, lname)
-                    st.steps += 1
-                    if st.steps > max_steps:
-                        raise TraceRuntimeError("step-limit", st.point)
                     y = v[rs]
                     if y is UNSET:
                         raise _unset(st, rname)
                     if not cmp(x, y):
                         return None
-                elif not go(st, v):
+                elif not cond(st, v):
                     return None
-                go, count = cond, 2
                 iters += 1
                 if iters > max_iters:
                     raise TraceRuntimeError("step-limit", pid,
@@ -585,8 +577,6 @@ class _Compiler:
                         return r
                 if incr is not None:
                     st.steps += 1
-                    if st.steps > max_steps:
-                        raise TraceRuntimeError("step-limit", st.point)
                     x = v[islot]
                     if x is UNSET:
                         raise _unset(st, iname)
@@ -596,12 +586,14 @@ class _Compiler:
                     v[islot] = x
                 elif step is not None:
                     step(st, v)
+                if st.steps > max_steps:
+                    raise TraceRuntimeError("step-limit", st.point)
         return loop
 
     def put(self, slot, is_int, value, pre):
         """The closure of a statement storing `value` into a scalar slot,
         inline, and fused with `value` when it is `+ - *` on two leaves."""
-        fused = self.fused(value, _ARITH, pre + 2, slot, is_int)
+        fused = self.fused(value, _ARITH, pre + 3, slot, is_int)
         if fused:
             return fused
         expr = self.expr(value, pre)
@@ -662,10 +654,9 @@ class _Compiler:
         max_steps = self.max_steps
 
         def read(st, v):
-            if count:
-                st.steps += count
-                if st.steps > max_steps:
-                    raise TraceRuntimeError("step-limit", st.point)
+            st.steps += count
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
             token = next(st.stdin, None)
             if token is None:
                 raise TraceRuntimeError("scanf-exhausted", st.point)
@@ -694,10 +685,9 @@ class _Compiler:
         max_steps = self.max_steps
 
         def printf(st, v):
-            if count:
-                st.steps += count
-                if st.steps > max_steps:
-                    raise TraceRuntimeError("step-limit", st.point)
+            st.steps += count
+            if st.steps > max_steps:
+                raise TraceRuntimeError("step-limit", st.point)
             values = iter([a(st, v) for a in args])
             st.out.append("".join(
                 p if p.__class__ is str else p(st, next(values))
@@ -786,7 +776,9 @@ class _Compiler:
     def leaves(self, node, ops):
         """(left slot, left name, left is_int, right slot, right name, right
         is_int, apply) of `node`, an operator in `ops` on two leaves, else
-        None; `apply` converts as `_apply` does."""
+        None, as always when exact; `apply` converts as `_apply` does."""
+        if self.exact:
+            return None
         op = node.literal if node.kind == Kind.BINARY_OP else None
         left = self.leaf(node.children[0]) if op in ops else None
         right = left and self.leaf(node.children[1])
@@ -796,28 +788,22 @@ class _Compiler:
 
     def fused(self, node, ops, count, slot=None, is_int=None):
         """The closure of `node`, an operator in `ops` on two leaves, or None
-        if it is not one. It counts `count` steps (the left leaf's and what
-        it owes), reads the left leaf, counts and reads the right, applies
-        the operator, and returns the value or stores it into `slot`."""
+        if it is not one. It counts `count` steps (its own and what it owes),
+        reads the left leaf and the right, applies the operator, and returns
+        the value or stores it into `slot`."""
         found = self.leaves(node, ops)
         if not found:
             return None
         ls, lname, lint, rs, rname, rint, apply = found
-        max_steps = self.max_steps
         compare = node.literal in _COMPARE
         int_result = lint and rint
-        exact = int_result == is_int  # the value needs no conversion
+        as_is = int_result == is_int  # the value needs no conversion
 
         def leaf_op(st, v):
             st.steps += count
-            if st.steps > max_steps:
-                raise TraceRuntimeError("step-limit", st.point)
             x = v[ls]
             if x is UNSET:
                 raise _unset(st, lname)
-            st.steps += 1
-            if st.steps > max_steps:
-                raise TraceRuntimeError("step-limit", st.point)
             y = v[rs]
             if y is UNSET:
                 raise _unset(st, rname)
@@ -828,7 +814,7 @@ class _Compiler:
                 raise TraceRuntimeError("integer-overflow", st.point)
             if slot is None:
                 return x
-            v[slot] = x if exact else _convert(st, x, is_int)
+            v[slot] = x if as_is else _convert(st, x, is_int)
         return leaf_op
 
     def leaf_vs_arith(self, node, count):
@@ -844,24 +830,15 @@ class _Compiler:
         ys, yname, yint, zs, zname, zint, arith = right
         int_result = yint and zint
         cmp = _apply(op, xint, int_result)
-        max_steps = self.max_steps
 
         def leaf_vs_arith(st, v):
             st.steps += count
-            if st.steps > max_steps:
-                raise TraceRuntimeError("step-limit", st.point)
             x = v[xs]
             if x is UNSET:
                 raise _unset(st, xname)
-            st.steps += 2
-            if st.steps > max_steps:
-                raise TraceRuntimeError("step-limit", st.point)
             y = v[ys]
             if y is UNSET:
                 raise _unset(st, yname)
-            st.steps += 1
-            if st.steps > max_steps:
-                raise TraceRuntimeError("step-limit", st.point)
             z = v[zs]
             if z is UNSET:
                 raise _unset(st, zname)
@@ -872,8 +849,8 @@ class _Compiler:
         return leaf_vs_arith
 
     def binary(self, node, count):
-        fused = (self.fused(node, _FUSED, count + 1)
-                 or self.leaf_vs_arith(node, count + 1))
+        fused = (self.fused(node, _FUSED, count + 2)
+                 or self.leaf_vs_arith(node, count + 4))
         if fused:
             return fused
         op = node.literal
@@ -941,11 +918,15 @@ def normalize_output(s):
 
 class _Program:
     """A translation unit compiled for one set of limits, recording into
-    one log."""
+    one log; fused, or with `exact`, not."""
 
-    def __init__(self, tree, limits, log):
-        compiler = _Compiler(tree, limits or Limits(), log)
+    def __init__(self, tree, limits, log, exact=False):
+        limits = limits or Limits()
+        compiler = _Compiler(tree, limits, log, exact)
         self.log = log
+        # A fast count past max_steps calls for an exact run; an exact
+        # count never does.
+        self.replay_past = math.inf if exact else limits.max_steps
         self.functions = compiler.functions
         self.main = None
         if "main" in compiler.functions:
@@ -953,7 +934,9 @@ class _Program:
 
     def run(self, test):
         """Run one test, adding its snapshots and any error to the log, and
-        its output too when the log records. Returns the verdict."""
+        its output too when the log records. Returns the verdict, or None
+        when the count ran ahead past max_steps and the test needs an exact
+        run."""
         st = _State(self.functions, test.stdin_text)
         log = self.log
         verdict = "error"
@@ -964,6 +947,7 @@ class _Program:
                                             "no 'main' function")
                 self.main(st, None)
             except RecursionError:  # Python's stack ran out before the cap
+                st.steps = math.inf  # where depends on fusion: run exactly
                 raise TraceRuntimeError("step-limit", st.point,
                                         "call depth") from None
             ok = (normalize_output("".join(st.out))
@@ -973,7 +957,7 @@ class _Program:
             log.errors.append(str(e))
         if log.record:
             log.outputs.append("".join(st.out))
-        return verdict
+        return None if st.steps > self.replay_past else verdict
 
 
 def _row_getter(names, layout):
@@ -1012,12 +996,21 @@ def run_suite(tree, tests, limits=None, record=False):
     """Run every test; returns (merged TraceLog, verdict list). Tests run
     in order, so recording straight into one log gives each point its
     snapshots in test order. Each point's summary covers every snapshot;
-    with record=True the log also keeps the snapshots themselves."""
+    with record=True the log also keeps the snapshots themselves. At the
+    first test whose count runs past max_steps, the suite runs again from
+    the start, compiled exact, into a fresh log."""
     if not tests:
         raise ValueError("test suite is empty")
     log = TraceLog(record)
     program = _Program(tree, limits, log)
-    verdicts = [program.run(test) for test in tests]
+    verdicts = []
+    for test in tests:
+        verdicts.append(program.run(test))
+        if verdicts[-1] is None:
+            log = TraceLog(record)
+            program = _Program(tree, limits, log, exact=True)
+            verdicts = [program.run(test) for test in tests]
+            break
     for point in log.points.values():
         point.summary.fold(point.flat)
         if not record:

@@ -14,7 +14,8 @@ import pytest
 
 from invclust.invariants import UNSET
 from invclust.synth import PAIR_FOR, PAIR_WHILE
-from invclust.tracer import PointTrace, TestCase, TraceLog
+from invclust.tracer import (Limits, PointTrace, TestCase, TraceLog,
+                             _Program, run_suite)
 
 LEFT_SRC = PAIR_WHILE
 RIGHT_SRC = PAIR_FOR
@@ -235,6 +236,33 @@ def gen_suite(seed, n_inputs, cases=3):
         stdin_text = f"{rng.randint(-9, 9)}\n" if n_inputs else ""
         tests.append(TestCase(stdin_text, ""))
     return tests
+
+
+def exact_suite(tree, tests, limits=None):
+    """(TraceLog, verdicts) of the suite run compiled exact, as `run_suite`
+    runs it when a count runs ahead past max_steps, recorded."""
+    log = TraceLog(record=True)
+    program = _Program(tree, limits, log, exact=True)
+    verdicts = [program.run(test) for test in tests]
+    for point in log.points.values():
+        point.summary.fold(point.flat)
+    return log, verdicts
+
+
+def fewest_steps(tree, tests):
+    """The fewest max_steps under which no test of the suite stops at the
+    step limit: the most steps one test takes. A call-depth or
+    loop-iteration stop has a detail and does not count."""
+    lo, hi = 1, Limits().max_steps
+    while lo < hi:
+        mid = (lo + hi) // 2
+        log, _ = run_suite(tree, tests, Limits(max_steps=mid))
+        if any(e.startswith("step-limit") and ":" not in e
+               for e in log.errors):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ the tree, which must be a bijection, so every other byte is compared as
 recorded.
 """
 
+import functools
 import hashlib
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invclust.corpus import generate_synthetic_corpus
 from invclust.invariants import detect
@@ -27,9 +29,11 @@ from invclust.nodes import Kind
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.synth import PAIR_WHILE
-from invclust.tracer import Limits, TestCase, execute, run_suite
+from invclust.tracer import (Limits, TestCase, TraceLog, _Program, execute,
+                             run_suite)
 
-from conftest import gen_program, gen_suite, log_from_snapshots
+from conftest import (exact_suite, fewest_steps, gen_program, gen_suite,
+                      log_from_snapshots)
 
 TIGHT = Limits(max_steps=777, max_loop_iters=50)
 # Small enough that most programs stop part-way through a statement.
@@ -606,3 +610,44 @@ def _sweep(src, tests, last=1000):
 @pytest.mark.parametrize("name", sorted(SWEEP_PROGRAMS))
 def test_step_budget_sweep_matches_recorded_digest(name):
     assert _sweep(*SWEEP_PROGRAMS[name]) == SWEEP_PINNED[name]
+
+
+# A fast run whose count runs ahead past max_steps is thrown away and the
+# suite rerun exact, so at every budget, up to a few past the most steps a
+# test takes, `run_suite` gives what the exact run alone gives.
+_REPLAY_NAMES = sorted(SWEEP_PROGRAMS) + [f"gen{seed}" for seed in range(40)]
+
+
+@functools.cache
+def _replay_case(name):
+    """(tree, tests, the most steps a test takes) of a sweep program or a
+    `gen_program` seed."""
+    if name in SWEEP_PROGRAMS:
+        src, tests = SWEEP_PROGRAMS[name]
+    else:
+        src, n_inputs = gen_program(int(name[3:]))
+        tests = gen_suite(int(name[3:]), n_inputs)
+    tree = parse(src)
+    return tree, tests, fewest_steps(tree, tests)
+
+
+def test_fast_run_with_replay_equals_exact_run():
+    replayed = []
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(st.sampled_from(_REPLAY_NAMES).flatmap(lambda name: st.tuples(
+        st.just(name), st.integers(1, _replay_case(name)[2] + 5))))
+    def check(case):
+        name, max_steps = case
+        tree, tests, _ = _replay_case(name)
+        limits = Limits(max_steps=max_steps)
+        log, verdicts = run_suite(tree, tests, limits, record=True)
+        exact_log, exact_verdicts = exact_suite(tree, tests, limits)
+        assert verdicts == exact_verdicts
+        assert log.errors == exact_log.errors
+        assert log.to_json() == exact_log.to_json()
+        fast = _Program(tree, limits, TraceLog())
+        replayed.append(any(fast.run(test) is None for test in tests))
+
+    check()
+    assert any(replayed) and not all(replayed), replayed.count(True)

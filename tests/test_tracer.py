@@ -9,10 +9,11 @@ from invclust.errors import UnresolvedIdentifier
 from invclust.invariants import detect
 from invclust.parser import parse
 from invclust.renamer import rename
-from invclust.tracer import (MAX_CALL_DEPTH, Limits, TestCase, execute,
-                             normalize_output, run_suite)
+from invclust.tracer import (MAX_CALL_DEPTH, Limits, TestCase, TraceLog,
+                             _Program, execute, normalize_output, run_suite)
 
-from conftest import LEFT_SRC, RIGHT_SRC, SNAPSHOT_EDGE_PROGRAMS, sum_suite
+from conftest import (LEFT_SRC, RIGHT_SRC, SNAPSHOT_EDGE_PROGRAMS,
+                      exact_suite, fewest_steps, sum_suite)
 
 
 def _renamed(src):
@@ -68,13 +69,17 @@ def _nested(frames, fn):
     return fn() if frames == 0 else _nested(frames - 1, fn)
 
 
+def _recurse_test(depth):
+    n = depth - 2
+    return TestCase(f"{n}\n", str(n))
+
+
 @pytest.mark.parametrize("caller_frames", [0, 200])
 def test_call_depth_cap_is_the_limit(caller_frames):
     tree = parse(_RECURSE_N)
 
-    def run(depth):
-        n = depth - 2
-        return execute(tree, TestCase(f"{n}\n", str(n)))
+    def run(depth, limits=None):
+        return execute(tree, _recurse_test(depth), limits)
 
     log, _, verdict = _nested(caller_frames, lambda: run(MAX_CALL_DEPTH))
     assert verdict == "pass"
@@ -83,6 +88,51 @@ def test_call_depth_cap_is_the_limit(caller_frames):
     assert verdict == "error"
     assert log.errors == ["step-limit at f/entry: call depth"]
     assert len(log.samples["f/entry"]) == MAX_CALL_DEPTH - 1
+    # One step short, the run is replayed exact; it recurses to the cap as
+    # the fused run did, and stops at the last step, the outer `+ 1`.
+    total = fewest_steps(tree, [_recurse_test(MAX_CALL_DEPTH)])
+    log, _, verdict = _nested(
+        caller_frames,
+        lambda: run(MAX_CALL_DEPTH, Limits(max_steps=total - 1)))
+    assert verdict == "error"
+    assert log.errors == ["step-limit at f/exit"]
+    assert len(log.samples["f/entry"]) == MAX_CALL_DEPTH - 1
+
+
+# Where Python's stack runs out depends on the frames a call's arguments
+# take, fewer when fused; at every caller depth the fused run defers to the
+# exact one, which reports it.
+def test_python_stack_overflow_is_reported_by_the_exact_run():
+    expr = "1 + (" * 40 + "f(n + 1)" + ")" * 40
+    tree = parse("int f(int n) {\n  return " + expr + ";\n}\n\n"
+                 "int main() {\n  f(0);\n}\n")
+    tests = [TestCase("", "")]
+    for frames in range(45):
+        log, verdicts = _nested(
+            frames, lambda: run_suite(tree, tests, record=True))
+        exact_log, exact_verdicts = _nested(
+            frames, lambda: exact_suite(tree, tests))
+        assert log.errors == ["step-limit at f/entry: call depth"]
+        assert (log.to_json(), verdicts) == (exact_log.to_json(),
+                                             exact_verdicts), frames
+
+
+# Every closure of the loop and of f is fused, so only the checks at the
+# loop's back-edge and at each call stop the fast run once its count has
+# passed the limit: the work it throws away stays near max_steps.
+@pytest.mark.parametrize("src,pid", [
+    ("int main() {\n  int i = 0;\n  int n = 1000000000;\n"
+     "  while (i < n) {\n    i = i + 1;\n  }\n}\n", "main/loop0/body"),
+    ("void f(int n) {\n  if (n > 0) {\n    f(n - 1);\n    f(n - 1);\n"
+     "  }\n}\n\nint main() {\n  f(16);\n}\n", "f/entry"),
+])
+def test_fast_run_past_the_limit_stops_soon(src, pid):
+    log = TraceLog()
+    program = _Program(parse(src), Limits(max_steps=1000), log)
+    assert program.run(TestCase("", "")) is None
+    point = log.points[pid]
+    point.summary.fold(point.flat)
+    assert 100 <= len(point) <= 1000
 
 
 def test_python_stack_overflow_below_the_cap_is_call_depth_error():
