@@ -1,6 +1,7 @@
 """Corpus ingestion, pipeline orchestration, synthetic generator, and
 projection tests."""
 
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,31 @@ def test_write_corpus_round_trips(tmp_path):
     for label, a in corpus.assignments.items():
         assert [p.text for p in back.assignments[label].programs] == \
             [p.text for p in a.programs]
+
+
+# sha256 of every corpus of the grid below: each program's id, label and
+# text and each test's stdin and expected output. perfbench's mutations are
+# regular expressions over the raw text, so a change of layout alone, which
+# no artifact pin sees, moves this one. The seeds are small ones and the
+# same plus 1,000,003, the offset of perfbench's query stream.
+RAW_CORPUS_PIN = (
+    "16f4a651acf2bb1f85a1e9f81a79e331cc7ee2403605755f571ae1b432cc34c6")
+
+
+def test_synthetic_corpora_are_pinned():
+    h = hashlib.sha256()
+    for base in (0, 1, 11, 59, 101):
+        for seed in (base, base + 1_000_003):
+            for assignments in (2, 3):
+                for variants in (2, 10, 80):
+                    corpus = generate_synthetic_corpus(seed, assignments,
+                                                       variants)
+                    h.update(json.dumps([
+                        [[p.id, p.label, p.text] for p in a.programs]
+                        + [[t.stdin_text, t.expected_stdout]
+                           for t in a.tests]
+                        for a in corpus.assignments.values()]).encode())
+    assert h.hexdigest() == RAW_CORPUS_PIN
 
 
 def test_persisted_artifact_layout(tmp_path):
