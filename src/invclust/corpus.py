@@ -17,7 +17,7 @@ from .errors import (BadModel, BadTestFile, EmptyCorpus, MissingTests,
                      ProgramRejected, RuntimeFailure)
 from .invariants import detect, flatten
 from .lexer import lex
-from .nodes import SourceProgram
+from .nodes import Assignment, Corpus, SourceProgram
 from .parser import parse
 from .renamer import rename
 from .tracer import TestCase, run_suite
@@ -25,19 +25,7 @@ from .unparse import unparse
 from .vectorizer import (SEGMENT_FIELDS, ProgramDocs, Vocabulary,
                          build_vocab_for_mode, documents_for_mode, represent)
 
-from .synth import generate_synthetic_corpus, write_corpus  # noqa: F401  (re-export)
-
-
-@dataclass
-class Assignment:
-    label: str
-    programs: list
-    tests: list
-
-
-@dataclass
-class Corpus:
-    assignments: dict = field(default_factory=dict)  # label -> Assignment
+from .synth import generate_synthetic_corpus  # noqa: F401  (re-export)
 
 
 def read_source(path):
@@ -103,6 +91,24 @@ def ingest(root_dir, tests_dir=None):
     if not corpus.assignments:
         raise EmptyCorpus(f"no programs under {root_dir}")
     return corpus
+
+
+def write_corpus(corpus, root):
+    """Materialize a corpus in the layout ingest reads."""
+    for label, asn in corpus.assignments.items():
+        pdir = os.path.join(root, label)
+        os.makedirs(pdir, exist_ok=True)
+        for prog in asn.programs:
+            stem = prog.id.split("/", 1)[1]
+            with open(os.path.join(pdir, f"{stem}.c"), "w") as f:
+                f.write(prog.text)
+        tdir = os.path.join(root, "tests", label)
+        os.makedirs(tdir, exist_ok=True)
+        for i, test in enumerate(asn.tests):
+            with open(os.path.join(tdir, f"t{i}.in"), "w") as f:
+                f.write(test.stdin_text + "\n")
+            with open(os.path.join(tdir, f"t{i}.out"), "w") as f:
+                f.write(test.expected_stdout + "\n")
 
 
 @dataclass

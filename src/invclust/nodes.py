@@ -89,3 +89,15 @@ class SourceProgram:
     id: str
     label: str
     text: str
+
+
+@dataclass
+class Assignment:
+    label: str
+    programs: list
+    tests: list
+
+
+@dataclass
+class Corpus:
+    assignments: dict = field(default_factory=dict)  # label -> Assignment

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from invclust.invariants import UNSET
+from invclust.parser import parse
+from invclust.renamer import rename
 from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import (Limits, PointTrace, TestCase, TraceLog,
                              _Program, run_suite)
@@ -148,6 +150,28 @@ def log_from_snapshots(point_snaps):
 
 def sum_suite(ns=(1, 2, 5)):
     return [TestCase(f"{n}\n", f"{n * (n + 1) // 2}") for n in ns]
+
+
+def mutations_shown(corpus):
+    """The meaning-preserving mutations that a synthetic corpus's generated
+    variants show in their text, the motivating pair left out:
+    "loop-conversion" when both a `for` and a `while` loop occur,
+    "loop-reversal" when a loop counts down, and "rename" when two
+    variants of one assignment declare different variable names."""
+    shown = set()
+    for asn in corpus.assignments.values():
+        texts = [p.text for p in asn.programs
+                 if p.text not in (PAIR_WHILE, PAIR_FOR)]
+        if (any("for (" in t for t in texts)
+                and any("while (" in t for t in texts)):
+            shown.add("loop-conversion")
+        if any("--" in t for t in texts):
+            shown.add("loop-reversal")
+        declared = {frozenset(e[0] for e in rename(parse(t))[1].entries)
+                    for t in texts}
+        if len(declared) > 1:
+            shown.add("rename")
+    return shown
 
 
 @pytest.fixture

@@ -26,7 +26,8 @@ from invclust.vectorizer import (MODES, FeatureVector, ProgramDocs,
 
 from conftest import (LEFT_SRC, RIGHT_SRC, brute_force_sse,
                       clusterable_instance, gen_program, gen_suite,
-                      inv_holds, oracle_point_invariants, sum_suite)
+                      inv_holds, mutations_shown, oracle_point_invariants,
+                      sum_suite)
 
 REQUIRED_FOUR = {"int1 > 0", "int0 >= 0", "int2 >= 0", "int2 <= int1"}
 
@@ -133,11 +134,8 @@ def test_criterion_4_representation_ordering(capsys):
     try:
         corpus = generate_synthetic_corpus(seed=0, assignments=3,
                                            variants_per=10)
-        tags = set()
-        for a in corpus.assignments.values():
-            for p in a.programs:
-                tags |= set(getattr(p, "tags", ()))
-        assert {"loop-conversion", "loop-reversal"} <= tags
+        assert mutations_shown(corpus) == {"loop-conversion",
+                                           "loop-reversal", "rename"}
 
         def mean_purity(mode):
             return float(np.mean([

@@ -15,8 +15,8 @@ import os
 import pytest
 
 from invclust import cli
-from invclust.corpus import generate_synthetic_corpus, run_pipeline
-from invclust.synth import write_corpus
+from invclust.corpus import (generate_synthetic_corpus, run_pipeline,
+                             write_corpus)
 from invclust.vectorizer import MODES
 
 from conftest import HOSTILE_SOURCES

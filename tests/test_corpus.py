@@ -23,7 +23,7 @@ from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase, run_suite
 from invclust.vectorizer import MODES, represent
 
-from conftest import HOSTILE_SOURCES
+from conftest import HOSTILE_SOURCES, mutations_shown
 
 
 def _write_corpus_tree(root, assignments):
@@ -161,13 +161,10 @@ def test_synth_minimal_shape():
             parse(p.text)
 
 
-def test_synth_mutation_tags_present():
+def test_synth_variants_show_each_mutation():
     corpus = generate_synthetic_corpus(seed=0, assignments=3, variants_per=10)
-    tags = set()
-    for a in corpus.assignments.values():
-        for p in a.programs:
-            tags |= set(getattr(p, "tags", ()))
-    assert {"loop-conversion", "loop-reversal", "rename"} <= tags
+    assert mutations_shown(corpus) == {"loop-conversion", "loop-reversal",
+                                       "rename"}
 
 
 def test_write_corpus_round_trips(tmp_path):
