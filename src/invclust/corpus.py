@@ -126,6 +126,7 @@ class ProgramArtifacts:
 class PipelineArtifacts:
     programs: dict = field(default_factory=dict)    # id -> ProgramArtifacts
     exclusions: dict = field(default_factory=dict)  # id -> diagnostic
+    labels: dict = field(default_factory=dict)  # id -> label, every program
     vocab: object = None
     model: object = None
     purity: float = 0.0
@@ -222,6 +223,7 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
         asn = corpus.assignments[label]
         memo = {}
         for prog in asn.programs:
+            arts.labels[prog.id] = prog.label
             try:
                 arts.programs[prog.id] = analyze(prog, asn.tests, limits,
                                                  min_samples, memo)
@@ -255,8 +257,7 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
     arts.model = kmeans(clustered, arts.clustered_vectors, k, seed,
                         restarts=restarts)
     arts.model.vocab = arts.vocab
-    labels = {i: arts.programs[i].label for i in clustered}
-    arts.purity = purity(arts.model.assignment, labels)
+    arts.purity = purity(arts.model.assignment, arts.labels)
 
     if out_dir:
         persist(arts, out_dir)
@@ -282,11 +283,12 @@ def write_vectors(arts, path):
 
 def persist(arts, out_dir):
     """One file per artifact kind, all at the root of out_dir: an entry in
-    documents.json for every ingested program (its documents, or
-    {"exclusion": diagnostic} for an excluded one), the vector of every
-    clustered program, the model and the projection. Each fact is written
-    once: purity is what `invclust purity` computes from model.json, and
-    cluster sizes are the counts of its assignment."""
+    documents.json for every ingested program (its label and its
+    documents, or its label and {"exclusion": diagnostic} for an excluded
+    one), the vector of every clustered program, the model and the
+    projection. Each fact is written once: purity is what `invclust
+    purity` computes from model.json and the labels, and cluster sizes
+    are the counts of model.json's assignment."""
     os.makedirs(out_dir, exist_ok=True)
     documents = {pid: {"exclusion": diag}
                  for pid, diag in arts.exclusions.items()}
@@ -294,6 +296,8 @@ def persist(arts, out_dir):
                             "aast_text": pa.docs.aast_text,
                             "invariants": pa.inv_by_point}
                       for pid, pa in arts.programs.items()})
+    for pid, entry in documents.items():
+        entry["label"] = arts.labels[pid]
     with open(os.path.join(out_dir, "documents.json"), "w") as f:
         f.write(_dump(documents))
     write_vectors(arts, os.path.join(out_dir, "vectors.npy"))

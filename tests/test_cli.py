@@ -347,7 +347,8 @@ def test_exclusions_are_entries_of_documents(workspace, tmp_path, capsys):
     assert all(planted[pid] in diag for pid, diag in exclusions.items())
     documents = json.loads((out / "documents.json").read_text())
     assert {pid: documents.pop(pid) for pid in planted} == {
-        pid: {"exclusion": diag} for pid, diag in exclusions.items()}
+        pid: {"exclusion": diag, "label": "sum1n"}
+        for pid, diag in exclusions.items()}
     # The survivors' entries are those of a run without the planted files.
     assert documents == json.loads(
         (workspace / "out" / "documents.json").read_text())

@@ -214,7 +214,7 @@ def test_persisted_artifact_layout(tmp_path):
     assert documents == {
         pid: {"renamed_source": pa.docs.renamed_source,
               "aast_text": pa.docs.aast_text,
-              "invariants": pa.inv_by_point}
+              "invariants": pa.inv_by_point, "label": pa.label}
         for pid, pa in arts.programs.items()}
     with open(out / "model.json") as f:
         model = json.load(f)
@@ -226,7 +226,8 @@ def test_persisted_artifact_layout(tmp_path):
     assert sorted(model["assignment"]) == arts.clustered_ids
     assert model["assignment"] == arts.model.assignment
     assert purity(model["assignment"], {
-        pid: pid.split("/")[0] for pid in model["assignment"]}) == arts.purity
+        pid: documents[pid]["label"] for pid in model["assignment"]}) == \
+        arts.purity
 
 
 def test_centroids_are_member_means_of_persisted_vectors(tmp_path):
