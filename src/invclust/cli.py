@@ -16,9 +16,9 @@ import numpy as np
 
 from .anonymizer import anonymize, serialize_aast
 from .clusterer import closest_program, purity
-from .corpus import (analyze, generate_synthetic_corpus, ingest, load_model,
-                     load_vectors, read_source, read_tests, run_pipeline,
-                     write_corpus)
+from .corpus import (analyze, generate_synthetic_corpus, ingest, load_labels,
+                     load_model, load_vectors, read_source, read_tests,
+                     run_pipeline, write_corpus)
 from .errors import InvclustError
 from .nodes import SourceProgram
 from .parser import parse
@@ -150,8 +150,7 @@ def cmd_closest(args):
 
 def cmd_purity(args):
     model = load_model(args.model)
-    labels = {pid: pid.split("/", 1)[0] for pid in model.assignment}
-    p = purity(model.assignment, labels)
+    p = purity(model.assignment, load_labels(args.model, model.assignment))
     _emit(args, {"purity": p}, f"purity {p:.4f}")
     return 0
 

@@ -1,7 +1,9 @@
-"""Corpus ingestion, per-program analysis, pipeline orchestration, the
-persisted artifacts (documents.json, vectors.npy, model.json and
-projection.csv, written by persist; model.json and vectors.npy read back
-by load_model and load_vectors), and the 2-D projection export."""
+"""The on-disk corpus layout (written by write_corpus, read by ingest and
+read_tests), per-program analysis, pipeline orchestration, the persisted
+artifacts (documents.json, vectors.npy, model.json and projection.csv,
+written by persist; model.json, vectors.npy and the labels in
+documents.json read back by load_model, load_vectors and load_labels),
+and the 2-D projection export."""
 
 import hashlib
 import json
@@ -420,6 +422,29 @@ def load_vectors(model_path, model, ids):
     except KeyError as e:
         raise BadModel(path, e) from None
     return table["values"][index].astype(np.float64, copy=False)
+
+
+def load_labels(model_path, ids):
+    """{id: label} for `ids`, read from the documents.json next to
+    model_path. BadModel naming that file when it cannot be opened, is not
+    JSON, or lacks an id or a string label for it."""
+    path = os.path.join(os.path.dirname(os.path.abspath(model_path)),
+                        "documents.json")
+    try:
+        with open(path) as f:
+            documents = json.load(f)
+    except OSError as e:
+        raise BadModel(path, e.strerror or e) from None
+    except ValueError as e:
+        raise BadModel(path, e) from None
+    labels = {}
+    for pid in ids:
+        entry = documents.get(pid) if type(documents) is dict else None
+        label = entry.get("label") if type(entry) is dict else None
+        if type(label) is not str:
+            raise BadModel(path, f"no label for {pid!r}")
+        labels[pid] = label
+    return labels
 
 
 def write_projection(ids, X, path):

@@ -83,9 +83,10 @@ class BadTestFile(InvclustError):
 
 
 class BadModel(InvclustError):
-    """A persisted model.json (from corpus.load_model) or vectors.npy (from
-    corpus.load_vectors) that does not hold what persist wrote; the
-    message names the file at fault."""
+    """A persisted model.json (from corpus.load_model), vectors.npy (from
+    corpus.load_vectors) or documents.json (from corpus.load_labels) that
+    does not hold what persist wrote; the message names the file at
+    fault."""
 
     def __init__(self, path, err):
         detail = f"missing key {err}" if isinstance(err, KeyError) else err

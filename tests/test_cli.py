@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 
 from invclust.cli import build_parser, main
-from invclust.corpus import analyze, load_model, read_source, read_tests
-from invclust.nodes import SourceProgram
+from invclust.corpus import (analyze, load_model, read_source, read_tests,
+                             run_pipeline)
+from invclust.nodes import Assignment, Corpus, SourceProgram
+from invclust.tracer import TestCase
 from invclust.vectorizer import represent
 
 from conftest import HOSTILE_SOURCES, LEFT_SRC
+
+_ECHO = ('int main() {\n  int v;\n  scanf("%d", &v);\n'
+         '  printf("%d", v);\n}\n')
+# 2v - 1, which is also 1 on stdin 1.
+_DOUBLE_PLUS_ONE = ('int main() {\n  int v;\n  scanf("%d", &v);\n'
+                    '  printf("%d", v + v - 1);\n}\n')
 
 BAD_SUM = ('int main() {\n  int n, s = 0, i;\n  scanf("%d", &n);\n'
            "  for (i = 1; i < n; i++) {\n    s = s + i;\n  }\n"
@@ -128,6 +136,23 @@ def test_purity_of_model(workspace, capsys):
     assert main(["purity", "--model",
                  str(workspace / "out" / "model.json"), "--json"]) == 0
     assert _json_out(capsys)["purity"] == 1.0
+
+
+def test_purity_reads_the_labels_of_documents(tmp_path, capsys):
+    """Ids that carry no assignment prefix: `purity` labels each program
+    as run_pipeline does, by its label, not by its id."""
+    corpus = Corpus(assignments={
+        label: Assignment(
+            label=label,
+            programs=[SourceProgram(id=f"{prefix}{i}", label=label, text=src)
+                      for i in range(3)],
+            tests=[TestCase("1\n", "1")])
+        for label, prefix, src in (("alpha", "p", _ECHO),
+                                   ("beta", "q", _DOUBLE_PLUS_ONE))})
+    arts = run_pipeline(corpus, k=2, out_dir=str(tmp_path))
+    assert main(["purity", "--model", str(tmp_path / "model.json"),
+                 "--json"]) == 0
+    assert _json_out(capsys)["purity"] == arts.purity == 1.0
 
 
 def test_closest_prints_id_and_distance(workspace, capsys):
@@ -568,11 +593,30 @@ _VECTOR_DAMAGE = {
 }
 
 
+def _edit_clustered_entry(edit):
+    """Apply edit(documents, id) for the first clustered id."""
+    def damage(path):
+        documents = json.loads(path.read_text())
+        model = json.loads((path.parent / "model.json").read_text())
+        edit(documents, sorted(model["assignment"])[0])
+        path.write_text(json.dumps(documents))
+    return damage
+
+
+_DOCUMENTS_DAMAGE = {
+    "truncated-documents": _truncate,
+    "missing-documents": os.remove,
+    "unknown-program": _edit_clustered_entry(lambda d, pid: d.pop(pid)),
+    "unlabelled": _edit_clustered_entry(lambda d, pid: d[pid].pop("label")),
+}
+
+
 @pytest.mark.parametrize("command,damage", [
     (command, damage)
     for command in ("closest", "representatives", "purity")
     for damage in _MODEL_DAMAGE
-] + [("closest", damage) for damage in _VECTOR_DAMAGE])
+] + [("closest", damage) for damage in _VECTOR_DAMAGE]
+  + [("purity", damage) for damage in _DOCUMENTS_DAMAGE])
 def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
     out = tmp_path / "out"
     shutil.copytree(workspace / "out", out)
@@ -580,6 +624,9 @@ def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
     if damage in _VECTOR_DAMAGE:
         bad = out / "vectors.npy"
         _VECTOR_DAMAGE[damage](bad)
+    elif damage in _DOCUMENTS_DAMAGE:
+        bad = out / "documents.json"
+        _DOCUMENTS_DAMAGE[damage](bad)
     else:
         bad = model
         _MODEL_DAMAGE[damage](bad)
