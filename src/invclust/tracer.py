@@ -77,12 +77,13 @@ INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
 # Calls (main included) that may be active at once. A call made directly
-# in a statement's expression, as in `return f(n - 1) + 1;`, costs three
-# Python frames, so 225 calls take 675 of Python's default recursion limit
-# of 1000 and leave the rest to the caller: the cap fires first even when
-# the tracer is entered 200 frames deep, fused or exact. A call nested
-# deeper inside expressions costs more frames; for it, running out of
-# Python's stack is reported as this same error, by the exact run.
+# in a statement's expression, as in `return f(n - 1) + 1;`, costs two
+# Python frames, the call's closure and the arithmetic's, so 225 calls take
+# 450 of Python's default recursion limit of 1000 and leave the rest to the
+# caller: the cap fires first even when the tracer is entered 500 frames
+# deep, fused or exact. A call nested deeper inside expressions costs more
+# frames; for it, running out of Python's stack is reported as this same
+# error, by the exact run.
 MAX_CALL_DEPTH = 225
 
 # Snapshots a point buffers before folding them into its summary.

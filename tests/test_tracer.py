@@ -1,6 +1,8 @@
 """Tree-walking interpreter and trace-collection tests."""
 
+import inspect
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -74,9 +76,15 @@ def _recurse_test(depth):
     return TestCase(f"{n}\n", str(n))
 
 
-@pytest.mark.parametrize("caller_frames", [0, 200])
+# None: as deep as leaves 30 frames above the two a call at the cap takes
+# per call, so one frame more per call overflows Python's stack first.
+@pytest.mark.parametrize("caller_frames",
+                         [0, 200, pytest.param(None, id="tight")])
 def test_call_depth_cap_is_the_limit(caller_frames):
     tree = parse(_RECURSE_N)
+    if caller_frames is None:
+        caller_frames = (sys.getrecursionlimit() - len(inspect.stack(0))
+                         - 2 * MAX_CALL_DEPTH - 30)
 
     def run(depth, limits=None):
         return execute(tree, _recurse_test(depth), limits)
