@@ -140,10 +140,10 @@ def _variant(rng, shape):
         loop = f"  for ({init}; {cond}; {step}) {{\n{body}  }}\n"
     else:
         loop = f"  {init};\n  while ({cond}) {{\n{body}    {step};\n  }}\n"
-    decls = "".join(f"  {line}\n" for line in decls)
-    text = shape.text.replace("$decls", decls).replace("$loop", loop)
-    return (text.replace("$expr", expr).replace("$acc", acc)
-            .replace("$n", n).replace("$i", i).replace("$f", f))
+    text = (shape.text.replace("$decls", "".join(f"  {d}\n" for d in decls))
+            .replace("$loop", loop).replace("$expr", expr))
+    return (text.replace("$acc", acc).replace("$n", n).replace("$i", i)
+            .replace("$f", f))
 
 
 def generate_synthetic_corpus(seed, assignments, variants_per):
