@@ -96,12 +96,20 @@ def ingest(root_dir, tests_dir=None):
 
 
 def write_corpus(corpus, root):
-    """Materialize a corpus in the layout ingest reads."""
+    """Materialize a corpus in the layout ingest reads. Each program's id
+    must be `<label>/<stem>`, the id `ingest` gives the file written;
+    otherwise a ValueError names it, before anything is written."""
+    for label, asn in corpus.assignments.items():
+        for prog in asn.programs:
+            prefix, _, stem = prog.id.partition("/")
+            if prefix != label or not stem or "/" in stem:
+                raise ValueError(f"program id {prog.id!r} is not "
+                                 f"{label}/<stem>")
     for label, asn in corpus.assignments.items():
         pdir = os.path.join(root, label)
         os.makedirs(pdir, exist_ok=True)
         for prog in asn.programs:
-            stem = prog.id.split("/", 1)[1]
+            stem = prog.id.partition("/")[2]
             with open(os.path.join(pdir, f"{stem}.c"), "w") as f:
                 f.write(prog.text)
         tdir = os.path.join(root, "tests", label)

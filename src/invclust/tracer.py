@@ -42,18 +42,24 @@ steps of a node and of the ancestors whose evaluation starts with it in one
 addition. Leaf operands, that is scalar variables and literals (a literal
 is read from a slot of its own, as a variable that is never UNSET), are
 fused into their parent's closure: a compare or `+ - *` on two leaves is
-one closure, and so is a compare of a leaf with such arithmetic
-(`i < n - 1`). A store into a scalar is made inline by its statement's
+one closure. A store into a scalar is made inline by its statement's
 closure (by one reader per target for `scanf`), with a value that is
 `+ - *` on two leaves computed in the same closure. A loop's closure takes
-its body's snapshot and runs a condition that compares two leaves and a
-`for` step that is ++/-- on a scalar inline, and an `if`'s runs such a
-condition inline. A fused closure counts all its steps at its start and
+its body's snapshot, and an `if`'s runs a condition that compares two
+leaves inline. A fused closure counts all its steps at its start and
 checks no limit, so the count is only ever ahead of the exact one; the
 limit is also checked at each loop back-edge and each call, which bounds
 the work past it. A test whose count passes max_steps may not have reached
 it, so `run_suite` then reruns the suite compiled `exact`: nothing fused,
 and each node's closure checks the limit as soon as it counts its steps.
+
+Hot loops: an execution of a loop that reaches HOT_ITERS iterations runs
+the rest in a function generated as Python source for that loop and
+compiled once per `_Program` (`_hot_loop`). It holds the loop's leaf
+operations, scalar stores, scalar `scanf`s, `++`/`--` and `if`s inline,
+calls the closure of any other statement, and counts ahead and checks the
+limit at the back-edge as a fused closure does. An exact run never tiers;
+a suite whose loops stop short of HOT_ITERS compiles no source.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -88,6 +94,10 @@ MAX_CALL_DEPTH = 225
 
 # Snapshots a point buffers before folding them into its summary.
 FOLD_ROWS = 4096
+
+# Iterations after which a loop runs the rest of its current execution in
+# Python source generated and compiled for it (see `_hot_loop`).
+HOT_ITERS = 1024
 
 # A point's kind by the last segment of its id; any other is a plain block.
 _POINT_KINDS = {"entry": "function-entry", "exit": "function-exit",
@@ -224,6 +234,12 @@ def _unset(st, name):
     return TraceRuntimeError("uninitialized-read", st.point, name)
 
 
+def _bad_token(st, token):
+    """The error of a token that is not a number of the conversion's."""
+    return TraceRuntimeError("scanf-exhausted", st.point,
+                             f"bad input token {token!r}")
+
+
 def _snapshot(pid, summary, getter, push, flat, fold_at):
     """The closure recording point pid, from `_Compiler.point`'s parts."""
     def snap(st, v):
@@ -259,6 +275,8 @@ class _Compiler:
         self.max_iters = limits.max_loop_iters
         self.points = log.points
         self.fold_at = 0 if log.record else FOLD_ROWS  # 0: never
+        self.plans = {}  # statement closure -> its plan (see `plan`)
+        self.looping = 0  # loops being compiled; plans are made in them
         self.functions = {fn.identifier: self.function(fn)
                           for fn in root.children}
 
@@ -292,6 +310,38 @@ class _Compiler:
                 raise TraceRuntimeError("step-limit", st.point)
             raise TraceRuntimeError("type-error", st.point, detail)
         return misuse
+
+    # --- plans: what `_hot_loop` emits for each statement of a loop ---
+
+    def planning(self):
+        """Whether plans are made: inside a loop, unless exact."""
+        return self.looping > 0 and not self.exact
+
+    def planned(self, closure, plan):
+        """`closure`, its plan recorded if it has one."""
+        if plan:
+            self.plans[closure] = plan
+        return closure
+
+    def plan(self, closures):
+        """The plans of a statement list: each recorded one, or ("call",
+        closure) for a statement `_hot_loop` calls."""
+        return [self.plans.get(s) or ("call", s) for s in closures]
+
+    def inline(self, node):
+        """The plan of an expression `_hot_loop` emits inline, or None:
+        ("lit", value), ("var", slot, name, is_int), or (op, left, right)
+        for `+ - *` or a compare on two such expressions."""
+        if node.kind == Kind.LITERAL:
+            return ("lit", node.literal)
+        if node.kind == Kind.IDENT_REF:
+            slot, is_array, is_int = self.resolve(node)
+            return None if is_array else ("var", slot, node.identifier, is_int)
+        if node.kind != Kind.BINARY_OP or node.literal not in _FUSED:
+            return None
+        left = self.inline(node.children[0])
+        right = left and self.inline(node.children[1])
+        return (node.literal, left, right) if right else None
 
     def point(self, pid, scopes):
         """(pid, summary, getter, push, flat, fold_at): a snapshot of point
@@ -463,7 +513,8 @@ class _Compiler:
                 if is_int and not INT_MIN <= x <= INT_MAX:
                     raise TraceRuntimeError("integer-overflow", st.point)
                 v[slot] = x
-            return incr
+            return self.planned(incr, self.planning() and (
+                "incr", count, slot, name, is_int, delta))
         if k not in (Kind.DECL, Kind.ARRAY_DECL):
             raise ValueError(f"unexpected statement node: {k}")
         size = node.literal if k == Kind.ARRAY_DECL else None
@@ -483,12 +534,12 @@ class _Compiler:
             self.leaves(cond_node, _COMPARE) or (None,) * 7
         cond = self.expr(cond_node, pre + 1) if cmp is None else None
         count = pre + 4
-        then_snap, then_body, _ = self.block(node.children[1].children,
-                                             f"{pid}/then")
-        else_snap, else_body = None, ()
+        then_snap, then_body, then_point = self.block(
+            node.children[1].children, f"{pid}/then")
+        else_snap, else_body, else_point = None, (), None
         if len(node.children) == 3:
-            else_snap, else_body, _ = self.block(node.children[2].children,
-                                                 f"{pid}/else")
+            else_snap, else_body, else_point = self.block(
+                node.children[2].children, f"{pid}/else")
 
         def if_(st, v):
             if cond is None:
@@ -514,15 +565,19 @@ class _Compiler:
                 r = s(st, v)
                 if r is not None:
                     return r
-        return if_
+        return self.planned(if_, self.planning() and (
+            "if", pre + 1, self.inline(cond_node) or ("call", cond),
+            then_point, self.plan(then_body), else_point,
+            self.plan(else_body)))
 
     def loop(self, node, pid, pre):
         """while (cond) body, or for (init; cond; step) body; an empty init
-        or step is an empty block. A cond comparing two leaves, a step that
-        is ++/-- on a scalar and the body's snapshot run inline, and the
-        step limit is checked at the back-edge."""
+        or step is an empty block. The closure takes the body's snapshot
+        and checks the step limit at the back-edge; an execution that
+        reaches `HOT_ITERS` iterations runs the rest in `_hot_loop`'s
+        function, compiled once per program."""
         owed = pre + 1  # the loop statement's step, and its ancestors'
-        init = step = incr = None
+        init = step = None
         if node.kind == Kind.WHILE:
             cond_node, body_node = node.children
         else:
@@ -530,39 +585,30 @@ class _Compiler:
             if init_node.kind != Kind.BLOCK:
                 init = self.stmt(init_node, None, owed)
                 owed = 0
-            if step_node.kind == Kind.UNARY_OP and not self.exact:
-                incr = self.leaf(step_node.children[0])  # None: an array
-            if incr is None and step_node.kind != Kind.BLOCK:
-                step = self.stmt(step_node, None)
-        islot, iname, iint = incr or (None,) * 3
-        delta = 1 if incr and step_node.literal == "++" else -1
-        ls, lname, _, rs, rname, _, cmp = \
-            self.leaves(cond_node, _COMPARE) or (None,) * 7
-        cond = self.expr(cond_node) if cmp is None else None
+        self.looping += 1
+        if node.kind == Kind.FOR and step_node.kind != Kind.BLOCK:
+            step = self.stmt(step_node, None)
+        cond = self.expr(cond_node)
         pid += "/body"
-        _, body, (_, summary, getter, push, flat, fold_at) = \
-            self.block(body_node.children, pid)
+        _, body, point = self.block(body_node.children, pid)
+        _, summary, getter, push, flat, fold_at = point
+        plan = self.planning() and (
+            self.inline(cond_node) or ("call", cond), point,
+            self.plan(body), step and self.plan((step,))[0],
+            self.max_iters, self.max_steps)
+        self.looping -= 1
         max_iters = self.max_iters
         max_steps = self.max_steps
+        hot = 0 if self.exact else HOT_ITERS  # 0: never
+        tier = None
 
         def loop(st, v):
+            nonlocal tier
             if init is not None:
                 init(st, v)
             iters = 0
             st.steps += owed  # checked with the cond's first steps
-            while True:
-                if cond is None:
-                    st.steps += 3
-                    x = v[ls]
-                    if x is UNSET:
-                        raise _unset(st, lname)
-                    y = v[rs]
-                    if y is UNSET:
-                        raise _unset(st, rname)
-                    if not cmp(x, y):
-                        return None
-                elif not cond(st, v):
-                    return None
+            while cond(st, v):
                 iters += 1
                 if iters > max_iters:
                     raise TraceRuntimeError("step-limit", pid,
@@ -576,36 +622,32 @@ class _Compiler:
                     r = s(st, v)
                     if r is not None:
                         return r
-                if incr is not None:
-                    st.steps += 1
-                    x = v[islot]
-                    if x is UNSET:
-                        raise _unset(st, iname)
-                    x += delta
-                    if iint and not INT_MIN <= x <= INT_MAX:
-                        raise TraceRuntimeError("integer-overflow", st.point)
-                    v[islot] = x
-                elif step is not None:
+                if step is not None:
                     step(st, v)
                 if st.steps > max_steps:
                     raise TraceRuntimeError("step-limit", st.point)
+                if iters == hot:
+                    if tier is None:
+                        tier = _hot_loop(*plan)
+                    return tier(st, v, iters)
+            return None
         return loop
 
     def put(self, slot, is_int, value, pre):
         """The closure of a statement storing `value` into a scalar slot,
         inline, and fused with `value` when it is `+ - *` on two leaves."""
-        fused = self.fused(value, _ARITH, pre + 3, slot, is_int)
-        if fused:
-            return fused
-        expr = self.expr(value, pre)
+        assign = self.fused(value, _ARITH, pre + 3, slot, is_int)
+        if not assign:
+            expr = self.expr(value, pre)
 
-        def assign(st, v):
-            x = expr(st, v)
-            if not (is_int and x.__class__ is int
-                    and INT_MIN <= x <= INT_MAX):
-                x = _convert(st, x, is_int)
-            v[slot] = x
-        return assign
+            def assign(st, v):
+                x = expr(st, v)
+                if not (is_int and x.__class__ is int
+                        and INT_MIN <= x <= INT_MAX):
+                    x = _convert(st, x, is_int)
+                v[slot] = x
+        plan = self.planning() and self.inline(value)
+        return self.planned(assign, plan and ("put", pre, slot, is_int, plan))
 
     def store(self, target):
         """Closure storing a value into an array element; a scalar is
@@ -634,7 +676,9 @@ class _Compiler:
         readers = [self.reader(conv, target, count if one else 0)
                    for conv, target in zip(convs, node.children)]
         if one:
-            return readers[0]
+            leaf = self.planning() and self.leaf(node.children[0])
+            return self.planned(readers[0], leaf and (
+                "read", count, leaf[0], leaf[2], convs[0]))
         max_steps = self.max_steps
 
         def scanf(st, v):
@@ -664,9 +708,7 @@ class _Compiler:
             try:
                 x = conv(token)
             except ValueError:
-                raise TraceRuntimeError(
-                    "scanf-exhausted", st.point,
-                    f"bad input token {token!r}") from None
+                raise _bad_token(st, token) from None
             if put is not None:
                 return put(st, v, x)
             if not (is_int and x.__class__ is int
@@ -818,40 +860,8 @@ class _Compiler:
             v[slot] = x if as_is else _convert(st, x, is_int)
         return leaf_op
 
-    def leaf_vs_arith(self, node, count):
-        """The closure of `node`, a compare of a leaf with `+ - *` on two
-        leaves (`i < n - 1`), or None. It counts `count` steps and reads the
-        left leaf, then the right operand as `fused` would, and compares."""
-        op = node.literal
-        left = self.leaf(node.children[0]) if op in _COMPARE else None
-        right = left and self.leaves(node.children[1], _ARITH)
-        if not right:
-            return None
-        xs, xname, xint = left
-        ys, yname, yint, zs, zname, zint, arith = right
-        int_result = yint and zint
-        cmp = _apply(op, xint, int_result)
-
-        def leaf_vs_arith(st, v):
-            st.steps += count
-            x = v[xs]
-            if x is UNSET:
-                raise _unset(st, xname)
-            y = v[ys]
-            if y is UNSET:
-                raise _unset(st, yname)
-            z = v[zs]
-            if z is UNSET:
-                raise _unset(st, zname)
-            y = arith(y, z)
-            if int_result and not INT_MIN <= y <= INT_MAX:
-                raise TraceRuntimeError("integer-overflow", st.point)
-            return 1 if cmp(x, y) else 0
-        return leaf_vs_arith
-
     def binary(self, node, count):
-        fused = (self.fused(node, _FUSED, count + 2)
-                 or self.leaf_vs_arith(node, count + 4))
+        fused = self.fused(node, _FUSED, count + 2)
         if fused:
             return fused
         op = node.literal
@@ -910,6 +920,195 @@ class _Compiler:
                 raise TraceRuntimeError("integer-overflow", st.point)
             return r
         return divide
+
+
+def _hot_loop(cond, point, body, step, max_iters, max_steps):
+    """The function (st, v, iters) that runs a loop's execution on from its
+    back-edge after `iters` iterations, its statements' plans inline. Its
+    count is stored in `st.steps` before every call, return and error."""
+    src = _Source()
+    src.emit(1, "steps, stdin = st.steps, st.stdin")
+    src.emit(1, "try:")
+    src.emit(2, "while True:")
+    src.emit(3, f"if not {src.test(3, cond)}: break")
+    src.close()
+    src.emit(3, "iters += 1")
+    src.emit(3, f"if iters > {src.key(max_iters)}: raise TraceRuntimeError("
+                f"'step-limit', {src.key(point[0])}, 'loop iterations')")
+    src.snapshot(3, point)
+    for plan in body + [step] if step else body:
+        src.stmt(3, plan)
+    src.close()
+    src.emit(3, f"if steps > {src.key(max_steps)}: "
+                "raise TraceRuntimeError('step-limit', st.point)")
+    src.emit(1, "except BaseException:")
+    src.emit(2, "if steps > st.steps: st.steps = steps")
+    src.emit(2, "raise")
+    src.emit(1, "st.steps = steps")
+    code = "\n".join(["def hot_loop(st, v, iters):", *src.lines])
+    exec(compile(code, "<hot loop>", "exec"), src.ns)
+    return src.ns.pop("hot_loop")  # so the namespace holds no cycle
+
+
+class _Source:
+    """The lines and namespace of a hot loop's function. Every object the
+    lines use (a name, a point id, a literal, a closure) is a namespace
+    entry `_k<i>`; the lines hold only those keys, slots and temporaries
+    `x<i>`, one statement per C node. `steps`, the function's count, is
+    added to at the start of each run of inline statements, for the whole
+    run; before a call it is stored in `st.steps`, and read back after."""
+
+    def __init__(self):
+        self.lines = []
+        self.ns = {"UNSET": UNSET, "TraceRuntimeError": TraceRuntimeError,
+                   "_unset": _unset, "_convert": _convert,
+                   "_bad_token": _bad_token}
+        self.temps = 0
+        self.run = None  # [line index, indent, steps] of the open run
+
+    def key(self, obj):
+        key = f"_k{len(self.ns)}"
+        self.ns[key] = obj
+        return key
+
+    def temp(self):
+        self.temps += 1
+        return f"x{self.temps}"
+
+    def emit(self, ind, line):
+        self.lines.append("    " * ind + line)
+
+    def count(self, ind, steps):
+        if self.run is None:
+            self.run = [len(self.lines), ind, 0]
+            self.lines.append(None)
+        self.run[2] += steps
+
+    def close(self):
+        if self.run is not None:
+            i, ind, steps = self.run
+            self.lines[i] = "    " * ind + f"steps += {steps}"
+            self.run = None
+
+    def call(self, ind, closure):
+        """The temporary holding what `closure(st, v)` returns."""
+        self.close()
+        x = self.temp()
+        self.emit(ind, "st.steps = steps")
+        self.emit(ind, f"{x} = {self.key(closure)}(st, v)")
+        self.emit(ind, "steps = st.steps")
+        return x
+
+    def trap(self, ind, x):
+        self.emit(ind, f"if not {INT_MIN} <= {x} <= {INT_MAX}: "
+                       "raise TraceRuntimeError('integer-overflow', st.point)")
+
+    def read(self, ind, slot, name):
+        x = self.temp()
+        self.emit(ind, f"{x} = v[{slot}]")
+        self.emit(ind, f"if {x} is UNSET: raise _unset(st, {self.key(name)})")
+        return x
+
+    def expr(self, ind, plan):
+        """(operand, is_int, in_range) of an expression plan: a temporary
+        or key, whether it is an int, and whether an int is in range."""
+        self.count(ind, 1)
+        if plan[0] == "lit":
+            x = plan[1]
+            is_int = x.__class__ is int
+            return self.key(x), is_int, not is_int or INT_MIN <= x <= INT_MAX
+        if plan[0] == "var":
+            return self.read(ind, plan[1], plan[2]), plan[3], True
+        op, left, right = plan
+        x = self.temp()
+        if op in _COMPARE:
+            self.emit(ind, f"{x} = 1 if {self.compare(ind, plan)} else 0")
+            return x, True, True
+        a, a_int, _ = self.expr(ind, left)
+        b, b_int, _ = self.expr(ind, right)
+        self.emit(ind, f"{x} = {a} {op} {b}")
+        if a_int and b_int:
+            self.trap(ind, x)
+        return x, a_int and b_int, True
+
+    def compare(self, ind, plan):
+        """The Python test of a compare plan; an int compared with a
+        double is converted to double, as in C."""
+        op, left, right = plan
+        a, a_int, _ = self.expr(ind, left)
+        b, b_int, _ = self.expr(ind, right)
+        if a_int != b_int:
+            a, b = f"float({a})", f"float({b})"
+        return f"{a} {op} {b}"
+
+    def test(self, ind, plan):
+        """The Python test of a condition: a plan, or ("call", closure)."""
+        if plan[0] == "call":
+            return self.call(ind, plan[1])
+        if plan[0] not in _COMPARE:
+            return self.expr(ind, plan)[0]
+        self.count(ind, 1)
+        return self.compare(ind, plan)
+
+    def snapshot(self, ind, point):
+        pid, summary, getter, push, flat, fold_at = point
+        self.emit(ind, f"st.point = {self.key(pid)}")
+        self.emit(ind, f"{self.key(push)}({self.key(getter)}(v))")
+        if fold_at:
+            f = self.key(flat)
+            self.emit(ind, f"if len({f}) == {fold_at}:")
+            self.emit(ind + 1, f"{self.key(summary.fold)}({f})")
+            self.emit(ind + 1, f"{f}.clear()")
+
+    def stmt(self, ind, plan):
+        kind = plan[0]
+        if kind == "call":
+            x = self.call(ind, plan[1])
+            self.emit(ind, f"if {x} is not None: return {x}")
+        elif kind == "put":
+            _, count, slot, is_int, value = plan
+            self.count(ind, count)
+            x, x_int, in_range = self.expr(ind, value)
+            if x_int != is_int or not in_range:
+                x = f"_convert(st, {x}, {is_int})"
+            self.emit(ind, f"v[{slot}] = {x}")
+        elif kind == "incr":
+            _, count, slot, name, is_int, delta = plan
+            self.count(ind, count)
+            x = self.read(ind, slot, name)
+            self.emit(ind, f"{x} = {x} {'+' if delta > 0 else '-'} 1")
+            if is_int:
+                self.trap(ind, x)
+            self.emit(ind, f"v[{slot}] = {x}")
+        elif kind == "read":
+            _, count, slot, is_int, conv = plan
+            self.count(ind, count)
+            token, x = self.temp(), self.temp()
+            self.emit(ind, f"{token} = next(stdin, None)")
+            self.emit(ind, f"if {token} is None: raise TraceRuntimeError("
+                           "'scanf-exhausted', st.point)")
+            self.emit(ind, f"try: {x} = {conv.__name__}({token})")
+            self.emit(ind, "except ValueError: "
+                           f"raise _bad_token(st, {token}) from None")
+            if conv is int and is_int:
+                self.trap(ind, x)
+            elif (conv is int) != is_int:
+                x = f"_convert(st, {x}, {is_int})"
+            self.emit(ind, f"v[{slot}] = {x}")
+        else:
+            _, count, test, then_point, then, else_point, else_ = plan
+            if test[0] != "call":  # else the test's closure counts `count`
+                self.count(ind, count)
+            branches = [(f"if {self.test(ind, test)}:", then_point, then)]
+            if else_point is not None:
+                branches.append(("else:", else_point, else_))
+            for line, point, plans in branches:
+                self.emit(ind, line)
+                self.close()
+                self.snapshot(ind + 1, point)
+                for sub in plans:
+                    self.stmt(ind + 1, sub)
+                self.close()
 
 
 def normalize_output(s):

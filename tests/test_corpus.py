@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ def test_write_corpus_round_trips(tmp_path):
     for label, a in corpus.assignments.items():
         assert [p.text for p in back.assignments[label].programs] == \
             [p.text for p in a.programs]
+
+
+
+# An id that `ingest` would not give back for the file written.
+@pytest.mark.parametrize("pid", ["p0", "beta/p0", "alpha/", "alpha/a/b"])
+def test_write_corpus_rejects_an_id_that_is_not_label_slash_stem(tmp_path,
+                                                                 pid):
+    corpus = Corpus()
+    corpus.assignments["alpha"] = Assignment(
+        label="alpha", tests=[TestCase("1", "1")], programs=[
+            SourceProgram(id="alpha/ok", label="alpha", text=_ECHO),
+            SourceProgram(id=pid, label="alpha", text=_ECHO)])
+    with pytest.raises(ValueError, match=re.escape(repr(pid))):
+        write_corpus(corpus, str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 # sha256 of every corpus of the grid below: each program's id, label and

@@ -23,6 +23,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invclust import tracer
 from invclust.corpus import generate_synthetic_corpus
 from invclust.invariants import detect
 from invclust.nodes import Kind
@@ -631,23 +632,33 @@ def _replay_case(name):
     return tree, tests, fewest_steps(tree, tests)
 
 
-def test_fast_run_with_replay_equals_exact_run():
+# ... and with every loop handed to its compiled function after one or two
+# iterations, so the short loops of these programs run tiered too.
+def test_fast_run_with_replay_equals_exact_run(monkeypatch):
     replayed = []
+    tiered = []
+    hot_loop = tracer._hot_loop
+    monkeypatch.setattr(tracer, "_hot_loop",
+                        lambda *plan: tiered.append(plan) or hot_loop(*plan))
 
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(st.sampled_from(_REPLAY_NAMES).flatmap(lambda name: st.tuples(
-        st.just(name), st.integers(1, _replay_case(name)[2] + 5))))
+        st.just(name), st.integers(1, _replay_case(name)[2] + 5),
+        st.sampled_from([1, 2, tracer.HOT_ITERS]))))
     def check(case):
-        name, max_steps = case
+        name, max_steps, hot_iters = case
         tree, tests, _ = _replay_case(name)
         limits = Limits(max_steps=max_steps)
-        log, verdicts = run_suite(tree, tests, limits, record=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(tracer, "HOT_ITERS", hot_iters)
+            log, verdicts = run_suite(tree, tests, limits, record=True)
+            fast = _Program(tree, limits, TraceLog())
+            replayed.append(any(fast.run(test) is None for test in tests))
         exact_log, exact_verdicts = exact_suite(tree, tests, limits)
         assert verdicts == exact_verdicts
         assert log.errors == exact_log.errors
         assert log.to_json() == exact_log.to_json()
-        fast = _Program(tree, limits, TraceLog())
-        replayed.append(any(fast.run(test) is None for test in tests))
 
     check()
     assert any(replayed) and not all(replayed), replayed.count(True)
+    assert len(tiered) > 300, len(tiered)

@@ -1,5 +1,6 @@
 """Tree-walking interpreter and trace-collection tests."""
 
+import gc
 import inspect
 import json
 import sys
@@ -7,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from invclust.errors import UnresolvedIdentifier
+from invclust import cli, tracer
+from invclust.errors import CSyntaxError, UnresolvedIdentifier
 from invclust.invariants import detect
 from invclust.parser import parse
 from invclust.renamer import rename
@@ -546,3 +548,247 @@ def test_branch_points_recorded():
     log, _, _ = execute(parse(src), TestCase("", ""))
     assert "then-block" in log.point_kinds.values()
     assert "else-block" not in log.point_kinds.values()
+
+
+# --- the tier: a loop past HOT_ITERS iterations runs in compiled source ---
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The plans of the loops compiled for the tier while the test runs."""
+    plans = []
+    hot_loop = tracer._hot_loop
+    monkeypatch.setattr(tracer, "_hot_loop",
+                        lambda *plan: plans.append(plan) or hot_loop(*plan))
+    return plans
+
+
+def _tiered_equals_exact(compiled, tree, tests, limits=None):
+    """Runs the suite recorded and not, asserts that a loop tiered, and
+    that both runs give what the exact run gives. Returns the recorded
+    log."""
+    before = len(compiled)
+    log, verdicts = run_suite(tree, tests, limits, record=True)
+    # Unrecorded, each point folds its snapshots every FOLD_ROWS rows.
+    folded, folded_verdicts = run_suite(tree, tests, limits)
+    assert len(compiled) > before
+    exact_log, exact_verdicts = exact_suite(tree, tests, limits)
+    assert (log.to_json(), verdicts) == (exact_log.to_json(), exact_verdicts)
+    assert (folded.errors, folded_verdicts) == (log.errors, verdicts)
+    assert (detect(folded, min_samples=1).as_dict()
+            == detect(log, min_samples=1).as_dict())
+    return log
+
+
+_LONG = 3000  # iterations of the loops below, past HOT_ITERS
+
+
+def _counting(body, decls="", after=""):
+    """main with a loop of _LONG iterations over i, running `body`."""
+    return ("int main() {\n  int i = 0;\n  int s = 0;\n" + decls
+            + f"  while (i < {_LONG}) {{\n    {body}\n    i++;\n  }}\n"
+            + after + '  printf("%d", s);\n}\n')
+
+
+# Each fails 2,000 iterations in, in the tier.
+@pytest.mark.parametrize("src,stdin,error", [
+    (_counting("s = s + i;\n    if (i == 2000) {\n      s = s + u;\n    }",
+               "  int u;\n"), "",
+     "uninitialized-read at main/loop0/body/if0/then: u"),
+    (_counting("if (i == 2000) {\n      s = u < w;\n    }", "  int u, w;\n"),
+     "", "uninitialized-read at main/loop0/body/if0/then: u"),
+    (_counting("if (i == 2000) {\n      s = 9223372036854775808;\n    }"),
+     "", "integer-overflow at main/loop0/body/if0/then"),
+    (_counting("x = x + 1;", "  int x = 9223372036854775807 - 2000;\n"), "",
+     "integer-overflow at main/loop0/body"),
+    (_counting("x++;", "  int x = 9223372036854775807 - 2000;\n"), "",
+     "integer-overflow at main/loop0/body"),
+    (_counting('scanf("%d", &s);'), " ".join(["7"] * 2000),
+     "scanf-exhausted at main/loop0/body"),
+    (_counting('scanf("%d", &s);'), " ".join(["7"] * 2000 + ["x", "7"]),
+     "scanf-exhausted at main/loop0/body: bad input token 'x'"),
+    (_counting('scanf("%d", &s);'),
+     " ".join(["7"] * 2000 + ["9223372036854775808"]),
+     "integer-overflow at main/loop0/body"),
+], ids=["unset", "unset-compare", "literal-overflow", "overflow",
+        "overflow-incr", "exhausted", "bad-token", "token-overflow"])
+def test_error_in_the_tier_is_the_exact_one(compiled, src, stdin, error):
+    log = _tiered_equals_exact(compiled, parse(src), [TestCase(stdin, "")])
+    assert log.errors == [error]
+
+
+def test_loop_iteration_cap_in_the_tier(compiled):
+    log = _tiered_equals_exact(compiled, parse(_counting("s = s + i;")),
+                               [TestCase("", "")],
+                               Limits(max_loop_iters=2000))
+    assert log.errors == ["step-limit at main/loop0/body: loop iterations"]
+
+
+# The tier counts ahead and checks the limit at the back-edge, so a budget
+# that runs out in the tier reruns the suite exact.
+def test_step_limit_in_the_tier_is_the_exact_one(compiled):
+    tree = parse(_counting('scanf("%d", &x);\n    if (x > s) {\n'
+                           "      s = x;\n    }\n"
+                           "    if (x % 2 == 0) {\n      x = 0;\n    }",
+                           "  int x;\n"))
+    tests = [TestCase(" ".join(map(str, range(_LONG))), str(_LONG - 1))]
+    total = fewest_steps(tree, tests)
+    for max_steps in (total // 2, total - 1, total):
+        limits = Limits(max_steps=max_steps)
+        log = _tiered_equals_exact(compiled, tree, tests, limits)
+        assert _Program(tree, limits, TraceLog()).run(tests[0]) == (
+            "pass" if max_steps == total else None)
+        assert len(log.errors) == (max_steps < total)
+        assert all(e.startswith("step-limit at ") for e in log.errors)
+
+
+# As test_fast_run_past_the_limit_stops_soon, once the loop has tiered.
+def test_fast_run_past_the_limit_stops_soon_in_the_tier(compiled):
+    log = TraceLog()
+    src = ("int main() {\n  int i = 0;\n  int n = 1000000000;\n"
+           "  while (i < n) {\n    i = i + 1;\n  }\n}\n")
+    program = _Program(parse(src), Limits(max_steps=20_000), log)
+    assert program.run(TestCase("", "")) is None
+    assert compiled
+    point = log.points["main/loop0/body"]
+    point.summary.fold(point.flat)
+    assert 2_000 <= len(point) <= 20_000
+
+
+# Stores that convert, and compares of an int with a double, in the tier:
+# 2**53 + 1 compared with the double 2**53 is equal, as in C.
+def test_conversions_in_the_tier_are_exact(compiled):
+    src = _counting("d = i * 0.5;\n    s = d;\n    d = s;\n"
+                    "    if (big == top) {\n      s = s + 1;\n    }\n"
+                    "    if (d < big) {\n      s = s - 1;\n    }",
+                    "  double d;\n  int big = 9007199254740993;\n"
+                    "  double top = 9007199254740992.0;\n")
+    log = _tiered_equals_exact(compiled, parse(src), [TestCase("", "1499")])
+    assert log.errors == []
+    assert log.snapshots()["main/loop0/body/if0/then"][-1]["s"] == 1499
+
+
+# f's loop tiers, then calls f from the tier; the callee's loop tiers in the
+# function already compiled. With `10 / n`, the innermost call fails.
+_RECURSE_IN_LOOP = """\
+int f(int n) {
+  int i = 0;
+  int s = 0;
+  while (i < 1500) {
+    if (i == 1200) {
+      if (n > 0) {
+        s = s + f(n - 1);
+      }
+    }
+    s = s + 1;
+    i++;
+  }
+  return s + 10 / DIVISOR;
+}
+
+int main() {
+  int n;
+  scanf("%d", &n);
+  printf("%d", f(n));
+}
+"""
+
+
+@pytest.mark.parametrize("divisor,error", [
+    ("(n + 1)", None), ("n", "div-by-zero at f/loop0/body")])
+def test_recursive_call_from_the_tier(compiled, divisor, error):
+    tree = parse(_RECURSE_IN_LOOP.replace("DIVISOR", divisor))
+    tests = [TestCase("3", "6020")]
+    log = _tiered_equals_exact(compiled, tree, tests)
+    assert len(compiled) == 2  # once in each of the two programs run
+    assert log.errors == ([error] if error else [])
+    assert len(log.samples["f/entry"]) == 4
+    if error is None:
+        total = fewest_steps(tree, tests)
+        for max_steps in (total // 2, total - 1):
+            _tiered_equals_exact(compiled, tree, tests,
+                                 Limits(max_steps=max_steps))
+
+
+# Names that are Python's own words or the generated function's, and an
+# expression and `if`s nested just under the parser's MAX_DEPTH: no name
+# reaches the generated source as text, and no nesting either (the `if`s
+# take one indentation level each of Python's 100).
+_HOSTILE_NAMES = """\
+int UNSET(int lambda) {
+  int None = 0;
+  int st = 0;
+  int v;
+  while (st < lambda) {
+    scanf("%d", &v);
+    if (v > None) {
+      None = v;
+    }
+    st++;
+  }
+  return None;
+}
+
+int main() {
+  int lambda;
+  scanf("%d", &lambda);
+  printf("%d", UNSET(lambda));
+}
+"""
+
+
+def _deep_expression(depth):
+    return _counting("s = " + "".join(f"1 {'+-*'[d % 3]} ("
+                                      for d in range(depth))
+                     + "i" + ")" * depth + ";")
+
+
+def _deep_ifs(depth):
+    return _counting("".join(f"if (i > {d}) " for d in range(depth))
+                     + 'scanf("%d", &s);')
+
+
+def test_hostile_nesting_is_the_deepest_the_parser_takes():
+    for deepest in (_deep_expression(94), _deep_ifs(47)):
+        parse(deepest)
+    for deeper in (_deep_expression(95), _deep_ifs(48)):
+        with pytest.raises(CSyntaxError, match="nesting too deep"):
+            parse(deeper)
+
+
+@pytest.mark.parametrize("src,stdin", [
+    (_HOSTILE_NAMES, f"{_LONG} " + " ".join(map(str, range(_LONG)))),
+    (_deep_expression(94), ""),
+    (_deep_ifs(47), " ".join(["1"] * _LONG)),
+], ids=["names", "deep-expression", "deep-ifs"])
+def test_hostile_loop_in_the_tier(compiled, tmp_path, capsys, src, stdin):
+    tree = parse(src)
+    tests = [TestCase(stdin, "")]
+    log = _tiered_equals_exact(compiled, tree, tests)
+    assert log.errors == []
+    program = tmp_path / "hostile.c"
+    program.write_text(src)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t0.in").write_text(stdin + "\n")
+    (tmp_path / "tests" / "t0.out").write_text("\n")
+    before = len(compiled)
+    assert cli.main(["trace", str(program), "--tests",
+                     str(tmp_path / "tests"), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(compiled) > before
+    exact_log, exact_verdicts = exact_suite(_renamed(src), tests)
+    assert (payload["trace"], payload["verdicts"]) == (exact_log.to_json(),
+                                                       exact_verdicts)
+
+
+# Neither the compiled function nor its namespace holds the compiler or the
+# function table, so a program that tiered is freed by reference counts.
+def test_tiered_program_holds_no_reference_cycle(compiled):
+    tree = parse(_counting("s = s + i;"))
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite(tree, [TestCase("", "")])
+        assert compiled
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
