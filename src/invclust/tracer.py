@@ -39,27 +39,24 @@ Step accounting: one step per statement executed and one per expression
 node evaluated, in evaluation order; past `Limits.max_steps` the run stops
 with `step-limit` at the most recently entered point. A closure counts the
 steps of a node and of the ancestors whose evaluation starts with it in one
-addition. Leaf operands, that is scalar variables and literals (a literal
-is read from a slot of its own, as a variable that is never UNSET), are
-fused into their parent's closure: a compare or `+ - *` on two leaves is
-one closure. A store into a scalar is made inline by its statement's
-closure (by one reader per target for `scanf`), with a value that is
-`+ - *` on two leaves computed in the same closure. A loop's closure takes
-its body's snapshot, and an `if`'s runs a condition that compares two
-leaves inline. A fused closure counts all its steps at its start and
-checks no limit, so the count is only ever ahead of the exact one; the
-limit is also checked at each loop back-edge and each call, which bounds
-the work past it. A test whose count passes max_steps may not have reached
-it, so `run_suite` then reruns the suite compiled `exact`: nothing fused,
-and each node's closure checks the limit as soon as it counts its steps.
+addition, and checks the limit as soon as it has counted them, so closures
+stop exactly where the limit is passed. A literal is read from a slot of
+its own, as a variable that is never UNSET. A store into a scalar is made
+inline by its statement's closure (by one reader per target for `scanf`),
+and a loop's closure takes its body's snapshot. Only a tiered loop (below)
+counts ahead of the exact count, so a test whose count passes max_steps
+may not have reached it: `run_suite` then reruns the suite compiled
+`exact`, where no loop tiers.
 
 Hot loops: an execution of a loop that reaches HOT_ITERS iterations runs
 the rest in a function generated as Python source for that loop and
 compiled once per `_Program` (`_hot_loop`). It holds the loop's leaf
 operations, scalar stores, scalar `scanf`s, `++`/`--` and `if`s inline,
-calls the closure of any other statement, and counts ahead and checks the
-limit at the back-edge as a fused closure does. An exact run never tiers;
-a suite whose loops stop short of HOT_ITERS compiles no source.
+calls the closure of any other statement, and counts the steps of each
+run of inline statements at its start, ahead of their work; it checks the
+limit only at the back-edge and in the closures it calls. An exact run
+never tiers; a suite whose loops stop short of HOT_ITERS compiles no
+source.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -87,9 +84,9 @@ INT_MAX = 2**63 - 1
 # Python frames, the call's closure and the arithmetic's, so 225 calls take
 # 450 of Python's default recursion limit of 1000 and leave the rest to the
 # caller: the cap fires first even when the tracer is entered 500 frames
-# deep, fused or exact. A call nested deeper inside expressions costs more
-# frames; for it, running out of Python's stack is reported as this same
-# error, by the exact run.
+# deep. A call nested deeper inside expressions costs more frames; for it,
+# running out of Python's stack is reported as this same error, by the
+# exact run.
 MAX_CALL_DEPTH = 225
 
 # Snapshots a point buffers before folding them into its summary.
@@ -181,7 +178,7 @@ class TraceLog:
 _COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_FUSED = {**_COMPARE, **_ARITH}  # the operators fused with leaf operands
+_INLINED = {**_COMPARE, **_ARITH}  # the operators `inline` emits
 # What each printf directive of PRINTF_CONVERSION prints.
 _PRINTF = {"%": "%", "d": lambda st, x: str(_convert(st, x, True)),
            "f": lambda st, x: f"{float(x):.6f}"}
@@ -218,15 +215,6 @@ def _convert(st, value, is_int):
             raise TraceRuntimeError("integer-overflow", st.point)
         return value
     return float(value)
-
-
-def _apply(op, lint, rint):
-    """The function applying `op` to two values whose int-ness is lint and
-    rint; an int compared with a double is converted to double, as in C."""
-    if op in _COMPARE and lint != rint:
-        cmp = _COMPARE[op]
-        return lambda a, b: cmp(float(a), float(b))
-    return _FUSED[op]
 
 
 def _unset(st, name):
@@ -266,8 +254,8 @@ class _Compiler:
     (UNSET for a bare `return;`); expression closures take (state, slots)
     and return the value, never None. `pre` is the number of steps owed
     by the enclosing nodes whose evaluation begins with this node. With
-    `exact`, nothing is fused, so the count is never ahead (see the
-    module docstring)."""
+    `exact`, no loop tiers, so the count is never ahead (see the module
+    docstring)."""
 
     def __init__(self, root, limits, log, exact=False):
         self.exact = exact
@@ -337,7 +325,7 @@ class _Compiler:
         if node.kind == Kind.IDENT_REF:
             slot, is_array, is_int = self.resolve(node)
             return None if is_array else ("var", slot, node.identifier, is_int)
-        if node.kind != Kind.BINARY_OP or node.literal not in _FUSED:
+        if node.kind != Kind.BINARY_OP or node.literal not in _INLINED:
             return None
         left = self.inline(node.children[0])
         right = left and self.inline(node.children[1])
@@ -388,7 +376,7 @@ class _Compiler:
         def call(st, v):
             st.steps += count
             values = [a(st, v) for a in args]
-            if st.steps > max_steps:  # every call, as arguments may be fused
+            if st.steps > max_steps:  # for a call with no arguments
                 raise TraceRuntimeError("step-limit", st.point)
             frame, params, body, entry, exit_, returns = st.functions[name]
             st.depth += 1
@@ -528,12 +516,8 @@ class _Compiler:
         return declare
 
     def if_stmt(self, node, pid, pre):
-        """An `if`, whose condition runs inline if it compares two leaves."""
         cond_node = node.children[0]
-        ls, lname, _, rs, rname, _, cmp = \
-            self.leaves(cond_node, _COMPARE) or (None,) * 7
-        cond = self.expr(cond_node, pre + 1) if cmp is None else None
-        count = pre + 4
+        cond = self.expr(cond_node, pre + 1)
         then_snap, then_body, then_point = self.block(
             node.children[1].children, f"{pid}/then")
         else_snap, else_body, else_point = None, (), None
@@ -542,18 +526,7 @@ class _Compiler:
                 node.children[2].children, f"{pid}/else")
 
         def if_(st, v):
-            if cond is None:
-                st.steps += count
-                x = v[ls]
-                if x is UNSET:
-                    raise _unset(st, lname)
-                y = v[rs]
-                if y is UNSET:
-                    raise _unset(st, rname)
-                taken = cmp(x, y)
-            else:
-                taken = cond(st, v)
-            if taken:
+            if cond(st, v):
                 then_snap(st, v)
                 body = then_body
             elif else_snap is not None:
@@ -572,10 +545,9 @@ class _Compiler:
 
     def loop(self, node, pid, pre):
         """while (cond) body, or for (init; cond; step) body; an empty init
-        or step is an empty block. The closure takes the body's snapshot
-        and checks the step limit at the back-edge; an execution that
-        reaches `HOT_ITERS` iterations runs the rest in `_hot_loop`'s
-        function, compiled once per program."""
+        or step is an empty block. The closure takes the body's snapshot;
+        an execution that reaches `HOT_ITERS` iterations runs the rest in
+        `_hot_loop`'s function, compiled once per program."""
         owed = pre + 1  # the loop statement's step, and its ancestors'
         init = step = None
         if node.kind == Kind.WHILE:
@@ -598,7 +570,6 @@ class _Compiler:
             self.max_iters, self.max_steps)
         self.looping -= 1
         max_iters = self.max_iters
-        max_steps = self.max_steps
         hot = 0 if self.exact else HOT_ITERS  # 0: never
         tier = None
 
@@ -624,8 +595,6 @@ class _Compiler:
                         return r
                 if step is not None:
                     step(st, v)
-                if st.steps > max_steps:
-                    raise TraceRuntimeError("step-limit", st.point)
                 if iters == hot:
                     if tier is None:
                         tier = _hot_loop(*plan)
@@ -634,18 +603,15 @@ class _Compiler:
         return loop
 
     def put(self, slot, is_int, value, pre):
-        """The closure of a statement storing `value` into a scalar slot,
-        inline, and fused with `value` when it is `+ - *` on two leaves."""
-        assign = self.fused(value, _ARITH, pre + 3, slot, is_int)
-        if not assign:
-            expr = self.expr(value, pre)
+        """The statement closure storing `value` into a scalar slot inline."""
+        expr = self.expr(value, pre)
 
-            def assign(st, v):
-                x = expr(st, v)
-                if not (is_int and x.__class__ is int
-                        and INT_MIN <= x <= INT_MAX):
-                    x = _convert(st, x, is_int)
-                v[slot] = x
+        def assign(st, v):
+            x = expr(st, v)
+            if not (is_int and x.__class__ is int
+                    and INT_MIN <= x <= INT_MAX):
+                x = _convert(st, x, is_int)
+            v[slot] = x
         plan = self.planning() and self.inline(value)
         return self.planned(assign, plan and ("put", pre, slot, is_int, plan))
 
@@ -816,54 +782,7 @@ class _Compiler:
                 return slot, node.identifier, is_int
         return None
 
-    def leaves(self, node, ops):
-        """(left slot, left name, left is_int, right slot, right name, right
-        is_int, apply) of `node`, an operator in `ops` on two leaves, else
-        None, as always when exact; `apply` converts as `_apply` does."""
-        if self.exact:
-            return None
-        op = node.literal if node.kind == Kind.BINARY_OP else None
-        left = self.leaf(node.children[0]) if op in ops else None
-        right = left and self.leaf(node.children[1])
-        if not right:
-            return None
-        return (*left, *right, _apply(op, left[2], right[2]))
-
-    def fused(self, node, ops, count, slot=None, is_int=None):
-        """The closure of `node`, an operator in `ops` on two leaves, or None
-        if it is not one. It counts `count` steps (its own and what it owes),
-        reads the left leaf and the right, applies the operator, and returns
-        the value or stores it into `slot`."""
-        found = self.leaves(node, ops)
-        if not found:
-            return None
-        ls, lname, lint, rs, rname, rint, apply = found
-        compare = node.literal in _COMPARE
-        int_result = lint and rint
-        as_is = int_result == is_int  # the value needs no conversion
-
-        def leaf_op(st, v):
-            st.steps += count
-            x = v[ls]
-            if x is UNSET:
-                raise _unset(st, lname)
-            y = v[rs]
-            if y is UNSET:
-                raise _unset(st, rname)
-            x = apply(x, y)
-            if compare:
-                return 1 if x else 0
-            if int_result and not INT_MIN <= x <= INT_MAX:
-                raise TraceRuntimeError("integer-overflow", st.point)
-            if slot is None:
-                return x
-            v[slot] = x if as_is else _convert(st, x, is_int)
-        return leaf_op
-
     def binary(self, node, count):
-        fused = self.fused(node, _FUSED, count + 2)
-        if fused:
-            return fused
         op = node.literal
         left = self.expr(node.children[0], count)
         right = self.expr(node.children[1])
@@ -1118,14 +1037,14 @@ def normalize_output(s):
 
 class _Program:
     """A translation unit compiled for one set of limits, recording into
-    one log; fused, or with `exact`, not."""
+    one log; with `exact`, no loop tiers."""
 
     def __init__(self, tree, limits, log, exact=False):
         limits = limits or Limits()
         compiler = _Compiler(tree, limits, log, exact)
         self.log = log
-        # A fast count past max_steps calls for an exact run; an exact
-        # count never does.
+        # A count past max_steps may have run ahead in a tiered loop, so it
+        # calls for an exact run; an exact count never does.
         self.replay_past = math.inf if exact else limits.max_steps
         self.functions = compiler.functions
         self.main = None
@@ -1135,8 +1054,8 @@ class _Program:
     def run(self, test):
         """Run one test, adding its snapshots and any error to the log, and
         its output too when the log records. Returns the verdict, or None
-        when the count ran ahead past max_steps and the test needs an exact
-        run."""
+        when the count passed max_steps, where a tiered loop may have run
+        ahead, and the test needs an exact run."""
         st = _State(self.functions, test.stdin_text)
         log = self.log
         verdict = "error"
@@ -1147,7 +1066,7 @@ class _Program:
                                             "no 'main' function")
                 self.main(st, None)
             except RecursionError:  # Python's stack ran out before the cap
-                st.steps = math.inf  # where depends on fusion: run exactly
+                st.steps = math.inf  # where depends on the tier: run exactly
                 raise TraceRuntimeError("step-limit", st.point,
                                         "call depth") from None
             ok = (normalize_output("".join(st.out))

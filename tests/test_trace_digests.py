@@ -633,10 +633,13 @@ def _replay_case(name):
 
 
 # ... and with every loop handed to its compiled function after one or two
-# iterations, so the short loops of these programs run tiered too.
+# iterations, so the short loops of these programs run tiered too. Where no
+# loop tiers, the fast run alone, with no replay, gives the exact log: only
+# the tier counts ahead.
 def test_fast_run_with_replay_equals_exact_run(monkeypatch):
     replayed = []
     tiered = []
+    untiered = []  # the draws in which no loop tiered
     hot_loop = tracer._hot_loop
     monkeypatch.setattr(tracer, "_hot_loop",
                         lambda *plan: tiered.append(plan) or hot_loop(*plan))
@@ -649,16 +652,24 @@ def test_fast_run_with_replay_equals_exact_run(monkeypatch):
         name, max_steps, hot_iters = case
         tree, tests, _ = _replay_case(name)
         limits = Limits(max_steps=max_steps)
+        before = len(tiered)
         with monkeypatch.context() as patch:
             patch.setattr(tracer, "HOT_ITERS", hot_iters)
             log, verdicts = run_suite(tree, tests, limits, record=True)
-            fast = _Program(tree, limits, TraceLog())
-            replayed.append(any(fast.run(test) is None for test in tests))
+            fast_log = TraceLog(record=True)
+            fast = _Program(tree, limits, fast_log)
+            replayed.append(None in [fast.run(test) for test in tests])
         exact_log, exact_verdicts = exact_suite(tree, tests, limits)
         assert verdicts == exact_verdicts
         assert log.errors == exact_log.errors
         assert log.to_json() == exact_log.to_json()
+        if len(tiered) == before:
+            for point in fast_log.points.values():
+                point.summary.fold(point.flat)
+            assert fast_log.to_json() == exact_log.to_json()
+            untiered.append(case)
 
     check()
+    assert len(untiered) > 300, len(untiered)
     assert any(replayed) and not all(replayed), replayed.count(True)
     assert len(tiered) > 300, len(tiered)

@@ -99,7 +99,7 @@ def test_call_depth_cap_is_the_limit(caller_frames):
     assert log.errors == ["step-limit at f/entry: call depth"]
     assert len(log.samples["f/entry"]) == MAX_CALL_DEPTH - 1
     # One step short, the run is replayed exact; it recurses to the cap as
-    # the fused run did, and stops at the last step, the outer `+ 1`.
+    # the fast run did, and stops at the last step, the outer `+ 1`.
     total = fewest_steps(tree, [_recurse_test(MAX_CALL_DEPTH)])
     log, _, verdict = _nested(
         caller_frames,
@@ -109,9 +109,9 @@ def test_call_depth_cap_is_the_limit(caller_frames):
     assert len(log.samples["f/entry"]) == MAX_CALL_DEPTH - 1
 
 
-# Where Python's stack runs out depends on the frames a call's arguments
-# take, fewer when fused; at every caller depth the fused run defers to the
-# exact one, which reports it.
+# Where Python's stack runs out depends on the frames between calls, one
+# more where a tiered loop's function runs; at every caller depth the fast
+# run defers to the exact one, which reports it.
 def test_python_stack_overflow_is_reported_by_the_exact_run():
     expr = "1 + (" * 40 + "f(n + 1)" + ")" * 40
     tree = parse("int f(int n) {\n  return " + expr + ";\n}\n\n"
@@ -127,9 +127,10 @@ def test_python_stack_overflow_is_reported_by_the_exact_run():
                                              exact_verdicts), frames
 
 
-# Every closure of the loop and of f is fused, so only the checks at the
-# loop's back-edge and at each call stop the fast run once its count has
-# passed the limit: the work it throws away stays near max_steps.
+# Short of HOT_ITERS iterations, closures check the limit as they count
+# their steps, so the fast run stops where the exact run does. It still
+# returns None, asking for the exact run: a count past the limit cannot
+# tell whether a loop tiered.
 @pytest.mark.parametrize("src,pid", [
     ("int main() {\n  int i = 0;\n  int n = 1000000000;\n"
      "  while (i < n) {\n    i = i + 1;\n  }\n}\n", "main/loop0/body"),
@@ -137,12 +138,15 @@ def test_python_stack_overflow_is_reported_by_the_exact_run():
      "  }\n}\n\nint main() {\n  f(16);\n}\n", "f/entry"),
 ])
 def test_fast_run_past_the_limit_stops_soon(src, pid):
+    tree, tests = parse(src), [TestCase("", "")]
+    limits = Limits(max_steps=1000)
     log = TraceLog()
-    program = _Program(parse(src), Limits(max_steps=1000), log)
-    assert program.run(TestCase("", "")) is None
+    program = _Program(tree, limits, log)
+    assert program.run(tests[0]) is None
     point = log.points[pid]
     point.summary.fold(point.flat)
-    assert 100 <= len(point) <= 1000
+    exact_log, _ = exact_suite(tree, tests, limits)
+    assert len(point) == len(exact_log.points[pid]) > 100
 
 
 def test_python_stack_overflow_below_the_cap_is_call_depth_error():
