@@ -465,15 +465,23 @@ def write_projection(ids, X, path):
 
 def project_2d(ids, X):
     """The rows of X, row i being program ids[i], on their top two
-    principal axes: [(id, x, y), ...]. The axes are the first two right
-    singular vectors of the centred X, each oriented so that its
-    largest-magnitude component is positive; an axis with no variance
-    gives 0.0, so one vector, like identical ones, projects to the origin."""
+    principal axes: [(id, x, y), ...]. The axes are the eigenvectors of
+    the two largest eigenvalues of the centred X's smaller Gram matrix:
+    Xcᵀ Xc, or Xc Xcᵀ, whose eigenvector u gives the axis Xcᵀ u
+    normalized (no SVD, whose LAPACK routine can stall on its first call
+    in a process). Each axis is oriented so that its largest-magnitude
+    component is positive; an axis with no variance gives 0.0, so one
+    vector, like identical ones, projects to the origin."""
     Xc = X - X.mean(axis=0)
-    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+    wide = len(Xc) <= Xc.shape[1]
+    eigvals, eigvecs = np.linalg.eigh(Xc @ Xc.T if wide else Xc.T @ Xc)
     coords = np.zeros((len(ids), 2))
-    for a, (sigma, v) in enumerate(zip(s[:2], vt[:2])):
-        if sigma * sigma / len(ids) > 1e-15:
+    for a, i in enumerate(np.argsort(eigvals)[::-1][:2]):
+        if eigvals[i] / len(ids) > 1e-15:
+            v = eigvecs[:, i]
+            if wide:
+                v = Xc.T @ v
+                v /= np.linalg.norm(v)
             v = v if v[np.argmax(np.abs(v))] > 0 else -v
             coords[:, a] = Xc @ v
     return [(pid, float(x), float(y)) for pid, (x, y) in zip(ids, coords)]

@@ -28,9 +28,12 @@ top scope, and every `return` and the fall-off share it; at an early
 return a name declared later reads `UNSET`. A snapshot is the schema's
 values, `UNSET` for a variable not set yet; no dict or tuple is kept.
 Each point buffers its snapshots as one flat list, row after row, and
-folds it into its `PointSummary` every FOLD_ROWS snapshots, so a trace
-takes memory in proportion to its points, not to its length; a point
-with no scalar in scope buffers a None per snapshot. A recorded trace
+folds it into its `PointSummary` once it holds FOLD_ROWS snapshots: a
+snapshot closure checks after each push, and a tiered loop (below) folds
+the points it snapshots at its back-edge every FOLD_ROWS of its tiered
+iterations, so no buffer holds 2 * FOLD_ROWS rows, and a trace takes
+memory in proportion to its points, not to its length; a point with no
+scalar in scope buffers a None per snapshot. A recorded trace
 (`record=True`, for `invclust trace --json`, `execute` and tests that read
 snapshots) keeps every value and each test's stdout as well, and regroups
 the values into rows when they are read.
@@ -44,9 +47,10 @@ stop exactly where the limit is passed. A literal is read from a slot of
 its own, as a variable that is never UNSET. A store into a scalar is made
 inline by its statement's closure (by one reader per target for `scanf`),
 and a loop's closure takes its body's snapshot. Only a tiered loop (below)
-counts ahead of the exact count, so a test whose count passes max_steps
-may not have reached it: `run_suite` then reruns the suite compiled
-`exact`, where no loop tiers.
+counts ahead of the exact count, so a test in which a loop tiered and
+whose count passes max_steps (or whose Python stack ran out) may not have
+reached it: `run_suite` then reruns the suite compiled `exact`, where no
+loop tiers. With no tier, the run is the exact run and stands.
 
 Hot loops: an execution of a loop that reaches HOT_ITERS iterations runs
 the rest in a function generated as Python source for that loop and
@@ -54,9 +58,14 @@ compiled once per `_Program` (`_hot_loop`). It holds the loop's leaf
 operations, scalar stores, scalar `scanf`s, `++`/`--` and `if`s inline,
 calls the closure of any other statement, and counts the steps of each
 run of inline statements at its start, ahead of their work; it checks the
-limit only at the back-edge and in the closures it calls. An exact run
-never tiers; a suite whose loops stop short of HOT_ITERS compiles no
-source.
+limit only at the back-edge and in the closures it calls. Within an
+iteration it loads and checks a scalar once: a later read or snapshot
+uses the value a checked read or a store left, until a call, which may
+store into any slot, or a join whose paths disagree. A snapshot whose
+layout declares no name twice is the tuple of those values, added to the
+point's buffer with no getter. Every object the source uses is bound as a
+default argument, so it loads as a local. An exact run never tiers; a
+suite whose loops stop short of HOT_ITERS compiles no source.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -193,7 +202,8 @@ class _State:
     look callees up here, so no closure holds the table that holds it and
     a compiled program is freed without the cyclic collector."""
 
-    __slots__ = ("functions", "steps", "depth", "point", "stdin", "out")
+    __slots__ = ("functions", "steps", "depth", "point", "stdin", "out",
+                 "tiered")
 
     def __init__(self, functions, stdin_text):
         self.functions = functions
@@ -202,6 +212,7 @@ class _State:
         self.point = "start"   # most recently entered point, for diagnostics
         self.stdin = iter(stdin_text.split())  # the tokens not read yet
         self.out = []
+        self.tiered = False  # whether a loop ran on in its tier
 
 
 def _convert(st, value, is_int):
@@ -228,12 +239,12 @@ def _bad_token(st, token):
                              f"bad input token {token!r}")
 
 
-def _snapshot(pid, summary, getter, push, flat, fold_at):
+def _snapshot(pid, summary, getter, push, flat, fold_at, _layout):
     """The closure recording point pid, from `_Compiler.point`'s parts."""
     def snap(st, v):
         st.point = pid
         push(getter(v))
-        if len(flat) == fold_at:
+        if len(flat) >= fold_at:
             summary.fold(flat)
             flat.clear()
     return snap
@@ -262,7 +273,7 @@ class _Compiler:
         self.max_steps = limits.max_steps
         self.max_iters = limits.max_loop_iters
         self.points = log.points
-        self.fold_at = 0 if log.record else FOLD_ROWS  # 0: never
+        self.record = log.record
         self.plans = {}  # statement closure -> its plan (see `plan`)
         self.looping = 0  # loops being compiled; plans are made in them
         self.functions = {fn.identifier: self.function(fn)
@@ -332,10 +343,12 @@ class _Compiler:
         return (node.literal, left, right) if right else None
 
     def point(self, pid, scopes):
-        """(pid, summary, getter, push, flat, fold_at): a snapshot of point
-        pid is `push(getter(v))`, the scalar variables of `scopes`, outer
-        scopes first, in its schema, and `flat` folds at fold_at values.
-        Arrays are left out (a slot's binding never changes)."""
+        """(pid, summary, getter, push, flat, fold_at, layout): a snapshot
+        of point pid is `push(getter(v))`, the scalar variables of
+        `scopes`, outer scopes first, in its schema, and `flat` folds once
+        it holds fold_at values (never, when recorded). The layout, each
+        variable's (name, slot), is for the tier. Arrays are left out (a
+        slot's binding never changes)."""
         assert pid not in self.points, f"point {pid} compiled twice"
         layout = [(name, slot) for scope in scopes
                   for name, slot in scope.items() if not self.binding[slot][0]]
@@ -343,9 +356,10 @@ class _Compiler:
             dict.fromkeys(name for name, _ in layout))
         getter, single = _row_getter(point.names, layout)
         flat = point.flat
+        fold_at = (math.inf if self.record
+                   else FOLD_ROWS * (len(point.names) or 1))
         return (pid, point.summary, getter,
-                flat.append if single else flat.extend, flat,
-                self.fold_at * (len(point.names) or 1))
+                flat.append if single else flat.extend, flat, fold_at, layout)
 
     # --- functions and calls ---
 
@@ -563,7 +577,7 @@ class _Compiler:
         cond = self.expr(cond_node)
         pid += "/body"
         _, body, point = self.block(body_node.children, pid)
-        _, summary, getter, push, flat, fold_at = point
+        _, summary, getter, push, flat, fold_at, _ = point
         plan = self.planning() and (
             self.inline(cond_node) or ("call", cond), point,
             self.plan(body), step and self.plan((step,))[0],
@@ -586,7 +600,7 @@ class _Compiler:
                                             "loop iterations")
                 st.point = pid
                 push(getter(v))
-                if len(flat) == fold_at:
+                if len(flat) >= fold_at:
                     summary.fold(flat)
                     flat.clear()
                 for s in body:
@@ -598,6 +612,7 @@ class _Compiler:
                 if iters == hot:
                     if tier is None:
                         tier = _hot_loop(*plan)
+                    st.tiered = True
                     return tier(st, v, iters)
             return None
         return loop
@@ -844,9 +859,20 @@ class _Compiler:
 def _hot_loop(cond, point, body, step, max_iters, max_steps):
     """The function (st, v, iters) that runs a loop's execution on from its
     back-edge after `iters` iterations, its statements' plans inline. Its
-    count is stored in `st.steps` before every call, return and error."""
+    count is stored in `st.steps` before every call, return and error.
+
+    Unrecorded, it folds the points it snapshots at the back-edge once
+    every FOLD_ROWS tiered iterations of the loop. The count of those left
+    to the next fold is one cell shared by every execution of the loop,
+    held in `due` between calls, so the rows that a call's execution of
+    the same loop adds count too. A buffer then holds fewer than FOLD_ROWS
+    rows past its fold_at: an execution's first snapshots are its
+    closure's, which fold a buffer at or past fold_at."""
     src = _Source()
     src.emit(1, "steps, stdin = st.steps, st.stdin")
+    if point[5] < math.inf:  # the body's fold_at: unrecorded, it folds
+        src.left = src.key([FOLD_ROWS])
+        src.emit(1, f"due = iters + {src.left}[0]")
     src.emit(1, "try:")
     src.emit(2, "while True:")
     src.emit(3, f"if not {src.test(3, cond)}: break")
@@ -860,11 +886,20 @@ def _hot_loop(cond, point, body, step, max_iters, max_steps):
     src.close()
     src.emit(3, f"if steps > {src.key(max_steps)}: "
                 "raise TraceRuntimeError('step-limit', st.point)")
+    if src.left:
+        src.emit(3, "if iters >= due:")
+        src.emit(4, f"due = iters + {FOLD_ROWS}")
+        for line in src.folds:
+            src.emit(4, line)
     src.emit(1, "except BaseException:")
     src.emit(2, "if steps > st.steps: st.steps = steps")
     src.emit(2, "raise")
     src.emit(1, "st.steps = steps")
-    code = "\n".join(["def hot_loop(st, v, iters):", *src.lines])
+    if src.left:
+        src.emit(1, f"{src.left}[0] = due - iters")
+    defaults = ", ".join(f"{k}={k}" for k in src.ns)
+    code = "\n".join([f"def hot_loop(st, v, iters, *, {defaults}):",
+                      *src.lines])
     exec(compile(code, "<hot loop>", "exec"), src.ns)
     return src.ns.pop("hot_loop")  # so the namespace holds no cycle
 
@@ -872,10 +907,19 @@ def _hot_loop(cond, point, body, step, max_iters, max_steps):
 class _Source:
     """The lines and namespace of a hot loop's function. Every object the
     lines use (a name, a point id, a literal, a closure) is a namespace
-    entry `_k<i>`; the lines hold only those keys, slots and temporaries
-    `x<i>`, one statement per C node. `steps`, the function's count, is
-    added to at the start of each run of inline statements, for the whole
-    run; before a call it is stored in `st.steps`, and read back after."""
+    entry `_k<i>`, bound as a keyword-only default so that it loads as a
+    local; the lines hold only those keys, slots and temporaries `x<i>`,
+    one statement per C node, each temporary assigned once. `steps`, the
+    function's count, is added to at the start of each run of inline
+    statements, for the whole run; before a call it is stored in
+    `st.steps`, and read back after.
+
+    `known` maps a slot to the operand that holds its value, set by a
+    checked read or a store earlier in the iteration; a later read or
+    snapshot of the slot uses it, with no load and no UNSET check. It
+    starts empty at the loop's head, a call empties it (the closure may
+    store into any slot), and past an `if` it keeps what all paths agree
+    on."""
 
     def __init__(self):
         self.lines = []
@@ -884,6 +928,9 @@ class _Source:
                    "_bad_token": _bad_token}
         self.temps = 0
         self.run = None  # [line index, indent, steps] of the open run
+        self.known = {}
+        self.folds = []  # a line folding each point snapshot inline
+        self.left = None  # key of the iterations left to the next fold
 
     def key(self, obj):
         key = f"_k{len(self.ns)}"
@@ -896,6 +943,12 @@ class _Source:
 
     def emit(self, ind, line):
         self.lines.append("    " * ind + line)
+
+    def fresh(self, ind, value):
+        """A new temporary holding `value`."""
+        x = self.temp()
+        self.emit(ind, f"{x} = {value}")
+        return x
 
     def count(self, ind, steps):
         if self.run is None:
@@ -912,10 +965,14 @@ class _Source:
     def call(self, ind, closure):
         """The temporary holding what `closure(st, v)` returns."""
         self.close()
-        x = self.temp()
+        self.known = {}
         self.emit(ind, "st.steps = steps")
-        self.emit(ind, f"{x} = {self.key(closure)}(st, v)")
+        if self.left:
+            self.emit(ind, f"{self.left}[0] = due - iters")
+        x = self.fresh(ind, f"{self.key(closure)}(st, v)")
         self.emit(ind, "steps = st.steps")
+        if self.left:
+            self.emit(ind, f"due = iters + {self.left}[0]")
         return x
 
     def trap(self, ind, x):
@@ -923,10 +980,18 @@ class _Source:
                        "raise TraceRuntimeError('integer-overflow', st.point)")
 
     def read(self, ind, slot, name):
-        x = self.temp()
-        self.emit(ind, f"{x} = v[{slot}]")
-        self.emit(ind, f"if {x} is UNSET: raise _unset(st, {self.key(name)})")
+        """The operand holding a scalar slot's value, checked set."""
+        x = self.known.get(slot)
+        if x is None:
+            x = self.fresh(ind, f"v[{slot}]")
+            self.emit(ind, f"if {x} is UNSET: "
+                           f"raise _unset(st, {self.key(name)})")
+            self.known[slot] = x
         return x
+
+    def store(self, ind, slot, x):
+        self.emit(ind, f"v[{slot}] = {x}")
+        self.known[slot] = x
 
     def expr(self, ind, plan):
         """(operand, is_int, in_range) of an expression plan: a temporary
@@ -939,13 +1004,12 @@ class _Source:
         if plan[0] == "var":
             return self.read(ind, plan[1], plan[2]), plan[3], True
         op, left, right = plan
-        x = self.temp()
         if op in _COMPARE:
-            self.emit(ind, f"{x} = 1 if {self.compare(ind, plan)} else 0")
-            return x, True, True
+            return (self.fresh(ind, f"1 if {self.compare(ind, plan)} else 0"),
+                    True, True)
         a, a_int, _ = self.expr(ind, left)
         b, b_int, _ = self.expr(ind, right)
-        self.emit(ind, f"{x} = {a} {op} {b}")
+        x = self.fresh(ind, f"{a} {op} {b}")
         if a_int and b_int:
             self.trap(ind, x)
         return x, a_int and b_int, True
@@ -970,14 +1034,21 @@ class _Source:
         return self.compare(ind, plan)
 
     def snapshot(self, ind, point):
-        pid, summary, getter, push, flat, fold_at = point
+        """A point's snapshot: its values as one tuple, or one value, when
+        its layout declares no name twice, else through its getter. A point
+        that folds is folded at the back-edge (see `_hot_loop`)."""
+        pid, summary, getter, push, flat, fold_at, layout = point
+        f = self.key(flat)
         self.emit(ind, f"st.point = {self.key(pid)}")
-        self.emit(ind, f"{self.key(push)}({self.key(getter)}(v))")
-        if fold_at:
-            f = self.key(flat)
-            self.emit(ind, f"if len({f}) == {fold_at}:")
-            self.emit(ind + 1, f"{self.key(summary.fold)}({f})")
-            self.emit(ind + 1, f"{f}.clear()")
+        values = [self.known.get(slot) or f"v[{slot}]" for _, slot in layout]
+        if len(values) == 1:
+            self.emit(ind, f"{self.key(push)}({values[0]})")
+        elif values and len(dict(layout)) == len(layout):
+            self.emit(ind, f"{f} += ({', '.join(values)})")
+        else:  # no scalar, or a name declared twice
+            self.emit(ind, f"{self.key(push)}({self.key(getter)}(v))")
+        if fold_at < math.inf:
+            self.folds.append(f"{self.key(summary.fold)}({f}); {f}.clear()")
 
     def stmt(self, ind, plan):
         kind = plan[0]
@@ -989,16 +1060,16 @@ class _Source:
             self.count(ind, count)
             x, x_int, in_range = self.expr(ind, value)
             if x_int != is_int or not in_range:
-                x = f"_convert(st, {x}, {is_int})"
-            self.emit(ind, f"v[{slot}] = {x}")
+                x = self.fresh(ind, f"_convert(st, {x}, {is_int})")
+            self.store(ind, slot, x)
         elif kind == "incr":
             _, count, slot, name, is_int, delta = plan
             self.count(ind, count)
             x = self.read(ind, slot, name)
-            self.emit(ind, f"{x} = {x} {'+' if delta > 0 else '-'} 1")
+            x = self.fresh(ind, f"{x} {'+' if delta > 0 else '-'} 1")
             if is_int:
                 self.trap(ind, x)
-            self.emit(ind, f"v[{slot}] = {x}")
+            self.store(ind, slot, x)
         elif kind == "read":
             _, count, slot, is_int, conv = plan
             self.count(ind, count)
@@ -1012,8 +1083,8 @@ class _Source:
             if conv is int and is_int:
                 self.trap(ind, x)
             elif (conv is int) != is_int:
-                x = f"_convert(st, {x}, {is_int})"
-            self.emit(ind, f"v[{slot}] = {x}")
+                x = self.fresh(ind, f"_convert(st, {x}, {is_int})")
+            self.store(ind, slot, x)
         else:
             _, count, test, then_point, then, else_point, else_ = plan
             if test[0] != "call":  # else the test's closure counts `count`
@@ -1021,13 +1092,19 @@ class _Source:
             branches = [(f"if {self.test(ind, test)}:", then_point, then)]
             if else_point is not None:
                 branches.append(("else:", else_point, else_))
+            before = self.known  # as the test left it
+            paths = [] if else_point is not None else [before]
             for line, point, plans in branches:
                 self.emit(ind, line)
                 self.close()
+                self.known = dict(before)
                 self.snapshot(ind + 1, point)
                 for sub in plans:
                     self.stmt(ind + 1, sub)
                 self.close()
+                paths.append(self.known)
+            self.known = {slot: x for slot, x in paths[0].items()
+                          if all(p.get(slot) == x for p in paths[1:])}
 
 
 def normalize_output(s):
@@ -1043,9 +1120,7 @@ class _Program:
         limits = limits or Limits()
         compiler = _Compiler(tree, limits, log, exact)
         self.log = log
-        # A count past max_steps may have run ahead in a tiered loop, so it
-        # calls for an exact run; an exact count never does.
-        self.replay_past = math.inf if exact else limits.max_steps
+        self.max_steps = limits.max_steps
         self.functions = compiler.functions
         self.main = None
         if "main" in compiler.functions:
@@ -1054,8 +1129,9 @@ class _Program:
     def run(self, test):
         """Run one test, adding its snapshots and any error to the log, and
         its output too when the log records. Returns the verdict, or None
-        when the count passed max_steps, where a tiered loop may have run
-        ahead, and the test needs an exact run."""
+        when a loop tiered and the count passed max_steps or Python's stack
+        ran out: the tier may have counted ahead, or taken a frame, so the
+        test needs an exact run. With no tier, the run is the exact run."""
         st = _State(self.functions, test.stdin_text)
         log = self.log
         verdict = "error"
@@ -1066,7 +1142,7 @@ class _Program:
                                             "no 'main' function")
                 self.main(st, None)
             except RecursionError:  # Python's stack ran out before the cap
-                st.steps = math.inf  # where depends on the tier: run exactly
+                st.steps = math.inf  # where may depend on the tier
                 raise TraceRuntimeError("step-limit", st.point,
                                         "call depth") from None
             ok = (normalize_output("".join(st.out))
@@ -1076,7 +1152,19 @@ class _Program:
             log.errors.append(str(e))
         if log.record:
             log.outputs.append("".join(st.out))
-        return None if st.steps > self.replay_past else verdict
+        return None if st.tiered and st.steps > self.max_steps else verdict
+
+    def run_all(self, tests):
+        """Each test's verdict, in order, or None at the first test that
+        needs an exact run. Every test starts at the same depth of Python's
+        stack, fast or exact, so where the stack runs out does not depend
+        on which run it is."""
+        verdicts = []
+        for test in tests:
+            verdicts.append(self.run(test))
+            if verdicts[-1] is None:
+                return None
+        return verdicts
 
 
 def _row_getter(names, layout):
@@ -1121,15 +1209,10 @@ def run_suite(tree, tests, limits=None, record=False):
     if not tests:
         raise ValueError("test suite is empty")
     log = TraceLog(record)
-    program = _Program(tree, limits, log)
-    verdicts = []
-    for test in tests:
-        verdicts.append(program.run(test))
-        if verdicts[-1] is None:
-            log = TraceLog(record)
-            program = _Program(tree, limits, log, exact=True)
-            verdicts = [program.run(test) for test in tests]
-            break
+    verdicts = _Program(tree, limits, log).run_all(tests)
+    if verdicts is None:
+        log = TraceLog(record)
+        verdicts = _Program(tree, limits, log, exact=True).run_all(tests)
     for point in log.points.values():
         point.summary.fold(point.flat)
         if not record:

@@ -266,8 +266,7 @@ def exact_suite(tree, tests, limits=None):
     """(TraceLog, verdicts) of the suite run compiled exact, as `run_suite`
     runs it when a count runs ahead past max_steps, recorded."""
     log = TraceLog(record=True)
-    program = _Program(tree, limits, log, exact=True)
-    verdicts = [program.run(test) for test in tests]
+    verdicts = _Program(tree, limits, log, exact=True).run_all(tests)
     for point in log.points.values():
         point.summary.fold(point.flat)
     return log, verdicts

@@ -634,8 +634,8 @@ def _replay_case(name):
 
 # ... and with every loop handed to its compiled function after one or two
 # iterations, so the short loops of these programs run tiered too. Where no
-# loop tiers, the fast run alone, with no replay, gives the exact log: only
-# the tier counts ahead.
+# loop tiers, the fast run alone gives the exact log and asks for no replay:
+# only the tier counts ahead.
 def test_fast_run_with_replay_equals_exact_run(monkeypatch):
     replayed = []
     tiered = []
@@ -664,6 +664,7 @@ def test_fast_run_with_replay_equals_exact_run(monkeypatch):
         assert log.errors == exact_log.errors
         assert log.to_json() == exact_log.to_json()
         if len(tiered) == before:
+            assert not replayed[-1]
             for point in fast_log.points.values():
                 point.summary.fold(point.flat)
             assert fast_log.to_json() == exact_log.to_json()

@@ -10,7 +10,7 @@ import pytest
 
 from invclust import cli, tracer
 from invclust.errors import CSyntaxError, UnresolvedIdentifier
-from invclust.invariants import detect
+from invclust.invariants import PointSummary, detect
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.tracer import (MAX_CALL_DEPTH, Limits, TestCase, TraceLog,
@@ -110,8 +110,9 @@ def test_call_depth_cap_is_the_limit(caller_frames):
 
 
 # Where Python's stack runs out depends on the frames between calls, one
-# more where a tiered loop's function runs; at every caller depth the fast
-# run defers to the exact one, which reports it.
+# more where a tiered loop's function runs. No loop runs here, so the fast
+# run is the exact run: at every caller depth it reports what the exact run
+# alone reports, each test starting at the same depth in both.
 def test_python_stack_overflow_is_reported_by_the_exact_run():
     expr = "1 + (" * 40 + "f(n + 1)" + ")" * 40
     tree = parse("int f(int n) {\n  return " + expr + ";\n}\n\n"
@@ -128,25 +129,50 @@ def test_python_stack_overflow_is_reported_by_the_exact_run():
 
 
 # Short of HOT_ITERS iterations, closures check the limit as they count
-# their steps, so the fast run stops where the exact run does. It still
-# returns None, asking for the exact run: a count past the limit cannot
-# tell whether a loop tiered.
+# their steps, so the fast run stops where the exact run does; with no loop
+# tiered it is the exact run, and it returns its verdict, asking for none.
+_TREE_RECURSION = ("void f(int n) {\n  if (n > 0) {\n    f(n - 1);\n"
+                   "    f(n - 1);\n  }\n}\n\nint main() {\n  f(16);\n}\n")
+
+
 @pytest.mark.parametrize("src,pid", [
     ("int main() {\n  int i = 0;\n  int n = 1000000000;\n"
      "  while (i < n) {\n    i = i + 1;\n  }\n}\n", "main/loop0/body"),
-    ("void f(int n) {\n  if (n > 0) {\n    f(n - 1);\n    f(n - 1);\n"
-     "  }\n}\n\nint main() {\n  f(16);\n}\n", "f/entry"),
+    (_TREE_RECURSION, "f/entry"),
 ])
 def test_fast_run_past_the_limit_stops_soon(src, pid):
     tree, tests = parse(src), [TestCase("", "")]
     limits = Limits(max_steps=1000)
-    log = TraceLog()
+    log = TraceLog(record=True)
     program = _Program(tree, limits, log)
-    assert program.run(tests[0]) is None
-    point = log.points[pid]
-    point.summary.fold(point.flat)
+    assert program.run(tests[0]) == "error"
+    for point in log.points.values():
+        point.summary.fold(point.flat)
     exact_log, _ = exact_suite(tree, tests, limits)
-    assert len(point) == len(exact_log.points[pid]) > 100
+    assert log.to_json() == exact_log.to_json()
+    assert len(exact_log.points[pid]) > 100
+
+
+# So a suite whose count passes max_steps with no loop tiered compiles one
+# program and runs each test once.
+def test_untiered_suite_past_the_limit_is_not_rerun(monkeypatch):
+    tree = parse(_TREE_RECURSION)
+    tests = [TestCase("", "")] * 3
+    limits = Limits(max_steps=20_000)
+    exact_log, exact_verdicts = exact_suite(tree, tests, limits)
+    programs = []
+
+    class Counted(_Program):
+        def __init__(self, *args, **kwargs):
+            programs.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(tracer, "_Program", Counted)
+    log, verdicts = run_suite(tree, tests, limits, record=True)
+    assert programs == [{}]
+    assert verdicts == exact_verdicts == ["error"] * 3
+    assert log.errors == ["step-limit at f/exit"] * 3
+    assert log.to_json() == exact_log.to_json()
 
 
 def test_python_stack_overflow_below_the_cap_is_call_depth_error():
@@ -669,6 +695,114 @@ def test_conversions_in_the_tier_are_exact(compiled):
     log = _tiered_equals_exact(compiled, parse(src), [TestCase("", "1499")])
     assert log.errors == []
     assert log.snapshots()["main/loop0/body/if0/then"][-1]["s"] == 1499
+
+
+# The generated source reuses a slot's value within an iteration, from a
+# checked read or a store, until a call, or a join whose paths disagree;
+# it snapshots a point inline unless its layout shadows a name or holds no
+# scalar. Each program below runs past HOT_ITERS through one such case.
+_NO_SCALAR_AND_ONE = """\
+int main() {
+  int a[1];
+  a[0] = 0;
+  while (a[0] < 3000) {
+    a[0] = a[0] + 1;
+  }
+  int i = 0;
+  while (i < 3000) {
+    i++;
+  }
+  printf("%d", i);
+}
+"""
+
+
+@pytest.mark.parametrize("src,points", [
+    (_counting("int s = i;\n    if (s > 10) {\n      s = s - 1;\n    }"),
+     {"main/loop0/body/if0/then": ["i", "s"]}),
+    (_NO_SCALAR_AND_ONE, {"main/loop0/body": [], "main/loop1/body": ["i"]}),
+    (_counting("if (i < 1500) {\n      s = s + i;\n    } else {\n"
+               "      t = i;\n    }\n    s = s + t;\n"
+               "    if (i > 10) {\n      t = t + 1;\n    }\n    s = s - t;",
+               "  int t = 0;\n"), {}),
+    (_counting("j = 0;\n    while (j < 2) {\n      s = s + 1;\n      j++;\n"
+               "    }\n    s = s + j;", "  int j;\n"), {}),
+    (_counting("d = i * 0.5;\n    s = d;\n    s = s + 1;\n    d = s;\n"
+               "    if (d < s + 0.5) {\n      s = s - 1;\n    }",
+               "  double d;\n"), {}),
+    (_counting("t = s;\n    t++;\n    s = t - s;", "  int t;\n"), {}),
+], ids=["shadowed", "no-scalar-and-one", "join", "after-call",
+        "converting-store", "store-then-incr"])
+def test_generated_source_is_exact(compiled, src, points):
+    log = _tiered_equals_exact(compiled, parse(src), [TestCase("", "")])
+    assert log.errors == []
+    for pid, names in points.items():
+        assert log.points[pid].names == names
+        assert len(log.points[pid]) > tracer.HOT_ITERS
+
+
+# A tiered loop folds its points every FOLD_ROWS of its tiered iterations,
+# counted across its executions, and a snapshot closure folds a buffer at
+# or past fold_at, so no chunk exceeds fold_at + FOLD_ROWS rows: not when
+# the loop runs again after a tier left its buffer past fold_at, nor when
+# its tier calls an execution of itself that tiers and returns with a full
+# buffer just after the caller folded.
+_RERUN = """\
+int main() {
+  int r = 0;
+  int n = 5000;
+  while (r < 3) {
+    int i = 0;
+    while (i < n) {
+      i++;
+    }
+    if (r == 1) {
+      n = 3;
+    }
+    r++;
+  }
+}
+"""
+_SELF_CALL = """\
+int f(int n) {
+  int i = 0;
+  int s = 0;
+  while (i < 5119 + 3900 * n) {
+    if (i == 5121) {
+      if (n > 0) {
+        s = s + f(n - 1);
+      }
+    }
+    s = s + 1;
+    i++;
+  }
+  return s;
+}
+
+int main() {
+  printf("%d", f(3));
+}
+"""
+
+
+@pytest.mark.parametrize("src,pid,rows", [
+    (_RERUN, "main/loop0/body/loop0/body", 10_003),
+    (_SELF_CALL, "f/loop0/body", 4 * 5119 + 6 * 3900),
+], ids=["rerun", "self-call"])
+def test_tiered_buffers_stay_bounded(compiled, monkeypatch, src, pid, rows):
+    tree, tests = parse(src), [TestCase("", "")]
+    _tiered_equals_exact(compiled, tree, tests)
+    chunks = []
+    fold = PointSummary.fold
+
+    def spy(summary, flat):
+        chunks.append(len(flat) // (len(summary.names) or 1))
+        fold(summary, flat)
+    monkeypatch.setattr(PointSummary, "fold", spy)
+    log, _ = run_suite(tree, tests)
+    assert len(log.points[pid]) == rows
+    assert max(chunks) <= 2 * tracer.FOLD_ROWS
+    assert sum(chunks) == sum(len(p) for p in log.points.values())
 
 
 # f's loop tiers, then calls f from the tier; the callee's loop tiers in the
