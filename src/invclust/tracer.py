@@ -46,26 +46,26 @@ addition, and checks the limit as soon as it has counted them, so closures
 stop exactly where the limit is passed. A literal is read from a slot of
 its own, as a variable that is never UNSET. A store into a scalar is made
 inline by its statement's closure (by one reader per target for `scanf`),
-and a loop's closure takes its body's snapshot. Only a tiered loop (below)
-counts ahead of the exact count, so a test in which a loop tiered and
-whose count passes max_steps (or whose Python stack ran out) may not have
-reached it: `run_suite` then reruns the suite compiled `exact`, where no
-loop tiers. With no tier, the run is the exact run and stands.
+and a loop's closure takes its body's snapshot. The tier (below) stops
+where the closures would, so each test runs once. Call depth is counted in
+Python frames (see MAX_CALL_DEPTH), so where a run stops does not depend
+on how deep in Python's stack its caller is.
 
 Hot loops: an execution of a loop that reaches HOT_ITERS iterations runs
 the rest in a function generated as Python source for that loop and
 compiled once per `_Program` (`_hot_loop`). It holds the loop's leaf
 operations, scalar stores, scalar `scanf`s, `++`/`--` and `if`s inline,
 calls the closure of any other statement, and counts the steps of each
-run of inline statements at its start, ahead of their work; it checks the
-limit only at the back-edge and in the closures it calls. Within an
-iteration it loads and checks a scalar once: a later read or snapshot
-uses the value a checked read or a store left, until a call, which may
-store into any slot, or a join whose paths disagree. A snapshot whose
-layout declares no name twice is the tuple of those values, added to the
-point's buffer with no getter. Every object the source uses is bound as a
-default argument, so it loads as a local. An exact run never tiers; a
-suite whose loops stop short of HOT_ITERS compiles no source.
+run of inline statements at its start, ahead of their work, once a guard
+has found that the run stays within max_steps; a run that would not calls
+the closures of its statements instead (`_overrun`). Within an iteration
+it loads and checks a scalar once: a later read or snapshot uses the value
+a checked read or a store left, until a call, which may store into any
+slot, or a join whose paths disagree. A snapshot whose layout declares no
+name twice is the tuple of those values, added to the point's buffer with
+no getter. Every object the source uses is bound as a default argument,
+so it loads as a local. A suite whose loops stop short of HOT_ITERS
+compiles no source.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -88,15 +88,16 @@ from .parser import PRINTF_CONVERSION, SCANF_CONVERSION
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
-# Calls (main included) that may be active at once. A call made directly
-# in a statement's expression, as in `return f(n - 1) + 1;`, costs two
-# Python frames, the call's closure and the arithmetic's, so 225 calls take
-# 450 of Python's default recursion limit of 1000 and leave the rest to the
-# caller: the cap fires first even when the tracer is entered 500 frames
-# deep. A call nested deeper inside expressions costs more frames; for it,
-# running out of Python's stack is reported as this same error, by the
-# exact run.
+# Calls (main included) that may be active at once, each made as in
+# `return f(n - 1) + 1;` at two Python frames. The cap, _MAX_FRAMES, is on
+# frames (see `_Compiler.call`): what 225 such calls from main's
+# `printf("%d", f(n))` take, f's room included. Of the 480 frames a caller
+# may leave the tracer, it leaves under 20 for what no charge covers:
+# helpers, the tier's side exit and `_hot_loop`'s compile where a loop
+# first tiers, about as deep as the loop's room (the parser's MAX_DEPTH
+# bounds it). A deeper caller's RecursionError reads as the same error.
 MAX_CALL_DEPTH = 225
+_MAX_FRAMES = 2 * MAX_CALL_DEPTH + 5
 
 # Snapshots a point buffers before folding them into its summary.
 FOLD_ROWS = 4096
@@ -202,17 +203,15 @@ class _State:
     look callees up here, so no closure holds the table that holds it and
     a compiled program is freed without the cyclic collector."""
 
-    __slots__ = ("functions", "steps", "depth", "point", "stdin", "out",
-                 "tiered")
+    __slots__ = ("functions", "steps", "frames", "point", "stdin", "out")
 
     def __init__(self, functions, stdin_text):
         self.functions = functions
         self.steps = 0
-        self.depth = 0
+        self.frames = 0  # the frames charged to the active calls
         self.point = "start"   # most recently entered point, for diagnostics
         self.stdin = iter(stdin_text.split())  # the tokens not read yet
         self.out = []
-        self.tiered = False  # whether a loop ran on in its tier
 
 
 def _convert(st, value, is_int):
@@ -250,6 +249,18 @@ def _snapshot(pid, summary, getter, push, flat, fold_at, _layout):
     return snap
 
 
+def _a_frame_below(compile_):
+    """A `_Compiler` method whose closure runs a frame below the closure
+    that calls it: it compiles a frame deeper, which the room takes in."""
+    def below(self, *args):
+        self.nest += 1
+        self.room = max(self.room, self.nest)
+        closure = compile_(self, *args)
+        self.nest -= 1
+        return closure
+    return below
+
+
 def _checked_index(st, name, arr, idx):
     if isinstance(idx, float):
         raise TraceRuntimeError("type-error", st.point, "non-integer index")
@@ -264,12 +275,12 @@ class _Compiler:
     (state, slots) and return None, or when a `return` ran, its value
     (UNSET for a bare `return;`); expression closures take (state, slots)
     and return the value, never None. `pre` is the number of steps owed
-    by the enclosing nodes whose evaluation begins with this node. With
-    `exact`, no loop tiers, so the count is never ahead (see the module
-    docstring)."""
+    by the enclosing nodes whose evaluation begins with this node. `nest`
+    is the frames from its function's call closure to the closure being
+    compiled, one more in a loop for its tier, and the function's `room`
+    the most it reaches."""
 
-    def __init__(self, root, limits, log, exact=False):
-        self.exact = exact
+    def __init__(self, root, limits, log):
         self.max_steps = limits.max_steps
         self.max_iters = limits.max_loop_iters
         self.points = log.points
@@ -312,14 +323,11 @@ class _Compiler:
 
     # --- plans: what `_hot_loop` emits for each statement of a loop ---
 
-    def planning(self):
-        """Whether plans are made: inside a loop, unless exact."""
-        return self.looping > 0 and not self.exact
-
     def planned(self, closure, plan):
-        """`closure`, its plan recorded if it has one."""
+        """`closure`, its plan recorded if it has one, the closure second
+        (for `_overrun`)."""
         if plan:
-            self.plans[closure] = plan
+            self.plans[closure] = (plan[0], closure, *plan[1:])
         return closure
 
     def plan(self, closures):
@@ -368,6 +376,7 @@ class _Compiler:
         self.frame = []  # the slots each call starts with
         self.binding = {}
         self.consts = {}  # repr of a literal -> its slot
+        self.nest = self.room = 0
         name = fn.identifier
         params = [(self.declare(p, False), p.type_name == "int")
                   for p in fn.children if p.kind == Kind.PARAM]
@@ -375,16 +384,20 @@ class _Compiler:
         body = self.stmts(fn.children[-1].children, name)
         exit_ = _snapshot(*self.point(f"{name}/exit", self.scopes))
         returns = None if fn.type_name == "void" else fn.type_name == "int"
-        return self.frame, params, body, entry, exit_, returns
+        return self.frame, params, body, entry, exit_, returns, self.room
 
     def call(self, node, pre):
-        """A call; with pre=None, the call of main, which counts no step."""
+        """A call, charged the frames from its caller's call closure to its
+        own; with pre=None, the call of main, which counts no step."""
         name = node.identifier
         max_steps = self.max_steps
+        frames = 1 if pre is None else self.nest
         args = []
         if pre is not None:
+            self.nest += 1  # the arguments run in a list comprehension
             args = [self.expr(a, pre + 1 if i == 0 else 0)
                     for i, a in enumerate(node.children)]
+            self.nest -= 1
         count = 0 if args or pre is None else pre + 1
 
         def call(st, v):
@@ -392,9 +405,10 @@ class _Compiler:
             values = [a(st, v) for a in args]
             if st.steps > max_steps:  # for a call with no arguments
                 raise TraceRuntimeError("step-limit", st.point)
-            frame, params, body, entry, exit_, returns = st.functions[name]
-            st.depth += 1
-            if st.depth > MAX_CALL_DEPTH:
+            frame, params, body, entry, exit_, returns, room = \
+                st.functions[name]
+            st.frames += frames
+            if st.frames + room > _MAX_FRAMES:
                 raise TraceRuntimeError("step-limit", st.point, "call depth")
             w = frame.copy()
             for (slot, is_int), x in zip(params, values):
@@ -407,7 +421,7 @@ class _Compiler:
             else:
                 ret = UNSET
             exit_(st, w)
-            st.depth -= 1
+            st.frames -= frames
             if ret is UNSET:
                 return 0  # void call used as an expression
             if returns is not None:
@@ -439,6 +453,7 @@ class _Compiler:
         self.scopes.pop()
         return _snapshot(*point), body, point
 
+    @_a_frame_below
     def stmt(self, node, pid, pre=0):
         """A statement's closure; pid names a scope-opening statement."""
         k = node.kind
@@ -459,14 +474,14 @@ class _Compiler:
                 store(st, v, expr(st, v))
             return assign
         if k == Kind.CALL:
-            call = self.call(node, pre + 1)
+            call = self.expr(node, pre + 1)
 
             def call_stmt(st, v):
                 call(st, v)
             return call_stmt
         if k == Kind.RETURN:
-            if node.children:  # the value's closure returns it
-                return self.expr(node.children[0], pre + 1)
+            if node.children:  # the value's closure returns it, so it
+                return self.value(node.children[0], pre + 1)  # is the stmt's
             count = pre + 1
 
             def ret(st, v):
@@ -515,7 +530,7 @@ class _Compiler:
                 if is_int and not INT_MIN <= x <= INT_MAX:
                     raise TraceRuntimeError("integer-overflow", st.point)
                 v[slot] = x
-            return self.planned(incr, self.planning() and (
+            return self.planned(incr, self.looping and (
                 "incr", count, slot, name, is_int, delta))
         if k not in (Kind.DECL, Kind.ARRAY_DECL):
             raise ValueError(f"unexpected statement node: {k}")
@@ -552,7 +567,7 @@ class _Compiler:
                 r = s(st, v)
                 if r is not None:
                     return r
-        return self.planned(if_, self.planning() and (
+        return self.planned(if_, self.looping and (
             "if", pre + 1, self.inline(cond_node) or ("call", cond),
             then_point, self.plan(then_body), else_point,
             self.plan(else_body)))
@@ -572,19 +587,20 @@ class _Compiler:
                 init = self.stmt(init_node, None, owed)
                 owed = 0
         self.looping += 1
+        self.nest += 1  # the tier's frame, whether or not the loop tiers
         if node.kind == Kind.FOR and step_node.kind != Kind.BLOCK:
             step = self.stmt(step_node, None)
         cond = self.expr(cond_node)
         pid += "/body"
         _, body, point = self.block(body_node.children, pid)
+        self.nest -= 1
         _, summary, getter, push, flat, fold_at, _ = point
-        plan = self.planning() and (
-            self.inline(cond_node) or ("call", cond), point,
-            self.plan(body), step and self.plan((step,))[0],
-            self.max_iters, self.max_steps)
+        plan = (cond, self.inline(cond_node) or ("call", cond), point,
+                self.plan(body), step and self.plan((step,))[0],
+                self.max_iters, self.max_steps)
         self.looping -= 1
         max_iters = self.max_iters
-        hot = 0 if self.exact else HOT_ITERS  # 0: never
+        hot = HOT_ITERS
         tier = None
 
         def loop(st, v):
@@ -612,7 +628,6 @@ class _Compiler:
                 if iters == hot:
                     if tier is None:
                         tier = _hot_loop(*plan)
-                    st.tiered = True
                     return tier(st, v, iters)
             return None
         return loop
@@ -627,9 +642,10 @@ class _Compiler:
                     and INT_MIN <= x <= INT_MAX):
                 x = _convert(st, x, is_int)
             v[slot] = x
-        plan = self.planning() and self.inline(value)
+        plan = self.looping and self.inline(value)
         return self.planned(assign, plan and ("put", pre, slot, is_int, plan))
 
+    @_a_frame_below
     def store(self, target):
         """Closure storing a value into an array element; a scalar is
         stored inline by its statement, so a variable here is an array."""
@@ -653,13 +669,15 @@ class _Compiler:
         """A reader per target; a one-target scanf is just its reader."""
         convs = [int if m[1] == "d" else float
                  for m in SCANF_CONVERSION.finditer(node.literal)]
-        one = len(convs) == 1
-        readers = [self.reader(conv, target, count if one else 0)
+        if len(convs) == 1:
+            leaf = self.looping and self.leaf(node.children[0])
+            return self.planned(
+                self.reader(convs[0], node.children[0], count),
+                leaf and ("read", count, leaf[0], leaf[2], convs[0]))
+        self.nest += 1  # each reader runs a frame below the statement's
+        readers = [self.reader(conv, target, 0)
                    for conv, target in zip(convs, node.children)]
-        if one:
-            leaf = self.planning() and self.leaf(node.children[0])
-            return self.planned(readers[0], leaf and (
-                "read", count, leaf[0], leaf[2], convs[0]))
+        self.nest -= 1
         max_steps = self.max_steps
 
         def scanf(st, v):
@@ -703,8 +721,10 @@ class _Compiler:
         # puts each directive at an odd index.
         pieces = [_PRINTF[p] if i % 2 else p for i, p in
                   enumerate(PRINTF_CONVERSION.split(node.literal))]
+        self.nest += 1  # the arguments run in a list comprehension
         args = [self.expr(a, pre + 1 if i == 0 else 0)
                 for i, a in enumerate(node.children)]
+        self.nest -= 1
         count = 0 if args else pre + 1
         max_steps = self.max_steps
 
@@ -720,7 +740,7 @@ class _Compiler:
 
     # --- expressions ---
 
-    def expr(self, node, pre=0):
+    def value(self, node, pre=0):
         k = node.kind
         count = pre + 1
         max_steps = self.max_steps
@@ -780,6 +800,8 @@ class _Compiler:
             return element
 
         raise ValueError(f"unexpected expression node: {k}")
+
+    expr = _a_frame_below(value)  # `value`: one at its caller's frame
 
     def leaf(self, node):
         """(slot, name, is_int) of a literal or a scalar variable, else
@@ -856,10 +878,9 @@ class _Compiler:
         return divide
 
 
-def _hot_loop(cond, point, body, step, max_iters, max_steps):
+def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
     """The function (st, v, iters) that runs a loop's execution on from its
-    back-edge after `iters` iterations, its statements' plans inline. Its
-    count is stored in `st.steps` before every call, return and error.
+    back-edge after `iters` iterations, its statements' plans inline.
 
     Unrecorded, it folds the points it snapshots at the back-edge once
     every FOLD_ROWS tiered iterations of the loop. The count of those left
@@ -868,32 +889,26 @@ def _hot_loop(cond, point, body, step, max_iters, max_steps):
     the same loop adds count too. A buffer then holds fewer than FOLD_ROWS
     rows past its fold_at: an execution's first snapshots are its
     closure's, which fold a buffer at or past fold_at."""
-    src = _Source()
+    src = _Source(max_steps)
     src.emit(1, "steps, stdin = st.steps, st.stdin")
     if point[5] < math.inf:  # the body's fold_at: unrecorded, it folds
         src.left = src.key([FOLD_ROWS])
         src.emit(1, f"due = iters + {src.left}[0]")
-    src.emit(1, "try:")
-    src.emit(2, "while True:")
-    src.emit(3, f"if not {src.test(3, cond)}: break")
+    src.emit(1, "while True:")
+    src.emit(2, f"if not {src.test(2, cond_plan, cond)}: break")
     src.close()
-    src.emit(3, "iters += 1")
-    src.emit(3, f"if iters > {src.key(max_iters)}: raise TraceRuntimeError("
+    src.emit(2, "iters += 1")
+    src.emit(2, f"if iters > {src.key(max_iters)}: raise TraceRuntimeError("
                 f"'step-limit', {src.key(point[0])}, 'loop iterations')")
-    src.snapshot(3, point)
+    src.snapshot(2, point)
     for plan in body + [step] if step else body:
-        src.stmt(3, plan)
+        src.stmt(2, plan)
     src.close()
-    src.emit(3, f"if steps > {src.key(max_steps)}: "
-                "raise TraceRuntimeError('step-limit', st.point)")
     if src.left:
-        src.emit(3, "if iters >= due:")
-        src.emit(4, f"due = iters + {FOLD_ROWS}")
+        src.emit(2, "if iters >= due:")
+        src.emit(3, f"due = iters + {FOLD_ROWS}")
         for line in src.folds:
-            src.emit(4, line)
-    src.emit(1, "except BaseException:")
-    src.emit(2, "if steps > st.steps: st.steps = steps")
-    src.emit(2, "raise")
+            src.emit(3, line)
     src.emit(1, "st.steps = steps")
     if src.left:
         src.emit(1, f"{src.left}[0] = due - iters")
@@ -904,6 +919,15 @@ def _hot_loop(cond, point, body, step, max_iters, max_steps):
     return src.ns.pop("hot_loop")  # so the namespace holds no cycle
 
 
+def _overrun(st, v, steps, closures):
+    """The tier's side exit from a run of inline statements that would
+    pass max_steps: their closures count exactly, so one stops the test."""
+    st.steps = steps
+    for closure in closures:
+        closure(st, v)
+    raise AssertionError("a run past max_steps ran to its end")
+
+
 class _Source:
     """The lines and namespace of a hot loop's function. Every object the
     lines use (a name, a point id, a literal, a closure) is a namespace
@@ -911,8 +935,8 @@ class _Source:
     local; the lines hold only those keys, slots and temporaries `x<i>`,
     one statement per C node, each temporary assigned once. `steps`, the
     function's count, is added to at the start of each run of inline
-    statements, for the whole run; before a call it is stored in
-    `st.steps`, and read back after.
+    statements, for the whole run, after its guard; before a call it is
+    stored in `st.steps`, and read back after.
 
     `known` maps a slot to the operand that holds its value, set by a
     checked read or a store earlier in the iteration; a later read or
@@ -921,13 +945,14 @@ class _Source:
     store into any slot), and past an `if` it keeps what all paths agree
     on."""
 
-    def __init__(self):
+    def __init__(self, max_steps):
+        self.max_steps = max_steps
         self.lines = []
         self.ns = {"UNSET": UNSET, "TraceRuntimeError": TraceRuntimeError,
                    "_unset": _unset, "_convert": _convert,
-                   "_bad_token": _bad_token}
+                   "_bad_token": _bad_token, "_overrun": _overrun}
         self.temps = 0
-        self.run = None  # [line index, indent, steps] of the open run
+        self.run = None  # [line index, indent, steps, closures] of a run
         self.known = {}
         self.folds = []  # a line folding each point snapshot inline
         self.left = None  # key of the iterations left to the next fold
@@ -950,16 +975,23 @@ class _Source:
         self.emit(ind, f"{x} = {value}")
         return x
 
-    def count(self, ind, steps):
+    def count(self, ind, steps, closure=None):
+        """Adds `steps` to the open run, or opens one at `ind`; a
+        statement's first count gives its closure, for `_overrun`."""
         if self.run is None:
-            self.run = [len(self.lines), ind, 0]
+            self.run = [len(self.lines), ind, 0, []]
             self.lines.append(None)
         self.run[2] += steps
+        if closure is not None:
+            self.run[3].append(closure)
 
     def close(self):
         if self.run is not None:
-            i, ind, steps = self.run
-            self.lines[i] = "    " * ind + f"steps += {steps}"
+            i, ind, steps, closures = self.run
+            self.lines[i] = "    " * ind + "\n".join([
+                f"if steps > {self.max_steps - steps}: _overrun(st, v, "
+                f"steps, {self.key(tuple(closures))})",
+                "    " * ind + f"steps += {steps}"])
             self.run = None
 
     def call(self, ind, closure):
@@ -1024,10 +1056,12 @@ class _Source:
             a, b = f"float({a})", f"float({b})"
         return f"{a} {op} {b}"
 
-    def test(self, ind, plan):
-        """The Python test of a condition: a plan, or ("call", closure)."""
+    def test(self, ind, plan, closure, steps=0):
+        """The Python test of a condition: a plan, or ("call", closure);
+        an inline one counts `steps` too, as `closure` does."""
         if plan[0] == "call":
             return self.call(ind, plan[1])
+        self.count(ind, steps, closure)
         if plan[0] not in _COMPARE:
             return self.expr(ind, plan)[0]
         self.count(ind, 1)
@@ -1051,28 +1085,28 @@ class _Source:
             self.folds.append(f"{self.key(summary.fold)}({f}); {f}.clear()")
 
     def stmt(self, ind, plan):
-        kind = plan[0]
+        kind, closure, *parts = plan
+        if kind in ("put", "incr", "read"):
+            count, slot, *parts = parts
+            self.count(ind, count, closure)
         if kind == "call":
-            x = self.call(ind, plan[1])
+            x = self.call(ind, closure)
             self.emit(ind, f"if {x} is not None: return {x}")
         elif kind == "put":
-            _, count, slot, is_int, value = plan
-            self.count(ind, count)
+            is_int, value = parts
             x, x_int, in_range = self.expr(ind, value)
             if x_int != is_int or not in_range:
                 x = self.fresh(ind, f"_convert(st, {x}, {is_int})")
             self.store(ind, slot, x)
         elif kind == "incr":
-            _, count, slot, name, is_int, delta = plan
-            self.count(ind, count)
+            name, is_int, delta = parts
             x = self.read(ind, slot, name)
             x = self.fresh(ind, f"{x} {'+' if delta > 0 else '-'} 1")
             if is_int:
                 self.trap(ind, x)
             self.store(ind, slot, x)
         elif kind == "read":
-            _, count, slot, is_int, conv = plan
-            self.count(ind, count)
+            is_int, conv = parts
             token, x = self.temp(), self.temp()
             self.emit(ind, f"{token} = next(stdin, None)")
             self.emit(ind, f"if {token} is None: raise TraceRuntimeError("
@@ -1085,11 +1119,10 @@ class _Source:
             elif (conv is int) != is_int:
                 x = self.fresh(ind, f"_convert(st, {x}, {is_int})")
             self.store(ind, slot, x)
-        else:
-            _, count, test, then_point, then, else_point, else_ = plan
-            if test[0] != "call":  # else the test's closure counts `count`
-                self.count(ind, count)
-            branches = [(f"if {self.test(ind, test)}:", then_point, then)]
+        else:  # a test that is a call counts the `if`'s `count` itself
+            count, test, then_point, then, else_point, else_ = parts
+            branches = [(f"if {self.test(ind, test, closure, count)}:",
+                         then_point, then)]
             if else_point is not None:
                 branches.append(("else:", else_point, else_))
             before = self.known  # as the test left it
@@ -1114,13 +1147,11 @@ def normalize_output(s):
 
 class _Program:
     """A translation unit compiled for one set of limits, recording into
-    one log; with `exact`, no loop tiers."""
+    one log."""
 
-    def __init__(self, tree, limits, log, exact=False):
-        limits = limits or Limits()
-        compiler = _Compiler(tree, limits, log, exact)
+    def __init__(self, tree, limits, log):
+        compiler = _Compiler(tree, limits or Limits(), log)
         self.log = log
-        self.max_steps = limits.max_steps
         self.functions = compiler.functions
         self.main = None
         if "main" in compiler.functions:
@@ -1128,10 +1159,7 @@ class _Program:
 
     def run(self, test):
         """Run one test, adding its snapshots and any error to the log, and
-        its output too when the log records. Returns the verdict, or None
-        when a loop tiered and the count passed max_steps or Python's stack
-        ran out: the tier may have counted ahead, or taken a frame, so the
-        test needs an exact run. With no tier, the run is the exact run."""
+        its output too when the log records. Returns the verdict."""
         st = _State(self.functions, test.stdin_text)
         log = self.log
         verdict = "error"
@@ -1141,8 +1169,7 @@ class _Program:
                     raise TraceRuntimeError("uninitialized-read", "start",
                                             "no 'main' function")
                 self.main(st, None)
-            except RecursionError:  # Python's stack ran out before the cap
-                st.steps = math.inf  # where may depend on the tier
+            except RecursionError:  # for a caller deep in Python's stack
                 raise TraceRuntimeError("step-limit", st.point,
                                         "call depth") from None
             ok = (normalize_output("".join(st.out))
@@ -1152,19 +1179,7 @@ class _Program:
             log.errors.append(str(e))
         if log.record:
             log.outputs.append("".join(st.out))
-        return None if st.tiered and st.steps > self.max_steps else verdict
-
-    def run_all(self, tests):
-        """Each test's verdict, in order, or None at the first test that
-        needs an exact run. Every test starts at the same depth of Python's
-        stack, fast or exact, so where the stack runs out does not depend
-        on which run it is."""
-        verdicts = []
-        for test in tests:
-            verdicts.append(self.run(test))
-            if verdicts[-1] is None:
-                return None
-        return verdicts
+        return verdict
 
 
 def _row_getter(names, layout):
@@ -1203,16 +1218,12 @@ def run_suite(tree, tests, limits=None, record=False):
     """Run every test; returns (merged TraceLog, verdict list). Tests run
     in order, so recording straight into one log gives each point its
     snapshots in test order. Each point's summary covers every snapshot;
-    with record=True the log also keeps the snapshots themselves. At the
-    first test whose count runs past max_steps, the suite runs again from
-    the start, compiled exact, into a fresh log."""
+    with record=True the log also keeps the snapshots themselves."""
     if not tests:
         raise ValueError("test suite is empty")
     log = TraceLog(record)
-    verdicts = _Program(tree, limits, log).run_all(tests)
-    if verdicts is None:
-        log = TraceLog(record)
-        verdicts = _Program(tree, limits, log, exact=True).run_all(tests)
+    program = _Program(tree, limits, log)
+    verdicts = [program.run(test) for test in tests]
     for point in log.points.values():
         point.summary.fold(point.flat)
         if not record:

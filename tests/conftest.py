@@ -5,6 +5,7 @@ generator for randomized property tests, an independent invariant-template
 oracle, and a string-level invariant evaluator used for soundness checks.
 """
 
+import math
 import random
 import re
 from itertools import combinations, product
@@ -12,12 +13,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from invclust import tracer
 from invclust.invariants import UNSET
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import (Limits, PointTrace, TestCase, TraceLog,
-                             _Program, run_suite)
+                             run_suite)
 
 LEFT_SRC = PAIR_WHILE
 RIGHT_SRC = PAIR_FOR
@@ -262,14 +264,16 @@ def gen_suite(seed, n_inputs, cases=3):
     return tests
 
 
-def exact_suite(tree, tests, limits=None):
-    """(TraceLog, verdicts) of the suite run compiled exact, as `run_suite`
-    runs it when a count runs ahead past max_steps, recorded."""
-    log = TraceLog(record=True)
-    verdicts = _Program(tree, limits, log, exact=True).run_all(tests)
-    for point in log.points.values():
-        point.summary.fold(point.flat)
-    return log, verdicts
+def untiered_suite(tree, tests, limits=None):
+    """(TraceLog, verdicts) of the suite run recorded with HOT_ITERS out of
+    reach, so that no loop tiers: the closures alone, the tier's
+    reference."""
+    hot_iters = tracer.HOT_ITERS
+    tracer.HOT_ITERS = math.inf
+    try:
+        return run_suite(tree, tests, limits, record=True)
+    finally:
+        tracer.HOT_ITERS = hot_iters
 
 
 def fewest_steps(tree, tests):

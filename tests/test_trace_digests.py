@@ -30,11 +30,10 @@ from invclust.nodes import Kind
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.synth import PAIR_WHILE
-from invclust.tracer import (Limits, TestCase, TraceLog, _Program, execute,
-                             run_suite)
+from invclust.tracer import Limits, TestCase, execute, run_suite
 
-from conftest import (exact_suite, fewest_steps, gen_program, gen_suite,
-                      log_from_snapshots)
+from conftest import (fewest_steps, gen_program, gen_suite,
+                      log_from_snapshots, untiered_suite)
 
 TIGHT = Limits(max_steps=777, max_loop_iters=50)
 # Small enough that most programs stop part-way through a statement.
@@ -613,9 +612,8 @@ def test_step_budget_sweep_matches_recorded_digest(name):
     assert _sweep(*SWEEP_PROGRAMS[name]) == SWEEP_PINNED[name]
 
 
-# A fast run whose count runs ahead past max_steps is thrown away and the
-# suite rerun exact, so at every budget, up to a few past the most steps a
-# test takes, `run_suite` gives what the exact run alone gives.
+# At every budget, up to a few past the most steps a test takes, a run in
+# which loops tier gives what the closures alone give.
 _REPLAY_NAMES = sorted(SWEEP_PROGRAMS) + [f"gen{seed}" for seed in range(40)]
 
 
@@ -632,17 +630,20 @@ def _replay_case(name):
     return tree, tests, fewest_steps(tree, tests)
 
 
-# ... and with every loop handed to its compiled function after one or two
-# iterations, so the short loops of these programs run tiered too. Where no
-# loop tiers, the fast run alone gives the exact log and asks for no replay:
-# only the tier counts ahead.
-def test_fast_run_with_replay_equals_exact_run(monkeypatch):
-    replayed = []
+# Every loop is handed to its compiled function after one or two
+# iterations, so the short loops of these programs run tiered too, or after
+# HOT_ITERS, which they never reach. The tier's guard stops a run of inline
+# statements that would pass max_steps at the exact node, so each suite
+# compiles one program and runs each test once.
+def test_tiered_run_equals_untiered_run(monkeypatch):
     tiered = []
     untiered = []  # the draws in which no loop tiered
-    hot_loop = tracer._hot_loop
+    programs = []
+    hot_loop, program = tracer._hot_loop, tracer._Program
     monkeypatch.setattr(tracer, "_hot_loop",
                         lambda *plan: tiered.append(plan) or hot_loop(*plan))
+    monkeypatch.setattr(tracer, "_Program",
+                        lambda *args: programs.append(args) or program(*args))
 
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(st.sampled_from(_REPLAY_NAMES).flatmap(lambda name: st.tuples(
@@ -652,25 +653,18 @@ def test_fast_run_with_replay_equals_exact_run(monkeypatch):
         name, max_steps, hot_iters = case
         tree, tests, _ = _replay_case(name)
         limits = Limits(max_steps=max_steps)
-        before = len(tiered)
+        before = len(tiered), len(programs)
         with monkeypatch.context() as patch:
             patch.setattr(tracer, "HOT_ITERS", hot_iters)
             log, verdicts = run_suite(tree, tests, limits, record=True)
-            fast_log = TraceLog(record=True)
-            fast = _Program(tree, limits, fast_log)
-            replayed.append(None in [fast.run(test) for test in tests])
-        exact_log, exact_verdicts = exact_suite(tree, tests, limits)
-        assert verdicts == exact_verdicts
-        assert log.errors == exact_log.errors
-        assert log.to_json() == exact_log.to_json()
-        if len(tiered) == before:
-            assert not replayed[-1]
-            for point in fast_log.points.values():
-                point.summary.fold(point.flat)
-            assert fast_log.to_json() == exact_log.to_json()
+        assert len(programs) == before[1] + 1
+        untiered_log, untiered_verdicts = untiered_suite(tree, tests, limits)
+        assert verdicts == untiered_verdicts
+        assert log.errors == untiered_log.errors
+        assert log.to_json() == untiered_log.to_json()
+        if len(tiered) == before[0]:
             untiered.append(case)
 
     check()
     assert len(untiered) > 300, len(untiered)
-    assert any(replayed) and not all(replayed), replayed.count(True)
     assert len(tiered) > 300, len(tiered)

@@ -3,6 +3,7 @@
 import gc
 import inspect
 import json
+import random
 import sys
 import tracemalloc
 
@@ -17,7 +18,7 @@ from invclust.tracer import (MAX_CALL_DEPTH, Limits, TestCase, TraceLog,
                              _Program, execute, normalize_output, run_suite)
 
 from conftest import (LEFT_SRC, RIGHT_SRC, SNAPSHOT_EDGE_PROGRAMS,
-                      exact_suite, fewest_steps, sum_suite)
+                      fewest_steps, sum_suite, untiered_suite)
 
 
 def _renamed(src):
@@ -78,15 +79,21 @@ def _recurse_test(depth):
     return TestCase(f"{n}\n", str(n))
 
 
-# None: as deep as leaves 30 frames above the two a call at the cap takes
-# per call, so one frame more per call overflows Python's stack first.
+def _tight_frames():
+    """Caller frames as deep as leaves its caller 30 frames above the two
+    that each of MAX_CALL_DEPTH direct calls takes, so that one frame more
+    per call overflows Python's stack first."""
+    caller_stack = len(inspect.stack(0)) - 1
+    return (sys.getrecursionlimit() - caller_stack - 2 * MAX_CALL_DEPTH
+            - 30)
+
+
 @pytest.mark.parametrize("caller_frames",
                          [0, 200, pytest.param(None, id="tight")])
 def test_call_depth_cap_is_the_limit(caller_frames):
     tree = parse(_RECURSE_N)
     if caller_frames is None:
-        caller_frames = (sys.getrecursionlimit() - len(inspect.stack(0))
-                         - 2 * MAX_CALL_DEPTH - 30)
+        caller_frames = _tight_frames()
 
     def run(depth, limits=None):
         return execute(tree, _recurse_test(depth), limits)
@@ -98,8 +105,8 @@ def test_call_depth_cap_is_the_limit(caller_frames):
     assert verdict == "error"
     assert log.errors == ["step-limit at f/entry: call depth"]
     assert len(log.samples["f/entry"]) == MAX_CALL_DEPTH - 1
-    # One step short, the run is replayed exact; it recurses to the cap as
-    # the fast run did, and stops at the last step, the outer `+ 1`.
+    # One step short, it recurses to the cap all the same, and stops at
+    # the last step, the outer `+ 1`.
     total = fewest_steps(tree, [_recurse_test(MAX_CALL_DEPTH)])
     log, _, verdict = _nested(
         caller_frames,
@@ -109,28 +116,8 @@ def test_call_depth_cap_is_the_limit(caller_frames):
     assert len(log.samples["f/entry"]) == MAX_CALL_DEPTH - 1
 
 
-# Where Python's stack runs out depends on the frames between calls, one
-# more where a tiered loop's function runs. No loop runs here, so the fast
-# run is the exact run: at every caller depth it reports what the exact run
-# alone reports, each test starting at the same depth in both.
-def test_python_stack_overflow_is_reported_by_the_exact_run():
-    expr = "1 + (" * 40 + "f(n + 1)" + ")" * 40
-    tree = parse("int f(int n) {\n  return " + expr + ";\n}\n\n"
-                 "int main() {\n  f(0);\n}\n")
-    tests = [TestCase("", "")]
-    for frames in range(45):
-        log, verdicts = _nested(
-            frames, lambda: run_suite(tree, tests, record=True))
-        exact_log, exact_verdicts = _nested(
-            frames, lambda: exact_suite(tree, tests))
-        assert log.errors == ["step-limit at f/entry: call depth"]
-        assert (log.to_json(), verdicts) == (exact_log.to_json(),
-                                             exact_verdicts), frames
-
-
-# Short of HOT_ITERS iterations, closures check the limit as they count
-# their steps, so the fast run stops where the exact run does; with no loop
-# tiered it is the exact run, and it returns its verdict, asking for none.
+# Closures check the limit as they count their steps, so a run past it
+# stops there, however long the program would run on.
 _TREE_RECURSION = ("void f(int n) {\n  if (n > 0) {\n    f(n - 1);\n"
                    "    f(n - 1);\n  }\n}\n\nint main() {\n  f(16);\n}\n")
 
@@ -141,50 +128,25 @@ _TREE_RECURSION = ("void f(int n) {\n  if (n > 0) {\n    f(n - 1);\n"
     (_TREE_RECURSION, "f/entry"),
 ])
 def test_fast_run_past_the_limit_stops_soon(src, pid):
-    tree, tests = parse(src), [TestCase("", "")]
-    limits = Limits(max_steps=1000)
-    log = TraceLog(record=True)
-    program = _Program(tree, limits, log)
-    assert program.run(tests[0]) == "error"
-    for point in log.points.values():
-        point.summary.fold(point.flat)
-    exact_log, _ = exact_suite(tree, tests, limits)
-    assert log.to_json() == exact_log.to_json()
-    assert len(exact_log.points[pid]) > 100
-
-
-# So a suite whose count passes max_steps with no loop tiered compiles one
-# program and runs each test once.
-def test_untiered_suite_past_the_limit_is_not_rerun(monkeypatch):
-    tree = parse(_TREE_RECURSION)
-    tests = [TestCase("", "")] * 3
-    limits = Limits(max_steps=20_000)
-    exact_log, exact_verdicts = exact_suite(tree, tests, limits)
-    programs = []
-
-    class Counted(_Program):
-        def __init__(self, *args, **kwargs):
-            programs.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(tracer, "_Program", Counted)
-    log, verdicts = run_suite(tree, tests, limits, record=True)
-    assert programs == [{}]
-    assert verdicts == exact_verdicts == ["error"] * 3
-    assert log.errors == ["step-limit at f/exit"] * 3
-    assert log.to_json() == exact_log.to_json()
+    log, verdicts = run_suite(parse(src), [TestCase("", "")],
+                              Limits(max_steps=1000), record=True)
+    assert verdicts == ["error"]
+    assert log.errors[0].startswith("step-limit at ")
+    assert len(log.points[pid]) > 100
 
 
 def test_python_stack_overflow_below_the_cap_is_call_depth_error():
-    # Each call sits under 40 additions, so Python's stack runs out long
-    # before MAX_CALL_DEPTH calls.
+    # Each call sits under 40 additions, so it is charged 41 frames, and
+    # f's own body nests 44 (its call, the call's arguments, `n + 1` and
+    # `n`). With main's 1 and its `f(0);` 2, f is entered 10 times:
+    # 3 + 9 * 41 + 44 = 416 <= _MAX_FRAMES < 457.
     expr = "1 + (" * 40 + "f(n + 1)" + ")" * 40
     tree = parse("int f(int n) {\n  return " + expr + ";\n}\n\n"
                  "int main() {\n  f(0);\n}\n")
     log, _, verdict = execute(tree, TestCase("", ""))
     assert verdict == "error"
     assert log.errors == ["step-limit at f/entry: call depth"]
-    assert len(log.samples["f/entry"]) < MAX_CALL_DEPTH - 1
+    assert len(log.samples["f/entry"]) == 10
 
 
 def test_error_in_a_call_from_nested_blocks():
@@ -592,17 +554,17 @@ def compiled(monkeypatch):
     return plans
 
 
-def _tiered_equals_exact(compiled, tree, tests, limits=None):
+def _tiered_equals_untiered(compiled, tree, tests, limits=None):
     """Runs the suite recorded and not, asserts that a loop tiered, and
-    that both runs give what the exact run gives. Returns the recorded
+    that both runs give what the closures alone give. Returns the recorded
     log."""
     before = len(compiled)
     log, verdicts = run_suite(tree, tests, limits, record=True)
     # Unrecorded, each point folds its snapshots every FOLD_ROWS rows.
     folded, folded_verdicts = run_suite(tree, tests, limits)
     assert len(compiled) > before
-    exact_log, exact_verdicts = exact_suite(tree, tests, limits)
-    assert (log.to_json(), verdicts) == (exact_log.to_json(), exact_verdicts)
+    untiered = untiered_suite(tree, tests, limits)
+    assert (log.to_json(), verdicts) == (untiered[0].to_json(), untiered[1])
     assert (folded.errors, folded_verdicts) == (log.errors, verdicts)
     assert (detect(folded, min_samples=1).as_dict()
             == detect(log, min_samples=1).as_dict())
@@ -642,19 +604,20 @@ def _counting(body, decls="", after=""):
 ], ids=["unset", "unset-compare", "literal-overflow", "overflow",
         "overflow-incr", "exhausted", "bad-token", "token-overflow"])
 def test_error_in_the_tier_is_the_exact_one(compiled, src, stdin, error):
-    log = _tiered_equals_exact(compiled, parse(src), [TestCase(stdin, "")])
+    log = _tiered_equals_untiered(compiled, parse(src), [TestCase(stdin, "")])
     assert log.errors == [error]
 
 
 def test_loop_iteration_cap_in_the_tier(compiled):
-    log = _tiered_equals_exact(compiled, parse(_counting("s = s + i;")),
-                               [TestCase("", "")],
-                               Limits(max_loop_iters=2000))
+    log = _tiered_equals_untiered(compiled, parse(_counting("s = s + i;")),
+                                  [TestCase("", "")],
+                                  Limits(max_loop_iters=2000))
     assert log.errors == ["step-limit at main/loop0/body: loop iterations"]
 
 
-# The tier counts ahead and checks the limit at the back-edge, so a budget
-# that runs out in the tier reruns the suite exact.
+# The tier's guard stops a run of inline statements that would pass the
+# limit at the exact node: at each of 16 budgets in a row, which stop at
+# every node of an iteration, and at the last two.
 def test_step_limit_in_the_tier_is_the_exact_one(compiled):
     tree = parse(_counting('scanf("%d", &x);\n    if (x > s) {\n'
                            "      s = x;\n    }\n"
@@ -662,26 +625,36 @@ def test_step_limit_in_the_tier_is_the_exact_one(compiled):
                            "  int x;\n"))
     tests = [TestCase(" ".join(map(str, range(_LONG))), str(_LONG - 1))]
     total = fewest_steps(tree, tests)
-    for max_steps in (total // 2, total - 1, total):
-        limits = Limits(max_steps=max_steps)
-        log = _tiered_equals_exact(compiled, tree, tests, limits)
-        assert _Program(tree, limits, TraceLog()).run(tests[0]) == (
-            "pass" if max_steps == total else None)
+    stops = set()
+    for max_steps in (*range(total // 2, total // 2 + 16), total - 1, total):
+        log = _tiered_equals_untiered(compiled, tree, tests,
+                                      Limits(max_steps=max_steps))
         assert len(log.errors) == (max_steps < total)
         assert all(e.startswith("step-limit at ") for e in log.errors)
+        stops.update(log.errors)
+    assert stops == {"step-limit at main/loop0/body",
+                     "step-limit at main/loop0/body/if0/then"}
 
 
-# As test_fast_run_past_the_limit_stops_soon, once the loop has tiered.
-def test_fast_run_past_the_limit_stops_soon_in_the_tier(compiled):
-    log = TraceLog()
-    src = ("int main() {\n  int i = 0;\n  int n = 1000000000;\n"
-           "  while (i < n) {\n    i = i + 1;\n  }\n}\n")
-    program = _Program(parse(src), Limits(max_steps=20_000), log)
-    assert program.run(TestCase("", "")) is None
-    assert compiled
-    point = log.points["main/loop0/body"]
-    point.summary.fold(point.flat)
-    assert 2_000 <= len(point) <= 20_000
+# closest-stream's hostile infinite loop on sum1n's tests: the loop runs on
+# in its tier until a run's guard stops it, and that run stands. The suite
+# compiles one program and keeps the snapshots of its tiered iterations.
+def test_fast_run_past_the_limit_stops_soon_in_the_tier(compiled,
+                                                        monkeypatch):
+    tree = parse('int main() {\n  int n;\n  scanf("%d", &n);\n'
+                 "  while (1) {\n    n = n + 0;\n  }\n"
+                 '  printf("%d", n);\n}\n')
+    tests, limits = sum_suite(), Limits(max_steps=20_000)
+    programs = []
+    program = tracer._Program
+    monkeypatch.setattr(tracer, "_Program",
+                        lambda *args: programs.append(args) or program(*args))
+    log, verdicts = run_suite(tree, tests, limits, record=True)
+    assert len(programs) == len(compiled) == 1
+    assert verdicts == ["error"] * 3
+    assert log.errors == ["step-limit at main/loop0/body"] * 3
+    assert len(log.points["main/loop0/body"]) > 3 * 3 * tracer.HOT_ITERS
+    assert log.to_json() == untiered_suite(tree, tests, limits)[0].to_json()
 
 
 # Stores that convert, and compares of an int with a double, in the tier:
@@ -692,7 +665,7 @@ def test_conversions_in_the_tier_are_exact(compiled):
                     "    if (d < big) {\n      s = s - 1;\n    }",
                     "  double d;\n  int big = 9007199254740993;\n"
                     "  double top = 9007199254740992.0;\n")
-    log = _tiered_equals_exact(compiled, parse(src), [TestCase("", "1499")])
+    log = _tiered_equals_untiered(compiled, parse(src), [TestCase("", "1499")])
     assert log.errors == []
     assert log.snapshots()["main/loop0/body/if0/then"][-1]["s"] == 1499
 
@@ -734,7 +707,7 @@ int main() {
 ], ids=["shadowed", "no-scalar-and-one", "join", "after-call",
         "converting-store", "store-then-incr"])
 def test_generated_source_is_exact(compiled, src, points):
-    log = _tiered_equals_exact(compiled, parse(src), [TestCase("", "")])
+    log = _tiered_equals_untiered(compiled, parse(src), [TestCase("", "")])
     assert log.errors == []
     for pid, names in points.items():
         assert log.points[pid].names == names
@@ -791,7 +764,7 @@ int main() {
 ], ids=["rerun", "self-call"])
 def test_tiered_buffers_stay_bounded(compiled, monkeypatch, src, pid, rows):
     tree, tests = parse(src), [TestCase("", "")]
-    _tiered_equals_exact(compiled, tree, tests)
+    _tiered_equals_untiered(compiled, tree, tests)
     chunks = []
     fold = PointSummary.fold
 
@@ -836,15 +809,161 @@ int main() {
 def test_recursive_call_from_the_tier(compiled, divisor, error):
     tree = parse(_RECURSE_IN_LOOP.replace("DIVISOR", divisor))
     tests = [TestCase("3", "6020")]
-    log = _tiered_equals_exact(compiled, tree, tests)
+    log = _tiered_equals_untiered(compiled, tree, tests)
     assert len(compiled) == 2  # once in each of the two programs run
     assert log.errors == ([error] if error else [])
     assert len(log.samples["f/entry"]) == 4
     if error is None:
         total = fewest_steps(tree, tests)
         for max_steps in (total // 2, total - 1):
-            _tiered_equals_exact(compiled, tree, tests,
-                                 Limits(max_steps=max_steps))
+            _tiered_equals_untiered(compiled, tree, tests,
+                                    Limits(max_steps=max_steps))
+
+
+# Where Python's stack runs out depends on how deep the caller is, so calls
+# are charged their frames and capped short of it: a suite gives the same
+# verdicts and log from every caller depth down to where the tight case of
+# test_call_depth_cap_is_the_limit enters `run_suite`. f recurses under
+# four additions (five frames a call), or from a loop that tiers (seven,
+# one of them the tier's); the first n of each is the last that passes.
+_NESTED_ADDITIONS = ("int f(int n) {\n  if (n == 0) {\n    return 0;\n  }\n"
+                     "  return 1 + (1 + (1 + (1 + f(n - 1))));\n}\n\n"
+                     'int main() {\n  int n;\n  scanf("%d", &n);\n'
+                     '  printf("%d", f(n));\n}\n')
+_SHORT_RECURSE_IN_LOOP = (_RECURSE_IN_LOOP.replace("1500", "2")
+                          .replace("1200", "1").replace("DIVISOR", "(n + 1)"))
+
+
+def _in_loop(n):
+    return (_in_loop(n - 1) if n > 0 else 0) + 2 + 10 // (n + 1)
+
+
+@pytest.mark.parametrize("src,ns,out,point", [
+    (_NESTED_ADDITIONS, (88, 150, 180, 200, 220), lambda n: 4 * n,
+     "f/entry"),
+    (_SHORT_RECURSE_IN_LOOP, (63, 64), _in_loop,
+     "f/loop0/body/if0/then/if0/then"),
+], ids=["nested-additions", "in-a-tiered-loop"])
+def test_call_depth_does_not_depend_on_the_caller(compiled, monkeypatch, src,
+                                                  ns, out, point):
+    monkeypatch.setattr(tracer, "HOT_ITERS", 1)  # a loop tiers at once
+    tree = parse(src)
+    tests = [TestCase(f"{n}\n", str(out(n))) for n in ns]
+
+    def run():
+        log, verdicts = run_suite(tree, tests, record=True)
+        return (verdicts, log.errors, log.outputs,
+                {pid: p.flat for pid, p in log.points.items()})
+    expected = run()
+    assert expected[:2] == (["pass"] + ["error"] * (len(ns) - 1),
+                            [f"step-limit at {point}: call depth"]
+                            * (len(ns) - 1))
+    assert bool(compiled) == ("while" in src)
+    # Two frames more than the tight case's: it enters `run_suite` through
+    # a lambda and `execute`.
+    for frames in range(_tight_frames() + 3):
+        assert _nested(frames, run) == expected, frames
+
+
+# Programs whose calls sit in random contexts: under operators, in
+# arguments, indexes and conditions, in statements, blocks, `if`s and
+# loops, up to three of each around a call; h's loop, and any around a
+# call, tiers at its first back-edge.
+_CALL_EXPRESSIONS = ("1 + ({})", "({}) * 2", "-({})", "!({})", "({}) < 3",
+                     "0 || ({})", "({}) && 1", "a[({}) % 2]", "h({})",
+                     "({}) / 1")
+_CALL_STATEMENTS = ("s = {};", "a[{}] = s;", 'printf("%d ", {});', "h({});",
+                    "if ({}) {{\n  s = s + 1;\n}}",
+                    "for (j = {}; j < 2; j++) {{\n  s = s + 1;\n}}",
+                    "while (j < {}) {{\n  j++;\n}}",
+                    'scanf("%d", &a[{}]);', "return {};")
+_CALL_BLOCKS = ("if (s >= 0) {{\n{}\n}}", "{{\n{}\n}}",
+                "if (s < 0) {{\n}} else {{\n{}\n}}",
+                "for (i{d} = 0; i{d} < 3; i{d}++) {{\n{}\n}}",
+                "while (k{d} < 2) {{\n  k{d}++;\n{}\n}}")
+_CALL_DECLS = ("  int s = 0;\n  int j = 0;\n  int a[2];\n  a[0] = 0;\n"
+               "  a[1] = 1;\n" + "".join(f"  int i{d};\n  int k{d} = 0;\n"
+                                        for d in range(3)))
+
+
+def _call_program(seed):
+    rng = random.Random(seed)
+
+    def body(callee, param):
+        call = f"{callee}({param})"
+        for _ in range(rng.randint(0, 3)):
+            call = rng.choice(_CALL_EXPRESSIONS).format(call)
+        stmt = rng.choice(_CALL_STATEMENTS).format(call)
+        for d in range(rng.randint(0, 3)):
+            stmt = rng.choice(_CALL_BLOCKS).format(stmt, d=d)
+        return _CALL_DECLS + stmt + "\n  return s;\n"
+    return ("int h(int k) {\n  int t = k;\n  while (t > 1) {\n"
+            "    t = t - 1;\n  }\n  return t;\n}\n\n"
+            "int g(int n) {\n" + body("h", "n") + "}\n\n"
+            'int main() {\n  int n;\n  scanf("%d", &n);\n'
+            + body("g", "n") + "}\n")
+
+
+# Each call site is charged at least the Python frames between its
+# caller's call closure and its own, read at the callee's entry, and no
+# frame of a function's body, helpers and the tier's compile included,
+# sits more than a few below its room.
+def test_call_charges_cover_the_frames_used(monkeypatch):
+    call_code = tracer._Compiler.call.__code__.co_consts
+    call_code = next(c for c in call_code if getattr(c, "co_name", "")
+                     == "call")
+    run_code = tracer._Program.run.__code__
+    entered = {}  # id of an entered call closure's frame -> st.frames
+    sites = []  # (frames used, frames charged) per call
+    snapshot = tracer._snapshot
+
+    def body_of(frame):
+        """The frames from `frame` up to the call closure whose body it is
+        in (one that has entered its callee: a call evaluating its
+        arguments is still in its caller's body), and that closure, or
+        `_Program.run`'s frame."""
+        below = 0
+        while not (frame.f_code is run_code or frame.f_code is call_code
+                   and "room" in frame.f_locals):
+            below, frame = below + 1, frame.f_back
+        return below, frame
+
+    def spy(pid, *parts):
+        snap = snapshot(pid, *parts)
+        if not pid.endswith("/entry"):
+            return snap
+
+        def entry(st, v):
+            callee = sys._getframe(1)
+            used, caller = body_of(callee.f_back)
+            sites.append((used + 1, st.frames - entered.get(id(caller), 0)))
+            entered[id(callee)] = st.frames
+            snap(st, v)
+        return entry
+    monkeypatch.setattr(tracer, "_snapshot", spy)
+    beyond = []  # frames below a body's room, past its call closure
+
+    def profile(frame, event, _):
+        if event == "call" and frame.f_code is not run_code:
+            below, body = body_of(frame)
+            if body.f_code is call_code:
+                beyond.append(below - body.f_locals["room"])
+    test = TestCase("3 " + " ".join(["4", "0", "1"] * 9), "")
+    monkeypatch.setattr(tracer, "FOLD_ROWS", 1)  # fold at every snapshot
+    for hot_iters in (1, tracer.HOT_ITERS):
+        monkeypatch.setattr(tracer, "HOT_ITERS", hot_iters)
+        for seed in range(100):
+            program = _Program(parse(_call_program(seed)),
+                               Limits(max_steps=2000), TraceLog())
+            sys.setprofile(profile)
+            try:
+                program.run(test)
+            finally:
+                sys.setprofile(None)
+    assert len(sites) > 400
+    assert all(used <= charged for used, charged in sites), sites
+    # Well inside the 20 frames that MAX_CALL_DEPTH's comment leaves them.
+    assert max(beyond) <= 10, max(beyond)
 
 
 # Names that are Python's own words or the generated function's, and an
@@ -901,7 +1020,7 @@ def test_hostile_nesting_is_the_deepest_the_parser_takes():
 def test_hostile_loop_in_the_tier(compiled, tmp_path, capsys, src, stdin):
     tree = parse(src)
     tests = [TestCase(stdin, "")]
-    log = _tiered_equals_exact(compiled, tree, tests)
+    log = _tiered_equals_untiered(compiled, tree, tests)
     assert log.errors == []
     program = tmp_path / "hostile.c"
     program.write_text(src)
@@ -913,7 +1032,7 @@ def test_hostile_loop_in_the_tier(compiled, tmp_path, capsys, src, stdin):
                      str(tmp_path / "tests"), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(compiled) > before
-    exact_log, exact_verdicts = exact_suite(_renamed(src), tests)
+    exact_log, exact_verdicts = untiered_suite(_renamed(src), tests)
     assert (payload["trace"], payload["verdicts"]) == (exact_log.to_json(),
                                                        exact_verdicts)
 
