@@ -383,18 +383,31 @@ def _model_from_dict(d):
                         representatives=reps, vocab=vocab, sse=d["sse"])
 
 
+def _beside(model_path, name):
+    """The path of the persisted file `name` in model_path's directory."""
+    return os.path.join(os.path.dirname(os.path.abspath(model_path)), name)
+
+
+def _read(path, load=None):
+    """load(path), or the JSON at path without `load`; BadModel naming path
+    when it cannot be opened or its bytes are not what the loader reads."""
+    try:
+        if load:
+            return load(path)
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise BadModel(path, e.strerror or e) from None
+    except (ValueError, EOFError) as e:
+        raise BadModel(path, e) from None
+
+
 def load_model(path):
     """The ClusterModel persist wrote to model.json, with .vocab set and no
     centroids. BadModel naming the file when it is not JSON, lacks a
     field, or fails a check of _model_from_dict, and when it cannot be
     opened."""
-    try:
-        with open(path) as f:
-            d = json.load(f)
-    except OSError as e:
-        raise BadModel(path, e.strerror or e) from None
-    except ValueError as e:
-        raise BadModel(path, e) from None
+    d = _read(path)
     try:
         return _model_from_dict(d)
     except (KeyError, TypeError, ValueError, AttributeError) as e:
@@ -407,14 +420,8 @@ def load_vectors(model_path, model, ids):
     BadModel naming that file when it is not the (id, values) table
     persist wrote, its vectors are not one value per gram of model.vocab,
     or it lacks an id."""
-    path = os.path.join(os.path.dirname(os.path.abspath(model_path)),
-                        "vectors.npy")
-    try:
-        table = np.load(path, allow_pickle=False)
-    except OSError as e:
-        raise BadModel(path, e.strerror or e) from None
-    except (ValueError, EOFError) as e:
-        raise BadModel(path, e) from None
+    path = _beside(model_path, "vectors.npy")
+    table = _read(path, lambda p: np.load(p, allow_pickle=False))
     dt = table.dtype
     if (table.ndim != 1 or dt.names != ("id", "values")
             or dt["id"].kind != "U" or dt["values"].base.kind != "f"
@@ -436,15 +443,8 @@ def load_labels(model_path, ids):
     """{id: label} for `ids`, read from the documents.json next to
     model_path. BadModel naming that file when it cannot be opened, is not
     JSON, or lacks an id or a string label for it."""
-    path = os.path.join(os.path.dirname(os.path.abspath(model_path)),
-                        "documents.json")
-    try:
-        with open(path) as f:
-            documents = json.load(f)
-    except OSError as e:
-        raise BadModel(path, e.strerror or e) from None
-    except ValueError as e:
-        raise BadModel(path, e) from None
+    path = _beside(model_path, "documents.json")
+    documents = _read(path)
     labels = {}
     for pid in ids:
         entry = documents.get(pid) if type(documents) is dict else None

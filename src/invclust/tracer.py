@@ -27,16 +27,20 @@ first. The exit closure is compiled after the function body with the whole
 top scope, and every `return` and the fall-off share it; at an early
 return a name declared later reads `UNSET`. A snapshot is the schema's
 values, `UNSET` for a variable not set yet; no dict or tuple is kept.
-Each point buffers its snapshots as one flat list, row after row, and
-folds it into its `PointSummary` once it holds FOLD_ROWS snapshots: a
-snapshot closure checks after each push, and a tiered loop (below) folds
-the points it snapshots at its back-edge every FOLD_ROWS of its tiered
-iterations, so no buffer holds 2 * FOLD_ROWS rows, and a trace takes
-memory in proportion to its points, not to its length; a point with no
-scalar in scope buffers a None per snapshot. A recorded trace
-(`record=True`, for `invclust trace --json`, `execute` and tests that read
-snapshots) keeps every value and each test's stdout as well, and regroups
-the values into rows when they are read.
+Each point buffers its snapshots as one flat list, row after row; a
+point with no scalar in scope buffers a None per snapshot. Unrecorded,
+the first loop back-edge or call that finds the step count at `fold_at`
+folds every point's buffer into its `PointSummary` (`_fold`) and sets
+the next fold FOLD_STEPS steps on. A run takes no more snapshots than
+about its steps, and any unbounded repetition passes a back-edge or a
+call, so the rows all points buffer together stay under about
+2 * FOLD_STEPS plus one loop-free stretch of the program, and a trace
+takes memory in proportion to its points, not to its length. The count
+to the next fold carries from one test to the next, and a test that
+stops on an error folds at once. A recorded trace (`record=True`, for
+`invclust trace --json`, `execute` and tests that read snapshots) folds
+only at the end, keeps every value and each test's stdout as well, and
+regroups the values into rows when they are read.
 
 Step accounting: one step per statement executed and one per expression
 node evaluated, in evaluation order; past `Limits.max_steps` the run stops
@@ -99,8 +103,8 @@ INT_MAX = 2**63 - 1
 MAX_CALL_DEPTH = 225
 _MAX_FRAMES = 2 * MAX_CALL_DEPTH + 5
 
-# Snapshots a point buffers before folding them into its summary.
-FOLD_ROWS = 4096
+# Steps between folds of the points' buffers into their summaries.
+FOLD_STEPS = 32_768
 
 # Iterations after which a loop runs the rest of its current execution in
 # Python source generated and compiled for it (see `_hot_loop`).
@@ -199,15 +203,19 @@ _SCOPE_SEGMENT = {Kind.IF: "if", Kind.WHILE: "loop", Kind.FOR: "loop",
 
 
 class _State:
-    """What one test changes, and the compiled functions: call closures
-    look callees up here, so no closure holds the table that holds it and
-    a compiled program is freed without the cyclic collector."""
+    """What one test changes, and the compiled functions and the points'
+    traces: call closures look callees up here, so no closure holds the
+    table that holds it and a compiled program is freed without the
+    cyclic collector."""
 
-    __slots__ = ("functions", "steps", "frames", "point", "stdin", "out")
+    __slots__ = ("functions", "points", "steps", "fold_at", "frames",
+                 "point", "stdin", "out")
 
-    def __init__(self, functions, stdin_text):
+    def __init__(self, functions, points, stdin_text, fold_at):
         self.functions = functions
+        self.points = points
         self.steps = 0
+        self.fold_at = fold_at  # the step count of the next `_fold`
         self.frames = 0  # the frames charged to the active calls
         self.point = "start"   # most recently entered point, for diagnostics
         self.stdin = iter(stdin_text.split())  # the tokens not read yet
@@ -238,15 +246,21 @@ def _bad_token(st, token):
                              f"bad input token {token!r}")
 
 
-def _snapshot(pid, summary, getter, push, flat, fold_at, _layout):
+def _snapshot(pid, getter, push, _flat, _layout):
     """The closure recording point pid, from `_Compiler.point`'s parts."""
     def snap(st, v):
         st.point = pid
         push(getter(v))
-        if len(flat) >= fold_at:
-            summary.fold(flat)
-            flat.clear()
     return snap
+
+
+def _fold(st):
+    """Folds every point's buffer into its summary, and sets the next fold
+    FOLD_STEPS steps on; loop back-edges and calls run it at `fold_at`."""
+    for point in st.points:
+        point.summary.fold(point.flat)
+        point.flat.clear()
+    st.fold_at = st.steps + FOLD_STEPS
 
 
 def _a_frame_below(compile_):
@@ -284,7 +298,6 @@ class _Compiler:
         self.max_steps = limits.max_steps
         self.max_iters = limits.max_loop_iters
         self.points = log.points
-        self.record = log.record
         self.plans = {}  # statement closure -> its plan (see `plan`)
         self.looping = 0  # loops being compiled; plans are made in them
         self.functions = {fn.identifier: self.function(fn)
@@ -351,10 +364,9 @@ class _Compiler:
         return (node.literal, left, right) if right else None
 
     def point(self, pid, scopes):
-        """(pid, summary, getter, push, flat, fold_at, layout): a snapshot
-        of point pid is `push(getter(v))`, the scalar variables of
-        `scopes`, outer scopes first, in its schema, and `flat` folds once
-        it holds fold_at values (never, when recorded). The layout, each
+        """(pid, getter, push, flat, layout): a snapshot of point pid is
+        `push(getter(v))`, the scalar variables of `scopes`, outer scopes
+        first, in its schema, into the buffer `flat`. The layout, each
         variable's (name, slot), is for the tier. Arrays are left out (a
         slot's binding never changes)."""
         assert pid not in self.points, f"point {pid} compiled twice"
@@ -364,10 +376,8 @@ class _Compiler:
             dict.fromkeys(name for name, _ in layout))
         getter, single = _row_getter(point.names, layout)
         flat = point.flat
-        fold_at = (math.inf if self.record
-                   else FOLD_ROWS * (len(point.names) or 1))
-        return (pid, point.summary, getter,
-                flat.append if single else flat.extend, flat, fold_at, layout)
+        return (pid, getter, flat.append if single else flat.extend, flat,
+                layout)
 
     # --- functions and calls ---
 
@@ -410,6 +420,8 @@ class _Compiler:
             st.frames += frames
             if st.frames + room > _MAX_FRAMES:
                 raise TraceRuntimeError("step-limit", st.point, "call depth")
+            if st.steps >= st.fold_at:
+                _fold(st)
             w = frame.copy()
             for (slot, is_int), x in zip(params, values):
                 w[slot] = _convert(st, x, is_int)
@@ -594,7 +606,7 @@ class _Compiler:
         pid += "/body"
         _, body, point = self.block(body_node.children, pid)
         self.nest -= 1
-        _, summary, getter, push, flat, fold_at, _ = point
+        _, getter, push, _, _ = point
         plan = (cond, self.inline(cond_node) or ("call", cond), point,
                 self.plan(body), step and self.plan((step,))[0],
                 self.max_iters, self.max_steps)
@@ -616,15 +628,14 @@ class _Compiler:
                                             "loop iterations")
                 st.point = pid
                 push(getter(v))
-                if len(flat) >= fold_at:
-                    summary.fold(flat)
-                    flat.clear()
                 for s in body:
                     r = s(st, v)
                     if r is not None:
                         return r
                 if step is not None:
                     step(st, v)
+                if st.steps >= st.fold_at:
+                    _fold(st)
                 if iters == hot:
                     if tier is None:
                         tier = _hot_loop(*plan)
@@ -882,18 +893,11 @@ def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
     """The function (st, v, iters) that runs a loop's execution on from its
     back-edge after `iters` iterations, its statements' plans inline.
 
-    Unrecorded, it folds the points it snapshots at the back-edge once
-    every FOLD_ROWS tiered iterations of the loop. The count of those left
-    to the next fold is one cell shared by every execution of the loop,
-    held in `due` between calls, so the rows that a call's execution of
-    the same loop adds count too. A buffer then holds fewer than FOLD_ROWS
-    rows past its fold_at: an execution's first snapshots are its
-    closure's, which fold a buffer at or past fold_at."""
+    It runs `_fold` at the back-edge as the loop closure does, against a
+    copy of `st.fold_at` loaded at entry and after each fold; a fold in a
+    call leaves the copy low, which brings the next fold forward."""
     src = _Source(max_steps)
-    src.emit(1, "steps, stdin = st.steps, st.stdin")
-    if point[5] < math.inf:  # the body's fold_at: unrecorded, it folds
-        src.left = src.key([FOLD_ROWS])
-        src.emit(1, f"due = iters + {src.left}[0]")
+    src.emit(1, "steps, stdin, fold_at = st.steps, st.stdin, st.fold_at")
     src.emit(1, "while True:")
     src.emit(2, f"if not {src.test(2, cond_plan, cond)}: break")
     src.close()
@@ -904,14 +908,11 @@ def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
     for plan in body + [step] if step else body:
         src.stmt(2, plan)
     src.close()
-    if src.left:
-        src.emit(2, "if iters >= due:")
-        src.emit(3, f"due = iters + {FOLD_ROWS}")
-        for line in src.folds:
-            src.emit(3, line)
+    src.emit(2, "if steps >= fold_at:")
+    src.emit(3, "st.steps = steps")
+    src.emit(3, "_fold(st)")
+    src.emit(3, "fold_at = st.fold_at")
     src.emit(1, "st.steps = steps")
-    if src.left:
-        src.emit(1, f"{src.left}[0] = due - iters")
     defaults = ", ".join(f"{k}={k}" for k in src.ns)
     code = "\n".join([f"def hot_loop(st, v, iters, *, {defaults}):",
                       *src.lines])
@@ -950,12 +951,11 @@ class _Source:
         self.lines = []
         self.ns = {"UNSET": UNSET, "TraceRuntimeError": TraceRuntimeError,
                    "_unset": _unset, "_convert": _convert,
-                   "_bad_token": _bad_token, "_overrun": _overrun}
+                   "_bad_token": _bad_token, "_overrun": _overrun,
+                   "_fold": _fold}
         self.temps = 0
         self.run = None  # [line index, indent, steps, closures] of a run
         self.known = {}
-        self.folds = []  # a line folding each point snapshot inline
-        self.left = None  # key of the iterations left to the next fold
 
     def key(self, obj):
         key = f"_k{len(self.ns)}"
@@ -999,12 +999,8 @@ class _Source:
         self.close()
         self.known = {}
         self.emit(ind, "st.steps = steps")
-        if self.left:
-            self.emit(ind, f"{self.left}[0] = due - iters")
         x = self.fresh(ind, f"{self.key(closure)}(st, v)")
         self.emit(ind, "steps = st.steps")
-        if self.left:
-            self.emit(ind, f"due = iters + {self.left}[0]")
         return x
 
     def trap(self, ind, x):
@@ -1069,20 +1065,16 @@ class _Source:
 
     def snapshot(self, ind, point):
         """A point's snapshot: its values as one tuple, or one value, when
-        its layout declares no name twice, else through its getter. A point
-        that folds is folded at the back-edge (see `_hot_loop`)."""
-        pid, summary, getter, push, flat, fold_at, layout = point
-        f = self.key(flat)
+        its layout declares no name twice, else through its getter."""
+        pid, getter, push, flat, layout = point
         self.emit(ind, f"st.point = {self.key(pid)}")
         values = [self.known.get(slot) or f"v[{slot}]" for _, slot in layout]
         if len(values) == 1:
             self.emit(ind, f"{self.key(push)}({values[0]})")
         elif values and len(dict(layout)) == len(layout):
-            self.emit(ind, f"{f} += ({', '.join(values)})")
+            self.emit(ind, f"{self.key(flat)} += ({', '.join(values)})")
         else:  # no scalar, or a name declared twice
             self.emit(ind, f"{self.key(push)}({self.key(getter)}(v))")
-        if fold_at < math.inf:
-            self.folds.append(f"{self.key(summary.fold)}({f}); {f}.clear()")
 
     def stmt(self, ind, plan):
         kind, closure, *parts = plan
@@ -1153,6 +1145,9 @@ class _Program:
         compiler = _Compiler(tree, limits or Limits(), log)
         self.log = log
         self.functions = compiler.functions
+        self.points = list(log.points.values())
+        # The steps left to the next fold, carried from test to test.
+        self.fold_in = math.inf if log.record else FOLD_STEPS
         self.main = None
         if "main" in compiler.functions:
             self.main = compiler.call(Node(Kind.CALL, identifier="main"), None)
@@ -1160,8 +1155,9 @@ class _Program:
     def run(self, test):
         """Run one test, adding its snapshots and any error to the log, and
         its output too when the log records. Returns the verdict."""
-        st = _State(self.functions, test.stdin_text)
         log = self.log
+        st = _State(self.functions, self.points, test.stdin_text,
+                    self.fold_in)
         verdict = "error"
         try:
             try:
@@ -1177,6 +1173,9 @@ class _Program:
             verdict = "pass" if ok else "fail"
         except TraceRuntimeError as e:
             log.errors.append(str(e))
+            if not log.record:  # a tier raises without syncing st.steps
+                _fold(st)
+        self.fold_in = st.fold_at - st.steps
         if log.record:
             log.outputs.append("".join(st.out))
         return verdict

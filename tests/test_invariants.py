@@ -241,13 +241,14 @@ def test_edge_columns_match_the_oracle(pid):
 
 
 def _assert_fold_by_one_matches_whole_run(monkeypatch, tree, tests):
-    """Folding after every snapshot gives the invariants that folding the
-    recorded run as one chunk gives, over the same snapshot counts."""
+    """Folding at every loop back-edge and call gives the verdicts, errors
+    and invariants that folding the recorded run as one chunk gives, over
+    the same snapshot counts."""
     whole, verdicts = run_suite(tree, tests, record=True)
     with monkeypatch.context() as m:
-        m.setattr(tracer, "FOLD_ROWS", 1)
+        m.setattr(tracer, "FOLD_STEPS", 1)  # fold at every check
         by_one, verdicts_by_one = run_suite(tree, tests)
-    assert verdicts_by_one == verdicts
+    assert (by_one.errors, verdicts_by_one) == (whole.errors, verdicts)
     assert {p: len(t) for p, t in by_one.samples.items()} == \
         {p: len(t) for p, t in whole.samples.items()}
     assert all(not t.flat for t in by_one.points.values())
@@ -271,6 +272,25 @@ def test_fold_in_chunks_of_one_matches_whole_run_randomized(monkeypatch):
         renamed, _ = rename(parse(src))
         _assert_fold_by_one_matches_whole_run(monkeypatch, renamed,
                                               gen_suite(seed, n_in))
+
+
+# With HOT_ITERS at 1 or 2, each loop runs on in its tier from its first or
+# second back-edge, so the tier's back-edge folds too.
+@pytest.mark.parametrize("hot_iters", [1, 2])
+def test_fold_at_every_check_through_the_tier(monkeypatch, hot_iters):
+    monkeypatch.setattr(tracer, "HOT_ITERS", hot_iters)
+    tiered = []
+    hot_loop = tracer._hot_loop
+    monkeypatch.setattr(tracer, "_hot_loop",
+                        lambda *plan: tiered.append(plan) or hot_loop(*plan))
+    suites = [(rename(parse(src))[0], gen_suite(seed, n_in))
+              for seed, (src, n_in) in enumerate(map(gen_program, range(40)))]
+    edge_tests = [TestCase(f"{n}\n", "") for n in (0, 1, 2, 3)]
+    suites += [(parse(src), edge_tests)
+               for src in SNAPSHOT_EDGE_PROGRAMS.values()]
+    for tree, tests in suites:
+        _assert_fold_by_one_matches_whole_run(monkeypatch, tree, tests)
+    assert len(tiered) > len(suites)
 
 
 # --- int columns folded as arrays ---
@@ -350,17 +370,27 @@ def test_float_constant_is_broken_by_equal_ints():
         oracle_point_invariants([{"x": 1.0}] + [{"x": 1}] * _ARRAY_ROWS)
 
 
-def test_unrecorded_fold_of_three_chunks_matches_the_oracle():
-    """The loop body of the sum to 10,000 takes more than two FOLD_ROWS
-    chunks, each folded as arrays, and gives what the oracle gives over the
+def test_unrecorded_fold_of_three_chunks_matches_the_oracle(monkeypatch):
+    """The loop body of the sum to 10,000 folds in at least three chunks,
+    each folded as arrays, and gives what the oracle gives over the
     recorded snapshots."""
     tree = rename(parse(LEFT_SRC))[0]
     tests = sum_suite((10_000,))
     recorded, _ = run_suite(tree, tests, record=True)
+    chunks = []  # (summary, rows) per fold
+    fold = PointSummary.fold
+
+    def spy(summary, flat):
+        chunks.append((summary, len(flat) // (len(summary.names) or 1)))
+        fold(summary, flat)
+    monkeypatch.setattr(PointSummary, "fold", spy)
     log, verdicts = run_suite(tree, tests)
     assert verdicts == ["pass"]
     body = [p for p, k in log.point_kinds.items() if k == "loop-body"]
-    assert len(body) == 1 and len(log.samples[body[0]]) > 2 * tracer.FOLD_ROWS
+    assert len(body) == 1
+    summary = log.points[body[0]].summary
+    assert len([n for s, n in chunks
+                if s is summary and n >= _ARRAY_ROWS]) >= 3
     inv = detect(log, min_samples=1)
     for pid, snaps in recorded.snapshots().items():
         assert inv.by_point[pid] == oracle_point_invariants(snaps), pid

@@ -560,7 +560,7 @@ def _tiered_equals_untiered(compiled, tree, tests, limits=None):
     log."""
     before = len(compiled)
     log, verdicts = run_suite(tree, tests, limits, record=True)
-    # Unrecorded, each point folds its snapshots every FOLD_ROWS rows.
+    # Unrecorded, the points fold their snapshots every FOLD_STEPS steps.
     folded, folded_verdicts = run_suite(tree, tests, limits)
     assert len(compiled) > before
     untiered = untiered_suite(tree, tests, limits)
@@ -714,12 +714,13 @@ def test_generated_source_is_exact(compiled, src, points):
         assert len(log.points[pid]) > tracer.HOT_ITERS
 
 
-# A tiered loop folds its points every FOLD_ROWS of its tiered iterations,
-# counted across its executions, and a snapshot closure folds a buffer at
-# or past fold_at, so no chunk exceeds fold_at + FOLD_ROWS rows: not when
-# the loop runs again after a tier left its buffer past fold_at, nor when
-# its tier calls an execution of itself that tiers and returns with a full
-# buffer just after the caller folded.
+# Every point folds at the first back-edge or call past fold_at, so at each
+# fold the rows of all points together are at most 2 * FOLD_STEPS plus the
+# steps of one iteration of the innermost loop: not when the loop runs
+# again after a tier left its buffer full, nor when its tier calls an
+# execution of itself that tiers and folds, leaving the caller's copy of
+# fold_at behind. A point's chunk holds up to FOLD_STEPS rows over its
+# loop's steps an iteration: 16,384 for the tight loop's 2.
 _RERUN = """\
 int main() {
   int r = 0;
@@ -758,13 +759,16 @@ int main() {
 """
 
 
-@pytest.mark.parametrize("src,pid,rows", [
-    (_RERUN, "main/loop0/body/loop0/body", 10_003),
-    (_SELF_CALL, "f/loop0/body", 4 * 5119 + 6 * 3900),
-], ids=["rerun", "self-call"])
-def test_tiered_buffers_stay_bounded(compiled, monkeypatch, src, pid, rows):
-    tree, tests = parse(src), [TestCase("", "")]
-    _tiered_equals_untiered(compiled, tree, tests)
+_TIGHT = """\
+int main() {
+  int i = 40000;
+  while (i) i--;
+}
+"""
+
+
+def _spy_folds(monkeypatch):
+    """The rows of each `PointSummary.fold` call from now on, in order."""
     chunks = []
     fold = PointSummary.fold
 
@@ -772,10 +776,73 @@ def test_tiered_buffers_stay_bounded(compiled, monkeypatch, src, pid, rows):
         chunks.append(len(flat) // (len(summary.names) or 1))
         fold(summary, flat)
     monkeypatch.setattr(PointSummary, "fold", spy)
+    return chunks
+
+
+def _rows_per_fold(log, chunks):
+    """The rows of all points together at each fold, mid-run or final: a
+    fold folds every point once, in the log's order."""
+    n = len(log.points)
+    assert len(chunks) % n == 0
+    return [sum(chunks[i:i + n]) for i in range(0, len(chunks), n)]
+
+
+@pytest.mark.parametrize("src,pid,rows,iteration,most", [
+    (_RERUN, "main/loop0/body/loop0/body", 10_003, 4, 8192),
+    (_SELF_CALL, "f/loop0/body", 4 * 5119 + 6 * 3900, 16, 8192),
+    (_TIGHT, "main/loop0/body", 40_000, 2, 16_384),
+], ids=["rerun", "self-call", "tight"])
+def test_tiered_buffers_stay_bounded(compiled, monkeypatch, src, pid, rows,
+                                     iteration, most):
+    tree, tests = parse(src), [TestCase("", "")]
+    _tiered_equals_untiered(compiled, tree, tests)
+    chunks = _spy_folds(monkeypatch)
     log, _ = run_suite(tree, tests)
     assert len(log.points[pid]) == rows
-    assert max(chunks) <= 2 * tracer.FOLD_ROWS
+    folds = _rows_per_fold(log, chunks)
+    assert len(folds) > 1
+    assert max(folds) <= 2 * tracer.FOLD_STEPS + iteration
+    assert max(chunks) <= most
     assert sum(chunks) == sum(len(p) for p in log.points.values())
+
+
+# The tier's inline add overflows in the last iteration, with the steps the
+# tier took not yet stored in the test's state.
+_OVERFLOW_AT_END = """\
+int main() {
+  int n;
+  scanf("%d", &n);
+  int i = 0;
+  int s = 0;
+  while (i <= n) {
+    if (i == n) {
+      s = 9223372036854775807 + i;
+    }
+    s = s + i;
+    i++;
+  }
+  printf("%d", s);
+}
+"""
+
+
+@pytest.mark.parametrize("src,verdict,iteration", [
+    (LEFT_SRC, "pass", 8), (_OVERFLOW_AT_END, "error", 12),
+], ids=["pass", "error"])
+def test_short_tests_fold_as_the_suite_goes(monkeypatch, src, verdict,
+                                             iteration):
+    """The count to the next fold carries from test to test, so a suite of
+    tests each shorter than FOLD_STEPS steps folds as it goes, not only at
+    its end. Each loop runs in its tier from its first back-edge."""
+    tree = rename(parse(src))[0]
+    monkeypatch.setattr(tracer, "HOT_ITERS", 1)
+    chunks = _spy_folds(monkeypatch)
+    log, verdicts = run_suite(tree, sum_suite((2500,) * 30))
+    assert verdicts == [verdict] * 30
+    folds = _rows_per_fold(log, chunks)
+    assert len(folds) > 2
+    assert max(folds) <= 2 * tracer.FOLD_STEPS + iteration
+    assert sum(folds) == sum(len(p) for p in log.points.values())
 
 
 # f's loop tiers, then calls f from the tier; the callee's loop tiers in the
@@ -949,7 +1016,7 @@ def test_call_charges_cover_the_frames_used(monkeypatch):
             if body.f_code is call_code:
                 beyond.append(below - body.f_locals["room"])
     test = TestCase("3 " + " ".join(["4", "0", "1"] * 9), "")
-    monkeypatch.setattr(tracer, "FOLD_ROWS", 1)  # fold at every snapshot
+    monkeypatch.setattr(tracer, "FOLD_STEPS", 1)  # fold at every check
     for hot_iters in (1, tracer.HOT_ITERS):
         monkeypatch.setattr(tracer, "HOT_ITERS", hot_iters)
         for seed in range(100):
