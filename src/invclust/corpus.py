@@ -5,6 +5,7 @@ written by persist; model.json, vectors.npy and the labels in
 documents.json read back by load_model, load_vectors and load_labels),
 and the 2-D projection export."""
 
+import csv
 import hashlib
 import json
 import os
@@ -110,15 +111,21 @@ def write_corpus(corpus, root):
         os.makedirs(pdir, exist_ok=True)
         for prog in asn.programs:
             stem = prog.id.partition("/")[2]
-            with open(os.path.join(pdir, f"{stem}.c"), "w") as f:
-                f.write(prog.text)
+            _write_text(os.path.join(pdir, f"{stem}.c"), prog.text)
         tdir = os.path.join(root, "tests", label)
         os.makedirs(tdir, exist_ok=True)
         for i, test in enumerate(asn.tests):
-            with open(os.path.join(tdir, f"t{i}.in"), "w") as f:
-                f.write(test.stdin_text + "\n")
-            with open(os.path.join(tdir, f"t{i}.out"), "w") as f:
-                f.write(test.expected_stdout + "\n")
+            _write_text(os.path.join(tdir, f"t{i}.in"),
+                        test.stdin_text + "\n")
+            _write_text(os.path.join(tdir, f"t{i}.out"),
+                        test.expected_stdout + "\n")
+
+
+def _write_text(path, text):
+    """Write text as UTF-8, the encoding read_source and read_tests read,
+    whatever the locale."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 @dataclass
@@ -456,11 +463,14 @@ def load_labels(model_path, ids):
 
 
 def write_projection(ids, X, path):
-    """Write project_2d(ids, X) as id,x,y CSV."""
-    with open(path, "w") as f:
-        f.write("id,x,y\n")
-        for pid, x, y in project_2d(ids, X):
-            f.write(f"{pid},{x!r},{y!r}\n")
+    """Write project_2d(ids, X) as id,x,y CSV. An id is a file name, so it
+    is quoted where CSV needs it and written back to its own bytes, those
+    that are not UTF-8 included."""
+    with open(path, "w", encoding="utf-8", errors="surrogateescape",
+              newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(("id", "x", "y"))
+        writer.writerows(project_2d(ids, X))
 
 
 def project_2d(ids, X):

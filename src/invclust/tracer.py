@@ -22,11 +22,13 @@ and a loop a `body` point, as in `main/loop0/body/if1/then`. A point's kind
 is read off the last segment of its id.
 
 Snapshots: every point has exactly one snapshot closure, and its schema is
-the names of the scalar variables in that closure's scopes, outer scopes
-first. The exit closure is compiled after the function body with the whole
-top scope, and every `return` and the fall-off share it; at an early
-return a name declared later reads `UNSET`. A snapshot is the schema's
-values, `UNSET` for a variable not set yet; no dict or tuple is kept.
+the names of the scalar variables visible there, outer scopes first: as in
+C, an inner declaration (an array too) hides the outer one of its name,
+which keeps its position. A renamed tree declares no name twice. The exit
+closure is compiled after the function body with the whole top scope, and
+every `return` and the fall-off share it; at an early return a name
+declared later reads `UNSET`. A snapshot is the schema's values, `UNSET`
+for a variable not set yet (an inner one too); no dict or tuple is kept.
 Each point buffers its snapshots as one flat list, row after row; a
 point with no scalar in scope buffers a None per snapshot. Unrecorded,
 the first loop back-edge or call that finds the step count at `fold_at`
@@ -65,9 +67,9 @@ has found that the run stays within max_steps; a run that would not calls
 the closures of its statements instead (`_overrun`). Within an iteration
 it loads and checks a scalar once: a later read or snapshot uses the value
 a checked read or a store left, until a call, which may store into any
-slot, or a join whose paths disagree. A snapshot whose layout declares no
-name twice is the tuple of those values, added to the point's buffer with
-no getter. Every object the source uses is bound as a default argument,
+slot, or a join whose paths disagree. A snapshot is the tuple of those
+values, or its one value, or a None, added to the point's buffer with no
+getter. Every object the source uses is bound as a default argument,
 so it loads as a local. A suite whose loops stop short of HOT_ITERS
 compiles no source.
 
@@ -365,19 +367,24 @@ class _Compiler:
 
     def point(self, pid, scopes):
         """(pid, getter, push, flat, layout): a snapshot of point pid is
-        `push(getter(v))`, the scalar variables of `scopes`, outer scopes
-        first, in its schema, into the buffer `flat`. The layout, each
-        variable's (name, slot), is for the tier. Arrays are left out (a
-        slot's binding never changes)."""
+        `push(getter(v))`, its scalar variables' values (one value, a tuple,
+        or a None for none), into the buffer `flat`. The layout, each
+        variable's (name, slot), is its schema and is for the tier: as in
+        C, each name's innermost declaration in `scopes`, at the name's
+        first position, outer scopes first; arrays, which hide names too,
+        are then left out (a slot's binding never changes)."""
         assert pid not in self.points, f"point {pid} compiled twice"
-        layout = [(name, slot) for scope in scopes
-                  for name, slot in scope.items() if not self.binding[slot][0]]
-        point = self.points[pid] = PointTrace(
-            dict.fromkeys(name for name, _ in layout))
-        getter, single = _row_getter(point.names, layout)
+        visible = {}
+        for scope in scopes:
+            visible.update(scope)
+        layout = [(name, slot) for name, slot in visible.items()
+                  if not self.binding[slot][0]]
+        point = self.points[pid] = PointTrace(name for name, _ in layout)
+        getter = (operator.itemgetter(*(slot for _, slot in layout))
+                  if layout else lambda v: None)
         flat = point.flat
-        return (pid, getter, flat.append if single else flat.extend, flat,
-                layout)
+        return (pid, getter, flat.append if len(layout) < 2 else flat.extend,
+                flat, layout)
 
     # --- functions and calls ---
 
@@ -1064,17 +1071,16 @@ class _Source:
         return self.compare(ind, plan)
 
     def snapshot(self, ind, point):
-        """A point's snapshot: its values as one tuple, or one value, when
-        its layout declares no name twice, else through its getter."""
-        pid, getter, push, flat, layout = point
+        """A point's snapshot: its one value, the tuple of its values, or
+        a None for a point with no scalar."""
+        pid, _, push, flat, layout = point
         self.emit(ind, f"st.point = {self.key(pid)}")
-        values = [self.known.get(slot) or f"v[{slot}]" for _, slot in layout]
-        if len(values) == 1:
-            self.emit(ind, f"{self.key(push)}({values[0]})")
-        elif values and len(dict(layout)) == len(layout):
+        values = [self.known.get(slot) or f"v[{slot}]"
+                  for _, slot in layout] or ["None"]
+        if len(values) > 1:
             self.emit(ind, f"{self.key(flat)} += ({', '.join(values)})")
-        else:  # no scalar, or a name declared twice
-            self.emit(ind, f"{self.key(push)}({self.key(getter)}(v))")
+        else:
+            self.emit(ind, f"{self.key(push)}({values[0]})")
 
     def stmt(self, ind, plan):
         kind, closure, *parts = plan
@@ -1179,32 +1185,6 @@ class _Program:
         if log.record:
             log.outputs.append("".join(st.out))
         return verdict
-
-
-def _row_getter(names, layout):
-    """(getter, single): a function from a frame to a snapshot's values,
-    one per name in `names`, the layout's names, and whether it returns
-    the one value itself rather than a sequence of them. A name declared
-    again in an inner scope takes the inner value once that is set, else
-    the outer one."""
-    if not layout:  # a snapshot of no variable is a None, only counted
-        return (lambda v: None), True
-    slot_of = dict(layout)
-    if len(slot_of) == len(layout):  # no name declared twice
-        return (operator.itemgetter(*(slot_of[name] for name in names)),
-                len(names) == 1)
-    candidates = [[slot for n, slot in layout if n == name] for name in names]
-
-    def shadowed(v):
-        row = []
-        for found in candidates:
-            x = UNSET
-            for slot in found:
-                if v[slot] is not UNSET:
-                    x = v[slot]
-            row.append(x)
-        return row
-    return shadowed, False
 
 
 def execute(tree, test, limits=None):

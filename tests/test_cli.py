@@ -1,5 +1,6 @@
 """CLI subcommand tests: thin-wrapper golden checks and exit codes."""
 
+import csv
 import json
 import os
 import shutil
@@ -410,6 +411,28 @@ def test_cluster_one_program_projects_to_origin(tmp_path, capsys):
     assert main(["cluster", "--corpus", str(corpus), "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert (out / "projection.csv").read_text() == "id,x,y\necho/s0,0.0,0.0\n"
+
+
+# A program id is its file name: one with a comma is quoted, one that is not
+# UTF-8 is written back as its own bytes, and each row reads as three fields.
+def test_projection_rows_keep_file_names(workspace, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    names = ["Smith, John.c", os.fsdecode(b"bad\xff.c")]
+    for name in names:
+        shutil.copy(corpus / "sum1n" / "v03.c", corpus / "sum1n" / name)
+    out = tmp_path / "out"
+    assert main(["cluster", "--corpus", str(corpus), "--k", "3",
+                 "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    model = json.loads((out / "model.json").read_text())
+    assert {f"sum1n/{name[:-2]}" for name in names} <= set(model["assignment"])
+    with open(out / "projection.csv", encoding="utf-8",
+              errors="surrogateescape", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["id", "x", "y"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows[1:]] == sorted(model["assignment"])
 
 
 @pytest.mark.parametrize("fname", ["t0.in", "t0.out"])

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +178,32 @@ def test_write_corpus_round_trips(tmp_path):
     for label, a in corpus.assignments.items():
         assert [p.text for p in back.assignments[label].programs] == \
             [p.text for p in a.programs]
+
+
+# ingest decodes UTF-8, so write_corpus writes it, even where the locale's
+# encoding is ASCII (the C locale, with neither coercion nor UTF-8 mode).
+def test_write_corpus_writes_utf8_under_an_ascii_locale(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(
+               [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = (
+        "import sys\n"
+        "from invclust.corpus import Assignment, Corpus, write_corpus\n"
+        "from invclust.nodes import SourceProgram\n"
+        "from invclust.tracer import TestCase\n"
+        "text = 'int main() {\\n  /* caf\\u00e9 */\\n}\\n'\n"
+        "write_corpus(Corpus(assignments={'a': Assignment(label='a', "
+        "programs=[SourceProgram(id='a/p', label='a', text=text)], "
+        "tests=[TestCase('1', '\\u00e9')])}), sys.argv[1])\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    back = ingest(str(tmp_path)).assignments["a"]
+    assert back.programs[0].text == "int main() {\n  /* café */\n}\n"
+    assert back.tests[0].expected_stdout == "é\n"
 
 
 

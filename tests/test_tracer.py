@@ -403,13 +403,19 @@ def _recorded_edge_program(name):
     return log
 
 
-def test_shadowed_name_reads_the_inner_value_once_set():
+# As in C, the inner `a` hides the outer one, so a snapshot taken before
+# the inner `a` is set lacks `a`; renamed, the two are separate columns.
+def test_inner_declaration_hides_the_outer_name():
     snaps = _recorded_edge_program("shadow").snapshots()
-    assert snaps["main/loop0/body/if0/then"] == [{"a": 1, "i": 2},
-                                                 {"a": 1, "i": 3}]
+    assert snaps["main/loop0/body/if0/then"] == [{"i": 2}, {"i": 3}]
     assert snaps["main/loop0/body/block1"] == [
-        {"a": 1, "i": 0}, {"a": 1, "i": 1}, {"a": 20, "i": 2},
-        {"a": 30, "i": 3}]
+        {"i": 0}, {"i": 1}, {"a": 20, "i": 2}, {"a": 30, "i": 3}]
+    log, _, _ = execute(_renamed(SNAPSHOT_EDGE_PROGRAMS["shadow"]),
+                        TestCase("", ""))
+    assert log.points["main/loop0/body/if0/then"].names == [
+        "int0", "int1", "int2"]
+    assert log.snapshots()["main/loop0/body/if0/then"] == [
+        {"int0": 1, "int1": 2}, {"int0": 1, "int1": 3}]
 
 
 def test_exit_point_schema_is_the_union_of_its_returns():
@@ -672,8 +678,10 @@ def test_conversions_in_the_tier_are_exact(compiled):
 
 # The generated source reuses a slot's value within an iteration, from a
 # checked read or a store, until a call, or a join whose paths disagree;
-# it snapshots a point inline unless its layout shadows a name or holds no
-# scalar. Each program below runs past HOT_ITERS through one such case.
+# it snapshots a point inline, as one value, a tuple or a None. Each
+# program below runs past HOT_ITERS through one such case. In "hidden",
+# the body's `s` hides main's and is set only past i == 1500, so the
+# then-point's snapshots lack `s` until then.
 _NO_SCALAR_AND_ONE = """\
 int main() {
   int a[1];
@@ -690,28 +698,39 @@ int main() {
 """
 
 
-@pytest.mark.parametrize("src,points", [
+_HIDDEN_THEN = [{"i": i} for i in range(1001, 1501)] + [
+    {"i": i, "s": i} for i in range(1501, _LONG)]
+
+
+@pytest.mark.parametrize("src,points,snaps", [
     (_counting("int s = i;\n    if (s > 10) {\n      s = s - 1;\n    }"),
-     {"main/loop0/body/if0/then": ["i", "s"]}),
-    (_NO_SCALAR_AND_ONE, {"main/loop0/body": [], "main/loop1/body": ["i"]}),
+     {"main/loop0/body/if0/then": ["i", "s"]}, {}),
+    (_counting("int s;\n    if (i > 1500) {\n      s = i;\n    }\n"
+               "    if (i > 1000) {\n      s = 1;\n    }"),
+     {"main/loop0/body/if1/then": ["i", "s"]},
+     {"main/loop0/body/if1/then": _HIDDEN_THEN}),
+    (_NO_SCALAR_AND_ONE, {"main/loop0/body": [], "main/loop1/body": ["i"]},
+     {}),
     (_counting("if (i < 1500) {\n      s = s + i;\n    } else {\n"
                "      t = i;\n    }\n    s = s + t;\n"
                "    if (i > 10) {\n      t = t + 1;\n    }\n    s = s - t;",
-               "  int t = 0;\n"), {}),
+               "  int t = 0;\n"), {}, {}),
     (_counting("j = 0;\n    while (j < 2) {\n      s = s + 1;\n      j++;\n"
-               "    }\n    s = s + j;", "  int j;\n"), {}),
+               "    }\n    s = s + j;", "  int j;\n"), {}, {}),
     (_counting("d = i * 0.5;\n    s = d;\n    s = s + 1;\n    d = s;\n"
                "    if (d < s + 0.5) {\n      s = s - 1;\n    }",
-               "  double d;\n"), {}),
-    (_counting("t = s;\n    t++;\n    s = t - s;", "  int t;\n"), {}),
-], ids=["shadowed", "no-scalar-and-one", "join", "after-call",
+               "  double d;\n"), {}, {}),
+    (_counting("t = s;\n    t++;\n    s = t - s;", "  int t;\n"), {}, {}),
+], ids=["shadowed", "hidden", "no-scalar-and-one", "join", "after-call",
         "converting-store", "store-then-incr"])
-def test_generated_source_is_exact(compiled, src, points):
+def test_generated_source_is_exact(compiled, src, points, snaps):
     log = _tiered_equals_untiered(compiled, parse(src), [TestCase("", "")])
     assert log.errors == []
     for pid, names in points.items():
         assert log.points[pid].names == names
         assert len(log.points[pid]) > tracer.HOT_ITERS
+    for pid, expected in snaps.items():
+        assert log.snapshots()[pid] == expected
 
 
 # Every point folds at the first back-edge or call past fold_at, so at each
