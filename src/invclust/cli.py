@@ -24,7 +24,7 @@ from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
 from .synth import ASSIGNMENTS
-from .tracer import Limits, run_suite
+from .tracer import run_suite
 from .unparse import unparse
 from .vectorizer import MODES, represent
 
@@ -52,19 +52,12 @@ def _renamed_tree(path):
     return rename(parse(read_source(path)))
 
 
-def _analyze(args):
+def _analyze(args, min_samples):
     """The submission at args.program analyzed against args.tests."""
     program = SourceProgram(id="query", label="",
                             text=read_source(args.program))
-    return analyze(program, read_tests(args.tests), _limits(args),
-                   args.min_samples)
-
-
-def _limits(args):
-    lim = Limits()
-    if args.max_steps is not None:
-        lim.max_steps = args.max_steps
-    return lim
+    return analyze(program, read_tests(args.tests), args.max_steps,
+                   min_samples)
 
 
 def cmd_rename(args):
@@ -83,7 +76,7 @@ def cmd_aast(args):
 
 def cmd_trace(args):
     renamed, _ = _renamed_tree(args.program)
-    log, verdicts = run_suite(renamed, read_tests(args.tests), _limits(args),
+    log, verdicts = run_suite(renamed, read_tests(args.tests), args.max_steps,
                               record=args.json)
     payload = {"verdicts": verdicts}
     if args.json:
@@ -94,7 +87,7 @@ def cmd_trace(args):
 
 
 def cmd_invariants(args):
-    pa = _analyze(args)
+    pa = _analyze(args, args.min_samples)
     _emit(args, {"invariants": pa.inv_by_point, "verdicts": pa.verdicts},
           pa.docs.inv_text.rstrip("\n"))
     return 0
@@ -135,7 +128,7 @@ def cmd_representatives(args):
 
 def cmd_closest(args):
     model = load_model(args.model)
-    pa = _analyze(args)
+    pa = _analyze(args, model.min_samples)  # as the model's documents were
     query = represent(pa.docs, model.vocab, pa.program_id)
     if args.all_candidates:
         ids = sorted(model.assignment)
@@ -204,7 +197,6 @@ def build_parser():
         p.add_argument("--tests", required=True,
                        help="directory of t<i>.in / t<i>.out files")
         p.add_argument("--max-steps", type=_positive_int, default=None)
-        p.add_argument("--min-samples", type=_positive_int, default=2)
 
     p = sub.add_parser("rename", help="canonically rename variables")
     p.add_argument("program")
@@ -225,6 +217,7 @@ def build_parser():
     p = sub.add_parser("invariants", help="detect likely invariants")
     p.add_argument("program")
     tracing(p)
+    p.add_argument("--min-samples", type=_positive_int, default=2)
     common(p)
     p.set_defaults(func=cmd_invariants)
 

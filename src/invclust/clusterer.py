@@ -17,7 +17,7 @@ squared Euclidean assignment with ties broken toward the lowest cluster
 index. A cluster left empty takes the point farthest from its centroid,
 drawn from a cluster with at least two distinct points (one always exists
 while k <= M). Lloyd stops when an iteration that did no reseeding changes
-no label, or after max_iters. Fully deterministic given the seed.
+no label, or after MAX_ITERS. Fully deterministic given the seed.
 """
 
 import math
@@ -27,6 +27,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyCandidates, KTooLarge,
                      MissingLabel)
+
+# The most Lloyd iterations one seeded run makes.
+MAX_ITERS = 300
 
 
 @dataclass
@@ -41,6 +44,7 @@ class ClusterModel:
     representatives: dict = field(default_factory=dict)  # cluster -> id
     vocab: object = None
     sse: float = 0.0
+    min_samples: int = 2  # detect's gate for the documents clustered
 
 
 def _sq_dists(P, C):
@@ -96,7 +100,7 @@ def _reseed_empty(labels, gaps, k):
     return len(empty) > 0
 
 
-def _lloyd(P, w, k, seed, max_iters):
+def _lloyd(P, w, k, seed):
     """One seeded run on weighted points; returns the centers, the labels,
     the weighted SSE and the number of Lloyd iterations."""
     rng = np.random.default_rng(seed)
@@ -104,7 +108,7 @@ def _lloyd(P, w, k, seed, max_iters):
     labels, gaps = _assign(P, centers)
     sse = float(w @ gaps)
     iters = 0
-    while iters < max_iters:
+    while iters < MAX_ITERS:
         iters += 1
         reseeded = _reseed_empty(labels, gaps, k)
         mass = np.bincount(labels, weights=w, minlength=k)
@@ -123,7 +127,7 @@ def _lloyd(P, w, k, seed, max_iters):
     return centers, labels, sse, iters
 
 
-def kmeans(ids, X, k, seed, max_iters=300, restarts=1):
+def kmeans(ids, X, k, seed, restarts=1):
     """k-means on the rows of X, row i being program ids[i]: the best of
     `restarts` seeded runs by SSE (seeds seed, seed+1, ...), stopping at
     the first whose SSE is at most 1e-12; k is clamped to the number of
@@ -140,7 +144,7 @@ def kmeans(ids, X, k, seed, max_iters=300, restarts=1):
     k = min(k, len(P))
     best = None
     for r in range(restarts):
-        centers, labels, sse, _ = _lloyd(P, w, k, seed + r, max_iters)
+        centers, labels, sse, _ = _lloyd(P, w, k, seed + r)
         if best is None or sse < best[2] - 1e-12:
             best = (centers, labels, sse)
         if best[2] <= 1e-12:

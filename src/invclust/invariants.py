@@ -13,10 +13,11 @@ Implication suppression (exhaustive; anything else that holds is emitted):
 Every template is a fold over a point's snapshots, so a `PointSummary`
 takes them a chunk at a time and keeps only what the templates need: the
 count, the variables set in every snapshot, each one's first value, min,
-max and sign flags, and each pair's order flags and first-row difference.
-That is Daikon's incremental falsification (Perkins & Ernst, FSE 2004):
-the tracer's memory stays bounded however long a program runs, and a fold
-of the whole trace as one chunk is the batch result. A snapshot's values
+max and whether it held a nan or a zero (its signs follow from these),
+and each pair's order flags and first-row difference. That is Daikon's
+incremental falsification (Perkins & Ernst, FSE 2004): the tracer's
+memory stays bounded however long a program runs, and a fold of the
+whole trace as one chunk is the batch result. A snapshot's values
 are ints, floats and UNSET; a long chunk's all-int columns are folded as
 int64 arrays, by their extremes.
 """
@@ -53,18 +54,16 @@ class InvariantSet:
 class _Column:
     """One variable's state over the snapshots folded so far: its first
     value, whether every value equals it with the same type, min, max,
-    whether any value was a nan, and whether every value is > 0, >= 0, < 0,
-    <= 0 and != 0. While `const` holds, lo, hi and the sign flags stand for
-    first alone."""
+    whether any value was a nan, and whether every value is != 0. While
+    `const` holds, lo, hi and nonzero stand for first alone. Its signs
+    follow from lo and hi unless it held a nan."""
 
-    __slots__ = ("first", "const", "lo", "hi", "nan", "pos", "nonneg", "neg",
-                 "nonpos", "nonzero")
+    __slots__ = ("first", "const", "lo", "hi", "nan", "nonzero")
 
     def __init__(self, first):
         self.first = self.lo = self.hi = first
         self.nan = False
-        self.const = self.pos = self.nonneg = True
-        self.neg = self.nonpos = self.nonzero = True
+        self.const = self.nonzero = True
 
 
 class _Pair:
@@ -140,7 +139,6 @@ class PointSummary:
                 self.pairs = {(x, y): p for (x, y), p in self.pairs.items()
                               if x in columns and y in columns}
         self.count += n
-        zeros = repeat(0)
         narrow = set()  # int columns whose differences cannot wrap
         for x, c in columns.items():
             a = ints.get(x)
@@ -153,11 +151,8 @@ class PointSummary:
                     if lo == first == hi and type(first) is int:
                         continue
                     c.const = False  # first stands for every value so far
-                    c.pos, c.neg, c.nonzero = first > 0, first < 0, first != 0
-                    c.nonneg, c.nonpos = first >= 0, first <= 0
+                    c.nonzero = first != 0
                 c.lo, c.hi = min(c.lo, lo), max(c.hi, hi)
-                c.pos, c.nonneg = c.pos and lo > 0, c.nonneg and lo >= 0
-                c.neg, c.nonpos = c.neg and hi < 0, c.nonpos and hi <= 0
                 c.nonzero = c.nonzero and (lo > 0 or hi < 0 or bool(a.all()))
                 continue
             vals = cols[x]
@@ -171,16 +166,8 @@ class PointSummary:
             c.lo = min(chain((c.lo,), vals))
             c.hi = max(chain((c.hi,), vals))
             c.nan = c.nan or any(map(ne, vals, vals))  # only nan != nan
-            if c.pos:
-                c.pos = all(map(gt, vals, zeros))
-            if c.nonneg:
-                c.nonneg = c.pos or all(map(ge, vals, zeros))
-            if c.neg:
-                c.neg = all(map(lt, vals, zeros))
-            if c.nonpos:
-                c.nonpos = c.neg or all(map(le, vals, zeros))
             if c.nonzero:
-                c.nonzero = c.pos or c.neg or all(map(ne, vals, zeros))
+                c.nonzero = all(map(ne, vals, repeat(0)))
         for (x, y), p in self.pairs.items():
             if x in narrow and y in narrow:
                 d = ints[x] - ints[y]
@@ -220,17 +207,17 @@ class PointSummary:
             if c.const:
                 out.add(f"{x} == {fmt_literal(c.first)}")
                 continue
-            if not c.nan:  # no bound holds for a nan
+            if not c.nan:  # no bound or sign holds for a nan
                 out.add(f"{x} >= {fmt_literal(c.lo)}")
                 out.add(f"{x} <= {fmt_literal(c.hi)}")
-            if c.pos:
-                out.add(f"{x} > 0")
-            elif c.nonneg:
-                out.add(f"{x} >= 0")
-            if c.neg:
-                out.add(f"{x} < 0")
-            elif c.nonpos:
-                out.add(f"{x} <= 0")
+                if c.lo > 0:
+                    out.add(f"{x} > 0")
+                elif c.lo >= 0:
+                    out.add(f"{x} >= 0")
+                if c.hi < 0:
+                    out.add(f"{x} < 0")
+                elif c.hi <= 0:
+                    out.add(f"{x} <= 0")
             if c.nonzero:
                 out.add(f"{x} != 0")
         for (x, y), p in self.pairs.items():

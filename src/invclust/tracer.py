@@ -45,17 +45,19 @@ only at the end, keeps every value and each test's stdout as well, and
 regroups the values into rows when they are read.
 
 Step accounting: one step per statement executed and one per expression
-node evaluated, in evaluation order; past `Limits.max_steps` the run stops
-with `step-limit` at the most recently entered point. A closure counts the
-steps of a node and of the ancestors whose evaluation starts with it in one
-addition, and checks the limit as soon as it has counted them, so closures
-stop exactly where the limit is passed. A literal is read from a slot of
-its own, as a variable that is never UNSET. A store into a scalar is made
-inline by its statement's closure (by one reader per target for `scanf`),
-and a loop's closure takes its body's snapshot. The tier (below) stops
-where the closures would, so each test runs once. Call depth is counted in
-Python frames (see MAX_CALL_DEPTH), so where a run stops does not depend
-on how deep in Python's stack its caller is.
+node evaluated, in evaluation order; past `max_steps` (MAX_STEPS unless a
+caller gives one) the run stops with `step-limit` at the most recently
+entered point, as it does past MAX_LOOP_ITERS iterations of one loop
+execution. A closure counts the steps of a node and of the ancestors whose
+evaluation starts with it in one addition, and checks the limit as soon as
+it has counted them, so closures stop exactly where the limit is passed. A
+literal is read from a slot of its own, as a variable that is never UNSET.
+A store into a scalar is made inline by its statement's closure (by one
+reader per target for `scanf`), and a loop's closure takes its body's
+snapshot. The tier (below) stops where the closures would, so each test
+runs once. Call depth is counted in Python frames (see MAX_CALL_DEPTH), so
+where a run stops does not depend on how deep in Python's stack its caller
+is.
 
 Hot loops: an execution of a loop that reaches HOT_ITERS iterations runs
 the rest in a function generated as Python source for that loop and
@@ -112,6 +114,11 @@ FOLD_STEPS = 32_768
 # Python source generated and compiled for it (see `_hot_loop`).
 HOT_ITERS = 1024
 
+# The steps a test may take unless the caller gives max_steps, and the
+# iterations one execution of a loop may run, read when the loop compiles.
+MAX_STEPS = 10_000_000
+MAX_LOOP_ITERS = 1_000_000
+
 # A point's kind by the last segment of its id; any other is a plain block.
 _POINT_KINDS = {"entry": "function-entry", "exit": "function-exit",
                 "body": "loop-body", "then": "then-block",
@@ -124,12 +131,6 @@ class TestCase:
 
     stdin_text: str
     expected_stdout: str
-
-
-@dataclass
-class Limits:
-    max_steps: int = 10_000_000
-    max_loop_iters: int = 1_000_000
 
 
 class PointTrace:
@@ -296,9 +297,8 @@ class _Compiler:
     compiled, one more in a loop for its tier, and the function's `room`
     the most it reaches."""
 
-    def __init__(self, root, limits, log):
-        self.max_steps = limits.max_steps
-        self.max_iters = limits.max_loop_iters
+    def __init__(self, root, max_steps, log):
+        self.max_steps = max_steps
         self.points = log.points
         self.plans = {}  # statement closure -> its plan (see `plan`)
         self.looping = 0  # loops being compiled; plans are made in them
@@ -614,11 +614,11 @@ class _Compiler:
         _, body, point = self.block(body_node.children, pid)
         self.nest -= 1
         _, getter, push, _, _ = point
+        max_iters = MAX_LOOP_ITERS
         plan = (cond, self.inline(cond_node) or ("call", cond), point,
                 self.plan(body), step and self.plan((step,))[0],
-                self.max_iters, self.max_steps)
+                max_iters, self.max_steps)
         self.looping -= 1
-        max_iters = self.max_iters
         hot = HOT_ITERS
         tier = None
 
@@ -1144,11 +1144,12 @@ def normalize_output(s):
 
 
 class _Program:
-    """A translation unit compiled for one set of limits, recording into
-    one log."""
+    """A translation unit compiled for one step limit, recording into one
+    log."""
 
-    def __init__(self, tree, limits, log):
-        compiler = _Compiler(tree, limits or Limits(), log)
+    def __init__(self, tree, max_steps, log):
+        compiler = _Compiler(tree, MAX_STEPS if max_steps is None
+                             else max_steps, log)
         self.log = log
         self.functions = compiler.functions
         self.points = list(log.points.values())
@@ -1187,21 +1188,22 @@ class _Program:
         return verdict
 
 
-def execute(tree, test, limits=None):
+def execute(tree, test, max_steps=None):
     """Run one test, recorded. Returns (TraceLog, stdout, verdict)."""
-    log, (verdict,) = run_suite(tree, [test], limits, record=True)
+    log, (verdict,) = run_suite(tree, [test], max_steps, record=True)
     return log, log.outputs[0], verdict
 
 
-def run_suite(tree, tests, limits=None, record=False):
-    """Run every test; returns (merged TraceLog, verdict list). Tests run
-    in order, so recording straight into one log gives each point its
-    snapshots in test order. Each point's summary covers every snapshot;
-    with record=True the log also keeps the snapshots themselves."""
+def run_suite(tree, tests, max_steps=None, record=False):
+    """Run every test, each within max_steps (None: MAX_STEPS); returns
+    (merged TraceLog, verdict list). Tests run in order, so recording
+    straight into one log gives each point its snapshots in test order.
+    Each point's summary covers every snapshot; with record=True the log
+    also keeps the snapshots themselves."""
     if not tests:
         raise ValueError("test suite is empty")
     log = TraceLog(record)
-    program = _Program(tree, limits, log)
+    program = _Program(tree, max_steps, log)
     verdicts = [program.run(test) for test in tests]
     for point in log.points.values():
         point.summary.fold(point.flat)

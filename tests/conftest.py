@@ -18,8 +18,7 @@ from invclust.invariants import UNSET
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.synth import PAIR_FOR, PAIR_WHILE
-from invclust.tracer import (Limits, PointTrace, TestCase, TraceLog,
-                             run_suite)
+from invclust.tracer import PointTrace, TestCase, TraceLog, run_suite
 
 LEFT_SRC = PAIR_WHILE
 RIGHT_SRC = PAIR_FOR
@@ -264,14 +263,14 @@ def gen_suite(seed, n_inputs, cases=3):
     return tests
 
 
-def untiered_suite(tree, tests, limits=None):
+def untiered_suite(tree, tests, max_steps=None):
     """(TraceLog, verdicts) of the suite run recorded with HOT_ITERS out of
     reach, so that no loop tiers: the closures alone, the tier's
     reference."""
     hot_iters = tracer.HOT_ITERS
     tracer.HOT_ITERS = math.inf
     try:
-        return run_suite(tree, tests, limits, record=True)
+        return run_suite(tree, tests, max_steps, record=True)
     finally:
         tracer.HOT_ITERS = hot_iters
 
@@ -280,10 +279,10 @@ def fewest_steps(tree, tests):
     """The fewest max_steps under which no test of the suite stops at the
     step limit: the most steps one test takes. A call-depth or
     loop-iteration stop has a detail and does not count."""
-    lo, hi = 1, Limits().max_steps
+    lo, hi = 1, tracer.MAX_STEPS
     while lo < hi:
         mid = (lo + hi) // 2
-        log, _ = run_suite(tree, tests, Limits(max_steps=mid))
+        log, _ = run_suite(tree, tests, mid)
         if any(e.startswith("step-limit") and ":" not in e
                for e in log.errors):
             lo = mid + 1

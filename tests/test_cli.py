@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from invclust.cli import build_parser, main
-from invclust.corpus import (analyze, load_model, read_source, read_tests,
-                             run_pipeline)
+from invclust.corpus import (analyze, generate_synthetic_corpus, load_model,
+                             read_source, read_tests, run_pipeline,
+                             write_corpus)
 from invclust.nodes import Assignment, Corpus, SourceProgram
 from invclust.tracer import TestCase
 from invclust.vectorizer import represent
@@ -333,19 +334,20 @@ def test_old_vectors_with_unclustered_rows_answer_closest(workspace,
 
 def test_model_in_the_older_format_answers_closest(workspace, tmp_path,
                                                   capsys):
-    # model.json once held a copy of the vocabulary's mode at the top level
-    # and no k_requested.
+    # model.json once held a copy of the vocabulary's mode at the top level,
+    # and no k_requested or min_samples.
     out = tmp_path / "out"
     shutil.copytree(workspace / "out", out)
     model = out / "model.json"
     d = json.loads(model.read_text())
     d["mode"] = d["vocab"]["mode"]
-    del d["k_requested"]
+    del d["k_requested"], d["min_samples"]
     old = tmp_path / "old" / "model.json"
     old.parent.mkdir()
     old.write_text(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
     shutil.copy(out / "vectors.npy", old.parent / "vectors.npy")
     assert load_model(str(old)) == load_model(str(model))
+    assert load_model(str(old)).min_samples == 2
     answers = []
     for path in (model, old):
         for flag in ([], ["--all-candidates"]):
@@ -355,6 +357,46 @@ def test_model_in_the_older_format_answers_closest(workspace, tmp_path,
                          "--json", *flag]) == 0
             answers.append(capsys.readouterr().out)
     assert answers[:2] == answers[2:]
+
+
+# A query is analyzed with the min_samples its model was clustered with, so
+# a clustered program is at distance 0 from its own row. With the default
+# of 2 these three would be at 0.0794, 0.0470 and 0.0719.
+def test_closest_analyzes_with_the_models_min_samples(tmp_path, capsys):
+    corpus = generate_synthetic_corpus(0, 3, 10)
+    write_corpus(corpus, tmp_path / "corpus")
+    out = tmp_path / "out"
+    run_pipeline(corpus, k=3, seed=0, min_samples=6, out_dir=str(out))
+    model = out / "model.json"
+    assert load_model(str(model)).min_samples == 6
+    for pid in ("sum1n/v03", "maxseq/v02", "factorial/v02"):
+        label = pid.split("/")[0]
+        assert main(["closest", "--model", str(model),
+                     "--program", str(tmp_path / "corpus" / f"{pid}.c"),
+                     "--tests", str(tmp_path / "corpus" / "tests" / label),
+                     "--all-candidates", "--json"]) == 0
+        assert _json_out(capsys) == {"closest": pid, "distance": 0.0}
+    d = json.loads(model.read_text())
+    del d["min_samples"]
+    model.write_text(json.dumps(d))
+    assert load_model(str(model)).min_samples == 2
+
+
+# Only `invariants` and `cluster` take --min-samples: `trace` detects no
+# invariants, and `closest` reads it from the model.
+@pytest.mark.parametrize("command", ["trace", "closest"])
+def test_min_samples_is_a_usage_error_outside_detection(workspace, capsys,
+                                                        command):
+    program = str(workspace / "left.c")
+    argv = [command, program]
+    if command == "closest":
+        argv = [command, "--model", str(workspace / "out" / "model.json"),
+                "--program", program]
+    tests = str(workspace / "corpus" / "tests" / "sum1n")
+    code = main(argv + ["--tests", tests, "--min-samples", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--min-samples" in err and "Traceback" not in err
 
 
 def test_exclusions_are_entries_of_documents(workspace, tmp_path, capsys):
@@ -579,6 +621,10 @@ _MODEL_DAMAGE = {
             {sorted(d["assignment"])[0]: 7})),
     "moved-representative": lambda path: _edit_model(
         path, _move_representative),
+    "min-samples-zero": lambda path: _edit_model(
+        path, lambda d: d.update(min_samples=0)),
+    "min-samples-string": lambda path: _edit_model(
+        path, lambda d: d.update(min_samples="2")),
     "missing-model": os.remove,
     "model-directory": _replace_with_directory,
 }

@@ -284,10 +284,10 @@ def test_duplicates_stop_on_a_stable_assignment(monkeypatch):
     monkeypatch.setattr(clusterer, "_lloyd", counting)
     # k is clamped to the 22 distinct points, so the first run reaches
     # SSE 0, and no later restart could replace it.
-    kmeans(*_dup_instance(), k=24, seed=5, max_iters=300, restarts=8)
+    kmeans(*_dup_instance(), k=24, seed=5, restarts=8)
     assert len(iterations) == 1
     for seed in range(5, 13):
-        kmeans(*_dup_instance(), k=24, seed=seed, max_iters=300, restarts=1)
+        kmeans(*_dup_instance(), k=24, seed=seed, restarts=1)
     assert len(iterations) == 9
     assert max(iterations) <= 3
 

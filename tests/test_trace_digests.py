@@ -30,14 +30,15 @@ from invclust.nodes import Kind
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.synth import PAIR_WHILE
-from invclust.tracer import Limits, TestCase, execute, run_suite
+from invclust.tracer import TestCase, execute, run_suite
 
 from conftest import (fewest_steps, gen_program, gen_suite,
                       log_from_snapshots, untiered_suite)
 
-TIGHT = Limits(max_steps=777, max_loop_iters=50)
+# (max_steps, tracer.MAX_LOOP_ITERS) of a digest's runs.
+TIGHT = (777, 50)
 # Small enough that most programs stop part-way through a statement.
-SMALL = Limits(max_steps=60, max_loop_iters=3)
+SMALL = (60, 3)
 
 # Programs that end in each runtime error the tracer reports.
 ERROR_PROGRAMS = [
@@ -130,8 +131,8 @@ def _digest(runs):
     """sha256 over (trace json, verdicts, invariants) of each suite run,
     with point ids in their line-based form."""
     h = hashlib.sha256()
-    for tree, tests, limits in runs:
-        log, verdicts = run_suite(tree, tests, limits, record=True)
+    for tree, tests, max_steps in runs:
+        log, verdicts = run_suite(tree, tests, max_steps, record=True)
         ids = _line_based_ids(tree)
         assert set(log.points) <= set(ids)
         h.update(_to_line_based(log, ids).encode())
@@ -146,28 +147,29 @@ def _renamed(src):
     return rename(parse(src))[0]
 
 
-def _synth_runs(limits):
+def _synth_runs(max_steps):
     corpus = generate_synthetic_corpus(0, 3, 10)
     for label in sorted(corpus.assignments):
         asn = corpus.assignments[label]
         for prog in asn.programs:
-            yield _renamed(prog.text), asn.tests, limits
+            yield _renamed(prog.text), asn.tests, max_steps
 
 
-def _gen_runs(limits):
+def _gen_runs(max_steps):
     for seed in range(20):
         src, n_inputs = gen_program(seed)
-        yield _renamed(src), gen_suite(seed, n_inputs), limits
+        yield _renamed(src), gen_suite(seed, n_inputs), max_steps
 
 
-def _error_runs(limits):
+def _error_runs(max_steps):
     for src in ERROR_PROGRAMS:
-        yield parse(src), [TestCase("4\n", ""), TestCase("", "")], limits
+        yield (parse(src), [TestCase("4\n", ""), TestCase("", "")],
+               max_steps)
 
 
-def _float_runs(limits):
+def _float_runs(max_steps):
     tests = [TestCase(f"{n}\n", "") for n in (0, 1, 2, 3)]
-    yield _renamed(FLOAT_PROGRAM), tests, limits
+    yield _renamed(FLOAT_PROGRAM), tests, max_steps
 
 
 PINNED = {
@@ -194,12 +196,15 @@ PINNED = {
 
 _GROUPS = {"synth": _synth_runs, "gen": _gen_runs, "errors": _error_runs,
            "float": _float_runs}
-_LIMITS = {"default": None, "tight": TIGHT, "small": SMALL}
+_LIMITS = {"default": (None, tracer.MAX_LOOP_ITERS), "tight": TIGHT,
+           "small": SMALL}
 
 
 @pytest.mark.parametrize("group,limits", sorted(PINNED))
-def test_suite_output_matches_recorded_digest(group, limits):
-    assert _digest(_GROUPS[group](_LIMITS[limits])) == PINNED[group, limits]
+def test_suite_output_matches_recorded_digest(group, limits, monkeypatch):
+    max_steps, max_loop_iters = _LIMITS[limits]
+    monkeypatch.setattr(tracer, "MAX_LOOP_ITERS", max_loop_iters)
+    assert _digest(_GROUPS[group](max_steps)) == PINNED[group, limits]
 
 
 # The fewest steps PAIR_WHILE needs on stdin 3: pins step accounting to the
@@ -210,10 +215,9 @@ PAIR_WHILE_STEPS = 37
 def test_pair_while_step_budget_is_exact():
     tree = parse(PAIR_WHILE)
     test = TestCase("3\n", "6")
-    log, _, verdict = execute(tree, test, Limits(max_steps=PAIR_WHILE_STEPS))
+    log, _, verdict = execute(tree, test, PAIR_WHILE_STEPS)
     assert verdict == "pass"
-    log, _, verdict = execute(tree, test,
-                              Limits(max_steps=PAIR_WHILE_STEPS - 1))
+    log, _, verdict = execute(tree, test, PAIR_WHILE_STEPS - 1)
     assert verdict == "error"
     assert log.errors == ["step-limit at main/loop0/body"]
 
@@ -600,7 +604,7 @@ def _sweep(src, tests, last=1000):
     tree = parse(src)
     runs = []
     for max_steps in range(1, last + 1):
-        log, verdicts = run_suite(tree, tests, Limits(max_steps=max_steps))
+        log, verdicts = run_suite(tree, tests, max_steps)
         runs.append((verdicts, log.errors))
         if not any(e.startswith("step-limit") for e in log.errors):
             break
@@ -653,13 +657,14 @@ def test_tiered_run_equals_untiered_run(monkeypatch):
     def check(case):
         name, k, hot_iters = case
         tree, tests, most = _replay_case(name)
-        limits = Limits(max_steps=1 + k % (most + 5))
+        max_steps = 1 + k % (most + 5)
         before = len(tiered), len(programs)
         with monkeypatch.context() as patch:
             patch.setattr(tracer, "HOT_ITERS", hot_iters)
-            log, verdicts = run_suite(tree, tests, limits, record=True)
+            log, verdicts = run_suite(tree, tests, max_steps, record=True)
         assert len(programs) == before[1] + 1
-        untiered_log, untiered_verdicts = untiered_suite(tree, tests, limits)
+        untiered_log, untiered_verdicts = untiered_suite(tree, tests,
+                                                         max_steps)
         assert verdicts == untiered_verdicts
         assert log.errors == untiered_log.errors
         assert log.to_json() == untiered_log.to_json()

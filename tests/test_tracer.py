@@ -14,7 +14,7 @@ from invclust.errors import CSyntaxError, UnresolvedIdentifier
 from invclust.invariants import PointSummary, detect
 from invclust.parser import parse
 from invclust.renamer import rename
-from invclust.tracer import (MAX_CALL_DEPTH, Limits, TestCase, TraceLog,
+from invclust.tracer import (MAX_CALL_DEPTH, TestCase, TraceLog,
                              _Program, execute, normalize_output, run_suite)
 
 from conftest import (LEFT_SRC, RIGHT_SRC, SNAPSHOT_EDGE_PROGRAMS,
@@ -47,10 +47,10 @@ def test_uninitialized_read_is_error():
     assert any("uninitialized-read" in e for e in log.errors)
 
 
-def test_infinite_loop_hits_step_limit():
+def test_infinite_loop_hits_step_limit(monkeypatch):
+    monkeypatch.setattr(tracer, "MAX_LOOP_ITERS", 1000)
     tree = parse("int main() {\n  while (1) {\n  }\n}\n")
-    limits = Limits(max_loop_iters=1000)
-    log, stdout, verdict = execute(tree, TestCase("", ""), limits)
+    log, stdout, verdict = execute(tree, TestCase("", ""))
     assert verdict == "error"
     assert any("step-limit" in e for e in log.errors)
 
@@ -95,8 +95,8 @@ def test_call_depth_cap_is_the_limit(caller_frames):
     if caller_frames is None:
         caller_frames = _tight_frames()
 
-    def run(depth, limits=None):
-        return execute(tree, _recurse_test(depth), limits)
+    def run(depth, max_steps=None):
+        return execute(tree, _recurse_test(depth), max_steps)
 
     log, _, verdict = _nested(caller_frames, lambda: run(MAX_CALL_DEPTH))
     assert verdict == "pass"
@@ -110,7 +110,7 @@ def test_call_depth_cap_is_the_limit(caller_frames):
     total = fewest_steps(tree, [_recurse_test(MAX_CALL_DEPTH)])
     log, _, verdict = _nested(
         caller_frames,
-        lambda: run(MAX_CALL_DEPTH, Limits(max_steps=total - 1)))
+        lambda: run(MAX_CALL_DEPTH, total - 1))
     assert verdict == "error"
     assert log.errors == ["step-limit at f/exit"]
     assert len(log.samples["f/entry"]) == MAX_CALL_DEPTH - 1
@@ -129,7 +129,7 @@ _TREE_RECURSION = ("void f(int n) {\n  if (n > 0) {\n    f(n - 1);\n"
 ])
 def test_fast_run_past_the_limit_stops_soon(src, pid):
     log, verdicts = run_suite(parse(src), [TestCase("", "")],
-                              Limits(max_steps=1000), record=True)
+                              1000, record=True)
     assert verdicts == ["error"]
     assert log.errors[0].startswith("step-limit at ")
     assert len(log.points[pid]) > 100
@@ -256,9 +256,9 @@ def test_scalar_indexed_is_type_error(stmt):
 ])
 def test_misuse_counts_its_steps_before_failing(body, steps):
     tree = parse("int main() {\n  " + body + "\n}\n")
-    log, _, _ = execute(tree, TestCase("", ""), Limits(max_steps=steps - 1))
+    log, _, _ = execute(tree, TestCase("", ""), steps - 1)
     assert log.errors == ["step-limit at main/entry"]
-    log, _, _ = execute(tree, TestCase("", ""), Limits(max_steps=steps))
+    log, _, _ = execute(tree, TestCase("", ""), steps)
     assert [e.split(":")[0] for e in log.errors] == ["type-error at main/entry"]
 
 
@@ -293,9 +293,9 @@ def test_int_compared_with_double_is_converted_first():
     assert (stdout, log.errors) == ("1 0 0\n1 0 1\n1 0 0\n", [])
 
 
-def _printed(expr, limits=None):
+def _printed(expr, max_steps=None):
     tree = parse('int main() {\n  printf("%d", ' + expr + ");\n}\n")
-    return execute(tree, TestCase("", ""), limits)
+    return execute(tree, TestCase("", ""), max_steps)
 
 
 @pytest.mark.parametrize("expr,printed", [
@@ -313,9 +313,9 @@ def test_logical_operators_yield_0_or_1(expr, printed):
 @pytest.mark.parametrize("expr,printed", [("0 && 1 / 0", "0"),
                                           ("1 || 1 / 0", "1")])
 def test_short_circuit_skips_the_right_operand_and_its_steps(expr, printed):
-    log, _, _ = _printed(expr, Limits(max_steps=2))
+    log, _, _ = _printed(expr, 2)
     assert log.errors == ["step-limit at main/entry"]
-    log, stdout, _ = _printed(expr, Limits(max_steps=3))
+    log, stdout, _ = _printed(expr, 3)
     assert (stdout, log.errors) == (printed, [])
 
 
@@ -560,16 +560,16 @@ def compiled(monkeypatch):
     return plans
 
 
-def _tiered_equals_untiered(compiled, tree, tests, limits=None):
+def _tiered_equals_untiered(compiled, tree, tests, max_steps=None):
     """Runs the suite recorded and not, asserts that a loop tiered, and
     that both runs give what the closures alone give. Returns the recorded
     log."""
     before = len(compiled)
-    log, verdicts = run_suite(tree, tests, limits, record=True)
+    log, verdicts = run_suite(tree, tests, max_steps, record=True)
     # Unrecorded, the points fold their snapshots every FOLD_STEPS steps.
-    folded, folded_verdicts = run_suite(tree, tests, limits)
+    folded, folded_verdicts = run_suite(tree, tests, max_steps)
     assert len(compiled) > before
-    untiered = untiered_suite(tree, tests, limits)
+    untiered = untiered_suite(tree, tests, max_steps)
     assert (log.to_json(), verdicts) == (untiered[0].to_json(), untiered[1])
     assert (folded.errors, folded_verdicts) == (log.errors, verdicts)
     assert (detect(folded, min_samples=1).as_dict()
@@ -614,10 +614,10 @@ def test_error_in_the_tier_is_the_exact_one(compiled, src, stdin, error):
     assert log.errors == [error]
 
 
-def test_loop_iteration_cap_in_the_tier(compiled):
+def test_loop_iteration_cap_in_the_tier(compiled, monkeypatch):
+    monkeypatch.setattr(tracer, "MAX_LOOP_ITERS", 2000)
     log = _tiered_equals_untiered(compiled, parse(_counting("s = s + i;")),
-                                  [TestCase("", "")],
-                                  Limits(max_loop_iters=2000))
+                                  [TestCase("", "")])
     assert log.errors == ["step-limit at main/loop0/body: loop iterations"]
 
 
@@ -633,8 +633,7 @@ def test_step_limit_in_the_tier_is_the_exact_one(compiled):
     total = fewest_steps(tree, tests)
     stops = set()
     for max_steps in (*range(total // 2, total // 2 + 16), total - 1, total):
-        log = _tiered_equals_untiered(compiled, tree, tests,
-                                      Limits(max_steps=max_steps))
+        log = _tiered_equals_untiered(compiled, tree, tests, max_steps)
         assert len(log.errors) == (max_steps < total)
         assert all(e.startswith("step-limit at ") for e in log.errors)
         stops.update(log.errors)
@@ -650,17 +649,17 @@ def test_fast_run_past_the_limit_stops_soon_in_the_tier(compiled,
     tree = parse('int main() {\n  int n;\n  scanf("%d", &n);\n'
                  "  while (1) {\n    n = n + 0;\n  }\n"
                  '  printf("%d", n);\n}\n')
-    tests, limits = sum_suite(), Limits(max_steps=20_000)
+    tests, max_steps = sum_suite(), 20_000
     programs = []
     program = tracer._Program
     monkeypatch.setattr(tracer, "_Program",
                         lambda *args: programs.append(args) or program(*args))
-    log, verdicts = run_suite(tree, tests, limits, record=True)
+    log, verdicts = run_suite(tree, tests, max_steps, record=True)
     assert len(programs) == len(compiled) == 1
     assert verdicts == ["error"] * 3
     assert log.errors == ["step-limit at main/loop0/body"] * 3
     assert len(log.points["main/loop0/body"]) > 3 * 3 * tracer.HOT_ITERS
-    assert log.to_json() == untiered_suite(tree, tests, limits)[0].to_json()
+    assert log.to_json() == untiered_suite(tree, tests, max_steps)[0].to_json()
 
 
 # Stores that convert, and compares of an int with a double, in the tier:
@@ -902,8 +901,7 @@ def test_recursive_call_from_the_tier(compiled, divisor, error):
     if error is None:
         total = fewest_steps(tree, tests)
         for max_steps in (total // 2, total - 1):
-            _tiered_equals_untiered(compiled, tree, tests,
-                                    Limits(max_steps=max_steps))
+            _tiered_equals_untiered(compiled, tree, tests, max_steps)
 
 
 # Where Python's stack runs out depends on how deep the caller is, so calls
@@ -1039,8 +1037,7 @@ def test_call_charges_cover_the_frames_used(monkeypatch):
     for hot_iters in (1, tracer.HOT_ITERS):
         monkeypatch.setattr(tracer, "HOT_ITERS", hot_iters)
         for seed in range(100):
-            program = _Program(parse(_call_program(seed)),
-                               Limits(max_steps=2000), TraceLog())
+            program = _Program(parse(_call_program(seed)), 2000, TraceLog())
             sys.setprofile(profile)
             try:
                 program.run(test)
