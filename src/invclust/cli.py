@@ -52,12 +52,11 @@ def _renamed_tree(path):
     return rename(parse(read_source(path)))
 
 
-def _analyze(args, min_samples):
+def _analyze(args):
     """The submission at args.program analyzed against args.tests."""
     program = SourceProgram(id="query", label="",
                             text=read_source(args.program))
-    return analyze(program, read_tests(args.tests), args.max_steps,
-                   min_samples)
+    return analyze(program, read_tests(args.tests), args.max_steps)
 
 
 def cmd_rename(args):
@@ -87,7 +86,7 @@ def cmd_trace(args):
 
 
 def cmd_invariants(args):
-    pa = _analyze(args, args.min_samples)
+    pa = _analyze(args)
     _emit(args, {"invariants": pa.inv_by_point, "verdicts": pa.verdicts},
           pa.docs.inv_text.rstrip("\n"))
     return 0
@@ -98,8 +97,7 @@ def cmd_cluster(args):
     corpus = ingest(args.corpus, args.tests)
     arts = run_pipeline(
         corpus, mode=mode, k=args.k, k_frac=args.k_frac, seed=args.seed,
-        subset=args.subset, n=args.n, idf=args.idf,
-        min_samples=args.min_samples, out_dir=args.out,
+        subset=args.subset, n=args.n, idf=args.idf, out_dir=args.out,
         restarts=args.restarts)
     payload = {
         "purity": arts.purity,
@@ -128,7 +126,7 @@ def cmd_representatives(args):
 
 def cmd_closest(args):
     model = load_model(args.model)
-    pa = _analyze(args, model.min_samples)  # as the model's documents were
+    pa = _analyze(args)
     query = represent(pa.docs, model.vocab, pa.program_id)
     if args.all_candidates:
         ids = sorted(model.assignment)
@@ -217,7 +215,6 @@ def build_parser():
     p = sub.add_parser("invariants", help="detect likely invariants")
     p.add_argument("program")
     tracing(p)
-    p.add_argument("--min-samples", type=_positive_int, default=2)
     common(p)
     p.set_defaults(func=cmd_invariants)
 
@@ -233,7 +230,6 @@ def build_parser():
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--n", type=_positive_int, default=3, help="gram size")
     p.add_argument("--idf", action="store_true")
-    p.add_argument("--min-samples", type=_positive_int, default=2)
     p.add_argument("--subset", choices=("correct-only", "all"),
                    default="correct-only")
     p.add_argument("--restarts", type=_positive_int, default=8,

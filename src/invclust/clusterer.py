@@ -44,7 +44,6 @@ class ClusterModel:
     representatives: dict = field(default_factory=dict)  # cluster -> id
     vocab: object = None
     sse: float = 0.0
-    min_samples: int = 2  # detect's gate for the documents clustered
 
 
 def _sq_dists(P, C):

@@ -152,16 +152,15 @@ class PipelineArtifacts:
     k_requested: int = 0   # before clamping to the distinct vectors
 
 
-def analyze(program, tests, max_steps=None, min_samples=2, memo=None):
+def analyze(program, tests, max_steps=None, memo=None):
     """lex -> parse -> rename -> trace -> detect -> documents for one
     SourceProgram. Raises ProgramRejected when the program cannot be used:
     a syntax, unsupported-construct or unresolved-name diagnostic, or
     RuntimeFailure when a test ends in a runtime error.
 
     The outcome past renaming is a function of the canonical source
-    (`unparse` of the renamed tree), the tests, max_steps and
-    min_samples. `memo`, for one fixed (tests, max_steps, min_samples), maps
-    both the canonical source and the token key (see token_key) of every
+    (`unparse` of the renamed tree), the tests and max_steps. `memo`, for
+    one fixed (tests, max_steps), maps both the canonical source and the token key (see token_key) of every
     program analyzed with it to that outcome. A program whose token key is
     in it gets the outcome of the first, relabelled, without being parsed,
     renamed or unparsed; one whose canonical source is in it, without being
@@ -174,8 +173,7 @@ def analyze(program, tests, max_steps=None, min_samples=2, memo=None):
         renamed, _ = rename(parse(tokens))
         source = unparse(renamed)
         if source not in memo:
-            memo[source] = _outcome(renamed, source, tests, max_steps,
-                                    min_samples)
+            memo[source] = _outcome(renamed, source, tests, max_steps)
         outcome = memo[key] = memo[source]
     if isinstance(outcome, RuntimeFailure):
         raise outcome.with_traceback(None)
@@ -207,13 +205,13 @@ def token_key(tokens):
     return tuple(key)
 
 
-def _outcome(renamed, source, tests, max_steps, min_samples):
+def _outcome(renamed, source, tests, max_steps):
     """The RuntimeFailure of the first test that ends in a runtime error,
     or else the artifacts of the renamed tree, with no id or label yet."""
     log, verdicts = run_suite(renamed, tests, max_steps)
     if "error" in verdicts:
         return RuntimeFailure(log.errors[0])
-    inv_set = detect(log, min_samples)
+    inv_set = detect(log)
     docs = ProgramDocs(
         renamed_source=source,
         aast_text=serialize_aast(anonymize(renamed)).text,
@@ -226,8 +224,8 @@ def _outcome(renamed, source, tests, max_steps, min_samples):
 
 
 def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
-                 subset="correct-only", n=3, idf=False, min_samples=2,
-                 out_dir=None, restarts=8):
+                 subset="correct-only", n=3, idf=False, out_dir=None,
+                 restarts=8):
     """analyze each program -> vectorize -> kmeans -> representatives.
 
     Each distinct canonical source of an assignment is analyzed once, and
@@ -242,8 +240,7 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
         for prog in asn.programs:
             arts.labels[prog.id] = prog.label
             try:
-                arts.programs[prog.id] = analyze(
-                    prog, asn.tests, min_samples=min_samples, memo=memo)
+                arts.programs[prog.id] = analyze(prog, asn.tests, memo=memo)
             except ProgramRejected as e:
                 arts.exclusions[prog.id] = str(e)
     if not arts.programs:
@@ -274,7 +271,6 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
     arts.model = kmeans(clustered, arts.clustered_vectors, k, seed,
                         restarts=restarts)
     arts.model.vocab = arts.vocab
-    arts.model.min_samples = min_samples
     arts.purity = purity(arts.model.assignment, arts.labels)
 
     if out_dir:
@@ -329,8 +325,7 @@ def persist(arts, out_dir):
                        "seed": model.seed, "assignment": model.assignment,
                        "representatives": {str(c): pid for c, pid
                                            in model.representatives.items()},
-                       "sse": model.sse, "vocab": vocab_dict,
-                       "min_samples": model.min_samples}))
+                       "sse": model.sse, "vocab": vocab_dict}))
     write_projection(arts.clustered_ids, arts.clustered_vectors,
                      os.path.join(out_dir, "projection.csv"))
 
@@ -341,11 +336,9 @@ def _model_from_dict(d):
     of the mode, n is an int >= 1, the segments cover the grams end to
     end, each segment's grams are sorted and unique, idf (if present)
     holds one weight per gram, the cluster indices are ints in 0..k-1 and
-    each representative is a member of its own cluster, and min_samples
-    (2 when absent, as in a model.json written before it was recorded) is
-    an int >= 1. Keys it does not read are ignored, so a model.json
-    written before k_requested moved in and the top-level mode moved out
-    loads the same."""
+    each representative is a member of its own cluster. Keys it does not
+    read are ignored, so a model.json written before k_requested moved in
+    and the top-level mode moved out loads the same."""
     v = d["vocab"]
     vocab = Vocabulary(mode=v["mode"], n=v["n"], grams=v["grams"],
                        segments=[tuple(s) for s in v["segments"]],
@@ -390,12 +383,8 @@ def _model_from_dict(d):
         if assignment.get(pid) != c:
             raise ValueError(f"representative {pid!r} of cluster {c} is "
                              f"not one of its members")
-    min_samples = d.get("min_samples", 2)
-    if type(min_samples) is not int or min_samples < 1:
-        raise ValueError(f"min_samples {min_samples!r} is not an int >= 1")
     return ClusterModel(k=k, seed=d["seed"], assignment=assignment,
-                        representatives=reps, vocab=vocab, sse=d["sse"],
-                        min_samples=min_samples)
+                        representatives=reps, vocab=vocab, sse=d["sse"])
 
 
 def _beside(model_path, name):

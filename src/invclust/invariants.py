@@ -32,6 +32,8 @@ import numpy as np
 from .nodes import fmt_literal
 
 CONST_DIFF_LIMIT = 100
+# The fewest snapshots a point needs for its invariants to be reported.
+MIN_SAMPLES = 2
 
 # The fewest rows a chunk needs for its int columns to be folded as arrays.
 _ARRAY_ROWS = 64
@@ -237,9 +239,12 @@ class PointSummary:
         return sorted(out)
 
 
-def detect(log, min_samples=2):
+def detect(log, min_samples=None):
     """Every template instance holding on all snapshots of each point with
-    at least min_samples snapshots, after implication suppression."""
+    at least min_samples (None means MIN_SAMPLES) snapshots, after
+    implication suppression."""
+    if min_samples is None:
+        min_samples = MIN_SAMPLES
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
     result = InvariantSet()

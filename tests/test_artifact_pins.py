@@ -23,8 +23,6 @@ from conftest import HOSTILE_SOURCES
 
 PLACES = 12
 
-# Each model.json re-recorded when it gained min_samples; the rest of it
-# is unchanged.
 PINS = {
     "syntax": {
         "documents.json":
@@ -34,7 +32,7 @@ PINS = {
         "projection.csv":
             "8cb96a7ff8e2d95120aa2c616a17b84c708cd0320bcf3d3371f79f9fe861c67f",
         "model.json":
-            "a6d5bdadbd79214d805af30594c4f2e3ddf3d8336d2342fcbe91b3d6ba994f8a",
+            "0fde820a4c3727db528f05ffa106f3cffd371ff65602fd9872404fc9f80ae545",
     },
     "aast": {
         "documents.json":
@@ -44,7 +42,7 @@ PINS = {
         "projection.csv":
             "18da5fed38bf52fefb56a62a4f89301d2eb0bde3e2758ed189fe671def1a4594",
         "model.json":
-            "c37d83eaab76f21d71f367d853e34a9211e2d1b15bb25777c0e49f865e0afbc9",
+            "128dfb88e9c16d3824789eedf71bb5b10784613f67cde8e13984055d07356159",
     },
     "inv": {
         "documents.json":
@@ -54,7 +52,7 @@ PINS = {
         "projection.csv":
             "7b5b50224e35072b8620ad8968dcbf2f09ba4ae36e1c6d2ff1ac3e7b653a1855",
         "model.json":
-            "4860be128ed82eab24ec85783e8adf0bfe426741b3b3fb3ebcafc27153fffa2a",
+            "2292d59b16334f8d585c4486834a0d77823b2f2ec62ade8b798a8d00d69eca5d",
     },
     "aast_inv": {
         "documents.json":
@@ -64,7 +62,7 @@ PINS = {
         "projection.csv":
             "ba014e8f5ec6ba642ab79b88a549ced3e70d5a1c03edc5f2b79ce59cbccf541d",
         "model.json":
-            "2041f1b721903c202a1b5fda12aea14caeac1a84bc063918bf370eeb82c32dde",
+            "c5956359ad71a021ac87aeb54e66499b0065003df9a316aec9ce4b078b192bca",
     },
 }
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from invclust import invariants
 from invclust.cli import build_parser, main
 from invclust.corpus import (analyze, generate_synthetic_corpus, load_model,
                              read_source, read_tests, run_pipeline,
@@ -334,20 +335,19 @@ def test_old_vectors_with_unclustered_rows_answer_closest(workspace,
 
 def test_model_in_the_older_format_answers_closest(workspace, tmp_path,
                                                   capsys):
-    # model.json once held a copy of the vocabulary's mode at the top level,
-    # and no k_requested or min_samples.
+    # model.json once held a copy of the vocabulary's mode at the top level
+    # and no k_requested.
     out = tmp_path / "out"
     shutil.copytree(workspace / "out", out)
     model = out / "model.json"
     d = json.loads(model.read_text())
     d["mode"] = d["vocab"]["mode"]
-    del d["k_requested"], d["min_samples"]
+    del d["k_requested"]
     old = tmp_path / "old" / "model.json"
     old.parent.mkdir()
     old.write_text(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
     shutil.copy(out / "vectors.npy", old.parent / "vectors.npy")
     assert load_model(str(old)) == load_model(str(model))
-    assert load_model(str(old)).min_samples == 2
     answers = []
     for path in (model, old):
         for flag in ([], ["--all-candidates"]):
@@ -359,16 +359,18 @@ def test_model_in_the_older_format_answers_closest(workspace, tmp_path,
     assert answers[:2] == answers[2:]
 
 
-# A query is analyzed with the min_samples its model was clustered with, so
-# a clustered program is at distance 0 from its own row. With the default
-# of 2 these three would be at 0.0794, 0.0470 and 0.0719.
-def test_closest_analyzes_with_the_models_min_samples(tmp_path, capsys):
+# A query is analyzed with the MIN_SAMPLES its model's documents were, so
+# a clustered program is at distance 0 from its own row. Analyzed with 2
+# against documents detected with 6, these three were at 0.0794, 0.0470
+# and 0.0719.
+def test_closest_analyzes_with_the_clustered_min_samples(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(invariants, "MIN_SAMPLES", 6)
     corpus = generate_synthetic_corpus(0, 3, 10)
     write_corpus(corpus, tmp_path / "corpus")
     out = tmp_path / "out"
-    run_pipeline(corpus, k=3, seed=0, min_samples=6, out_dir=str(out))
+    run_pipeline(corpus, k=3, seed=0, out_dir=str(out))
     model = out / "model.json"
-    assert load_model(str(model)).min_samples == 6
     for pid in ("sum1n/v03", "maxseq/v02", "factorial/v02"):
         label = pid.split("/")[0]
         assert main(["closest", "--model", str(model),
@@ -376,24 +378,21 @@ def test_closest_analyzes_with_the_models_min_samples(tmp_path, capsys):
                      "--tests", str(tmp_path / "corpus" / "tests" / label),
                      "--all-candidates", "--json"]) == 0
         assert _json_out(capsys) == {"closest": pid, "distance": 0.0}
-    d = json.loads(model.read_text())
-    del d["min_samples"]
-    model.write_text(json.dumps(d))
-    assert load_model(str(model)).min_samples == 2
 
 
-# Only `invariants` and `cluster` take --min-samples: `trace` detects no
-# invariants, and `closest` reads it from the model.
-@pytest.mark.parametrize("command", ["trace", "closest"])
-def test_min_samples_is_a_usage_error_outside_detection(workspace, capsys,
-                                                        command):
+# The snapshot gate is the constant invariants.MIN_SAMPLES, so no command
+# takes --min-samples.
+@pytest.mark.parametrize("command",
+                         ["trace", "invariants", "closest", "cluster"])
+def test_min_samples_is_a_usage_error(workspace, capsys, command):
     program = str(workspace / "left.c")
-    argv = [command, program]
-    if command == "closest":
-        argv = [command, "--model", str(workspace / "out" / "model.json"),
-                "--program", program]
-    tests = str(workspace / "corpus" / "tests" / "sum1n")
-    code = main(argv + ["--tests", tests, "--min-samples", "2"])
+    tests = ["--tests", str(workspace / "corpus" / "tests" / "sum1n")]
+    argv = {"closest": ["closest", "--model",
+                        str(workspace / "out" / "model.json"),
+                        "--program", program, *tests],
+            "cluster": ["cluster", "--corpus", str(workspace / "corpus")]
+            }.get(command, [command, program, *tests])
+    code = main(argv + ["--min-samples", "2"])
     err = capsys.readouterr().err
     assert code == 1
     assert "--min-samples" in err and "Traceback" not in err
@@ -533,7 +532,8 @@ def test_restarts_below_one_is_usage_error(workspace, capsys):
 _BELOW_ONE = ["0", "-1", "nan", "inf", "-inf"]
 
 
-# --seed may be 0, so it takes every value but that one.
+# --seed may be 0, so it takes every value but that one. --min-samples is
+# no flag of any command, so every value of it is a usage error too.
 @pytest.mark.parametrize("value,command,flag", [
     (value, command, flag)
     for command, flag in [
@@ -621,10 +621,6 @@ _MODEL_DAMAGE = {
             {sorted(d["assignment"])[0]: 7})),
     "moved-representative": lambda path: _edit_model(
         path, _move_representative),
-    "min-samples-zero": lambda path: _edit_model(
-        path, lambda d: d.update(min_samples=0)),
-    "min-samples-string": lambda path: _edit_model(
-        path, lambda d: d.update(min_samples="2")),
     "missing-model": os.remove,
     "model-directory": _replace_with_directory,
 }

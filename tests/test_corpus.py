@@ -263,8 +263,8 @@ def test_persisted_artifact_layout(tmp_path):
     with open(out / "model.json") as f:
         model = json.load(f)
     assert set(model) == {"k", "k_requested", "seed", "assignment",
-                          "representatives", "sse", "vocab", "min_samples"}
-    assert model["k_requested"] == 2 and model["min_samples"] == 2
+                          "representatives", "sse", "vocab"}
+    assert model["k_requested"] == 2
     # The clustered ids are the assignment's keys, the cluster sizes the
     # counts of its values, and the purity is computed from it.
     assert sorted(model["assignment"]) == arts.clustered_ids
