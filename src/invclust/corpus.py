@@ -160,12 +160,13 @@ def analyze(program, tests, max_steps=None, memo=None):
 
     The outcome past renaming is a function of the canonical source
     (`unparse` of the renamed tree), the tests and max_steps. `memo`, for
-    one fixed (tests, max_steps), maps both the canonical source and the token key (see token_key) of every
-    program analyzed with it to that outcome. A program whose token key is
-    in it gets the outcome of the first, relabelled, without being parsed,
-    renamed or unparsed; one whose canonical source is in it, without being
-    traced. A program rejected before tracing is never stored, so each
-    reports its own line, column and name."""
+    one fixed (tests, max_steps), maps both the canonical source and the
+    token key (see token_key) of every program analyzed with it to that
+    outcome. A program whose token key is in it gets the outcome of the
+    first, relabelled, without being parsed, renamed or unparsed; one whose
+    canonical source is in it, without being traced. A program rejected
+    before tracing is never stored, so each reports its own line, column
+    and name."""
     tokens = lex(program.text)
     memo, key = ({}, None) if memo is None else (memo, token_key(tokens))
     outcome = memo.get(key)

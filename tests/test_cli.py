@@ -360,9 +360,9 @@ def test_model_in_the_older_format_answers_closest(workspace, tmp_path,
 
 
 # A query is analyzed with the MIN_SAMPLES its model's documents were, so
-# a clustered program is at distance 0 from its own row. Analyzed with 2
-# against documents detected with 6, these three were at 0.0794, 0.0470
-# and 0.0719.
+# a clustered program is at distance 0 from its own row. These three have
+# points with fewer than 6 snapshots: analyzed with 2 against documents
+# detected with 6, they would be at 0.0794, 0.0470 and 0.0719.
 def test_closest_analyzes_with_the_clustered_min_samples(tmp_path, capsys,
                                                          monkeypatch):
     monkeypatch.setattr(invariants, "MIN_SAMPLES", 6)
@@ -381,18 +381,17 @@ def test_closest_analyzes_with_the_clustered_min_samples(tmp_path, capsys,
 
 
 # The snapshot gate is the constant invariants.MIN_SAMPLES, so no command
-# takes --min-samples.
-@pytest.mark.parametrize("command",
-                         ["trace", "invariants", "closest", "cluster"])
+# takes --min-samples (for cluster and invariants, see
+# test_numeric_flag_below_one_is_usage_error).
+@pytest.mark.parametrize("command", ["trace", "closest"])
 def test_min_samples_is_a_usage_error(workspace, capsys, command):
     program = str(workspace / "left.c")
-    tests = ["--tests", str(workspace / "corpus" / "tests" / "sum1n")]
-    argv = {"closest": ["closest", "--model",
-                        str(workspace / "out" / "model.json"),
-                        "--program", program, *tests],
-            "cluster": ["cluster", "--corpus", str(workspace / "corpus")]
-            }.get(command, [command, program, *tests])
-    code = main(argv + ["--min-samples", "2"])
+    argv = [command, program]
+    if command == "closest":
+        argv = [command, "--model", str(workspace / "out" / "model.json"),
+                "--program", program]
+    tests = str(workspace / "corpus" / "tests" / "sum1n")
+    code = main(argv + ["--tests", tests, "--min-samples", "2"])
     err = capsys.readouterr().err
     assert code == 1
     assert "--min-samples" in err and "Traceback" not in err
