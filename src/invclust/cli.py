@@ -97,7 +97,7 @@ def cmd_cluster(args):
     corpus = ingest(args.corpus, args.tests)
     arts = run_pipeline(
         corpus, mode=mode, k=args.k, k_frac=args.k_frac, seed=args.seed,
-        subset=args.subset, n=args.n, idf=args.idf, out_dir=args.out,
+        subset=args.subset, n=args.n, out_dir=args.out,
         restarts=args.restarts)
     payload = {
         "purity": arts.purity,
@@ -229,7 +229,6 @@ def build_parser():
     group.add_argument("--k-frac", type=_positive_fraction, default=0.1)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--n", type=_positive_int, default=3, help="gram size")
-    p.add_argument("--idf", action="store_true")
     p.add_argument("--subset", choices=("correct-only", "all"),
                    default="correct-only")
     p.add_argument("--restarts", type=_positive_int, default=8,

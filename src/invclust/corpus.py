@@ -225,8 +225,7 @@ def _outcome(renamed, source, tests, max_steps):
 
 
 def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
-                 subset="correct-only", n=3, idf=False, out_dir=None,
-                 restarts=8):
+                 subset="correct-only", n=3, out_dir=None, restarts=8):
     """analyze each program -> vectorize -> kmeans -> representatives.
 
     Each distinct canonical source of an assignment is analyzed once, and
@@ -255,7 +254,7 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
     arts.clustered_ids = clustered
 
     arts.vocab = build_vocab_for_mode(
-        [arts.programs[i].docs for i in clustered], mode, n, idf)
+        [arts.programs[i].docs for i in clustered], mode, n)
     vectors = {}  # document tuple -> its FeatureVector
     for i in clustered:
         docs = arts.programs[i].docs
@@ -319,8 +318,6 @@ def persist(arts, out_dir):
     model, vocab = arts.model, arts.vocab
     vocab_dict = {"mode": vocab.mode, "n": vocab.n, "grams": vocab.grams,
                   "segments": [list(s) for s in vocab.segments]}
-    if vocab.idf is not None:
-        vocab_dict["idf"] = vocab.idf
     with open(os.path.join(out_dir, "model.json"), "w") as f:
         f.write(_dump({"k": model.k, "k_requested": arts.k_requested,
                        "seed": model.seed, "assignment": model.assignment,
@@ -335,15 +332,17 @@ def _model_from_dict(d):
     """The ClusterModel in a parsed model.json, with .vocab set; ValueError
     unless the vocabulary's mode is known, with one segment per document
     of the mode, n is an int >= 1, the segments cover the grams end to
-    end, each segment's grams are sorted and unique, idf (if present)
-    holds one weight per gram, the cluster indices are ints in 0..k-1 and
-    each representative is a member of its own cluster. Keys it does not
+    end, each segment's grams are sorted and unique, it carries no idf
+    weights, the cluster indices are ints in 0..k-1 and each
+    representative is a member of its own cluster. Other keys it does not
     read are ignored, so a model.json written before k_requested moved in
     and the top-level mode moved out loads the same."""
     v = d["vocab"]
+    if "idf" in v:
+        raise ValueError("vocab carries idf weights; only term-frequency "
+                         "vectors are read")
     vocab = Vocabulary(mode=v["mode"], n=v["n"], grams=v["grams"],
-                       segments=[tuple(s) for s in v["segments"]],
-                       idf=v.get("idf"))
+                       segments=[tuple(s) for s in v["segments"]])
     fields = SEGMENT_FIELDS.get(vocab.mode)
     if fields is None:
         raise ValueError(f"unknown mode {vocab.mode!r}")
@@ -365,12 +364,6 @@ def _model_from_dict(d):
         seg = grams[lo:hi]
         if any(a >= b for a, b in zip(seg, seg[1:])):
             raise ValueError(f"grams [{lo}, {hi}) are not sorted and unique")
-    idf = vocab.idf
-    if idf is not None and (
-            type(idf) is not list or len(idf) != len(grams)
-            or not all(type(w) in (int, float) for w in idf)):
-        raise ValueError(f"idf does not hold one weight per gram "
-                         f"({len(grams)})")
     k, assignment = d["k"], d["assignment"]
     if type(k) is not int or k < 1:
         raise ValueError(f"k {k!r} is not an int >= 1")
@@ -410,8 +403,8 @@ def _read(path, load=None):
 def load_model(path):
     """The ClusterModel persist wrote to model.json, with .vocab set and no
     centroids. BadModel naming the file when it is not JSON, lacks a
-    field, or fails a check of _model_from_dict, and when it cannot be
-    opened."""
+    field, or fails a check of _model_from_dict (a vocabulary carrying
+    idf weights among them), and when it cannot be opened."""
     d = _read(path)
     try:
         return _model_from_dict(d)

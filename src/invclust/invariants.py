@@ -46,8 +46,7 @@ UNSET = object()
 
 @dataclass
 class InvariantSet:
-    by_point: dict = field(default_factory=dict)     # point id -> sorted strings
-    point_kinds: dict = field(default_factory=dict)  # point id -> kind
+    by_point: dict = field(default_factory=dict)  # point id -> sorted strings
 
     def as_dict(self):
         return {p: self.by_point[p] for p in sorted(self.by_point)}
@@ -239,22 +238,12 @@ class PointSummary:
         return sorted(out)
 
 
-def detect(log, min_samples=None):
+def detect(log):
     """Every template instance holding on all snapshots of each point with
-    at least min_samples (None means MIN_SAMPLES) snapshots, after
-    implication suppression."""
-    if min_samples is None:
-        min_samples = MIN_SAMPLES
-    if min_samples < 1:
-        raise ValueError("min_samples must be >= 1")
-    result = InvariantSet()
-    kinds = log.point_kinds
-    for pid, point in log.samples.items():
-        if len(point) < min_samples:
-            continue
-        result.by_point[pid] = point.summary.invariants()
-        result.point_kinds[pid] = kinds[pid]
-    return result
+    at least MIN_SAMPLES snapshots, after implication suppression."""
+    return InvariantSet({pid: point.summary.invariants()
+                         for pid, point in log.samples.items()
+                         if len(point) >= MIN_SAMPLES})
 
 
 def flatten(inv_set):

@@ -5,11 +5,9 @@ per-program documents it draws on; each document gets its own vocabulary
 segment, built and counted on its own, and the segments are concatenated
 in order: syntax, aast and inv have one segment, aast_inv has the AAST
 segment and then the invariant segment. Normalization is term frequency
-over in-vocabulary gram occurrences, per segment. Optional smoothed idf
-reweighting, per segment, is available behind a flag.
+over in-vocabulary gram occurrences, per segment.
 """
 
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -39,7 +37,6 @@ class Vocabulary:
     n: int
     grams: list     # each segment's sorted unique grams, segment after segment
     segments: list  # [(start, end)] per segment
-    idf: list | None = None
 
 
 @dataclass
@@ -50,34 +47,26 @@ class FeatureVector:
     values: list
 
 
-def _build(families, mode, n, with_idf):
-    """Vocabulary with one segment per document family: its sorted grams
-    and, with idf, their weights. A document that occurs several times in
-    a family is tokenized once and counted once per occurrence."""
+def _build(families, mode, n):
+    """Vocabulary with one segment per document family: the sorted union
+    of the n-grams of its distinct documents, each tokenized once."""
     if not families[0]:
         raise EmptyCorpus("no documents")
     if n < 1:
         raise ValueError("n must be >= 1")
-    grams, segments, idf = [], [], []
+    grams, segments = [], []
     for docs in families:
-        df = Counter()
-        for doc, copies in Counter(docs).items():
-            df.update(dict.fromkeys(ngrams(tokenize(doc), n), copies))
-        ordered = sorted(df)
+        ordered = sorted({g for doc in set(docs)
+                          for g in ngrams(tokenize(doc), n)})
         segments.append((len(grams), len(grams) + len(ordered)))
         grams += ordered
-        if with_idf:
-            idf += [math.log((1 + len(docs)) / (1 + df[g])) + 1
-                    for g in ordered]
     if not grams:
         raise EmptyCorpus(f"every document has fewer than {n} tokens")
-    return Vocabulary(mode=mode, n=n, grams=grams, segments=segments,
-                      idf=idf if with_idf else None)
+    return Vocabulary(mode=mode, n=n, grams=grams, segments=segments)
 
 
 def _vectorize(texts, vocab, program_id):
-    """Each text counted against its own segment, idf-weighted if the
-    vocabulary has weights, and L1-normalized."""
+    """Each text counted against its own segment and L1-normalized."""
     if len(texts) != len(vocab.segments):
         raise ModeMismatch(f"{len(texts)} documents for a vocabulary of "
                            f"{len(vocab.segments)} segments")
@@ -85,16 +74,14 @@ def _vectorize(texts, vocab, program_id):
     for text, (lo, hi) in zip(texts, vocab.segments):
         count = Counter(ngrams(tokenize(text), vocab.n)).get
         seg = [count(g, 0) for g in vocab.grams[lo:hi]]
-        if vocab.idf is not None:
-            seg = [c * w for c, w in zip(seg, vocab.idf[lo:hi])]
         total = sum(seg)
         values += [v / total if total else 0.0 for v in seg]
     return FeatureVector(program_id=program_id, values=values)
 
 
-def build_vocab(docs, mode, n=3, idf=False):
+def build_vocab(docs, mode, n=3):
     """One-segment vocabulary over all token n-grams of the documents."""
-    return _build([docs], mode, n, idf)
+    return _build([docs], mode, n)
 
 
 def vectorize(doc, vocab, program_id=""):
@@ -126,7 +113,7 @@ def represent(docs, vocab, program_id=""):
     return _vectorize(documents_for_mode(docs, vocab.mode), vocab, program_id)
 
 
-def build_vocab_for_mode(all_docs, mode, n=3, idf=False):
+def build_vocab_for_mode(all_docs, mode, n=3):
     """Vocabulary from a list of ProgramDocs for the given mode."""
     return _build([[getattr(d, f) for d in all_docs] for f in _fields(mode)],
-                  mode, n, idf)
+                  mode, n)

@@ -42,27 +42,27 @@ def _pair_artifacts(src):
     log, verdicts = run_suite(renamed, sum_suite())
     assert verdicts == ["pass"] * 3
     inv = detect(log)
-    return renamed, inv
+    return renamed, inv, log.point_kinds
 
 
 def test_criterion_1_pair_reproduction(capsys):
     t0 = time.perf_counter()
     try:
-        left_tree, left_inv = _pair_artifacts(LEFT_SRC)
-        right_tree, right_inv = _pair_artifacts(RIGHT_SRC)
+        left_tree, left_inv, left_kinds = _pair_artifacts(LEFT_SRC)
+        right_tree, right_inv, right_kinds = _pair_artifacts(RIGHT_SRC)
         # (a) alpha-inequivalent, structurally different AASTs
         left_aast = serialize_aast(anonymize(left_tree)).text
         right_aast = serialize_aast(anonymize(right_tree)).text
         assert left_aast != right_aast
 
         # (b) loop-body invariant sets contain the four canonical strings
-        def loop_body(inv):
-            pts = [p for p, k in inv.point_kinds.items() if k == "loop-body"]
+        def loop_body(inv, kinds):
+            pts = [p for p, k in kinds.items() if k == "loop-body"]
             assert len(pts) == 1
             return set(inv.by_point[pts[0]])
 
-        assert REQUIRED_FOUR <= loop_body(left_inv)
-        assert REQUIRED_FOUR <= loop_body(right_inv)
+        assert REQUIRED_FOUR <= loop_body(left_inv, left_kinds)
+        assert REQUIRED_FOUR <= loop_body(right_inv, right_kinds)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
     except AssertionError:
@@ -83,8 +83,8 @@ def test_criterion_1_pair_reproduction(capsys):
            "the four canonical strings are common — see the project notes "
            "for the full argument")
 def test_criterion_1_full_identity_and_inv_vectors(capsys):
-    left_tree, left_inv = _pair_artifacts(LEFT_SRC)
-    right_tree, right_inv = _pair_artifacts(RIGHT_SRC)
+    left_tree, left_inv, _ = _pair_artifacts(LEFT_SRC)
+    right_tree, right_inv, _ = _pair_artifacts(RIGHT_SRC)
     identical = left_inv.by_point == right_inv.by_point
     docs = [ProgramDocs(renamed_source=unparse(t),
                         aast_text=serialize_aast(anonymize(t)).text,
@@ -280,12 +280,24 @@ def test_layout_leaves_documents_and_vectors_unchanged():
         src, n_in = gen_program(seed)
         cases.append((src, gen_suite(seed, n_in)))
     for i, (src, tests) in enumerate(cases):
-        base, moved = (analyze(SourceProgram(id="p", label="", text=text),
-                               tests)
-                       for text in (src, _relaid(src, rng)))
-        assert moved.docs == base.docs, i
-        assert moved.inv_by_point == base.inv_by_point, i
-        for mode in MODES:
-            vocab = build_vocab_for_mode([base.docs], mode, n=1)
-            assert (represent(moved.docs, vocab).values
-                    == represent(base.docs, vocab).values), (i, mode)
+        relaid = _relaid(src, rng)
+        memo = {}
+        base = analyze(SourceProgram(id="p", label="", text=src), tests,
+                       memo=memo)
+        vocabs = [build_vocab_for_mode([base.docs], mode, n=1)
+                  for mode in MODES]
+        # Line ends LF, CRLF and lone CR, each analyzed alone and through
+        # the memo that holds the original.
+        for end in ("\n", "\r\n", "\r"):
+            text = relaid.replace("\n", end)
+            for m in (None, memo):
+                moved = analyze(SourceProgram(id="p", label="", text=text),
+                                tests, memo=m)
+                case = (i, end, m is memo)
+                assert moved.docs == base.docs, case
+                assert moved.inv_by_point == base.inv_by_point, case
+                assert moved.verdicts == base.verdicts, case
+                for vocab in vocabs:
+                    assert (represent(moved.docs, vocab).values
+                            == represent(base.docs, vocab).values), (
+                        case, vocab.mode)

@@ -397,6 +397,17 @@ def test_min_samples_is_a_usage_error(workspace, capsys, command):
     assert "--min-samples" in err and "Traceback" not in err
 
 
+# Vectors are term frequencies, so cluster takes no --idf.
+def test_idf_is_a_usage_error(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["cluster", "--corpus", str(workspace / "corpus"), "--idf",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--idf" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exclusions_are_entries_of_documents(workspace, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(workspace / "corpus", corpus)
@@ -614,7 +625,7 @@ _MODEL_DAMAGE = {
     "segment-overlap": _edit_vocab(_overlap_segments),
     "short-cover": _edit_vocab(lambda v: v.update(segments=[[0, 1], [1, 2]])),
     "unsorted-grams": _edit_vocab(_swap_grams),
-    "short-idf": _edit_vocab(lambda v: v.update(idf=[1.0])),
+    "idf": _edit_vocab(lambda v: v.update(idf=[1.0] * len(v["grams"]))),
     "cluster-index": lambda path: _edit_model(
         path, lambda d: d["assignment"].update(
             {sorted(d["assignment"])[0]: 7})),

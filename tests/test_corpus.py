@@ -610,18 +610,16 @@ def test_vectors_npy_holds_the_clustered_programs(tmp_path, subset):
     assert len(ids) == (3 if subset == "correct-only" else 5)
 
 
-@pytest.mark.parametrize("mode,idf", [(mode, idf) for mode in MODES
-                                      for idf in (False, True)])
-def test_load_model_round_trip(tmp_path, mode, idf):
+@pytest.mark.parametrize("mode", MODES)
+def test_load_model_round_trip(tmp_path, mode):
     corpus = generate_synthetic_corpus(seed=0, assignments=2, variants_per=4)
-    arts = run_pipeline(corpus, mode=mode, k=2, idf=idf, out_dir=str(tmp_path))
+    arts = run_pipeline(corpus, mode=mode, k=2, out_dir=str(tmp_path))
     path = str(tmp_path / "model.json")
     model = load_model(path)
     assert (model.k, model.seed, model.assignment, model.representatives,
             model.sse, model.vocab) == (
         arts.model.k, arts.model.seed, arts.model.assignment,
         arts.model.representatives, arts.model.sse, arts.model.vocab)
-    assert (model.vocab.idf is not None) == idf
     X = load_vectors(path, model, arts.clustered_ids)
     assert X.dtype == np.float64
     assert X.shape == arts.clustered_vectors.shape

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invclust import tracer
-from invclust.invariants import (_ARRAY_ROWS, UNSET, PointSummary, detect,
-                                 flatten)
+from invclust.invariants import (_ARRAY_ROWS, MIN_SAMPLES, UNSET, PointSummary,
+                                 detect, flatten)
 from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.tracer import INT_MAX, INT_MIN, TestCase, run_suite
@@ -24,21 +24,21 @@ def _detect_src(src, tests):
     return detect(log), log
 
 
-def _loop_body(inv_set):
-    pts = [p for p, k in inv_set.point_kinds.items() if k == "loop-body"]
+def _loop_body(inv_set, log):
+    pts = [p for p, k in log.point_kinds.items() if k == "loop-body"]
     assert len(pts) == 1
     return inv_set.by_point[pts[0]]
 
 
 def test_motivating_left_loop_body_contains_canonical_four():
-    inv, _ = _detect_src(LEFT_SRC, sum_suite())
-    body = set(_loop_body(inv))
+    inv, log = _detect_src(LEFT_SRC, sum_suite())
+    body = set(_loop_body(inv, log))
     assert {"int1 > 0", "int0 >= 0", "int2 >= 0", "int2 <= int1"} <= body
 
 
 def test_motivating_right_loop_body_contains_canonical_four():
-    inv, _ = _detect_src(RIGHT_SRC, sum_suite())
-    body = set(_loop_body(inv))
+    inv, log = _detect_src(RIGHT_SRC, sum_suite())
+    body = set(_loop_body(inv, log))
     assert {"int1 > 0", "int0 >= 0", "int2 >= 0", "int2 <= int1"} <= body
 
 
@@ -79,11 +79,9 @@ def test_no_one_of_invariants():
 
 
 def test_min_samples_gate():
-    log = log_from_snapshots({"p": [{"x": 7}]})
-    assert "p" not in detect(log, min_samples=2).by_point
-    assert detect(log, min_samples=1).by_point["p"] == ["x == 7"]
-    with pytest.raises(ValueError):
-        detect(log, min_samples=0)
+    log = log_from_snapshots({"one": [{"x": 7}],
+                              "enough": [{"x": 7}] * MIN_SAMPLES})
+    assert detect(log).by_point == {"enough": ["x == 7"]}
 
 
 def test_float_constant_shortest_roundtrip():
@@ -391,6 +389,6 @@ def test_unrecorded_fold_of_three_chunks_matches_the_oracle(monkeypatch):
     summary = log.points[body[0]].summary
     assert len([n for s, n in chunks
                 if s is summary and n >= _ARRAY_ROWS]) >= 3
-    inv = detect(log, min_samples=1)
+    inv = {pid: p.summary.invariants() for pid, p in log.samples.items()}
     for pid, snaps in recorded.snapshots().items():
-        assert inv.by_point[pid] == oracle_point_invariants(snaps), pid
+        assert inv[pid] == oracle_point_invariants(snaps), pid

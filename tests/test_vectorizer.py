@@ -1,8 +1,6 @@
 """Bag-of-words vocabulary and feature-vector tests."""
 
-import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -154,16 +152,6 @@ def test_document_doubling_keeps_normalized_vector():
     assert all(abs(x - y) < 1e-12 for x, y in zip(once, twice))
 
 
-def test_idf_reweights_and_renormalizes():
-    vocab = build_vocab(EXAMPLE_DOCS, "inv", n=1, idf=True)
-    assert vocab.idf is not None and len(vocab.idf) == len(vocab.grams)
-    vec = vectorize("a i a u", vocab)
-    assert abs(sum(vec.values) - 1.0) < 1e-9
-    # "a" appears in fewer docs than "i", so idf boosts it relative to tf.
-    plain = vectorize("a i a u", build_vocab(EXAMPLE_DOCS, "inv", n=1))
-    assert vec.values != plain.values
-
-
 def test_ngrams_basic():
     assert ngrams(["a", "b", "c", "d"], 3) == ["a b c", "b c d"]
     assert ngrams(["a", "b"], 3) == []
@@ -185,9 +173,9 @@ def _text(alphabet):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.builds(ProgramDocs, st.just(""), _text(_AAST_WORDS),
                           _text(_INV_WORDS)), min_size=1, max_size=5),
-       st.sampled_from([1, 2, 3]), st.booleans())
-def test_combined_vector_is_concatenation_for_shared_grams(docs, n, idf):
-    vocabs = {m: build_vocab_for_mode(docs, m, n, idf)
+       st.sampled_from([1, 2, 3]))
+def test_combined_vector_is_concatenation_for_shared_grams(docs, n):
+    vocabs = {m: build_vocab_for_mode(docs, m, n)
               for m in ("aast", "inv", "aast_inv")}
     for d in docs:
         assert represent(d, vocabs["aast_inv"]).values == \
@@ -202,13 +190,9 @@ def test_combined_vector_is_concatenation_for_shared_grams(docs, n, idf):
        st.sampled_from([1, 2, 3]))
 def test_vocab_counts_every_copy_of_a_repeated_document(counted, n):
     docs = [d for d, copies in counted for _ in range(copies)]
-    vocab = build_vocab_for_mode(docs, "aast_inv", n, idf=True)
-    grams, idf = [], []
+    vocab = build_vocab_for_mode(docs, "aast_inv", n)
+    grams = []
     for field in ("aast_text", "inv_text"):
-        df = Counter()
-        for d in docs:
-            df.update(set(ngrams(tokenize(getattr(d, field)), n)))
-        grams += sorted(df)
-        idf += [math.log((1 + len(docs)) / (1 + df[g])) + 1
-                for g in sorted(df)]
-    assert (vocab.grams, vocab.idf) == (grams, idf)
+        grams += sorted({g for d in docs
+                         for g in ngrams(tokenize(getattr(d, field)), n)})
+    assert vocab.grams == grams
