@@ -302,8 +302,22 @@ def persist(arts, out_dir):
     one), the vector of every clustered program, the model and the
     projection. Each fact is written once: purity is what `invclust
     purity` computes from model.json and the labels, and cluster sizes
-    are the counts of model.json's assignment."""
+    are the counts of model.json's assignment.
+
+    Each file is written new, its old one unlinked first: on ext4 with
+    `auto_da_alloc` (the default), truncating a recently written file on
+    open first writes its old data back and waits for it. Rewriting a
+    1 MB out_dir 3 s after the last write took 6-269 ms that way, against
+    5-9 ms after an unlink."""
     os.makedirs(out_dir, exist_ok=True)
+
+    def new_file(name):
+        path = os.path.join(out_dir, name)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        return path
     documents = {pid: {"exclusion": diag}
                  for pid, diag in arts.exclusions.items()}
     documents.update({pid: {"renamed_source": pa.docs.renamed_source,
@@ -312,20 +326,20 @@ def persist(arts, out_dir):
                       for pid, pa in arts.programs.items()})
     for pid, entry in documents.items():
         entry["label"] = arts.labels[pid]
-    with open(os.path.join(out_dir, "documents.json"), "w") as f:
+    with open(new_file("documents.json"), "w") as f:
         f.write(_dump(documents))
-    write_vectors(arts, os.path.join(out_dir, "vectors.npy"))
+    write_vectors(arts, new_file("vectors.npy"))
     model, vocab = arts.model, arts.vocab
     vocab_dict = {"mode": vocab.mode, "n": vocab.n, "grams": vocab.grams,
                   "segments": [list(s) for s in vocab.segments]}
-    with open(os.path.join(out_dir, "model.json"), "w") as f:
+    with open(new_file("model.json"), "w") as f:
         f.write(_dump({"k": model.k, "k_requested": arts.k_requested,
                        "seed": model.seed, "assignment": model.assignment,
                        "representatives": {str(c): pid for c, pid
                                            in model.representatives.items()},
                        "sse": model.sse, "vocab": vocab_dict}))
     write_projection(arts.clustered_ids, arts.clustered_vectors,
-                     os.path.join(out_dir, "projection.csv"))
+                     new_file("projection.csv"))
 
 
 def _model_from_dict(d):

@@ -60,20 +60,25 @@ where a run stops does not depend on how deep in Python's stack its caller
 is.
 
 Hot loops: an execution of a loop that reaches HOT_ITERS iterations runs
-the rest in a function generated as Python source for that loop and
-compiled once per `_Program` (`_hot_loop`). It holds the loop's leaf
-operations, scalar stores, scalar `scanf`s, `++`/`--` and `if`s inline,
-calls the closure of any other statement, and counts the steps of each
-run of inline statements at its start, ahead of their work, once a guard
-has found that the run stays within max_steps; a run that would not calls
-the closures of its statements instead (`_overrun`). Within an iteration
-it loads and checks a scalar once: a later read or snapshot uses the value
-a checked read or a store left, until a call, which may store into any
-slot, or a join whose paths disagree. A snapshot is the tuple of those
-values, or its one value, or a None, added to the point's buffer with no
-getter. Every object the source uses is bound as a default argument,
-so it loads as a local. A suite whose loops stop short of HOT_ITERS
-compiles no source.
+on in a function generated as Python source for that loop and compiled
+once per `_Program` (`_hot_loop`). It holds the loop's leaf operations,
+scalar stores, scalar `scanf`s, `++`/`--` and `if`s inline, and calls the
+closure of any other statement. The scalars it touches live in Python
+locals, written back to the slots before a call or an exit and reloaded
+after a call. It checks a scalar for UNSET at its first read in an
+iteration, but not before the iteration's first call where every path
+through an iteration leaves the scalar set, so the check cannot fail. It
+counts the steps of each run of inline statements at the run's start,
+ahead of their work. One compare at the head of each iteration stands for
+the fold check and for the step limit of every run before the iteration's
+first call: near max_steps the function hands the rest of the execution
+back to the loop's closure (`_HandBack`), which runs it exactly, as it
+does after MAX_LOOP_ITERS iterations. A run after a call checks the limit
+itself and calls the closures of its statements instead where it would
+pass it (`_overrun`). A snapshot is the tuple of its locals, or its one
+local, or a None, added to the point's buffer with no getter. Every object
+the source uses is bound as a default argument, so it loads as a local. A
+suite whose loops stop short of HOT_ITERS compiles no source.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -238,14 +243,14 @@ def _convert(st, value, is_int):
     return float(value)
 
 
-def _unset(st, name):
-    """The error of reading `name` before it is set."""
-    return TraceRuntimeError("uninitialized-read", st.point, name)
+def _unset(point, name):
+    """The error of reading `name` before it is set, at `point`."""
+    return TraceRuntimeError("uninitialized-read", point, name)
 
 
-def _bad_token(st, token):
+def _bad_token(point, token):
     """The error of a token that is not a number of the conversion's."""
-    return TraceRuntimeError("scanf-exhausted", st.point,
+    return TraceRuntimeError("scanf-exhausted", point,
                              f"bad input token {token!r}")
 
 
@@ -544,7 +549,7 @@ class _Compiler:
                     raise TraceRuntimeError("step-limit", st.point)
                 x = v[slot]
                 if x is UNSET:
-                    raise _unset(st, name)
+                    raise _unset(st.point, name)
                 x += delta
                 if is_int and not INT_MIN <= x <= INT_MAX:
                     raise TraceRuntimeError("integer-overflow", st.point)
@@ -594,8 +599,9 @@ class _Compiler:
     def loop(self, node, pid, pre):
         """while (cond) body, or for (init; cond; step) body; an empty init
         or step is an empty block. The closure takes the body's snapshot;
-        an execution that reaches `HOT_ITERS` iterations runs the rest in
-        `_hot_loop`'s function, compiled once per program."""
+        an execution that reaches `HOT_ITERS` iterations runs on in
+        `_hot_loop`'s function, compiled once per program, which runs the
+        rest or hands it back (`_HandBack`) for the closure to finish."""
         owed = pre + 1  # the loop statement's step, and its ancestors'
         init = step = None
         if node.kind == Kind.WHILE:
@@ -641,12 +647,15 @@ class _Compiler:
                         return r
                 if step is not None:
                     step(st, v)
-                if st.steps >= st.fold_at:
-                    _fold(st)
                 if iters == hot:
                     if tier is None:
                         tier = _hot_loop(*plan)
-                    return tier(st, v, iters)
+                    try:
+                        return tier(st, v, iters)
+                    except _HandBack as back:
+                        iters, = back.args
+                if st.steps >= st.fold_at:
+                    _fold(st)
             return None
         return loop
 
@@ -725,7 +734,7 @@ class _Compiler:
             try:
                 x = conv(token)
             except ValueError:
-                raise _bad_token(st, token) from None
+                raise _bad_token(st.point, token) from None
             if put is not None:
                 return put(st, v, x)
             if not (is_int and x.__class__ is int
@@ -794,7 +803,7 @@ class _Compiler:
                     raise TraceRuntimeError("step-limit", st.point)
                 x = v[slot]
                 if x is UNSET:
-                    raise _unset(st, name)
+                    raise _unset(st.point, name)
                 return x
             return ref
         if k == Kind.ARRAY_INDEX:
@@ -813,7 +822,7 @@ class _Compiler:
                 i = _checked_index(st, name, arr, idx(st, v))
                 x = arr[i]
                 if x is UNSET:
-                    raise _unset(st, f"{name}[{i}]")
+                    raise _unset(st.point, f"{name}[{i}]")
                 return x
             return element
 
@@ -896,73 +905,118 @@ class _Compiler:
         return divide
 
 
+class _HandBack(Exception):
+    """Raised by a loop's tier at a back-edge, with the iterations run, to
+    leave the rest of the execution to the loop's closure, which runs it
+    exactly: near max_steps, and after max_iters iterations."""
+
+
 def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
     """The function (st, v, iters) that runs a loop's execution on from its
     back-edge after `iters` iterations, its statements' plans inline.
 
-    It runs `_fold` at the back-edge as the loop closure does, against a
-    copy of `st.fold_at` loaded at entry and after each fold; a fold in a
-    call leaves the copy low, which brings the next fold forward."""
+    Each iteration's head makes one compare, `steps > bound`. Past
+    `fold_at - 1` it runs `_fold`, as the loop closure does at the
+    back-edge, against a copy of `st.fold_at` loaded at entry and after
+    each fold (a fold in a call leaves the copy low, which brings the next
+    fold forward). Past `limit`, max_steps less the most steps a path
+    counts from the head to its first call (`_Source.reach`), it hands
+    the execution back; so does the back-edge of iteration max_iters,
+    after which the closure's next test meets the iteration cap."""
     src = _Source(max_steps)
-    src.emit(1, "steps, stdin, fold_at = st.steps, st.stdin, st.fold_at")
-    src.emit(1, "while True:")
-    src.emit(2, f"if not {src.test(2, cond_plan, cond)}: break")
-    src.close()
-    src.emit(2, "iters += 1")
-    src.emit(2, f"if iters > {src.key(max_iters)}: raise TraceRuntimeError("
-                f"'step-limit', {src.key(point[0])}, 'loop iterations')")
-    src.snapshot(2, point)
-    for plan in body + [step] if step else body:
-        src.stmt(2, plan)
-    src.close()
-    src.emit(2, "if steps >= fold_at:")
+    src.emit(1, "steps, stdin, fold_at, point = "
+                "st.steps, st.stdin, st.fold_at, st.point")
+    src.later(1, src.reload)
+    src.emit(1, "bound = min(limit, fold_at - 1)")
+    src.emit(1, f"for iters in range(iters + 1, {max_iters + 1}):")
+    src.emit(2, "if steps > bound:")
+    src.emit(3, "if steps > limit:")
+    src.emit(4, "iters -= 1")
+    src.emit(4, "break")
     src.emit(3, "st.steps = steps")
     src.emit(3, "_fold(st)")
     src.emit(3, "fold_at = st.fold_at")
-    src.emit(1, "st.steps = steps")
+    src.emit(3, "bound = min(limit, fold_at - 1)")
+    src.emit(2, f"if not {src.test(2, cond_plan, cond)}:")
+    src.leave(3)
+    src.snapshot(2, point)
+    for plan in body + [step] if step else body:
+        src.stmt(2, plan)
+    src.uncover()
+    src.settled = src.known
+    src.later(1, src.writeback)
+    src.emit(1, "st.steps, st.point = steps, point")
+    src.emit(1, "raise _HandBack(iters)")
+    lines = src.code()
+    src.ns["limit"] = max_steps - src.reach
     defaults = ", ".join(f"{k}={k}" for k in src.ns)
-    code = "\n".join([f"def hot_loop(st, v, iters, *, {defaults}):",
-                      *src.lines])
+    code = "\n".join([f"def hot_loop(st, v, iters, *, {defaults}):", *lines])
     exec(compile(code, "<hot loop>", "exec"), src.ns)
     return src.ns.pop("hot_loop")  # so the namespace holds no cycle
 
 
-def _overrun(st, v, steps, closures):
-    """The tier's side exit from a run of inline statements that would
-    pass max_steps: their closures count exactly, so one stops the test."""
-    st.steps = steps
+def _overrun(st, v, steps, point, closures):
+    """The tier's side exit from a run of inline statements after a call
+    that would pass max_steps: their closures count exactly, so one stops
+    the test."""
+    st.steps, st.point = steps, point
     for closure in closures:
         closure(st, v)
     raise AssertionError("a run past max_steps ran to its end")
+
+
+def _assign(targets, values):
+    """The line assigning each value to its target; none for none."""
+    return [f"{', '.join(targets)} = {', '.join(values)}"] if targets else []
 
 
 class _Source:
     """The lines and namespace of a hot loop's function. Every object the
     lines use (a name, a point id, a literal, a closure) is a namespace
     entry `_k<i>`, bound as a keyword-only default so that it loads as a
-    local; the lines hold only those keys, slots and temporaries `x<i>`,
-    one statement per C node, each temporary assigned once. `steps`, the
-    function's count, is added to at the start of each run of inline
-    statements, for the whole run, after its guard; before a call it is
-    stored in `st.steps`, and read back after.
+    local; the lines hold only those keys, slots, locals and temporaries
+    `x<i>`, one statement per C node.
 
-    `known` maps a slot to the operand that holds its value, set by a
-    checked read or a store earlier in the iteration; a later read or
-    snapshot of the slot uses it, with no load and no UNSET check. It
-    starts empty at the loop's head, a call empties it (the closure may
-    store into any slot), and past an `if` it keeps what all paths agree
-    on."""
+    A scalar slot that the plans read, store or snapshot lives in the
+    local `s<slot>`. The locals of the slots stored inline go back to `v`
+    before a call, `_overrun` or an exit, and all are reloaded after a
+    call; `steps`, the function's count, and `point`, the most recently
+    entered point, which an error names, go to `st` and back at the same
+    places. A line that depends on the whole loop (the slots, a run's
+    count) is placed with `later`.
+
+    A run of inline statements counts its steps at its start. Up to the
+    first call on its path a run is covered by the head's guard, which
+    `reach` sizes: the most steps a path counts from the head up to a call
+    or the back-edge. A covered run stays open across the loop's exit test
+    (the exit takes back what was counted past it) and across an `if` with
+    no call, whose arms count their own runs. A run after a call has its
+    own guard (`_overrun`).
+
+    `known` holds the slots that a checked read or a store set earlier in
+    the iteration; a later read of one makes no UNSET check. It starts
+    empty at the head, a call empties it (the closure may store into any
+    slot), and past an `if` it keeps what all paths agree on. The slots it
+    holds at the back-edge, `settled`, are set at every head, as the tier
+    starts after a whole iteration and only a call stores UNSET; a read
+    before the first call makes no check for one either."""
 
     def __init__(self, max_steps):
         self.max_steps = max_steps
-        self.lines = []
+        self.lines = []  # each a line, or (indent, render) from `later`
         self.ns = {"UNSET": UNSET, "TraceRuntimeError": TraceRuntimeError,
                    "_unset": _unset, "_convert": _convert,
                    "_bad_token": _bad_token, "_overrun": _overrun,
-                   "_fold": _fold}
+                   "_fold": _fold, "_HandBack": _HandBack}
         self.temps = 0
-        self.run = None  # [line index, indent, steps, closures] of a run
-        self.known = {}
+        self.slots = set()  # the slots that have a local
+        self.stored = set()  # the slots stored into inline
+        self.run = None  # [steps, closures] of the open run
+        self.known = set()
+        self.settled = set()  # the slots `known` holds at the back-edge
+        self.path = 0  # steps counted on this path since the head
+        self.covered = True  # no call on this path since the head
+        self.reach = 0  # the most steps a covered path counts
 
     def key(self, obj):
         key = f"_k{len(self.ns)}"
@@ -976,61 +1030,129 @@ class _Source:
     def emit(self, ind, line):
         self.lines.append("    " * ind + line)
 
-    def fresh(self, ind, value):
-        """A new temporary holding `value`."""
-        x = self.temp()
+    def later(self, ind, render):
+        """A place for the lines that `render()` gives at the end."""
+        self.lines.append((ind, render))
+
+    def code(self):
+        """The lines, each place from `later` rendered, which drops the
+        renderers and so the cycles through them."""
+        out = []
+        for line in self.lines:
+            if isinstance(line, str):
+                out.append(line)
+            else:
+                ind, render = line
+                out += ["    " * ind + text for text in render()]
+        self.lines = out
+        return out
+
+    def fresh(self, ind, value, into=None):
+        """A new temporary, or `into`, holding `value`."""
+        x = into or self.temp()
         self.emit(ind, f"{x} = {value}")
         return x
+
+    def writeback(self):
+        return _assign([f"v[{s}]" for s in sorted(self.stored)],
+                       [f"s{s}" for s in sorted(self.stored)])
+
+    def reload(self):
+        return _assign([f"s{s}" for s in sorted(self.slots)],
+                       [f"v[{s}]" for s in sorted(self.slots)])
 
     def count(self, ind, steps, closure=None):
         """Adds `steps` to the open run, or opens one at `ind`; a
         statement's first count gives its closure, for `_overrun`."""
         if self.run is None:
-            self.run = [len(self.lines), ind, 0, []]
-            self.lines.append(None)
-        self.run[2] += steps
-        if closure is not None:
-            self.run[3].append(closure)
+            run = self.run = [0, []]
+            guarded = not self.covered
 
-    def close(self):
-        if self.run is not None:
-            i, ind, steps, closures = self.run
-            self.lines[i] = "    " * ind + "\n".join([
-                f"if steps > {self.max_steps - steps}: _overrun(st, v, "
-                f"steps, {self.key(tuple(closures))})",
-                "    " * ind + f"steps += {steps}"])
-            self.run = None
+            def render():
+                steps, closures = run
+                if not guarded:
+                    return [f"steps += {steps}"]
+                return [f"if steps > {self.max_steps - steps}:",
+                        *("    " + line for line in self.writeback()),
+                        f"    _overrun(st, v, steps, point, "
+                        f"{self.key(tuple(closures))})",
+                        f"steps += {steps}"]
+            self.later(ind, render)
+        self.run[0] += steps
+        self.path += steps
+        if closure is not None:
+            self.run[1].append(closure)
+
+    def uncover(self):
+        """Ends here what the head's guard covers on this path."""
+        if self.covered:
+            self.reach = max(self.reach, self.path)
+            self.covered = False
+
+    def leave(self, ind):
+        """The exit where the loop's test fails."""
+        run = self.run
+        counted = run[0] if run else 0
+
+        def render():
+            past = run[0] - counted if run else 0
+            return [*self.writeback(),
+                    f"st.steps, st.point = steps - {past}, point",
+                    "return None"]
+        self.later(ind, render)
 
     def call(self, ind, closure):
         """The temporary holding what `closure(st, v)` returns."""
-        self.close()
-        self.known = {}
-        self.emit(ind, "st.steps = steps")
+        self.run = None
+        self.uncover()
+        self.known = set()
+        self.later(ind, self.writeback)
+        self.emit(ind, "st.steps, st.point = steps, point")
         x = self.fresh(ind, f"{self.key(closure)}(st, v)")
-        self.emit(ind, "steps = st.steps")
+        self.emit(ind, "steps, point = st.steps, st.point")
+        self.later(ind, self.reload)
         return x
 
     def trap(self, ind, x):
         self.emit(ind, f"if not {INT_MIN} <= {x} <= {INT_MAX}: "
-                       "raise TraceRuntimeError('integer-overflow', st.point)")
+                       "raise TraceRuntimeError('integer-overflow', point)")
+
+    def convert(self, ind, x, is_int, into):
+        """`into` holding `_convert`'s value of x, which may fail at
+        `st.point`."""
+        self.emit(ind, "st.point = point")
+        return self.fresh(ind, f"_convert(st, {x}, {is_int})", into)
 
     def read(self, ind, slot, name):
-        """The operand holding a scalar slot's value, checked set."""
-        x = self.known.get(slot)
-        if x is None:
-            x = self.fresh(ind, f"v[{slot}]")
-            self.emit(ind, f"if {x} is UNSET: "
-                           f"raise _unset(st, {self.key(name)})")
-            self.known[slot] = x
-        return x
+        """The local holding a scalar slot's value, checked set. A check
+        with no call before it since the head is left out if the slot is
+        in `settled`."""
+        self.slots.add(slot)
+        if slot not in self.known:
+            self.known.add(slot)
+            if not self.covered:
+                self.emit(ind, self.unset(slot, name))
+                return f"s{slot}"
+
+            def render():
+                return [] if slot in self.settled else [self.unset(slot, name)]
+            self.later(ind, render)
+        return f"s{slot}"
+
+    def unset(self, slot, name):
+        return f"if s{slot} is UNSET: raise _unset(point, {self.key(name)})"
 
     def store(self, ind, slot, x):
-        self.emit(ind, f"v[{slot}] = {x}")
-        self.known[slot] = x
+        self.slots.add(slot)
+        self.stored.add(slot)
+        self.known.add(slot)
+        if x != f"s{slot}":
+            self.emit(ind, f"s{slot} = {x}")
 
-    def expr(self, ind, plan):
-        """(operand, is_int, in_range) of an expression plan: a temporary
-        or key, whether it is an int, and whether an int is in range."""
+    def expr(self, ind, plan, into=None):
+        """(operand, is_int, in_range) of an expression plan: a local, a
+        temporary or a key, whether it is an int, and whether an int is in
+        range. An operation's value goes into `into` if given."""
         self.count(ind, 1)
         if plan[0] == "lit":
             x = plan[1]
@@ -1040,11 +1162,11 @@ class _Source:
             return self.read(ind, plan[1], plan[2]), plan[3], True
         op, left, right = plan
         if op in _COMPARE:
-            return (self.fresh(ind, f"1 if {self.compare(ind, plan)} else 0"),
-                    True, True)
+            return (self.fresh(ind, f"1 if {self.compare(ind, plan)} else 0",
+                               into), True, True)
         a, a_int, _ = self.expr(ind, left)
         b, b_int, _ = self.expr(ind, right)
-        x = self.fresh(ind, f"{a} {op} {b}")
+        x = self.fresh(ind, f"{a} {op} {b}", into)
         if a_int and b_int:
             self.trap(ind, x)
         return x, a_int and b_int, True
@@ -1074,9 +1196,9 @@ class _Source:
         """A point's snapshot: its one value, the tuple of its values, or
         a None for a point with no scalar."""
         pid, _, push, flat, layout = point
-        self.emit(ind, f"st.point = {self.key(pid)}")
-        values = [self.known.get(slot) or f"v[{slot}]"
-                  for _, slot in layout] or ["None"]
+        self.emit(ind, f"point = {self.key(pid)}")
+        self.slots.update(slot for _, slot in layout)
+        values = [f"s{slot}" for _, slot in layout] or ["None"]
         if len(values) > 1:
             self.emit(ind, f"{self.key(flat)} += ({', '.join(values)})")
         else:
@@ -1087,35 +1209,39 @@ class _Source:
         if kind in ("put", "incr", "read"):
             count, slot, *parts = parts
             self.count(ind, count, closure)
+            local = f"s{slot}"
         if kind == "call":
             x = self.call(ind, closure)
             self.emit(ind, f"if {x} is not None: return {x}")
         elif kind == "put":
             is_int, value = parts
-            x, x_int, in_range = self.expr(ind, value)
+            x, x_int, in_range = self.expr(ind, value, local)
             if x_int != is_int or not in_range:
-                x = self.fresh(ind, f"_convert(st, {x}, {is_int})")
+                x = self.convert(ind, x, is_int, local)
             self.store(ind, slot, x)
-        elif kind == "incr":
+        elif kind == "incr":  # an int in range can pass one bound only
             name, is_int, delta = parts
             x = self.read(ind, slot, name)
-            x = self.fresh(ind, f"{x} {'+' if delta > 0 else '-'} 1")
+            x = self.fresh(ind, f"{x} {'+' if delta > 0 else '-'} 1", local)
             if is_int:
-                self.trap(ind, x)
+                self.emit(ind, f"if {x} {'>' if delta > 0 else '<'} "
+                               f"{INT_MAX if delta > 0 else INT_MIN}: raise "
+                               "TraceRuntimeError('integer-overflow', point)")
             self.store(ind, slot, x)
         elif kind == "read":
             is_int, conv = parts
-            token, x = self.temp(), self.temp()
+            token = self.temp()
+            x = local if (conv is int) == is_int else self.temp()
             self.emit(ind, f"{token} = next(stdin, None)")
             self.emit(ind, f"if {token} is None: raise TraceRuntimeError("
-                           "'scanf-exhausted', st.point)")
+                           "'scanf-exhausted', point)")
             self.emit(ind, f"try: {x} = {conv.__name__}({token})")
             self.emit(ind, "except ValueError: "
-                           f"raise _bad_token(st, {token}) from None")
+                           f"raise _bad_token(point, {token}) from None")
             if conv is int and is_int:
                 self.trap(ind, x)
-            elif (conv is int) != is_int:
-                x = self.fresh(ind, f"_convert(st, {x}, {is_int})")
+            elif x != local:
+                x = self.convert(ind, x, is_int, local)
             self.store(ind, slot, x)
         else:  # a test that is a call counts the `if`'s `count` itself
             count, test, then_point, then, else_point, else_ = parts
@@ -1123,19 +1249,22 @@ class _Source:
                          then_point, then)]
             if else_point is not None:
                 branches.append(("else:", else_point, else_))
-            before = self.known  # as the test left it
-            paths = [] if else_point is not None else [before]
+            run = self.run  # stays open past the `if` if no arm calls
+            before, path, covered = self.known, self.path, self.covered
+            ends = [] if else_point is not None else [(before, path, covered)]
             for line, point, plans in branches:
                 self.emit(ind, line)
-                self.close()
-                self.known = dict(before)
+                self.run, self.known = None, set(before)
+                self.path, self.covered = path, covered
                 self.snapshot(ind + 1, point)
                 for sub in plans:
                     self.stmt(ind + 1, sub)
-                self.close()
-                paths.append(self.known)
-            self.known = {slot: x for slot, x in paths[0].items()
-                          if all(p.get(slot) == x for p in paths[1:])}
+                ends.append((self.known, self.path, self.covered))
+            knowns, paths, covereds = zip(*ends)
+            self.known = set.intersection(*knowns)
+            self.path = max(paths)
+            self.covered = all(covereds)
+            self.run = run if self.covered else None
 
 
 def normalize_output(s):

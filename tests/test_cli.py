@@ -58,6 +58,27 @@ def test_cluster_writes_model(workspace):
         "documents.json", "model.json", "projection.csv", "vectors.npy"]
 
 
+# A rerun into the same --out writes each artifact as a new file, so a hard
+# link to an old one keeps the old bytes.
+def test_rerun_leaves_linked_old_artifacts_alone(workspace, tmp_path):
+    corpus, out, old = workspace / "corpus", tmp_path / "out", tmp_path / "old"
+    args = ["cluster", "--corpus", str(corpus), "--tests",
+            str(corpus / "tests"), "--k-frac", "0.1", "--seed", "0",
+            "--out", str(out)]
+    assert main(args + ["--mode", "aast+inv"]) == 0
+    names = sorted(os.listdir(out))
+    old.mkdir()
+    for name in names:
+        os.link(out / name, old / name)
+    before = {name: (old / name).read_bytes() for name in names}
+    assert main(args + ["--mode", "aast"]) == 0
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        assert not os.path.samefile(out / name, old / name), name
+        assert (old / name).read_bytes() == before[name], name
+    assert (out / "model.json").read_bytes() != before["model.json"]
+
+
 def test_rename_matches_library(workspace, capsys):
     assert main(["rename", str(workspace / "left.c"), "--json"]) == 0
     payload = _json_out(capsys)

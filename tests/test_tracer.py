@@ -620,9 +620,9 @@ def test_loop_iteration_cap_in_the_tier(compiled, monkeypatch):
     assert log.errors == ["step-limit at main/loop0/body: loop iterations"]
 
 
-# The tier's guard stops a run of inline statements that would pass the
-# limit at the exact node: at each of 16 budgets in a row, which stop at
-# every node of an iteration, and at the last two.
+# Near the limit the tier hands the execution back, and the closures stop
+# at the exact node: at each of 16 budgets in a row, which stop at every
+# node of an iteration, and at the last two.
 def test_step_limit_in_the_tier_is_the_exact_one(compiled):
     tree = parse(_counting('scanf("%d", &x);\n    if (x > s) {\n'
                            "      s = x;\n    }\n"
@@ -640,9 +640,161 @@ def test_step_limit_in_the_tier_is_the_exact_one(compiled):
                      "step-limit at main/loop0/body/if0/then"}
 
 
+def _spy_hand_backs(monkeypatch):
+    """The iterations at which each tier compiled from now on hands its
+    loop's execution back to the closure, in order."""
+    backs = []
+    hot_loop = tracer._hot_loop
+
+    def spy(*plan):
+        tier = hot_loop(*plan)
+
+        def run(st, v, iters):
+            try:
+                return tier(st, v, iters)
+            except tracer._HandBack as back:
+                backs.append(back.args[0])
+                raise
+        return run
+    monkeypatch.setattr(tracer, "_hot_loop", spy)
+    return backs
+
+
+# Near the limit the tier's one guard at the head of an iteration hands
+# the execution back, and the closures stop at the exact node: at each of
+# 40 budgets in a row, over more than two iterations, so at every node of
+# an iteration through either arm of its if/else.
+def test_step_limit_sweep_through_an_if_else(compiled, monkeypatch):
+    tree = parse(_counting('scanf("%d", &x);\n    if (x > 0) {\n'
+                           "      s = s + x;\n    } else {\n"
+                           "      s = s - 1;\n    }", "  int x;\n"))
+    tests = [TestCase(" ".join(["1", "-1"] * (_LONG // 2)), "0")]
+    total = fewest_steps(tree, tests)
+    backs = _spy_hand_backs(monkeypatch)
+    stops = set()
+    for max_steps in range(total // 2, total // 2 + 40):
+        log = _tiered_equals_untiered(compiled, tree, tests, max_steps)
+        assert len(log.errors) == 1
+        stops.update(log.errors)
+    assert stops == {"step-limit at main/loop0/body",
+                     "step-limit at main/loop0/body/if0/then",
+                     "step-limit at main/loop0/body/if0/else"}
+    assert len(backs) == 2 * 40  # once a budget, recorded and not
+    assert all(tracer.HOT_ITERS < n < _LONG for n in backs)
+
+
+# A loop of exactly MAX_LOOP_ITERS iterations passes when the tier hands
+# it back a few iterations short of its end, here because an arm never
+# taken counts in the steps its guard allows for: the closure counts on
+# from the iterations the tier ran.
+def test_hand_back_near_the_iteration_cap(compiled, monkeypatch):
+    tree = parse(_counting("s = s + i;\n    if (i < 0) {\n"
+                           + "      s = s + 1;\n" * 8 + "    }"))
+    tests = [TestCase("", "")]
+    total = fewest_steps(tree, tests)
+    monkeypatch.setattr(tracer, "MAX_LOOP_ITERS", _LONG)
+    backs = _spy_hand_backs(monkeypatch)
+    log = _tiered_equals_untiered(compiled, tree, tests, total)
+    assert log.errors == []
+    assert len(backs) == 2 and all(_LONG - 4 < n < _LONG for n in backs)
+
+
+# The tier leaves the most recently entered point in the state, where an
+# error after the loop reads it: here the last iteration's then-point,
+# which no iteration before the tier entered.
+def test_error_after_a_tiered_loop_names_its_last_point(compiled):
+    src = _counting("if (i == 2999) {\n      s = s + 1;\n    }",
+                    after="  s = s / (s - s);\n")
+    log = _tiered_equals_untiered(compiled, parse(src), [TestCase("", "")])
+    assert log.errors == ["div-by-zero at main/loop0/body/if0/then"]
+
+
+# With the iteration cap at HOT_ITERS, the tier runs no iteration: it hands
+# the execution back at once, and the closure's next test meets the cap.
+def test_loop_iteration_cap_at_the_tier_entry(compiled, monkeypatch):
+    monkeypatch.setattr(tracer, "MAX_LOOP_ITERS", tracer.HOT_ITERS)
+    backs = _spy_hand_backs(monkeypatch)
+    log = _tiered_equals_untiered(compiled, parse(_counting("s = s + i;")),
+                                  [TestCase("", "")])
+    assert log.errors == ["step-limit at main/loop0/body: loop iterations"]
+    assert backs == [tracer.HOT_ITERS] * 2
+
+
+# A tiered loop body that calls a function whose own loop tiers, that
+# stores into an array, and that returns from inside the loop of a function
+# other than main: the tier writes its locals back before each call and
+# the return, and reloads them after.
+_CALLEE_TIERS = """\
+int g(int k) {
+  int j = 0;
+  while (j < k) {
+    j++;
+  }
+  return j;
+}
+
+int main() {
+  int i = 0;
+  int s = 0;
+  int t;
+  while (i < 3000) {
+    t = g(2);
+    if (i > 2997) {
+      s = s + g(1500);
+    }
+    s = s + i + t;
+    i++;
+  }
+  printf("%d", s);
+}
+"""
+_RETURN_IN_LOOP = """\
+int f(int n) {
+  int i = 0;
+  int s = 0;
+  while (1) {
+    s = s + i;
+    if (i == n) {
+      return s;
+    }
+    i++;
+  }
+}
+
+int main() {
+  int n;
+  scanf("%d", &n);
+  printf("%d", f(n));
+}
+"""
+
+
+@pytest.mark.parametrize("src,stdin,tiered,snaps", [
+    (_CALLEE_TIERS, "", ["main/loop0/body", "g/loop0/body"],
+     {"g/exit": [{"k": 2, "j": 2}] * 2999 + [{"k": 1500, "j": 1500},
+                                             {"k": 2, "j": 2},
+                                             {"k": 1500, "j": 1500}]}),
+    (_counting("a[i % 2] = s;\n    s = s + a[0];\n    s = s - a[1];",
+               "  int a[2];\n  a[0] = 0;\n  a[1] = 0;\n"), "",
+     ["main/loop0/body"], {}),
+    (_RETURN_IN_LOOP, "3000", ["f/loop0/body"],
+     {"f/exit": [{"n": 3000, "i": 3000, "s": 3000 * 3001 // 2}]}),
+], ids=["callee-tiers", "array-store", "return-in-loop"])
+def test_tiered_body_with_calls_is_exact(compiled, src, stdin, tiered,
+                                         snaps):
+    log = _tiered_equals_untiered(compiled, parse(src),
+                                  [TestCase(stdin, "")])
+    assert log.errors == []
+    for pid in tiered:
+        assert len(log.points[pid]) > tracer.HOT_ITERS
+    for pid, expected in snaps.items():
+        assert log.snapshots()[pid] == expected
+
+
 # closest-stream's hostile infinite loop on sum1n's tests: the loop runs on
-# in its tier until a run's guard stops it, and that run stands. The suite
-# compiles one program and keeps the snapshots of its tiered iterations.
+# in its tier until its guard hands the last iterations back to the
+# closures, which stop it. The suite compiles one program and keeps the
+# snapshots of its tiered iterations.
 def test_fast_run_past_the_limit_stops_soon_in_the_tier(compiled,
                                                         monkeypatch):
     tree = parse('int main() {\n  int n;\n  scanf("%d", &n);\n'
