@@ -66,19 +66,19 @@ scalar stores, scalar `scanf`s, `++`/`--` and `if`s inline, and calls the
 closure of any other statement. The scalars it touches live in Python
 locals, written back to the slots before a call or an exit and reloaded
 after a call. It checks a scalar for UNSET at its first read in an
-iteration, but not before the iteration's first call where every path
-through an iteration leaves the scalar set, so the check cannot fail. It
-counts the steps of each run of inline statements at the run's start,
-ahead of their work. One compare at the head of each iteration stands for
-the fold check and for the step limit of every run before the iteration's
-first call: near max_steps the function hands the rest of the execution
-back to the loop's closure (`_HandBack`), which runs it exactly, as it
-does after MAX_LOOP_ITERS iterations. A run after a call checks the limit
-itself and calls the closures of its statements instead where it would
-pass it (`_overrun`). A snapshot is the tuple of its locals, or its one
-local, or a None, added to the point's buffer with no getter. Every object
-the source uses is bound as a default argument, so it loads as a local. A
-suite whose loops stop short of HOT_ITERS compiles no source.
+iteration and at its first read after a call. It counts the steps of
+each run of inline statements at the run's start, ahead of their work.
+One compare at the head of each iteration stands for the fold check and
+for the step limit of every run up to the iteration's first call, or up
+to the join of an `if` one of whose arms calls: near max_steps the
+function hands the rest of the execution back to the loop's closure
+(`_HandBack`), which runs it exactly, as it does after MAX_LOOP_ITERS
+iterations. A run past those checks the limit itself and calls the
+closures of its statements instead where it would pass it (`_overrun`).
+A snapshot is the tuple of its locals, or its one local, or a None, added
+to the point's buffer with no getter. Every object the source uses is
+bound as a default argument, so it loads as a local. A suite whose loops
+stop short of HOT_ITERS compiles no source.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -919,10 +919,10 @@ def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
     `fold_at - 1` it runs `_fold`, as the loop closure does at the
     back-edge, against a copy of `st.fold_at` loaded at entry and after
     each fold (a fold in a call leaves the copy low, which brings the next
-    fold forward). Past `limit`, max_steps less the most steps a path
-    counts from the head to its first call (`_Source.reach`), it hands
-    the execution back; so does the back-edge of iteration max_iters,
-    after which the closure's next test meets the iteration cap."""
+    fold forward). Past `limit`, max_steps less the most steps that a
+    path counts under the guard (`_Source.reach`), it hands the execution
+    back; so does the back-edge of iteration max_iters, after which the
+    closure's next test meets the iteration cap."""
     src = _Source(max_steps)
     src.emit(1, "steps, stdin, fold_at, point = "
                 "st.steps, st.stdin, st.fold_at, st.point")
@@ -943,7 +943,6 @@ def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
     for plan in body + [step] if step else body:
         src.stmt(2, plan)
     src.uncover()
-    src.settled = src.known
     src.later(1, src.writeback)
     src.emit(1, "st.steps, st.point = steps, point")
     src.emit(1, "raise _HandBack(iters)")
@@ -956,9 +955,9 @@ def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
 
 
 def _overrun(st, v, steps, point, closures):
-    """The tier's side exit from a run of inline statements after a call
-    that would pass max_steps: their closures count exactly, so one stops
-    the test."""
+    """The tier's side exit from a run of inline statements that the
+    head's guard does not cover and that would pass max_steps: their
+    closures count exactly, so one stops the test."""
     st.steps, st.point = steps, point
     for closure in closures:
         closure(st, v)
@@ -987,19 +986,17 @@ class _Source:
 
     A run of inline statements counts its steps at its start. Up to the
     first call on its path a run is covered by the head's guard, which
-    `reach` sizes: the most steps a path counts from the head up to a call
-    or the back-edge. A covered run stays open across the loop's exit test
-    (the exit takes back what was counted past it) and across an `if` with
-    no call, whose arms count their own runs. A run after a call has its
-    own guard (`_overrun`).
+    `reach` sizes: the most steps a path counts from the head up to a
+    call, the back-edge, or the join of an `if` one of whose arms calls,
+    past which no path is covered. A covered run stays open across the
+    loop's exit test (the exit takes back what was counted past it) and
+    across an `if` with no call, whose arms count their own runs. A run
+    that is not covered has its own guard (`_overrun`).
 
     `known` holds the slots that a checked read or a store set earlier in
     the iteration; a later read of one makes no UNSET check. It starts
     empty at the head, a call empties it (the closure may store into any
-    slot), and past an `if` it keeps what all paths agree on. The slots it
-    holds at the back-edge, `settled`, are set at every head, as the tier
-    starts after a whole iteration and only a call stores UNSET; a read
-    before the first call makes no check for one either."""
+    slot), and past an `if` it keeps what all paths agree on."""
 
     def __init__(self, max_steps):
         self.max_steps = max_steps
@@ -1013,7 +1010,6 @@ class _Source:
         self.stored = set()  # the slots stored into inline
         self.run = None  # [steps, closures] of the open run
         self.known = set()
-        self.settled = set()  # the slots `known` holds at the back-edge
         self.path = 0  # steps counted on this path since the head
         self.covered = True  # no call on this path since the head
         self.reach = 0  # the most steps a covered path counts
@@ -1124,23 +1120,13 @@ class _Source:
         return self.fresh(ind, f"_convert(st, {x}, {is_int})", into)
 
     def read(self, ind, slot, name):
-        """The local holding a scalar slot's value, checked set. A check
-        with no call before it since the head is left out if the slot is
-        in `settled`."""
+        """The local holding a scalar slot's value, checked set."""
         self.slots.add(slot)
         if slot not in self.known:
             self.known.add(slot)
-            if not self.covered:
-                self.emit(ind, self.unset(slot, name))
-                return f"s{slot}"
-
-            def render():
-                return [] if slot in self.settled else [self.unset(slot, name)]
-            self.later(ind, render)
+            self.emit(ind, f"if s{slot} is UNSET: "
+                           f"raise _unset(point, {self.key(name)})")
         return f"s{slot}"
-
-    def unset(self, slot, name):
-        return f"if s{slot} is UNSET: raise _unset(point, {self.key(name)})"
 
     def store(self, ind, slot, x):
         self.slots.add(slot)
@@ -1219,14 +1205,12 @@ class _Source:
             if x_int != is_int or not in_range:
                 x = self.convert(ind, x, is_int, local)
             self.store(ind, slot, x)
-        elif kind == "incr":  # an int in range can pass one bound only
+        elif kind == "incr":
             name, is_int, delta = parts
             x = self.read(ind, slot, name)
             x = self.fresh(ind, f"{x} {'+' if delta > 0 else '-'} 1", local)
             if is_int:
-                self.emit(ind, f"if {x} {'>' if delta > 0 else '<'} "
-                               f"{INT_MAX if delta > 0 else INT_MIN}: raise "
-                               "TraceRuntimeError('integer-overflow', point)")
+                self.trap(ind, x)
             self.store(ind, slot, x)
         elif kind == "read":
             is_int, conv = parts
@@ -1263,6 +1247,9 @@ class _Source:
             knowns, paths, covereds = zip(*ends)
             self.known = set.intersection(*knowns)
             self.path = max(paths)
+            for end, covered in zip(paths, covereds):
+                if covered:  # its unguarded runs, even if a sibling calls
+                    self.reach = max(self.reach, end)
             self.covered = all(covereds)
             self.run = run if self.covered else None
 

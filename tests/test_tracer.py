@@ -683,6 +683,28 @@ def test_step_limit_sweep_through_an_if_else(compiled, monkeypatch):
     assert all(tracer.HOT_ITERS < n < _LONG for n in backs)
 
 
+# The head's guard covers the arm with no call of an if/else whose other
+# arm calls: at each of 24 budgets in a row up to and past the `scanf`
+# that finds stdin empty, the run stops where the closures alone stop, at
+# the step limit or at the exhausted `scanf`.
+def test_step_limit_sweep_where_one_arm_calls(compiled, monkeypatch):
+    tree = parse(_counting('if (i < 0) {\n      printf("%d", i);\n'
+                           '    } else {\n      scanf("%d", &y);\n    }',
+                           "  int y;\n"))
+    tests = [TestCase(" ".join(["7"] * 2000), "")]
+    total = fewest_steps(tree, tests)  # where the 2001st scanf stops
+    backs = _spy_hand_backs(monkeypatch)
+    stops = set()
+    for max_steps in range(total - 22, total + 2):
+        log = _tiered_equals_untiered(compiled, tree, tests, max_steps)
+        assert len(log.errors) == 1
+        stops.update(log.errors)
+    assert stops == {"step-limit at main/loop0/body",
+                     "step-limit at main/loop0/body/if0/else",
+                     "scanf-exhausted at main/loop0/body/if0/else"}
+    assert backs and all(tracer.HOT_ITERS < n <= 2000 for n in backs)
+
+
 # A loop of exactly MAX_LOOP_ITERS iterations passes when the tier hands
 # it back a few iterations short of its end, here because an arm never
 # taken counts in the steps its guard allows for: the closure counts on
