@@ -3,7 +3,9 @@ read_tests), per-program analysis, pipeline orchestration, the persisted
 artifacts (documents.json, vectors.npy, model.json and projection.csv,
 written by persist; model.json, vectors.npy and the labels in
 documents.json read back by load_model, load_vectors and load_labels),
-and the 2-D projection export."""
+and the 2-D projection export. The per-program record, a surviving
+program's entry in documents.json, has its format in one place: `entry`
+writes it and `artifacts` reads it back."""
 
 import csv
 import hashlib
@@ -121,10 +123,24 @@ def write_corpus(corpus, root):
                         test.expected_stdout + "\n")
 
 
+def _new_file(path):
+    """path, with the file there unlinked first, so that it is written new.
+    On ext4 with `auto_da_alloc` (the default), truncating a recently
+    written file on open first writes its old data back and waits for it:
+    rewriting a 1 MB out_dir 3 s after the last write took 6-269 ms that
+    way, against 5-9 ms after an unlink, and rewriting the 264 files of a
+    recently written corpus took 11.6-12.3 s, against 0.003-0.004 s."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return path
+
+
 def _write_text(path, text):
     """Write text as UTF-8, the encoding read_source and read_tests read,
-    whatever the locale."""
-    with open(path, "w", encoding="utf-8") as f:
+    whatever the locale, to a new file at path (see _new_file)."""
+    with open(_new_file(path), "w", encoding="utf-8") as f:
         f.write(text)
 
 
@@ -135,8 +151,32 @@ class ProgramArtifacts:
     docs: ProgramDocs
     inv_by_point: dict
     verdicts: list
-    correct: bool
     vector: object = None
+
+    @property
+    def correct(self):
+        """Whether the program passes every test."""
+        return all(v == "pass" for v in self.verdicts)
+
+
+def entry(pa):
+    """The record of a surviving program, its entry in documents.json: its
+    label, documents and verdicts. `artifacts` reads it back; it holds no
+    vector, which depends on the corpus-wide vocabulary."""
+    return {"label": pa.label, "renamed_source": pa.docs.renamed_source,
+            "aast_text": pa.docs.aast_text, "invariants": pa.inv_by_point,
+            "verdicts": pa.verdicts}
+
+
+def artifacts(pid, entry):
+    """The ProgramArtifacts of program pid whose record is `entry`, the
+    inverse of the `entry` function, with no vector."""
+    docs = ProgramDocs(renamed_source=entry["renamed_source"],
+                       aast_text=entry["aast_text"],
+                       inv_text=flatten(entry["invariants"]))
+    return ProgramArtifacts(program_id=pid, label=entry["label"], docs=docs,
+                            inv_by_point=entry["invariants"],
+                            verdicts=entry["verdicts"])
 
 
 @dataclass
@@ -212,16 +252,10 @@ def _outcome(renamed, source, tests, max_steps):
     log, verdicts = run_suite(renamed, tests, max_steps)
     if "error" in verdicts:
         return RuntimeFailure(log.errors[0])
-    inv_set = detect(log)
-    docs = ProgramDocs(
-        renamed_source=source,
-        aast_text=serialize_aast(anonymize(renamed)).text,
-        inv_text=flatten(inv_set),
-    )
-    return ProgramArtifacts(
-        program_id="", label="", docs=docs,
-        inv_by_point=inv_set.as_dict(), verdicts=verdicts,
-        correct=all(v == "pass" for v in verdicts))
+    return artifacts("", {
+        "label": "", "renamed_source": source,
+        "aast_text": serialize_aast(anonymize(renamed)).text,
+        "invariants": detect(log).as_dict(), "verdicts": verdicts})
 
 
 def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
@@ -296,50 +330,34 @@ def write_vectors(arts, path):
 
 
 def persist(arts, out_dir):
-    """One file per artifact kind, all at the root of out_dir: an entry in
-    documents.json for every ingested program (its label and its
-    documents, or its label and {"exclusion": diagnostic} for an excluded
-    one), the vector of every clustered program, the model and the
-    projection. Each fact is written once: purity is what `invclust
-    purity` computes from model.json and the labels, and cluster sizes
-    are the counts of model.json's assignment.
-
-    Each file is written new, its old one unlinked first: on ext4 with
-    `auto_da_alloc` (the default), truncating a recently written file on
-    open first writes its old data back and waits for it. Rewriting a
-    1 MB out_dir 3 s after the last write took 6-269 ms that way, against
-    5-9 ms after an unlink."""
+    """One file per artifact kind, all at the root of out_dir and each
+    written new (see _new_file): an entry in documents.json for every
+    ingested program (the record `entry` makes of a surviving one, or its
+    label and {"exclusion": diagnostic} for an excluded one), the vector
+    of every clustered program, the model and the projection. Each fact
+    is written once: purity is what `invclust purity` computes from
+    model.json and the labels, and cluster sizes are the counts of
+    model.json's assignment."""
     os.makedirs(out_dir, exist_ok=True)
 
-    def new_file(name):
-        path = os.path.join(out_dir, name)
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-        return path
-    documents = {pid: {"exclusion": diag}
+    def path(name):
+        return os.path.join(out_dir, name)
+    documents = {pid: {"exclusion": diag, "label": arts.labels[pid]}
                  for pid, diag in arts.exclusions.items()}
-    documents.update({pid: {"renamed_source": pa.docs.renamed_source,
-                            "aast_text": pa.docs.aast_text,
-                            "invariants": pa.inv_by_point}
-                      for pid, pa in arts.programs.items()})
-    for pid, entry in documents.items():
-        entry["label"] = arts.labels[pid]
-    with open(new_file("documents.json"), "w") as f:
-        f.write(_dump(documents))
-    write_vectors(arts, new_file("vectors.npy"))
+    documents.update({pid: entry(pa) for pid, pa in arts.programs.items()})
+    _write_text(path("documents.json"), _dump(documents))
+    write_vectors(arts, _new_file(path("vectors.npy")))
     model, vocab = arts.model, arts.vocab
     vocab_dict = {"mode": vocab.mode, "n": vocab.n, "grams": vocab.grams,
                   "segments": [list(s) for s in vocab.segments]}
-    with open(new_file("model.json"), "w") as f:
-        f.write(_dump({"k": model.k, "k_requested": arts.k_requested,
-                       "seed": model.seed, "assignment": model.assignment,
-                       "representatives": {str(c): pid for c, pid
-                                           in model.representatives.items()},
-                       "sse": model.sse, "vocab": vocab_dict}))
+    _write_text(path("model.json"), _dump({
+        "k": model.k, "k_requested": arts.k_requested, "seed": model.seed,
+        "assignment": model.assignment,
+        "representatives": {str(c): pid for c, pid
+                            in model.representatives.items()},
+        "sse": model.sse, "vocab": vocab_dict}))
     write_projection(arts.clustered_ids, arts.clustered_vectors,
-                     new_file("projection.csv"))
+                     _new_file(path("projection.csv")))
 
 
 def _model_from_dict(d):
@@ -459,8 +477,8 @@ def load_labels(model_path, ids):
     documents = _read(path)
     labels = {}
     for pid in ids:
-        entry = documents.get(pid) if type(documents) is dict else None
-        label = entry.get("label") if type(entry) is dict else None
+        record = documents.get(pid) if type(documents) is dict else None
+        label = record.get("label") if type(record) is dict else None
         if type(label) is not str:
             raise BadModel(path, f"no label for {pid!r}")
         labels[pid] = label

@@ -246,12 +246,13 @@ def detect(log):
                          if len(point) >= MIN_SAMPLES})
 
 
-def flatten(inv_set):
-    """Point ids and their invariants, sorted-point order, one per line."""
+def flatten(by_point):
+    """The invariant document of {point id: invariants}: point ids and
+    their invariants, sorted-point order, one per line."""
     lines = []
-    for pid in sorted(inv_set.by_point):
+    for pid in sorted(by_point):
         lines.append(pid)
-        lines.extend(inv_set.by_point[pid])
+        lines.extend(by_point[pid])
     if not lines:
         return ""
     return "\n".join(lines) + "\n"

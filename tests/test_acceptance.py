@@ -88,7 +88,7 @@ def test_criterion_1_full_identity_and_inv_vectors(capsys):
     identical = left_inv.by_point == right_inv.by_point
     docs = [ProgramDocs(renamed_source=unparse(t),
                         aast_text=serialize_aast(anonymize(t)).text,
-                        inv_text=flatten(i))
+                        inv_text=flatten(i.by_point))
             for t, i in ((left_tree, left_inv), (right_tree, right_inv))]
     vocab = build_vocab_for_mode(docs, "inv")
     same_vec = (represent(docs[0], vocab).values

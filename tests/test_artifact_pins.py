@@ -26,7 +26,7 @@ PLACES = 12
 PINS = {
     "syntax": {
         "documents.json":
-            "1bc7107c163997d070104befdd08a1482ee13084e705af4d816de73625c2aaa8",
+            "8aa6c26f855035b6a4f75dcbae38e3484a9bdbe92feba5d829cb0d90573614b3",
         "vectors.npy":
             "1eac3baffac0cf58d0ca16b169533c3be4d728e02db64f610edbbbad22ff0203",
         "projection.csv":
@@ -36,7 +36,7 @@ PINS = {
     },
     "aast": {
         "documents.json":
-            "1bc7107c163997d070104befdd08a1482ee13084e705af4d816de73625c2aaa8",
+            "8aa6c26f855035b6a4f75dcbae38e3484a9bdbe92feba5d829cb0d90573614b3",
         "vectors.npy":
             "fd2d60ca64f95701f82c65b74e89b118ad2437cd5e814dfe8dd72a2dcc06eae2",
         "projection.csv":
@@ -46,7 +46,7 @@ PINS = {
     },
     "inv": {
         "documents.json":
-            "1bc7107c163997d070104befdd08a1482ee13084e705af4d816de73625c2aaa8",
+            "8aa6c26f855035b6a4f75dcbae38e3484a9bdbe92feba5d829cb0d90573614b3",
         "vectors.npy":
             "82139179c1ee3fffc0f0ed66ac329ecd2cf1a8b391bed4c97fbce80864227c1c",
         "projection.csv":
@@ -56,7 +56,7 @@ PINS = {
     },
     "aast_inv": {
         "documents.json":
-            "1bc7107c163997d070104befdd08a1482ee13084e705af4d816de73625c2aaa8",
+            "8aa6c26f855035b6a4f75dcbae38e3484a9bdbe92feba5d829cb0d90573614b3",
         "vectors.npy":
             "09e4731e1fc2f90774bffd6abbe48c8590515e7a60c77cdc2198bd45329df25e",
         "projection.csv":

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from invclust.clusterer import purity
-from invclust.corpus import (Corpus, Assignment, analyze,
+from invclust.corpus import (Corpus, Assignment, analyze, artifacts, entry,
                              generate_synthetic_corpus, ingest, load_model,
                              load_vectors, project_2d, run_pipeline,
                              token_key, tree_hash, write_corpus)
@@ -26,7 +26,7 @@ from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase, run_suite
 from invclust.vectorizer import MODES, represent
 
-from conftest import HOSTILE_SOURCES, mutations_shown
+from conftest import HOSTILE_SOURCES, gen_program, gen_suite, mutations_shown
 
 
 def _write_corpus_tree(root, assignments):
@@ -206,6 +206,27 @@ def test_write_corpus_writes_utf8_under_an_ascii_locale(tmp_path):
     assert back.tests[0].expected_stdout == "é\n"
 
 
+def test_write_corpus_writes_each_file_new(tmp_path):
+    # Rewriting a corpus unlinks each old file instead of truncating it, so
+    # a hard link to an old file keeps its bytes.
+    root, links = tmp_path / "corpus", tmp_path / "links"
+    write_corpus(generate_synthetic_corpus(seed=0, assignments=2,
+                                           variants_per=3), str(root))
+    old = {}
+    for dirpath, _, fnames in os.walk(root):
+        for fname in fnames:
+            rel = os.path.relpath(os.path.join(dirpath, fname), root)
+            link = links / rel
+            link.parent.mkdir(parents=True, exist_ok=True)
+            os.link(root / rel, link)
+            old[rel] = link.read_bytes()
+    write_corpus(generate_synthetic_corpus(seed=1, assignments=2,
+                                           variants_per=3), str(root))
+    assert any((root / rel).read_bytes() != data for rel, data in old.items())
+    for rel, data in old.items():
+        assert (links / rel).read_bytes() == data, rel
+        assert not os.path.samefile(links / rel, root / rel), rel
+
 
 # An id that `ingest` would not give back for the file written.
 @pytest.mark.parametrize("pid", ["p0", "beta/p0", "alpha/", "alpha/a/b"])
@@ -258,7 +279,8 @@ def test_persisted_artifact_layout(tmp_path):
     assert documents == {
         pid: {"renamed_source": pa.docs.renamed_source,
               "aast_text": pa.docs.aast_text,
-              "invariants": pa.inv_by_point, "label": pa.label}
+              "invariants": pa.inv_by_point, "label": pa.label,
+              "verdicts": pa.verdicts}
         for pid, pa in arts.programs.items()}
     with open(out / "model.json") as f:
         model = json.load(f)
@@ -272,6 +294,49 @@ def test_persisted_artifact_layout(tmp_path):
     assert purity(model["assignment"], {
         pid: documents[pid]["label"] for pid in model["assignment"]}) == \
         arts.purity
+
+
+def _survivors(cases):
+    """analyze of each (program, tests) in cases that survives it."""
+    for prog, tests in cases:
+        try:
+            yield analyze(prog, tests)
+        except ProgramRejected:
+            pass
+
+
+def test_entry_round_trips_through_artifacts():
+    cases = [(prog, asn.tests) for seed in range(4)
+             for asn in generate_synthetic_corpus(seed, 3, 10)
+             .assignments.values() for prog in asn.programs]
+    for seed in range(40):
+        src, n_in = gen_program(seed)
+        cases.append((SourceProgram(id=f"gen/p{seed}", label="gen", text=src),
+                      gen_suite(seed, n_in)))
+    survivors = list(_survivors(cases))
+    for pa in survivors:
+        record = json.loads(json.dumps(entry(pa)))
+        assert artifacts(pa.program_id, record) == pa, pa.program_id
+    # gen_suite expects no output, so a generated program that prints
+    # fails its tests: those survivors cover `"fail"` and correct == False.
+    assert {pa.correct for pa in survivors} == {True, False}
+    assert any("fail" in pa.verdicts for pa in survivors)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_documents_json_rebuilds_the_persisted_vectors(tmp_path, mode):
+    for seed in range(4):
+        out = tmp_path / str(seed)
+        run_pipeline(generate_synthetic_corpus(seed, 3, 10), mode=mode, k=3,
+                     out_dir=str(out))
+        with open(out / "documents.json") as f:
+            documents = json.load(f)
+        vocab = load_model(str(out / "model.json")).vocab
+        table = np.load(out / "vectors.npy", allow_pickle=False)
+        for pid, row in zip(table["id"].tolist(), table["values"]):
+            docs = artifacts(pid, documents[pid]).docs
+            values = np.array(represent(docs, vocab).values, dtype="<f8")
+            assert values.tobytes() == row.tobytes(), (seed, pid)
 
 
 def test_centroids_are_member_means_of_persisted_vectors(tmp_path):

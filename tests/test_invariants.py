@@ -99,7 +99,7 @@ def test_const_diff_only_for_ints_and_bounded():
 
 def test_flatten_empty():
     log = log_from_snapshots({})
-    assert flatten(detect(log)) == ""
+    assert flatten(detect(log).by_point) == ""
 
 
 def test_flatten_golden():
@@ -107,7 +107,7 @@ def test_flatten_golden():
         {"main/loop0/body": [{"int1": 1}, {"int1": 2}]})
     inv = detect(log)
     inv.by_point["main/loop0/body"] = ["int1 > 0"]
-    assert flatten(inv) == "main/loop0/body\nint1 > 0\n"
+    assert flatten(inv.by_point) == "main/loop0/body\nint1 > 0\n"
 
 
 def test_flatten_order_independent():
@@ -115,7 +115,7 @@ def test_flatten_order_independent():
                             "p1": [{"y": 3}, {"y": 4}]})
     b = log_from_snapshots({"p1": [{"y": 3}, {"y": 4}],
                             "p2": [{"x": 1}, {"x": 2}]})
-    assert flatten(detect(a)) == flatten(detect(b))
+    assert flatten(detect(a).by_point) == flatten(detect(b).by_point)
 
 
 @pytest.mark.xfail(
@@ -183,7 +183,8 @@ def test_rename_invariance_of_detection():
         r2, _ = rename(parse(s2))
         log1, _ = run_suite(r1, tests)
         log2, _ = run_suite(r2, tests)
-        assert flatten(detect(log1)) == flatten(detect(log2)), f"seed {seed}"
+        assert (flatten(detect(log1).by_point)
+                == flatten(detect(log2).by_point)), f"seed {seed}"
 
 
 # --- folding snapshots in chunks ---

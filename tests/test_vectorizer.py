@@ -28,7 +28,7 @@ def _docs(src):
     assert verdicts == ["pass"] * 3
     return ProgramDocs(renamed_source=unparse(renamed),
                        aast_text=serialize_aast(anonymize(renamed)).text,
-                       inv_text=flatten(detect(log)))
+                       inv_text=flatten(detect(log).by_point))
 
 
 def test_tokenize_invariant_string():
