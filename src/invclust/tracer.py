@@ -59,26 +59,28 @@ runs once. Call depth is counted in Python frames (see MAX_CALL_DEPTH), so
 where a run stops does not depend on how deep in Python's stack its caller
 is.
 
-Hot loops: an execution of a loop that reaches HOT_ITERS iterations runs
-on in a function generated as Python source for that loop and compiled
-once per `_Program` (`_hot_loop`). It holds the loop's leaf operations,
-scalar stores, scalar `scanf`s, `++`/`--` and `if`s inline, and calls the
-closure of any other statement. The scalars it touches live in Python
-locals, written back to the slots before a call or an exit and reloaded
-after a call. It checks a scalar for UNSET at its first read in an
-iteration and at its first read after a call. It counts the steps of
-each run of inline statements at the run's start, ahead of their work.
-One compare at the head of each iteration stands for the fold check and
-for the step limit of every run up to the iteration's first call, or up
-to the join of an `if` one of whose arms calls: near max_steps the
+Hot loops: an execution of a loop that reaches HOT_ITERS iterations runs on
+in a function generated as Python source for that loop and compiled once
+per `_Program` (`_hot_loop`). The source is read off the loop's tree and
+what the compiler recorded of it by node (`_Program.tables`); compiling a
+program builds nothing else for the tier. The function holds the loop's
+leaf operations, scalar stores, scalar `scanf`s, `++`/`--` and `if`s
+inline, and calls the closure of any other statement. The scalars it
+touches live in Python locals, written back to the slots before a call or
+an exit and reloaded after a call. It checks a scalar for UNSET at its
+first read in an iteration and at its first read after a call. It counts
+the steps of each run of inline statements at the run's start, ahead of
+their work. One compare at the head of each iteration stands for the fold
+check and for the step limit of every run up to the iteration's first call,
+or up to the join of an `if` one of whose arms calls: near max_steps the
 function hands the rest of the execution back to the loop's closure
 (`_HandBack`), which runs it exactly, as it does after MAX_LOOP_ITERS
-iterations. A run past those checks the limit itself and calls the
-closures of its statements instead where it would pass it (`_overrun`).
-A snapshot is the tuple of its locals, or its one local, or a None, added
-to the point's buffer with no getter. Every object the source uses is
-bound as a default argument, so it loads as a local. A suite whose loops
-stop short of HOT_ITERS compiles no source.
+iterations. A run past those checks the limit itself and calls the closures
+of its statements instead where it would pass it (`_overrun`). A snapshot
+is the tuple of its locals, or its one local, or a None, added to the
+point's buffer with no getter. Every object the source uses is bound as a
+default argument, so it loads as a local. A suite whose loops stop short of
+HOT_ITERS compiles no source.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -200,7 +202,7 @@ class TraceLog:
 _COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_INLINED = {**_COMPARE, **_ARITH}  # the operators `inline` emits
+_INLINED = {**_COMPARE, **_ARITH}  # the operators the tier emits inline
 # What each printf directive of PRINTF_CONVERSION prints.
 _PRINTF = {"%": "%", "d": lambda st, x: str(_convert(st, x, True)),
            "f": lambda st, x: f"{float(x):.6f}"}
@@ -211,16 +213,18 @@ _SCOPE_SEGMENT = {Kind.IF: "if", Kind.WHILE: "loop", Kind.FOR: "loop",
 
 
 class _State:
-    """What one test changes, and the compiled functions and the points'
-    traces: call closures look callees up here, so no closure holds the
-    table that holds it and a compiled program is freed without the
+    """What one test changes, and the compiled functions, the tables the
+    tier reads (`_Program.tables`) and the points' traces: call closures
+    look callees up here and loop closures the tables, so no closure holds
+    a table that holds it and a compiled program is freed without the
     cyclic collector."""
 
-    __slots__ = ("functions", "points", "steps", "fold_at", "frames",
-                 "point", "stdin", "out")
+    __slots__ = ("functions", "tables", "points", "steps", "fold_at",
+                 "frames", "point", "stdin", "out")
 
-    def __init__(self, functions, points, stdin_text, fold_at):
+    def __init__(self, functions, tables, points, stdin_text, fold_at):
         self.functions = functions
+        self.tables = tables
         self.points = points
         self.steps = 0
         self.fold_at = fold_at  # the step count of the next `_fold`
@@ -305,8 +309,10 @@ class _Compiler:
     def __init__(self, root, max_steps, log):
         self.max_steps = max_steps
         self.points = log.points
-        self.plans = {}  # statement closure -> its plan (see `plan`)
-        self.looping = 0  # loops being compiled; plans are made in them
+        # By id() of a node, what `_hot_loop` reads of a loop's tree: each
+        # statement's and condition's closure, each declaration's and
+        # reference's binding, and each block's point parts.
+        self.closures, self.bound, self.blocks = {}, {}, {}
         self.functions = {fn.identifier: self.function(fn)
                           for fn in root.children}
 
@@ -314,18 +320,20 @@ class _Compiler:
 
     def declare(self, node, is_array):
         """A fresh slot for each declaration, so a slot's binding is fixed
-        even where a name is declared twice in one scope."""
-        slot = self.scopes[-1][node.identifier] = len(self.frame)
+        even where a name is declared twice in one scope. A scope maps a
+        name to its binding, (slot, is_array, is_int)."""
+        binding = (len(self.frame), is_array, node.type_name == "int")
+        self.scopes[-1][node.identifier] = self.bound[id(node)] = binding
         self.frame.append(UNSET)
-        self.binding[slot] = (is_array, node.type_name == "int")
-        return slot
+        return binding[0]
 
     def resolve(self, node):
         """(slot, is_array, is_int) of the variable a reference names."""
         for scope in reversed(self.scopes):
-            slot = scope.get(node.identifier)
-            if slot is not None:
-                return (slot, *self.binding[slot])
+            binding = scope.get(node.identifier)
+            if binding is not None:
+                self.bound[id(node)] = binding
+                return binding
         raise UnresolvedIdentifier(node.identifier, node.line)
 
     def misuse(self, count, detail):
@@ -341,35 +349,6 @@ class _Compiler:
             raise TraceRuntimeError("type-error", st.point, detail)
         return misuse
 
-    # --- plans: what `_hot_loop` emits for each statement of a loop ---
-
-    def planned(self, closure, plan):
-        """`closure`, its plan recorded if it has one, the closure second
-        (for `_overrun`)."""
-        if plan:
-            self.plans[closure] = (plan[0], closure, *plan[1:])
-        return closure
-
-    def plan(self, closures):
-        """The plans of a statement list: each recorded one, or ("call",
-        closure) for a statement `_hot_loop` calls."""
-        return [self.plans.get(s) or ("call", s) for s in closures]
-
-    def inline(self, node):
-        """The plan of an expression `_hot_loop` emits inline, or None:
-        ("lit", value), ("var", slot, name, is_int), or (op, left, right)
-        for `+ - *` or a compare on two such expressions."""
-        if node.kind == Kind.LITERAL:
-            return ("lit", node.literal)
-        if node.kind == Kind.IDENT_REF:
-            slot, is_array, is_int = self.resolve(node)
-            return None if is_array else ("var", slot, node.identifier, is_int)
-        if node.kind != Kind.BINARY_OP or node.literal not in _INLINED:
-            return None
-        left = self.inline(node.children[0])
-        right = left and self.inline(node.children[1])
-        return (node.literal, left, right) if right else None
-
     def point(self, pid, scopes):
         """(pid, getter, push, flat, layout): a snapshot of point pid is
         `push(getter(v))`, its scalar variables' values (one value, a tuple,
@@ -377,13 +356,13 @@ class _Compiler:
         variable's (name, slot), is its schema and is for the tier: as in
         C, each name's innermost declaration in `scopes`, at the name's
         first position, outer scopes first; arrays, which hide names too,
-        are then left out (a slot's binding never changes)."""
+        are then left out."""
         assert pid not in self.points, f"point {pid} compiled twice"
         visible = {}
         for scope in scopes:
             visible.update(scope)
-        layout = [(name, slot) for name, slot in visible.items()
-                  if not self.binding[slot][0]]
+        layout = [(name, slot) for name, (slot, is_array, _)
+                  in visible.items() if not is_array]
         point = self.points[pid] = PointTrace(name for name, _ in layout)
         getter = (operator.itemgetter(*(slot for _, slot in layout))
                   if layout else lambda v: None)
@@ -396,7 +375,6 @@ class _Compiler:
     def function(self, fn):
         self.scopes = [{}]
         self.frame = []  # the slots each call starts with
-        self.binding = {}
         self.consts = {}  # repr of a literal -> its slot
         self.nest = self.room = 0
         name = fn.identifier
@@ -465,17 +443,18 @@ class _Compiler:
             if node.kind in _SCOPE_SEGMENT:
                 pid = f"{path}/{_SCOPE_SEGMENT[node.kind]}{opened}"
                 opened += 1
-            out.append(self.stmt(node, pid))
+            closure = self.closures[id(node)] = self.stmt(node, pid)
+            out.append(closure)
         return tuple(out)
 
-    def block(self, nodes, pid):
-        """A fresh scope: the snapshot closure of its entry point, its
-        statements and the point's parts (see `point`)."""
+    def block(self, node, pid):
+        """A fresh scope: the snapshot closure of the block's entry point
+        and its statements; the point's parts go to `blocks`."""
         self.scopes.append({})
-        point = self.point(pid, self.scopes)
-        body = self.stmts(nodes, pid)
+        point = self.blocks[id(node)] = self.point(pid, self.scopes)
+        body = self.stmts(node.children, pid)
         self.scopes.pop()
-        return _snapshot(*point), body, point
+        return _snapshot(*point), body
 
     @_a_frame_below
     def stmt(self, node, pid, pre=0):
@@ -522,7 +501,7 @@ class _Compiler:
             return self.loop(node, pid, pre)
         count = pre + 1
         if k == Kind.BLOCK:
-            snap, body, _ = self.block(node.children, pid)
+            snap, body = self.block(node, pid)
 
             def block(st, v):
                 st.steps += count
@@ -554,8 +533,7 @@ class _Compiler:
                 if is_int and not INT_MIN <= x <= INT_MAX:
                     raise TraceRuntimeError("integer-overflow", st.point)
                 v[slot] = x
-            return self.planned(incr, self.looping and (
-                "incr", count, slot, name, is_int, delta))
+            return incr
         if k not in (Kind.DECL, Kind.ARRAY_DECL):
             raise ValueError(f"unexpected statement node: {k}")
         size = node.literal if k == Kind.ARRAY_DECL else None
@@ -570,13 +548,11 @@ class _Compiler:
 
     def if_stmt(self, node, pid, pre):
         cond_node = node.children[0]
-        cond = self.expr(cond_node, pre + 1)
-        then_snap, then_body, then_point = self.block(
-            node.children[1].children, f"{pid}/then")
-        else_snap, else_body, else_point = None, (), None
+        cond = self.closures[id(cond_node)] = self.expr(cond_node, pre + 1)
+        then_snap, then_body = self.block(node.children[1], f"{pid}/then")
+        else_snap, else_body = None, ()
         if len(node.children) == 3:
-            else_snap, else_body, else_point = self.block(
-                node.children[2].children, f"{pid}/else")
+            else_snap, else_body = self.block(node.children[2], f"{pid}/else")
 
         def if_(st, v):
             if cond(st, v):
@@ -591,10 +567,7 @@ class _Compiler:
                 r = s(st, v)
                 if r is not None:
                     return r
-        return self.planned(if_, self.looping and (
-            "if", pre + 1, self.inline(cond_node) or ("call", cond),
-            then_point, self.plan(then_body), else_point,
-            self.plan(else_body)))
+        return if_
 
     def loop(self, node, pid, pre):
         """while (cond) body, or for (init; cond; step) body; an empty init
@@ -611,20 +584,15 @@ class _Compiler:
             if init_node.kind != Kind.BLOCK:
                 init = self.stmt(init_node, None, owed)
                 owed = 0
-        self.looping += 1
         self.nest += 1  # the tier's frame, whether or not the loop tiers
         if node.kind == Kind.FOR and step_node.kind != Kind.BLOCK:
-            step = self.stmt(step_node, None)
-        cond = self.expr(cond_node)
+            step = self.closures[id(step_node)] = self.stmt(step_node, None)
+        cond = self.closures[id(cond_node)] = self.expr(cond_node)
         pid += "/body"
-        _, body, point = self.block(body_node.children, pid)
+        _, body = self.block(body_node, pid)
         self.nest -= 1
-        _, getter, push, _, _ = point
-        max_iters = MAX_LOOP_ITERS
-        plan = (cond, self.inline(cond_node) or ("call", cond), point,
-                self.plan(body), step and self.plan((step,))[0],
-                max_iters, self.max_steps)
-        self.looping -= 1
+        _, getter, push, _, _ = self.blocks[id(body_node)]
+        max_iters, max_steps = MAX_LOOP_ITERS, self.max_steps
         hot = HOT_ITERS
         tier = None
 
@@ -649,7 +617,7 @@ class _Compiler:
                     step(st, v)
                 if iters == hot:
                     if tier is None:
-                        tier = _hot_loop(*plan)
+                        tier = _hot_loop(node, st.tables, max_iters, max_steps)
                     try:
                         return tier(st, v, iters)
                     except _HandBack as back:
@@ -669,8 +637,7 @@ class _Compiler:
                     and INT_MIN <= x <= INT_MAX):
                 x = _convert(st, x, is_int)
             v[slot] = x
-        plan = self.looping and self.inline(value)
-        return self.planned(assign, plan and ("put", pre, slot, is_int, plan))
+        return assign
 
     @_a_frame_below
     def store(self, target):
@@ -697,10 +664,7 @@ class _Compiler:
         convs = [int if m[1] == "d" else float
                  for m in SCANF_CONVERSION.finditer(node.literal)]
         if len(convs) == 1:
-            leaf = self.looping and self.leaf(node.children[0])
-            return self.planned(
-                self.reader(convs[0], node.children[0], count),
-                leaf and ("read", count, leaf[0], leaf[2], convs[0]))
+            return self.reader(convs[0], node.children[0], count)
         self.nest += 1  # each reader runs a frame below the statement's
         readers = [self.reader(conv, target, 0)
                    for conv, target in zip(convs, node.children)]
@@ -911,9 +875,10 @@ class _HandBack(Exception):
     exactly: near max_steps, and after max_iters iterations."""
 
 
-def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
-    """The function (st, v, iters) that runs a loop's execution on from its
-    back-edge after `iters` iterations, its statements' plans inline.
+def _hot_loop(node, tables, max_iters, max_steps):
+    """The function (st, v, iters) that runs an execution of the loop
+    `node` on from its back-edge after `iters` iterations, generated from
+    the loop's tree and the compiler's `tables` (see `_Source`).
 
     Each iteration's head makes one compare, `steps > bound`. Past
     `fold_at - 1` it runs `_fold`, as the loop closure does at the
@@ -923,7 +888,13 @@ def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
     path counts under the guard (`_Source.reach`), it hands the execution
     back; so does the back-edge of iteration max_iters, after which the
     closure's next test meets the iteration cap."""
-    src = _Source(max_steps)
+    if node.kind == Kind.WHILE:
+        cond, body = node.children
+        stmts = body.children
+    else:
+        _, cond, step, body = node.children
+        stmts = body.children + ([step] if step.kind != Kind.BLOCK else [])
+    src = _Source(tables, max_steps)
     src.emit(1, "steps, stdin, fold_at, point = "
                 "st.steps, st.stdin, st.fold_at, st.point")
     src.later(1, src.reload)
@@ -937,11 +908,11 @@ def _hot_loop(cond, cond_plan, point, body, step, max_iters, max_steps):
     src.emit(3, "_fold(st)")
     src.emit(3, "fold_at = st.fold_at")
     src.emit(3, "bound = min(limit, fold_at - 1)")
-    src.emit(2, f"if not {src.test(2, cond_plan, cond)}:")
+    src.emit(2, f"if not {src.test(2, cond, src.closures[id(cond)])}:")
     src.leave(3)
-    src.snapshot(2, point)
-    for plan in body + [step] if step else body:
-        src.stmt(2, plan)
+    src.snapshot(2, src.blocks[id(body)])
+    for stmt in stmts:
+        src.stmt(2, stmt)
     src.uncover()
     src.later(1, src.writeback)
     src.emit(1, "st.steps, st.point = steps, point")
@@ -970,15 +941,17 @@ def _assign(targets, values):
 
 
 class _Source:
-    """The lines and namespace of a hot loop's function. Every object the
-    lines use (a name, a point id, a literal, a closure) is a namespace
-    entry `_k<i>`, bound as a keyword-only default so that it loads as a
-    local; the lines hold only those keys, slots, locals and temporaries
-    `x<i>`, one statement per C node.
+    """The lines and namespace of a hot loop's function, read off the
+    loop's tree and the compiler's tables (`closures`, `bound`, `blocks`);
+    which nodes are emitted inline, not called, `inlines` alone decides.
+    Every object the lines use (a name, a point id, a literal, a closure)
+    is a namespace entry `_k<i>`, bound as a keyword-only default so that
+    it loads as a local; the lines hold only those keys, slots, locals and
+    temporaries `x<i>`, one statement per C node.
 
-    A scalar slot that the plans read, store or snapshot lives in the
-    local `s<slot>`. The locals of the slots stored inline go back to `v`
-    before a call, `_overrun` or an exit, and all are reloaded after a
+    A scalar slot that the loop reads, stores or snapshots inline lives in
+    the local `s<slot>`. The locals of the slots stored inline go back to
+    `v` before a call, `_overrun` or an exit, and all are reloaded after a
     call; `steps`, the function's count, and `point`, the most recently
     entered point, which an error names, go to `st` and back at the same
     places. A line that depends on the whole loop (the slots, a run's
@@ -998,7 +971,8 @@ class _Source:
     empty at the head, a call empties it (the closure may store into any
     slot), and past an `if` it keeps what all paths agree on."""
 
-    def __init__(self, max_steps):
+    def __init__(self, tables, max_steps):
+        self.closures, self.bound, self.blocks = tables
         self.max_steps = max_steps
         self.lines = []  # each a line, or (indent, render) from `later`
         self.ns = {"UNSET": UNSET, "TraceRuntimeError": TraceRuntimeError,
@@ -1135,48 +1109,65 @@ class _Source:
         if x != f"s{slot}":
             self.emit(ind, f"s{slot} = {x}")
 
-    def expr(self, ind, plan, into=None):
-        """(operand, is_int, in_range) of an expression plan: a local, a
+    def inlines(self, node):
+        """Whether a node is emitted inline rather than called: an `if`; a
+        store of an inline expression into a scalar, a `++`/`--` of one and
+        a one-target scanf into one; a literal, a scalar variable, and
+        `+ - *` or a compare on two inline expressions."""
+        k, children = node.kind, node.children
+        if k in (Kind.LITERAL, Kind.IF):
+            return True
+        if k == Kind.IDENT_REF:
+            return not self.bound[id(node)][1]
+        if k == Kind.BINARY_OP:
+            return node.literal in _INLINED and all(map(self.inlines,
+                                                        children))
+        if k == Kind.UNARY_OP:
+            return node.literal in ("++", "--") and self.inlines(children[0])
+        return ((k in (Kind.DECL, Kind.SCANF) and len(children) == 1
+                 or k == Kind.ASSIGN) and all(map(self.inlines, children)))
+
+    def expr(self, ind, node, into=None):
+        """(operand, is_int, in_range) of an inline expression: a local, a
         temporary or a key, whether it is an int, and whether an int is in
         range. An operation's value goes into `into` if given."""
         self.count(ind, 1)
-        if plan[0] == "lit":
-            x = plan[1]
+        if node.kind == Kind.LITERAL:
+            x = node.literal
             is_int = x.__class__ is int
             return self.key(x), is_int, not is_int or INT_MIN <= x <= INT_MAX
-        if plan[0] == "var":
-            return self.read(ind, plan[1], plan[2]), plan[3], True
-        op, left, right = plan
-        if op in _COMPARE:
-            return (self.fresh(ind, f"1 if {self.compare(ind, plan)} else 0",
+        if node.kind == Kind.IDENT_REF:
+            slot, _, is_int = self.bound[id(node)]
+            return self.read(ind, slot, node.identifier), is_int, True
+        if node.literal in _COMPARE:
+            return (self.fresh(ind, f"1 if {self.compare(ind, node)} else 0",
                                into), True, True)
-        a, a_int, _ = self.expr(ind, left)
-        b, b_int, _ = self.expr(ind, right)
-        x = self.fresh(ind, f"{a} {op} {b}", into)
+        a, a_int, _ = self.expr(ind, node.children[0])
+        b, b_int, _ = self.expr(ind, node.children[1])
+        x = self.fresh(ind, f"{a} {node.literal} {b}", into)
         if a_int and b_int:
             self.trap(ind, x)
         return x, a_int and b_int, True
 
-    def compare(self, ind, plan):
-        """The Python test of a compare plan; an int compared with a
+    def compare(self, ind, node):
+        """The Python test of an inline compare; an int compared with a
         double is converted to double, as in C."""
-        op, left, right = plan
-        a, a_int, _ = self.expr(ind, left)
-        b, b_int, _ = self.expr(ind, right)
+        a, a_int, _ = self.expr(ind, node.children[0])
+        b, b_int, _ = self.expr(ind, node.children[1])
         if a_int != b_int:
             a, b = f"float({a})", f"float({b})"
-        return f"{a} {op} {b}"
+        return f"{a} {node.literal} {b}"
 
-    def test(self, ind, plan, closure, steps=0):
-        """The Python test of a condition: a plan, or ("call", closure);
-        an inline one counts `steps` too, as `closure` does."""
-        if plan[0] == "call":
-            return self.call(ind, plan[1])
+    def test(self, ind, node, closure, steps=0):
+        """The Python test of a condition: inline, or a call of its own
+        closure; an inline one counts `steps` too, as `closure` does."""
+        if not self.inlines(node):
+            return self.call(ind, self.closures[id(node)])
         self.count(ind, steps, closure)
-        if plan[0] not in _COMPARE:
-            return self.expr(ind, plan)[0]
+        if node.kind != Kind.BINARY_OP or node.literal not in _COMPARE:
+            return self.expr(ind, node)[0]
         self.count(ind, 1)
-        return self.compare(ind, plan)
+        return self.compare(ind, node)
 
     def snapshot(self, ind, point):
         """A point's snapshot: its one value, the tuple of its values, or
@@ -1190,30 +1181,29 @@ class _Source:
         else:
             self.emit(ind, f"{self.key(push)}({values[0]})")
 
-    def stmt(self, ind, plan):
-        kind, closure, *parts = plan
-        if kind in ("put", "incr", "read"):
-            count, slot, *parts = parts
-            self.count(ind, count, closure)
-            local = f"s{slot}"
-        if kind == "call":
+    def stmt(self, ind, node):
+        """A statement of the loop, inline or as a call of its closure; a
+        statement counts one step, its closure given for `_overrun`."""
+        closure = self.closures[id(node)]
+        k = node.kind
+        if not self.inlines(node):
             x = self.call(ind, closure)
             self.emit(ind, f"if {x} is not None: return {x}")
-        elif kind == "put":
-            is_int, value = parts
-            x, x_int, in_range = self.expr(ind, value, local)
-            if x_int != is_int or not in_range:
-                x = self.convert(ind, x, is_int, local)
-            self.store(ind, slot, x)
-        elif kind == "incr":
-            name, is_int, delta = parts
-            x = self.read(ind, slot, name)
-            x = self.fresh(ind, f"{x} {'+' if delta > 0 else '-'} 1", local)
+            return
+        if k == Kind.IF:
+            return self.if_stmt(ind, node, closure)
+        target = node if k == Kind.DECL else node.children[0]
+        slot, _, is_int = self.bound[id(target)]
+        self.count(ind, 1, closure)
+        local = f"s{slot}"
+        if k == Kind.UNARY_OP:
+            x = self.read(ind, slot, target.identifier)
+            x = self.fresh(ind, f"{x} {node.literal[0]} 1", local)
             if is_int:
                 self.trap(ind, x)
-            self.store(ind, slot, x)
-        elif kind == "read":
-            is_int, conv = parts
+        elif k == Kind.SCANF:
+            m = SCANF_CONVERSION.search(node.literal)  # its one conversion
+            conv = int if m[1] == "d" else float
             token = self.temp()
             x = local if (conv is int) == is_int else self.temp()
             self.emit(ind, f"{token} = next(stdin, None)")
@@ -1226,32 +1216,38 @@ class _Source:
                 self.trap(ind, x)
             elif x != local:
                 x = self.convert(ind, x, is_int, local)
-            self.store(ind, slot, x)
-        else:  # a test that is a call counts the `if`'s `count` itself
-            count, test, then_point, then, else_point, else_ = parts
-            branches = [(f"if {self.test(ind, test, closure, count)}:",
-                         then_point, then)]
-            if else_point is not None:
-                branches.append(("else:", else_point, else_))
-            run = self.run  # stays open past the `if` if no arm calls
-            before, path, covered = self.known, self.path, self.covered
-            ends = [] if else_point is not None else [(before, path, covered)]
-            for line, point, plans in branches:
-                self.emit(ind, line)
-                self.run, self.known = None, set(before)
-                self.path, self.covered = path, covered
-                self.snapshot(ind + 1, point)
-                for sub in plans:
-                    self.stmt(ind + 1, sub)
-                ends.append((self.known, self.path, self.covered))
-            knowns, paths, covereds = zip(*ends)
-            self.known = set.intersection(*knowns)
-            self.path = max(paths)
-            for end, covered in zip(paths, covereds):
-                if covered:  # its unguarded runs, even if a sibling calls
-                    self.reach = max(self.reach, end)
-            self.covered = all(covereds)
-            self.run = run if self.covered else None
+        else:  # a store, the value the last child
+            x, x_int, in_range = self.expr(ind, node.children[-1], local)
+            if x_int != is_int or not in_range:
+                x = self.convert(ind, x, is_int, local)
+        self.store(ind, slot, x)
+
+    def if_stmt(self, ind, node, closure):
+        """An `if` and its arms; a test that is a call counts the `if`'s
+        step itself."""
+        cond, *arms = node.children
+        branches = [(f"if {self.test(ind, cond, closure, 1)}:", arms[0])]
+        if len(arms) == 2:
+            branches.append(("else:", arms[1]))
+        run = self.run  # stays open past the `if` if no arm calls
+        before, path, covered = self.known, self.path, self.covered
+        ends = [] if len(arms) == 2 else [(before, path, covered)]
+        for line, arm in branches:
+            self.emit(ind, line)
+            self.run, self.known = None, set(before)
+            self.path, self.covered = path, covered
+            self.snapshot(ind + 1, self.blocks[id(arm)])
+            for sub in arm.children:
+                self.stmt(ind + 1, sub)
+            ends.append((self.known, self.path, self.covered))
+        knowns, paths, covereds = zip(*ends)
+        self.known = set.intersection(*knowns)
+        self.path = max(paths)
+        for end, covered in zip(paths, covereds):
+            if covered:  # its unguarded runs, even if a sibling calls
+                self.reach = max(self.reach, end)
+        self.covered = all(covereds)
+        self.run = run if self.covered else None
 
 
 def normalize_output(s):
@@ -1268,6 +1264,7 @@ class _Program:
                              else max_steps, log)
         self.log = log
         self.functions = compiler.functions
+        self.tables = compiler.closures, compiler.bound, compiler.blocks
         self.points = list(log.points.values())
         # The steps left to the next fold, carried from test to test.
         self.fold_in = math.inf if log.record else FOLD_STEPS
@@ -1279,8 +1276,8 @@ class _Program:
         """Run one test, adding its snapshots and any error to the log, and
         its output too when the log records. Returns the verdict."""
         log = self.log
-        st = _State(self.functions, self.points, test.stdin_text,
-                    self.fold_in)
+        st = _State(self.functions, self.tables, self.points,
+                    test.stdin_text, self.fold_in)
         verdict = "error"
         try:
             try:

@@ -551,12 +551,13 @@ def test_branch_points_recorded():
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """The plans of the loops compiled for the tier while the test runs."""
-    plans = []
+    """The node of each loop tiered while the test runs: a node holds no
+    compiled closure, so the spy keeps no program alive."""
+    tiers = []
     hot_loop = tracer._hot_loop
     monkeypatch.setattr(tracer, "_hot_loop",
-                        lambda *plan: plans.append(plan) or hot_loop(*plan))
-    return plans
+                        lambda *args: tiers.append(args[0]) or hot_loop(*args))
+    return tiers
 
 
 def _tiered_equals_untiered(compiled, tree, tests, max_steps=None):
@@ -1293,8 +1294,21 @@ def test_hostile_loop_in_the_tier(compiled, tmp_path, capsys, src, stdin):
                                                        exact_verdicts)
 
 
-# Neither the compiled function nor its namespace holds the compiler or the
-# function table, so a program that tiered is freed by reference counts.
+# Neither the compiled function nor its namespace holds the compiler, the
+# function table or the tables the tier is generated from, so a program
+# that tiered is freed by reference counts: also one whose tier stores into
+# an array and calls an `if`'s test and a printf, and one whose tier calls
+# a nested loop that tiered first. Each input comes with its count of
+# loops that tier.
+_NO_CYCLE_INPUTS = [
+    (_counting("a[i % 2] = a[i % 2] + i;\n    if (i % 1000 == 999) {\n"
+               '      printf("%d ", a[0] - a[1]);\n    }',
+               "  int a[2];\n  a[0] = 0;\n  a[1] = 0;\n"), 1),
+    (_counting("j = 0;\n    while (j < n) {\n      j++;\n    }\n    n = 0;",
+               "  int j;\n  int n = 1100;\n"), 2),
+]
+
+
 def test_tiered_program_holds_no_reference_cycle(compiled):
     tree = parse(_counting("s = s + i;"))
     gc.collect()
@@ -1303,5 +1317,10 @@ def test_tiered_program_holds_no_reference_cycle(compiled):
         run_suite(tree, [TestCase("", "")])
         assert compiled
         assert gc.collect() == 0
+        for src, tiers in _NO_CYCLE_INPUTS:
+            before = len(compiled)
+            run_suite(parse(src), [TestCase("", "")])
+            assert len(compiled) == before + tiers
+            assert gc.collect() == 0
     finally:
         gc.enable()
