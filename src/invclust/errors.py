@@ -39,6 +39,17 @@ class UnresolvedIdentifier(ProgramRejected):
         self.line = line
 
 
+class SourceTooLarge(ProgramRejected):
+    """A source longer than the lexer's bound, rejected before it is
+    scanned."""
+
+    def __init__(self, size, limit):
+        super().__init__(f"source too large: {size} characters "
+                         f"(limit {limit})")
+        self.size = size
+        self.limit = limit
+
+
 class TraceRuntimeError(InvclustError):
     """Runtime failure during interpretation, at the most recently entered
     point. str(e) is the diagnostic a trace logs: `<kind> at <point>`, then

@@ -18,11 +18,12 @@ and each pair's order flags and first-row difference. That is Daikon's
 incremental falsification (Perkins & Ernst, FSE 2004): the tracer's
 memory stays bounded however long a program runs, and a fold of the
 whole trace as one chunk is the batch result. A snapshot's values
-are ints, floats and UNSET; a long chunk's all-int columns are folded as
-int64 arrays, by their extremes.
+are ints, floats and UNSET; a long chunk is converted to int64 in one
+pack where it can be, and its all-int columns are folded as int64 arrays,
+by their extremes.
 """
 
-from array import array
+import struct
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import eq, ge, gt, is_, le, lt, ne, sub
@@ -97,8 +98,11 @@ class PointSummary:
     has no identity shortcut, so a nan is never equal to itself, as with
     ==.
 
-    In a chunk of at least _ARRAY_ROWS rows, a column that converts to
-    int64 holds only ints, which are totally ordered, so its templates
+    A chunk of at least _ARRAY_ROWS rows is converted to int64 by one
+    struct.pack, read as an array of a row per snapshot whose columns are
+    views. If some value is a float, UNSET or outside int64, that pack
+    fails and each column still folded is packed alone. A column that
+    converts holds only ints, which are totally ordered, so its templates
     follow from the array's min and max, and a pair's from those of x - y
     (unless a value reaches _WIDE and x - y could wrap). Columns with a
     float or UNSET, and shorter chunks, are folded value by value: nan and
@@ -117,19 +121,29 @@ class PointSummary:
         w = len(self.names)
         n = len(flat) // (w or 1)
         columns = self.columns
-        cols = {x: flat[i::w] for i, x in enumerate(self.names)
+        live = {x: i for i, x in enumerate(self.names)
                 if not self.count or x in columns}
         ints = {}  # variable -> its column as int64, if it is all ints
-        if n >= _ARRAY_ROWS:
-            for x, vals in cols.items():
-                try:
-                    ints[x] = np.frombuffer(array("q", vals), np.int64)
-                except (TypeError, OverflowError):  # a float, UNSET, > int64
-                    pass
+        cols = {}  # variable -> its column as a list, if it is not
+        if n >= _ARRAY_ROWS and live:
+            try:
+                rows = np.frombuffer(struct.pack(f"{len(flat)}q", *flat),
+                                     np.int64).reshape(n, w)
+                ints = {x: rows[:, i] for x, i in live.items()}
+            except struct.error:  # a float, UNSET or a value outside int64
+                for x, i in live.items():
+                    vals = flat[i::w]
+                    try:
+                        ints[x] = np.frombuffer(struct.pack(f"{n}q", *vals),
+                                                np.int64)
+                    except struct.error:
+                        cols[x] = vals
+        else:
+            cols = {x: flat[i::w] for x, i in live.items()}
         if not self.count:
-            for x in sorted(cols):
+            for x in sorted(live):
                 if x in ints or UNSET not in cols[x]:
-                    columns[x] = _Column(cols[x][0])
+                    columns[x] = _Column(flat[live[x]])
             self.pairs = {(x, y): _Pair(columns[x].first, columns[y].first)
                           for x, y in combinations(columns, 2)}
         else:
@@ -169,6 +183,11 @@ class PointSummary:
             c.nan = c.nan or any(map(ne, vals, vals))  # only nan != nan
             if c.nonzero:
                 c.nonzero = all(map(ne, vals, repeat(0)))
+        # A column that is not narrow pairs with every other one, and such
+        # pairs are folded value by value.
+        if len(narrow) < len(columns):
+            for x in columns.keys() - cols.keys():
+                cols[x] = flat[live[x]::w]
         for (x, y), p in self.pairs.items():
             if x in narrow and y in narrow:
                 d = ints[x] - ints[y]

@@ -9,7 +9,12 @@ column is its offset less that start, plus one. A line ends at `\n`, at
 import re
 from dataclasses import dataclass
 
-from .errors import CSyntaxError, UnsupportedFeature
+from .errors import CSyntaxError, SourceTooLarge, UnsupportedFeature
+
+# The longest source lexed, in characters. Lexing, parsing and renaming take
+# time and memory in proportion to a source's length (a 1 MB source took
+# seconds through them), and a submission is a few hundred characters.
+MAX_SOURCE_CHARS = 262_144
 
 KEYWORDS = {"int", "double", "float", "void", "if", "else", "while", "for",
             "return", "scanf", "printf"}
@@ -53,6 +58,8 @@ class Token:
 
 
 def lex(text):
+    if len(text) > MAX_SOURCE_CHARS:
+        raise SourceTooLarge(len(text), MAX_SOURCE_CHARS)
     tokens = []
     i = 0
     line = 1

@@ -118,8 +118,11 @@ _MAX_FRAMES = 2 * MAX_CALL_DEPTH + 5
 FOLD_STEPS = 32_768
 
 # Iterations after which a loop runs the rest of its current execution in
-# Python source generated and compiled for it (see `_hot_loop`).
-HOT_ITERS = 1024
+# Python source generated and compiled for it (see `_hot_loop`). That costs
+# about 0.35-0.55 ms once per suite, and a tiered iteration about 1 us less
+# than the closures', so one execution breaks even some 500 iterations past
+# the threshold, and every later one reuses the compiled source.
+HOT_ITERS = 256
 
 # The steps a test may take unless the caller gives max_steps, and the
 # iterations one execution of a loop may run, read when the loop compiles.

@@ -15,6 +15,7 @@ from invclust.cli import build_parser, main
 from invclust.corpus import (analyze, generate_synthetic_corpus, load_model,
                              read_source, read_tests, run_pipeline,
                              write_corpus)
+from invclust.lexer import MAX_SOURCE_CHARS
 from invclust.nodes import Assignment, Corpus, SourceProgram
 from invclust.tracer import TestCase
 from invclust.vectorizer import represent
@@ -267,6 +268,29 @@ def test_hostile_invariants_exit_2(workspace, capsys, kind):
               if line.startswith("error:")]
     assert code == 2
     assert len(errors) == 1 and diagnostic in errors[0]
+
+
+@pytest.mark.parametrize("command", ["rename", "aast", "trace", "invariants",
+                                     "closest"])
+def test_too_large_source_exit_2(workspace, capsys, command):
+    prog = workspace / "too-large.c"
+    prog.write_text(LEFT_SRC + "/*" + " " * MAX_SOURCE_CHARS + "*/\n")
+    tests = ["--tests", str(workspace / "corpus" / "tests" / "sum1n")]
+    argv = {
+        "rename": ["rename", str(prog)],
+        "aast": ["aast", str(prog)],
+        "trace": ["trace", str(prog), *tests],
+        "invariants": ["invariants", str(prog), *tests],
+        "closest": ["closest", "--model", str(workspace / "out" / "model.json"),
+                    "--program", str(prog), *tests],
+    }[command]
+    code = main(argv)
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    size = len(LEFT_SRC) + MAX_SOURCE_CHARS + 5
+    assert code == 2
+    assert errors == [f"error: source too large: {size} characters "
+                      f"(limit {MAX_SOURCE_CHARS})"]
 
 
 @pytest.mark.parametrize("command", ["invariants", "closest"])

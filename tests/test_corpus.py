@@ -19,7 +19,7 @@ from invclust.corpus import (Corpus, Assignment, analyze, artifacts, entry,
                              token_key, tree_hash, write_corpus)
 from invclust.errors import (BadTestFile, EmptyCorpus, MissingTests,
                              ProgramRejected, RuntimeFailure)
-from invclust.lexer import lex
+from invclust.lexer import MAX_SOURCE_CHARS, lex
 from invclust.nodes import SourceProgram
 from invclust.parser import parse
 from invclust.synth import PAIR_FOR, PAIR_WHILE
@@ -408,6 +408,19 @@ def test_hostile_programs_become_exclusions(tmp_path):
         f"alpha/{kind}" for kind in HOSTILE_SOURCES)
     for kind, (_, diagnostic) in HOSTILE_SOURCES.items():
         assert diagnostic in arts.exclusions[f"alpha/{kind}"]
+    assert arts.clustered_ids == ["alpha/s0", "alpha/s1", "alpha/s2"]
+
+
+def test_too_large_source_becomes_an_exclusion(tmp_path):
+    _write_corpus_tree(str(tmp_path), {
+        "alpha": ([(f"s{i}", _ECHO) for i in range(3)], [("1\n", "1")]),
+    })
+    (tmp_path / "alpha" / "big.c").write_text(
+        _ECHO + "/*" + " " * MAX_SOURCE_CHARS + "*/\n")
+    arts = run_pipeline(ingest(str(tmp_path)), mode="aast_inv", k=1)
+    size = len(_ECHO) + MAX_SOURCE_CHARS + 5
+    assert arts.exclusions == {"alpha/big": (
+        f"source too large: {size} characters (limit {MAX_SOURCE_CHARS})")}
     assert arts.clustered_ids == ["alpha/s0", "alpha/s1", "alpha/s2"]
 
 

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invclust.errors import CSyntaxError, UnsupportedFeature
+from invclust.errors import CSyntaxError, SourceTooLarge, UnsupportedFeature
+from invclust.lexer import MAX_SOURCE_CHARS, lex
 from invclust.nodes import Kind, Node, structurally_equal, walk
 from invclust.parser import MAX_DEPTH, parse
 from invclust.unparse import unparse
@@ -304,3 +305,17 @@ def test_parse_rejects_or_round_trips(body):
     except (CSyntaxError, UnsupportedFeature):
         return
     assert structurally_equal(parse(unparse(tree)), tree)
+
+
+def test_source_size_is_checked_before_scanning():
+    """A source of MAX_SOURCE_CHARS characters lexes; a longer one is
+    rejected by its size alone, before a character of it is scanned."""
+    at_limit = LEFT_SRC + "/*" + " " * (MAX_SOURCE_CHARS - len(LEFT_SRC) - 5) \
+        + "*/\n"
+    assert len(at_limit) == MAX_SOURCE_CHARS
+    assert structurally_equal(parse(at_limit), parse(LEFT_SRC))
+    for text in (at_limit + " ", "@" * (MAX_SOURCE_CHARS + 1)):
+        with pytest.raises(SourceTooLarge) as e:
+            lex(text)
+        assert str(e.value) == (f"source too large: {MAX_SOURCE_CHARS + 1} "
+                                f"characters (limit {MAX_SOURCE_CHARS})")

@@ -1,12 +1,14 @@
 """Invariant detection, suppression, and canonical-string tests."""
 
 import math
+import struct
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invclust import tracer
+from invclust import invariants, tracer
 from invclust.invariants import (_ARRAY_ROWS, MIN_SAMPLES, UNSET, PointSummary,
                                  detect, flatten)
 from invclust.parser import parse
@@ -393,3 +395,101 @@ def test_unrecorded_fold_of_three_chunks_matches_the_oracle(monkeypatch):
     inv = {pid: p.summary.invariants() for pid, p in log.samples.items()}
     for pid, snaps in recorded.snapshots().items():
         assert inv[pid] == oracle_point_invariants(snaps), pid
+
+
+def _spy_folds(monkeypatch):
+    """Lists that record what each fold does: every struct.pack the fold
+    module makes, as (values packed, whether it packed them), and every
+    fold, as (summary, rows, the packs made folding them)."""
+    packs, chunks = [], []
+
+    def pack(fmt, *values):
+        try:
+            out = struct.pack(fmt, *values)
+        except struct.error:
+            packs.append((len(values), False))
+            raise
+        packs.append((len(values), True))
+        return out
+    monkeypatch.setattr(invariants, "struct",
+                        SimpleNamespace(pack=pack, error=struct.error))
+    fold = PointSummary.fold
+
+    def spy(summary, flat):
+        start = len(packs)
+        fold(summary, flat)
+        chunks.append((summary, len(flat) // (len(summary.names) or 1),
+                       packs[start:]))
+    monkeypatch.setattr(PointSummary, "fold", spy)
+    return packs, chunks
+
+
+MAXSEQ_SRC = """\
+int main() {
+  int n, m, i, v;
+  scanf("%d", &n);
+  scanf("%d", &m);
+  for (i = 0; i < n - 1; i++) {
+    scanf("%d", &v);
+    if (v > m) {
+      m = v;
+    }
+  }
+  printf("%d", m);
+}
+"""
+
+
+def test_unrecorded_maxseq_fold_packs_each_later_chunk_once(monkeypatch):
+    """In the maxseq loop the body's first snapshot has the scanf target v
+    UNSET, so the body's first chunk fails the pack of the whole chunk and
+    packs each column alone, v's failing; every later long chunk converts
+    in one pack, and a short one packs nothing. The fold gives what the
+    oracle gives over the recorded snapshots."""
+    n = 10_000
+    values = [i * 7919 % 10_007 - 5_000 for i in range(n)]
+    tests = [TestCase(f"{n}\n" + " ".join(map(str, values)) + "\n",
+                      str(max(values)))]
+    tree = rename(parse(MAXSEQ_SRC))[0]
+    recorded, _ = run_suite(tree, tests, record=True)
+    _, chunks = _spy_folds(monkeypatch)
+    log, verdicts = run_suite(tree, tests)
+    assert verdicts == ["pass"]
+    body = [p for p, k in log.point_kinds.items() if k == "loop-body"]
+    assert len(body) == 1
+    summary = log.points[body[0]].summary
+    w = len(summary.names)
+    assert w == 4 and summary.names[-1] not in summary.columns  # v
+    (rows, made), *later = [(rows, made) for s, rows, made in chunks
+                            if s is summary]
+    assert rows >= _ARRAY_ROWS
+    assert made == [(rows * w, False)] + [(rows, True)] * 3 + [(rows, False)]
+    assert len([rows for rows, _ in later if rows >= _ARRAY_ROWS]) >= 2
+    for rows, made in later:
+        assert made == ([(rows * w, True)] if rows >= _ARRAY_ROWS else [])
+    inv = {pid: p.summary.invariants() for pid, p in log.samples.items()}
+    for pid, snaps in recorded.snapshots().items():
+        assert inv[pid] == oracle_point_invariants(snaps), pid
+
+
+@pytest.mark.parametrize("odd_chunk", [0, 1])
+def test_a_column_outside_int64_or_with_a_float_alone_leaves_the_pack(
+        monkeypatch, odd_chunk):
+    """Of two long chunks, the one where b holds 2**63 and c a float packs
+    each column alone: a and d still convert, b and c are folded value by
+    value, and every column agrees with the oracle."""
+    packs, _ = _spy_folds(monkeypatch)
+    n = _ARRAY_ROWS
+    names = ["a", "b", "c", "d"]
+    rows = [(i, 3 - i, i % 5, 2 * i + 1) for i in range(2 * n)]
+    odd = odd_chunk * n + 7
+    rows[odd] = (rows[odd][0], 2**63, 0.5, rows[odd][3])
+    flat = [x for row in rows for x in row]
+    summary = PointSummary(names)
+    summary.fold(flat[:4 * n])
+    summary.fold(flat[4 * n:])
+    one = [(4 * n, True)]
+    alone = [(4 * n, False), (n, True), (n, False), (n, False), (n, True)]
+    assert packs == (alone + one if odd_chunk == 0 else one + alone)
+    assert summary.invariants() == oracle_point_invariants(
+        [dict(zip(names, row)) for row in rows])
