@@ -282,6 +282,3 @@ def main(argv=None):
         sys.stderr.write(f"error: {e}\n")
         return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

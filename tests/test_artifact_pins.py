@@ -16,12 +16,16 @@ import pytest
 
 from invclust import cli
 from invclust.corpus import (generate_synthetic_corpus, run_pipeline,
-                             write_corpus)
+                             tree_hash, write_corpus)
 from invclust.vectorizer import MODES
 
 from conftest import HOSTILE_SOURCES
 
 PLACES = 12
+
+# tree_hash of the corpus `invclust synth` writes for the same arguments.
+CORPUS_PIN = (
+    "03ac183e5eac5fedd23b6a478a65184dbb914c0c2a84d4858cc8ef9758e67561")
 
 PINS = {
     "syntax": {
@@ -107,6 +111,12 @@ def artifacts(corpus, tmp_path_factory):
                          out_dir=str(made[mode]))
         return made[mode]
     return out_dir
+
+
+def test_synth_writes_the_pinned_corpus(tmp_path):
+    assert cli.main(["synth", "--out", str(tmp_path), "--seed", "0",
+                     "--assignments", "3", "--variants-per", "10"]) == 0
+    assert tree_hash(str(tmp_path)) == CORPUS_PIN
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from invclust.corpus import (analyze, generate_synthetic_corpus, load_model,
 from invclust.lexer import MAX_SOURCE_CHARS
 from invclust.nodes import Assignment, Corpus, SourceProgram
 from invclust.tracer import TestCase
-from invclust.vectorizer import represent
+from invclust.vectorizer import MODES, represent
 
 from conftest import HOSTILE_SOURCES, LEFT_SRC
 
@@ -91,7 +92,8 @@ def test_rename_matches_library(workspace, capsys):
     assert payload["mapping"] == rmap.as_dict()
 
 
-def test_rename_map_gives_each_declaration_its_line(tmp_path, capsys):
+def test_rename_map_gives_each_declaration_its_line(workspace, tmp_path,
+                                                    capsys):
     src = ("int main() {\n  int x = 1;\n  if (x > 0) {\n    int x = 2;\n"
            '    printf("%d", x);\n  }\n}\n')
     path = tmp_path / "shadow.c"
@@ -105,6 +107,12 @@ def test_rename_map_gives_each_declaration_its_line(tmp_path, capsys):
     assert payload["mapping"] == rmap.as_dict() == {"entries": [
         {"original": "x", "line": 2, "new_name": "int0"},
         {"original": "x", "line": 4, "new_name": "int1"}]}
+    assert main(["rename", "--json",
+                 str(workspace / "corpus" / "sum1n" / "v00.c")]) == 0
+    assert _json_out(capsys)["mapping"]["entries"] == [
+        {"original": "sum", "line": 2, "new_name": "int0"},
+        {"original": "n", "line": 2, "new_name": "int1"},
+        {"original": "i", "line": 2, "new_name": "int2"}]
 
 
 def test_aast_matches_library(workspace, capsys):
@@ -117,12 +125,17 @@ def test_aast_matches_library(workspace, capsys):
     assert payload["aast"] == serialize_aast(anonymize(renamed)).text
 
 
+# A trace names each point's kind by the last segment of its id.
 def test_trace_verdicts(workspace, capsys):
     tests = workspace / "corpus" / "tests" / "sum1n"
-    assert main(["trace", str(workspace / "left.c"),
-                 "--tests", str(tests), "--json"]) == 0
-    payload = _json_out(capsys)
-    assert all(v == "pass" for v in payload["verdicts"])
+    for program in ("left.c", "corpus/sum1n/v00.c"):
+        assert main(["trace", str(workspace / program),
+                     "--tests", str(tests), "--json"]) == 0
+        payload = _json_out(capsys)
+        assert set(payload["verdicts"]) == {"pass"}
+        assert json.loads(payload["trace"])["point_kinds"] == {
+            "main/entry": "function-entry", "main/exit": "function-exit",
+            "main/loop0/body": "loop-body"}
 
 
 def test_invariants_json(workspace, capsys):
@@ -219,6 +232,11 @@ def test_closest_all_candidates_scans_everything(workspace, capsys):
                  "--tests", str(tests), "--json"]) == 0
     rep_payload = _json_out(capsys)
     assert payload["distance"] <= rep_payload["distance"]
+    # A clustered program is its own closest.
+    assert main(["closest", "--model", str(out / "model.json"),
+                 "--program", str(workspace / "corpus" / "sum1n" / "v03.c"),
+                 "--tests", str(tests), "--all-candidates", "--json"]) == 0
+    assert _json_out(capsys) == {"closest": "sum1n/v03", "distance": 0.0}
 
 
 def test_unknown_mode_exit_1(workspace, capsys):
@@ -241,6 +259,10 @@ def test_unsupported_program_exit_2(workspace, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "pointer" in err
+    # A line comment that ends the text: the error is at its end.
+    bad.write_text("int main() { // x")
+    assert main(["rename", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: 1:18: unterminated block\n"
 
 
 @pytest.mark.parametrize("kind", sorted(HOSTILE_SOURCES))
@@ -426,20 +448,26 @@ def test_closest_analyzes_with_the_clustered_min_samples(tmp_path, capsys,
 
 
 # The snapshot gate is the constant invariants.MIN_SAMPLES, so no command
-# takes --min-samples (for cluster and invariants, see
+# takes --min-samples (for values below one, see
 # test_numeric_flag_below_one_is_usage_error).
-@pytest.mark.parametrize("command", ["trace", "closest"])
-def test_min_samples_is_a_usage_error(workspace, capsys, command):
-    program = str(workspace / "left.c")
-    argv = [command, program]
-    if command == "closest":
-        argv = [command, "--model", str(workspace / "out" / "model.json"),
-                "--program", program]
-    tests = str(workspace / "corpus" / "tests" / "sum1n")
-    code = main(argv + ["--tests", tests, "--min-samples", "2"])
+@pytest.mark.parametrize("command,value", [
+    ("trace", "2"), ("closest", "2"), ("cluster", "6"),
+], ids=["trace", "closest", "cluster"])
+def test_min_samples_is_a_usage_error(workspace, tmp_path, capsys, command,
+                                      value):
+    program, out = str(workspace / "left.c"), tmp_path / "out"
+    tests = ["--tests", str(workspace / "corpus" / "tests" / "sum1n")]
+    model = str(workspace / "out" / "model.json")
+    argv = {"trace": ["trace", program, *tests],
+            "closest": ["closest", "--model", model, "--program", program,
+                        *tests],
+            "cluster": ["cluster", "--corpus", str(workspace / "corpus"),
+                        "--k", "3", "--seed", "0", "--out", str(out)]}[command]
+    code = main(argv + ["--min-samples", value])
     err = capsys.readouterr().err
     assert code == 1
     assert "--min-samples" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # Vectors are term frequencies, so cluster takes no --idf.
@@ -456,6 +484,17 @@ def test_idf_is_a_usage_error(workspace, tmp_path, capsys):
 def test_exclusions_are_entries_of_documents(workspace, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(workspace / "corpus", corpus)
+    # Copies of a submission: relaid out, renamed and commented, and one
+    # that fails its tests.
+    v03 = (corpus / "sum1n" / "v03.c").read_text()
+    copies = {"v03relaid": v03.replace("{", "{\n\n// relaid"),
+              "v03renamed": "// a renamed copy\n" + re.sub(r"\bres\b",
+                                                             "total", v03),
+              "v03wrong": v03.replace('printf("%d", res)',
+                                      'printf("%d", res + 1)')}
+    assert "total" in copies["v03renamed"] and "+ 1" in copies["v03wrong"]
+    for name, text in copies.items():
+        (corpus / "sum1n" / f"{name}.c").write_text(text)
     planted = {"sum1n/xpointer": "pointer"}
     (corpus / "sum1n" / "xpointer.c").write_text("int main() { int *p; }\n")
     for kind, (data, diagnostic) in HOSTILE_SOURCES.items():
@@ -471,9 +510,37 @@ def test_exclusions_are_entries_of_documents(workspace, tmp_path, capsys):
     assert {pid: documents.pop(pid) for pid in planted} == {
         pid: {"exclusion": diag, "label": "sum1n"}
         for pid, diag in exclusions.items()}
-    # The survivors' entries are those of a run without the planted files.
+    # The copies get the original's documents and vector; the failing one
+    # has documents and no vector.
+    table = np.load(out / "vectors.npy", allow_pickle=False)
+    row = dict(zip(table["id"].tolist(), table["values"]))
+    for pid in ("sum1n/v03relaid", "sum1n/v03renamed"):
+        assert documents.pop(pid) == documents["sum1n/v03"]
+        assert (row[pid] == row["sum1n/v03"]).all()
+    assert set(documents["sum1n/v03"]["verdicts"]) == {"pass"}
+    assert "fail" in documents.pop("sum1n/v03wrong")["verdicts"]
+    assert "sum1n/v03wrong" not in row
+    # The other entries are those of a run without the planted files.
     assert documents == json.loads(
         (workspace / "out" / "documents.json").read_text())
+
+
+# A clustered program, and a copy of it with a blank line and a comment
+# after each `{`, are at distance 0.0 from its own row in every mode.
+@pytest.mark.parametrize("mode", MODES)
+def test_layout_moves_no_closest_distance(workspace, tmp_path, capsys, mode):
+    corpus, out = workspace / "corpus", tmp_path / "out"
+    v03, relaid = corpus / "sum1n" / "v03.c", tmp_path / "v03-relaid.c"
+    relaid.write_text(v03.read_text().replace("{", "{\n\n// relaid"))
+    assert main(["cluster", "--corpus", str(corpus), "--k", "3", "--seed",
+                 "0", "--mode", mode, "--n", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for program in (v03, relaid):
+        assert main(["closest", "--model", str(out / "model.json"),
+                     "--program", str(program), "--tests",
+                     str(corpus / "tests" / "sum1n"), "--all-candidates",
+                     "--json"]) == 0
+        assert _json_out(capsys)["distance"] == 0.0, program
 
 
 def test_k_above_distinct_vectors_is_clamped(tmp_path, capsys):
@@ -765,6 +832,8 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+# `python -m invclust` runs main: the same exit codes and output, a usage
+# error and a missing file included.
 def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
     model = str(workspace / "out" / "model.json")
     runs = [["representatives", "--model", model, "--json"],
@@ -772,11 +841,13 @@ def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
             ["closest", "--model", model, "--program",
              str(workspace / "bad.c"), "--tests",
              str(workspace / "corpus" / "tests" / "sum1n"),
-             "--all-candidates"]]
+             "--all-candidates"],
+            ["cluster", "--corpus", str(workspace / "corpus"), "--bogus"],
+            ["rename", str(workspace / "nope.c")]]
     in_process = []
     for argv in runs:
         code = main(argv)
-        in_process.append((code, capsys.readouterr().out))
+        in_process.append((code, *capsys.readouterr()))
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -784,9 +855,13 @@ def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
     fresh = []
     for argv in runs:
-        done = subprocess.run([sys.executable, "-m", "invclust.cli", *argv],
+        done = subprocess.run([sys.executable, "-m", "invclust", *argv],
                               capture_output=True, text=True, env=env)
-        fresh.append((done.returncode, done.stdout))
+        fresh.append((done.returncode, done.stdout, done.stderr))
     assert in_process == fresh
     # --json of the first call does not carry over to the second.
-    assert in_process[1] == (0, "purity 1.0000\n")
+    assert in_process[1] == (0, "purity 1.0000\n", "")
+    assert [code for code, _, _ in fresh[3:]] == [1, 2]
+    err = fresh[4][2]
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nope.c" in err and "Traceback" not in err

@@ -63,11 +63,20 @@ def test_ingest_counts(tmp_path):
     assert sum(len(a.programs) for a in corpus.assignments.values()) == 6
 
 
+# No suite directory at all, then a suite whose t1.in has no t1.out: the
+# error names what is missing.
 def test_ingest_missing_tests(tmp_path):
     os.makedirs(tmp_path / "alpha")
     with open(tmp_path / "alpha" / "s0.c", "w") as f:
         f.write(_ECHO)
-    with pytest.raises(MissingTests):
+    suite = tmp_path / "tests" / "alpha"
+    with pytest.raises(MissingTests, match=re.escape(str(suite))):
+        ingest(str(tmp_path))
+    suite.mkdir(parents=True)
+    for name in ("t0.in", "t0.out", "t1.in"):
+        (suite / name).write_text("1\n")
+    missing = re.escape(str(suite / "t1.out"))
+    with pytest.raises(FileNotFoundError, match=missing):
         ingest(str(tmp_path))
 
 

@@ -23,7 +23,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invclust import tracer
+from invclust import cli, tracer
 from invclust.corpus import generate_synthetic_corpus
 from invclust.invariants import detect
 from invclust.nodes import Kind
@@ -211,15 +211,104 @@ def test_suite_output_matches_recorded_digest(group, limits, monkeypatch):
 # statement and expression node.
 PAIR_WHILE_STEPS = 37
 
+# A maxseq-shaped loop: an `i < n - 1` bound, a `++` step, `scanf` and an
+# `if` in the body.
+MAXSEQ_LOOP = ('int main() {\n  int n, m, i, v;\n  scanf("%d", &n);\n'
+               '  scanf("%d", &m);\n  for (i = 0; i < n - 1; i++) {\n'
+               '    scanf("%d", &v);\n    if (v > m) {\n      m = v;\n    }\n'
+               '  }\n  printf("%d", m);\n}\n')
+
+# A tiered loop whose tier calls closures: an element store, an `if` whose
+# test is a call (`%` is not emitted inline) and a printf in its arm.
+CALLS_LOOP = ('int main() {\n  int n, i, s;\n  int a[2];\n  scanf("%d", &n);\n'
+              "  a[0] = 0;\n  a[1] = 0;\n  s = 0;\n"
+              "  for (i = 0; i < n; i++) {\n    a[i % 2] = a[i % 2] + i;\n"
+              '    if (i % 1000 == 999) {\n      printf("%d ", a[0] - a[1]);\n'
+              '    }\n    s = s + i;\n  }\n  printf("%d", s);\n}\n')
+
+_MAXSEQ_3000 = "3000\n" + "".join(f"{i}\n" for i in range(1, 3001))
+
+# name: (source, stdin, expected stdout, the fewest steps the test needs,
+# the point where one step fewer stops it). Past HOT_ITERS a loop runs in
+# the source compiled for it; near the limit the tier hands the execution
+# back to the loop's closure, which stops at the exact node.
+STEP_BUDGETS = {
+    "pair-while-3": (PAIR_WHILE, "3\n", "6\n", PAIR_WHILE_STEPS,
+                     "main/loop0/body"),
+    "maxseq-4": (MAXSEQ_LOOP, "4\n3 9 2 7\n", "9\n", 51, "main/loop0/body"),
+    "maxseq-3000": (MAXSEQ_LOOP, _MAXSEQ_3000, "3000\n", 39003,
+                    "main/loop0/body/if0/then"),
+    "calls-3000": (CALLS_LOOP, "3000\n", "-500 -1000 -1500 4498500\n", 72039,
+                   "main/loop0/body/if0/then"),
+    # The length of trace-long's tests.
+    "pair-while-40000": (PAIR_WHILE, "40000\n", "800020000\n", 320013,
+                         "main/loop0/body"),
+}
+
 
 def test_pair_while_step_budget_is_exact():
-    tree = parse(PAIR_WHILE)
-    test = TestCase("3\n", "6")
-    log, _, verdict = execute(tree, test, PAIR_WHILE_STEPS)
-    assert verdict == "pass"
-    log, _, verdict = execute(tree, test, PAIR_WHILE_STEPS - 1)
-    assert verdict == "error"
-    assert log.errors == ["step-limit at main/loop0/body"]
+    for name, (src, stdin, stdout, steps, stop) in STEP_BUDGETS.items():
+        tree = parse(src)
+        test = TestCase(stdin, stdout)
+        log, _, verdict = execute(tree, test, steps)
+        assert verdict == "pass", name
+        log, _, verdict = execute(tree, test, steps - 1)
+        assert verdict == "error", name
+        assert log.errors == [f"step-limit at {stop}"], name
+
+
+# A loop whose tier reuses values across an if/else join where one arm
+# stores, declares a name again in the body and opens a block that shadows
+# one. Renaming gives each declaration its own name.
+JOIN_LOOP = ('int main() {\n  int n, i, s, t;\n  scanf("%d", &n);\n'
+             "  s = 0;\n  t = 0;\n  for (i = 0; i < n; i++) {\n"
+             "    if (i < 2500) {\n      s = s + 1;\n    } else {\n"
+             "      t = t + 2;\n    }\n    s = s + t - t;\n    {\n"
+             "      int s = i % 5;\n      if (s == 0) {\n        t = t + s;\n"
+             "      }\n    }\n    int s = i % 3;\n    if (s == 1) {\n"
+             '      t = t + s;\n    }\n  }\n  printf("%d %d", s, t);\n}\n')
+
+# name: (source, stdin, expected stdout, the `invariants --json` output, or
+# the sha256 of that output's JSON with sorted keys).
+LONG_RUN_INVARIANTS = {
+    # The body's first snapshot has v unset, so that point's first chunk
+    # packs each column alone, and its later chunks of 64 rows or more
+    # convert in one pack each.
+    "maxseq-3000": (
+        MAXSEQ_LOOP, _MAXSEQ_3000, "3000\n",
+        "f8c6dce8ba0f8ee0c2f55a2330602aadb22faff71ff02839532478b29b036c3b"),
+    # 8 steps an iteration, and every point folds at the first back-edge or
+    # call 32,768 steps past its last fold, so the loop body folds in three
+    # chunks, each as int64 arrays, into the invariants of one chunk; all
+    # but the first HOT_ITERS iterations run tiered.
+    "pair-while-10000": (PAIR_WHILE, "10000\n", "50005000\n", {
+        "invariants": {"main/loop0/body": [
+            "int0 <= 49995000", "int0 >= 0", "int1 == 10000", "int2 < int1",
+            "int2 <= 9999", "int2 <= int0", "int2 <= int1", "int2 >= 0"]},
+        "verdicts": ["pass"]}),
+    # Those of the untiered tracer: 97 lines over six points.
+    "join-5000": (
+        JOIN_LOOP, "5000\n", "2500 6667\n",
+        "92ce24d31eae1325651b9999169efd371078f415cd150a1f1d3a6fd29668bd03"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_RUN_INVARIANTS))
+def test_long_run_invariants_match_recorded_output(name, tmp_path, capsys):
+    src, stdin, stdout, expected = LONG_RUN_INVARIANTS[name]
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "t0.in").write_text(stdin)
+    (tests / "t0.out").write_text(stdout)
+    (tmp_path / "prog.c").write_text(src)
+    assert cli.main(["invariants", str(tmp_path / "prog.c"),
+                     "--tests", str(tests), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["verdicts"] == ["pass"]
+    if isinstance(expected, str):
+        got = hashlib.sha256(
+            json.dumps(got, sort_keys=True).encode()).hexdigest()
+    assert got == expected
 
 
 def _edge_log():
