@@ -170,9 +170,12 @@ def k_from_fraction(n, frac):
 
 
 def _norms(D):
-    """The Euclidean length of each row of D, as np.linalg.norm computes it
-    for one vector: the square root of the row's dot product with itself."""
-    return np.sqrt([d @ d for d in D])
+    """The Euclidean length of each row of D as a list of floats, as
+    np.linalg.norm computes it for one vector: the square root of the row's
+    dot product with itself. matmul takes each (1, n) @ (n, 1) item of the
+    stack by the same dot product as `d @ d` for a 1-D row, in one call."""
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])
+                   .reshape(len(D))).tolist()
 
 
 def select_representatives(model, ids, X):

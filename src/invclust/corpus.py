@@ -246,8 +246,9 @@ def token_key(tokens):
 
 def _outcome(renamed, source, tests, max_steps):
     """The RuntimeFailure of the first test that ends in a runtime error,
-    or else the artifacts of the renamed tree, with no id or label yet."""
-    log, verdicts = run_suite(renamed, tests, max_steps)
+    where the suite stops, or else the artifacts of the renamed tree, with
+    no id or label yet."""
+    log, verdicts = run_suite(renamed, tests, max_steps, stop_on_error=True)
     if "error" in verdicts:
         return RuntimeFailure(log.errors[0])
     return artifacts("", {
@@ -499,10 +500,17 @@ def project_2d(ids, X):
     principal axes: [(id, x, y), ...]. The axes are the eigenvectors of
     the two largest eigenvalues of the centred X's smaller Gram matrix:
     Xcᵀ Xc, or Xc Xcᵀ, whose eigenvector u gives the axis Xcᵀ u
-    normalized (no SVD, whose LAPACK routine can stall on its first call
-    in a process). Each axis is oriented so that its largest-magnitude
+    normalized. Each axis is oriented so that its largest-magnitude
     component is positive; an axis with no variance gives 0.0, so one
-    vector, like identical ones, projects to the origin."""
+    vector, like identical ones, projects to the origin.
+
+    `eigh` does not avoid the stall that SVD showed: the first threaded
+    OpenBLAS call of the first process after an idle spell, this one as
+    much as an SVD, can take most of a second. On 2 vCPUs after 15 s idle,
+    this function took 682-684 ms on cluster-dup's 240 x 331 vectors (and
+    `eigh` 928-932 ms on a random 240 x 240 Gram matrix), against 4-6 ms
+    in the next process, and 5.4-5.8 ms in the first process with
+    OPENBLAS_NUM_THREADS=1 set on it."""
     Xc = X - X.mean(axis=0)
     wide = len(Xc) <= Xc.shape[1]
     eigvals, eigvecs = np.linalg.eigh(Xc @ Xc.T if wide else Xc.T @ Xc)

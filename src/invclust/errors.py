@@ -79,9 +79,11 @@ class EmptyCorpus(InvclustError):
 
 
 class MissingTests(InvclustError):
-    def __init__(self, assignment):
-        super().__init__(f"assignment '{assignment}' has no test suite")
-        self.assignment = assignment
+    """A test directory that does not exist or holds no t<i>.in file."""
+
+    def __init__(self, path):
+        super().__init__(f"no test suite in '{path}'")
+        self.path = path
 
 
 class BadTestFile(InvclustError):

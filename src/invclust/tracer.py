@@ -67,8 +67,13 @@ program builds nothing else for the tier. The function holds the loop's
 leaf operations, scalar stores, scalar `scanf`s, `++`/`--` and `if`s
 inline, and calls the closure of any other statement. The scalars it
 touches live in Python locals, written back to the slots before a call or
-an exit and reloaded after a call. It checks a scalar for UNSET at its
-first read in an iteration and at its first read after a call. It counts
+an exit and reloaded after a call. It checks a scalar declared before the
+loop for UNSET once, at entry, before it writes anything, and hands the
+execution back (`_HandBack`) if one is UNSET, since nothing in the loop
+can unset it again; a scalar declared in the loop it checks at its first
+read in an iteration and at its first read after a call. An int's
+overflow trap after `++` and after `+` an int literal tests INT_MAX only,
+and after `--` and `-` an int literal INT_MIN only. It counts
 the steps of each run of inline statements at the run's start, ahead of
 their work. One compare at the head of each iteration stands for the fold
 check and for the step limit of every run up to the iteration's first call,
@@ -873,9 +878,10 @@ class _Compiler:
 
 
 class _HandBack(Exception):
-    """Raised by a loop's tier at a back-edge, with the iterations run, to
-    leave the rest of the execution to the loop's closure, which runs it
-    exactly: near max_steps, and after max_iters iterations."""
+    """Raised by a loop's tier with the iterations run, to leave the rest
+    of the execution to the loop's closure, which runs it exactly: at a
+    back-edge near max_steps and after max_iters iterations, and at entry
+    where a scalar declared before the loop is UNSET."""
 
 
 def _hot_loop(node, tables, max_iters, max_steps):
@@ -890,17 +896,22 @@ def _hot_loop(node, tables, max_iters, max_steps):
     fold forward). Past `limit`, max_steps less the most steps that a
     path counts under the guard (`_Source.reach`), it hands the execution
     back; so does the back-edge of iteration max_iters, after which the
-    closure's next test meets the iteration cap."""
+    closure's next test meets the iteration cap, and the entry, before
+    anything is written, if a scalar declared before the loop that an
+    iteration reads unchecked is UNSET (`_Source.guard`)."""
     if node.kind == Kind.WHILE:
         cond, body = node.children
         stmts = body.children
     else:
         _, cond, step, body = node.children
         stmts = body.children + ([step] if step.kind != Kind.BLOCK else [])
-    src = _Source(tables, max_steps)
+    # A loop's condition and step declare nothing, so its body holds every
+    # declaration made in the loop.
+    src = _Source(tables, max_steps, _declared(body, tables[1]))
     src.emit(1, "steps, stdin, fold_at, point = "
                 "st.steps, st.stdin, st.fold_at, st.point")
     src.later(1, src.reload)
+    src.later(1, src.guard)
     src.emit(1, "bound = min(limit, fold_at - 1)")
     src.emit(1, f"for iters in range(iters + 1, {max_iters + 1}):")
     src.emit(2, "if steps > bound:")
@@ -926,6 +937,17 @@ def _hot_loop(node, tables, max_iters, max_steps):
     code = "\n".join([f"def hot_loop(st, v, iters, *, {defaults}):", *lines])
     exec(compile(code, "<hot loop>", "exec"), src.ns)
     return src.ns.pop("hot_loop")  # so the namespace holds no cycle
+
+
+def _declared(root, bound):
+    """The slots of the scalars declared in the tree `root`."""
+    slots, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node.kind == Kind.DECL:
+            slots.add(bound[id(node)][0])
+        stack += node.children
+    return slots
 
 
 def _overrun(st, v, steps, point, closures):
@@ -969,13 +991,22 @@ class _Source:
     across an `if` with no call, whose arms count their own runs. A run
     that is not covered has its own guard (`_overrun`).
 
-    `known` holds the slots that a checked read or a store set earlier in
-    the iteration; a later read of one makes no UNSET check. It starts
-    empty at the head, a call empties it (the closure may store into any
-    slot), and past an `if` it keeps what all paths agree on."""
+    A slot is inner when a declaration in the loop made it, and outer
+    otherwise. Nothing in the loop makes an outer slot UNSET again: a
+    store writes a value, a call runs in a copy of its function's frame,
+    and each declaration has a slot of its own. So an outer slot is
+    checked once, at entry (`guard`), before anything is written: one that
+    is UNSET hands the whole execution back to the closures. An inner slot
+    is checked at its read. `known` holds the slots that a check or a
+    store set earlier in the iteration; a later read of one makes no
+    check, and a read of an outer one joins the entry's guard only if it
+    is not known. It starts empty at the head, a call drops the inner
+    slots from it, and past an `if` it keeps what all paths agree on."""
 
-    def __init__(self, tables, max_steps):
+    def __init__(self, tables, max_steps, inner):
         self.closures, self.bound, self.blocks = tables
+        self.inner = inner  # the slots declared in the loop
+        self.guarded = set()  # the outer slots the entry checks
         self.max_steps = max_steps
         self.lines = []  # each a line, or (indent, render) from `later`
         self.ns = {"UNSET": UNSET, "TraceRuntimeError": TraceRuntimeError,
@@ -1034,6 +1065,14 @@ class _Source:
         return _assign([f"s{s}" for s in sorted(self.slots)],
                        [f"v[{s}]" for s in sorted(self.slots)])
 
+    def guard(self):
+        """The entry's line handing the execution back if an outer slot
+        that some read takes unchecked is UNSET; none for none."""
+        if not self.guarded:
+            return []
+        unset = " or ".join(f"s{s} is UNSET" for s in sorted(self.guarded))
+        return [f"if {unset}: raise _HandBack(iters)"]
+
     def count(self, ind, steps, closure=None):
         """Adds `steps` to the open run, or opens one at `ind`; a
         statement's first count gives its closure, for `_overrun`."""
@@ -1078,7 +1117,7 @@ class _Source:
         """The temporary holding what `closure(st, v)` returns."""
         self.run = None
         self.uncover()
-        self.known = set()
+        self.known = self.known - self.inner
         self.later(ind, self.writeback)
         self.emit(ind, "st.steps, st.point = steps, point")
         x = self.fresh(ind, f"{self.key(closure)}(st, v)")
@@ -1086,8 +1125,12 @@ class _Source:
         self.later(ind, self.reload)
         return x
 
-    def trap(self, ind, x):
-        self.emit(ind, f"if not {INT_MIN} <= {x} <= {INT_MAX}: "
+    def trap(self, ind, x, side=None):
+        """The overflow check of an int: of both bounds, or of the one
+        that a value `+` or `-` a non-negative amount can pass."""
+        test = {"+": f"{x} > {INT_MAX}", "-": f"{x} < {INT_MIN}",
+                None: f"not {INT_MIN} <= {x} <= {INT_MAX}"}[side]
+        self.emit(ind, f"if {test}: "
                        "raise TraceRuntimeError('integer-overflow', point)")
 
     def convert(self, ind, x, is_int, into):
@@ -1097,12 +1140,16 @@ class _Source:
         return self.fresh(ind, f"_convert(st, {x}, {is_int})", into)
 
     def read(self, ind, slot, name):
-        """The local holding a scalar slot's value, checked set."""
+        """The local holding a scalar slot's value, checked set: here if
+        the slot is inner, at entry if it is outer."""
         self.slots.add(slot)
         if slot not in self.known:
             self.known.add(slot)
-            self.emit(ind, f"if s{slot} is UNSET: "
-                           f"raise _unset(point, {self.key(name)})")
+            if slot not in self.inner:
+                self.guarded.add(slot)
+            else:
+                self.emit(ind, f"if s{slot} is UNSET: "
+                               f"raise _unset(point, {self.key(name)})")
         return f"s{slot}"
 
     def store(self, ind, slot, x):
@@ -1145,11 +1192,20 @@ class _Source:
         if node.literal in _COMPARE:
             return (self.fresh(ind, f"1 if {self.compare(ind, node)} else 0",
                                into), True, True)
-        a, a_int, _ = self.expr(ind, node.children[0])
+        a, a_int, a_in = self.expr(ind, node.children[0])
         b, b_int, _ = self.expr(ind, node.children[1])
         x = self.fresh(ind, f"{a} {node.literal} {b}", into)
         if a_int and b_int:
-            self.trap(ind, x)
+            # A literal is never negative and any other int is in range, so
+            # an int plus a literal can only pass INT_MAX, and an int in
+            # range minus one only INT_MIN.
+            literal = [c.kind == Kind.LITERAL for c in node.children]
+            side = None
+            if node.literal == "+" and any(literal):
+                side = "+"
+            elif node.literal == "-" and literal[1] and a_in:
+                side = "-"
+            self.trap(ind, x, side)
         return x, a_int and b_int, True
 
     def compare(self, ind, node):
@@ -1202,8 +1258,8 @@ class _Source:
         if k == Kind.UNARY_OP:
             x = self.read(ind, slot, target.identifier)
             x = self.fresh(ind, f"{x} {node.literal[0]} 1", local)
-            if is_int:
-                self.trap(ind, x)
+            if is_int:  # the slot holds an int in range
+                self.trap(ind, x, node.literal[0])
         elif k == Kind.SCANF:
             m = SCANF_CONVERSION.search(node.literal)  # its one conversion
             conv = int if m[1] == "d" else float
@@ -1310,17 +1366,24 @@ def execute(tree, test, max_steps=None):
     return log, log.outputs[0], verdict
 
 
-def run_suite(tree, tests, max_steps=None, record=False):
+def run_suite(tree, tests, max_steps=None, record=False,
+              stop_on_error=False):
     """Run every test, each within max_steps (None: MAX_STEPS); returns
     (merged TraceLog, verdict list). Tests run in order, so recording
     straight into one log gives each point its snapshots in test order.
     Each point's summary covers every snapshot; with record=True the log
-    also keeps the snapshots themselves."""
+    also keeps the snapshots themselves. With stop_on_error=True the suite
+    ends with the first test whose verdict is "error", and the log and the
+    verdicts cover the tests run up to it."""
     if not tests:
         raise ValueError("test suite is empty")
     log = TraceLog(record)
     program = _Program(tree, max_steps, log)
-    verdicts = [program.run(test) for test in tests]
+    verdicts = []
+    for test in tests:
+        verdicts.append(program.run(test))
+        if stop_on_error and verdicts[-1] == "error":
+            break
     for point in log.points.values():
         point.summary.fold(point.flat)
         if not record:

@@ -252,6 +252,13 @@ def test_missing_file_exit_2(workspace, capsys):
     assert code == 2
 
 
+def test_missing_test_suite_exit_2(workspace, capsys):
+    suite = workspace / "nosuchdir"
+    code = main(["trace", str(workspace / "left.c"), "--tests", str(suite)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: no test suite in '{suite}'\n"
+
+
 def test_unsupported_program_exit_2(workspace, capsys):
     bad = workspace / "ptr.c"
     bad.write_text("int main() { int *p; }\n")

@@ -179,13 +179,30 @@ def test_closest_dimension_mismatch():
         closest_program(np.array([0.0, 1.0]), ["c"], np.zeros((1, 1)))
 
 
-def test_closest_distance_is_the_norm_of_one_vector():
+# The row norms are taken for all rows in one call; each must be exactly
+# what np.linalg.norm gives for its one vector, whatever the row's scale.
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("shape", [(200, 50), (240, 331), (22, 331),
+                                   (150, 366), (1000, 1342), (3, 5)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_closest_distance_is_the_norm_of_one_vector(shape, scale):
     rng = np.random.default_rng(3)
-    X, q = rng.random((200, 50)), rng.random(50)
-    pid, dist = closest_program(q, _ids(200), X)
-    want = min((float(np.linalg.norm(x - q)), p)
-               for p, x in zip(_ids(200), X))
+    m, n = shape
+    X = rng.random(shape) * scale * 10 ** rng.uniform(-3, 3, (m, 1))
+    q, ids = rng.random(n) * scale, _ids(m)
+    pid, dist = closest_program(q, ids, X)
+    want = min((float(np.linalg.norm(x - q)), p) for p, x in zip(ids, X))
     assert (dist, pid) == want
+    labels = rng.integers(0, 3, m)
+    model = clusterer.ClusterModel(
+        k=3, seed=0, centroids=rng.random((3, n)) * scale,
+        assignment={p: int(c) for p, c in zip(ids, labels)}, sse=0.0)
+    nearest = {}
+    for p, x, c in zip(ids, X, labels):
+        d = float(np.linalg.norm(x - model.centroids[c]))
+        nearest[int(c)] = min(nearest.get(int(c), (d, p)), (d, p))
+    assert select_representatives(model, ids, X) == \
+        {c: p for c, (_, p) in nearest.items()}
 
 
 def test_representatives_vs_all_can_disagree():

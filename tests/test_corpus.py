@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from invclust import tracer
 from invclust.clusterer import purity
 from invclust.corpus import (Corpus, Assignment, analyze, artifacts, entry,
                              generate_synthetic_corpus, ingest, load_model,
@@ -22,6 +23,7 @@ from invclust.errors import (BadTestFile, EmptyCorpus, MissingTests,
 from invclust.lexer import MAX_SOURCE_CHARS, lex
 from invclust.nodes import SourceProgram
 from invclust.parser import parse
+from invclust.renamer import rename
 from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase, run_suite
 from invclust.vectorizer import MODES, represent
@@ -70,9 +72,13 @@ def test_ingest_missing_tests(tmp_path):
     with open(tmp_path / "alpha" / "s0.c", "w") as f:
         f.write(_ECHO)
     suite = tmp_path / "tests" / "alpha"
-    with pytest.raises(MissingTests, match=re.escape(str(suite))):
+    with pytest.raises(MissingTests) as exc:
         ingest(str(tmp_path))
+    assert str(exc.value) == f"no test suite in '{suite}'"
     suite.mkdir(parents=True)
+    with pytest.raises(MissingTests) as exc:
+        ingest(str(tmp_path))  # a suite directory with no test in it
+    assert str(exc.value) == f"no test suite in '{suite}'"
     for name in ("t0.in", "t0.out", "t1.in"):
         (suite / name).write_text("1\n")
     missing = re.escape(str(suite / "t1.out"))
@@ -441,9 +447,9 @@ def _count_calls(monkeypatch):
         parsed.append(tokens)
         return parse(tokens)
 
-    def counting_run_suite(tree, *args):
+    def counting_run_suite(tree, *args, **kwargs):
         traced.append(tree)
-        return run_suite(tree, *args)
+        return run_suite(tree, *args, **kwargs)
 
     monkeypatch.setattr("invclust.corpus.parse", counting_parse)
     monkeypatch.setattr("invclust.corpus.run_suite", counting_run_suite)
@@ -593,6 +599,35 @@ def test_analyze_without_a_memo_computes_no_token_key(monkeypatch):
     monkeypatch.setattr("invclust.corpus.token_key", no_key)
     prog = SourceProgram(id="a/echo", label="a", text=_ECHO)
     assert analyze(prog, [TestCase("3\n", "3")]).correct
+
+
+# The first test divides by zero; the others would loop to the step limit.
+_ERROR_FIRST = ('int main() {\n  int v;\n  scanf("%d", &v);\n'
+                "  while (v > 0) {\n    v = v + 0;\n  }\n"
+                '  printf("%d", 1 / v);\n}\n')
+_ERROR_FIRST_TESTS = [TestCase("0", "0"), TestCase("1", "1"),
+                      TestCase("2", "2")]
+
+
+def test_analyze_stops_the_suite_at_its_first_error(monkeypatch):
+    ran = []
+    run = tracer._Program.run
+    monkeypatch.setattr(tracer._Program, "run",
+                        lambda self, test: ran.append(test) or run(self, test))
+    prog = SourceProgram(id="a/err", label="a", text=_ERROR_FIRST)
+    with pytest.raises(RuntimeFailure, match="div-by-zero"):
+        analyze(prog, _ERROR_FIRST_TESTS, max_steps=20_000)
+    assert ran == _ERROR_FIRST_TESTS[:1]
+
+
+def test_the_exclusion_is_the_whole_suites_first_error():
+    prog = SourceProgram(id="a/err", label="a", text=_ERROR_FIRST)
+    with pytest.raises(RuntimeFailure) as exc:
+        analyze(prog, _ERROR_FIRST_TESTS, max_steps=20_000)
+    log, verdicts = run_suite(rename(parse(_ERROR_FIRST))[0],
+                              _ERROR_FIRST_TESTS, 20_000)
+    assert verdicts == ["error"] * 3
+    assert str(exc.value) == str(RuntimeFailure(log.errors[0]))
 
 
 def _ids(n):

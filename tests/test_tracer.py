@@ -591,19 +591,35 @@ def _counting(body, decls="", after=""):
             + after + '  printf("%d", s);\n}\n')
 
 
-# Each fails 2,000 iterations in, in the tier.
+# Each fails 2,000 iterations in, in the tier. `++`, and `+` an int
+# literal, can pass only INT_MAX, `--` and `-` an int literal only INT_MIN,
+# and the tier traps that one bound; a literal left of `-` keeps both.
 @pytest.mark.parametrize("src,stdin,error", [
     (_counting("s = s + i;\n    if (i == 2000) {\n      s = s + u;\n    }",
                "  int u;\n"), "",
      "uninitialized-read at main/loop0/body/if0/then: u"),
     (_counting("if (i == 2000) {\n      s = u < w;\n    }", "  int u, w;\n"),
      "", "uninitialized-read at main/loop0/body/if0/then: u"),
+    (_counting("int t;\n    if (i < 2000) {\n      t = i;\n    }\n"
+               "    s = s + t;"), "",
+     "uninitialized-read at main/loop0/body: t"),
     (_counting("if (i == 2000) {\n      s = 9223372036854775808;\n    }"),
      "", "integer-overflow at main/loop0/body/if0/then"),
     (_counting("x = x + 1;", "  int x = 9223372036854775807 - 2000;\n"), "",
      "integer-overflow at main/loop0/body"),
     (_counting("x++;", "  int x = 9223372036854775807 - 2000;\n"), "",
      "integer-overflow at main/loop0/body"),
+    (_counting("x = 1 + x;", "  int x = 9223372036854775807 - 2000;\n"), "",
+     "integer-overflow at main/loop0/body"),
+    (_counting("x = x - 1;", "  int x = -9223372036854775807 + 1999;\n"),
+     "", "integer-overflow at main/loop0/body"),
+    (_counting("x--;", "  int x = -9223372036854775807 + 1999;\n"), "",
+     "integer-overflow at main/loop0/body"),
+    (_counting("if (i == 2000) {\n      s = 9223372036854775809 - 1;\n    }"),
+     "", "integer-overflow at main/loop0/body/if0/then"),
+    (_counting("if (i == 2000) {\n      s = 0 - x;\n    }",
+               "  int x = -9223372036854775807 - 1;\n"), "",
+     "integer-overflow at main/loop0/body/if0/then"),
     (_counting('scanf("%d", &s);'), " ".join(["7"] * 2000),
      "scanf-exhausted at main/loop0/body"),
     (_counting('scanf("%d", &s);'), " ".join(["7"] * 2000 + ["x", "7"]),
@@ -611,8 +627,10 @@ def _counting(body, decls="", after=""):
     (_counting('scanf("%d", &s);'),
      " ".join(["7"] * 2000 + ["9223372036854775808"]),
      "integer-overflow at main/loop0/body"),
-], ids=["unset", "unset-compare", "literal-overflow", "overflow",
-        "overflow-incr", "exhausted", "bad-token", "token-overflow"])
+], ids=["unset", "unset-compare", "unset-inner", "literal-overflow",
+        "overflow", "overflow-incr", "overflow-literal-first", "underflow",
+        "underflow-decr", "literal-minus-overflow", "literal-minus-int-min",
+        "exhausted", "bad-token", "token-overflow"])
 def test_error_in_the_tier_is_the_exact_one(compiled, src, stdin, error):
     log = _tiered_equals_untiered(compiled, parse(src), [TestCase(stdin, "")])
     assert log.errors == [error]
@@ -745,6 +763,54 @@ def test_loop_iteration_cap_at_the_tier_entry(compiled, monkeypatch):
                                   [TestCase("", "")])
     assert log.errors == ["step-limit at main/loop0/body: loop iterations"]
     assert backs == [tracer.HOT_ITERS] * 2
+
+
+# A scalar declared before the loop is checked once, at the tier's entry:
+# one unset there hands the whole execution back, and the closures store
+# it or stop at its read where they alone would. Here `u` is first stored,
+# or first read, long after the loop tiers; set before the loop, it hands
+# nothing back.
+@pytest.mark.parametrize("decl,body,errors,backs", [
+    ("  int u;\n", "if (i == 1000) {\n      u = i;\n    }\n"
+     "    if (i > 1000) {\n      s = s + u;\n    }", [], 2),
+    ("  int u;\n", "if (i == 2000) {\n      s = s + u;\n    }",
+     ["uninitialized-read at main/loop0/body/if0/then: u"], 2),
+    ("  int u = 7;\n", "s = s + u;", [], 0),
+], ids=["stored-late", "read-unset", "set-before"])
+def test_unset_outer_scalar_hands_back_at_the_tier_entry(
+        compiled, monkeypatch, decl, body, errors, backs):
+    handed_back = _spy_hand_backs(monkeypatch)
+    log = _tiered_equals_untiered(compiled, parse(_counting(body, decl)),
+                                  [TestCase("", "")])
+    assert log.errors == errors
+    assert handed_back == [tracer.HOT_ITERS] * backs
+
+
+# sum1n's loop, as synth writes it counting up: its tier checks the loop's
+# scalars for UNSET once, ahead of its `for`, and none in an iteration;
+# `i++` traps INT_MAX alone, and only the sum compares with both bounds.
+def test_sum1n_loop_source_checks_unset_only_at_entry(compiled,
+                                                      monkeypatch):
+    sources = []
+    monkeypatch.setattr(
+        tracer, "compile", raising=False,
+        value=lambda code, *args: sources.append(code) or compile(code,
+                                                                  *args))
+    tree = parse('int main() {\n  int n;\n  int s = 0;\n  int i;\n'
+                 '  scanf("%d", &n);\n  for (i = 1; i <= n; i++) {\n'
+                 '    s = s + i;\n  }\n  printf("%d", s);\n}\n')
+    _tiered_equals_untiered(compiled, tree, sum_suite((3000,)))
+    lines = sources[0].splitlines()
+    head = next(k for k, line in enumerate(lines)
+                if line.lstrip().startswith("for iters in range("))
+    guards = [line for line in lines[:head] if "is UNSET" in line]
+    assert len(guards) == 1 and guards[0].endswith("raise _HandBack(iters)")
+    body = lines[head:]
+    assert not [line for line in body if "UNSET" in line]
+    traps = [line for line in body if "integer-overflow" in line]
+    assert len(traps) == 2
+    assert sum(" <= 9223372036854775807:" in t for t in traps) == 1
+    assert sum(" > 9223372036854775807:" in t for t in traps) == 1
 
 
 # A tiered loop body that calls a function whose own loop tiers, that
