@@ -74,6 +74,18 @@ class RuntimeFailure(ProgramRejected):
     tracer logged for the first such test."""
 
 
+class TooFewVariants(InvclustError):
+    """A synthetic assignment whose generator ran out of distinct variants
+    before the count asked for."""
+
+    def __init__(self, label, reached, wanted):
+        super().__init__(f"could not generate {wanted} distinct variants "
+                         f"for {label}: reached {reached}")
+        self.label = label
+        self.reached = reached
+        self.wanted = wanted
+
+
 class EmptyCorpus(InvclustError):
     """No usable programs (or no grams) in the corpus."""
 

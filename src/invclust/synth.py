@@ -13,6 +13,7 @@ of + or * commuted, the declarations shuffled, and one of four loops
 import random
 from dataclasses import dataclass
 
+from .errors import TooFewVariants
 from .nodes import Assignment, Corpus, SourceProgram
 from .tracer import TestCase
 
@@ -148,7 +149,8 @@ def _variant(rng, shape):
 
 def generate_synthetic_corpus(seed, assignments, variants_per):
     """A Corpus of the first `assignments` shapes with `variants_per`
-    distinct programs each: the shape's fixed texts, then variants."""
+    distinct programs each: the shape's fixed texts, then variants.
+    Raises TooFewVariants if 1000 draws give an assignment fewer."""
     if assignments < 2 or variants_per < 2:
         raise ValueError("need at least 2 assignments and 2 variants each")
     if assignments > len(ASSIGNMENTS):
@@ -162,8 +164,7 @@ def generate_synthetic_corpus(seed, assignments, variants_per):
                 break
             texts.setdefault(_variant(rng, shape))
         if len(texts) < variants_per:
-            raise RuntimeError(f"could not generate enough distinct "
-                               f"variants for {shape.label}")
+            raise TooFewVariants(shape.label, len(texts), variants_per)
         label = shape.label
         corpus.assignments[label] = Assignment(
             label=label, tests=list(shape.tests), programs=[

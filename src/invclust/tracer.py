@@ -71,21 +71,20 @@ an exit and reloaded after a call. It checks a scalar declared before the
 loop for UNSET once, at entry, before it writes anything, and hands the
 execution back (`_HandBack`) if one is UNSET, since nothing in the loop
 can unset it again; a scalar declared in the loop it checks at its first
-read in an iteration and at its first read after a call. An int's
-overflow trap after `++` and after `+` an int literal tests INT_MAX only,
-and after `--` and `-` an int literal INT_MIN only. It counts
-the steps of each run of inline statements at the run's start, ahead of
-their work. One compare at the head of each iteration stands for the fold
-check and for the step limit of every run up to the iteration's first call,
-or up to the join of an `if` one of whose arms calls: near max_steps the
-function hands the rest of the execution back to the loop's closure
-(`_HandBack`), which runs it exactly, as it does after MAX_LOOP_ITERS
-iterations. A run past those checks the limit itself and calls the closures
-of its statements instead where it would pass it (`_overrun`). A snapshot
-is the tuple of its locals, or its one local, or a None, added to the
-point's buffer with no getter. Every object the source uses is bound as a
-default argument, so it loads as a local. A suite whose loops stop short of
-HOT_ITERS compiles no source.
+read in an iteration, which no call can undo. An int's overflow trap
+after `++` and after `+` an int literal tests INT_MAX only, and after `--`
+and `-` an int literal INT_MIN only. It counts the steps of each run of
+inline statements at the run's start, ahead of their work. One compare
+at the head of each iteration stands for the fold check and for the step
+limit of every run up to the iteration's first call, or up to the join of
+an `if` one of whose arms calls: near max_steps the function hands the rest
+of the execution back to the loop's closure (`_HandBack`), which runs it
+exactly, as it does after MAX_LOOP_ITERS iterations. A run past those
+checks the limit itself and calls the closures of its statements instead
+where it would pass it (`_overrun`). A snapshot appends each of its locals,
+or a None, to the point's buffer with no getter. Every object the source
+uses is bound as a default argument, so it loads as a local. A suite whose
+loops stop short of HOT_ITERS compiles no source.
 
 Semantics choices: 64-bit signed ints with trapped overflow, trapped
 uninitialized reads, truncating division, an int compared with a double
@@ -124,9 +123,10 @@ FOLD_STEPS = 32_768
 
 # Iterations after which a loop runs the rest of its current execution in
 # Python source generated and compiled for it (see `_hot_loop`). That costs
-# about 0.35-0.55 ms once per suite, and a tiered iteration about 1 us less
-# than the closures', so one execution breaks even some 500 iterations past
-# the threshold, and every later one reuses the compiled source.
+# about 0.35-0.55 ms once per suite. An iteration of sum1n's loop took
+# 0.96-0.99 us in the closures and 0.18-0.19 us tiered (Python 3.11, 2
+# vCPUs), so one execution breaks even some 450-700 iterations past the
+# threshold, and every later one reuses the compiled source.
 HOT_ITERS = 256
 
 # The steps a test may take unless the caller gives max_steps, and the
@@ -1000,8 +1000,10 @@ class _Source:
     is checked at its read. `known` holds the slots that a check or a
     store set earlier in the iteration; a later read of one makes no
     check, and a read of an outer one joins the entry's guard only if it
-    is not known. It starts empty at the head, a call drops the inner
-    slots from it, and past an `if` it keeps what all paths agree on."""
+    is not known. It starts empty at the head and holds across a call: a
+    declaration runs before any read of its slot in an iteration, and one
+    inside a called statement is in scope only there. Past an `if` it
+    keeps what all paths agree on."""
 
     def __init__(self, tables, max_steps, inner):
         self.closures, self.bound, self.blocks = tables
@@ -1117,7 +1119,6 @@ class _Source:
         """The temporary holding what `closure(st, v)` returns."""
         self.run = None
         self.uncover()
-        self.known = self.known - self.inner
         self.later(ind, self.writeback)
         self.emit(ind, "st.steps, st.point = steps, point")
         x = self.fresh(ind, f"{self.key(closure)}(st, v)")
@@ -1229,16 +1230,15 @@ class _Source:
         return self.compare(ind, node)
 
     def snapshot(self, ind, point):
-        """A point's snapshot: its one value, the tuple of its values, or
-        a None for a point with no scalar."""
-        pid, _, push, flat, layout = point
+        """A point's snapshot, added to its buffer: each of its values, or
+        a None for a point with no scalar, by `append`."""
+        pid, _, _, flat, layout = point
         self.emit(ind, f"point = {self.key(pid)}")
         self.slots.update(slot for _, slot in layout)
         values = [f"s{slot}" for _, slot in layout] or ["None"]
-        if len(values) > 1:
-            self.emit(ind, f"{self.key(flat)} += ({', '.join(values)})")
-        else:
-            self.emit(ind, f"{self.key(push)}({values[0]})")
+        flat = self.key(flat)
+        for x in values:
+            self.emit(ind, f"{flat}.append({x})")
 
     def stmt(self, ind, node):
         """A statement of the loop, inline or as a call of its closure; a

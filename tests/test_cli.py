@@ -698,6 +698,17 @@ def test_synth_size_out_of_range_is_usage_error(tmp_path, capsys, flag,
     assert not (tmp_path / "corpus").exists()
 
 
+# sum1n's variants run out at 363 distinct texts for seed 0.
+def test_synth_past_the_distinct_variants_exit_2(tmp_path, capsys):
+    code = main(["synth", "--out", str(tmp_path / "corpus"), "--seed", "0",
+                 "--variants-per", "400"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: could not generate 400 distinct variants for "
+                   "sum1n: reached 363\n")
+    assert not (tmp_path / "corpus").exists()
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:40])
 

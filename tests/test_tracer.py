@@ -591,9 +591,23 @@ def _counting(body, decls="", after=""):
             + after + '  printf("%d", s);\n}\n')
 
 
+def _loop(decls, test, body):
+    """main declaring `decls`, then a loop under `test` running `body`."""
+    return ("int main() {\n  int s = 0;\n" + decls
+            + f"  while ({test}) {{\n    {body}\n  }}\n"
+            + '  printf("%d", s);\n}\n')
+
+
+# INT_MIN as an expression the tier emits inline; it calls a unary minus.
+_INT_MIN = "0 - 9223372036854775807 - 1"
+
+
 # Each fails 2,000 iterations in, in the tier. `++`, and `+` an int
 # literal, can pass only INT_MAX, `--` and `-` an int literal only INT_MIN,
-# and the tier traps that one bound; a literal left of `-` keeps both.
+# and the tier traps that one bound; a literal left of `-` keeps both. A
+# counter's `++` or `--` traps in the tier even where the loop's test
+# passed: against a variable bound it may equal, a double, or a literal at
+# or past INT_MAX, and past a store or a call into the counter.
 @pytest.mark.parametrize("src,stdin,error", [
     (_counting("s = s + i;\n    if (i == 2000) {\n      s = s + u;\n    }",
                "  int u;\n"), "",
@@ -627,10 +641,33 @@ def _counting(body, decls="", after=""):
     (_counting('scanf("%d", &s);'),
      " ".join(["7"] * 2000 + ["9223372036854775808"]),
      "integer-overflow at main/loop0/body"),
+    (_loop("  int n = 9223372036854775807;\n  int i = n - 2000;\n",
+           "i <= n", "s = s + 1;\n    i++;"), "",
+     "integer-overflow at main/loop0/body"),
+    (_loop(f"  int n = {_INT_MIN};\n  int i = n + 2000;\n", "n <= i",
+           "s = s + 1;\n    i--;"), "", "integer-overflow at main/loop0/body"),
+    (_loop("  int i = 9223372036854775807 - 2000;\n",
+           "i <= 9223372036854775807", "s = s + 1;\n    i++;"), "",
+     "integer-overflow at main/loop0/body"),
+    (_loop("  int i = 9223372036854775807 - 2000;\n",
+           "i < 9223372036854775808", "s = s + 1;\n    i++;"), "",
+     "integer-overflow at main/loop0/body"),
+    (_loop("  int i = 0 - 9223372036854775807 + 1999;\n  double d;\n"
+           '  scanf("%lf", &d);\n', "i > d", "s = s + 1;\n    i--;"),
+     "-inf", "integer-overflow at main/loop0/body"),
+    (_loop("  int i = 3000;\n", "i > 0",
+           f"if (i == 2000) {{\n      i = {_INT_MIN};\n    }}\n    i--;"),
+     "", "integer-overflow at main/loop0/body/if0/then"),
+    (_loop(f"  int i = 3000;\n  int a[1];\n  a[0] = {_INT_MIN};\n", "i > 0",
+           "if (i == 2000) {\n      i = a[0];\n    }\n    i--;"), "",
+     "integer-overflow at main/loop0/body/if0/then"),
 ], ids=["unset", "unset-compare", "unset-inner", "literal-overflow",
         "overflow", "overflow-incr", "overflow-literal-first", "underflow",
         "underflow-decr", "literal-minus-overflow", "literal-minus-int-min",
-        "exhausted", "bad-token", "token-overflow"])
+        "exhausted", "bad-token", "token-overflow", "counter-to-variable",
+        "counter-down-to-variable", "counter-to-int-max",
+        "counter-below-huge-literal", "counter-above-double",
+        "counter-stored-in-if", "counter-stored-by-call"])
 def test_error_in_the_tier_is_the_exact_one(compiled, src, stdin, error):
     log = _tiered_equals_untiered(compiled, parse(src), [TestCase(stdin, "")])
     assert log.errors == [error]
@@ -811,6 +848,60 @@ def test_sum1n_loop_source_checks_unset_only_at_entry(compiled,
     assert len(traps) == 2
     assert sum(" <= 9223372036854775807:" in t for t in traps) == 1
     assert sum(" > 9223372036854775807:" in t for t in traps) == 1
+
+
+def _tier_sources(monkeypatch):
+    """The source of each tier compiled from now on, in order."""
+    sources = []
+    monkeypatch.setattr(
+        tracer, "compile", raising=False,
+        value=lambda code, *args: sources.append(code) or compile(code,
+                                                                  *args))
+    return sources
+
+
+def _iteration(source):
+    """A tier's lines from its `for` on."""
+    lines = source.splitlines()
+    return lines[next(k for k, line in enumerate(lines)
+                      if line.lstrip().startswith("for iters in range(")):]
+
+
+_SUM1N_DOWN = ('int main() {\n  int n;\n  int s = 0;\n  int i;\n'
+               '  scanf("%d", &n);\n  for (i = n; i > 0; i--) {\n'
+               '    s = s + i;\n  }\n  printf("%d", s);\n}\n')
+
+
+# A point's snapshot adds each of its values to its buffer by `append`,
+# and a point with no scalar a None, with no tuple built.
+@pytest.mark.parametrize("src,appends", [
+    (_SUM1N_DOWN, ["s"] * 3),
+    (_counting("s = s + i + a + b + c + d + e;",
+               "  int a = 1, b = 2, c = 3, d = 4, e = 5;\n"), ["s"] * 7),
+    ("int main() {\n  int a[1];\n  a[0] = 0;\n  while (a[0] < 3000) {\n"
+     "    a[0] = a[0] + 1;\n  }\n}\n", ["None"]),
+], ids=["sum1n-down", "seven", "none"])
+def test_snapshot_appends_each_value(compiled, monkeypatch, src, appends):
+    sources = _tier_sources(monkeypatch)
+    _tiered_equals_untiered(compiled, parse(src), [TestCase("3000", "")])
+    body = _iteration(sources[0])
+    # What each append adds: a local `s<slot>`, read as "s", or None.
+    appended = [line.rpartition(".append(")[2].rstrip(")") for line in body
+                if ".append(" in line]
+    assert [x if x == "None" else x[0] for x in appended] == appends
+    assert not [line for line in body if " += (" in line]
+
+
+# A slot declared in the loop's body, once checked or stored in an
+# iteration, stays set across a call: no call can unset it.
+def test_inner_slot_is_not_rechecked_after_a_call(compiled, monkeypatch):
+    sources = _tier_sources(monkeypatch)
+    src = _counting("int t;\n    t = i;\n    a[0] = t;\n    s = s + t;",
+                    "  int a[1];\n")
+    _tiered_equals_untiered(compiled, parse(src), [TestCase("", "")])
+    body = _iteration(sources[0])
+    assert any(line.endswith("(st, v)") for line in body)  # the calls
+    assert not [line for line in body if "is UNSET" in line]
 
 
 # A tiered loop body that calls a function whose own loop tiers, that
