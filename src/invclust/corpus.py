@@ -9,12 +9,14 @@ writes it and `artifacts` reads it back."""
 
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .anonymizer import anonymize, serialize_aast
 from .clusterer import ClusterModel, k_from_fraction, kmeans, purity
@@ -417,55 +419,104 @@ def _beside(model_path, name):
     return os.path.join(os.path.dirname(os.path.abspath(model_path)), name)
 
 
-def _read(path, load=None):
-    """load(path), or the JSON at path without `load`; BadModel naming path
-    when it cannot be opened or its bytes are not what the loader reads."""
+def _read(path, parse):
+    """parse(the bytes at path); BadModel naming path when it cannot be
+    opened or parse rejects its bytes with a ValueError or an EOFError."""
     try:
-        if load:
-            return load(path)
-        with open(path) as f:
-            return json.load(f)
+        with open(path, "rb") as f:
+            data = f.read()
+        return parse(data)
     except OSError as e:
         raise BadModel(path, e.strerror or e) from None
     except (ValueError, EOFError) as e:
         raise BadModel(path, e) from None
 
 
+class _LastParse:
+    """parse(data), reusing the last result while data equals the bytes it
+    was parsed from, so a process that loads one persisted model again and
+    again parses each file once. Only a parse that returns is kept: bytes
+    that fail are parsed, and fail, at every call."""
+
+    def __init__(self, parse):
+        self.parse = parse
+        self.data = self.result = None
+
+    def __call__(self, data):
+        if data != self.data:
+            self.result = self.parse(data)
+            self.data = data
+        return self.result
+
+
+def _parse_vectors(data):
+    """(values, row) of a vectors.npy's bytes: a read-only view of the
+    values, a row per program, on the bytes themselves, and {id: its row}.
+    ValueError unless they hold the (id, values) table persist wrote, with
+    each id once."""
+    fp = io.BytesIO(data)
+    version = npy.read_magic(fp)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f".npy format version {version}")
+    read_header = (npy.read_array_header_1_0 if version == (1, 0)
+                   else npy.read_array_header_2_0)
+    shape, _, dt = read_header(fp)
+    if (len(shape) != 1 or shape[0] < 0 or dt.names != ("id", "values")
+            or dt["id"].kind != "U" or dt["values"].base.kind != "f"
+            or dt["values"].ndim != 1):
+        raise ValueError(f"not an (id, values) table: {dt}, shape {shape}")
+    table = np.frombuffer(data, dt, count=shape[0], offset=fp.tell())
+    ids = table["id"].tolist()
+    row = {pid: i for i, pid in enumerate(ids)}
+    if len(row) != len(ids):
+        twice = next(pid for i, pid in enumerate(ids) if row[pid] != i)
+        raise ValueError(f"id {twice!r} is in more than one row")
+    return table["values"], row
+
+
+_last_model = _LastParse(lambda data: _model_from_dict(json.loads(data)))
+_last_vectors = _LastParse(_parse_vectors)
+
+
 def load_model(path):
     """The ClusterModel persist wrote to model.json, with .vocab set and no
     centroids. BadModel naming the file when it is not JSON, lacks a
     field, or fails a check of _model_from_dict (a vocabulary carrying
-    idf weights among them), and when it cannot be opened."""
-    d = _read(path)
+    idf weights among them), and when it cannot be opened.
+
+    A process parses the same bytes once (see _LastParse); each call
+    returns a model with containers of its own, so a caller that changes
+    one changes no later load."""
     try:
-        return _model_from_dict(d)
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        model = _read(path, _last_model)
+    except (KeyError, TypeError, AttributeError) as e:
         raise BadModel(path, e) from None
+    vocab = model.vocab
+    return replace(model, assignment=dict(model.assignment),
+                   representatives=dict(model.representatives),
+                   vocab=replace(vocab, grams=list(vocab.grams),
+                                 segments=list(vocab.segments)))
 
 
 def load_vectors(model_path, model, ids):
-    """The persisted vectors of `ids` as one float64 matrix, a row per id:
-    rows of the vectors.npy next to model_path, read in one np.load.
-    BadModel naming that file when it is not the (id, values) table
-    persist wrote, its vectors are not one value per gram of model.vocab,
-    or it lacks an id."""
+    """The persisted vectors of `ids` as one float64 matrix, a row per id,
+    copied from the rows of the vectors.npy next to model_path. BadModel
+    naming that file when it is not the (id, values) table persist wrote,
+    holds an id twice, its vectors are not one value per gram of
+    model.vocab, or it lacks an id.
+
+    A process parses the same bytes once (see _LastParse); the width and
+    the ids are checked at every call."""
     path = _beside(model_path, "vectors.npy")
-    table = _read(path, lambda p: np.load(p, allow_pickle=False))
-    dt = table.dtype
-    if (table.ndim != 1 or dt.names != ("id", "values")
-            or dt["id"].kind != "U" or dt["values"].base.kind != "f"
-            or dt["values"].ndim != 1):
-        raise BadModel(path, f"not an (id, values) table: {dt}, "
-                             f"shape {table.shape}")
-    width, grams = dt["values"].shape[0], len(model.vocab.grams)
+    values, row = _read(path, _last_vectors)
+    width, grams = values.shape[1], len(model.vocab.grams)
     if width != grams:
         raise BadModel(path, f"vectors of {width} values for {grams} grams")
-    row = {pid: i for i, pid in enumerate(table["id"].tolist())}
     try:
         index = [row[pid] for pid in ids]
     except KeyError as e:
         raise BadModel(path, e) from None
-    return table["values"][index].astype(np.float64, copy=False)
+    return values[index].astype(np.float64, copy=False)
 
 
 def load_labels(model_path, ids):
@@ -473,7 +524,7 @@ def load_labels(model_path, ids):
     model_path. BadModel naming that file when it cannot be opened, is not
     JSON, or lacks an id or a string label for it."""
     path = _beside(model_path, "documents.json")
-    documents = _read(path)
+    documents = _read(path, json.loads)
     labels = {}
     for pid in ids:
         record = documents.get(pid) if type(documents) is dict else None

@@ -714,9 +714,12 @@ def _truncate(path):
 
 
 def _edit_model(path, edit):
+    """Rewrite model.json in place as persist formats it, so an edit that
+    moves no byte count (swapping two grams) keeps the file's size."""
     d = json.loads(path.read_text())
     edit(d)
-    path.write_text(json.dumps(d))
+    path.write_text(json.dumps(d, sort_keys=True, separators=(",", ":"))
+                    + "\n")
 
 
 def _edit_vocab(edit):
@@ -786,8 +789,14 @@ def _drop_representative(path):
                                 if i != rep])
 
 
+def _duplicate_first_row(path):
+    table = np.load(path, allow_pickle=False)
+    np.save(path, np.concatenate([table, table[:1]]), allow_pickle=False)
+
+
 _VECTOR_DAMAGE = {
     "truncated-vector": _truncate,
+    "duplicate-id": _duplicate_first_row,
     "short-vector": lambda path: _rewrite_vectors(path, width=3),
     "missing-vectors": os.remove,
     "unknown-id": _drop_representative,
@@ -826,6 +835,14 @@ def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
     out = tmp_path / "out"
     shutil.copytree(workspace / "out", out)
     model = out / "model.json"
+    argv = [command, "--model", str(model)]
+    if command == "closest":
+        argv += ["--program", str(workspace / "bad.c"), "--tests",
+                 str(workspace / "corpus" / "tests" / "sum1n")]
+    # The loaders now hold the undamaged files' parse; damage in place
+    # (unsorted-grams keeps model.json's size) must not reuse it.
+    assert main(argv) == 0
+    capsys.readouterr()
     if damage in _VECTOR_DAMAGE:
         bad = out / "vectors.npy"
         _VECTOR_DAMAGE[damage](bad)
@@ -835,10 +852,6 @@ def test_malformed_model_exit_2(workspace, tmp_path, capsys, command, damage):
     else:
         bad = model
         _MODEL_DAMAGE[damage](bad)
-    argv = [command, "--model", str(model)]
-    if command == "closest":
-        argv += ["--program", str(workspace / "bad.c"), "--tests",
-                 str(workspace / "corpus" / "tests" / "sum1n")]
     code = main(argv)
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]

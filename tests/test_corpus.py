@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from invclust import tracer
+from invclust.cli import main
 from invclust.clusterer import purity
 from invclust.corpus import (Corpus, Assignment, analyze, artifacts, entry,
                              generate_synthetic_corpus, ingest, load_model,
@@ -746,3 +747,58 @@ def test_load_model_round_trip(tmp_path, mode):
     assert X.dtype == np.float64
     assert X.shape == arts.clustered_vectors.shape
     assert X.tobytes() == arts.clustered_vectors.tobytes()
+
+
+_BAD_SUM = ('int main() {\n  int n, s = 0, i;\n  scanf("%d", &n);\n'
+            "  for (i = 1; i < n; i++) {\n    s = s + i;\n  }\n"
+            '  printf("%d", s);\n}\n')
+
+
+# A process reuses its last parse of model.json and vectors.npy only while
+# the bytes are equal: a vectors.npy rewritten in place at the same size
+# is parsed again. What a load returns is the caller's own.
+def test_loaders_reparse_changed_bytes_and_return_fresh_objects(tmp_path,
+                                                                capsys):
+    corpus = generate_synthetic_corpus(seed=0, assignments=2, variants_per=4)
+    write_corpus(corpus, str(tmp_path / "corpus"))
+    out = tmp_path / "out"
+    arts = run_pipeline(corpus, k=2, out_dir=str(out))
+    path = str(out / "model.json")
+    query = tmp_path / "bad.c"
+    query.write_text(_BAD_SUM)
+    tests = tmp_path / "corpus" / "tests" / "sum1n"
+    argv = ["closest", "--model", path, "--program", str(query), "--tests",
+            str(tests), "--json"]
+    assert main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["distance"] > 0.0
+
+    model = load_model(path)
+    ids = sorted(model.representatives.values())
+    rep = next(pid for pid in ids if pid != first["closest"])
+    pa = analyze(SourceProgram(id="q", label="", text=_BAD_SUM),
+                 ingest(str(tmp_path / "corpus")).assignments["sum1n"].tests)
+    vectors = out / "vectors.npy"
+    size = vectors.stat().st_size
+    table = np.load(vectors, allow_pickle=False)
+    table["values"][table["id"] == rep] = represent(pa.docs,
+                                                    model.vocab).values
+    np.save(vectors, table, allow_pickle=False)
+    assert vectors.stat().st_size == size
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"closest": rep,
+                                                   "distance": 0.0}
+
+    X = load_vectors(path, model, arts.clustered_ids)
+    kept = X.copy()
+    model.assignment.clear()
+    model.representatives[0] = "changed"
+    model.vocab.grams.reverse()
+    model.vocab.segments.append((0, 0))
+    X[:] = -1.0
+    again = load_model(path)
+    assert again == load_model(path) != model
+    assert (again.assignment, again.representatives, again.vocab) == (
+        arts.model.assignment, arts.model.representatives, arts.model.vocab)
+    assert load_vectors(path, again, arts.clustered_ids).tobytes() == (
+        kept.tobytes())
