@@ -13,7 +13,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from invclust import tracer
+from invclust import cli, tracer
 from invclust.invariants import UNSET
 from invclust.parser import parse
 from invclust.renamer import rename
@@ -173,6 +173,31 @@ def mutations_shown(corpus):
         if len(declared) > 1:
             shown.add("rename")
     return shown
+
+
+def count_calls(monkeypatch):
+    """Lists that record each call `analyze` makes to parse and run_suite."""
+    parsed, traced = [], []
+
+    def counting_parse(tokens):
+        parsed.append(tokens)
+        return parse(tokens)
+
+    def counting_run_suite(tree, *args, **kwargs):
+        traced.append(tree)
+        return run_suite(tree, *args, **kwargs)
+
+    monkeypatch.setattr("invclust.corpus.parse", counting_parse)
+    monkeypatch.setattr("invclust.corpus.run_suite", counting_run_suite)
+    return parsed, traced
+
+
+@pytest.fixture(autouse=True)
+def _fresh_analysis_store():
+    """Each test starts with nothing kept by `closest` and `invariants`, as
+    a fresh process does: a test that patches a module constant such as
+    invariants.MIN_SAMPLES gets no analysis made under another value."""
+    cli._store.clear()
 
 
 @pytest.fixture

@@ -11,17 +11,18 @@ import sys
 import numpy as np
 import pytest
 
-from invclust import invariants
+from invclust import cli, invariants
 from invclust.cli import build_parser, main
 from invclust.corpus import (analyze, generate_synthetic_corpus, load_model,
                              read_source, read_tests, run_pipeline,
                              write_corpus)
+from invclust.errors import RuntimeFailure
 from invclust.lexer import MAX_SOURCE_CHARS
 from invclust.nodes import Assignment, Corpus, SourceProgram
 from invclust.tracer import TestCase
 from invclust.vectorizer import MODES, represent
 
-from conftest import HOSTILE_SOURCES, LEFT_SRC
+from conftest import HOSTILE_SOURCES, LEFT_SRC, count_calls
 
 _ECHO = ('int main() {\n  int v;\n  scanf("%d", &v);\n'
          '  printf("%d", v);\n}\n')
@@ -32,6 +33,16 @@ _DOUBLE_PLUS_ONE = ('int main() {\n  int v;\n  scanf("%d", &v);\n'
 BAD_SUM = ('int main() {\n  int n, s = 0, i;\n  scanf("%d", &n);\n'
            "  for (i = 1; i < n; i++) {\n    s = s + i;\n  }\n"
            '  printf("%d", s);\n}\n')
+# BAD_SUM laid out and commented anew, with its variables renamed.
+BAD_SUM_RENAMED = ('/* resubmitted */\nint main()\n{\n'
+                   '\tint count, total = 0, k;\n\n'
+                   '\tscanf("%d", &count);  // n\n'
+                   "\tfor (k = 1; k < count; k++) { total = total + k; }\n"
+                   '\tprintf("%d", total);\n}\n')
+# n * 50 iterations: a --max-steps of 200 stops it on the sum1n tests.
+SLOW_SUM = ('int main() {\n  int n, s = 0, i;\n  scanf("%d", &n);\n'
+            "  for (i = 0; i < n * 50; i++) {\n    s = s + 1;\n  }\n"
+            '  printf("%d", s);\n}\n')
 
 
 @pytest.fixture(scope="module")
@@ -330,10 +341,16 @@ def test_runtime_error_prints_its_diagnostic(workspace, capsys, command):
     argv = {"invariants": ["invariants", str(prog)],
             "closest": ["closest", "--program", str(prog), "--model",
                         str(workspace / "out" / "model.json")]}[command]
-    code = main(argv + ["--tests",
-                        str(workspace / "corpus" / "tests" / "sum1n")])
-    assert code == 2
-    assert capsys.readouterr().err == "error: div-by-zero at main/entry\n"
+    # The second run is answered from what the first kept, and the kept
+    # failure holds no traceback, which would keep the frames of its call.
+    for _ in range(2):
+        code = main(argv + ["--tests",
+                            str(workspace / "corpus" / "tests" / "sum1n")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: div-by-zero at main/entry\n"
+    [kept] = {id(o): o for memo in cli._store.memos.values()
+              for o in memo.values()}.values()
+    assert isinstance(kept, RuntimeFailure) and kept.__traceback__ is None
 
 
 def test_no_command_exit_1(capsys):
@@ -864,15 +881,26 @@ def test_parser_is_built_once():
 
 
 # `python -m invclust` runs main: the same exit codes and output, a usage
-# error and a missing file included.
-def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
+# error and a missing file included. A query repeated in one process, and
+# one under a --max-steps its earlier analysis did not have, print what a
+# fresh process does.
+def test_repeated_main_calls_match_fresh_processes(workspace, tmp_path,
+                                                   capsys):
     model = str(workspace / "out" / "model.json")
+    tests = ["--tests", str(workspace / "corpus" / "tests" / "sum1n")]
+    slow = tmp_path / "slow.c"
+    slow.write_text(SLOW_SUM)
+    closest = ["closest", "--model", model, "--program",
+               str(workspace / "bad.c"), *tests, "--all-candidates"]
+    slow_closest = ["closest", "--model", model, "--program", str(slow),
+                    *tests]
     runs = [["representatives", "--model", model, "--json"],
             ["purity", "--model", model],
-            ["closest", "--model", model, "--program",
-             str(workspace / "bad.c"), "--tests",
-             str(workspace / "corpus" / "tests" / "sum1n"),
-             "--all-candidates"],
+            closest,
+            closest,
+            ["invariants", str(workspace / "bad.c"), *tests, "--json"],
+            slow_closest,
+            slow_closest + ["--max-steps", "200"],
             ["cluster", "--corpus", str(workspace / "corpus"), "--bogus"],
             ["rename", str(workspace / "nope.c")]]
     in_process = []
@@ -892,7 +920,143 @@ def test_repeated_main_calls_match_fresh_processes(workspace, capsys):
     assert in_process == fresh
     # --json of the first call does not carry over to the second.
     assert in_process[1] == (0, "purity 1.0000\n", "")
-    assert [code for code, _, _ in fresh[3:]] == [1, 2]
-    err = fresh[4][2]
+    assert [code for code, _, _ in fresh[2:]] == [0, 0, 0, 0, 2, 1, 2]
+    assert fresh[6][2].startswith("error: step-limit")
+    err = fresh[-1][2]
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "nope.c" in err and "Traceback" not in err
+
+
+def _suite_dir(root, cases):
+    """A tests directory of t<i>.in / t<i>.out for (input, output) cases."""
+    root.mkdir()
+    for i, (stdin, expected) in enumerate(cases):
+        (root / f"t{i}.in").write_text(stdin)
+        (root / f"t{i}.out").write_text(expected)
+    return root
+
+
+# A query repeated in one process, and a copy differing only in layout,
+# comments and variable names, are neither parsed nor traced, and print
+# the same bytes.
+def test_repeated_and_renamed_queries_trace_nothing(workspace, tmp_path,
+                                                    capsys, monkeypatch):
+    renamed = tmp_path / "renamed.c"
+    renamed.write_text(BAD_SUM_RENAMED)
+    model = str(workspace / "out" / "model.json")
+    tests = ["--tests", str(workspace / "corpus" / "tests" / "sum1n")]
+
+    def outputs(program):
+        argvs = [["closest", "--model", model, "--program", program, *tests,
+                  "--json", *flag] for flag in ([], ["--all-candidates"])]
+        argvs.append(["invariants", program, *tests, "--json"])
+        printed = []
+        for argv in argvs:
+            assert main(argv) == 0
+            printed.append(capsys.readouterr())
+        return printed
+
+    first = outputs(str(workspace / "bad.c"))
+    parsed, traced = count_calls(monkeypatch)
+    assert outputs(str(workspace / "bad.c")) == first
+    assert outputs(str(renamed)) == first
+    assert parsed == [] and traced == []
+
+
+# The suite is keyed by its files' text, so a t0.out rewritten in place at
+# the same path is another suite, and changing it back finds the first.
+def test_rewritten_test_file_changes_the_verdicts(tmp_path, capsys):
+    tests = _suite_dir(tmp_path / "tests", [("3\n", "3\n")])
+    program = tmp_path / "echo.c"
+    program.write_text(_ECHO)
+    verdicts = []
+    for expected in ("3\n", "4\n", "3\n"):
+        (tests / "t0.out").write_text(expected)
+        assert main(["invariants", str(program), "--tests", str(tests),
+                     "--json"]) == 0
+        verdicts.append(_json_out(capsys)["verdicts"])
+    assert verdicts == [["pass"], ["fail"], ["pass"]]
+
+
+# max_steps is part of what a query reuses: the program a small limit
+# stops is analyzed again under it, and the kept analysis without a limit
+# stands.
+def test_max_steps_is_part_of_the_reuse(tmp_path, capsys):
+    tests = _suite_dir(tmp_path / "tests", [("5\n", "250\n")])
+    program = tmp_path / "slow.c"
+    program.write_text(SLOW_SUM)
+    codes = []
+    for limit in ([], ["--max-steps", "200"], [], ["--max-steps", "200"]):
+        codes.append(main(["invariants", str(program), "--tests",
+                           str(tests), *limit]))
+        err = capsys.readouterr().err
+        assert err == ("" if codes[-1] == 0 else
+                       "error: step-limit at main/loop0/body\n")
+    assert codes == [0, 2, 0, 2]
+
+
+def _closest_json(workspace, capsys, path):
+    """What `closest --all-candidates --json` prints for the program at
+    path against the workspace model and the sum1n tests."""
+    assert main(["closest", "--model", str(workspace / "out" / "model.json"),
+                 "--program", str(path), "--tests",
+                 str(workspace / "corpus" / "tests" / "sum1n"),
+                 "--all-candidates", "--json"]) == 0
+    return capsys.readouterr().out
+
+
+# With a small budget the store empties itself, never holds more than the
+# budget after a query, and answers as a process that kept nothing; a
+# budget below one suite keeps nothing at all.
+@pytest.mark.parametrize("programs_kept", [2, 0])
+def test_store_stays_within_its_budget(workspace, capsys, monkeypatch,
+                                       programs_kept):
+    suite_chars = sum(
+        len(t.stdin_text) + len(t.expected_stdout)
+        for t in read_tests(str(workspace / "corpus" / "tests" / "sum1n")))
+    paths = [workspace / "bad.c", workspace / "left.c"] + [
+        workspace / "corpus" / "sum1n" / f"v0{i}.c" for i in range(4)]
+    charges = []
+    for path in paths:
+        cli._store.clear()
+        _closest_json(workspace, capsys, path)
+        charges.append(cli._store.chars - suite_chars)
+    cli._store.clear()
+    budget = suite_chars + programs_kept * max(charges) - (not programs_kept)
+    monkeypatch.setattr(cli, "STORE_BUDGET_CHARS", budget)
+
+    queries = [p for p in paths for _ in range(2)] + paths
+    _, traced = count_calls(monkeypatch)
+    kept_answers = []
+    for path in queries:
+        kept_answers.append(_closest_json(workspace, capsys, path))
+        assert cli._store.chars <= budget
+    if programs_kept:
+        assert len(paths) < len(traced) < len(queries)
+    else:
+        assert len(traced) == len(queries) and cli._store.memos == {}
+    fresh_answers = []
+    for path in queries:
+        cli._store.clear()
+        fresh_answers.append(_closest_json(workspace, capsys, path))
+    assert kept_answers == fresh_answers
+
+
+# A query answered from the store adds nothing, so it never empties the
+# store, even one filled to its budget; a new program that takes the store
+# past it is answered, and then the store is emptied.
+def test_a_kept_query_at_a_full_store_traces_nothing(workspace, tmp_path,
+                                                     capsys, monkeypatch):
+    renamed = tmp_path / "renamed.c"
+    renamed.write_text(BAD_SUM_RENAMED)
+    first = _closest_json(workspace, capsys, workspace / "bad.c")
+    full = cli._store.chars
+    monkeypatch.setattr(cli, "STORE_BUDGET_CHARS", full)
+    parsed, traced = count_calls(monkeypatch)
+    assert _closest_json(workspace, capsys, workspace / "bad.c") == first
+    assert _closest_json(workspace, capsys, renamed) == first
+    assert parsed == [] and traced == [] and cli._store.chars == full
+    _closest_json(workspace, capsys, workspace / "left.c")
+    assert len(traced) == 1 and cli._store.memos == {}
+    assert _closest_json(workspace, capsys, workspace / "bad.c") == first
+    assert len(traced) == 2

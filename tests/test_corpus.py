@@ -29,7 +29,8 @@ from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase, run_suite
 from invclust.vectorizer import MODES, represent
 
-from conftest import HOSTILE_SOURCES, gen_program, gen_suite, mutations_shown
+from conftest import (HOSTILE_SOURCES, count_calls, gen_program, gen_suite,
+                      mutations_shown)
 
 
 def _write_corpus_tree(root, assignments):
@@ -440,23 +441,6 @@ def test_too_large_source_becomes_an_exclusion(tmp_path):
     assert arts.clustered_ids == ["alpha/s0", "alpha/s1", "alpha/s2"]
 
 
-def _count_calls(monkeypatch):
-    """Lists that record each call `analyze` makes to parse and run_suite."""
-    parsed, traced = [], []
-
-    def counting_parse(tokens):
-        parsed.append(tokens)
-        return parse(tokens)
-
-    def counting_run_suite(tree, *args, **kwargs):
-        traced.append(tree)
-        return run_suite(tree, *args, **kwargs)
-
-    monkeypatch.setattr("invclust.corpus.parse", counting_parse)
-    monkeypatch.setattr("invclust.corpus.run_suite", counting_run_suite)
-    return parsed, traced
-
-
 # _ECHO relaid out, with its variable renamed; and a program that divides
 # by zero on every test, with such a copy.
 _ECHO_COPY = ('// echo\nint main()\n{\n\n  int value;   scanf("%d",&value);\n'
@@ -475,7 +459,7 @@ def test_repeated_canonical_sources_match_standalone_analysis(
     tests = [("3\n", "3"), ("4\n", "4")]
     _write_corpus_tree(str(tmp_path), {"alpha": (list(sources.items()),
                                                  tests)})
-    parsed, traced = _count_calls(monkeypatch)
+    parsed, traced = count_calls(monkeypatch)
     corpus = ingest(str(tmp_path))
     arts = run_pipeline(corpus, mode=mode, k=1, subset="all")
     # echo, double and div0: once each, since each copy has its group's
@@ -546,7 +530,7 @@ def test_token_key_misses_fall_back_to_the_canonical_source(
                "one_double": one.replace("v + 1", "v + 1.0")}
     _write_corpus_tree(str(tmp_path), {"alpha": (list(sources.items()),
                                                  [("3\n", "4")])})
-    parsed, traced = _count_calls(monkeypatch)
+    parsed, traced = count_calls(monkeypatch)
     corpus = ingest(str(tmp_path))
     arts = run_pipeline(corpus, mode="aast_inv", k=1)
     assert len(parsed) == 5
@@ -577,7 +561,7 @@ def test_token_equivalent_rejections_report_their_own_names(
     corpus = ingest(str(tmp_path))
     assert token_key(lex(sources["u0"])) == token_key(lex(sources["u1"]))
     assert token_key(lex(sources["s0"])) == token_key(lex(sources["s1"]))
-    parsed, _ = _count_calls(monkeypatch)
+    parsed, _ = count_calls(monkeypatch)
     arts = run_pipeline(corpus, mode="syntax", k=1)
     assert len(parsed) == 5  # rejections are never stored
     monkeypatch.undo()
