@@ -2,22 +2,28 @@
 closest-correct-program lookup.
 
 k-means runs on weighted distinct points: the N input vectors are collapsed
-with np.unique (rows in sorted order) into M distinct points, each weighted
-by how many programs share it, and the labels are mapped back to every
-program through the inverse index. Weights enter the k-means++ seeding (the
-first-centre draw, the D^2 sampling and the candidate potentials), the
-centroid means and the SSE, so the result is that of k-means on the
-repeated vectors at a cost set by M.
+into M distinct points, each weighted by how many programs share it, and
+the labels are mapped back to every program through the inverse index.
+The points, weights and inverse are those of np.unique(X, axis=0) (rows in
+sorted order), found by grouping equal rows first and sorting only the M
+distinct ones. Weights enter the k-means++ seeding (the first-centre draw,
+the D^2 sampling and the candidate potentials), the centroid means and the
+SSE, so the result is that of k-means on the repeated vectors at a cost
+set by M.
 
 k is clamped to M when N >= k > M: there are no more distinct groups to
 find, and model.k is the k used. k > N or k < 1 raises KTooLarge.
 
 Lloyd's algorithm runs from greedy k-means++ seeding with an explicit seed;
 squared Euclidean assignment with ties broken toward the lowest cluster
-index. A cluster left empty takes the point farthest from its centroid,
-drawn from a cluster with at least two distinct points (one always exists
-while k <= M). Lloyd stops when an iteration that did no reseeding changes
-no label, or after MAX_ITERS. Fully deterministic given the seed.
+index. Every seed of k-means++ is a distinct point, so the seeding and the
+first assignment read each point's row of squared distances to every
+point; one kmeans call computes a row on its first use and every restart
+reads it from then on. A cluster left empty takes the point farthest from
+its centroid, drawn from a cluster with at least two distinct points (one
+always exists while k <= M). Lloyd stops when an iteration that did no
+reseeding changes no label, or after MAX_ITERS. Fully deterministic given
+the seed.
 """
 
 import math
@@ -51,37 +57,74 @@ def _sq_dists(P, C):
     return ((P[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
 
 
-def _kmeanspp(P, w, k, rng):
+def _distinct_rows(X):
+    """np.unique(X, axis=0, return_inverse=True, return_counts=True) for a
+    float matrix with no NaN, without sorting all N rows: rows are grouped
+    by their bytes, with -0.0 read as 0.0, and only the distinct rows are
+    sorted. The points' zeros are all +0.0, where np.unique keeps the sign
+    of whichever member of a group it sorted first; no distance, mean or
+    SSE reads the sign of a zero."""
+    X = X + 0.0
+    groups = {}
+    group = [groups.setdefault(row.tobytes(), len(groups)) for row in X]
+    distinct = X[np.unique(group, return_index=True)[1]]
+    values = distinct.tolist()
+    order = sorted(range(len(values)), key=values.__getitem__)
+    inverse = np.argsort(order)[group]  # group -> its place in the order
+    return distinct[order], inverse, np.bincount(inverse)
+
+
+def _row_cache(P):
+    """rows(idx): _sq_dists(P[idx], P), the squared distances from each
+    point P[i], i in idx, to every point. A point's row is computed the
+    first time it is asked for and kept: at most M rows of M floats."""
+    kept = {}
+
+    def rows(idx):
+        idx = np.asarray(idx).tolist()
+        new = [i for i in dict.fromkeys(idx) if i not in kept]
+        if new:
+            kept.update(zip(new, _sq_dists(P[new], P)))
+        return np.array([kept[i] for i in idx])
+    return rows
+
+
+def _kmeanspp(P, w, k, rng, rows):
     """Greedy k-means++ on points P with weights w: per step, sample several
     w*D^2-weighted candidates and keep the one minimizing the resulting
-    weighted potential."""
+    weighted potential. Returns the indices of the k chosen points; a
+    point's squared distances come from rows (see _row_cache)."""
     m = P.shape[0]
     n_candidates = 2 + int(np.log(k))
     by_weight = w / w.sum()
-    centers = np.empty((k, P.shape[1]))
-    centers[0] = P[rng.choice(m, p=by_weight)]
-    d2 = _sq_dists(P, centers[:1])[:, 0]
-    for c in range(1, k):
+    chosen = [rng.choice(m, p=by_weight)]
+    d2 = rows(chosen)[0]
+    for _ in range(1, k):
         total = w @ d2
         if total <= 0:
             # Every point coincides with a chosen center (only reachable
             # through underflow); draw by weight alone.
-            centers[c] = P[rng.choice(m, p=by_weight)]
+            chosen.append(rng.choice(m, p=by_weight))
             continue
         candidates = rng.choice(m, size=n_candidates, p=w * d2 / total)
-        cand_d2 = np.minimum(d2, _sq_dists(P[candidates], P))
+        cand_d2 = np.minimum(d2, rows(candidates))
         best = int(np.argmin(cand_d2 @ w))
-        centers[c] = P[candidates[best]]
+        chosen.append(candidates[best])
         d2 = cand_d2[best]
-    return centers
+    return np.array(chosen)
+
+
+def _nearest(dists):
+    """Per row of a points x centers distance matrix, the nearest center
+    (ties to the lowest index) and its squared distance."""
+    labels = np.argmin(dists, axis=1)
+    return labels, dists[np.arange(len(labels)), labels]
 
 
 def _assign(P, centers):
     """Nearest center per point (ties to the lowest index) and its squared
     distance."""
-    dists = _sq_dists(P, centers)
-    labels = np.argmin(dists, axis=1)
-    return labels, dists[np.arange(len(labels)), labels]
+    return _nearest(_sq_dists(P, centers))
 
 
 def _reseed_empty(labels, gaps, k):
@@ -99,12 +142,15 @@ def _reseed_empty(labels, gaps, k):
     return len(empty) > 0
 
 
-def _lloyd(P, w, k, seed):
+def _lloyd(P, w, k, seed, rows):
     """One seeded run on weighted points; returns the centers, the labels,
-    the weighted SSE and the number of Lloyd iterations."""
+    the weighted SSE and the number of Lloyd iterations. The seeding and
+    the first assignment read squared distances from rows (see
+    _row_cache): a seed's row holds its distance to every point."""
     rng = np.random.default_rng(seed)
-    centers = _kmeanspp(P, w, k, rng)
-    labels, gaps = _assign(P, centers)
+    seeds = _kmeanspp(P, w, k, rng, rows)
+    centers = P[seeds]
+    labels, gaps = _nearest(rows(seeds).T)
     sse = float(w @ gaps)
     iters = 0
     while iters < MAX_ITERS:
@@ -130,20 +176,29 @@ def kmeans(ids, X, k, seed, restarts=1):
     """k-means on the rows of X, row i being program ids[i]: the best of
     `restarts` seeded runs by SSE (seeds seed, seed+1, ...), stopping at
     the first whose SSE is at most 1e-12; k is clamped to the number of
-    distinct rows and model.k is the k used."""
+    distinct rows and model.k is the k used. The runs share one cache of
+    distance rows (see _row_cache). DimensionMismatch unless X has one row
+    per id, ValueError when X holds a NaN or an infinity; both before any
+    clustering."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or len(X) != len(ids):
+        raise DimensionMismatch(
+            f"{len(ids)} program ids for vectors of shape {X.shape}")
     if k > len(ids):
         raise KTooLarge(f"k={k} exceeds {len(ids)} points")
     if k < 1:
         raise KTooLarge("k must be >= 1")
-    P, inverse, counts = np.unique(X, axis=0, return_inverse=True,
-                                   return_counts=True)
+    if not np.isfinite(X).all():
+        raise ValueError("vectors hold a NaN or an infinity")
+    P, inverse, counts = _distinct_rows(X)
     w = counts.astype(float)
     k = min(k, len(P))
+    rows = _row_cache(P)
     best = None
     for r in range(restarts):
-        centers, labels, sse, _ = _lloyd(P, w, k, seed + r)
+        centers, labels, sse, _ = _lloyd(P, w, k, seed + r, rows)
         if best is None or sse < best[2] - 1e-12:
             best = (centers, labels, sse)
         if best[2] <= 1e-12:
@@ -152,8 +207,7 @@ def kmeans(ids, X, k, seed, restarts=1):
     model = ClusterModel(
         k=k, seed=seed,
         centroids=centers,
-        assignment={pid: int(labels[i])
-                    for pid, i in zip(ids, inverse.reshape(-1))},
+        assignment={pid: int(labels[i]) for pid, i in zip(ids, inverse)},
         sse=sse,
     )
     model.representatives = select_representatives(model, ids, X)

@@ -263,11 +263,13 @@ def run_pipeline(corpus, mode="aast_inv", k=None, k_frac=0.1, seed=0,
                  subset="correct-only", n=3, out_dir=None, restarts=8):
     """analyze each program -> vectorize -> kmeans -> representatives.
 
-    Each distinct canonical source of an assignment is analyzed once, and
-    each distinct document tuple is vectorized once; copies share the
-    result. Clustering is restricted to programs passing every test when
-    subset="correct-only"; only clustered programs are vectorized, so the
-    vector of any other surviving program stays None."""
+    Each distinct canonical source of an assignment is analyzed once,
+    each distinct document is counted once, for the vocabulary and for
+    its vector alike, and each distinct document tuple is vectorized
+    once; copies share the result. Clustering is restricted to programs
+    passing every test when subset="correct-only"; only clustered
+    programs are vectorized, so the vector of any other surviving
+    program stays None."""
     arts = PipelineArtifacts()
     for label in sorted(corpus.assignments):
         asn = corpus.assignments[label]

@@ -6,11 +6,16 @@ segment, built and counted on its own, and the segments are concatenated
 in order: syntax, aast and inv have one segment, aast_inv has the AAST
 segment and then the invariant segment. Normalization is term frequency
 over in-vocabulary gram occurrences, per segment.
+
+A vocabulary keeps the gram counts of the distinct documents it was built
+from, so each is tokenized and counted once: by the build, which takes its
+grams from those counts, and not again when one of those documents is
+vectorized. Any other document is counted when it is vectorized.
 """
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EmptyCorpus, ModeMismatch
 
@@ -28,7 +33,13 @@ def tokenize(text):
 
 
 def ngrams(tokens, n):
-    return [" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+    """Each run of n consecutive tokens, joined by single spaces."""
+    return [" ".join(g) for g in zip(*(tokens[i:] for i in range(n)))]
+
+
+def _count(text, n):
+    """How often each n-gram occurs in the text."""
+    return Counter(ngrams(tokenize(text), n))
 
 
 @dataclass
@@ -37,6 +48,10 @@ class Vocabulary:
     n: int
     grams: list     # each segment's sorted unique grams, segment after segment
     segments: list  # [(start, end)] per segment
+    # Per segment, {document: its gram Counter} for the distinct documents
+    # the vocabulary was built from; in memory only: model.json omits it, a
+    # loaded vocabulary has none, and == on vocabularies skips it.
+    counts: list = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -49,31 +64,39 @@ class FeatureVector:
 
 def _build(families, mode, n):
     """Vocabulary with one segment per document family: the sorted union
-    of the n-grams of its distinct documents, each tokenized once."""
+    of the n-grams of its distinct documents, each counted once, with
+    those counts kept for _vectorize."""
     if not families[0]:
         raise EmptyCorpus("no documents")
     if n < 1:
         raise ValueError("n must be >= 1")
-    grams, segments = [], []
+    grams, segments, counts = [], [], []
     for docs in families:
-        ordered = sorted({g for doc in set(docs)
-                          for g in ngrams(tokenize(doc), n)})
+        counted = {doc: _count(doc, n) for doc in set(docs)}
+        ordered = sorted({g for c in counted.values() for g in c})
         segments.append((len(grams), len(grams) + len(ordered)))
         grams += ordered
+        counts.append(counted)
     if not grams:
         raise EmptyCorpus(f"every document has fewer than {n} tokens")
-    return Vocabulary(mode=mode, n=n, grams=grams, segments=segments)
+    return Vocabulary(mode=mode, n=n, grams=grams, segments=segments,
+                      counts=counts)
 
 
 def _vectorize(texts, vocab, program_id):
-    """Each text counted against its own segment and L1-normalized."""
+    """Each text counted against its own segment and L1-normalized; a text
+    the vocabulary was built from reuses the build's count."""
     if len(texts) != len(vocab.segments):
         raise ModeMismatch(f"{len(texts)} documents for a vocabulary of "
                            f"{len(vocab.segments)} segments")
+    known = vocab.counts or [{}] * len(texts)
     values = []
-    for text, (lo, hi) in zip(texts, vocab.segments):
-        count = Counter(ngrams(tokenize(text), vocab.n)).get
-        seg = [count(g, 0) for g in vocab.grams[lo:hi]]
+    for text, (lo, hi), counted in zip(texts, vocab.segments, known):
+        count = counted.get(text)
+        if count is None:
+            count = _count(text, vocab.n)
+        get = count.get
+        seg = [get(g, 0) for g in vocab.grams[lo:hi]]
         total = sum(seg)
         values += [v / total if total else 0.0 for v in seg]
     return FeatureVector(program_id=program_id, values=values)

@@ -1,6 +1,7 @@
 """KMeans, representative selection, purity, and closest-program tests."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,3 +323,205 @@ def test_every_restart_runs_while_sse_is_above_zero(monkeypatch):
     model = kmeans(*_dup_instance(), k=5, seed=0, restarts=8)
     assert len(sses) == 8 and min(sses) > 1e-12
     assert model.sse < min(sses) + 1e-12
+
+
+# --- kmeans against the implementation it replaced ---------------------------
+# The reference below is kmeans as it was when it collapsed the rows with
+# np.unique(X, axis=0) and computed every distance afresh at each k-means++
+# step of each restart. The current kmeans must give the same model, bit
+# for bit.
+
+def _ref_sq_dists(P, C):
+    return ((P[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+
+
+def _ref_kmeanspp(P, w, k, rng):
+    m = P.shape[0]
+    n_candidates = 2 + int(np.log(k))
+    by_weight = w / w.sum()
+    centers = np.empty((k, P.shape[1]))
+    centers[0] = P[rng.choice(m, p=by_weight)]
+    d2 = _ref_sq_dists(P, centers[:1])[:, 0]
+    for c in range(1, k):
+        total = w @ d2
+        if total <= 0:
+            centers[c] = P[rng.choice(m, p=by_weight)]
+            continue
+        candidates = rng.choice(m, size=n_candidates, p=w * d2 / total)
+        cand_d2 = np.minimum(d2, _ref_sq_dists(P[candidates], P))
+        best = int(np.argmin(cand_d2 @ w))
+        centers[c] = P[candidates[best]]
+        d2 = cand_d2[best]
+    return centers
+
+
+def _ref_assign(P, centers):
+    dists = _ref_sq_dists(P, centers)
+    labels = np.argmin(dists, axis=1)
+    return labels, dists[np.arange(len(labels)), labels]
+
+
+def _ref_reseed_empty(labels, gaps, k):
+    sizes = np.bincount(labels, minlength=k)
+    empty = np.flatnonzero(sizes == 0)
+    for c in empty:
+        movable = sizes[labels] > 1
+        far = int(np.argmax(np.where(movable, gaps, -1.0)))
+        sizes[labels[far]] -= 1
+        labels[far] = c
+        sizes[c] = 1
+    return len(empty) > 0
+
+
+def _ref_lloyd(P, w, k, seed):
+    rng = np.random.default_rng(seed)
+    centers = _ref_kmeanspp(P, w, k, rng)
+    labels, gaps = _ref_assign(P, centers)
+    sse = float(w @ gaps)
+    iters = 0
+    while iters < clusterer.MAX_ITERS:
+        iters += 1
+        reseeded = _ref_reseed_empty(labels, gaps, k)
+        mass = np.bincount(labels, weights=w, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, w[:, None] * P)
+        centers = sums / mass[:, None]
+        new_labels, gaps = _ref_assign(P, centers)
+        new_sse = float(w @ gaps)
+        if not reseeded:
+            assert new_sse <= sse + 1e-9, "Lloyd SSE increased"
+        sse = new_sse
+        stable = not reseeded and np.array_equal(new_labels, labels)
+        labels = new_labels
+        if stable:
+            break
+    return centers, labels, sse, iters
+
+
+def _ref_kmeans(ids, X, k, seed, restarts=1):
+    P, inverse, counts = np.unique(X, axis=0, return_inverse=True,
+                                   return_counts=True)
+    w = counts.astype(float)
+    k = min(k, len(P))
+    best = None
+    for r in range(restarts):
+        centers, labels, sse, _ = _ref_lloyd(P, w, k, seed + r)
+        if best is None or sse < best[2] - 1e-12:
+            best = (centers, labels, sse)
+        if best[2] <= 1e-12:
+            break
+    centers, labels, sse = best
+    model = clusterer.ClusterModel(
+        k=k, seed=seed, centroids=centers,
+        assignment={pid: int(labels[i])
+                    for pid, i in zip(ids, inverse.reshape(-1))},
+        sse=sse)
+    model.representatives = select_representatives(model, ids, X)
+    return model
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _assert_same_model(new, ref):
+    assert new.k == ref.k
+    assert new.assignment == ref.assignment
+    assert _bits(new.sse) == _bits(ref.sse)
+    assert new.representatives == ref.representatives
+    assert new.centroids.shape == ref.centroids.shape
+    assert _bits(new.centroids) == _bits(ref.centroids)
+
+
+def _instances():
+    """X per case: random rows with repeats, -0.0 beside 0.0 and all-equal
+    rows, in the shapes and value ranges the pipeline produces and not."""
+    rng = np.random.default_rng(12)
+    out = []
+    for trial in range(6):
+        d = [2, 3, 5, 40, 331, 7][trial]
+        # Few distinct values per column, so rows tie on leading columns and
+        # the sort reaches later ones.
+        distinct = rng.choice([0.0, 0.25, 0.5, 1.0, 3.0], size=(9, d))
+        distinct[0] = distinct[1]          # one point under two indices
+        picks = rng.integers(0, 9, size=30)
+        out.append(pytest.param(distinct[picks], id=f"repeats-{trial}"))
+    pipeline = rng.random((12, 64)) * (rng.random((12, 64)) < 0.3)
+    pipeline /= np.maximum(pipeline.sum(axis=1, keepdims=True), 1e-300)
+    out.append(pytest.param(pipeline[rng.integers(0, 12, size=50)],
+                            id="l1-rows"))
+    signed = rng.choice([0.0, 1.0, 2.0], size=(20, 4))
+    flip = (signed == 0) & (rng.random(signed.shape) < 0.5)
+    signed[flip] = -0.0
+    out.append(pytest.param(signed, id="signed-zeros"))
+    out.append(pytest.param(np.full((7, 3), 0.5), id="all-equal"))
+    out.append(pytest.param(np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0],
+                                      [-0.0, -0.0]]), id="all-zero-signed"))
+    return out
+
+
+@pytest.mark.parametrize("X", _instances())
+def test_kmeans_matches_the_reference_bit_for_bit(X):
+    ids = _ids(len(X), prefix="q")
+    distinct = len(np.unique(X, axis=0))
+    for k in range(1, distinct + 1):
+        for restarts in (1, 8):
+            for seed in (0, 7):
+                _assert_same_model(kmeans(ids, X, k, seed, restarts),
+                                   _ref_kmeans(ids, X, k, seed, restarts))
+
+
+@pytest.mark.parametrize("X", _instances())
+def test_distinct_rows_are_those_of_np_unique(X):
+    P, inverse, counts = clusterer._distinct_rows(X)
+    P0, inverse0, counts0 = np.unique(X, axis=0, return_inverse=True,
+                                      return_counts=True)
+    assert np.array_equal(P, P0) and P.dtype == P0.dtype
+    assert np.array_equal(inverse, inverse0.reshape(-1))
+    assert np.array_equal(counts, counts0)
+    if not np.signbit(X[X == 0]).any():
+        assert _bits(P) == _bits(P0)
+
+
+def test_distance_rows_are_symmetric_bit_for_bit():
+    rng = np.random.default_rng(3)
+    P = rng.random((15, 331)) * (rng.random((15, 331)) < 0.2)
+    rows = clusterer._row_cache(P)
+    D = rows(np.arange(15)[::-1])[::-1]
+    assert _bits(D) == _bits(D.T.copy())
+    assert _bits(D) == _bits(_ref_sq_dists(P, P))
+    # A row asked for again is the kept one.
+    assert _bits(rows([4, 4, 2])) == _bits(D[[4, 4, 2]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kmeans_rejects_a_nan_like_the_reference(k):
+    X = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    with pytest.raises(ValueError):
+        kmeans(_ids(4), X, k, 0, restarts=2)
+    if k > 1:  # the reference fails its SSE assertion at k = 1
+        with pytest.raises(ValueError):
+            _ref_kmeans(_ids(4), X, k, 0, restarts=2)
+
+
+@pytest.mark.parametrize("n_ids", [2, 4])
+def test_kmeans_ids_and_rows_must_agree_before_any_work(monkeypatch, n_ids):
+    def no_run(*args):
+        raise AssertionError("clustered before checking the shapes")
+
+    monkeypatch.setattr(clusterer, "_lloyd", no_run)
+    monkeypatch.setattr(clusterer, "_distinct_rows", no_run)
+    with pytest.raises(DimensionMismatch, match=f"{n_ids} program ids"):
+        kmeans(_ids(n_ids), np.eye(3), k=1, seed=0, restarts=8)
+
+
+def test_kmeans_memory_stays_near_one_step_of_temporaries():
+    X = np.random.default_rng(8).random((200, 1000))
+    tracemalloc.start()
+    try:
+        kmeans(_ids(200), X, k=3, seed=0, restarts=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # All 200 x 200 x 1000 differences at once would take 320 MB.
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

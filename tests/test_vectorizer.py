@@ -1,6 +1,7 @@
 """Bag-of-words vocabulary and feature-vector tests."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from invclust.parser import parse
 from invclust.renamer import rename
 from invclust.tracer import run_suite
 from invclust.unparse import unparse
-from invclust.vectorizer import (ProgramDocs, build_vocab,
+from invclust.vectorizer import (SEGMENT_FIELDS, ProgramDocs, build_vocab,
                                  build_vocab_for_mode, documents_for_mode,
                                  ngrams, represent, tokenize, vectorize)
 
@@ -196,3 +197,87 @@ def test_vocab_counts_every_copy_of_a_repeated_document(counted, n):
         grams += sorted({g for d in docs
                          for g in ngrams(tokenize(getattr(d, field)), n)})
     assert vocab.grams == grams
+
+
+# --- the vocabulary and vectors against the implementation they replaced -----
+# The reference tokenizes and counts a document once for the vocabulary and
+# again for its vector; the current code counts each distinct document once.
+# Vocabularies and vector values must be equal.
+
+def _ref_ngrams(tokens, n):
+    return [" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def _ref_build(families, n):
+    if not families[0]:
+        raise EmptyCorpus("no documents")
+    grams, segments = [], []
+    for docs in families:
+        ordered = sorted({g for doc in set(docs)
+                          for g in _ref_ngrams(tokenize(doc), n)})
+        segments.append((len(grams), len(grams) + len(ordered)))
+        grams += ordered
+    if not grams:
+        raise EmptyCorpus(f"every document has fewer than {n} tokens")
+    return grams, segments
+
+
+def _ref_vectorize(texts, grams, segments, n):
+    values = []
+    for text, (lo, hi) in zip(texts, segments):
+        count = Counter(_ref_ngrams(tokenize(text), n)).get
+        seg = [count(g, 0) for g in grams[lo:hi]]
+        total = sum(seg)
+        values += [v / total if total else 0.0 for v in seg]
+    return values
+
+
+def _random_docs(rng, count):
+    """ProgramDocs with repeats, empty and one-token texts among them."""
+    def text():
+        words = rng.choice([_AAST_WORDS, _INV_WORDS])
+        return " ".join(rng.choice(words)
+                        for _ in range(rng.choice([0, 1, 2, 3, 5, 9, 20])))
+    made = [ProgramDocs(text(), text(), text()) for _ in range(count)]
+    return [rng.choice(made) for _ in range(2 * count)]
+
+
+@pytest.mark.parametrize("mode", ["syntax", "aast", "inv", "aast_inv"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vocab_and_vectors_match_the_reference(mode, n):
+    rng = random.Random(f"{mode}-{n}")
+    for _ in range(15):
+        docs, queries = _random_docs(rng, 6), _random_docs(rng, 3)
+        families = [[getattr(d, f) for d in docs]
+                    for f in SEGMENT_FIELDS[mode]]
+        try:
+            grams, segments = _ref_build(families, n)
+        except EmptyCorpus:
+            with pytest.raises(EmptyCorpus, match="fewer than"):
+                build_vocab_for_mode(docs, mode, n)
+            continue
+        vocab = build_vocab_for_mode(docs, mode, n)
+        assert (vocab.grams, vocab.segments) == (grams, segments)
+        for d in docs + queries:
+            assert represent(d, vocab).values == _ref_vectorize(
+                documents_for_mode(d, mode), grams, segments, n)
+
+
+@pytest.mark.parametrize("mode", ["syntax", "aast", "inv", "aast_inv"])
+def test_empty_corpus_paths_match_the_reference(mode):
+    short = [ProgramDocs("a b", "x y", ""), ProgramDocs("a", "", "z y")]
+    for docs in ([], short):
+        families = [[getattr(d, f) for d in docs]
+                    for f in SEGMENT_FIELDS[mode]]
+        with pytest.raises(EmptyCorpus) as ref:
+            _ref_build(families, 3)
+        with pytest.raises(EmptyCorpus) as new:
+            build_vocab_for_mode(docs, mode, 3)
+        assert str(new.value) == str(ref.value)
+
+
+def test_ngrams_shorter_than_n_match_the_reference():
+    for length in range(6):
+        tokens = [f"t{i}" for i in range(length)]
+        for n in range(1, 6):
+            assert ngrams(tokens, n) == _ref_ngrams(tokens, n)
