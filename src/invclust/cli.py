@@ -11,17 +11,15 @@ import functools
 import json
 import math
 import sys
-from itertools import islice
 
 import numpy as np
 
 from .anonymizer import anonymize, serialize_aast
 from .clusterer import closest_program, purity
-from .corpus import (analyze, generate_synthetic_corpus, ingest, load_labels,
+from .corpus import (Session, generate_synthetic_corpus, ingest, load_labels,
                      load_model, load_vectors, read_source, read_tests,
                      run_pipeline, write_corpus)
-from .errors import InvclustError, RuntimeFailure
-from .lexer import MAX_SOURCE_CHARS
+from .errors import InvclustError
 from .nodes import SourceProgram
 from .parser import parse
 from .renamer import rename
@@ -54,77 +52,17 @@ def _renamed_tree(path):
     return rename(parse(read_source(path)))
 
 
-# The most characters of test-suite text and kept analyses that a process
-# holds (see _Store): four sources of the largest size the lexer accepts.
-STORE_BUDGET_CHARS = 4 * MAX_SOURCE_CHARS
-
-
-def _kept_chars(key, outcome):
-    """What a new entry of an `analyze` memo holds, in characters: a token
-    key its length (two entries a token), a canonical source its length and
-    its outcome's diagnostic or documents (the renamed source is the key
-    itself, and the invariants by point are the invariant document's
-    lines)."""
-    if isinstance(key, tuple):
-        return len(key)
-    if isinstance(outcome, RuntimeFailure):
-        return len(key) + len(str(outcome))
-    return len(key) + len(outcome.docs.aast_text) + len(outcome.docs.inv_text)
-
-
-class _Store:
-    """The analyses `closest` and `invariants` keep for the whole process:
-    one `analyze` memo per test suite and max_steps, the suite keyed by
-    each case's input and expected output. A query whose token key or
-    canonical source an earlier query of the same suite had is answered
-    from the memo without being parsed or traced; a test file rewritten in
-    place makes another suite. Only documents are kept, never vectors,
-    which depend on the model asked.
-
-    Each kept suite is charged its text, and each new memo entry what it
-    holds (see _kept_chars). A query after which the charge passes
-    STORE_BUDGET_CHARS empties the whole store, so a query answered from
-    the store never empties it, and one that alone passes the budget is
-    dropped as soon as it is answered."""
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.memos = {}  # (suite, max_steps) -> analyze memo
-        self.chars = 0
-
-    def analyze(self, program, tests, max_steps):
-        suite = tuple((t.stdin_text, t.expected_stdout) for t in tests)
-        memo = self.memos.get((suite, max_steps))
-        if memo is None:
-            memo = self.memos[suite, max_steps] = {}
-            self.chars += sum(len(i) + len(o) for i, o in suite)
-        kept = len(memo)
-        try:
-            return analyze(program, tests, max_steps, memo)
-        except RuntimeFailure as failure:
-            # The kept failure is raised again by each later query of the
-            # program; a copy is raised instead, so that the kept one holds
-            # no traceback and with it no frame of this call.
-            failure.__traceback__ = None
-            raise RuntimeFailure(str(failure)) from None
-        finally:
-            self.chars += sum(_kept_chars(key, memo[key])
-                              for key in islice(memo, kept, None))
-            if self.chars > STORE_BUDGET_CHARS:
-                self.clear()
-
-
-_store = _Store()
+# What this process keeps between calls of main, the module's only state
+# (see corpus.Session).
+_session = Session()
 
 
 def _analyze(args):
     """The submission at args.program analyzed against args.tests, reusing
-    what this process kept of an earlier query (see _Store)."""
+    what this process kept of an earlier query."""
     program = SourceProgram(id="query", label="",
                             text=read_source(args.program))
-    return _store.analyze(program, read_tests(args.tests), args.max_steps)
+    return _session.analyze(program, read_tests(args.tests), args.max_steps)
 
 
 def cmd_rename(args):
@@ -185,7 +123,7 @@ def cmd_cluster(args):
 
 
 def cmd_representatives(args):
-    model = load_model(args.model)
+    model = load_model(args.model, _session)
     reps = {str(c): pid for c, pid in sorted(model.representatives.items())}
     human = "\n".join(f"{c}: {pid}" for c, pid in reps.items())
     _emit(args, {"representatives": reps}, human)
@@ -193,22 +131,23 @@ def cmd_representatives(args):
 
 
 def cmd_closest(args):
-    model = load_model(args.model)
+    model = load_model(args.model, _session)
     pa = _analyze(args)
     query = represent(pa.docs, model.vocab, pa.program_id)
     if args.all_candidates:
         ids = sorted(model.assignment)
     else:
         ids = sorted(model.representatives.values())
-    pid, dist = closest_program(np.array(query.values), ids,
-                                load_vectors(args.model, model, ids))
+    pid, dist = closest_program(
+        np.array(query.values), ids,
+        load_vectors(args.model, model, ids, _session))
     _emit(args, {"closest": pid, "distance": dist},
           json.dumps({"closest": pid, "distance": dist}))
     return 0
 
 
 def cmd_purity(args):
-    model = load_model(args.model)
+    model = load_model(args.model, _session)
     p = purity(model.assignment, load_labels(args.model, model.assignment))
     _emit(args, {"purity": p}, f"purity {p:.4f}")
     return 0

@@ -14,6 +14,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 from numpy.lib import format as npy
@@ -23,7 +24,7 @@ from .clusterer import ClusterModel, k_from_fraction, kmeans, purity
 from .errors import (BadModel, BadTestFile, EmptyCorpus, MissingTests,
                      ProgramRejected, RuntimeFailure)
 from .invariants import detect, flatten
-from .lexer import lex
+from .lexer import MAX_SOURCE_CHARS, lex
 from .nodes import Assignment, Corpus, SourceProgram
 from .parser import parse
 from .renamer import rename
@@ -246,6 +247,82 @@ def token_key(tokens):
     return tuple(key)
 
 
+# The most characters of test-suite text and kept analyses that a Session
+# holds: four sources of the largest size the lexer accepts.
+STORE_BUDGET_CHARS = 4 * MAX_SOURCE_CHARS
+
+
+class Session:
+    """What a caller keeps between queries: an `analyze` memo per test suite
+    and max_steps, the suite keyed by each case's input and expected
+    output, and the last parse of each persisted file (see parse). A query
+    whose token key or canonical source an earlier query of the suite had
+    is answered from the memo without being parsed or traced. Only
+    documents are kept, never vectors, which depend on the model asked.
+
+    Each kept suite is charged its text, and each new memo entry what it
+    holds (see _charge). A query after which the charge passes
+    STORE_BUDGET_CHARS empties every memo (clear), so a query answered
+    from the memos never empties them, and one that alone passes the
+    budget is dropped as soon as it is answered. The last parses are
+    neither charged nor emptied."""
+
+    def __init__(self):
+        self.parses = {}  # parse function -> (bytes, result)
+        self.clear()
+
+    def clear(self):
+        self.memos = {}  # (suite, max_steps) -> analyze memo
+        self.chars = 0
+
+    def analyze(self, program, tests, max_steps=None):
+        """`analyze` of program, with the memo of its suite and max_steps."""
+        suite = tuple((t.stdin_text, t.expected_stdout) for t in tests)
+        memo = self.memos.get((suite, max_steps))
+        if memo is None:
+            memo = self.memos[suite, max_steps] = {}
+            self.chars += sum(len(i) + len(o) for i, o in suite)
+        kept = len(memo)
+        try:
+            return analyze(program, tests, max_steps, memo)
+        except RuntimeFailure as failure:
+            # The kept failure is raised again by each later query of the
+            # program; a copy is raised instead, so that the kept one holds
+            # no traceback and with it no frame of this call.
+            failure.__traceback__ = None
+            raise RuntimeFailure(str(failure)) from None
+        finally:
+            self.chars += sum(self._charge(key, memo[key])
+                              for key in islice(memo, kept, None))
+            if self.chars > STORE_BUDGET_CHARS:
+                self.clear()
+
+    @staticmethod
+    def _charge(key, outcome):
+        """What a new memo entry holds, in characters: a token key its
+        length (two entries a token), a canonical source its length and its
+        outcome's diagnostic or documents (the renamed source is the key
+        itself, and the invariants by point are the invariant document's
+        lines)."""
+        if isinstance(key, tuple):
+            return len(key)
+        if isinstance(outcome, RuntimeFailure):
+            return len(key) + len(str(outcome))
+        docs = outcome.docs
+        return len(key) + len(docs.aast_text) + len(docs.inv_text)
+
+    def parse(self, parse, data):
+        """parse(data), reusing the last result of the same parse while data
+        equals the bytes it was parsed from, so a process that loads one
+        persisted model again and again parses each file once. Only a parse
+        that returns is kept: bytes that fail are parsed, and fail, at
+        every call."""
+        last = self.parses.get(parse)
+        if last is None or last[0] != data:
+            last = self.parses[parse] = (data, parse(data))
+        return last[1]
+
+
 def _outcome(renamed, source, tests, max_steps):
     """The RuntimeFailure of the first test that ends in a runtime error,
     where the suite stops, or else the artifacts of the renamed tree, with
@@ -421,34 +498,22 @@ def _beside(model_path, name):
     return os.path.join(os.path.dirname(os.path.abspath(model_path)), name)
 
 
-def _read(path, parse):
-    """parse(the bytes at path); BadModel naming path when it cannot be
-    opened or parse rejects its bytes with a ValueError or an EOFError."""
+def _read(path, parse, session=None):
+    """parse(the bytes at path), through session.parse when a session is
+    given; BadModel naming path when it cannot be opened or parse rejects
+    its bytes with a ValueError or an EOFError."""
     try:
         with open(path, "rb") as f:
             data = f.read()
-        return parse(data)
+        return parse(data) if session is None else session.parse(parse, data)
     except OSError as e:
         raise BadModel(path, e.strerror or e) from None
     except (ValueError, EOFError) as e:
         raise BadModel(path, e) from None
 
 
-class _LastParse:
-    """parse(data), reusing the last result while data equals the bytes it
-    was parsed from, so a process that loads one persisted model again and
-    again parses each file once. Only a parse that returns is kept: bytes
-    that fail are parsed, and fail, at every call."""
-
-    def __init__(self, parse):
-        self.parse = parse
-        self.data = self.result = None
-
-    def __call__(self, data):
-        if data != self.data:
-            self.result = self.parse(data)
-            self.data = data
-        return self.result
+def _parse_model(data):
+    return _model_from_dict(json.loads(data))
 
 
 def _parse_vectors(data):
@@ -476,21 +541,17 @@ def _parse_vectors(data):
     return table["values"], row
 
 
-_last_model = _LastParse(lambda data: _model_from_dict(json.loads(data)))
-_last_vectors = _LastParse(_parse_vectors)
-
-
-def load_model(path):
+def load_model(path, session=None):
     """The ClusterModel persist wrote to model.json, with .vocab set and no
     centroids. BadModel naming the file when it is not JSON, lacks a
     field, or fails a check of _model_from_dict (a vocabulary carrying
     idf weights among them), and when it cannot be opened.
 
-    A process parses the same bytes once (see _LastParse); each call
-    returns a model with containers of its own, so a caller that changes
-    one changes no later load."""
+    With a session, the same bytes are parsed once (see Session.parse);
+    each call returns a model with containers of its own, so a caller that
+    changes one changes no later load."""
     try:
-        model = _read(path, _last_model)
+        model = _read(path, _parse_model, session)
     except (KeyError, TypeError, AttributeError) as e:
         raise BadModel(path, e) from None
     vocab = model.vocab
@@ -500,17 +561,17 @@ def load_model(path):
                                  segments=list(vocab.segments)))
 
 
-def load_vectors(model_path, model, ids):
+def load_vectors(model_path, model, ids, session=None):
     """The persisted vectors of `ids` as one float64 matrix, a row per id,
     copied from the rows of the vectors.npy next to model_path. BadModel
     naming that file when it is not the (id, values) table persist wrote,
     holds an id twice, its vectors are not one value per gram of
     model.vocab, or it lacks an id.
 
-    A process parses the same bytes once (see _LastParse); the width and
-    the ids are checked at every call."""
+    With a session, the same bytes are parsed once (see Session.parse);
+    the width and the ids are checked at every call."""
     path = _beside(model_path, "vectors.npy")
-    values, row = _read(path, _last_vectors)
+    values, row = _read(path, _parse_vectors, session)
     width, grams = values.shape[1], len(model.vocab.grams)
     if width != grams:
         raise BadModel(path, f"vectors of {width} values for {grams} grams")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from invclust import cli, tracer
+from invclust.corpus import Session
 from invclust.invariants import UNSET
 from invclust.parser import parse
 from invclust.renamer import rename
@@ -193,11 +194,13 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_analysis_store():
-    """Each test starts with nothing kept by `closest` and `invariants`, as
-    a fresh process does: a test that patches a module constant such as
-    invariants.MIN_SAMPLES gets no analysis made under another value."""
-    cli._store.clear()
+def _fresh_session(monkeypatch):
+    """Each test runs the CLI with a session of its own, as a fresh process
+    does: no analysis kept by `closest` and `invariants`, so a test that
+    patches a module constant such as invariants.MIN_SAMPLES gets no
+    analysis made under another value, and no last parse of a model.json
+    or a vectors.npy."""
+    monkeypatch.setattr(cli, "_session", Session())
 
 
 @pytest.fixture

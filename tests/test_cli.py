@@ -1,8 +1,10 @@
 """CLI subcommand tests: thin-wrapper golden checks and exit codes."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -11,11 +13,12 @@ import sys
 import numpy as np
 import pytest
 
+import invclust
 from invclust import cli, invariants
 from invclust.cli import build_parser, main
-from invclust.corpus import (analyze, generate_synthetic_corpus, load_model,
-                             read_source, read_tests, run_pipeline,
-                             write_corpus)
+from invclust.corpus import (Session, analyze, generate_synthetic_corpus,
+                             load_model, read_source, read_tests,
+                             run_pipeline, write_corpus)
 from invclust.errors import RuntimeFailure
 from invclust.lexer import MAX_SOURCE_CHARS
 from invclust.nodes import Assignment, Corpus, SourceProgram
@@ -348,7 +351,7 @@ def test_runtime_error_prints_its_diagnostic(workspace, capsys, command):
                             str(workspace / "corpus" / "tests" / "sum1n")])
         assert code == 2
         assert capsys.readouterr().err == "error: div-by-zero at main/entry\n"
-    [kept] = {id(o): o for memo in cli._store.memos.values()
+    [kept] = {id(o): o for memo in cli._session.memos.values()
               for o in memo.values()}.values()
     assert isinstance(kept, RuntimeFailure) and kept.__traceback__ is None
 
@@ -880,6 +883,18 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+# What a process keeps between queries lives in one session, the CLI's: no
+# other module holds one a caller did not create.
+def test_the_only_module_level_session_is_the_clis():
+    held = []
+    for info in pkgutil.iter_modules(invclust.__path__):
+        module = importlib.import_module(f"invclust.{info.name}")
+        held += [f"{module.__name__}.{name}"
+                 for name, value in vars(module).items()
+                 if isinstance(value, Session)]
+    assert held == ["invclust.cli._session"]
+
+
 # `python -m invclust` runs main: the same exit codes and output, a usage
 # error and a missing file included. A query repeated in one process, and
 # one under a --max-steps its earlier analysis did not have, print what a
@@ -1018,26 +1033,26 @@ def test_store_stays_within_its_budget(workspace, capsys, monkeypatch,
         workspace / "corpus" / "sum1n" / f"v0{i}.c" for i in range(4)]
     charges = []
     for path in paths:
-        cli._store.clear()
+        cli._session.clear()
         _closest_json(workspace, capsys, path)
-        charges.append(cli._store.chars - suite_chars)
-    cli._store.clear()
+        charges.append(cli._session.chars - suite_chars)
+    cli._session.clear()
     budget = suite_chars + programs_kept * max(charges) - (not programs_kept)
-    monkeypatch.setattr(cli, "STORE_BUDGET_CHARS", budget)
+    monkeypatch.setattr("invclust.corpus.STORE_BUDGET_CHARS", budget)
 
     queries = [p for p in paths for _ in range(2)] + paths
     _, traced = count_calls(monkeypatch)
     kept_answers = []
     for path in queries:
         kept_answers.append(_closest_json(workspace, capsys, path))
-        assert cli._store.chars <= budget
+        assert cli._session.chars <= budget
     if programs_kept:
         assert len(paths) < len(traced) < len(queries)
     else:
-        assert len(traced) == len(queries) and cli._store.memos == {}
+        assert len(traced) == len(queries) and cli._session.memos == {}
     fresh_answers = []
     for path in queries:
-        cli._store.clear()
+        cli._session.clear()
         fresh_answers.append(_closest_json(workspace, capsys, path))
     assert kept_answers == fresh_answers
 
@@ -1050,13 +1065,13 @@ def test_a_kept_query_at_a_full_store_traces_nothing(workspace, tmp_path,
     renamed = tmp_path / "renamed.c"
     renamed.write_text(BAD_SUM_RENAMED)
     first = _closest_json(workspace, capsys, workspace / "bad.c")
-    full = cli._store.chars
-    monkeypatch.setattr(cli, "STORE_BUDGET_CHARS", full)
+    full = cli._session.chars
+    monkeypatch.setattr("invclust.corpus.STORE_BUDGET_CHARS", full)
     parsed, traced = count_calls(monkeypatch)
     assert _closest_json(workspace, capsys, workspace / "bad.c") == first
     assert _closest_json(workspace, capsys, renamed) == first
-    assert parsed == [] and traced == [] and cli._store.chars == full
+    assert parsed == [] and traced == [] and cli._session.chars == full
     _closest_json(workspace, capsys, workspace / "left.c")
-    assert len(traced) == 1 and cli._store.memos == {}
+    assert len(traced) == 1 and cli._session.memos == {}
     assert _closest_json(workspace, capsys, workspace / "bad.c") == first
     assert len(traced) == 2

@@ -12,13 +12,15 @@ import sys
 import numpy as np
 import pytest
 
+import invclust
 from invclust import tracer
 from invclust.cli import main
 from invclust.clusterer import purity
-from invclust.corpus import (Corpus, Assignment, analyze, artifacts, entry,
-                             generate_synthetic_corpus, ingest, load_model,
-                             load_vectors, project_2d, run_pipeline,
-                             token_key, tree_hash, write_corpus)
+from invclust.corpus import (Corpus, Assignment, Session, analyze, artifacts,
+                             entry, generate_synthetic_corpus, ingest,
+                             load_model, load_vectors, project_2d,
+                             run_pipeline, token_key, tree_hash,
+                             write_corpus)
 from invclust.errors import (BadTestFile, EmptyCorpus, MissingTests,
                              ProgramRejected, RuntimeFailure)
 from invclust.lexer import MAX_SOURCE_CHARS, lex
@@ -29,8 +31,8 @@ from invclust.synth import PAIR_FOR, PAIR_WHILE
 from invclust.tracer import TestCase, run_suite
 from invclust.vectorizer import MODES, represent
 
-from conftest import (HOSTILE_SOURCES, count_calls, gen_program, gen_suite,
-                      mutations_shown)
+from conftest import (HOSTILE_SOURCES, LEFT_SRC, count_calls, gen_program,
+                      gen_suite, mutations_shown, sum_suite)
 
 
 def _write_corpus_tree(root, assignments):
@@ -786,3 +788,61 @@ def test_loaders_reparse_changed_bytes_and_return_fresh_objects(tmp_path,
         arts.model.assignment, arts.model.representatives, arts.model.vocab)
     assert load_vectors(path, again, arts.clustered_ids).tobytes() == (
         kept.tobytes())
+
+
+def _count_parses(monkeypatch):
+    """{name: calls} of the functions that parse a model.json's and a
+    vectors.npy's bytes."""
+    calls = {}
+    for name in ("_model_from_dict", "_parse_vectors"):
+        def counted(arg, real=getattr(invclust.corpus, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(arg)
+        monkeypatch.setattr(invclust.corpus, name, counted)
+    return calls
+
+
+# A loader without a session parses its file at every call. A session
+# parses each file once while its bytes are equal and again once they are
+# rewritten in place; another session parses them anew.
+def test_a_session_parses_each_persisted_file_once_per_bytes(tmp_path,
+                                                             monkeypatch):
+    corpus = generate_synthetic_corpus(seed=0, assignments=2, variants_per=4)
+    ids = run_pipeline(corpus, k=2, out_dir=str(tmp_path)).clustered_ids
+    path = str(tmp_path / "model.json")
+    calls = _count_parses(monkeypatch)
+
+    def load(session):
+        model = load_model(path, session)
+        return model, load_vectors(path, model, ids, session)
+
+    for _ in range(3):
+        model, X = load(None)
+    assert calls == {"_model_from_dict": 3, "_parse_vectors": 3}
+    session = Session()
+    for _ in range(3):
+        got, Y = load(session)
+        assert got == model and Y.tobytes() == X.tobytes()
+    assert calls == {"_model_from_dict": 4, "_parse_vectors": 4}
+
+    d = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps(d, indent=1))
+    table = np.load(tmp_path / "vectors.npy", allow_pickle=False)
+    table["values"] *= 2
+    np.save(tmp_path / "vectors.npy", table, allow_pickle=False)
+    for _ in range(3):
+        again, doubled = load(session)
+        assert again == model and doubled.tobytes() == (2 * X).tobytes()
+    assert calls == {"_model_from_dict": 5, "_parse_vectors": 5}
+    load(Session())
+    assert calls == {"_model_from_dict": 6, "_parse_vectors": 6}
+
+
+# Two sessions share no analysis: a program kept by one is parsed and
+# traced again by the other, and then kept by it.
+def test_sessions_share_no_analysis(monkeypatch):
+    parsed, traced = count_calls(monkeypatch)
+    answers = [session.analyze(SourceProgram("p", "", LEFT_SRC), sum_suite())
+               for session in (Session(), Session()) for _ in range(2)]
+    assert len(parsed) == len(traced) == 2
+    assert all(pa == answers[0] for pa in answers)
